@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import (
     DanglingGoldError,
@@ -62,13 +62,14 @@ class Corpus:
     passages: tuple[Passage, ...]
     source_label: str = ""
     checksum: str = field(init=False, default="")
+    # Lowercased texts in passage order: the substring-search surface.
+    lowered: tuple[str, ...] = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "passages", tuple(self.passages))
         object.__setattr__(self, "checksum", _checksum(self.passages))
         object.__setattr__(self, "_by_id", {p.id: p for p in self.passages})
-        # Lowercased texts are the substring-search surface; cached once.
-        object.__setattr__(self, "_lower", {p.id: p.text.lower() for p in self.passages})
+        object.__setattr__(self, "lowered", tuple(p.text.lower() for p in self.passages))
 
     def __len__(self) -> int:
         return len(self.passages)
@@ -81,9 +82,6 @@ class Corpus:
 
     def get(self, passage_id: str) -> Passage:
         return self._by_id[passage_id]  # type: ignore[attr-defined]
-
-    def lower_text(self, passage_id: str) -> str:
-        return self._lower[passage_id]  # type: ignore[attr-defined]
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -308,29 +306,35 @@ def corpus_metadata(corpus: Corpus) -> dict:
 
 
 def read_corpus(path: str | Path, source_label: str | None = None) -> Corpus:
-    """Read a canonical JSONL corpus file written by :func:`write_corpus`."""
+    """Read a canonical JSONL corpus file written by :func:`write_corpus`.
+
+    The file is read line by line, so no whole-file buffer is held beside
+    the passages, and only \\n, \\r\\n or \\r end a record: canonical JSONL
+    leaves other line separators (U+2028, U+0085) raw inside passage text.
+    """
     path = Path(path)
     passages = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocumentError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        try:
-            passages.append(
-                Passage(
-                    id=rec["id"],
-                    session_id=rec["session_id"],
-                    turn_index=int(rec["turn_index"]),
-                    speaker=rec["speaker"],
-                    text=rec["text"],
-                    timestamp=rec.get("timestamp"),
+    with path.open(encoding="utf-8") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedDocumentError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            try:
+                passages.append(
+                    Passage(
+                        id=rec["id"],
+                        session_id=rec["session_id"],
+                        turn_index=int(rec["turn_index"]),
+                        speaker=rec["speaker"],
+                        text=rec["text"],
+                        timestamp=rec.get("timestamp"),
+                    )
                 )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedDocumentError(f"{path}:{lineno}: bad passage record: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedDocumentError(f"{path}:{lineno}: bad passage record: {exc}") from exc
     if not passages:
         raise EmptyCorpusError(f"{path} holds zero passages")
     passages.sort(key=lambda p: (p.session_id, p.turn_index))
@@ -417,14 +421,3 @@ def validate(corpus: Corpus) -> list[str]:
         prev_key = key
     return report
 
-
-def validate_ordering(passages: Iterable[Passage]) -> list[str]:
-    """Ordering violations for a raw passage sequence (pre-normalization)."""
-    report = []
-    prev: tuple[str, int] | None = None
-    for p in passages:
-        key = (p.session_id, p.turn_index)
-        if prev is not None and key < prev:
-            report.append(f"passage {p.id} out of order")
-        prev = key
-    return report

@@ -280,27 +280,39 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
     path = Path(path)
     header = None
     records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
+    # Only "\n" ends a record: JSON written with ensure_ascii=False keeps
+    # U+2028 and U+0085 raw inside strings, and splitlines() splits on them.
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"),
                                   start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IncompleteMatrixError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise IncompleteMatrixError(f"{path}:{lineno}: expected an object per line")
         if rec.get("record") == "header":
             header = rec
             continue
         if rec.get("record") != "question":
             raise IncompleteMatrixError(f"{path}:{lineno}: unknown record kind")
-        records.append(QuestionRecord(
-            question_id=rec["question_id"],
-            query=rec["query"],
-            candidate_ids=tuple(rec["candidates"]),
-            cross_scores={k: float(v) for k, v in rec["cross"].items()},
-            match_scores={k: float(v) for k, v in rec["match"].items()},
-            word_counts={k: int(v) for k, v in rec["words"].items()},
-            render_lens={k: int(v) for k, v in rec["render_lens"].items()},
-            gold_ids=frozenset(rec["gold"]),
-            missing_gold=frozenset(rec["missing"]),
-        ))
+        try:
+            records.append(QuestionRecord(
+                question_id=rec["question_id"],
+                query=rec["query"],
+                candidate_ids=tuple(rec["candidates"]),
+                cross_scores={k: float(v) for k, v in rec["cross"].items()},
+                match_scores={k: float(v) for k, v in rec["match"].items()},
+                word_counts={k: int(v) for k, v in rec["words"].items()},
+                render_lens={k: int(v) for k, v in rec["render_lens"].items()},
+                gold_ids=frozenset(rec["gold"]),
+                missing_gold=frozenset(rec["missing"]),
+            ))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise IncompleteMatrixError(
+                f"{path}:{lineno}: missing or invalid field: {exc}"
+            ) from exc
     if header is None:
         raise IncompleteMatrixError(f"{path}: missing matrix header record")
     matrix = ScoreMatrix(

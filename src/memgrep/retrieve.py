@@ -2,9 +2,10 @@
 
 Main path is case-insensitive substring matching of weighted terms over every
 passage, repeated over up to max_hops rounds of entity expansion, then a
-single pseudo-relevance-feedback round. A pluggable dense scorer covers the
-rare query whose terms match nothing. No inverted index, no embedding store;
-the corpus text itself is the only data structure.
+single pseudo-relevance-feedback round. Each term costs one C-level substring
+pass over the corpus's lowercased passage texts. A pluggable dense scorer
+covers the rare query whose terms match nothing. No inverted index, no
+embedding store; the corpus text itself is the only data structure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import contains
 
 from .annotate import Annotator
 from .corpus import Corpus, Passage
@@ -103,33 +106,36 @@ def grep_search(
 ) -> CandidateSet:
     """Scan every passage for term substrings; no index is consulted.
 
+    Each needle is tested against every lowercased passage text in one
+    C-level pass (``operator.contains`` mapped over the corpus).
     OR keeps any passage matching at least one term; AND requires all terms.
-    Scores sum the weights of distinct matched terms; repeats add nothing.
+    Scores sum the weights of distinct matched terms, in term order;
+    repeats add nothing.
     """
     if not terms.terms:
         raise ValueError("term set must be non-empty")
     if mode not in ("OR", "AND"):
         raise ValueError(f"mode must be OR or AND, got {mode!r}")
-    needles = [(term.surface.lower(), term.surface, term.weight)
-               for term in terms.terms]
-    candidates = []
-    for passage in corpus:
-        text = corpus.lower_text(passage.id)
-        matched = tuple(
-            (surface, weight)
-            for needle, surface, weight in needles
-            if needle in text
-        )
-        if not matched:
-            continue
-        if mode == "AND" and len(matched) != len(needles):
-            continue
-        candidates.append(Candidate(
-            passage_id=passage.id,
+    lowered = corpus.lowered
+    positions = range(len(lowered))
+    # Passage position -> (surface, weight) pairs, appended in term order.
+    hits: dict[int, list[tuple[str, float]]] = {}
+    for term in terms.terms:
+        needle = term.surface.lower()
+        pair = (term.surface, term.weight)
+        for i in compress(positions, map(contains, lowered, repeat(needle))):
+            hits.setdefault(i, []).append(pair)
+    passages = corpus.passages
+    candidates = [
+        Candidate(
+            passage_id=passages[i].id,
             match_score=sum(weight for _, weight in matched),
-            matched_terms=matched,
+            matched_terms=tuple(matched),
             hop=hop,
-        ))
+        )
+        for i, matched in hits.items()
+        if mode == "OR" or len(matched) == len(terms.terms)
+    ]
     candidates.sort(key=lambda c: (-c.match_score, c.passage_id))
     return CandidateSet(
         candidates=tuple(candidates),

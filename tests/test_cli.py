@@ -76,6 +76,31 @@ def test_sweep_from_prebuilt_matrix(capsys, tmp_path, fix_corpus, fix_questions)
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("damage", ["drop-render-lens", "not-json"])
+def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpus,
+                                                     fix_questions, damage):
+    eval_dir = tmp_path / "eval"
+    run_cli(capsys, "eval", "--corpus", fix_corpus, "--questions", fix_questions,
+            "--out", str(eval_dir))
+    matrix = eval_dir / "matrix.jsonl"
+    lines = matrix.read_text().splitlines()
+    if damage == "drop-render-lens":
+        record = json.loads(lines[1])
+        del record["render_lens"]
+        lines[1] = json.dumps(record)
+    else:
+        lines[1] = lines[1][:-1]
+    matrix.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(
+        capsys, "sweep", "--corpus", fix_corpus, "--matrix", str(matrix),
+        "--budgets", "50", "--alphas", "0",
+    )
+    assert code == 1
+    record = json.loads(err)
+    assert record["error"] == "IncompleteMatrixError"
+    assert f"{matrix}:2:" in record["message"]
+
+
 def test_oracle_stats(capsys, fix_corpus, fix_questions):
     code, out, _ = run_cli(
         capsys, "oracle", "--corpus", fix_corpus, "--questions", fix_questions,

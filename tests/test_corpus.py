@@ -22,6 +22,8 @@ from memgrep.errors import (
     EmptyCorpusError,
     MalformedDocumentError,
 )
+from memgrep.parse import WeightedTerm, WeightedTermSet
+from memgrep.retrieve import grep_search
 
 from conftest import make_corpus
 
@@ -33,8 +35,11 @@ def test_passage_lookup_and_length(tiny_corpus):
     assert "s:9" not in tiny_corpus
 
 
-def test_lower_text_cached(tiny_corpus):
-    assert tiny_corpus.lower_text("s:0") == tiny_corpus.get("s:0").text.lower()
+def test_search_surface_is_case_insensitive(tiny_corpus):
+    for surface in ("javier", "JAVIER", "mOUNT rAINIER"):
+        terms = WeightedTermSet.from_terms(
+            [WeightedTerm(surface, 3.0, "query")], query_text="q")
+        assert grep_search(tiny_corpus, terms).ids() == ["s:0"]
 
 
 def test_checksum_is_content_addressed():
@@ -156,6 +161,14 @@ def test_canonical_round_trip(tmp_path, tiny_corpus):
     assert [p.to_record() for p in back] == [p.to_record() for p in tiny_corpus]
     # Serialization itself is stable.
     assert corpus_to_jsonl(back) == corpus_to_jsonl(tiny_corpus)
+
+
+def test_canonical_round_trip_keeps_unicode_line_separators(tmp_path):
+    # json.dumps(ensure_ascii=False) writes these separators raw in strings.
+    corpus = make_corpus(["line\u2028separator", "next\x85line", "group\x1dsep"])
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, path)
+    assert read_corpus(path).checksum == corpus.checksum
 
 
 def test_read_corpus_rejects_garbage(tmp_path):

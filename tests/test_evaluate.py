@@ -1,5 +1,7 @@
 """Metrics, the score matrix artifact, and the offline simulator."""
 
+import dataclasses
+
 import pytest
 
 from memgrep.corpus import GoldAnnotation, load_questions, read_corpus
@@ -127,6 +129,15 @@ def test_matrix_round_trip(fixture_corpus_path, fixture_questions_path, tmp_path
     back = read_matrix(path, corpus)
     assert back == matrix
     assert matrix_to_jsonl(back) == matrix_to_jsonl(matrix)
+
+
+def test_matrix_round_trip_keeps_unicode_line_separators(tmp_path):
+    rec = dataclasses.replace(record("q1", ["a"], {"a": 1.0}, ["a"]),
+                              query="where\u2028now\x85then")
+    matrix = ScoreMatrix(records=(rec,), corpus_checksum="c", cross_scorer="lex")
+    path = tmp_path / "matrix.jsonl"
+    write_matrix(matrix, path)
+    assert read_matrix(path) == matrix
 
 
 def test_read_matrix_rejects_checksum_mismatch(fixture_corpus_path, tmp_path,

@@ -1,6 +1,8 @@
 """Substring retrieval, expansion hops, and the fallback path."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
 from memgrep.corpus import read_corpus
@@ -76,6 +78,66 @@ def test_grep_repeated_occurrences_count_once():
 def test_grep_empty_terms_rejected(tiny_corpus):
     with pytest.raises(ValueError):
         grep_search(tiny_corpus, WeightedTermSet(terms=(), query_text="q"))
+
+
+# Case-folding traps: "İ" lowers to two code points ("i" + combining dot),
+# "Σ" lowers to "σ" or, at a word's end, to final "ς", and "ß" stays "ß"
+# though it upper-cases to "SS".
+_ALPHABET = "aAbBiIİ\u0307ΣσςßsS \x00\n"
+_READINGS = [("query", 1.0), ("query", 2.0), ("query", 3.0), ("query", 4.0),
+             ("entity-hop", 2.5), ("prf", 0.5)]
+
+
+@st.composite
+def corpus_and_terms(draw):
+    texts = draw(st.lists(st.text(_ALPHABET, max_size=12), min_size=1, max_size=12))
+    surfaces = draw(st.lists(st.text(_ALPHABET, min_size=1, max_size=4),
+                             min_size=1, max_size=4))
+    # Needles that are substrings of other needles.
+    for surface in list(surfaces):
+        start = draw(st.integers(0, len(surface) - 1))
+        stop = draw(st.integers(start + 1, len(surface)))
+        surfaces.append(surface[start:stop])
+    readings = draw(st.lists(st.sampled_from(_READINGS), min_size=len(surfaces),
+                             max_size=len(surfaces)))
+    return texts, list(zip(surfaces, readings))
+
+
+def reference_grep(corpus, terms, mode):
+    """Per passage, per term: ``needle in text.lower()``."""
+    rows = []
+    for passage in corpus:
+        matched = tuple((t.surface, t.weight) for t in terms.terms
+                        if t.surface.lower() in passage.text.lower())
+        if not matched or (mode == "AND" and len(matched) != len(terms.terms)):
+            continue
+        rows.append((passage.id, matched, sum(w for _, w in matched)))
+    rows.sort(key=lambda row: (-row[2], row[0]))
+    return rows
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=corpus_and_terms(), mode=st.sampled_from(["OR", "AND"]))
+@example(case=(["İstanbul ΣΑΣ Straße", "σας\x00ß\nline", "plain"],
+               [("i\u0307", ("query", 3.0)), ("ς", ("query", 2.0)),
+                ("SS", ("prf", 0.5)), ("ß", ("entity-hop", 2.5))]),
+         mode="OR")
+@example(case=(["Melanie\x00hiked\nMelanie"],
+               [("melanie", ("query", 4.0)), ("mel", ("prf", 0.5)),
+                ("e", ("query", 1.0))]),
+         mode="AND")
+def test_grep_matches_brute_force_reference(case, mode):
+    texts, pairs = case
+    corpus = make_corpus(texts)
+    terms = WeightedTermSet.from_terms(
+        [WeightedTerm(surface, weight, provenance)
+         for surface, (provenance, weight) in pairs],
+        query_text="q",
+    )
+    result = grep_search(corpus, terms, mode, hop=2)
+    got = [(c.passage_id, c.matched_terms, c.match_score) for c in result.candidates]
+    assert got == reference_grep(corpus, terms, mode)
+    assert all(c.hop == 2 for c in result.candidates)
 
 
 def test_candidate_validates_score_against_matched_terms():
