@@ -4,7 +4,8 @@ A corpus is an ordered collection of passages, one per conversation turn.
 Passage ids follow the scheme ``{session_id}:{turn_index}`` and are stable
 across runs for identical input. The canonical interchange format is JSON
 Lines, one passage per line, which together with a content checksum makes
-ingestion reproducible byte-for-byte.
+ingestion reproducible byte-for-byte. The checksum is the sha256 of that
+canonical JSONL (the file :func:`write_corpus` writes), taken on first read.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
 from .errors import (
     DanglingGoldError,
@@ -57,17 +59,18 @@ class Corpus:
     Construction preserves the passage order it is given; ingestion sorts
     by (session_id, turn_index) before constructing, and :func:`validate`
     reports ordering violations on corpora built any other way.
+
+    ``checksum`` is the sha256 of :func:`corpus_to_jsonl`'s output, computed
+    once, on first read: building a corpus or a query never hashes.
     """
 
     passages: tuple[Passage, ...]
     source_label: str = ""
-    checksum: str = field(init=False, default="")
     # Lowercased texts in passage order: the substring-search surface.
     lowered: tuple[str, ...] = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "passages", tuple(self.passages))
-        object.__setattr__(self, "checksum", _checksum(self.passages))
         object.__setattr__(self, "_by_id", {p.id: p for p in self.passages})
         object.__setattr__(self, "lowered", tuple(p.text.lower() for p in self.passages))
 
@@ -86,6 +89,10 @@ class Corpus:
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.passages)
+
+    @cached_property
+    def checksum(self) -> str:
+        return _checksum(self.passages)
 
 
 @dataclass(frozen=True)
@@ -109,10 +116,16 @@ class Question:
         return GoldAnnotation(self.question_id, self.gold_passage_ids)
 
 
+def _canonical_line(p: Passage) -> str:
+    """One passage's canonical JSONL line, without its newline."""
+    return json.dumps(p.to_record(), sort_keys=True, ensure_ascii=False)
+
+
 def _checksum(passages: tuple[Passage, ...]) -> str:
+    """sha256 of the canonical JSONL, streamed line by line."""
     digest = hashlib.sha256()
     for p in passages:
-        digest.update(json.dumps(p.to_record(), sort_keys=True, ensure_ascii=False).encode("utf-8"))
+        digest.update(_canonical_line(p).encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
 
@@ -179,15 +192,27 @@ def ingest(raw_document: str | Path, format: str, source_label: str | None = Non
     return Corpus(passages=tuple(passages), source_label=label)
 
 
+def _jsonl_records(path: Path) -> Iterator[tuple[int, Any]]:
+    """Yield (line number, parsed record) for each non-blank line of a JSONL file.
+
+    The file is read line by line, so no whole-file buffer is held, and only
+    \\n, \\r\\n or \\r end a record: ``json.dumps(ensure_ascii=False)``
+    leaves other line separators (U+2028, U+0085) raw inside strings.
+    """
+    with path.open(encoding="utf-8") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedDocumentError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            yield lineno, rec
+
+
 def _parse_generic_jsonl(path: Path) -> list[tuple[str, int, str, str, str | None]]:
     turns = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocumentError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    for lineno, rec in _jsonl_records(path):
         if not isinstance(rec, dict):
             raise MalformedDocumentError(f"{path}:{lineno}: expected an object per line")
         try:
@@ -288,8 +313,7 @@ def _parse_longmemeval(path: Path) -> list[tuple[str, int, str, str, str | None]
 
 def corpus_to_jsonl(corpus: Corpus) -> str:
     """Canonical JSONL form: one passage per line, keys sorted."""
-    lines = [json.dumps(p.to_record(), sort_keys=True, ensure_ascii=False) for p in corpus.passages]
-    return "\n".join(lines) + "\n"
+    return "".join(_canonical_line(p) + "\n" for p in corpus.passages)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -306,35 +330,24 @@ def corpus_metadata(corpus: Corpus) -> dict:
 
 
 def read_corpus(path: str | Path, source_label: str | None = None) -> Corpus:
-    """Read a canonical JSONL corpus file written by :func:`write_corpus`.
-
-    The file is read line by line, so no whole-file buffer is held beside
-    the passages, and only \\n, \\r\\n or \\r end a record: canonical JSONL
-    leaves other line separators (U+2028, U+0085) raw inside passage text.
-    """
+    """Read a canonical JSONL corpus file written by :func:`write_corpus`,
+    line by line (see :func:`_jsonl_records`)."""
     path = Path(path)
     passages = []
-    with path.open(encoding="utf-8") as lines:
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedDocumentError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                passages.append(
-                    Passage(
-                        id=rec["id"],
-                        session_id=rec["session_id"],
-                        turn_index=int(rec["turn_index"]),
-                        speaker=rec["speaker"],
-                        text=rec["text"],
-                        timestamp=rec.get("timestamp"),
-                    )
+    for lineno, rec in _jsonl_records(path):
+        try:
+            passages.append(
+                Passage(
+                    id=rec["id"],
+                    session_id=rec["session_id"],
+                    turn_index=int(rec["turn_index"]),
+                    speaker=rec["speaker"],
+                    text=rec["text"],
+                    timestamp=rec.get("timestamp"),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedDocumentError(f"{path}:{lineno}: bad passage record: {exc}") from exc
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedDocumentError(f"{path}:{lineno}: bad passage record: {exc}") from exc
     if not passages:
         raise EmptyCorpusError(f"{path} holds zero passages")
     passages.sort(key=lambda p: (p.session_id, p.turn_index))
@@ -354,28 +367,22 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
     passage ids raise :class:`DanglingGoldError` listing every miss.
     """
     path = Path(raw_annotations)
-    text = path.read_text(encoding="utf-8")
+    # (where, record) pairs; for JSONL input, where names path:line.
     try:
-        doc = json.loads(text)
-        records = doc if isinstance(doc, list) else [doc]
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError:
-        records = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise MalformedDocumentError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        records = [(f"{path}:{lineno}", rec) for lineno, rec in _jsonl_records(path)]
+    else:
+        records = [(str(path), rec) for rec in (doc if isinstance(doc, list) else [doc])]
 
     questions = []
     missing: list[str] = []
-    for rec in records:
+    for where, rec in records:
         if not isinstance(rec, dict) or "question_id" not in rec:
-            raise MalformedDocumentError(f"{path}: annotation record missing question_id")
+            raise MalformedDocumentError(f"{where}: annotation record missing question_id")
         gold_ids = rec.get("gold_passage_ids", [])
         if not isinstance(gold_ids, (list, tuple)):
-            raise MalformedDocumentError(f"{path}: gold_passage_ids must be a list")
+            raise MalformedDocumentError(f"{where}: gold_passage_ids must be a list")
         for pid in gold_ids:
             if pid not in corpus:
                 missing.append(f"{rec['question_id']}->{pid}")

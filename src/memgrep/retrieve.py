@@ -345,13 +345,15 @@ def _merge(merged: dict[str, Candidate], candidates: tuple[Candidate, ...]) -> N
         if held is None:
             merged[candidate.passage_id] = candidate
             continue
-        best = candidate if candidate.match_score > held.match_score else held
-        merged[candidate.passage_id] = Candidate(
-            passage_id=best.passage_id,
-            match_score=best.match_score,
-            matched_terms=best.matched_terms,
-            hop=min(candidate.hop, held.hop),
-        )
+        # Hops merge in increasing order, so held.hop <= candidate.hop: a
+        # held candidate that scores at least as high stays as it is.
+        if candidate.match_score > held.match_score:
+            merged[candidate.passage_id] = Candidate(
+                passage_id=candidate.passage_id,
+                match_score=candidate.match_score,
+                matched_terms=candidate.matched_terms,
+                hop=held.hop,
+            )
 
 
 def _as_set(merged: dict[str, Candidate], qid: str, hops: int) -> CandidateSet:

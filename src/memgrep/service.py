@@ -231,18 +231,3 @@ class ReferenceServer:
         self._server.server_close()
         self._thread.join(timeout=5.0)
 
-
-def serve(
-    score_fn: ScoreFn | None = None,
-    annotate_fn: AnnotateFn | None = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    unix_path: str | None = None,
-) -> ReferenceServer:
-    """Start a ReferenceServer and return it (caller manages shutdown)."""
-    server = ReferenceServer(
-        score_fn=score_fn, annotate_fn=annotate_fn,
-        host=host, port=port, unix_path=unix_path,
-    )
-    server.__enter__()
-    return server

@@ -191,7 +191,8 @@ def truncate_adaptive(
         raise MissingScoreError(
             f"no cross score for ranked passages: {', '.join(missing)}"
         )
-    stats = [stats_for(corpus.get(pid)) for pid in ranked.ids()]
+    # adaptive_over_stats reads only the top K; stats for the rest go unused.
+    stats = [stats_for(corpus.get(pid)) for pid in ranked.ids()[:cfg.top_k]]
     included, total, pruned_threshold, pruned_budget = adaptive_over_stats(
         stats, cross_scores.scores, cfg
     )

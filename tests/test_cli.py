@@ -1,10 +1,12 @@
 """Command-line surface: artifacts, config precedence, error records."""
 
+import hashlib
 import json
 
 import pytest
 
 from memgrep.cli import build_run_config, main, make_parser
+from memgrep.corpus import read_corpus
 
 from conftest import fixture_path
 
@@ -135,6 +137,28 @@ def test_ingest_normalizes(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["passage_count"] == 1
     assert (out_dir / "corpus.jsonl").exists()
+
+
+def test_ingest_round_trips_unicode_line_separators(capsys, tmp_path):
+    # json.dumps(ensure_ascii=False) writes U+2028 and U+0085 raw.
+    texts = ["one\u2028two", "three\x85four"]
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(
+        json.dumps({"session_id": "a", "turn_index": i, "speaker": "X", "text": t},
+                   ensure_ascii=False) + "\n"
+        for i, t in enumerate(texts)
+    ), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(
+        capsys, "ingest", "--corpus", str(raw), "--format", "generic-jsonl",
+        "--out", str(out_dir),
+    )
+    assert code == 0
+    meta = json.loads(out)
+    assert meta["passage_count"] == 2
+    written = out_dir / "corpus.jsonl"
+    assert meta["checksum"] == hashlib.sha256(written.read_bytes()).hexdigest()
+    assert [p.text for p in read_corpus(written)] == texts
 
 
 def test_ingest_requires_ingest_format(capsys, tmp_path):

@@ -1,9 +1,14 @@
 """Corpus construction, ingestion formats, and gold annotation loading."""
 
+import hashlib
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from memgrep import corpus as corpus_module
 from memgrep.corpus import (
     Corpus,
     Passage,
@@ -48,6 +53,68 @@ def test_checksum_is_content_addressed():
     c = make_corpus(["one", "three"])
     assert a.checksum == b.checksum
     assert a.checksum != c.checksum
+
+
+def test_building_and_reading_a_corpus_do_not_hash(monkeypatch, tmp_path):
+    calls = []
+    real = corpus_module._checksum
+
+    def counting(passages):
+        calls.append(len(passages))
+        return real(passages)
+
+    monkeypatch.setattr(corpus_module, "_checksum", counting)
+    corpus = make_corpus(["one", "two", "three"])
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, path)
+    back = read_corpus(path)
+    assert calls == []
+    assert back.checksum == back.checksum == corpus.checksum
+    assert calls == [3, 3]
+
+
+def test_equal_passages_and_label_give_equal_corpora():
+    a = make_corpus(["one", "two"])
+    b = make_corpus(["one", "two"])
+    assert a.checksum  # cached on a only; equality and hash must not see it
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.checksum == b.checksum
+    relabeled = Corpus(passages=a.passages, source_label="other")
+    assert relabeled != a
+    assert relabeled.checksum == a.checksum
+
+
+_TRICKY_CHARS = st.sampled_from(
+    ["\u2028", "\u2029", "\x85", "\x00", '"', "\\", "\r", "\n", "é", "İ", "雪", "\U0001F600"])
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | _TRICKY_CHARS, max_size=12)
+
+
+@st.composite
+def _passages(draw):
+    """1-8 passages with unique (session_id, turn_index), in that order, so
+    read_corpus gives them back in the order they were built."""
+    keys = sorted(draw(st.sets(
+        st.tuples(st.sampled_from(["a", "b\u2028", "c\x85"]), st.integers(0, 5)),
+        min_size=1, max_size=8)))
+    return tuple(
+        Passage(
+            id=f"{session}:{turn}", session_id=session, turn_index=turn,
+            speaker=draw(_TEXT), text=draw(_TEXT),
+            timestamp=draw(st.none() | _TEXT),
+        )
+        for session, turn in keys
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(passages=_passages())
+def test_checksum_is_sha256_of_written_file(tmp_path_factory, passages):
+    corpus = Corpus(passages=passages)
+    path = tmp_path_factory.mktemp("checksum") / "corpus.jsonl"
+    write_corpus(corpus, path)
+    assert corpus.checksum == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert read_corpus(path).checksum == corpus.checksum
 
 
 def test_corpus_preserves_construction_order():
@@ -102,6 +169,18 @@ def test_ingest_malformed_line_reports_position(tmp_path):
     raw.write_text('{"session_id": "a"}\nnot json\n')
     with pytest.raises(MalformedDocumentError):
         ingest(raw, "generic-jsonl")
+
+
+def test_ingest_generic_jsonl_keeps_unicode_line_separators(tmp_path):
+    texts = ["line\u2028separator", "next\x85line"]
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(
+        json.dumps({"session_id": "a", "turn_index": i, "speaker": "X", "text": t},
+                   ensure_ascii=False) + "\n"
+        for i, t in enumerate(texts)
+    ), encoding="utf-8")
+    corpus = ingest(raw, "generic-jsonl")
+    assert [p.text for p in corpus] == texts
 
 
 def test_ingest_locomo_like(tmp_path):
@@ -204,6 +283,34 @@ def test_load_questions_jsonl(tmp_path, tiny_corpus):
         '{"question_id": "q2", "gold_passage_ids": ["s:2"]}\n'
     )
     assert len(load_questions(path, tiny_corpus)) == 2
+
+
+def test_load_questions_jsonl_keeps_unicode_line_separators(tmp_path, tiny_corpus):
+    path = tmp_path / "q.jsonl"
+    path.write_text(
+        json.dumps({"question_id": "q1", "question": "who\u2028hiked?",
+                    "gold_passage_ids": ["s:0"]}, ensure_ascii=False) + "\n"
+        + json.dumps({"question_id": "q2", "question": "baked\x85what?",
+                      "gold_passage_ids": ["s:1"]}, ensure_ascii=False) + "\n",
+        encoding="utf-8",
+    )
+    questions = load_questions(path, tiny_corpus)
+    assert [q.text for q in questions] == ["who\u2028hiked?", "baked\x85what?"]
+
+
+@pytest.mark.parametrize("bad_record, message", [
+    ({"gold_passage_ids": []}, "missing question_id"),
+    ({"question_id": "q2", "gold_passage_ids": "s:1"}, "must be a list"),
+])
+def test_load_questions_jsonl_errors_name_the_line(tmp_path, tiny_corpus,
+                                                   bad_record, message):
+    path = tmp_path / "q.jsonl"
+    path.write_text(
+        '{"question_id": "q1", "gold_passage_ids": ["s:0"]}\n\n'
+        + json.dumps(bad_record) + "\n"
+    )
+    with pytest.raises(MalformedDocumentError, match=re.escape(f"{path}:3: ") + f".*{message}"):
+        load_questions(path, tiny_corpus)
 
 
 def test_load_questions_collects_all_dangling_ids(tmp_path, tiny_corpus):
