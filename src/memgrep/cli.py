@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .annotate import Annotator, RuleAnnotator, ServiceAnnotator
@@ -21,29 +21,27 @@ from .corpus import (
     INGEST_FORMATS,
     Corpus,
     corpus_metadata,
+    corpus_to_jsonl,
     ingest,
     load_questions,
     read_corpus,
-    write_corpus,
 )
 from .errors import ConfigError, EmptyTermSetError, MemgrepError
 from .evaluate import (
     build_matrix,
-    fused_gold_rank,
     matrix_to_jsonl,
+    mean_gold_rank,
     ranking_effect,
     read_matrix,
     render_sweep_text,
     run_question,
     simulate_truncation,
     sweep_to_json,
-    write_matrix,
 )
 from .oracle import SearchLimits, derive_trace, trace_stats, traces_to_jsonl
 from .parse import parse_query
 from .rank import FusionConfig, LexicalDenseScorer, ScorerHandle
 from .retrieve import RetrieveConfig
-from .service import ServiceClient
 from .truncate import TruncationConfig
 
 ENV_CONFIG = "MEMGREP_CONFIG"
@@ -69,34 +67,14 @@ class RunConfig:
     out: str | None = None
 
     def to_record(self) -> dict:
-        return {
-            "corpus": self.corpus,
-            "format": self.format,
-            "questions": self.questions,
-            "annotator": {
-                "kind": self.annotator_kind,
-                "endpoint": self.annotator_endpoint,
-            },
-            "scorers": self.scorers,
-            "retrieve": {
-                "mode": self.retrieve.mode,
-                "max_hops": self.retrieve.max_hops,
-                "entity_hop_source_top_m": self.retrieve.entity_hop_source_top_m,
-                "prf_enabled": self.retrieve.prf_enabled,
-                "entity_hop_enabled": self.retrieve.entity_hop_enabled,
-                "prf_min_doc_freq": self.retrieve.prf_min_doc_freq,
-                "prf_source_top_n": self.retrieve.prf_source_top_n,
-                "fallback_enabled": self.retrieve.fallback_enabled,
-            },
-            "fusion": {"k": self.fusion_k, "weights": self.fusion_weights},
-            "truncation": {
-                "strategy": self.truncation.strategy,
-                "word_budget": self.truncation.word_budget,
-                "alpha": self.truncation.alpha,
-                "top_k": self.truncation.top_k,
-            },
-            "deterministic": True,
-        }
+        record = asdict(self)
+        del record["out"]
+        record["annotator"] = {"kind": record.pop("annotator_kind"),
+                               "endpoint": record.pop("annotator_endpoint")}
+        record["fusion"] = {"k": record.pop("fusion_k"),
+                            "weights": record.pop("fusion_weights")}
+        record["deterministic"] = True
+        return record
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -202,29 +180,20 @@ def _annotator_for(cfg: RunConfig) -> Annotator:
 
 
 def _scorer_handles(cfg: RunConfig) -> list[ScorerHandle]:
-    handles = []
-    for entry in cfg.scorers:
-        endpoint = entry.get("endpoint")
-        if endpoint:
-            handles.append(ScorerHandle(
-                name=entry["name"],
-                kind=entry.get("kind", "pointwise-cross"),
-                transport="service-adapter",
-                endpoint=endpoint,
-            ))
-        else:
-            handles.append(ScorerHandle(
-                name=entry["name"], kind="lexical-test", transport="in-process",
-            ))
-    return handles
+    return [
+        ScorerHandle(name=entry["name"], kind=entry.get("kind", "pointwise-cross"),
+                     transport="service-adapter", endpoint=entry["endpoint"])
+        if entry.get("endpoint") else ScorerHandle(name=entry["name"])
+        for entry in cfg.scorers
+    ]
 
 
-def _dense_scorer_for(cfg: RunConfig, annotator: Annotator):
+def _dense_scorer_for(handles: list[ScorerHandle], annotator: Annotator):
     """Fallback scorer: the first service scorer when one is configured,
-    otherwise the in-process lexical stand-in."""
-    for entry in cfg.scorers:
-        if entry.get("endpoint"):
-            return ServiceClient(endpoint=entry["endpoint"])
+    otherwise the in-process lexical scorer."""
+    for handle in handles:
+        if handle.transport == "service-adapter":
+            return handle.client()
     return LexicalDenseScorer(annotator)
 
 
@@ -273,7 +242,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     corpus = ingest(_require(cfg.corpus, "--corpus"), cfg.format)
     meta = corpus_metadata(corpus)
     files = {
-        "corpus.jsonl": _corpus_text(corpus),
+        "corpus.jsonl": corpus_to_jsonl(corpus),
         "corpus.meta.json": json.dumps(meta, sort_keys=True,
                                        ensure_ascii=False, indent=2) + "\n",
     }
@@ -282,16 +251,11 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
-def _corpus_text(corpus: Corpus) -> str:
-    from .corpus import corpus_to_jsonl
-    return corpus_to_jsonl(corpus)
-
-
 def cmd_query(cfg: RunConfig, query: str) -> int:
     corpus = _load_cli_corpus(cfg)
     annotator = _annotator_for(cfg)
     handles = _scorer_handles(cfg)
-    dense = _dense_scorer_for(cfg, annotator)
+    dense = _dense_scorer_for(handles, annotator)
     run = run_question(
         query, corpus, handles,
         retrieve_cfg=cfg.retrieve,
@@ -343,9 +307,10 @@ def cmd_oracle(cfg: RunConfig, max_states: int | None, max_edges: int | None) ->
     )
     # The semantic tool joins the action space only when a real scorer is
     # configured; the lexical stand-in would trivialize every trace.
+    handles = _scorer_handles(cfg)
     dense = None
-    if any(entry.get("endpoint") for entry in cfg.scorers):
-        dense = _dense_scorer_for(cfg, annotator)
+    if any(h.transport == "service-adapter" for h in handles):
+        dense = _dense_scorer_for(handles, annotator)
     traces = []
     skipped = 0
     for question in questions:
@@ -370,7 +335,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
     annotator = _annotator_for(cfg)
     handles = _scorer_handles(cfg)
-    dense = _dense_scorer_for(cfg, annotator)
+    dense = _dense_scorer_for(handles, annotator)
     matrix = build_matrix(
         questions, corpus, handles,
         retrieve_cfg=cfg.retrieve, annotator=annotator, dense_scorer=dense,
@@ -384,7 +349,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         cells = simulate_truncation(matrix, budgets=[], alphas=[trunc.alpha],
                                     top_k=trunc.top_k, ceiling=trunc.word_budget)
     cell = cells[0]
-    gold_rank = fused_gold_rank(matrix)
+    gold_rank = mean_gold_rank(matrix)
     effect = ranking_effect(matrix)
     report = {
         "corpus_checksum": matrix.corpus_checksum,
@@ -436,7 +401,7 @@ def cmd_sweep(
         questions = load_questions(_require(cfg.questions, "--questions"), corpus)
         annotator = _annotator_for(cfg)
         handles = _scorer_handles(cfg)
-        dense = _dense_scorer_for(cfg, annotator)
+        dense = _dense_scorer_for(handles, annotator)
         matrix = build_matrix(
             questions, corpus, handles,
             retrieve_cfg=cfg.retrieve, annotator=annotator, dense_scorer=dense,

@@ -86,10 +86,6 @@ class Corpus:
     def get(self, passage_id: str) -> Passage:
         return self._by_id[passage_id]  # type: ignore[attr-defined]
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.passages)
-
     @cached_property
     def checksum(self) -> str:
         return _checksum(self.passages)
@@ -396,11 +392,6 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
     if missing:
         raise DanglingGoldError(missing)
     return questions
-
-
-def load_gold(raw_annotations: str | Path, corpus: Corpus) -> list[GoldAnnotation]:
-    """Load gold annotations (see :func:`load_questions` for the schema)."""
-    return [q.gold for q in load_questions(raw_annotations, corpus)]
 
 
 # ---------------------------------------------------------------------------

@@ -60,38 +60,14 @@ class GoldRankResult:
     absent: int
 
 
-def mean_gold_rank(
-    ranked_lists: list[RankedList], golds: list[GoldAnnotation]
-) -> GoldRankResult:
-    """Mean 1-based rank of the first gold passage, per question.
+def mean_gold_rank(matrix: "ScoreMatrix") -> GoldRankResult:
+    """Mean 1-based rank of the first gold passage under the stored fused
+    candidate order.
 
-    Lists and golds are aligned positionally and must agree in length.
-    Questions whose gold never appears in the ranking are excluded from the
-    mean and counted in `absent`.
+    Questions with empty gold are skipped. Questions whose gold never
+    appears in the ranking are excluded from the mean and counted in
+    `absent`.
     """
-    if len(ranked_lists) != len(golds):
-        raise ValueError("ranked lists and golds must align")
-    ranks = []
-    absent = 0
-    for ranked, gold in zip(ranked_lists, golds):
-        rank_pos = _first_gold_rank(ranked.ids(), gold.gold_passage_ids)
-        if rank_pos is None:
-            absent += 1
-        else:
-            ranks.append(rank_pos)
-    mean = sum(ranks) / len(ranks) if ranks else None
-    return GoldRankResult(mean_rank=mean, considered=len(ranks), absent=absent)
-
-
-def _first_gold_rank(ordered_ids, gold: frozenset[str]) -> int | None:
-    for position, passage_id in enumerate(ordered_ids, start=1):
-        if passage_id in gold:
-            return position
-    return None
-
-
-def fused_gold_rank(matrix: "ScoreMatrix") -> GoldRankResult:
-    """Mean first-gold rank under the stored fused candidate order."""
     ranks = []
     absent = 0
     for rec in matrix.records:
@@ -107,6 +83,13 @@ def fused_gold_rank(matrix: "ScoreMatrix") -> GoldRankResult:
         considered=len(ranks),
         absent=absent,
     )
+
+
+def _first_gold_rank(ordered_ids, gold: frozenset[str]) -> int | None:
+    for position, passage_id in enumerate(ordered_ids, start=1):
+        if passage_id in gold:
+            return position
+    return None
 
 
 # --- pipeline glue shared with the CLI ---
@@ -364,7 +347,6 @@ class MetricsReport:
     retrieval_miss_count: int
     empty_gold_count: int
     per_question: tuple[QuestionMetrics, ...]
-    mean_gold_rank: float | None = None
 
 
 def simulate_truncation(

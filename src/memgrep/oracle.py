@@ -17,7 +17,6 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 
 from .annotate import Annotator
 from .corpus import Corpus, GoldAnnotation
@@ -283,14 +282,3 @@ def traces_to_jsonl(
             "reason": trace.reason,
         }, sort_keys=True, ensure_ascii=False))
     return "\n".join(lines) + "\n"
-
-
-def write_traces(
-    traces: list[OracleTrace],
-    path: str | Path,
-    limits: SearchLimits,
-    semantic_enabled: bool,
-) -> None:
-    Path(path).write_text(
-        traces_to_jsonl(traces, limits, semantic_enabled), encoding="utf-8"
-    )

@@ -81,9 +81,6 @@ class WeightedTermSet:
     def surfaces_lower(self) -> frozenset[str]:
         return frozenset(term.surface.lower() for term in self.terms)
 
-    def contains_surface(self, surface: str) -> bool:
-        return surface.lower() in self.surfaces_lower()
-
     def __len__(self) -> int:
         return len(self.terms)
 

@@ -5,9 +5,12 @@ rankings are combined with weighted Reciprocal Rank Fusion. Rank-based fusion
 keeps the pipeline indifferent to scorer calibration: multiplying any
 scorer's raw scores by a positive constant changes nothing downstream.
 
-Real relevance models live out of process behind the line protocol in
-service.py; the in-process lexical scorer exists so every code path runs
-deterministically with no model at all.
+Every scorer is an object with .score(query, texts) -> list[float], one
+finite score per text. Real relevance models live out of process and are
+reached through service.ServiceClient; LexicalDenseScorer is the one
+in-process scorer, so every code path runs deterministically with no model
+at all. ScorerHandle.client() picks between the two, and score() calls the
+result the same way for both.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Corpus, Passage
 from .errors import EmptyTermSetError, UnknownScorerError
-from .parse import WeightedTermSet, parse_query
+from .parse import parse_query
 from .retrieve import CandidateSet
 from .service import ServiceClient
 
@@ -51,6 +54,12 @@ class ScorerHandle:
                 f"{self.kind} runs out of process; only lexical-test is "
                 "available in-process"
             )
+
+    def client(self) -> "ServiceClient | LexicalDenseScorer":
+        """The object that scores for this handle."""
+        if self.transport == "service-adapter":
+            return ServiceClient(self.endpoint, self.timeout, self.retries)
+        return LexicalDenseScorer()
 
 
 @dataclass(frozen=True)
@@ -122,41 +131,34 @@ class RankedList:
 
 # --- scoring ---
 
-def lexical_test_score(query_terms: WeightedTermSet, passage: Passage) -> float:
-    """Matched distinct term weights minus a length penalty.
-
-    The penalty makes scores strictly length-sensitive so ties are rare and
-    the scorer prefers the denser of two equally-matching passages.
-    """
-    return _lexical_score_text(query_terms, passage.text)
-
-
-def _lexical_score_text(query_terms: WeightedTermSet, text: str) -> float:
-    lowered = text.lower()
-    matched = sum(
-        term.weight for term in query_terms.terms
-        if term.surface.lower() in lowered
-    )
-    return matched - LENGTH_PENALTY * len(text.split())
-
-
 class LexicalDenseScorer:
-    """Dense-scorer-shaped wrapper around the lexical test scorer.
+    """The lexical scorer: matched distinct query-term weights minus a
+    length penalty of LENGTH_PENALTY per word.
 
-    Lets the semantic fallback and the oracle's semantic tool run with no
-    model attached; scores follow lexical_test_score exactly.
+    It has ServiceClient's shape, .score(query, texts) -> list[float], so the
+    semantic fallback, the oracle's semantic tool and in-process ScorerHandles
+    all run through it with no model attached. The penalty makes scores
+    strictly length-sensitive, so ties are rare and the denser of two
+    equally-matching passages wins. With no annotator it parses queries with
+    one shared RuleAnnotator.
     """
 
     def __init__(self, annotator=None) -> None:
         self._annotator = annotator
 
-    def score(self, query: str, items: list[str]) -> list[float]:
+    def score(self, query: str, texts: list[str]) -> list[float]:
         annotator = self._annotator or _default_annotator()
         try:
-            terms = parse_query(query, annotator)
+            terms = parse_query(query, annotator).terms
         except EmptyTermSetError:
-            terms = WeightedTermSet(terms=(), query_text=query)
-        return [_lexical_score_text(terms, text) for text in items]
+            terms = ()
+        needles = [(term.surface.lower(), term.weight) for term in terms]
+        scores = []
+        for text in texts:
+            lowered = text.lower()
+            matched = sum(weight for needle, weight in needles if needle in lowered)
+            scores.append(matched - LENGTH_PENALTY * len(text.split()))
+        return scores
 
 
 def score(scorer: ScorerHandle, query: str, passages: list[Passage]
@@ -164,18 +166,9 @@ def score(scorer: ScorerHandle, query: str, passages: list[Passage]
     """Evaluate one scorer over the passages; errors are never papered over."""
     if not passages:
         raise ValueError("passages must be non-empty")
-    if scorer.transport == "service-adapter":
-        client = ServiceClient(endpoint=scorer.endpoint, timeout=scorer.timeout,
-                               retries=scorer.retries)
-        values = client.score(query, [p.text for p in passages])
-        scores = {p.id: v for p, v in zip(passages, values)}
-    else:
-        try:
-            terms = parse_query(query, _default_annotator())
-        except EmptyTermSetError:
-            terms = WeightedTermSet(terms=(), query_text=query)
-        scores = {p.id: lexical_test_score(terms, p) for p in passages}
-    return ScoreVector(scorer_name=scorer.name, scores=scores)
+    values = scorer.client().score(query, [p.text for p in passages])
+    return ScoreVector(scorer_name=scorer.name,
+                       scores={p.id: v for p, v in zip(passages, values)})
 
 
 _ANNOTATOR = None

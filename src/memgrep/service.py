@@ -46,8 +46,12 @@ def _connect(spec: str, timeout: float) -> socket.socket:
         host, port = address  # type: ignore[misc]
         return socket.create_connection((host, port), timeout=timeout)
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.settimeout(timeout)
-    sock.connect(address)
+    try:
+        sock.settimeout(timeout)
+        sock.connect(address)
+    except OSError:
+        sock.close()
+        raise
     return sock
 
 
@@ -57,9 +61,13 @@ def _connect(spec: str, timeout: float) -> socket.socket:
 class ServiceClient:
     """Blocking client for the line-protocol above.
 
-    retries counts extra connection attempts after the first; a service that
-    answers with malformed content is not retried (the failure is not
-    transient).
+    retries counts extra connection attempts after the first, and only a
+    failure to connect is retried. Once connected, the request is sent
+    exactly once: a timeout or a dropped connection after that raises
+    ScorerUnavailableError at once, because the service may still be working
+    on the request and a resend would make it do the work twice. A service
+    that answers with malformed content is not retried either (the failure
+    is not transient).
     """
 
     endpoint: str
@@ -68,19 +76,26 @@ class ServiceClient:
 
     def request(self, payload: dict) -> dict:
         line = (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8")
-        last_error: Exception | None = None
+        last_error: OSError | None = None
         for _ in range(self.retries + 1):
             try:
-                with _connect(self.endpoint, self.timeout) as sock:
-                    sock.sendall(line)
-                    raw = self._read_line(sock)
+                sock = _connect(self.endpoint, self.timeout)
                 break
-            except (OSError, TimeoutError) as exc:
+            except OSError as exc:  # TimeoutError included
                 last_error = exc
         else:
             raise ScorerUnavailableError(
                 f"service at {self.endpoint} unreachable: {last_error}"
             )
+        try:
+            with sock:
+                sock.sendall(line)
+                raw = self._read_line(sock)
+        except OSError as exc:
+            raise ScorerUnavailableError(
+                f"service at {self.endpoint} accepted the request but did not "
+                f"answer: {exc}"
+            ) from exc
         try:
             response = json.loads(raw)
         except json.JSONDecodeError as exc:

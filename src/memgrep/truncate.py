@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .corpus import Corpus, Passage
 from .errors import MissingScoreError
@@ -157,21 +156,16 @@ def adaptive_over_stats(
 
 # --- live entry points ---
 
-TokenEstimator = Callable[[str], int]
-
-
 def truncate_fixed(
     ranked: RankedList,
     corpus: Corpus,
     budget_words: int = DEFAULT_FIXED_BUDGET,
-    *,
-    token_estimator: TokenEstimator | None = None,
 ) -> Context:
     if budget_words <= 0:
         raise ValueError("budget_words must be positive")
     stats = [stats_for(corpus.get(pid)) for pid in ranked.ids()]
     included, total, pruned = fixed_over_stats(stats, budget_words)
-    return _context(included, total, 0, pruned, corpus, token_estimator)
+    return _context(included, total, 0, pruned)
 
 
 def truncate_adaptive(
@@ -179,8 +173,6 @@ def truncate_adaptive(
     cross_scores: ScoreVector,
     corpus: Corpus,
     cfg: TruncationConfig | None = None,
-    *,
-    token_estimator: TokenEstimator | None = None,
 ) -> Context:
     if cfg is None:
         cfg = TruncationConfig(strategy="adaptive")
@@ -196,8 +188,7 @@ def truncate_adaptive(
     included, total, pruned_threshold, pruned_budget = adaptive_over_stats(
         stats, cross_scores.scores, cfg
     )
-    return _context(included, total, pruned_threshold, pruned_budget, corpus,
-                    token_estimator)
+    return _context(included, total, pruned_threshold, pruned_budget)
 
 
 def _context(
@@ -205,18 +196,11 @@ def _context(
     total_words: int,
     pruned_threshold: int,
     pruned_budget: int,
-    corpus: Corpus,
-    token_estimator: TokenEstimator | None,
 ) -> Context:
-    ids = tuple(s.passage_id for s in included)
-    if token_estimator is None:
-        tokens = tokens_from_stats(included)
-    else:
-        tokens = token_estimator(render_context(ids, corpus))
     return Context(
-        passage_ids=ids,
+        passage_ids=tuple(s.passage_id for s in included),
         word_count=total_words,
-        estimated_tokens=tokens,
+        estimated_tokens=tokens_from_stats(included),
         pruned_by_threshold=pruned_threshold,
         pruned_by_budget=pruned_budget,
     )

@@ -141,7 +141,7 @@ ALPHA_GRID = (0.0, 0.01, 0.03, 0.05, 0.1)
 def _ranked_instance(rng, n, word_counts):
     texts = [" ".join(["word"] * count) + "." for count in word_counts]
     corpus = make_corpus(texts)
-    pids = list(corpus.ids)
+    pids = [p.id for p in corpus]
     entries = tuple(
         RankedEntry(passage_id=pid, fused_score=float(n - i),
                     ranks={"cross": i + 1})
@@ -368,9 +368,9 @@ def test_criterion_7_concurrency_equivalence():
             query, _ = _question(rng)
             candidates = CandidateSet(
                 candidates=tuple(
-                    Candidate(passage_id=pid, match_score=0.0,
+                    Candidate(passage_id=p.id, match_score=0.0,
                               matched_terms=(), hop=0)
-                    for pid in corpus.ids
+                    for p in corpus
                 ),
                 query_id="acc7", hops_executed=1,
             )

@@ -15,7 +15,6 @@ from memgrep.corpus import (
     corpus_metadata,
     corpus_to_jsonl,
     ingest,
-    load_gold,
     load_questions,
     read_corpus,
     validate,
@@ -272,8 +271,7 @@ def test_load_questions_json_list(tmp_path, tiny_corpus):
     questions = load_questions(path, tiny_corpus)
     assert questions[0].gold_passage_ids == frozenset({"s:0"})
     assert questions[1].gold_passage_ids == frozenset()
-    golds = load_gold(path, tiny_corpus)
-    assert golds[0].question_id == "q1"
+    assert questions[0].gold.question_id == "q1"
 
 
 def test_load_questions_jsonl(tmp_path, tiny_corpus):

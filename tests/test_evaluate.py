@@ -11,7 +11,6 @@ from memgrep.evaluate import (
     ScoreMatrix,
     budget_recall,
     build_matrix,
-    fused_gold_rank,
     matrix_to_jsonl,
     mean_gold_rank,
     ranking_effect,
@@ -22,7 +21,7 @@ from memgrep.evaluate import (
     sweep_to_json,
     write_matrix,
 )
-from memgrep.rank import RankedEntry, RankedList, ScorerHandle
+from memgrep.rank import ScorerHandle
 from memgrep.truncate import Context
 
 
@@ -34,13 +33,6 @@ def gold(*ids, question_id="q"):
 def context(*ids):
     return Context(passage_ids=ids, word_count=0, estimated_tokens=0,
                    pruned_by_threshold=0, pruned_by_budget=0)
-
-
-def ranked(*ids):
-    return RankedList(
-        entries=tuple(RankedEntry(pid, -float(i), {}) for i, pid in enumerate(ids)),
-        query_id="q",
-    )
 
 
 def record(qid, candidates, cross, gold_ids, missing=(), words=None):
@@ -70,25 +62,35 @@ def test_budget_recall_empty_gold_is_excluded():
     assert budget_recall(context("p1"), gold()) is None
 
 
+def matrix_of(*records):
+    return ScoreMatrix(records=records, corpus_checksum="c", cross_scorer="lex")
+
+
 def test_mean_gold_rank_averages_first_positions():
-    result = mean_gold_rank(
-        [ranked("a", "g1", "b"), ranked("g2", "x", "y")],
-        [gold("g1"), gold("g2", "y")],
-    )
+    result = mean_gold_rank(matrix_of(
+        record("q1", ["a", "g1", "b"], {}, ["g1"]),
+        record("q2", ["g2", "x", "y"], {}, ["g2", "y"]),
+    ))
     assert result.mean_rank == pytest.approx(1.5)
     assert result.considered == 2
     assert result.absent == 0
 
 
 def test_mean_gold_rank_counts_absent():
-    result = mean_gold_rank([ranked("a", "b")], [gold("missing")])
+    result = mean_gold_rank(matrix_of(
+        record("q", ["a", "b"], {}, ["missing"], missing=["missing"]),
+    ))
     assert result.mean_rank is None
     assert result.absent == 1
 
 
-def test_mean_gold_rank_alignment_enforced():
-    with pytest.raises(ValueError):
-        mean_gold_rank([ranked("a")], [])
+def test_mean_gold_rank_skips_empty_gold():
+    result = mean_gold_rank(matrix_of(
+        record("q1", ["a", "g"], {}, ["g"]),
+        record("q2", ["a", "b"], {}, []),
+    ))
+    assert result.mean_rank == 2.0
+    assert (result.considered, result.absent) == (1, 0)
 
 
 def test_run_question_live_pipeline(fixture_corpus_path):
@@ -258,7 +260,7 @@ def test_ranking_effect_excludes_unretrieved_gold():
 def test_fused_gold_rank_uses_stored_order():
     rec = record("q", ["a", "g", "b"], {"a": 1.0, "g": 1.0, "b": 1.0}, ["g"])
     matrix = ScoreMatrix(records=(rec,), corpus_checksum="c", cross_scorer="lex")
-    result = fused_gold_rank(matrix)
+    result = mean_gold_rank(matrix)
     assert result.mean_rank == 2.0
 
 

@@ -1,0 +1,101 @@
+"""Golden artifacts: every command's output on the bundled fixture, pinned by sha256.
+
+Each run changes into the fixture directory and names the corpus and the
+questions by relative path, so runconfig.json holds no machine-specific path.
+A change that moves one byte of any artifact (or of what the command prints)
+fails here. After an intended output change, print the new table with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from memgrep.cli import main
+
+from conftest import fixture_path
+
+QUERY = "Where did Javier go hiking?"
+RUNS = {
+    "query-fixed": ["query", QUERY],
+    "query-adaptive": ["query", QUERY, "--strategy", "adaptive"],
+    "eval-fixed": ["eval", "--questions", "questions.json"],
+    "eval-adaptive": ["eval", "--questions", "questions.json",
+                      "--strategy", "adaptive"],
+    "oracle": ["oracle", "--questions", "questions.json"],
+    "sweep": ["sweep", "--questions", "questions.json"],
+}
+
+GOLDEN = {
+    "eval-adaptive": {
+        "stdout": "f59187cdb1d5893cdcf31623d8b56319b80add59cd419dd9eaf17f118ec16da8",
+        "eval_report.json": "f59187cdb1d5893cdcf31623d8b56319b80add59cd419dd9eaf17f118ec16da8",
+        "matrix.jsonl": "4cbd6a88bac016b803fdfe3fdc54abb0fbbb0ec69183ffd815f50f20f7d9817d",
+        "runconfig.json": "2e7ea3f7095f8ab66a018008cf7419e93b8d06d918767e3b942504c25ad2d949"
+    },
+    "eval-fixed": {
+        "stdout": "deef359007af08d46bb06d4e62a9f27663b291823a54dafd8ca94c4b309dcce5",
+        "eval_report.json": "deef359007af08d46bb06d4e62a9f27663b291823a54dafd8ca94c4b309dcce5",
+        "matrix.jsonl": "4cbd6a88bac016b803fdfe3fdc54abb0fbbb0ec69183ffd815f50f20f7d9817d",
+        "runconfig.json": "d04c6446772ce43b2fe76d0a636eb9970bdf99b427fd4ea0ede819d406f58881"
+    },
+    "oracle": {
+        "stdout": "2aa7d3afcc992bb1a59d972e79d52227523c06f7ff5921e7a50ee7915e8efca9",
+        "oracle_stats.json": "2aa7d3afcc992bb1a59d972e79d52227523c06f7ff5921e7a50ee7915e8efca9",
+        "runconfig.json": "d04c6446772ce43b2fe76d0a636eb9970bdf99b427fd4ea0ede819d406f58881",
+        "traces.jsonl": "c0b0cd45248f108905fde739ca07048a5663994e79d9f3eff8e84d142ce531f6"
+    },
+    "query-adaptive": {
+        "stdout": "1c55b47901bed2ad1946e004105345cf286c1325947f3551acda9137a3c292d5",
+        "context.txt": "a4b90038960d93fb6a2946263fa286c8dc4b9bf9f62e5e69fa62943ee2c2cff9",
+        "query_trace.json": "c9c2e0367d627384152c5094fb1ee5e76b8d553783bde860a1a99edafc56f1f3",
+        "runconfig.json": "571867a0eaa4e4fedd5b8d2b95de9c3d7291eb5e7e792cbb4cdca77b998807dd"
+    },
+    "query-fixed": {
+        "stdout": "1c55b47901bed2ad1946e004105345cf286c1325947f3551acda9137a3c292d5",
+        "context.txt": "a4b90038960d93fb6a2946263fa286c8dc4b9bf9f62e5e69fa62943ee2c2cff9",
+        "query_trace.json": "c9c2e0367d627384152c5094fb1ee5e76b8d553783bde860a1a99edafc56f1f3",
+        "runconfig.json": "1b4a2e3948db7ee4f169d9428a3ed3ae170d13e2a4a1db88e8b06838c49bf04c"
+    },
+    "sweep": {
+        "stdout": "28d15d37e5f41973e9df89d328691515f5ce63aa14891c781c8383b2fb773914",
+        "matrix.jsonl": "4cbd6a88bac016b803fdfe3fdc54abb0fbbb0ec69183ffd815f50f20f7d9817d",
+        "runconfig.json": "d04c6446772ce43b2fe76d0a636eb9970bdf99b427fd4ea0ede819d406f58881",
+        "sweep.json": "fd7c764789f7a44829fffe4a78d0e598b3dc4b6a2833d64198c0c7b4402c7be8",
+        "sweep.txt": "28d15d37e5f41973e9df89d328691515f5ce63aa14891c781c8383b2fb773914"
+    }
+}
+
+
+def run_digests(name: str, out_dir: Path) -> dict[str, str]:
+    """sha256 of every artifact the run writes, plus of its stdout."""
+    argv = RUNS[name] + ["--corpus", "corpus.jsonl", "--out", str(out_dir)]
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = main(argv)
+    assert code == 0, f"{name} exited {code}"
+    digests = {"stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+    for path in sorted(out_dir.iterdir()):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_fixture_artifacts_match_golden_digests(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(fixture_path(""))
+    assert run_digests(name, tmp_path / name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    os.chdir(fixture_path(""))
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {name: run_digests(name, Path(tmp) / name) for name in sorted(RUNS)}
+    sys.stdout.write("GOLDEN = " + json.dumps(table, indent=4) + "\n")

@@ -4,11 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
-from memgrep.corpus import Passage
-from memgrep.errors import UnknownScorerError
-from memgrep.parse import WeightedTerm, WeightedTermSet
+from memgrep.corpus import load_questions, read_corpus
+from memgrep.errors import EmptyTermSetError, UnknownScorerError
+from memgrep.parse import WeightedTerm, WeightedTermSet, parse_query
 from memgrep.rank import (
     DEFAULT_CROSS_WEIGHT,
     DEFAULT_LATE_WEIGHT,
@@ -18,17 +20,11 @@ from memgrep.rank import (
     RankedList,
     ScoreVector,
     ScorerHandle,
-    lexical_test_score,
     rank,
     rrf_fuse,
     score,
 )
-from memgrep.service import ReferenceServer
-
-
-
-def make_passage(text, pid="p:0"):
-    return Passage(id=pid, session_id="p", turn_index=0, speaker="A", text=text)
+from memgrep.service import ReferenceServer, ServiceClient
 
 
 def term_set(*pairs):
@@ -38,15 +34,48 @@ def term_set(*pairs):
 
 
 def test_lexical_score_matches_minus_length_penalty():
-    terms = term_set(("alpha", 2.0), ("beta", 1.0))
-    passage = make_passage("alpha beta gamma delta")  # 4 words
-    assert lexical_test_score(terms, passage) == pytest.approx(3.0 - 0.004)
+    # "hiking" and "trails" parse as nouns, weight 2.0 each; 4 words.
+    scores = LexicalDenseScorer().score("hiking trails",
+                                        ["hiking trails gamma delta"])
+    assert scores == [pytest.approx(4.0 - 0.004)]
 
 
 def test_lexical_score_counts_each_term_once():
-    terms = term_set(("echo", 2.0),)
-    passage = make_passage("echo echo echo")  # 3 words
-    assert lexical_test_score(terms, passage) == pytest.approx(2.0 - 0.003)
+    scores = LexicalDenseScorer().score("hiking", ["Hiking hiking HIKING"])
+    assert scores == [pytest.approx(2.0 - 0.003)]
+
+
+def brute_force_lexical(query, text):
+    """Distinct parsed-term weights whose lowercased surface occurs in the
+    lowercased text, minus 0.001 per whitespace-separated word."""
+    try:
+        terms = parse_query(query, RuleAnnotator()).terms
+    except EmptyTermSetError:
+        terms = ()
+    weights = {}
+    for term in terms:
+        weights.setdefault(term.surface.lower(), term.weight)
+    matched = sum(w for surface, w in weights.items() if surface in text.lower())
+    return matched - 0.001 * len(text.split())
+
+
+QUERY_WORDS = ["Melanie", "melanie", "Javier", "hiking", "Hiking", "trails",
+               "went", "the", "of", "Mount", "Rainier", "baked", "İstanbul",
+               "Straße", "Dr.", "Harvest", "Festival"]
+TEXT_WORDS = st.sampled_from(QUERY_WORDS + ["MELANIE", "istanbul", "STRASSE"]) \
+    | st.text(alphabet="abİıßΣσς\t\n ", min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    query=st.lists(st.sampled_from(QUERY_WORDS), min_size=1, max_size=5)
+    .map(" ".join),
+    texts=st.lists(st.lists(TEXT_WORDS, max_size=8).map(" ".join), max_size=5),
+)
+def test_lexical_scorer_matches_brute_force(query, texts):
+    assert LexicalDenseScorer().score(query, texts) == [
+        brute_force_lexical(query, text) for text in texts
+    ]
 
 
 def test_default_constants():
@@ -182,6 +211,29 @@ def test_score_via_service(tiny_corpus):
                               transport="service-adapter", endpoint=server.endpoint)
         vector = score(handle, "q", list(tiny_corpus))
     assert vector.scores["s:2"] == 2.0
+
+
+def test_scorer_handle_client_follows_the_transport():
+    assert isinstance(ScorerHandle(name="lex").client(), LexicalDenseScorer)
+    handle = ScorerHandle(name="ce", kind="pointwise-cross",
+                          transport="service-adapter", endpoint="tcp:h:1",
+                          timeout=2.5, retries=3)
+    assert handle.client() == ServiceClient("tcp:h:1", timeout=2.5, retries=3)
+
+
+def test_in_process_and_socket_scoring_agree(fixture_corpus_path,
+                                             fixture_questions_path):
+    corpus = read_corpus(fixture_corpus_path)
+    passages = list(corpus)
+    queries = [q.text for q in load_questions(fixture_questions_path, corpus)]
+    queries.append("the of and")  # no content terms: length penalty only
+    with ReferenceServer(score_fn=LexicalDenseScorer().score) as server:
+        remote = ScorerHandle(name="lex", kind="pointwise-cross",
+                              transport="service-adapter",
+                              endpoint=server.endpoint)
+        for query in queries:
+            local = score(ScorerHandle(name="lex"), query, passages)
+            assert score(remote, query, passages).scores == local.scores
 
 
 def test_scorer_handle_validation():

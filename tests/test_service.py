@@ -1,10 +1,14 @@
 """Wire protocol: endpoint parsing, the client, and the reference server."""
 
+import gc
 import json
 import socket
+import threading
+import warnings
 
 import pytest
 
+from memgrep import service
 from memgrep.errors import (
     ConfigError,
     PartialResponseError,
@@ -104,8 +108,6 @@ def test_malformed_json_is_partial_response():
     srv.listen(1)
     port = srv.getsockname()[1]
 
-    import threading
-
     def serve_once():
         conn, _ = srv.accept()
         conn.recv(65536)
@@ -132,6 +134,56 @@ def test_connection_refused_surfaces_as_unavailable():
     client = ServiceClient(f"tcp:127.0.0.1:{port}", timeout=0.5, retries=0)
     with pytest.raises(ScorerUnavailableError):
         client.score("q", ["a"])
+
+
+def test_connection_failures_are_retried(monkeypatch):
+    attempts = []
+
+    def refuse_twice(spec, timeout):
+        attempts.append(spec)
+        if len(attempts) <= 2:
+            raise ConnectionRefusedError("not listening yet")
+        return connect(spec, timeout)
+
+    connect = service._connect
+    monkeypatch.setattr(service, "_connect", refuse_twice)
+    with ReferenceServer(score_fn=lambda q, i: [0.5] * len(i)) as server:
+        client = ServiceClient(server.endpoint, retries=2)
+        assert client.score("q", ["a"]) == [0.5]
+    assert len(attempts) == 3
+
+
+def test_failed_unix_connect_closes_its_socket(tmp_path):
+    client = ServiceClient(f"unix:{tmp_path / 'absent.sock'}", retries=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            client.score("q", ["a"])
+        except ScorerUnavailableError:
+            pass
+        gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []
+
+
+def test_read_timeout_is_not_resent():
+    # The service accepts the request but answers after the client's
+    # timeout; resending would make it score the same batch again.
+    dispatches = []
+    release = threading.Event()
+
+    def slow(query, items):
+        dispatches.append(query)
+        release.wait(0.6)
+        return [1.0] * len(items)
+
+    with ReferenceServer(score_fn=slow) as server:
+        client = ServiceClient(server.endpoint, timeout=0.2, retries=1)
+        try:
+            with pytest.raises(ScorerUnavailableError, match="did not answer"):
+                client.score("q", ["a"])
+        finally:
+            release.set()
+    assert dispatches == ["q"]
 
 
 def test_server_reports_unknown_kind():

@@ -197,13 +197,6 @@ def test_truncation_config_validation():
         TruncationConfig(word_budget=-5)
 
 
-def test_custom_token_estimator_is_used():
-    corpus = make_corpus([words(3)])
-    context = truncate_fixed(ranked_list("s:0"), corpus, budget_words=100,
-                             token_estimator=lambda text: 999)
-    assert context.estimated_tokens == 999
-
-
 def test_over_stats_cores_match_wrappers():
     corpus = make_corpus([words(8), words(9), words(2)])
     ranked = ranked_list("s:0", "s:1", "s:2")
