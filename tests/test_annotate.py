@@ -1,9 +1,14 @@
 """Rule annotator: tagging, entity extraction, and the service adapter."""
 
+import sys
+import threading
+from collections import Counter
+
 import pytest
 
 from memgrep.annotate import (
     ENTITY_LABELS,
+    MEMO_SIZE,
     POS_TAGS,
     EntityMention,
     RuleAnnotator,
@@ -11,6 +16,9 @@ from memgrep.annotate import (
     TokenAnnotation,
     annotation_payload,
 )
+from memgrep.corpus import load_questions, read_corpus
+from memgrep.errors import PartialResponseError, ScorerUnavailableError
+from memgrep.retrieve import retrieve
 from memgrep.service import ReferenceServer
 
 
@@ -143,3 +151,155 @@ def test_service_annotator_round_trip(tagger):
         text = "Melanie met Dr. Chen in Seattle"
         assert remote.annotate(text) == tagger.annotate(text)
         assert remote.extract_entities(text) == tagger.extract_entities(text)
+
+
+# --- one analysis per text ---
+
+class CountingAnnotator(RuleAnnotator):
+    """Counts how often each text is tokenized, the first step of every
+    analysis."""
+
+    def __init__(self):
+        super().__init__()
+        self.tokenized = Counter()
+
+    def _tokenize(self, text):
+        self.tokenized[text] += 1
+        return super()._tokenize(text)
+
+
+def test_retrieve_analyzes_each_text_once(fixture_corpus_path,
+                                          fixture_questions_path):
+    corpus = read_corpus(fixture_corpus_path)
+    for question in load_questions(fixture_questions_path, corpus):
+        annotator = CountingAnnotator()
+        retrieve(question.text, corpus, annotator=annotator)
+        assert question.text in annotator.tokenized
+        assert len(annotator.tokenized) > 1   # the hops mined some passages
+        assert max(annotator.tokenized.values()) == 1, annotator.tokenized
+
+
+def test_shared_memo_under_concurrent_callers(tagger):
+    # More texts than the memo holds, so threads evict each other's entries.
+    texts = [f"Melanie met Dr. Chen{i} in Seattle" for i in range(MEMO_SIZE * 2)]
+    expected = {t: (tagger.annotate(t), tagger.extract_entities(t)) for t in texts}
+    shared = RuleAnnotator()
+    wrong = []
+
+    def worker(offset):
+        for i in range(len(texts) * 3):
+            text = texts[(offset * 7 + i) % len(texts)]
+            got = (shared.annotate(text), shared.extract_entities(text))
+            if got != expected[text]:
+                wrong.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+class CountingPayload:
+    """annotate_fn for a ReferenceServer: counts requests, and answers each
+    from a queue of canned replies while it lasts, then from the tagger."""
+
+    def __init__(self, tagger, replies=()):
+        self.tagger = tagger
+        self.replies = list(replies)
+        self.requests = 0
+
+    def __call__(self, items):
+        self.requests += 1
+        if self.replies:
+            reply = self.replies.pop(0)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+        return annotation_payload(self.tagger, items)
+
+
+def test_service_annotator_sends_one_request_per_distinct_text(tagger):
+    texts = ["Melanie met Dr. Chen in Seattle", "Tell Sarah about Lake Tahoe.",
+             "Melanie met Dr. Chen in Seattle"]
+    payload = CountingPayload(tagger)
+    with ReferenceServer(annotate_fn=payload) as server:
+        remote = ServiceAnnotator(server.endpoint)
+        for text in texts:
+            assert remote.annotate(text) == tagger.annotate(text)
+            assert remote.extract_entities(text) == tagger.extract_entities(text)
+    assert payload.requests == len(set(texts))
+
+
+def test_memoized_results_survive_caller_mutation(tagger):
+    text = "Melanie met Dr. Chen in Seattle"
+    with ReferenceServer(annotate_fn=CountingPayload(tagger)) as server:
+        for annotator in (RuleAnnotator(), ServiceAnnotator(server.endpoint)):
+            tokens = annotator.annotate(text)
+            entities = annotator.extract_entities(text)
+            expected = (list(tokens), list(entities))
+            tokens.clear()
+            entities.append(EntityMention("Nobody", "PERSON"))
+            entities.reverse()
+            assert (annotator.annotate(text),
+                    annotator.extract_entities(text)) == expected
+
+
+@pytest.mark.parametrize("failure, error", [
+    ([], PartialResponseError),                       # no entry for the text
+    (["not an object"], PartialResponseError),
+    (RuntimeError("tagger crashed"), ScorerUnavailableError),
+])
+def test_failed_service_call_is_not_memoized(tagger, failure, error):
+    text = "Melanie met Dr. Chen in Seattle"
+    payload = CountingPayload(tagger, replies=[failure])
+    with ReferenceServer(annotate_fn=payload) as server:
+        remote = ServiceAnnotator(server.endpoint)
+        with pytest.raises(error):
+            remote.extract_entities(text)
+        assert remote.extract_entities(text) == tagger.extract_entities(text)
+        assert remote.annotate(text) == tagger.annotate(text)
+    assert payload.requests == 2
+
+
+@pytest.mark.parametrize("entities", [
+    None,
+    [{"surface": "Melanie", "label": "ALIEN"}],
+    [{"surface": 7, "label": "PERSON"}],
+    ["Melanie"],
+])
+def test_malformed_entities_fail_only_extract_entities(tagger, entities):
+    text = "Melanie met Dr. Chen in Seattle"
+    entry = annotation_payload(tagger, [text])[0]
+    entry["entities"] = entities
+    payload = CountingPayload(tagger, replies=[[entry]])
+    with ReferenceServer(annotate_fn=payload) as server:
+        remote = ServiceAnnotator(server.endpoint)
+        assert remote.annotate(text) == tagger.annotate(text)
+        with pytest.raises(PartialResponseError):
+            remote.extract_entities(text)
+        assert payload.requests == 1
+        # The failure leaves nothing memoized: the next call asks again.
+        assert remote.extract_entities(text) == tagger.extract_entities(text)
+    assert payload.requests == 2
+
+
+def test_malformed_tokens_fail_only_annotate(tagger):
+    text = "Melanie met Dr. Chen in Seattle"
+    entry = annotation_payload(tagger, [text])[0]
+    entry["tokens"] = [{"token": "Melanie", "pos": "ADJ"}]
+    payload = CountingPayload(tagger, replies=[[entry]])
+    with ReferenceServer(annotate_fn=payload) as server:
+        remote = ServiceAnnotator(server.endpoint)
+        assert remote.extract_entities(text) == tagger.extract_entities(text)
+        with pytest.raises(PartialResponseError):
+            remote.annotate(text)
+        assert remote.annotate(text) == tagger.annotate(text)
+    assert payload.requests == 2

@@ -171,6 +171,45 @@ def test_rrf_brute_force_equivalence_seeded():
                                 rel_tol=0, abs_tol=1e-12)
 
 
+def brute_force_rrf(rankings, weights, k):
+    """Per id: the sum of w/(k + rank) over the rankings that list it, with
+    1-based ranks, and the rank it holds in each; ordered by score
+    descending, then id ascending."""
+    scores, ranks = {}, {}
+    for name, ids in rankings:
+        for doc in ids:
+            rank_in = ids.index(doc) + 1
+            scores[doc] = scores.get(doc, 0.0) + weights[name] / (k + rank_in)
+            ranks.setdefault(doc, {})[name] = rank_in
+    order = sorted(scores, key=lambda doc: (-scores[doc], doc))
+    return [(doc, scores[doc], ranks[doc]) for doc in order]
+
+
+RRF_IDS = st.lists(st.sampled_from([f"p{i}" for i in range(12)]), unique=True,
+                   max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rankings=st.lists(RRF_IDS, min_size=1, max_size=2),
+    weights=st.lists(st.floats(0.0, 5.0) | st.sampled_from([0.3, 0.7, 1.0]),
+                     min_size=2, max_size=2),
+    k=st.floats(1e-3, 200.0) | st.sampled_from([1.0, DEFAULT_RRF_K]),
+)
+def test_rrf_matches_brute_force(rankings, weights, k):
+    named = list(zip(("one", "two"), rankings))
+    cfg_weights = {name: w for (name, _), w in zip(named, weights)}
+    if sum(cfg_weights.values()) <= 0:
+        cfg_weights["one"] = 1.0
+    fused = rrf_fuse(named, FusionConfig(k=k, weights=cfg_weights), query_id="q")
+    expected = brute_force_rrf(named, cfg_weights, k)
+    assert [e.passage_id for e in fused.entries] == [doc for doc, _, _ in expected]
+    # At most two addends per id, and IEEE addition commutes, so the sums
+    # agree exactly whatever order either side adds in.
+    assert [(e.fused_score, e.ranks) for e in fused.entries] == \
+        [(value, ranks) for _, value, ranks in expected]
+
+
 def test_fusion_config_validation():
     with pytest.raises(ValueError):
         FusionConfig(k=0.0, weights={"a": 1.0})
