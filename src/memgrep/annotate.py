@@ -342,21 +342,3 @@ def _entity_mentions(entities: object) -> list[EntityMention]:
             raise PartialResponseError(f"bad entity mention: {item!r}")
         mentions.append(EntityMention(surface=surface, label=label))
     return list(_dedup_mentions(mentions))
-
-
-def annotation_payload(annotator: Annotator, texts: list[str]) -> list[dict]:
-    """Serve-side helper: wrap an annotator as annotate_fn for ReferenceServer."""
-    payload = []
-    for text in texts:
-        annotations = annotator.annotate(text) if text else []
-        entities = annotator.extract_entities(text) if text else []
-        payload.append({
-            "tokens": [
-                {"token": a.token, "pos": a.pos, "entity_label": a.entity_label}
-                for a in annotations
-            ],
-            "entities": [
-                {"surface": e.surface, "label": e.label} for e in entities
-            ],
-        })
-    return payload

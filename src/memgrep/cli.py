@@ -42,6 +42,7 @@ from .oracle import SearchLimits, derive_trace, trace_stats, traces_to_jsonl
 from .parse import parse_query
 from .rank import FusionConfig, LexicalDenseScorer, ScorerHandle
 from .retrieve import RetrieveConfig
+from .service import ServiceClient
 from .truncate import TruncationConfig
 
 ENV_CONFIG = "MEMGREP_CONFIG"
@@ -173,28 +174,24 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 # --- config materialization ---
 
-def _annotator_for(cfg: RunConfig) -> Annotator:
+def _run_parts(cfg: RunConfig
+               ) -> tuple[Annotator, list[ScorerHandle], "ServiceClient | LexicalDenseScorer"]:
+    """The run's annotator, its scorer handles, and its fallback scorer: the
+    first service scorer when one is configured, otherwise the in-process
+    lexical scorer, parsing with the run's annotator."""
     if cfg.annotator_kind == "service":
-        return ServiceAnnotator(cfg.annotator_endpoint)
-    return RuleAnnotator()
-
-
-def _scorer_handles(cfg: RunConfig) -> list[ScorerHandle]:
-    return [
+        annotator: Annotator = ServiceAnnotator(cfg.annotator_endpoint)
+    else:
+        annotator = RuleAnnotator()
+    handles = [
         ScorerHandle(name=entry["name"], kind=entry.get("kind", "pointwise-cross"),
                      transport="service-adapter", endpoint=entry["endpoint"])
         if entry.get("endpoint") else ScorerHandle(name=entry["name"])
         for entry in cfg.scorers
     ]
-
-
-def _dense_scorer_for(handles: list[ScorerHandle], annotator: Annotator):
-    """Fallback scorer: the first service scorer when one is configured,
-    otherwise the in-process lexical scorer."""
-    for handle in handles:
-        if handle.transport == "service-adapter":
-            return handle.client()
-    return LexicalDenseScorer(annotator)
+    served = [handle for handle in handles if handle.endpoint]
+    dense = served[0].client() if served else LexicalDenseScorer(annotator)
+    return annotator, handles, dense
 
 
 def _fusion_config(cfg: RunConfig, handles: list[ScorerHandle]) -> FusionConfig | None:
@@ -253,9 +250,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_query(cfg: RunConfig, query: str) -> int:
     corpus = _load_cli_corpus(cfg)
-    annotator = _annotator_for(cfg)
-    handles = _scorer_handles(cfg)
-    dense = _dense_scorer_for(handles, annotator)
+    annotator, handles, dense = _run_parts(cfg)
     run = run_question(
         query, corpus, handles,
         retrieve_cfg=cfg.retrieve,
@@ -300,17 +295,15 @@ def cmd_query(cfg: RunConfig, query: str) -> int:
 def cmd_oracle(cfg: RunConfig, max_states: int | None, max_edges: int | None) -> int:
     corpus = _load_cli_corpus(cfg)
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
-    annotator = _annotator_for(cfg)
+    annotator, handles, dense = _run_parts(cfg)
     limits = SearchLimits(
         max_states=max_states if max_states is not None else 10_000,
         max_edges=max_edges if max_edges is not None else 100_000,
     )
     # The semantic tool joins the action space only when a real scorer is
     # configured; the lexical stand-in would trivialize every trace.
-    handles = _scorer_handles(cfg)
-    dense = None
-    if any(h.transport == "service-adapter" for h in handles):
-        dense = _dense_scorer_for(handles, annotator)
+    if not any(handle.endpoint for handle in handles):
+        dense = None
     traces = []
     skipped = 0
     for question in questions:
@@ -333,9 +326,7 @@ def cmd_oracle(cfg: RunConfig, max_states: int | None, max_edges: int | None) ->
 def cmd_eval(cfg: RunConfig) -> int:
     corpus = _load_cli_corpus(cfg)
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
-    annotator = _annotator_for(cfg)
-    handles = _scorer_handles(cfg)
-    dense = _dense_scorer_for(handles, annotator)
+    annotator, handles, dense = _run_parts(cfg)
     matrix = build_matrix(
         questions, corpus, handles,
         retrieve_cfg=cfg.retrieve, annotator=annotator, dense_scorer=dense,
@@ -399,9 +390,7 @@ def cmd_sweep(
         matrix = read_matrix(matrix_path, corpus)
     else:
         questions = load_questions(_require(cfg.questions, "--questions"), corpus)
-        annotator = _annotator_for(cfg)
-        handles = _scorer_handles(cfg)
-        dense = _dense_scorer_for(handles, annotator)
+        annotator, handles, dense = _run_parts(cfg)
         matrix = build_matrix(
             questions, corpus, handles,
             retrieve_cfg=cfg.retrieve, annotator=annotator, dense_scorer=dense,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -56,9 +57,9 @@ class Passage:
 class Corpus:
     """Immutable ordered passage store, addressable by passage id.
 
-    Construction preserves the passage order it is given; ingestion sorts
-    by (session_id, turn_index) before constructing, and :func:`validate`
-    reports ordering violations on corpora built any other way.
+    Construction preserves the passage order it is given (ingestion sorts
+    by (session_id, turn_index) before constructing) and rejects two
+    passages with the same id with :class:`DuplicateTurnError`.
 
     ``checksum`` is the sha256 of :func:`corpus_to_jsonl`'s output, computed
     once, on first read: building a corpus or a query never hashes.
@@ -71,7 +72,12 @@ class Corpus:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "passages", tuple(self.passages))
-        object.__setattr__(self, "_by_id", {p.id: p for p in self.passages})
+        by_id = {p.id: p for p in self.passages}
+        if len(by_id) != len(self.passages):
+            counts = Counter(p.id for p in self.passages)
+            repeats = sorted(pid for pid, n in counts.items() if n > 1)
+            raise DuplicateTurnError(f"duplicate passage ids: {', '.join(repeats)}")
+        object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "lowered", tuple(p.text.lower() for p in self.passages))
 
     def __len__(self) -> int:
@@ -162,16 +168,11 @@ def ingest(raw_document: str | Path, format: str, source_label: str | None = Non
         turns = _parse_longmemeval(path)
 
     passages = []
-    seen: set[tuple[str, int]] = set()
     for session_id, turn_index, speaker, text, timestamp in turns:
         if not isinstance(speaker, str) or not speaker:
             raise MalformedDocumentError(f"turn ({session_id}, {turn_index}) has no speaker")
         if not isinstance(text, str) or not text.strip():
             raise MalformedDocumentError(f"turn ({session_id}, {turn_index}) has empty text")
-        key = (session_id, turn_index)
-        if key in seen:
-            raise DuplicateTurnError(f"duplicate turn ({session_id}, {turn_index})")
-        seen.add(key)
         passages.append(
             Passage(
                 id=f"{session_id}:{turn_index}",
@@ -327,7 +328,8 @@ def corpus_metadata(corpus: Corpus) -> dict:
 
 def read_corpus(path: str | Path, source_label: str | None = None) -> Corpus:
     """Read a canonical JSONL corpus file written by :func:`write_corpus`,
-    line by line (see :func:`_jsonl_records`)."""
+    line by line (see :func:`_jsonl_records`). A repeated passage id raises
+    :class:`DuplicateTurnError` naming the lines of both occurrences."""
     path = Path(path)
     passages = []
     for lineno, rec in _jsonl_records(path):
@@ -348,7 +350,17 @@ def read_corpus(path: str | Path, source_label: str | None = None) -> Corpus:
         raise EmptyCorpusError(f"{path} holds zero passages")
     passages.sort(key=lambda p: (p.session_id, p.turn_index))
     label = source_label if source_label is not None else path.name
-    return Corpus(passages=tuple(passages), source_label=label)
+    try:
+        return Corpus(passages=tuple(passages), source_label=label)
+    except DuplicateTurnError:
+        first_line: dict[str, int] = {}
+        for lineno, rec in _jsonl_records(path):
+            if rec["id"] in first_line:
+                raise DuplicateTurnError(
+                    f"{path}:{lineno}: passage id {rec['id']!r} repeats line "
+                    f"{first_line[rec['id']]}") from None
+            first_line[rec["id"]] = lineno
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -392,30 +404,3 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
     if missing:
         raise DanglingGoldError(missing)
     return questions
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-def validate(corpus: Corpus) -> list[str]:
-    """Check corpus invariants; a valid corpus yields an empty report."""
-    report = []
-    seen_ids: set[str] = set()
-    prev_key: tuple[str, int] | None = None
-    for p in corpus.passages:
-        if p.id in seen_ids:
-            report.append(f"duplicate passage id {p.id}")
-        seen_ids.add(p.id)
-        if p.id != f"{p.session_id}:{p.turn_index}":
-            report.append(f"passage id {p.id} does not match ({p.session_id}, {p.turn_index})")
-        if p.turn_index < 0:
-            report.append(f"passage {p.id} has negative turn_index")
-        if not p.text.strip():
-            report.append(f"passage {p.id} has empty text")
-        key = (p.session_id, p.turn_index)
-        if prev_key is not None and key < prev_key:
-            report.append(f"passage {p.id} out of (session_id, turn_index) order")
-        prev_key = key
-    return report
-

@@ -16,7 +16,7 @@ class EmptyCorpusError(MemgrepError):
 
 
 class DuplicateTurnError(MalformedDocumentError):
-    """Same (session_id, turn_index) appears twice in the source document."""
+    """Two passages share an id (the same session_id and turn_index)."""
 
 
 class DanglingGoldError(MemgrepError):

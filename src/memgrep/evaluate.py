@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .annotate import Annotator
+from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, GoldAnnotation, Question
 from .errors import IncompleteMatrixError
 from .rank import (
@@ -123,9 +123,13 @@ def run_question(
     fusion_cfg: FusionConfig | None = None,
     question_id: str | None = None,
 ) -> QuestionRun:
-    """The live pipeline, end to end, for a single query."""
+    """The live pipeline, end to end, for a single query. One annotator, a
+    RuleAnnotator when none is given, parses the query for both retrieval
+    and the in-process scorers."""
     if trunc_cfg is None:
         trunc_cfg = TruncationConfig()
+    if annotator is None:
+        annotator = RuleAnnotator()
     candidates = retrieve(query, corpus, retrieve_cfg, annotator, dense_scorer)
     qid = question_id if question_id is not None else candidates.query_id
     if not candidates:
@@ -134,7 +138,8 @@ def run_question(
             ranked=None, vectors=(), cross=None,
             context=_EMPTY_CONTEXT, rendered="",
         )
-    ranked, vectors = rank(candidates, query, corpus, scorers, fusion_cfg)
+    ranked, vectors = rank(candidates, query, corpus, scorers, fusion_cfg,
+                           annotator=annotator)
     cross = select_primary_vector(scorers, vectors)
     if trunc_cfg.strategy == "adaptive":
         context = truncate_adaptive(ranked, cross, corpus, trunc_cfg)
@@ -189,7 +194,10 @@ def build_matrix(
     dense_scorer=None,
     fusion_cfg: FusionConfig | None = None,
 ) -> ScoreMatrix:
-    """Run retrieval and ranking once per question and freeze the numbers."""
+    """Run retrieval and ranking once per question and freeze the numbers.
+    Every question shares one annotator, a RuleAnnotator when none is given."""
+    if annotator is None:
+        annotator = RuleAnnotator()
     records = []
     cross_name = ""
     for question in questions:

@@ -10,7 +10,8 @@ finite score per text. Real relevance models live out of process and are
 reached through service.ServiceClient; LexicalDenseScorer is the one
 in-process scorer, so every code path runs deterministically with no model
 at all. ScorerHandle.client() picks between the two, and score() calls the
-result the same way for both.
+result the same way for both. The lexical scorer parses the query with the
+annotator it is given, which in a pipeline run is the run's own annotator.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, Passage
 from .errors import EmptyTermSetError, UnknownScorerError
 from .parse import parse_query
@@ -55,11 +57,13 @@ class ScorerHandle:
                 "available in-process"
             )
 
-    def client(self) -> "ServiceClient | LexicalDenseScorer":
-        """The object that scores for this handle."""
+    def client(self, annotator: Annotator | None = None
+               ) -> "ServiceClient | LexicalDenseScorer":
+        """The object that scores for this handle; an in-process scorer
+        parses queries with the given annotator."""
         if self.transport == "service-adapter":
             return ServiceClient(self.endpoint, self.timeout, self.retries)
-        return LexicalDenseScorer()
+        return LexicalDenseScorer(annotator)
 
 
 @dataclass(frozen=True)
@@ -139,17 +143,16 @@ class LexicalDenseScorer:
     semantic fallback, the oracle's semantic tool and in-process ScorerHandles
     all run through it with no model attached. The penalty makes scores
     strictly length-sensitive, so ties are rare and the denser of two
-    equally-matching passages wins. With no annotator it parses queries with
-    one shared RuleAnnotator.
+    equally-matching passages wins. Queries are parsed with the annotator
+    it is given, or with a RuleAnnotator of its own when given none.
     """
 
-    def __init__(self, annotator=None) -> None:
-        self._annotator = annotator
+    def __init__(self, annotator: Annotator | None = None) -> None:
+        self._annotator = annotator if annotator is not None else RuleAnnotator()
 
     def score(self, query: str, texts: list[str]) -> list[float]:
-        annotator = self._annotator or _default_annotator()
         try:
-            terms = parse_query(query, annotator).terms
+            terms = parse_query(query, self._annotator).terms
         except EmptyTermSetError:
             terms = ()
         needles = [(term.surface.lower(), term.weight) for term in terms]
@@ -161,25 +164,15 @@ class LexicalDenseScorer:
         return scores
 
 
-def score(scorer: ScorerHandle, query: str, passages: list[Passage]
-          ) -> ScoreVector:
-    """Evaluate one scorer over the passages; errors are never papered over."""
+def score(scorer: ScorerHandle, query: str, passages: list[Passage],
+          annotator: Annotator | None = None) -> ScoreVector:
+    """Evaluate one scorer over the passages; errors are never papered over.
+    An in-process scorer parses the query with the annotator."""
     if not passages:
         raise ValueError("passages must be non-empty")
-    values = scorer.client().score(query, [p.text for p in passages])
+    values = scorer.client(annotator).score(query, [p.text for p in passages])
     return ScoreVector(scorer_name=scorer.name,
                        scores={p.id: v for p, v in zip(passages, values)})
-
-
-_ANNOTATOR = None
-
-
-def _default_annotator():
-    global _ANNOTATOR
-    if _ANNOTATOR is None:
-        from .annotate import RuleAnnotator
-        _ANNOTATOR = RuleAnnotator()
-    return _ANNOTATOR
 
 
 # --- fusion ---
@@ -224,13 +217,15 @@ def rank(
     cfg: FusionConfig | None = None,
     *,
     parallel: bool = True,
+    annotator: Annotator | None = None,
 ) -> tuple[RankedList, list[ScoreVector]]:
     """Score the full candidate set with every scorer, then fuse.
 
     Scorers run concurrently when parallel is set; results are merged in
     scorer order, so the output is bit-identical either way. One scorer
     failing fails the whole call. A single scorer skips fusion and ranks by
-    its raw scores.
+    its raw scores. In-process scorers parse the query with the annotator,
+    a RuleAnnotator built once for the call when none is given.
     """
     if not candidates.candidates:
         raise ValueError("candidate set must be non-empty")
@@ -239,21 +234,24 @@ def rank(
     names = [s.name for s in scorers]
     if len(set(names)) != len(names):
         raise ValueError("scorer names must be unique")
+    if annotator is None:
+        annotator = RuleAnnotator()
     passages = [corpus.get(pid) for pid in candidates.ids()]
 
     if parallel and len(scorers) > 1:
         with ThreadPoolExecutor(max_workers=len(scorers)) as pool:
-            futures = [pool.submit(score, s, query, passages) for s in scorers]
+            futures = [pool.submit(score, s, query, passages, annotator)
+                       for s in scorers]
             vectors = [future.result() for future in futures]
     else:
-        vectors = [score(s, query, passages) for s in scorers]
+        vectors = [score(s, query, passages, annotator) for s in scorers]
 
     per_scorer_order = [
         (vector.scorer_name, _order_ids(vector)) for vector in vectors
     ]
     if len(scorers) == 1:
         vector = vectors[0]
-        ordered = _order_ids(vector)
+        ordered = per_scorer_order[0][1]
         entries = tuple(
             RankedEntry(
                 passage_id=pid,

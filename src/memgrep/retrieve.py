@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import contains
 
-from .annotate import Annotator
+from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, Passage
 from .errors import EmptyTermSetError, ScorerUnavailableError
 from .parse import (
@@ -55,15 +55,12 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidateSet:
+    # Passage ids are unique by construction: every set is keyed by corpus
+    # position, by passage id, or built from a corpus's passages.
     candidates: tuple[Candidate, ...]
     query_id: str
     hops_executed: int
     warnings: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        ids = [c.passage_id for c in self.candidates]
-        if len(ids) != len(set(ids)):
-            raise ValueError("duplicate passage_ids in candidate set")
 
     def ids(self) -> list[str]:
         return [c.passage_id for c in self.candidates]
@@ -269,7 +266,6 @@ def retrieve(
     if cfg is None:
         cfg = RetrieveConfig()
     if annotator is None:
-        from .annotate import RuleAnnotator
         annotator = RuleAnnotator()
     qid = query_id_for(query)
     warnings: list[str] = []

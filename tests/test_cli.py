@@ -181,6 +181,20 @@ def test_malformed_corpus_yields_error_record(capsys, tmp_path):
     assert "bad.jsonl" in record["message"]
 
 
+def test_repeated_passage_id_yields_error_record(capsys, tmp_path):
+    lines = fixture_path("corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "query", "Where did Javier go hiking?", "--corpus", str(corpus),
+    )
+    assert (code, out) == (1, "")
+    record = json.loads(err)
+    assert record["error"] == "DuplicateTurnError"
+    assert record["message"].startswith(f"{corpus}:{len(lines) + 1}: ")
+    assert record["message"].endswith("repeats line 1")
+
+
 def test_missing_corpus_flag(capsys):
     code, _, err = run_cli(capsys, "query", "anything")
     assert code == 1

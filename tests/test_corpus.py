@@ -17,7 +17,6 @@ from memgrep.corpus import (
     ingest,
     load_questions,
     read_corpus,
-    validate,
     write_corpus,
 )
 from memgrep.errors import (
@@ -123,8 +122,6 @@ def test_corpus_preserves_construction_order():
     )
     corpus = Corpus(passages=passages)
     assert [p.id for p in corpus] == ["b:0", "a:0"]
-    report = validate(corpus)
-    assert any("order" in line for line in report)
 
 
 def test_ingest_generic_jsonl(tmp_path):
@@ -136,7 +133,6 @@ def test_ingest_generic_jsonl(tmp_path):
     corpus = ingest(raw, "generic-jsonl")
     assert [p.id for p in corpus] == ["a:0", "a:1"]
     assert corpus.get("a:0").text == "first"
-    assert validate(corpus) == []
 
 
 def test_ingest_rejects_unknown_format(tmp_path):
@@ -322,19 +318,36 @@ def test_load_questions_collects_all_dangling_ids(tmp_path, tiny_corpus):
     assert len(err.value.missing) == 2
 
 
-def test_validate_flags_duplicate_id():
+def test_corpus_rejects_duplicate_id():
     passages = (
         Passage(id="a:0", session_id="a", turn_index=0, speaker="X", text="one"),
-        Passage(id="a:0", session_id="a", turn_index=1, speaker="X", text="two"),
+        Passage(id="b:0", session_id="b", turn_index=0, speaker="X", text="two"),
+        Passage(id="a:0", session_id="a", turn_index=1, speaker="X", text="three"),
     )
-    report = validate(Corpus(passages=passages))
-    assert any("duplicate" in line for line in report)
+    with pytest.raises(DuplicateTurnError, match="^duplicate passage ids: a:0$"):
+        Corpus(passages=passages)
+
+
+def test_read_corpus_names_lines_of_repeated_id(tmp_path):
+    lines = [
+        {"id": "a:0", "session_id": "a", "turn_index": 0, "speaker": "X", "text": "one"},
+        {"id": "a:1", "session_id": "a", "turn_index": 1, "speaker": "X", "text": "two"},
+        {"id": "a:0", "session_id": "a", "turn_index": 0, "speaker": "Y", "text": "again"},
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    with pytest.raises(DuplicateTurnError) as err:
+        read_corpus(path)
+    assert str(err.value) == f"{path}:3: passage id 'a:0' repeats line 1"
 
 
 def test_bundled_fixture_is_valid(fixture_corpus_path, fixture_questions_path):
     corpus = read_corpus(fixture_corpus_path)
     assert len(corpus) == 10
-    assert validate(corpus) == []
+    assert all(p.id == f"{p.session_id}:{p.turn_index}" for p in corpus)
+    keys = [(p.session_id, p.turn_index) for p in corpus]
+    assert keys == sorted(keys)
+    assert all(p.text.strip() for p in corpus)
     questions = load_questions(fixture_questions_path, corpus)
     assert len(questions) == 5
     assert all(q.gold_passage_ids for q in questions)

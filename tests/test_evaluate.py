@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from memgrep.annotate import RuleAnnotator
 from memgrep.corpus import GoldAnnotation, load_questions, read_corpus
 from memgrep.errors import IncompleteMatrixError
 from memgrep.evaluate import (
@@ -100,6 +101,44 @@ def test_run_question_live_pipeline(fixture_corpus_path):
     assert run.context.passage_ids[0] == "s1:3"
     assert run.rendered.startswith("[s1:3]")
     assert run.candidates.hops_executed >= 1
+
+
+class RecordingAnnotator(RuleAnnotator):
+    """Records every text it is asked to annotate."""
+
+    def __init__(self):
+        super().__init__()
+        self.annotated = []
+
+    def annotate(self, text):
+        self.annotated.append(text)
+        return super().annotate(text)
+
+
+def test_run_question_parses_the_query_with_its_annotator(fixture_corpus_path):
+    corpus = read_corpus(fixture_corpus_path)
+    query = "What did Caroline bake for the farmers market?"
+    annotator = RecordingAnnotator()
+    run_question(query, corpus, [ScorerHandle(name="lex")], annotator=annotator)
+    # Once for retrieval, once for the in-process scorer.
+    assert annotator.annotated.count(query) == 2
+
+
+def test_build_matrix_builds_one_annotator(fixture_corpus_path,
+                                          fixture_questions_path, monkeypatch):
+    corpus = read_corpus(fixture_corpus_path)
+    questions = load_questions(fixture_questions_path, corpus)
+    built = []
+    init = RuleAnnotator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RuleAnnotator, "__init__", counting_init)
+    build_matrix(questions, corpus,
+                 [ScorerHandle(name="a"), ScorerHandle(name="b")])
+    assert len(built) == 1
 
 
 def test_build_matrix_flags_missing_gold(fixture_corpus_path, tmp_path):

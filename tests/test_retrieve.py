@@ -146,12 +146,6 @@ def test_candidate_validates_score_against_matched_terms():
                   matched_terms=(("alpha", 2.0),), hop=0)
 
 
-def test_candidate_set_rejects_duplicates():
-    a = Candidate(passage_id="p", match_score=0.0, matched_terms=(), hop=0)
-    with pytest.raises(ValueError):
-        CandidateSet(candidates=(a, a), query_id="x", hops_executed=1)
-
-
 def test_entity_expansion_emits_new_terms(tagger):
     corpus = make_corpus(["She went hiking with Dr. Chen back then."])
     prior = grep_search(corpus, term_set(("hiking", 2.0), query_text="Who did Melanie hike with?"))
