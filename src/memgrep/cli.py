@@ -40,7 +40,7 @@ from .evaluate import (
 )
 from .oracle import SearchLimits, derive_trace, trace_stats, traces_to_jsonl
 from .parse import parse_query
-from .rank import FusionConfig, LexicalDenseScorer, ScorerHandle
+from .rank import DEFAULT_RRF_K, FusionConfig, LexicalDenseScorer, ScorerHandle
 from .retrieve import RetrieveConfig
 from .service import ServiceClient
 from .truncate import TruncationConfig
@@ -62,7 +62,7 @@ class RunConfig:
     annotator_endpoint: str | None = None
     scorers: list[dict] = field(default_factory=list)
     retrieve: RetrieveConfig = field(default_factory=RetrieveConfig)
-    fusion_k: float = 60.0
+    fusion_k: float = DEFAULT_RRF_K
     fusion_weights: dict[str, float] | None = None
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
     out: str | None = None
@@ -136,7 +136,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
                                   alpha=alpha, top_k=top_k)
 
     annotator_file = file_cfg.get("annotator", {})
-    annotator_kind = pick(getattr(args, "annotator", None), "", "") or \
+    annotator_kind = getattr(args, "annotator", None) or \
         annotator_file.get("kind", "rules")
     if annotator_kind not in ("rules", "service"):
         raise ConfigError(f"annotator must be rules or service, got {annotator_kind!r}")
@@ -165,7 +165,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         annotator_endpoint=annotator_endpoint,
         scorers=scorers,
         retrieve=retrieve,
-        fusion_k=float(fusion_file.get("k", 60.0)),
+        fusion_k=float(fusion_file.get("k", DEFAULT_RRF_K)),
         fusion_weights=fusion_file.get("weights"),
         truncation=truncation,
         out=pick(getattr(args, "out", None), "out", None),
@@ -194,12 +194,10 @@ def _run_parts(cfg: RunConfig
     return annotator, handles, dense
 
 
-def _fusion_config(cfg: RunConfig, handles: list[ScorerHandle]) -> FusionConfig | None:
+def _fusion_config(cfg: RunConfig, handles: list[ScorerHandle]) -> FusionConfig:
     if cfg.fusion_weights:
         return FusionConfig(k=cfg.fusion_k, weights=dict(cfg.fusion_weights))
-    if cfg.fusion_k != 60.0 and len(handles) >= 1:
-        return FusionConfig.for_scorers(handles, k=cfg.fusion_k)
-    return None
+    return FusionConfig.for_scorers(handles, k=cfg.fusion_k)
 
 
 def _require(value, flag: str):

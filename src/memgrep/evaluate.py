@@ -6,6 +6,10 @@ one JSONL artifact keyed by corpus checksum. Sweeping budgets and alphas then
 replays the exact truncation code from truncate.py over stored numbers, with
 no scorer calls, so a whole grid costs milliseconds and simulated cells agree
 with live runs by construction.
+
+Records are complete by construction: build_matrix fills every table from
+the candidates it ranked, and read_matrix rejects a line that lacks any
+entry, naming file:line. The simulator trusts the records it is given.
 """
 
 from __future__ import annotations
@@ -159,23 +163,15 @@ def run_question(
 class QuestionRecord:
     question_id: str
     query: str
-    candidate_ids: tuple[str, ...]          # fused rank order
-    cross_scores: dict[str, float]
-    match_scores: dict[str, float]
-    word_counts: dict[str, int]
-    render_lens: dict[str, int]
+    stats: tuple[PassageStats, ...]         # one per candidate, fused rank order
+    cross_scores: dict[str, float]          # an entry for every candidate
+    match_scores: dict[str, float]          # an entry for every candidate
     gold_ids: frozenset[str]
     missing_gold: frozenset[str]            # gold never retrieved
 
-    def stats(self) -> list[PassageStats]:
-        return [
-            PassageStats(
-                passage_id=pid,
-                word_count=self.word_counts[pid],
-                render_len=self.render_lens[pid],
-            )
-            for pid in self.candidate_ids
-        ]
+    @property
+    def candidate_ids(self) -> tuple[str, ...]:
+        return tuple(s.passage_id for s in self.stats)
 
 
 @dataclass(frozen=True)
@@ -210,25 +206,21 @@ def build_matrix(
         if run.ranked is None:
             records.append(QuestionRecord(
                 question_id=question.question_id, query=question.text,
-                candidate_ids=(), cross_scores={}, match_scores={},
-                word_counts={}, render_lens={},
+                stats=(), cross_scores={}, match_scores={},
                 gold_ids=question.gold_passage_ids,
                 missing_gold=question.gold_passage_ids,
             ))
             continue
         cross_name = run.cross.scorer_name
-        ordered = tuple(run.ranked.ids())
+        ordered = run.ranked.ids()
         match_scores = {c.passage_id: c.match_score
                         for c in run.candidates.candidates}
-        stats = {pid: stats_for(corpus.get(pid)) for pid in ordered}
         records.append(QuestionRecord(
             question_id=question.question_id,
             query=question.text,
-            candidate_ids=ordered,
+            stats=tuple(stats_for(corpus.get(pid)) for pid in ordered),
             cross_scores={pid: run.cross.scores[pid] for pid in ordered},
             match_scores={pid: match_scores[pid] for pid in ordered},
-            word_counts={pid: stats[pid].word_count for pid in ordered},
-            render_lens={pid: stats[pid].render_len for pid in ordered},
             gold_ids=question.gold_passage_ids,
             missing_gold=frozenset(question.gold_passage_ids - set(ordered)),
         ))
@@ -253,8 +245,8 @@ def matrix_to_jsonl(matrix: ScoreMatrix) -> str:
             "candidates": list(rec.candidate_ids),
             "cross": rec.cross_scores,
             "match": rec.match_scores,
-            "words": rec.word_counts,
-            "render_lens": rec.render_lens,
+            "words": {s.passage_id: s.word_count for s in rec.stats},
+            "render_lens": {s.passage_id: s.render_len for s in rec.stats},
             "gold": sorted(rec.gold_ids),
             "missing": sorted(rec.missing_gold),
         }, sort_keys=True, ensure_ascii=False))
@@ -289,14 +281,17 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
         if rec.get("record") != "question":
             raise IncompleteMatrixError(f"{path}:{lineno}: unknown record kind")
         try:
+            ids = rec["candidates"]
+            cross, match, words, render_lens = (
+                _entries(rec, name, ids)
+                for name in ("cross", "match", "words", "render_lens"))
             records.append(QuestionRecord(
                 question_id=rec["question_id"],
                 query=rec["query"],
-                candidate_ids=tuple(rec["candidates"]),
-                cross_scores={k: float(v) for k, v in rec["cross"].items()},
-                match_scores={k: float(v) for k, v in rec["match"].items()},
-                word_counts={k: int(v) for k, v in rec["words"].items()},
-                render_lens={k: int(v) for k, v in rec["render_lens"].items()},
+                stats=tuple(PassageStats(pid, int(w), int(r))
+                            for pid, w, r in zip(ids, words, render_lens)),
+                cross_scores={pid: float(v) for pid, v in zip(ids, cross)},
+                match_scores={pid: float(v) for pid, v in zip(ids, match)},
                 gold_ids=frozenset(rec["gold"]),
                 missing_gold=frozenset(rec["missing"]),
             ))
@@ -319,17 +314,13 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
     return matrix
 
 
-def _check_complete(matrix: ScoreMatrix) -> None:
-    for rec in matrix.records:
-        for pid in rec.candidate_ids:
-            for name, table in (
-                ("cross", rec.cross_scores), ("match", rec.match_scores),
-                ("words", rec.word_counts), ("render_lens", rec.render_lens),
-            ):
-                if pid not in table:
-                    raise IncompleteMatrixError(
-                        f"question {rec.question_id}: no {name} entry for {pid}"
-                    )
+def _entries(rec: dict, name: str, ids: list) -> list:
+    """The line's `name` table entry for each candidate id, in order."""
+    table = rec[name]
+    try:
+        return [table[pid] for pid in ids]
+    except KeyError as exc:
+        raise ValueError(f"no {name} entry for {exc.args[0]}") from None
 
 
 # --- simulation ---
@@ -369,7 +360,6 @@ def simulate_truncation(
     Adaptive cells run at `ceiling` (default: the largest budget in the
     sweep). No scorers are consulted; the stored matrix is the whole input.
     """
-    _check_complete(matrix)
     if alphas and ceiling is None:
         if not budgets:
             raise ValueError("adaptive cells need a ceiling or a budget grid")
@@ -449,7 +439,7 @@ def simulate_question(
     Returns (included passage ids in rank order, token estimate). Calls the
     same core functions the live path uses.
     """
-    stats = rec.stats()
+    stats = rec.stats
     if strategy == "fixed":
         included, _, _ = fixed_over_stats(stats, budget)
     elif strategy == "adaptive":
@@ -477,7 +467,6 @@ def ranking_effect(matrix: ScoreMatrix) -> RankingEffect:
 
     Questions whose gold was never retrieved are excluded from both means.
     """
-    _check_complete(matrix)
     match_ranks = []
     cross_ranks = []
     absent = 0

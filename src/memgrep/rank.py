@@ -16,7 +16,6 @@ annotator it is given, which in a pipeline run is the run's own annotator.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -68,15 +67,10 @@ class ScorerHandle:
 
 @dataclass(frozen=True)
 class ScoreVector:
+    # Scores are finite by construction: ServiceClient rejects non-finite
+    # values at the wire, and the lexical scorer sums finite weights.
     scorer_name: str
     scores: dict[str, float]
-
-    def __post_init__(self) -> None:
-        for passage_id, value in self.scores.items():
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"non-finite score {value!r} for passage {passage_id}"
-                )
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ embedding store; the corpus text itself is the only data structure.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import contains
@@ -36,21 +35,13 @@ def query_id_for(query: str) -> str:
 
 @dataclass(frozen=True)
 class Candidate:
+    # match_score is the sum of matched_terms' weights by construction:
+    # grep_search sums them, _merge copies both together, and a fallback
+    # candidate is score-only (matched_terms empty).
     passage_id: str
     match_score: float
     matched_terms: tuple[tuple[str, float], ...]
     hop: int
-
-    def __post_init__(self) -> None:
-        if self.hop < 0:
-            raise ValueError("hop must be non-negative")
-        if self.matched_terms:
-            total = sum(weight for _, weight in self.matched_terms)
-            if not math.isclose(self.match_score, total, abs_tol=1e-9):
-                raise ValueError(
-                    f"match_score {self.match_score} != sum of matched term "
-                    f"weights {total}"
-                )
 
 
 @dataclass(frozen=True)
@@ -325,13 +316,7 @@ def retrieve(
                 "no-candidates: substring search empty and fallback disabled"
             )
 
-    final = _as_set(merged, qid, hops)
-    return CandidateSet(
-        candidates=final.candidates,
-        query_id=qid,
-        hops_executed=hops,
-        warnings=tuple(warnings),
-    )
+    return _as_set(merged, qid, hops, tuple(warnings))
 
 
 def _merge(merged: dict[str, Candidate], candidates: tuple[Candidate, ...]) -> None:
@@ -352,8 +337,9 @@ def _merge(merged: dict[str, Candidate], candidates: tuple[Candidate, ...]) -> N
             )
 
 
-def _as_set(merged: dict[str, Candidate], qid: str, hops: int) -> CandidateSet:
+def _as_set(merged: dict[str, Candidate], qid: str, hops: int,
+            warnings: tuple[str, ...] = ()) -> CandidateSet:
     ordered = sorted(merged.values(),
                      key=lambda c: (-c.match_score, c.passage_id))
     return CandidateSet(candidates=tuple(ordered), query_id=qid,
-                        hops_executed=hops)
+                        hops_executed=hops, warnings=warnings)

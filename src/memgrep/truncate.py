@@ -14,6 +14,7 @@ numbers, so simulated and live contexts cannot drift apart.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .corpus import Corpus, Passage
@@ -60,7 +61,7 @@ class Context:
     pruned_by_budget: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PassageStats:
     """The three numbers truncation actually needs from a passage."""
 
@@ -114,7 +115,7 @@ def tokens_from_stats(included: list[PassageStats]) -> int:
 # --- stats-level cores (shared with the offline simulator) ---
 
 def fixed_over_stats(
-    stats: list[PassageStats], budget_words: int
+    stats: Sequence[PassageStats], budget_words: int
 ) -> tuple[list[PassageStats], int, int]:
     """Greedy skip-and-continue walk. Returns (included, words, pruned)."""
     included: list[PassageStats] = []
@@ -130,7 +131,7 @@ def fixed_over_stats(
 
 
 def adaptive_over_stats(
-    stats: list[PassageStats],
+    stats: Sequence[PassageStats],
     cross: dict[str, float],
     cfg: TruncationConfig,
 ) -> tuple[list[PassageStats], int, int, int]:

@@ -78,7 +78,10 @@ def test_sweep_from_prebuilt_matrix(capsys, tmp_path, fix_corpus, fix_questions)
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("damage", ["drop-render-lens", "not-json"])
+@pytest.mark.parametrize("damage", [
+    "drop-render-lens", "not-json",
+    "drop-cross-entry", "drop-match-entry", "drop-words-entry", "drop-render_lens-entry",
+])
 def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpus,
                                                      fix_questions, damage):
     eval_dir = tmp_path / "eval"
@@ -89,6 +92,12 @@ def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpu
     if damage == "drop-render-lens":
         record = json.loads(lines[1])
         del record["render_lens"]
+        lines[1] = json.dumps(record)
+    elif damage.endswith("-entry"):
+        # One candidate loses its entry in one table; the line stays valid JSON.
+        table = damage[len("drop-"):-len("-entry")]
+        record = json.loads(lines[1])
+        del record[table][record["candidates"][0]]
         lines[1] = json.dumps(record)
     else:
         lines[1] = lines[1][:-1]
@@ -101,6 +110,8 @@ def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpu
     record = json.loads(err)
     assert record["error"] == "IncompleteMatrixError"
     assert f"{matrix}:2:" in record["message"]
+    if damage.endswith("-entry"):
+        assert f"no {table} entry for " in record["message"]
 
 
 def test_oracle_stats(capsys, fix_corpus, fix_questions):
@@ -238,6 +249,19 @@ def test_env_var_names_config(capsys, tmp_path, fix_corpus, monkeypatch):
     code, out, _ = run_cli(capsys, "query", "Where did Javier go hiking?")
     assert code == 0
     assert "[s1:2]" in out
+
+
+def test_config_key_named_empty_does_not_pick_the_annotator(capsys, tmp_path, fix_corpus):
+    # The annotator kind comes from the flag or annotator.kind, never from a
+    # top-level key.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"": "service", "corpus": fix_corpus}))
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "query", "Where did Javier go hiking?",
+                           "--config", str(config), "--out", str(out_dir))
+    assert code == 0, err
+    runconfig = json.loads((out_dir / "runconfig.json").read_text())
+    assert runconfig["annotator"] == {"kind": "rules", "endpoint": None}
 
 
 def test_bad_config_file(capsys, tmp_path):

@@ -1,8 +1,11 @@
 """Metrics, the score matrix artifact, and the offline simulator."""
 
 import dataclasses
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
 from memgrep.corpus import GoldAnnotation, load_questions, read_corpus
@@ -23,7 +26,7 @@ from memgrep.evaluate import (
     write_matrix,
 )
 from memgrep.rank import ScorerHandle
-from memgrep.truncate import Context
+from memgrep.truncate import Context, PassageStats
 
 
 def gold(*ids, question_id="q"):
@@ -41,11 +44,10 @@ def record(qid, candidates, cross, gold_ids, missing=(), words=None):
     return QuestionRecord(
         question_id=qid,
         query="q",
-        candidate_ids=tuple(candidates),
+        stats=tuple(PassageStats(pid, words[pid], words[pid] * 6)
+                    for pid in candidates),
         cross_scores=dict(cross),
         match_scores={pid: 1.0 for pid in candidates},
-        word_counts=words,
-        render_lens={pid: words[pid] * 6 for pid in candidates},
         gold_ids=frozenset(gold_ids),
         missing_gold=frozenset(missing),
     )
@@ -155,7 +157,6 @@ def test_build_matrix_flags_missing_gold(fixture_corpus_path, tmp_path):
 
 
 def _questions_file(tmp_path, records):
-    import json
     path = tmp_path / "questions.json"
     path.write_text(json.dumps(records))
     return path
@@ -177,6 +178,41 @@ def test_matrix_round_trip_keeps_unicode_line_separators(tmp_path):
                               query="where\u2028now\x85then")
     matrix = ScoreMatrix(records=(rec,), corpus_checksum="c", cross_scorer="lex")
     path = tmp_path / "matrix.jsonl"
+    write_matrix(matrix, path)
+    assert read_matrix(path) == matrix
+
+
+# Text that exercises the line-splitting edge cases: U+2028 and U+0085
+# end a line for str.splitlines() but not for the matrix reader.
+_matrix_text = st.text(alphabet=st.sampled_from("ab:\u2028\x85\u00e9 \\\"\n"),
+                       max_size=6)
+_score = st.floats(allow_nan=False, allow_infinity=False)
+_length = st.integers(min_value=0, max_value=10**12)
+
+
+@st.composite
+def score_matrices(draw):
+    records = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        ids = draw(st.lists(_matrix_text, max_size=5, unique=True))
+        gold = draw(st.frozensets(_matrix_text, max_size=3))
+        records.append(QuestionRecord(
+            question_id=draw(_matrix_text),
+            query=draw(_matrix_text),
+            stats=tuple(PassageStats(pid, draw(_length), draw(_length)) for pid in ids),
+            cross_scores={pid: draw(_score) for pid in ids},
+            match_scores={pid: draw(_score) for pid in ids},
+            gold_ids=gold,
+            missing_gold=gold - frozenset(ids),
+        ))
+    return ScoreMatrix(records=tuple(records), corpus_checksum=draw(_matrix_text),
+                       cross_scorer=draw(_matrix_text))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(matrix=score_matrices())
+def test_matrix_read_inverts_write(matrix, tmp_path_factory):
+    path = tmp_path_factory.mktemp("matrix") / "matrix.jsonl"
     write_matrix(matrix, path)
     assert read_matrix(path) == matrix
 
@@ -271,15 +307,9 @@ def test_micro_vs_macro_divergence():
 
 def test_ranking_effect_constructed_inversion():
     # Cross ranks gold first; match scores rank it last.
-    rec = QuestionRecord(
-        question_id="q", query="q",
-        candidate_ids=("a", "b", "g"),
-        cross_scores={"a": 0.1, "b": 0.2, "g": 0.9},
+    rec = dataclasses.replace(
+        record("q", ["a", "b", "g"], {"a": 0.1, "b": 0.2, "g": 0.9}, ["g"]),
         match_scores={"a": 9.0, "b": 8.0, "g": 1.0},
-        word_counts={"a": 1, "b": 1, "g": 1},
-        render_lens={"a": 6, "b": 6, "g": 6},
-        gold_ids=frozenset({"g"}),
-        missing_gold=frozenset(),
     )
     matrix = ScoreMatrix(records=(rec,), corpus_checksum="c", cross_scorer="lex")
     effect = ranking_effect(matrix)

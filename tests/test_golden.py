@@ -1,9 +1,11 @@
-"""Golden artifacts: every command's output on the bundled fixture, pinned by sha256.
+"""Golden artifacts: every command's output on the bundled fixture, and every
+demo's stdout, pinned by sha256.
 
 Each run changes into the fixture directory and names the corpus and the
 questions by relative path, so runconfig.json holds no machine-specific path.
-A change that moves one byte of any artifact (or of what the command prints)
-fails here. After an intended output change, print the new table with
+Each demo runs as its own process with PYTHONPATH=src. A change that moves
+one byte of any artifact (or of what a command or a demo prints) fails here.
+After an intended output change, print the new tables with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -23,6 +26,8 @@ from memgrep.cli import main
 
 from conftest import fixture_path
 
+REPO = Path(__file__).resolve().parent.parent
+DEMOS = sorted(path.name for path in (REPO / "demos").glob("*.py"))
 QUERY = "Where did Javier go hiking?"
 RUNS = {
     "query-fixed": ["query", QUERY],
@@ -75,6 +80,15 @@ GOLDEN = {
 }
 
 
+DEMO_GOLDEN = {
+    "01_search_basics.py": "a8e7c8f1492f461c16f9dc38ec6353f283794a8882e960364bb6609f5148ef4c",
+    "02_two_hop.py": "71ccb24bb454fdcd58ff601a5f4cac535aa247eab90ffd3bfb21f1b1c798a7f1",
+    "03_fusion.py": "6ca89e99a4fb440bdd7bb7a8e0fff75bbfcf58bbd9558657ea5213578cba0755",
+    "04_truncation.py": "9d1cf29ef03ba73ae5d5393924128c4ce07deafbd4057eed4a02c78514d72a27",
+    "05_oracle_and_sweep.py": "63c7149c2dfddd8e617d19c7035e3141bd53b9eb398e5d3d44467051d5ddefda"
+}
+
+
 def run_digests(name: str, out_dir: Path) -> dict[str, str]:
     """sha256 of every artifact the run writes, plus of its stdout."""
     argv = RUNS[name] + ["--corpus", "corpus.jsonl", "--out", str(out_dir)]
@@ -88,14 +102,30 @@ def run_digests(name: str, out_dir: Path) -> dict[str, str]:
     return digests
 
 
+def demo_digest(name: str) -> str:
+    """sha256 of what the demo prints, run from the repository root."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, str(REPO / "demos" / name)], cwd=REPO,
+                          env=env, capture_output=True, check=False)
+    assert done.returncode == 0, f"{name} exited {done.returncode}: {done.stderr.decode()}"
+    return hashlib.sha256(done.stdout).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_fixture_artifacts_match_golden_digests(name, tmp_path, monkeypatch):
     monkeypatch.chdir(fixture_path(""))
     assert run_digests(name, tmp_path / name) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_stdout_matches_golden_digest(name):
+    assert demo_digest(name) == DEMO_GOLDEN[name]
+
+
 if __name__ == "__main__":
+    demos = {name: demo_digest(name) for name in DEMOS}
     os.chdir(fixture_path(""))
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: run_digests(name, Path(tmp) / name) for name in sorted(RUNS)}
-    sys.stdout.write("GOLDEN = " + json.dumps(table, indent=4) + "\n")
+    sys.stdout.write("GOLDEN = " + json.dumps(table, indent=4) + "\n\n")
+    sys.stdout.write("DEMO_GOLDEN = " + json.dumps(demos, indent=4) + "\n")

@@ -18,7 +18,6 @@ from memgrep.rank import (
     FusionConfig,
     LexicalDenseScorer,
     RankedList,
-    ScoreVector,
     ScorerHandle,
     rank,
     rrf_fuse,
@@ -282,11 +281,6 @@ def test_scorer_handle_validation():
         ScorerHandle(name="x", kind="lexical-test", transport="service-adapter")
     with pytest.raises(ValueError):
         ScorerHandle(name="x", kind="bogus")
-
-
-def test_score_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        ScoreVector(scorer_name="s", scores={"p": float("inf")})
 
 
 def test_rank_single_scorer_bypasses_fusion(tiny_corpus):

@@ -5,11 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
-from memgrep.corpus import read_corpus
+from memgrep.corpus import load_questions, read_corpus
 from memgrep.errors import ScorerUnavailableError
-from memgrep.parse import WeightedTerm, WeightedTermSet
+from memgrep.parse import PRF_WEIGHT, WeightedTerm, WeightedTermSet
 from memgrep.retrieve import (
-    Candidate,
     CandidateSet,
     RetrieveConfig,
     entity_expansion_hop,
@@ -20,7 +19,7 @@ from memgrep.retrieve import (
     semantic_fallback,
 )
 
-from conftest import make_corpus
+from conftest import fixture_path, make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -140,12 +139,6 @@ def test_grep_matches_brute_force_reference(case, mode):
     assert all(c.hop == 2 for c in result.candidates)
 
 
-def test_candidate_validates_score_against_matched_terms():
-    with pytest.raises(ValueError):
-        Candidate(passage_id="p", match_score=1.0,
-                  matched_terms=(("alpha", 2.0),), hop=0)
-
-
 def test_entity_expansion_emits_new_terms(tagger):
     corpus = make_corpus(["She went hiking with Dr. Chen back then."])
     prior = grep_search(corpus, term_set(("hiking", 2.0), query_text="Who did Melanie hike with?"))
@@ -221,6 +214,20 @@ def test_retrieve_single_hop(tagger, fixture_corpus_path):
     assert top.hop == 0
 
 
+def assert_candidates_consistent(result: CandidateSet) -> None:
+    """What Candidate holds by construction, checked on retrieve's output:
+    a grep candidate scores the sum of its matched weights, and every hop
+    lies in [0, hops_executed]. Only PRF (all weights PRF_WEIGHT) and the
+    dense fallback (no matched terms) add candidates at hops_executed."""
+    for c in result.candidates:
+        if c.matched_terms:
+            assert c.match_score == pytest.approx(
+                sum(weight for _, weight in c.matched_terms), abs=1e-9)
+        assert 0 <= c.hop <= result.hops_executed
+        if c.hop == result.hops_executed:
+            assert all(weight == PRF_WEIGHT for _, weight in c.matched_terms)
+
+
 def test_retrieve_two_hop_bridges_entity(tagger, fixture_corpus_path):
     corpus = read_corpus(fixture_corpus_path)
     cfg = RetrieveConfig()
@@ -233,6 +240,16 @@ def test_retrieve_two_hop_bridges_entity(tagger, fixture_corpus_path):
     hop_of = {c.passage_id: c.hop for c in result.candidates}
     assert hop_of["s1:5"] == 0
     assert hop_of["s1:7"] == 1
+    for question in load_questions(fixture_path("questions.json"), corpus):
+        assert_candidates_consistent(
+            retrieve(question.text, corpus, cfg, annotator=tagger))
+    # "kayak" recurs in both Javier passages, so PRF finds s:2 last.
+    prf = retrieve("What did Javier buy?", make_corpus([
+        "Javier bought a kayak.", "Javier painted the kayak red.",
+        "The kayak sank in the lake.",
+    ]), cfg, annotator=tagger)
+    assert_candidates_consistent(prf)
+    assert [(c.passage_id, c.hop) for c in prf.candidates][-1] == ("s:2", prf.hops_executed)
 
 
 def test_retrieve_expansion_disabled_misses_bridge(tagger, fixture_corpus_path):
@@ -268,6 +285,8 @@ def test_retrieve_empty_grep_falls_back(tagger, tiny_corpus):
                       dense_scorer=Flat())
     assert len(result) == len(tiny_corpus)
     assert result.hops_executed == 1
+    assert all(c.hop == 1 for c in result.candidates)
+    assert_candidates_consistent(result)
     # Flat scores: ordering falls back to passage id.
     assert result.ids()[0] == "s:0"
 
@@ -288,6 +307,8 @@ def test_retrieve_empty_term_set_warns(tagger, tiny_corpus):
                       dense_scorer=Flat())
     assert result.hops_executed == 0
     assert any("empty-term-set" in w for w in result.warnings)
+    assert result and all(c.hop == 0 for c in result.candidates)
+    assert_candidates_consistent(result)
 
 
 def test_max_hops_bounds_expansion(tagger):
