@@ -3,7 +3,8 @@
 The rule annotator is the default and ships its own lexicon data files. An
 adapter over the scoring-service line protocol (kind="annotate") lets an
 external statistical tagger take its place without touching the rest of the
-pipeline; both expose the same two operations.
+pipeline; both expose the same two operations. AnnotatorConfig names the
+one a run uses and builds it.
 
 Both operations are views over one analysis of the text, which gives the
 tokens and the mentions together. Each annotator keeps the last MEMO_SIZE
@@ -19,7 +20,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
 from .errors import PartialResponseError
@@ -61,15 +61,31 @@ class Annotator(Protocol):
     def extract_entities(self, text: str) -> list[EntityMention]: ...
 
 
+@dataclass(frozen=True)
+class AnnotatorConfig:
+    """Which annotator a run uses: the rule annotator, or a service one at
+    an endpoint."""
+
+    kind: str = "rules"
+    endpoint: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("rules", "service"):
+            raise ValueError(f"kind must be rules or service, got {self.kind!r}")
+        if self.kind == "service" and not (isinstance(self.endpoint, str) and self.endpoint):
+            raise ValueError("a service annotator needs an endpoint "
+                             "(--annotator-endpoint)")
+
+    def build(self) -> Annotator:
+        if self.kind == "service":
+            return ServiceAnnotator(self.endpoint)
+        return RuleAnnotator()
+
+
 # --- lexicon plumbing ---
 
-def _read_lexicon(name: str, root: Path | None) -> list[str]:
-    if root is not None:
-        raw = (root / name).read_text(encoding="utf-8")
-    else:
-        raw = (resources.files("memgrep.data.lexicon") / name).read_text(
-            encoding="utf-8"
-        )
+def _read_lexicon(name: str) -> list[str]:
+    raw = (resources.files("memgrep.data.lexicon") / name).read_text(encoding="utf-8")
     entries = []
     for line in raw.splitlines():
         line = line.strip()
@@ -111,16 +127,15 @@ class RuleAnnotator:
     read-only after construction. One instance can serve concurrent callers.
     """
 
-    def __init__(self, lexicon_dir: str | Path | None = None) -> None:
-        root = Path(lexicon_dir) if lexicon_dir is not None else None
-        self._stopwords = _lower_set(_read_lexicon("stopwords.txt", root))
-        self._first_names = _lower_set(_read_lexicon("first_names.txt", root))
-        self._verbs = _lower_set(_read_lexicon("verbs.txt", root))
-        self._date_words = _lower_set(_read_lexicon("date_words.txt", root))
-        self._honorifics = _lower_set(_read_lexicon("honorifics.txt", root))
-        self._org_keywords = _lower_set(_read_lexicon("org_keywords.txt", root))
-        self._event_keywords = _lower_set(_read_lexicon("event_keywords.txt", root))
-        places = _read_lexicon("places.txt", root)
+    def __init__(self) -> None:
+        self._stopwords = _lower_set(_read_lexicon("stopwords.txt"))
+        self._first_names = _lower_set(_read_lexicon("first_names.txt"))
+        self._verbs = _lower_set(_read_lexicon("verbs.txt"))
+        self._date_words = _lower_set(_read_lexicon("date_words.txt"))
+        self._honorifics = _lower_set(_read_lexicon("honorifics.txt"))
+        self._org_keywords = _lower_set(_read_lexicon("org_keywords.txt"))
+        self._event_keywords = _lower_set(_read_lexicon("event_keywords.txt"))
+        places = _read_lexicon("places.txt")
         self._places_full = frozenset(" ".join(p.split()).lower() for p in places)
         self._places_single = _lower_set(p for p in places if " " not in p)
         self._analyze = lru_cache(maxsize=MEMO_SIZE)(self._analyze_text)

@@ -1,10 +1,13 @@
 """Operator surface: ingest, query, oracle, eval, and sweep commands.
 
-Configuration comes from defaults, then a JSON config file (--config or the
-MEMGREP_CONFIG environment variable), then flags; later sources win key by
-key. Every artifact-producing run writes runconfig.json next to its outputs,
-artifacts carry no timestamps, and nothing in the pipeline draws randomness,
-so identical inputs produce byte-identical outputs.
+Configuration comes from the pipeline's config dataclasses' defaults, then a
+JSON config file (--config or the MEMGREP_CONFIG environment variable), then
+flags; later sources win key by key. The config file has runconfig.json's
+shape, and each flag overrides one key of its section. Every
+artifact-producing run writes runconfig.json, the record of the RunConfig
+that ran, next to its outputs, so passing it back as --config repeats the
+run. Artifacts carry no timestamps, and nothing in the pipeline draws
+randomness, so identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .annotate import Annotator, RuleAnnotator, ServiceAnnotator
+from .annotate import Annotator, AnnotatorConfig
 from .corpus import (
     INGEST_FORMATS,
     Corpus,
@@ -40,7 +43,7 @@ from .evaluate import (
 )
 from .oracle import SearchLimits, derive_trace, trace_stats, traces_to_jsonl
 from .parse import parse_query
-from .rank import DEFAULT_RRF_K, FusionConfig, LexicalDenseScorer, ScorerHandle
+from .rank import FusionConfig, LexicalDenseScorer, ScorerHandle
 from .retrieve import RetrieveConfig
 from .service import ServiceClient
 from .truncate import TruncationConfig
@@ -53,36 +56,30 @@ CANONICAL_FORMAT = "canonical"
 
 @dataclass
 class RunConfig:
-    """Everything a command run depends on; serialized next to artifacts."""
+    """Everything a command run depends on; serialized next to artifacts.
+    Each scorer is a complete {name, kind, endpoint} entry."""
 
     corpus: str | None = None
     format: str = CANONICAL_FORMAT
     questions: str | None = None
-    annotator_kind: str = "rules"
-    annotator_endpoint: str | None = None
+    annotator: AnnotatorConfig = field(default_factory=AnnotatorConfig)
     scorers: list[dict] = field(default_factory=list)
     retrieve: RetrieveConfig = field(default_factory=RetrieveConfig)
-    fusion_k: float = DEFAULT_RRF_K
-    fusion_weights: dict[str, float] | None = None
+    fusion: FusionConfig = field(default_factory=FusionConfig)
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
     out: str | None = None
 
     def to_record(self) -> dict:
         record = asdict(self)
         del record["out"]
-        record["annotator"] = {"kind": record.pop("annotator_kind"),
-                               "endpoint": record.pop("annotator_endpoint")}
-        record["fusion"] = {"k": record.pop("fusion_k"),
-                            "weights": record.pop("fusion_weights")}
         record["deterministic"] = True
         return record
 
 
 def _load_config_file(path: str | None) -> dict:
-    resolved = path or os.environ.get(ENV_CONFIG)
-    if not resolved:
+    if not path:
         return {}
-    file_path = Path(resolved)
+    file_path = Path(path)
     if not file_path.exists():
         raise ConfigError(f"config file not found: {file_path}")
     try:
@@ -94,6 +91,42 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
+def _section(cls, doc: dict, name: str, source: str, **flags):
+    """The `name` section as a `cls`: the flags that were given, laid over
+    the file's section, laid over the dataclass defaults."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{source}: {name} must be an object, got {section!r}")
+    given = {key: value for key, value in flags.items() if value is not None}
+    try:
+        return cls(**{**section, **given})
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{source}: {name}: {exc}") from None
+
+
+def _handle(name: str | None = None, kind: str | None = None,
+            endpoint: str | None = None) -> ScorerHandle:
+    """The handle a scorer entry names: served when it has an endpoint (a
+    pointwise-cross scorer unless its kind says otherwise), else in process."""
+    if not isinstance(name, str) or not name \
+            or not isinstance(endpoint, (str, type(None))):
+        raise TypeError("a scorer needs a name, and its endpoint must be a string")
+    if endpoint:
+        return ScorerHandle(name, kind or "pointwise-cross", "service-adapter", endpoint)
+    return ScorerHandle(name, kind or ScorerHandle.kind)
+
+
+def _scorer_entry(entry: object, where: str) -> dict:
+    """The complete {name, kind, endpoint} entry for a scorer entry."""
+    try:
+        if not isinstance(entry, dict):
+            raise TypeError("a scorer entry must be an object")
+        handle = _handle(**entry)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}; got {entry!r}") from None
+    return {"name": handle.name, "kind": handle.kind, "endpoint": handle.endpoint}
+
+
 def _scorer_from_flag(spec: str, position: int) -> dict:
     name, sep, endpoint = spec.partition("=")
     if not sep or not name or not endpoint:
@@ -102,73 +135,49 @@ def _scorer_from_flag(spec: str, position: int) -> dict:
             "(endpoint 'lexical' for the in-process test scorer)"
         )
     if endpoint == "lexical":
-        return {"name": name, "kind": "lexical-test", "endpoint": None}
+        return {"name": name}
     kind = "pointwise-cross" if position == 0 else "late-interaction"
     return {"name": name, "kind": kind, "endpoint": endpoint}
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    flag = vars(args).get
+    path = flag("config") or os.environ.get(ENV_CONFIG)
+    doc = _load_config_file(path)
+    source = path or "flags"
 
-    def pick(flag_value, file_key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(file_key, default)
-
-    retrieve_cfg = dict(file_cfg.get("retrieve", {}))
-    mode_flag = getattr(args, "mode", None)
-    if mode_flag is not None:
-        retrieve_cfg["mode"] = mode_flag.upper()
-    retrieve = RetrieveConfig(**retrieve_cfg)
-
-    trunc_file = dict(file_cfg.get("truncation", {}))
-    strategy = getattr(args, "strategy", None) or trunc_file.get("strategy", "fixed")
-    budget = getattr(args, "budget", None)
-    if budget is None:
-        budget = trunc_file.get("word_budget")
-    alpha = getattr(args, "alpha", None)
-    if alpha is None:
-        alpha = trunc_file.get("alpha", 0.03)
-    top_k = getattr(args, "top_k", None)
-    if top_k is None:
-        top_k = trunc_file.get("top_k", 60)
-    truncation = TruncationConfig(strategy=strategy, word_budget=budget,
-                                  alpha=alpha, top_k=top_k)
-
-    annotator_file = file_cfg.get("annotator", {})
-    annotator_kind = getattr(args, "annotator", None) or \
-        annotator_file.get("kind", "rules")
-    if annotator_kind not in ("rules", "service"):
-        raise ConfigError(f"annotator must be rules or service, got {annotator_kind!r}")
-    annotator_endpoint = getattr(args, "annotator_endpoint", None) or \
-        annotator_file.get("endpoint")
-    if annotator_kind == "service" and not annotator_endpoint:
-        raise ConfigError("service annotator needs --annotator-endpoint")
-
-    scorer_flags = getattr(args, "scorer", None) or []
-    if scorer_flags:
-        scorers = [_scorer_from_flag(spec, i) for i, spec in enumerate(scorer_flags)]
+    if flag("scorer"):
+        entries = [_scorer_from_flag(spec, i) for i, spec in enumerate(flag("scorer"))]
+        where = "--scorer"
     else:
-        scorers = list(file_cfg.get("scorers", []))
-    if not scorers:
-        scorers = [{"name": "lexical", "kind": "lexical-test", "endpoint": None}]
-    if len(scorers) > 2:
+        entries = doc.get("scorers") or [{"name": "lexical"}]
+        where = f"{source}: scorers"
+        if not isinstance(entries, list):
+            raise ConfigError(f"{where} must be a list, got {entries!r}")
+    if len(entries) > 2:
         raise ConfigError("at most two scorers are supported")
+    scorers = [_scorer_entry(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
 
-    fusion_file = file_cfg.get("fusion", {})
+    top_level = {}
+    for key in ("corpus", "format", "questions", "out"):
+        value = flag(key) if flag(key) is not None else doc.get(key)
+        if not isinstance(value, (str, type(None))):
+            raise ConfigError(f"{source}: {key} must be a string, got {value!r}")
+        if value is not None:
+            top_level[key] = value
+    mode = flag("mode")
 
     return RunConfig(
-        corpus=pick(getattr(args, "corpus", None), "corpus", None),
-        format=pick(getattr(args, "format", None), "format", CANONICAL_FORMAT),
-        questions=pick(getattr(args, "questions", None), "questions", None),
-        annotator_kind=annotator_kind,
-        annotator_endpoint=annotator_endpoint,
+        **top_level,
+        annotator=_section(AnnotatorConfig, doc, "annotator", source,
+                           kind=flag("annotator"), endpoint=flag("annotator_endpoint")),
         scorers=scorers,
-        retrieve=retrieve,
-        fusion_k=float(fusion_file.get("k", DEFAULT_RRF_K)),
-        fusion_weights=fusion_file.get("weights"),
-        truncation=truncation,
-        out=pick(getattr(args, "out", None), "out", None),
+        retrieve=_section(RetrieveConfig, doc, "retrieve", source,
+                          mode=mode.upper() if mode else None),
+        fusion=_section(FusionConfig, doc, "fusion", source),
+        truncation=_section(TruncationConfig, doc, "truncation", source,
+                            strategy=flag("strategy"), word_budget=flag("budget"),
+                            alpha=flag("alpha"), top_k=flag("top_k")),
     )
 
 
@@ -179,25 +188,11 @@ def _run_parts(cfg: RunConfig
     """The run's annotator, its scorer handles, and its fallback scorer: the
     first service scorer when one is configured, otherwise the in-process
     lexical scorer, parsing with the run's annotator."""
-    if cfg.annotator_kind == "service":
-        annotator: Annotator = ServiceAnnotator(cfg.annotator_endpoint)
-    else:
-        annotator = RuleAnnotator()
-    handles = [
-        ScorerHandle(name=entry["name"], kind=entry.get("kind", "pointwise-cross"),
-                     transport="service-adapter", endpoint=entry["endpoint"])
-        if entry.get("endpoint") else ScorerHandle(name=entry["name"])
-        for entry in cfg.scorers
-    ]
+    annotator = cfg.annotator.build()
+    handles = [_handle(**entry) for entry in cfg.scorers]
     served = [handle for handle in handles if handle.endpoint]
     dense = served[0].client() if served else LexicalDenseScorer(annotator)
     return annotator, handles, dense
-
-
-def _fusion_config(cfg: RunConfig, handles: list[ScorerHandle]) -> FusionConfig:
-    if cfg.fusion_weights:
-        return FusionConfig(k=cfg.fusion_k, weights=dict(cfg.fusion_weights))
-    return FusionConfig.for_scorers(handles, k=cfg.fusion_k)
 
 
 def _require(value, flag: str):
@@ -255,7 +250,7 @@ def cmd_query(cfg: RunConfig, query: str) -> int:
         trunc_cfg=cfg.truncation,
         annotator=annotator,
         dense_scorer=dense,
-        fusion_cfg=_fusion_config(cfg, handles),
+        fusion_cfg=cfg.fusion,
     )
     try:
         terms = [
@@ -294,10 +289,8 @@ def cmd_oracle(cfg: RunConfig, max_states: int | None, max_edges: int | None) ->
     corpus = _load_cli_corpus(cfg)
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
     annotator, handles, dense = _run_parts(cfg)
-    limits = SearchLimits(
-        max_states=max_states if max_states is not None else 10_000,
-        max_edges=max_edges if max_edges is not None else 100_000,
-    )
+    limits = _section(SearchLimits, {}, "search limits", "flags",
+                      max_states=max_states, max_edges=max_edges)
     # The semantic tool joins the action space only when a real scorer is
     # configured; the lexical stand-in would trivialize every trace.
     if not any(handle.endpoint for handle in handles):
@@ -328,7 +321,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     matrix = build_matrix(
         questions, corpus, handles,
         retrieve_cfg=cfg.retrieve, annotator=annotator, dense_scorer=dense,
-        fusion_cfg=_fusion_config(cfg, handles),
+        fusion_cfg=cfg.fusion,
     )
     trunc = cfg.truncation
     if trunc.strategy == "fixed":
@@ -337,34 +330,14 @@ def cmd_eval(cfg: RunConfig) -> int:
     else:
         cells = simulate_truncation(matrix, budgets=[], alphas=[trunc.alpha],
                                     top_k=trunc.top_k, ceiling=trunc.word_budget)
-    cell = cells[0]
-    gold_rank = mean_gold_rank(matrix)
-    effect = ranking_effect(matrix)
+    truncation = asdict(cells[0])
+    del truncation["per_question"]
     report = {
         "corpus_checksum": matrix.corpus_checksum,
         "question_count": len(matrix.records),
-        "truncation": {
-            "strategy": cell.strategy,
-            "budget": cell.budget,
-            "alpha": cell.alpha,
-            "budget_recall": cell.budget_recall,
-            "macro_recall": cell.macro_recall,
-            "avg_tokens": cell.avg_tokens,
-            "question_count": cell.question_count,
-            "retrieval_miss_count": cell.retrieval_miss_count,
-            "empty_gold_count": cell.empty_gold_count,
-        },
-        "mean_gold_rank_fused": {
-            "mean_rank": gold_rank.mean_rank,
-            "considered": gold_rank.considered,
-            "absent": gold_rank.absent,
-        },
-        "ranking_effect": {
-            "mean_rank_by_match": effect.mean_rank_by_match,
-            "mean_rank_by_cross": effect.mean_rank_by_cross,
-            "considered": effect.considered,
-            "absent": effect.absent,
-        },
+        "truncation": truncation,
+        "mean_gold_rank_fused": asdict(mean_gold_rank(matrix)),
+        "ranking_effect": asdict(ranking_effect(matrix)),
     }
     output = json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2)
     print(output)
@@ -392,7 +365,7 @@ def cmd_sweep(
         matrix = build_matrix(
             questions, corpus, handles,
             retrieve_cfg=cfg.retrieve, annotator=annotator, dense_scorer=dense,
-            fusion_cfg=_fusion_config(cfg, handles),
+            fusion_cfg=cfg.fusion,
         )
         built_here = True
     cells = simulate_truncation(matrix, budgets=budgets, alphas=alphas,

@@ -136,7 +136,7 @@ def _checksum(passages: tuple[Passage, ...]) -> str:
 # Ingestion
 # ---------------------------------------------------------------------------
 
-def ingest(raw_document: str | Path, format: str, source_label: str | None = None) -> Corpus:
+def ingest(raw_document: str | Path, format: str) -> Corpus:
     """Parse a raw dataset document into a normalized Corpus.
 
     ``raw_document`` is a path to the input file. Supported formats:
@@ -158,7 +158,6 @@ def ingest(raw_document: str | Path, format: str, source_label: str | None = Non
         raise MalformedDocumentError(f"unknown ingest format: {format!r}")
     if not path.exists():
         raise MalformedDocumentError(f"no such file: {path}")
-    label = source_label if source_label is not None else path.name
 
     if format == "generic-jsonl":
         turns = _parse_generic_jsonl(path)
@@ -186,7 +185,7 @@ def ingest(raw_document: str | Path, format: str, source_label: str | None = Non
     if not passages:
         raise EmptyCorpusError(f"document {path} yielded zero passages")
     passages.sort(key=lambda p: (p.session_id, p.turn_index))
-    return Corpus(passages=tuple(passages), source_label=label)
+    return Corpus(passages=tuple(passages), source_label=path.name)
 
 
 def _jsonl_records(path: Path) -> Iterator[tuple[int, Any]]:
@@ -326,7 +325,7 @@ def corpus_metadata(corpus: Corpus) -> dict:
     }
 
 
-def read_corpus(path: str | Path, source_label: str | None = None) -> Corpus:
+def read_corpus(path: str | Path) -> Corpus:
     """Read a canonical JSONL corpus file written by :func:`write_corpus`,
     line by line (see :func:`_jsonl_records`). A repeated passage id raises
     :class:`DuplicateTurnError` naming the lines of both occurrences."""
@@ -349,9 +348,8 @@ def read_corpus(path: str | Path, source_label: str | None = None) -> Corpus:
     if not passages:
         raise EmptyCorpusError(f"{path} holds zero passages")
     passages.sort(key=lambda p: (p.session_id, p.turn_index))
-    label = source_label if source_label is not None else path.name
     try:
-        return Corpus(passages=tuple(passages), source_label=label)
+        return Corpus(passages=tuple(passages), source_label=path.name)
     except DuplicateTurnError:
         first_line: dict[str, int] = {}
         for lineno, rec in _jsonl_records(path):

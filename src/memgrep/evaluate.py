@@ -15,7 +15,7 @@ entry, naming file:line. The simulator trusts the records it is given.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .annotate import Annotator, RuleAnnotator
@@ -282,13 +282,15 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
             raise IncompleteMatrixError(f"{path}:{lineno}: unknown record kind")
         try:
             ids = rec["candidates"]
-            cross, match, words, render_lens = (
-                _entries(rec, name, ids)
-                for name in ("cross", "match", "words", "render_lens"))
+            if len(set(ids)) != len(ids):
+                raise ValueError("candidates list an id twice")
+            cross, match = _entries(rec, "cross", ids), _entries(rec, "match", ids)
+            words = _entries(rec, "words", ids, count=True)
+            render_lens = _entries(rec, "render_lens", ids, count=True)
             records.append(QuestionRecord(
                 question_id=rec["question_id"],
                 query=rec["query"],
-                stats=tuple(PassageStats(pid, int(w), int(r))
+                stats=tuple(PassageStats(pid, w, r)
                             for pid, w, r in zip(ids, words, render_lens)),
                 cross_scores={pid: float(v) for pid, v in zip(ids, cross)},
                 match_scores={pid: float(v) for pid, v in zip(ids, match)},
@@ -314,13 +316,19 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
     return matrix
 
 
-def _entries(rec: dict, name: str, ids: list) -> list:
-    """The line's `name` table entry for each candidate id, in order."""
+def _entries(rec: dict, name: str, ids: list, count: bool = False) -> list:
+    """The line's `name` table entry for each candidate id, in order; with
+    count set, every entry must be an int (a bool is not)."""
     table = rec[name]
     try:
-        return [table[pid] for pid in ids]
+        values = [table[pid] for pid in ids]
     except KeyError as exc:
         raise ValueError(f"no {name} entry for {exc.args[0]}") from None
+    if count:
+        for pid, value in zip(ids, values):
+            if type(value) is not int:
+                raise ValueError(f"{name} entry for {pid} is not an int: {value!r}")
+    return values
 
 
 # --- simulation ---
@@ -514,22 +522,5 @@ def render_sweep_text(cells: list[MetricsReport]) -> str:
 
 
 def sweep_to_json(cells: list[MetricsReport]) -> str:
-    payload = [{
-        "strategy": cell.strategy,
-        "budget": cell.budget,
-        "alpha": cell.alpha,
-        "avg_tokens": cell.avg_tokens,
-        "budget_recall": cell.budget_recall,
-        "macro_recall": cell.macro_recall,
-        "question_count": cell.question_count,
-        "retrieval_miss_count": cell.retrieval_miss_count,
-        "empty_gold_count": cell.empty_gold_count,
-        "per_question": [{
-            "question_id": q.question_id,
-            "recall": q.recall,
-            "tokens": q.tokens,
-            "included_passages": q.included_passages,
-            "exclusion": q.exclusion,
-        } for q in cell.per_question],
-    } for cell in cells]
+    payload = [asdict(cell) for cell in cells]
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"

@@ -4,6 +4,9 @@ One or two scorers evaluate the full candidate set independently; their
 rankings are combined with weighted Reciprocal Rank Fusion. Rank-based fusion
 keeps the pipeline indifferent to scorer calibration: multiplying any
 scorer's raw scores by a positive constant changes nothing downstream.
+A FusionConfig whose weights are None, the default, means "the default
+split for these scorers": rank() fills it in with FusionConfig.for_scorers
+for the scorers it is given, at the config's k, so no caller decides it.
 
 Every scorer is an object with .score(query, texts) -> list[float], one
 finite score per text. Real relevance models live out of process and are
@@ -17,7 +20,7 @@ annotator it is given, which in a pipeline run is the run's own annotator.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, Passage
@@ -75,8 +78,11 @@ class ScoreVector:
 
 @dataclass(frozen=True)
 class FusionConfig:
+    """RRF's k and one weight per scorer name; None takes the default split
+    (see the module docstring)."""
+
     k: float = DEFAULT_RRF_K
-    weights: dict[str, float] = field(default_factory=dict)
+    weights: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
         if self.k <= 0:
@@ -219,7 +225,8 @@ def rank(
     scorer order, so the output is bit-identical either way. One scorer
     failing fails the whole call. A single scorer skips fusion and ranks by
     its raw scores. In-process scorers parse the query with the annotator,
-    a RuleAnnotator built once for the call when none is given.
+    a RuleAnnotator built once for the call when none is given. A missing
+    cfg, or one without weights, fuses with the default split at its k.
     """
     if not candidates.candidates:
         raise ValueError("candidate set must be non-empty")
@@ -258,7 +265,9 @@ def rank(
                 vectors)
 
     if cfg is None:
-        cfg = FusionConfig.for_scorers(scorers)
+        cfg = FusionConfig()
+    if cfg.weights is None:
+        cfg = FusionConfig.for_scorers(scorers, k=cfg.k)
     ranked = rrf_fuse(per_scorer_order, cfg, query_id=candidates.query_id)
     return ranked, vectors
 

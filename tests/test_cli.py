@@ -2,13 +2,25 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from memgrep.annotate import AnnotatorConfig
 from memgrep.cli import build_run_config, main, make_parser
-from memgrep.corpus import read_corpus
+from memgrep.corpus import load_questions, read_corpus
+from memgrep.evaluate import build_matrix, matrix_to_jsonl
+from memgrep.rank import FusionConfig, ScorerHandle
+from memgrep.retrieve import RetrieveConfig
+from memgrep.truncate import TruncationConfig
 
 from conftest import fixture_path
+
+REPO = Path(__file__).resolve().parent.parent
+QUERY = "Where did Javier go hiking?"
 
 
 @pytest.fixture
@@ -81,6 +93,7 @@ def test_sweep_from_prebuilt_matrix(capsys, tmp_path, fix_corpus, fix_questions)
 @pytest.mark.parametrize("damage", [
     "drop-render-lens", "not-json",
     "drop-cross-entry", "drop-match-entry", "drop-words-entry", "drop-render_lens-entry",
+    "repeat-candidate", "fractional-words", "bool-render_lens",
 ])
 def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpus,
                                                      fix_questions, damage):
@@ -89,18 +102,26 @@ def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpu
             "--out", str(eval_dir))
     matrix = eval_dir / "matrix.jsonl"
     lines = matrix.read_text().splitlines()
+    record = json.loads(lines[1])
+    first = record["candidates"][0]
+    expected = ""
     if damage == "drop-render-lens":
-        record = json.loads(lines[1])
         del record["render_lens"]
-        lines[1] = json.dumps(record)
     elif damage.endswith("-entry"):
         # One candidate loses its entry in one table; the line stays valid JSON.
         table = damage[len("drop-"):-len("-entry")]
-        record = json.loads(lines[1])
-        del record[table][record["candidates"][0]]
-        lines[1] = json.dumps(record)
-    else:
-        lines[1] = lines[1][:-1]
+        del record[table][first]
+        expected = f"no {table} entry for {first}"
+    elif damage == "repeat-candidate":
+        record["candidates"].append(first)
+        expected = "candidates list an id twice"
+    elif damage == "fractional-words":
+        record["words"][first] = 3.7
+        expected = f"words entry for {first} is not an int: 3.7"
+    elif damage == "bool-render_lens":
+        record["render_lens"][first] = True
+        expected = f"render_lens entry for {first} is not an int: True"
+    lines[1] = json.dumps(record) if damage != "not-json" else lines[1][:-1]
     matrix.write_text("\n".join(lines) + "\n")
     code, _, err = run_cli(
         capsys, "sweep", "--corpus", fix_corpus, "--matrix", str(matrix),
@@ -110,8 +131,7 @@ def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpu
     record = json.loads(err)
     assert record["error"] == "IncompleteMatrixError"
     assert f"{matrix}:2:" in record["message"]
-    if damage.endswith("-entry"):
-        assert f"no {table} entry for " in record["message"]
+    assert expected in record["message"]
 
 
 def test_oracle_stats(capsys, fix_corpus, fix_questions):
@@ -304,3 +324,108 @@ def test_build_run_config_defaults():
     assert cfg.truncation.word_budget == 2000
     assert cfg.scorers == [{"name": "lexical", "kind": "lexical-test",
                             "endpoint": None}]
+    # Every section's defaults are the section dataclass's own.
+    assert (cfg.annotator, cfg.retrieve, cfg.fusion, cfg.truncation) == (
+        AnnotatorConfig(), RetrieveConfig(), FusionConfig(), TruncationConfig())
+
+
+def test_scorer_entries_are_completed_and_keep_their_kind(tmp_path):
+    # Served entries are never contacted here: only the config is built.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scorers": [
+        {"name": "li", "kind": "late-interaction", "endpoint": "unix:/nowhere"},
+        {"name": "ce", "endpoint": "unix:/nowhere"},
+    ]}))
+    cfg = build_run_config(make_parser().parse_args(["query", "x", "--config", str(config)]))
+    assert cfg.scorers == [
+        {"name": "li", "kind": "late-interaction", "endpoint": "unix:/nowhere"},
+        {"name": "ce", "kind": "pointwise-cross", "endpoint": "unix:/nowhere"},
+    ]
+    config.write_text(json.dumps({"scorers": [{"name": "lex"}]}))
+    cfg = build_run_config(make_parser().parse_args(["query", "x", "--config", str(config)]))
+    assert cfg.scorers == [{"name": "lex", "kind": "lexical-test", "endpoint": None}]
+
+
+@pytest.mark.parametrize("strategy", ["fixed", "adaptive"])
+def test_runconfig_passed_back_as_config_repeats_the_run(capsys, tmp_path, fix_corpus,
+                                                         strategy):
+    first, second = tmp_path / "first", tmp_path / "second"
+    code, _, _ = run_cli(capsys, "query", QUERY, "--corpus", fix_corpus,
+                         "--strategy", strategy, "--out", str(first))
+    assert code == 0
+    code, _, err = run_cli(capsys, "query", QUERY, "--config",
+                           str(first / "runconfig.json"), "--out", str(second))
+    assert code == 0, err
+    for name in ("runconfig.json", "query_trace.json"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+# Config files that name a bad section or scorer entry, with the section or
+# entry the error must name.
+BAD_CONFIGS = {
+    "retrieve-unknown-key": ({"retrieve": {"bogus": 1}}, "retrieve"),
+    "truncation-budget-not-a-number": ({"truncation": {"word_budget": "abc"}},
+                                       "truncation"),
+    "scorer-not-an-object": ({"scorers": ["x"]}, "scorers[0]"),
+    "scorer-without-name": ({"scorers": [{"endpoint": "tcp:x:1"}]}, "scorers[0]"),
+    "annotator-not-an-object": ({"annotator": "rules"}, "annotator"),
+    "truncation-unknown-key": ({"truncation": {"bogus": 3}}, "truncation"),
+    "fusion-unknown-key": ({"fusion": {"bogus": 3}}, "fusion"),
+    "in-process-cross-scorer": ({"scorers": [{"name": "x", "kind": "pointwise-cross"}]},
+                                "scorers[0]"),
+}
+
+
+def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
+    """Arguments for a run over one damaged input, the error it must end in,
+    and a fragment its message must hold."""
+    corpus = fixture_path("corpus.jsonl")
+    questions = fixture_path("questions.json")
+    if case in BAD_CONFIGS:
+        doc, section = BAD_CONFIGS[case]
+        config = tmp / "config.json"
+        config.write_text(json.dumps(doc))
+        return (["query", QUERY, "--corpus", str(corpus), "--config", str(config)],
+                "ConfigError", f"{config}: {section}")
+    if case == "corpus-line-not-an-object":
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        bad = tmp / "corpus.jsonl"
+        bad.write_text("\n".join(lines + ["[1, 2]"]) + "\n", encoding="utf-8")
+        return (["query", QUERY, "--corpus", str(bad)],
+                "MalformedDocumentError", f"{bad}:{len(lines) + 1}:")
+    if case == "gold-not-a-list":
+        bad = tmp / "questions.json"
+        bad.write_text(json.dumps([{"question_id": "q1", "gold_passage_ids": "s1:2"}]))
+        return (["eval", "--corpus", str(corpus), "--questions", str(bad)],
+                "MalformedDocumentError", "gold_passage_ids must be a list")
+    assert case == "matrix-line-without-cross"
+    loaded = read_corpus(corpus)
+    matrix = build_matrix(load_questions(questions, loaded), loaded,
+                          [ScorerHandle(name="lexical")])
+    lines = matrix_to_jsonl(matrix).splitlines()
+    record = json.loads(lines[1])
+    del record["cross"]
+    lines[1] = json.dumps(record)
+    bad = tmp / "matrix.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return (["sweep", "--corpus", str(corpus), "--matrix", str(bad),
+             "--budgets", "50", "--alphas", "0"],
+            "IncompleteMatrixError", f"{bad}:2:")
+
+
+@pytest.mark.parametrize("case", [*BAD_CONFIGS, "corpus-line-not-an-object",
+                                  "gold-not-a-list", "matrix-line-without-cross"])
+def test_cli_process_ends_damaged_input_in_one_error_record(tmp_path, case):
+    argv, error, fragment = damaged_run(case, tmp_path)
+    env = {key: value for key, value in os.environ.items() if key != "MEMGREP_CONFIG"}
+    env["PYTHONPATH"] = str(REPO / "src")
+    proc = subprocess.run([sys.executable, "-m", "memgrep", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    record = json.loads(lines[0])
+    assert set(record) == {"error", "message"}
+    assert record["error"] == error
+    assert fragment in record["message"]

@@ -212,7 +212,7 @@ def test_rrf_matches_brute_force(rankings, weights, k):
 def test_fusion_config_validation():
     with pytest.raises(ValueError):
         FusionConfig(k=0.0, weights={"a": 1.0})
-    assert FusionConfig(k=60.0).weights == {}
+    assert FusionConfig(k=60.0).weights is None
     with pytest.raises(ValueError):
         FusionConfig(k=60.0, weights={"a": 1.0, "b": 1.0, "c": 1.0})
     with pytest.raises(ValueError):
@@ -230,6 +230,31 @@ def test_for_scorers_prefers_cross():
     assert cfg.weights == {"ce": 0.7, "li": 0.3}
     single = FusionConfig.for_scorers([cross])
     assert single.weights == {"ce": 1.0}
+
+
+def test_fusion_without_weights_takes_the_default_split_at_its_k(
+        fixture_corpus_path):
+    from memgrep.retrieve import grep_search
+    corpus = read_corpus(fixture_corpus_path)
+    candidates = grep_search(corpus, term_set(("the", 2.0)))
+    query = "Where did Javier go hiking?"
+
+    def noisy(query, items):
+        return [math.sin(len(item)) for item in items]
+
+    with ReferenceServer(score_fn=noisy) as server:
+        # The cross scorer comes second, so the default split is not positional.
+        handles = [ScorerHandle(name="lex"),
+                   ScorerHandle(name="svc", kind="pointwise-cross",
+                                transport="service-adapter", endpoint=server.endpoint)]
+
+        def ranked(cfg):
+            return rank(candidates, query, corpus, handles, cfg)
+
+        unweighted = ranked(FusionConfig(k=30.0))
+        assert unweighted == ranked(FusionConfig.for_scorers(handles, k=30.0))
+        assert unweighted != ranked(FusionConfig(k=30.0, weights={"lex": 0.7, "svc": 0.3}))
+        assert unweighted != ranked(FusionConfig())
 
 
 def test_score_in_process_lexical(tiny_corpus):
