@@ -34,7 +34,6 @@ def main() -> None:
     with ReferenceServer(score_fn=length_preference) as server:
         scorers = [
             ScorerHandle(name="cross", kind="pointwise-cross",
-                         transport="service-adapter",
                          endpoint=server.endpoint),
             ScorerHandle(name="late", kind="lexical-test"),
         ]

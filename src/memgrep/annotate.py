@@ -300,9 +300,8 @@ class ServiceAnnotator:
     a new request.
     """
 
-    def __init__(self, endpoint: str, timeout: float = 10.0, retries: int = 1) -> None:
-        self._client = ServiceClient(endpoint=endpoint, timeout=timeout,
-                                     retries=retries)
+    def __init__(self, endpoint: str) -> None:
+        self._client = ServiceClient(endpoint)
         self._entry = lru_cache(maxsize=MEMO_SIZE)(self._fetch_entry)
 
     def annotate(self, text: str) -> list[TokenAnnotation]:

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .annotate import Annotator, AnnotatorConfig
 from .corpus import (
@@ -56,14 +59,13 @@ CANONICAL_FORMAT = "canonical"
 
 @dataclass
 class RunConfig:
-    """Everything a command run depends on; serialized next to artifacts.
-    Each scorer is a complete {name, kind, endpoint} entry."""
+    """Everything a command run depends on; serialized next to artifacts."""
 
     corpus: str | None = None
     format: str = CANONICAL_FORMAT
     questions: str | None = None
     annotator: AnnotatorConfig = field(default_factory=AnnotatorConfig)
-    scorers: list[dict] = field(default_factory=list)
+    scorers: list[ScorerHandle] = field(default_factory=lambda: [ScorerHandle("lexical")])
     retrieve: RetrieveConfig = field(default_factory=RetrieveConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
@@ -91,6 +93,38 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: a bool is not a number,
+    an int passes where a float is expected and NaN or Infinity does not,
+    and X | None also takes null."""
+    if get_origin(hint) is UnionType:
+        return any(_fits(value, arg) for arg in get_args(hint))
+    if get_origin(hint) is dict:
+        key_hint, value_hint = get_args(hint)
+        return isinstance(value, dict) and all(
+            _fits(k, key_hint) and _fits(v, value_hint) for k, v in value.items())
+    if hint is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is hint
+
+
+def _build(cls, values: dict, where: str):
+    """A `cls` from `values`, each of which must name a field of `cls` and
+    fit its annotation; any failure is a ConfigError naming `where`."""
+    hints = get_type_hints(cls)
+    names = {f.name for f in fields(cls)}
+    try:
+        for key, value in values.items():
+            if key not in names:
+                raise TypeError(f"unknown key {key!r}")
+            if not _fits(value, hints[key]):
+                hint = getattr(hints[key], "__name__", hints[key])
+                raise TypeError(f"{key} must be {hint}, got {value!r}")
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _section(cls, doc: dict, name: str, source: str, **flags):
     """The `name` section as a `cls`: the flags that were given, laid over
     the file's section, laid over the dataclass defaults."""
@@ -98,33 +132,16 @@ def _section(cls, doc: dict, name: str, source: str, **flags):
     if not isinstance(section, dict):
         raise ConfigError(f"{source}: {name} must be an object, got {section!r}")
     given = {key: value for key, value in flags.items() if value is not None}
-    try:
-        return cls(**{**section, **given})
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"{source}: {name}: {exc}") from None
+    return _build(cls, {**section, **given}, f"{source}: {name}")
 
 
-def _handle(name: str | None = None, kind: str | None = None,
-            endpoint: str | None = None) -> ScorerHandle:
+def _scorer(entry: object, where: str) -> ScorerHandle:
     """The handle a scorer entry names: served when it has an endpoint (a
     pointwise-cross scorer unless its kind says otherwise), else in process."""
-    if not isinstance(name, str) or not name \
-            or not isinstance(endpoint, (str, type(None))):
-        raise TypeError("a scorer needs a name, and its endpoint must be a string")
-    if endpoint:
-        return ScorerHandle(name, kind or "pointwise-cross", "service-adapter", endpoint)
-    return ScorerHandle(name, kind or ScorerHandle.kind)
-
-
-def _scorer_entry(entry: object, where: str) -> dict:
-    """The complete {name, kind, endpoint} entry for a scorer entry."""
-    try:
-        if not isinstance(entry, dict):
-            raise TypeError("a scorer entry must be an object")
-        handle = _handle(**entry)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}; got {entry!r}") from None
-    return {"name": handle.name, "kind": handle.kind, "endpoint": handle.endpoint}
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: a scorer entry must be an object, got {entry!r}")
+    kind = "pointwise-cross" if entry.get("endpoint") else ScorerHandle.kind
+    return _build(ScorerHandle, {"kind": kind, **entry}, where)
 
 
 def _scorer_from_flag(spec: str, position: int) -> dict:
@@ -150,15 +167,15 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         entries = [_scorer_from_flag(spec, i) for i, spec in enumerate(flag("scorer"))]
         where = "--scorer"
     else:
-        entries = doc.get("scorers") or [{"name": "lexical"}]
+        entries = doc.get("scorers") or []
         where = f"{source}: scorers"
         if not isinstance(entries, list):
             raise ConfigError(f"{where} must be a list, got {entries!r}")
     if len(entries) > 2:
         raise ConfigError("at most two scorers are supported")
-    scorers = [_scorer_entry(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
+    scorers = [_scorer(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
 
-    top_level = {}
+    top_level = {"scorers": scorers} if scorers else {}
     for key in ("corpus", "format", "questions", "out"):
         value = flag(key) if flag(key) is not None else doc.get(key)
         if not isinstance(value, (str, type(None))):
@@ -171,7 +188,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         **top_level,
         annotator=_section(AnnotatorConfig, doc, "annotator", source,
                            kind=flag("annotator"), endpoint=flag("annotator_endpoint")),
-        scorers=scorers,
         retrieve=_section(RetrieveConfig, doc, "retrieve", source,
                           mode=mode.upper() if mode else None),
         fusion=_section(FusionConfig, doc, "fusion", source),
@@ -183,16 +199,14 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 # --- config materialization ---
 
-def _run_parts(cfg: RunConfig
-               ) -> tuple[Annotator, list[ScorerHandle], "ServiceClient | LexicalDenseScorer"]:
-    """The run's annotator, its scorer handles, and its fallback scorer: the
-    first service scorer when one is configured, otherwise the in-process
-    lexical scorer, parsing with the run's annotator."""
+def _run_parts(cfg: RunConfig) -> tuple[Annotator, "ServiceClient | LexicalDenseScorer"]:
+    """The run's annotator and its fallback scorer: the first served scorer
+    when one is configured, otherwise the in-process lexical scorer,
+    parsing with the run's annotator."""
     annotator = cfg.annotator.build()
-    handles = [_handle(**entry) for entry in cfg.scorers]
-    served = [handle for handle in handles if handle.endpoint]
-    dense = served[0].client() if served else LexicalDenseScorer(annotator)
-    return annotator, handles, dense
+    served = [handle for handle in cfg.scorers if handle.endpoint]
+    dense = (served[0] if served else ScorerHandle("lexical")).client(annotator)
+    return annotator, dense
 
 
 def _require(value, flag: str):
@@ -243,9 +257,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_query(cfg: RunConfig, query: str) -> int:
     corpus = _load_cli_corpus(cfg)
-    annotator, handles, dense = _run_parts(cfg)
+    annotator, dense = _run_parts(cfg)
     run = run_question(
-        query, corpus, handles,
+        query, corpus, cfg.scorers,
         retrieve_cfg=cfg.retrieve,
         trunc_cfg=cfg.truncation,
         annotator=annotator,
@@ -288,12 +302,12 @@ def cmd_query(cfg: RunConfig, query: str) -> int:
 def cmd_oracle(cfg: RunConfig, max_states: int | None, max_edges: int | None) -> int:
     corpus = _load_cli_corpus(cfg)
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
-    annotator, handles, dense = _run_parts(cfg)
+    annotator, dense = _run_parts(cfg)
     limits = _section(SearchLimits, {}, "search limits", "flags",
                       max_states=max_states, max_edges=max_edges)
     # The semantic tool joins the action space only when a real scorer is
     # configured; the lexical stand-in would trivialize every trace.
-    if not any(handle.endpoint for handle in handles):
+    if not any(handle.endpoint for handle in cfg.scorers):
         dense = None
     traces = []
     skipped = 0
@@ -317,9 +331,9 @@ def cmd_oracle(cfg: RunConfig, max_states: int | None, max_edges: int | None) ->
 def cmd_eval(cfg: RunConfig) -> int:
     corpus = _load_cli_corpus(cfg)
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
-    annotator, handles, dense = _run_parts(cfg)
+    annotator, dense = _run_parts(cfg)
     matrix = build_matrix(
-        questions, corpus, handles,
+        questions, corpus, cfg.scorers,
         retrieve_cfg=cfg.retrieve, annotator=annotator, dense_scorer=dense,
         fusion_cfg=cfg.fusion,
     )
@@ -361,9 +375,9 @@ def cmd_sweep(
         matrix = read_matrix(matrix_path, corpus)
     else:
         questions = load_questions(_require(cfg.questions, "--questions"), corpus)
-        annotator, handles, dense = _run_parts(cfg)
+        annotator, dense = _run_parts(cfg)
         matrix = build_matrix(
-            questions, corpus, handles,
+            questions, corpus, cfg.scorers,
             retrieve_cfg=cfg.retrieve, annotator=annotator, dense_scorer=dense,
             fusion_cfg=cfg.fusion,
         )

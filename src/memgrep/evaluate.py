@@ -26,8 +26,8 @@ from .rank import (
     RankedList,
     ScorerHandle,
     ScoreVector,
+    primary_index,
     rank,
-    select_primary_vector,
 )
 from .retrieve import CandidateSet, RetrieveConfig, retrieve
 from .truncate import (
@@ -110,7 +110,6 @@ class QuestionRun:
     query: str
     candidates: CandidateSet
     ranked: RankedList | None
-    vectors: tuple[ScoreVector, ...]
     cross: ScoreVector | None
     context: Context
     rendered: str
@@ -139,12 +138,12 @@ def run_question(
     if not candidates:
         return QuestionRun(
             question_id=qid, query=query, candidates=candidates,
-            ranked=None, vectors=(), cross=None,
+            ranked=None, cross=None,
             context=_EMPTY_CONTEXT, rendered="",
         )
     ranked, vectors = rank(candidates, query, corpus, scorers, fusion_cfg,
                            annotator=annotator)
-    cross = select_primary_vector(scorers, vectors)
+    cross = vectors[primary_index(scorers)]
     if trunc_cfg.strategy == "adaptive":
         context = truncate_adaptive(ranked, cross, corpus, trunc_cfg)
     else:
@@ -152,7 +151,7 @@ def run_question(
     rendered = render_context(context.passage_ids, corpus)
     return QuestionRun(
         question_id=qid, query=query, candidates=candidates,
-        ranked=ranked, vectors=tuple(vectors), cross=cross,
+        ranked=ranked, cross=cross,
         context=context, rendered=rendered,
     )
 
@@ -294,8 +293,8 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
                             for pid, w, r in zip(ids, words, render_lens)),
                 cross_scores={pid: float(v) for pid, v in zip(ids, cross)},
                 match_scores={pid: float(v) for pid, v in zip(ids, match)},
-                gold_ids=frozenset(rec["gold"]),
-                missing_gold=frozenset(rec["missing"]),
+                gold_ids=_id_set(rec, "gold"),
+                missing_gold=_id_set(rec, "missing"),
             ))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise IncompleteMatrixError(
@@ -314,6 +313,14 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
             f"(checksum {matrix.corpus_checksum[:12]}… vs {corpus.checksum[:12]}…)"
         )
     return matrix
+
+
+def _id_set(rec: dict, name: str) -> frozenset[str]:
+    """The line's `name` list of passage ids; a string is not such a list."""
+    value = rec[name]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{name} must be a list of passage ids, got {value!r}")
+    return frozenset(value)
 
 
 def _entries(rec: dict, name: str, ids: list, count: bool = False) -> list:

@@ -1,7 +1,8 @@
 """Stage 3: score candidates and fuse scorer rankings.
 
 One or two scorers evaluate the full candidate set independently; their
-rankings are combined with weighted Reciprocal Rank Fusion. Rank-based fusion
+rankings are combined with weighted Reciprocal Rank Fusion. A single scorer
+is fused alone at weight 1.0, which keeps its order. Rank-based fusion
 keeps the pipeline indifferent to scorer calibration: multiplying any
 scorer's raw scores by a positive constant changes nothing downstream.
 A FusionConfig whose weights are None, the default, means "the default
@@ -12,15 +13,17 @@ Every scorer is an object with .score(query, texts) -> list[float], one
 finite score per text. Real relevance models live out of process and are
 reached through service.ServiceClient; LexicalDenseScorer is the one
 in-process scorer, so every code path runs deterministically with no model
-at all. ScorerHandle.client() picks between the two, and score() calls the
-result the same way for both. The lexical scorer parses the query with the
-annotator it is given, which in a pipeline run is the run's own annotator.
+at all. A ScorerHandle, {name, kind, endpoint}, names a scorer: it is served
+when it has an endpoint and runs in process otherwise. Its client() picks
+between the two, and score() calls the result the same way for both. The
+lexical scorer parses the query with the annotator it is given, which in a
+pipeline run is the run's own annotator.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, Passage
@@ -30,7 +33,6 @@ from .retrieve import CandidateSet
 from .service import ServiceClient
 
 SCORER_KINDS = ("pointwise-cross", "late-interaction", "lexical-test")
-TRANSPORTS = ("in-process", "service-adapter")
 DEFAULT_RRF_K = 60.0
 DEFAULT_CROSS_WEIGHT = 0.7
 DEFAULT_LATE_WEIGHT = 0.3
@@ -41,31 +43,33 @@ LENGTH_PENALTY = 0.001
 class ScorerHandle:
     name: str
     kind: str = "lexical-test"
-    transport: str = "in-process"
     endpoint: str | None = None
-    timeout: float = 10.0
-    retries: int = 1
+    transport: InitVar[str | None] = None  # checked against endpoint, not stored
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, transport: str | None) -> None:
+        if not self.name:
+            raise ValueError("a scorer needs a name")
         if self.kind not in SCORER_KINDS:
             raise ValueError(f"unknown scorer kind {self.kind!r}")
-        if self.transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {self.transport!r}")
-        if self.transport == "service-adapter" and not self.endpoint:
-            raise ValueError("service-adapter scorers need an endpoint")
-        if self.transport == "in-process" and self.kind != "lexical-test":
-            raise ValueError(
-                f"{self.kind} runs out of process; only lexical-test is "
-                "available in-process"
-            )
+        if transport not in (None, "service-adapter" if self.endpoint else "in-process"):
+            raise ValueError(f"transport {transport!r} contradicts endpoint {self.endpoint!r}")
+        if not self.endpoint and self.kind != "lexical-test":
+            raise ValueError(f"{self.kind} runs out of process and needs an endpoint")
 
     def client(self, annotator: Annotator | None = None
                ) -> "ServiceClient | LexicalDenseScorer":
         """The object that scores for this handle; an in-process scorer
         parses queries with the given annotator."""
-        if self.transport == "service-adapter":
-            return ServiceClient(self.endpoint, self.timeout, self.retries)
+        if self.endpoint:
+            return ServiceClient(self.endpoint)
         return LexicalDenseScorer(annotator)
+
+
+def primary_index(scorers: list[ScorerHandle]) -> int:
+    """The position of the scorer that takes the larger default weight and
+    keys the adaptive threshold: the first pointwise-cross scorer, else the
+    first scorer."""
+    return next((i for i, s in enumerate(scorers) if s.kind == "pointwise-cross"), 0)
 
 
 @dataclass(frozen=True)
@@ -98,19 +102,16 @@ class FusionConfig:
     @staticmethod
     def for_scorers(scorers: list[ScorerHandle], k: float = DEFAULT_RRF_K
                     ) -> "FusionConfig":
-        """Default weights: 0.7 to the pointwise-cross slot, 0.3 to the
-        other; positional when kinds do not disambiguate; 1.0 standalone.
-        """
+        """Default weights: 0.7 to the primary scorer, 0.3 to the other;
+        1.0 standalone."""
         if len(scorers) == 1:
             return FusionConfig(k=k, weights={scorers[0].name: 1.0})
         if len(scorers) != 2:
             raise ValueError("fusion accepts exactly one or two scorers")
-        first, second = scorers
-        if second.kind == "pointwise-cross" and first.kind != "pointwise-cross":
-            first, second = second, first
+        primary = primary_index(scorers)
         return FusionConfig(k=k, weights={
-            first.name: DEFAULT_CROSS_WEIGHT,
-            second.name: DEFAULT_LATE_WEIGHT,
+            scorers[primary].name: DEFAULT_CROSS_WEIGHT,
+            scorers[1 - primary].name: DEFAULT_LATE_WEIGHT,
         })
 
 
@@ -223,8 +224,8 @@ def rank(
 
     Scorers run concurrently when parallel is set; results are merged in
     scorer order, so the output is bit-identical either way. One scorer
-    failing fails the whole call. A single scorer skips fusion and ranks by
-    its raw scores. In-process scorers parse the query with the annotator,
+    failing fails the whole call. A single scorer is fused alone, so its
+    order is kept. In-process scorers parse the query with the annotator,
     a RuleAnnotator built once for the call when none is given. A missing
     cfg, or one without weights, fuses with the default split at its k.
     """
@@ -250,20 +251,6 @@ def rank(
     per_scorer_order = [
         (vector.scorer_name, _order_ids(vector)) for vector in vectors
     ]
-    if len(scorers) == 1:
-        vector = vectors[0]
-        ordered = per_scorer_order[0][1]
-        entries = tuple(
-            RankedEntry(
-                passage_id=pid,
-                fused_score=vector.scores[pid],
-                ranks={vector.scorer_name: position},
-            )
-            for position, pid in enumerate(ordered, start=1)
-        )
-        return (RankedList(entries=entries, query_id=candidates.query_id),
-                vectors)
-
     if cfg is None:
         cfg = FusionConfig()
     if cfg.weights is None:
@@ -275,14 +262,3 @@ def rank(
 def _order_ids(vector: ScoreVector) -> list[str]:
     return [pid for pid, _ in sorted(vector.scores.items(),
                                      key=lambda item: (-item[1], item[0]))]
-
-
-def select_primary_vector(
-    scorers: list[ScorerHandle], vectors: list[ScoreVector]
-) -> ScoreVector:
-    """The vector the adaptive truncation threshold should key on: the
-    pointwise-cross scorer when present, otherwise the first scorer."""
-    for scorer, vector in zip(scorers, vectors):
-        if scorer.kind == "pointwise-cross":
-            return vector
-    return vectors[0]

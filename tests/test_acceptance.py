@@ -12,12 +12,13 @@ import random
 import time
 import zlib
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from memgrep.annotate import RuleAnnotator
 from memgrep.cli import main
-from memgrep.corpus import GoldAnnotation, load_questions, read_corpus
+from memgrep.corpus import Corpus, GoldAnnotation, Passage, Question, load_questions, read_corpus
 from memgrep.errors import EmptyTermSetError
 from memgrep.evaluate import (
     build_matrix,
@@ -354,7 +355,6 @@ def test_criterion_7_concurrency_equivalence():
     with ReferenceServer(score_fn=service_scores) as server:
         scorers = [
             ScorerHandle(name="cross", kind="pointwise-cross",
-                         transport="service-adapter",
                          endpoint=server.endpoint),
             ScorerHandle(name="late", kind="lexical-test"),
         ]
@@ -406,6 +406,36 @@ def test_criterion_8_simulator_matches_live():
                 f"{question.question_id} under {strategy}"
 
 
+def test_criterion_8_simulator_matches_live_at_bench_scale(monkeypatch):
+    # The benchmark's offline corpus (2,000 entity-rich passages), read-only.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import synth
+    data = synth.generate("offline", 7)
+    corpus = Corpus(passages=tuple(Passage(**rec) for rec in data["corpus"]))
+    questions = [Question(q["question_id"], q["question"], frozenset(q["gold_passage_ids"]))
+                 for q in data["questions"][:24]]
+    scorers = [ScorerHandle(name="lexical")]
+    annotator = RuleAnnotator()
+    matrix = build_matrix(questions, corpus, scorers, annotator=annotator)
+    records = {rec.question_id: rec for rec in matrix.records}
+
+    # A budget of a few passages, so the budget prunes as well as the threshold.
+    budget = 120
+    pruned_by_budget = 0
+    for cfg in (TruncationConfig(word_budget=budget),
+                TruncationConfig(strategy="adaptive", word_budget=budget)):
+        alpha = cfg.alpha if cfg.strategy == "adaptive" else None
+        for question in questions:
+            live = run_question(question.text, corpus, scorers, trunc_cfg=cfg,
+                                annotator=annotator, question_id=question.question_id)
+            simulated = simulate_question(records[question.question_id], cfg.strategy,
+                                          budget, alpha, cfg.top_k)
+            assert simulated == (live.context.passage_ids, live.context.estimated_tokens), \
+                f"{question.question_id} under {cfg.strategy}"
+            pruned_by_budget += live.context.pruned_by_budget > 0
+    assert pruned_by_budget > 0
+
+
 # --- criterion 9: the planted two-hop question needs entity expansion ---
 
 def test_criterion_9_two_hop_expansion():
@@ -439,7 +469,6 @@ def _gated_matrix():
     questions = load_questions(os.environ["MEMGREP_GATED_QUESTIONS"], corpus)
     scorers = [
         ScorerHandle(name="cross", kind="pointwise-cross",
-                     transport="service-adapter",
                      endpoint=os.environ["MEMGREP_CROSS_ENDPOINT"]),
     ]
     return build_matrix(questions, corpus, scorers)

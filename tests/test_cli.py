@@ -94,6 +94,7 @@ def test_sweep_from_prebuilt_matrix(capsys, tmp_path, fix_corpus, fix_questions)
     "drop-render-lens", "not-json",
     "drop-cross-entry", "drop-match-entry", "drop-words-entry", "drop-render_lens-entry",
     "repeat-candidate", "fractional-words", "bool-render_lens",
+    "gold-not-a-list", "missing-not-a-list",
 ])
 def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpus,
                                                      fix_questions, damage):
@@ -121,6 +122,11 @@ def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpu
     elif damage == "bool-render_lens":
         record["render_lens"][first] = True
         expected = f"render_lens entry for {first} is not an int: True"
+    elif damage.endswith("-not-a-list"):
+        # A string would read as the set of its characters.
+        field = damage[:-len("-not-a-list")]
+        record[field] = "s1:2"
+        expected = f"{field} must be a list of passage ids, got 's1:2'"
     lines[1] = json.dumps(record) if damage != "not-json" else lines[1][:-1]
     matrix.write_text("\n".join(lines) + "\n")
     code, _, err = run_cli(
@@ -322,8 +328,7 @@ def test_build_run_config_defaults():
     assert cfg.retrieve.mode == "OR"
     assert cfg.truncation.strategy == "fixed"
     assert cfg.truncation.word_budget == 2000
-    assert cfg.scorers == [{"name": "lexical", "kind": "lexical-test",
-                            "endpoint": None}]
+    assert cfg.scorers == [ScorerHandle(name="lexical", kind="lexical-test", endpoint=None)]
     # Every section's defaults are the section dataclass's own.
     assert (cfg.annotator, cfg.retrieve, cfg.fusion, cfg.truncation) == (
         AnnotatorConfig(), RetrieveConfig(), FusionConfig(), TruncationConfig())
@@ -338,12 +343,12 @@ def test_scorer_entries_are_completed_and_keep_their_kind(tmp_path):
     ]}))
     cfg = build_run_config(make_parser().parse_args(["query", "x", "--config", str(config)]))
     assert cfg.scorers == [
-        {"name": "li", "kind": "late-interaction", "endpoint": "unix:/nowhere"},
-        {"name": "ce", "kind": "pointwise-cross", "endpoint": "unix:/nowhere"},
+        ScorerHandle(name="li", kind="late-interaction", endpoint="unix:/nowhere"),
+        ScorerHandle(name="ce", kind="pointwise-cross", endpoint="unix:/nowhere"),
     ]
     config.write_text(json.dumps({"scorers": [{"name": "lex"}]}))
     cfg = build_run_config(make_parser().parse_args(["query", "x", "--config", str(config)]))
-    assert cfg.scorers == [{"name": "lex", "kind": "lexical-test", "endpoint": None}]
+    assert cfg.scorers == [ScorerHandle(name="lex", kind="lexical-test", endpoint=None)]
 
 
 @pytest.mark.parametrize("strategy", ["fixed", "adaptive"])
@@ -373,6 +378,22 @@ BAD_CONFIGS = {
     "fusion-unknown-key": ({"fusion": {"bogus": 3}}, "fusion"),
     "in-process-cross-scorer": ({"scorers": [{"name": "x", "kind": "pointwise-cross"}]},
                                 "scorers[0]"),
+    # Values of the wrong type: a bool is not a number, and an int field
+    # takes no fraction.
+    "retrieve-top-m-not-an-int": ({"retrieve": {"entity_hop_source_top_m": "x"}},
+                                  "retrieve"),
+    "retrieve-fractional-max-hops": ({"retrieve": {"max_hops": 2.5}}, "retrieve"),
+    "retrieve-prf-enabled-not-a-bool": ({"retrieve": {"prf_enabled": "no"}}, "retrieve"),
+    "truncation-fractional-budget": ({"truncation": {"word_budget": 10.5}}, "truncation"),
+    "fusion-bool-k": ({"fusion": {"k": True}}, "fusion"),
+    "fusion-bool-weight": ({"fusion": {"weights": {"lexical": True}}}, "fusion"),
+    # Python's json reads NaN and Infinity as floats.
+    "fusion-nan-weight": ({"fusion": {"weights": {"lexical": float("nan")}}}, "fusion"),
+    "fusion-infinite-k": ({"fusion": {"k": float("inf")}}, "fusion"),
+    "annotator-endpoint-not-a-string": ({"annotator": {"endpoint": 5}}, "annotator"),
+    # transport is not part of a scorer entry; the endpoint decides it.
+    "scorer-with-transport": ({"scorers": [{"name": "x", "transport": "in-process"}]},
+                              "scorers[0]"),
 }
 
 

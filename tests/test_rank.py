@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +210,19 @@ def test_rrf_matches_brute_force(rankings, weights, k):
         [(value, ranks) for _, value, ranks in expected]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=RRF_IDS,
+    # Weights away from float's limits: a subnormal weight over k + rank
+    # rounds to zero and ties every passage.
+    weight=st.floats(1e-6, 1e6) | st.sampled_from([DEFAULT_LATE_WEIGHT, 1.0]),
+    k=st.floats(1e-3, 200.0) | st.sampled_from([1.0, DEFAULT_RRF_K]),
+)
+def test_rrf_of_one_ranking_keeps_its_order(ids, weight, k):
+    fused = rrf_fuse([("one", ids)], FusionConfig(k=k, weights={"one": weight}))
+    assert fused.ids() == ids
+
+
 def test_fusion_config_validation():
     with pytest.raises(ValueError):
         FusionConfig(k=0.0, weights={"a": 1.0})
@@ -222,10 +236,8 @@ def test_fusion_config_validation():
 
 
 def test_for_scorers_prefers_cross():
-    cross = ScorerHandle(name="ce", kind="pointwise-cross", transport="service-adapter",
-                         endpoint="tcp:h:1")
-    late = ScorerHandle(name="li", kind="late-interaction", transport="service-adapter",
-                        endpoint="tcp:h:2")
+    cross = ScorerHandle(name="ce", kind="pointwise-cross", endpoint="tcp:h:1")
+    late = ScorerHandle(name="li", kind="late-interaction", endpoint="tcp:h:2")
     cfg = FusionConfig.for_scorers([late, cross])
     assert cfg.weights == {"ce": 0.7, "li": 0.3}
     single = FusionConfig.for_scorers([cross])
@@ -246,7 +258,7 @@ def test_fusion_without_weights_takes_the_default_split_at_its_k(
         # The cross scorer comes second, so the default split is not positional.
         handles = [ScorerHandle(name="lex"),
                    ScorerHandle(name="svc", kind="pointwise-cross",
-                                transport="service-adapter", endpoint=server.endpoint)]
+                                endpoint=server.endpoint)]
 
         def ranked(cfg):
             return rank(candidates, query, corpus, handles, cfg)
@@ -271,17 +283,32 @@ def test_score_via_service(tiny_corpus):
 
     with ReferenceServer(score_fn=score_fn) as server:
         handle = ScorerHandle(name="svc", kind="pointwise-cross",
-                              transport="service-adapter", endpoint=server.endpoint)
+                              endpoint=server.endpoint)
         vector = score(handle, "q", list(tiny_corpus))
     assert vector.scores["s:2"] == 2.0
 
 
 def test_scorer_handle_client_follows_the_transport():
     assert isinstance(ScorerHandle(name="lex").client(), LexicalDenseScorer)
-    handle = ScorerHandle(name="ce", kind="pointwise-cross",
-                          transport="service-adapter", endpoint="tcp:h:1",
-                          timeout=2.5, retries=3)
-    assert handle.client() == ServiceClient("tcp:h:1", timeout=2.5, retries=3)
+    handle = ScorerHandle(name="ce", kind="pointwise-cross", endpoint="tcp:h:1")
+    # A served scorer keeps ServiceClient's own limits: 10 s, one connect retry.
+    assert handle.client() == ServiceClient("tcp:h:1", timeout=10.0, retries=1)
+
+
+def test_scorer_handle_is_name_kind_and_endpoint():
+    served = ScorerHandle(name="ce", kind="pointwise-cross", endpoint="tcp:h:1",
+                          transport="service-adapter")
+    assert asdict(served) == {"name": "ce", "kind": "pointwise-cross", "endpoint": "tcp:h:1"}
+    assert served == ScorerHandle(name="ce", kind="pointwise-cross", endpoint="tcp:h:1")
+    assert asdict(ScorerHandle(name="lex", transport="in-process")) == {
+        "name": "lex", "kind": "lexical-test", "endpoint": None}
+    with pytest.raises(ValueError, match="contradicts"):
+        ScorerHandle(name="ce", kind="pointwise-cross", endpoint="tcp:h:1",
+                     transport="in-process")
+    with pytest.raises(ValueError, match="contradicts"):
+        ScorerHandle(name="lex", transport="service-adapter")
+    with pytest.raises(ValueError, match="contradicts"):
+        ScorerHandle(name="lex", transport="carrier-pigeon")
 
 
 def test_in_process_and_socket_scoring_agree(fixture_corpus_path,
@@ -292,7 +319,6 @@ def test_in_process_and_socket_scoring_agree(fixture_corpus_path,
     queries.append("the of and")  # no content terms: length penalty only
     with ReferenceServer(score_fn=LexicalDenseScorer().score) as server:
         remote = ScorerHandle(name="lex", kind="pointwise-cross",
-                              transport="service-adapter",
                               endpoint=server.endpoint)
         for query in queries:
             local = score(ScorerHandle(name="lex"), query, passages)
@@ -308,15 +334,23 @@ def test_scorer_handle_validation():
         ScorerHandle(name="x", kind="bogus")
 
 
-def test_rank_single_scorer_bypasses_fusion(tiny_corpus):
+def test_rank_single_scorer_keeps_its_raw_score_order(tiny_corpus):
     from memgrep.retrieve import grep_search
     candidates = grep_search(tiny_corpus, term_set(("the", 2.0)))
     handle = ScorerHandle(name="lex")
     ranked, vectors = rank(candidates, "Melanie went hiking", tiny_corpus, [handle])
     assert [v.scorer_name for v in vectors] == ["lex"]
-    # Raw scores pass through as fused scores.
-    for entry in ranked.entries:
-        assert entry.fused_score == pytest.approx(vectors[0].scores[entry.passage_id])
+    # Fused alone, the scorer's order is kept: raw score descending, id ascending.
+    raw = vectors[0].scores
+    assert ranked.ids() == sorted(raw, key=lambda pid: (-raw[pid], pid))
+
+
+def test_rank_single_scorer_rejects_weights_that_do_not_name_it(tiny_corpus):
+    from memgrep.retrieve import grep_search
+    candidates = grep_search(tiny_corpus, term_set(("the", 2.0)))
+    cfg = FusionConfig(weights={"other": 1.0})
+    with pytest.raises(UnknownScorerError):
+        rank(candidates, "Melanie went hiking", tiny_corpus, [ScorerHandle(name="lex")], cfg)
 
 
 def test_rank_two_scorers_concurrent_equals_sequential(tiny_corpus):
@@ -329,7 +363,7 @@ def test_rank_two_scorers_concurrent_equals_sequential(tiny_corpus):
     with ReferenceServer(score_fn=noisy) as server:
         handles = [
             ScorerHandle(name="svc", kind="pointwise-cross",
-                         transport="service-adapter", endpoint=server.endpoint),
+                         endpoint=server.endpoint),
             ScorerHandle(name="lex"),
         ]
         par, _ = rank(candidates, "Melanie went hiking", tiny_corpus, handles,
