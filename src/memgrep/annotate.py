@@ -333,7 +333,7 @@ def _token_annotations(tokens: object) -> list[TokenAnnotation]:
             raise PartialResponseError(f"bad token annotation: {item!r}")
         pos = item.get("pos")
         label = item.get("entity_label")
-        if item.get("token") is None or pos not in POS_TAGS:
+        if item.get("token") in (None, "") or pos not in POS_TAGS:
             raise PartialResponseError(f"bad token annotation: {item!r}")
         if label is not None and label not in ENTITY_LABELS + ("OTHER",):
             raise PartialResponseError(f"bad entity label: {label!r}")

@@ -404,19 +404,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="directory for output artifacts")
 
 
-def _add_pipeline(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=("or", "and"), help="grep mode")
-    parser.add_argument("--strategy", choices=("fixed", "adaptive"),
-                        help="truncation strategy")
-    parser.add_argument("--budget", type=int, help="word budget / ceiling")
-    parser.add_argument("--alpha", type=float, help="adaptive threshold fraction")
-    parser.add_argument("--top-k", dest="top_k", type=int,
-                        help="adaptive pre-selection size")
+def _add_pipeline(parser: argparse.ArgumentParser, *, ranks: bool, cuts: bool) -> None:
+    """Scorer and annotator flags; with ranks, the grep mode and adaptive
+    pre-selection size; with cuts, the one truncation cut query and eval make."""
     parser.add_argument("--scorer", action="append", metavar="NAME=ENDPOINT",
                         help="scorer (repeatable; endpoint 'lexical' for the "
                              "in-process test scorer)")
     parser.add_argument("--annotator", choices=("rules", "service"))
     parser.add_argument("--annotator-endpoint", dest="annotator_endpoint")
+    if ranks:
+        parser.add_argument("--mode", choices=("or", "and"), help="grep mode")
+        parser.add_argument("--top-k", dest="top_k", type=int,
+                            help="adaptive pre-selection size")
+    if cuts:
+        parser.add_argument("--strategy", choices=("fixed", "adaptive"),
+                            help="truncation strategy")
+        parser.add_argument("--budget", type=int, help="word budget / ceiling")
+        parser.add_argument("--alpha", type=float, help="adaptive threshold fraction")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -432,23 +436,23 @@ def make_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="run the full pipeline for one query")
     p_query.add_argument("query_text", help="the query")
     _add_common(p_query)
-    _add_pipeline(p_query)
+    _add_pipeline(p_query, ranks=True, cuts=True)
 
     p_oracle = sub.add_parser("oracle", help="derive optimal retrieval traces")
     _add_common(p_oracle)
-    _add_pipeline(p_oracle)
+    _add_pipeline(p_oracle, ranks=False, cuts=False)
     p_oracle.add_argument("--questions", help="question/gold annotation file")
     p_oracle.add_argument("--max-states", dest="max_states", type=int)
     p_oracle.add_argument("--max-edges", dest="max_edges", type=int)
 
     p_eval = sub.add_parser("eval", help="score matrix plus metrics report")
     _add_common(p_eval)
-    _add_pipeline(p_eval)
+    _add_pipeline(p_eval, ranks=True, cuts=True)
     p_eval.add_argument("--questions", help="question/gold annotation file")
 
     p_sweep = sub.add_parser("sweep", help="offline budget/alpha grid")
     _add_common(p_sweep)
-    _add_pipeline(p_sweep)
+    _add_pipeline(p_sweep, ranks=True, cuts=False)
     p_sweep.add_argument("--questions", help="question/gold annotation file")
     p_sweep.add_argument("--matrix", help="existing matrix.jsonl artifact")
     p_sweep.add_argument("--budgets", default="1000,2000,3000,4000",
@@ -457,6 +461,10 @@ def make_parser() -> argparse.ArgumentParser:
                          help="comma-separated adaptive alphas")
     p_sweep.add_argument("--ceiling", type=int,
                          help="adaptive ceiling (default: max budget)")
+    # Flags are spelled in full: an abbreviation could silently take another
+    # flag's meaning (sweep's --budget would read as --budgets).
+    for command in sub.choices.values():
+        command.allow_abbrev = False
     return parser
 
 

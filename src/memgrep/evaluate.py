@@ -17,10 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Any, Iterator
 
 from .annotate import Annotator, RuleAnnotator
-from .corpus import Corpus, GoldAnnotation, Question
-from .errors import IncompleteMatrixError
+from .corpus import Corpus, GoldAnnotation, Question, _jsonl_records
+from .errors import IncompleteMatrixError, MalformedDocumentError
 from .rank import (
     FusionConfig,
     RankedList,
@@ -262,16 +263,7 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
     path = Path(path)
     header = None
     records = []
-    # Only "\n" ends a record: JSON written with ensure_ascii=False keeps
-    # U+2028 and U+0085 raw inside strings, and splitlines() splits on them.
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"),
-                                  start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IncompleteMatrixError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    for lineno, rec in _matrix_lines(path):
         if not isinstance(rec, dict):
             raise IncompleteMatrixError(f"{path}:{lineno}: expected an object per line")
         if rec.get("record") == "header":
@@ -313,6 +305,15 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
             f"(checksum {matrix.corpus_checksum[:12]}… vs {corpus.checksum[:12]}…)"
         )
     return matrix
+
+
+def _matrix_lines(path: Path) -> Iterator[tuple[int, Any]]:
+    """The matrix's (line number, record) pairs; a line that is not JSON is
+    an IncompleteMatrixError naming path:line."""
+    try:
+        yield from _jsonl_records(path)
+    except MalformedDocumentError as exc:
+        raise IncompleteMatrixError(str(exc)) from exc
 
 
 def _id_set(rec: dict, name: str) -> frozenset[str]:

@@ -4,8 +4,8 @@ For a question with known gold evidence passages, the oracle asks: what is
 the shortest sequence of search actions that covers all of them? Nodes are
 search states (gold covered so far, term surfaces discovered so far); edges
 are unit-cost (tool, term-subset) actions. Unit cost makes Dijkstra's
-algorithm collapse to breadth-first search, which is what runs; the API
-keeps the cost field so non-unit costs remain possible.
+algorithm collapse to breadth-first search, which is what runs, and makes a
+trace's cost and hops both its action count.
 
 The oracle sees gold passage ids only. Nothing in this module reads or
 accepts answer text.
@@ -27,20 +27,13 @@ from .retrieve import grep_search, semantic_fallback
 TOOLS = ("grep-or", "grep-and", "semantic")
 ENTITY_SOURCE_TOP = 10  # passages mined for new terms after each action
 ACTION_SPACE_NOTE = "term subsets restricted to singletons and pairs"
+_State = tuple[frozenset[str], frozenset[str]]  # (gold covered, terms discovered)
 
 
 @dataclass(frozen=True)
 class Action:
     tool: str
-    term_surfaces: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if self.tool not in TOOLS:
-            raise ValueError(f"unknown tool {self.tool!r}")
-        if self.tool == "semantic" and self.term_surfaces:
-            raise ValueError("semantic actions take the raw query, not terms")
-        if self.tool != "semantic" and not self.term_surfaces:
-            raise ValueError("grep actions need at least one term")
+    term_surfaces: frozenset[str]  # empty for "semantic", else 1 or 2 terms
 
     def sort_key(self) -> tuple:
         return (TOOLS.index(self.tool), tuple(sorted(self.term_surfaces)))
@@ -60,14 +53,15 @@ class SearchLimits:
 class OracleTrace:
     question_id: str
     actions: tuple[Action, ...]
-    cost: int
-    hops: int
     success: bool
     reason: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.success and self.cost != len(self.actions):
-            raise ValueError("cost must equal the action count")
+    @property
+    def cost(self) -> int:
+        """Actions are unit-cost, so cost and hops are both the length."""
+        return len(self.actions)
+
+    hops = cost
 
 
 def derive_trace(
@@ -101,19 +95,18 @@ def derive_trace(
         initial_terms = frozenset()
 
     def fail(reason: str) -> OracleTrace:
-        return OracleTrace(question_id=gold.question_id, actions=(), cost=0,
-                           hops=0, success=False, reason=reason)
+        return OracleTrace(question_id=gold.question_id, actions=(),
+                           success=False, reason=reason)
 
     if not initial_terms and dense_scorer is None:
         return fail("no-path")
 
     # Action results are state-independent, so execution is memoized on the
     # action identity alone.
-    memo: dict[tuple[str, frozenset[str]], tuple[frozenset[str], frozenset[str]]] = {}
+    memo: dict[Action, tuple[frozenset[str], frozenset[str]]] = {}
 
     def execute(action: Action) -> tuple[frozenset[str], frozenset[str]]:
-        key = (action.tool, action.term_surfaces)
-        hit = memo.get(key)
+        hit = memo.get(action)
         if hit is not None:
             return hit
         if action.tool == "semantic":
@@ -139,7 +132,7 @@ def derive_trace(
                 casing.setdefault(low, mention.surface)
                 found_terms.add(low)
         outcome = (covered_gain, frozenset(found_terms))
-        memo[key] = outcome
+        memo[action] = outcome
         return outcome
 
     def action_space(discovered: frozenset[str]) -> list[Action]:
@@ -155,64 +148,48 @@ def derive_trace(
         actions.sort(key=Action.sort_key)
         return actions
 
-    # nodes: (covered, discovered, parent index, action taken to get here)
-    nodes: list[tuple[frozenset[str], frozenset[str], int, Action | None]] = [
-        (frozenset(), initial_terms, -1, None)
-    ]
-    visited = {(frozenset(), initial_terms)}
-    queue = deque([0])
+    # Each reached state -> (the state it was reached from, the action taken),
+    # None for the start: both the visited set and the back-pointers.
+    start = (frozenset(), initial_terms)
+    came_from: dict[_State, tuple[_State, Action] | None] = {start: None}
+    queue = deque([start])
     expanded = 0
     edges = 0
 
-    def reconstruct(index: int) -> OracleTrace:
-        actions: list[Action] = []
-        while index >= 0:
-            _, _, parent, action = nodes[index]
-            if action is not None:
-                actions.append(action)
-            index = parent
-        actions.reverse()
-        return OracleTrace(
-            question_id=gold.question_id,
-            actions=tuple(actions),
-            cost=len(actions),
-            hops=len(actions),
-            success=True,
-        )
-
     while queue:
-        index = queue.popleft()
-        covered, discovered, _, _ = nodes[index]
+        state = queue.popleft()
         expanded += 1
         if expanded > limits.max_states:
             return fail("search-budget-exhausted")
+        covered, discovered = state
         for action in action_space(discovered):
             edges += 1
             if edges > limits.max_edges:
                 return fail("search-budget-exhausted")
             covered_gain, found_terms = execute(action)
             next_state = (covered | covered_gain, discovered | found_terms)
-            if next_state in visited:
+            if next_state in came_from:
                 continue
-            visited.add(next_state)
-            nodes.append((next_state[0], next_state[1], index, action))
+            came_from[next_state] = (state, action)
             if next_state[0] == gold_ids:
-                return reconstruct(len(nodes) - 1)
-            queue.append(len(nodes) - 1)
+                path, node = [], next_state
+                while (step := came_from[node]) is not None:
+                    node, taken = step
+                    path.append(taken)
+                return OracleTrace(question_id=gold.question_id,
+                                   actions=tuple(reversed(path)), success=True)
+            queue.append(next_state)
     return fail("no-path")
 
 
 # --- aggregation ---
 
-_TOOL_POWER = {"grep-or": 0, "grep-and": 1, "semantic": 2}
-
-
 def trace_stats(traces: list[OracleTrace]) -> dict:
     """Hop distribution, tool attribution, and success rate over traces.
 
     A successful trace counts toward the most powerful tool it used
-    (semantic > grep-and > grep-or). Distributions are fractions of
-    successful traces; an empty input yields an all-zero record.
+    (semantic > grep-and > grep-or, the order of TOOLS). Distributions are
+    fractions of successful traces; an empty input yields an all-zero record.
     """
     total = len(traces)
     successes = [t for t in traces if t.success]
@@ -235,10 +212,7 @@ def trace_stats(traces: list[OracleTrace]) -> dict:
     tool_counts: dict[str, int] = {}
     for trace in successes:
         hop_counts[trace.hops] = hop_counts.get(trace.hops, 0) + 1
-        strongest = max(
-            (action.tool for action in trace.actions),
-            key=lambda tool: _TOOL_POWER[tool],
-        )
+        strongest = max((action.tool for action in trace.actions), key=TOOLS.index)
         tool_counts[strongest] = tool_counts.get(strongest, 0) + 1
     n = len(successes)
     record["hop_distribution"] = {

@@ -14,29 +14,19 @@ from .annotate import ENTITY_LABELS, Annotator
 from .errors import EmptyTermSetError
 
 POS_WEIGHTS = {"PROPN": 3.0, "NOUN": 2.0, "VERB": 1.0}
-PROVENANCES = ("query", "entity-hop", "prf")
 ENTITY_HOP_WEIGHT = 2.5
 PRF_WEIGHT = 0.5
-_QUERY_WEIGHTS = (1.0, 2.0, 3.0, 4.0)
 
 
 @dataclass(frozen=True)
 class WeightedTerm:
+    # By construction, surfaces are non-empty (no annotator yields an empty
+    # token or mention) and weights follow provenance: parse_query weighs by
+    # POS_WEIGHTS (+1 inside an entity), the hops by ENTITY_HOP_WEIGHT and
+    # PRF_WEIGHT.
     surface: str
     weight: float
     provenance: str
-
-    def __post_init__(self) -> None:
-        if not self.surface:
-            raise ValueError("term surface must be non-empty")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.provenance == "query" and self.weight not in _QUERY_WEIGHTS:
-            raise ValueError(f"query term weight must be one of {_QUERY_WEIGHTS}")
-        if self.provenance == "entity-hop" and self.weight != ENTITY_HOP_WEIGHT:
-            raise ValueError(f"entity-hop terms weigh {ENTITY_HOP_WEIGHT}")
-        if self.provenance == "prf" and self.weight != PRF_WEIGHT:
-            raise ValueError(f"prf terms weigh {PRF_WEIGHT}")
 
 
 @dataclass(frozen=True)
@@ -45,14 +35,6 @@ class WeightedTermSet:
 
     terms: tuple[WeightedTerm, ...]
     query_text: str
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for term in self.terms:
-            key = term.surface.lower()
-            if key in seen:
-                raise ValueError(f"duplicate term surface {term.surface!r}")
-            seen.add(key)
 
     @staticmethod
     def from_terms(terms: list[WeightedTerm], query_text: str) -> "WeightedTermSet":

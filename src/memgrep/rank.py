@@ -169,8 +169,6 @@ def score(scorer: ScorerHandle, query: str, passages: list[Passage],
           annotator: Annotator | None = None) -> ScoreVector:
     """Evaluate one scorer over the passages; errors are never papered over.
     An in-process scorer parses the query with the annotator."""
-    if not passages:
-        raise ValueError("passages must be non-empty")
     values = scorer.client(annotator).score(query, [p.text for p in passages])
     return ScoreVector(scorer_name=scorer.name,
                        scores={p.id: v for p, v in zip(passages, values)})
@@ -227,7 +225,8 @@ def rank(
     failing fails the whole call. A single scorer is fused alone, so its
     order is kept. In-process scorers parse the query with the annotator,
     a RuleAnnotator built once for the call when none is given. A missing
-    cfg, or one without weights, fuses with the default split at its k.
+    cfg, or one without weights, fuses with the default split at its k;
+    explicit weights must name exactly the given scorers.
     """
     if not candidates.candidates:
         raise ValueError("candidate set must be non-empty")
@@ -236,6 +235,14 @@ def rank(
     names = [s.name for s in scorers]
     if len(set(names)) != len(names):
         raise ValueError("scorer names must be unique")
+    if cfg is None:
+        cfg = FusionConfig()
+    if cfg.weights is None:
+        cfg = FusionConfig.for_scorers(scorers, k=cfg.k)
+    if set(cfg.weights) != set(names):
+        differ = sorted(set(cfg.weights) ^ set(names))
+        raise UnknownScorerError(f"fusion weights must name exactly the scorers "
+                                 f"{sorted(names)}; these differ: {differ}")
     if annotator is None:
         annotator = RuleAnnotator()
     passages = [corpus.get(pid) for pid in candidates.ids()]
@@ -251,10 +258,6 @@ def rank(
     per_scorer_order = [
         (vector.scorer_name, _order_ids(vector)) for vector in vectors
     ]
-    if cfg is None:
-        cfg = FusionConfig()
-    if cfg.weights is None:
-        cfg = FusionConfig.for_scorers(scorers, k=cfg.k)
     ranked = rrf_fuse(per_scorer_order, cfg, query_id=candidates.query_id)
     return ranked, vectors
 

@@ -322,6 +322,16 @@ def test_parser_rejects_unknown_command():
         make_parser().parse_args(["frobnicate"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--strategy", "adaptive"],   # the oracle neither ranks nor cuts
+    ["oracle", "--mode", "and"],
+    ["sweep", "--budget", "5"],             # the sweep takes --budgets
+])
+def test_commands_take_only_the_flags_they_read(argv, capsys):
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(argv)
+
+
 def test_build_run_config_defaults():
     args = make_parser().parse_args(["query", "x"])
     cfg = build_run_config(args)
@@ -414,6 +424,11 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
         bad.write_text("\n".join(lines + ["[1, 2]"]) + "\n", encoding="utf-8")
         return (["query", QUERY, "--corpus", str(bad)],
                 "MalformedDocumentError", f"{bad}:{len(lines) + 1}:")
+    if case == "fusion-weight-for-another-scorer":
+        config = tmp / "config.json"
+        config.write_text(json.dumps({"fusion": {"weights": {"lexical": 1.0, "other": 2.0}}}))
+        return (["query", QUERY, "--corpus", str(corpus), "--config", str(config)],
+                "UnknownScorerError", "'other'")
     if case == "gold-not-a-list":
         bad = tmp / "questions.json"
         bad.write_text(json.dumps([{"question_id": "q1", "gold_passage_ids": "s1:2"}]))
@@ -435,6 +450,7 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
 
 
 @pytest.mark.parametrize("case", [*BAD_CONFIGS, "corpus-line-not-an-object",
+                                  "fusion-weight-for-another-scorer",
                                   "gold-not-a-list", "matrix-line-without-cross"])
 def test_cli_process_ends_damaged_input_in_one_error_record(tmp_path, case):
     argv, error, fragment = damaged_run(case, tmp_path)

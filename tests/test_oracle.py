@@ -30,17 +30,6 @@ def gold(*ids, question_id="q"):
                           gold_passage_ids=frozenset(ids))
 
 
-def test_action_validation():
-    Action(tool="grep-or", term_surfaces=frozenset({"x"}))
-    Action(tool="semantic", term_surfaces=frozenset())
-    with pytest.raises(ValueError):
-        Action(tool="grep-or", term_surfaces=frozenset())
-    with pytest.raises(ValueError):
-        Action(tool="semantic", term_surfaces=frozenset({"x"}))
-    with pytest.raises(ValueError):
-        Action(tool="regex", term_surfaces=frozenset({"x"}))
-
-
 def test_single_hop_when_gold_shares_query_term(tagger):
     corpus = make_corpus([
         "Gina started a job at the bakery.",
@@ -105,6 +94,9 @@ def test_budget_exhaustion_reported(tagger):
                          limits=limits)
     assert not trace.success
     assert trace.reason == "search-budget-exhausted"
+    assert trace.cost == trace.hops == 0
+    line = json.loads(traces_to_jsonl([trace], limits, False).splitlines()[1])
+    assert (line["cost"], line["hops"], line["actions"]) == (0, 0, [])
 
 
 def test_empty_gold_rejected(tagger, tiny_corpus):
@@ -120,10 +112,10 @@ def test_trace_is_deterministic(tagger, tiny_corpus):
 
 def test_trace_stats_hop_distribution():
     traces = [
-        OracleTrace("a", (Action("grep-or", frozenset({"x"})),), 1, 1, True),
-        OracleTrace("b", (Action("grep-or", frozenset({"x"})),), 1, 1, True),
+        OracleTrace("a", (Action("grep-or", frozenset({"x"})),), True),
+        OracleTrace("b", (Action("grep-or", frozenset({"x"})),), True),
         OracleTrace("c", (Action("grep-or", frozenset({"x"})),
-                          Action("grep-or", frozenset({"y"}))), 2, 2, True),
+                          Action("grep-or", frozenset({"y"}))), True),
     ]
     stats = trace_stats(traces)
     assert stats["success_rate"] == 1.0
@@ -142,8 +134,8 @@ def test_trace_stats_empty():
 
 def test_trace_stats_tool_attribution():
     traces = [
-        OracleTrace("a", (Action("grep-or", frozenset({"x"})),), 1, 1, True),
-        OracleTrace("b", (Action("semantic", frozenset()),), 1, 1, True),
+        OracleTrace("a", (Action("grep-or", frozenset({"x"})),), True),
+        OracleTrace("b", (Action("semantic", frozenset()),), True),
     ]
     stats = trace_stats(traces)
     assert stats["tool_distribution"] == {
@@ -155,7 +147,7 @@ def test_trace_stats_strongest_tool_wins():
     traces = [
         OracleTrace("a", (Action("grep-or", frozenset({"x"})),
                           Action("grep-and", frozenset({"x", "y"}))),
-                    2, 2, True),
+                    True),
     ]
     stats = trace_stats(traces)
     assert stats["tool_distribution"] == {"grep-and": 1.0}

@@ -353,6 +353,16 @@ def test_rank_single_scorer_rejects_weights_that_do_not_name_it(tiny_corpus):
         rank(candidates, "Melanie went hiking", tiny_corpus, [ScorerHandle(name="lex")], cfg)
 
 
+def test_rank_rejects_weights_that_name_another_scorer(tiny_corpus):
+    from memgrep.retrieve import grep_search
+    candidates = grep_search(tiny_corpus, term_set(("the", 2.0)))
+    cfg = FusionConfig(weights={"lex": 0.7, "third": 0.3})
+    with pytest.raises(UnknownScorerError, match="third") as raised:
+        rank(candidates, "Melanie went hiking", tiny_corpus,
+             [ScorerHandle(name="lex"), ScorerHandle(name="lex2")], cfg)
+    assert "lex2" in str(raised.value)
+
+
 def test_rank_two_scorers_concurrent_equals_sequential(tiny_corpus):
     from memgrep.retrieve import grep_search
     candidates = grep_search(tiny_corpus, term_set(("the", 2.0)))
