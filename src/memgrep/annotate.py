@@ -331,14 +331,14 @@ def _token_annotations(tokens: object) -> list[TokenAnnotation]:
     for item in tokens:
         if not isinstance(item, dict):
             raise PartialResponseError(f"bad token annotation: {item!r}")
+        token = item.get("token")
         pos = item.get("pos")
         label = item.get("entity_label")
-        if item.get("token") in (None, "") or pos not in POS_TAGS:
+        if not isinstance(token, str) or not token or pos not in POS_TAGS:
             raise PartialResponseError(f"bad token annotation: {item!r}")
         if label is not None and label not in ENTITY_LABELS + ("OTHER",):
             raise PartialResponseError(f"bad entity label: {label!r}")
-        out.append(TokenAnnotation(token=str(item["token"]), pos=pos,
-                                   entity_label=label))
+        out.append(TokenAnnotation(token=token, pos=pos, entity_label=label))
     return out
 
 

@@ -334,3 +334,17 @@ def test_empty_token_is_a_partial_response(tagger):
         # The failure leaves nothing memoized: the next call asks again.
         assert remote.annotate(text) == tagger.annotate(text)
     assert payload.requests == 2
+
+
+@pytest.mark.parametrize("token", [5, ["x"]], ids=["number", "list"])
+def test_non_string_token_is_a_partial_response(tagger, token):
+    text = "Melanie met Dr. Chen in Seattle"
+    entry = annotation_payload(tagger, [text])[0]
+    entry["tokens"][0]["token"] = token
+    payload = CountingPayload(tagger, replies=[[entry]])
+    with ReferenceServer(annotate_fn=payload) as server:
+        remote = ServiceAnnotator(server.endpoint)
+        with pytest.raises(PartialResponseError, match="bad token annotation"):
+            remote.annotate(text)
+        assert remote.annotate(text) == tagger.annotate(text)
+    assert payload.requests == 2

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from memgrep.annotate import RuleAnnotator
 from memgrep.corpus import load_questions, read_corpus
 from memgrep.errors import ScorerUnavailableError
-from memgrep.parse import PRF_WEIGHT, WeightedTerm, WeightedTermSet
+from memgrep.parse import PRF_WEIGHT, WeightedTerm, WeightedTermSet, parse_query
 from memgrep.retrieve import (
+    Candidate,
     CandidateSet,
     RetrieveConfig,
     entity_expansion_hop,
@@ -137,6 +138,73 @@ def test_grep_matches_brute_force_reference(case, mode):
     got = [(c.passage_id, c.matched_terms, c.match_score) for c in result.candidates]
     assert got == reference_grep(corpus, terms, mode)
     assert all(c.hop == 2 for c in result.candidates)
+
+
+# Capitalised names mid-sentence are entities to the rule annotator, so the
+# entity hops fire; nouns recur across passages, so PRF does too.
+_NAMES = ["Alice", "Barnaby", "Corwin", "Delmont", "Evander", "Marisol"]
+_NOUNS = ["kayak", "trail", "garden", "lantern", "market", "harbor"]
+_FILLERS = ["the", "with", "and", "near", "met", "saw", "about"]
+_SENTENCE = st.lists(st.sampled_from(_NAMES + _NOUNS + _FILLERS),
+                     min_size=1, max_size=8).map(lambda ws: "Then " + " ".join(ws) + ".")
+
+
+def reference_retrieve(query, corpus, cfg, annotator):
+    """retrieve() with each hop grepped separately by reference_grep, merged
+    by "higher score wins, earliest hop kept", and fully sorted whenever an
+    expansion hop reads the current order."""
+    merged = {}
+
+    def merge(term_set, mode, hop):
+        for pid, matched, score in reference_grep(corpus, term_set, mode):
+            held = merged.get(pid)
+            if held is None or score > held[0]:
+                merged[pid] = (score, matched, hop if held is None else held[2])
+
+    def ordered():
+        rows = sorted(merged.items(), key=lambda row: (-row[1][0], row[0]))
+        return tuple(Candidate(pid, score, matched, hop)
+                     for pid, (score, matched, hop) in rows)
+
+    terms = parse_query(query, annotator)
+    searched = set(terms.surfaces_lower())
+    merge(terms, cfg.mode, 0)
+    hops = 1
+    while cfg.entity_hop_enabled and merged and hops < cfg.max_hops:
+        new_terms = entity_expansion_hop(
+            CandidateSet(ordered(), "q", hops), terms, corpus, annotator,
+            top_m=cfg.entity_hop_source_top_m, exclude=frozenset(searched))
+        if not new_terms.terms:
+            break
+        searched.update(new_terms.surfaces_lower())
+        merge(new_terms, "OR", hops)
+        hops += 1
+    if cfg.prf_enabled and merged:
+        top = [corpus.get(c.passage_id) for c in ordered()[:cfg.prf_source_top_n]]
+        prf_terms = prf_hop(top, annotator, min_doc_freq=cfg.prf_min_doc_freq,
+                            exclude=frozenset(searched), query_text=query)
+        if prf_terms.terms:
+            merge(prf_terms, "OR", hops)
+    return ordered(), hops
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(texts=st.lists(_SENTENCE, min_size=1, max_size=14),
+       query=st.lists(st.sampled_from(_NAMES + _NOUNS), min_size=1, max_size=3)
+       .map(lambda ws: "What did " + " ".join(ws) + " do?"),
+       max_hops=st.integers(1, 3), prf=st.booleans(),
+       mode=st.sampled_from(["OR", "AND"]), top=st.integers(1, 4),
+       min_doc_freq=st.integers(1, 2))
+def test_retrieve_matches_per_hop_reference(tagger, texts, query, max_hops, prf,
+                                            mode, top, min_doc_freq):
+    corpus = make_corpus(texts)
+    cfg = RetrieveConfig(mode=mode, max_hops=max_hops, prf_enabled=prf,
+                         entity_hop_source_top_m=top, prf_source_top_n=top,
+                         prf_min_doc_freq=min_doc_freq, fallback_enabled=False)
+    result = retrieve(query, corpus, cfg, annotator=tagger)
+    candidates, hops = reference_retrieve(query, corpus, cfg, tagger)
+    assert result.candidates == candidates
+    assert result.hops_executed == hops
 
 
 def test_entity_expansion_emits_new_terms(tagger):
