@@ -8,7 +8,8 @@ Run from the repository root after `pip install -e .`:
 
 from importlib import resources
 
-from memgrep import RuleAnnotator, parse_query, grep_search, read_corpus
+from memgrep import (RuleAnnotator, candidate_order, grep_search, match_scores, parse_query,
+                     read_corpus)
 
 
 def main() -> None:
@@ -26,14 +27,15 @@ def main() -> None:
     for term in terms.terms:
         print(f"  {term.surface:<10} weight {term.weight:.1f}")
 
-    result = grep_search(corpus, terms, mode="OR")
-    print(f"\nsubstring matches, best first ({len(result)} passages):")
-    for candidate in result.candidates:
-        matched = ", ".join(surface for surface, _ in candidate.matched_terms)
-        text = corpus.get(candidate.passage_id).text
-        print(f"  [{candidate.passage_id}] score {candidate.match_score:.1f}"
-              f" via {matched}")
-        print(f"      {text}")
+    # grep_search returns passage position -> matched (surface, weight) pairs.
+    hits = grep_search(corpus, terms, mode="OR")
+    scores = match_scores(hits)
+    print(f"\nsubstring matches, best first ({len(hits)} passages):")
+    for i in candidate_order(corpus, scores):
+        passage = corpus.passages[i]
+        matched = ", ".join(surface for surface, _ in hits[i])
+        print(f"  [{passage.id}] score {scores[i]:.1f} via {matched}")
+        print(f"      {passage.text}")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from memgrep import (
     ReferenceServer,
     RetrieveConfig,
     ScorerHandle,
+    order_by_score,
     rank,
     read_corpus,
     retrieve,
@@ -45,9 +46,13 @@ def main() -> None:
         order = sorted(vector.scores, key=lambda pid: -vector.scores[pid])
         print(f"{name:>5} ordering: {order}")
 
+    # Each scorer's rank of a passage: its place in the vector's order,
+    # score descending, then id ascending.
+    rank_in = {name: {pid: r for r, pid in enumerate(order_by_score(v.scores), 1)}
+               for name, v in by_name.items()}
     print("\nfused (weights 0.7 cross / 0.3 late, k=60):")
     for entry in ranked.entries:
-        positions = ", ".join(f"{n} rank {r}" for n, r in entry.ranks.items())
+        positions = ", ".join(f"{n} rank {r[entry.passage_id]}" for n, r in rank_in.items())
         print(f"  [{entry.passage_id}] fused {entry.fused_score:.6f}"
               f"  ({positions})")
 

@@ -53,8 +53,9 @@ from .evaluate import (
 )
 from .oracle import OracleTrace, SearchLimits, derive_trace, trace_stats
 from .parse import WeightedTerm, WeightedTermSet, parse_query
-from .rank import FusionConfig, RankedList, ScorerHandle, rank, rrf_fuse
-from .retrieve import Candidate, CandidateSet, RetrieveConfig, grep_search, retrieve
+from .rank import FusionConfig, RankedList, ScorerHandle, order_by_score, rank, rrf_fuse
+from .retrieve import (Candidate, CandidateSet, RetrieveConfig, candidate_order, grep_search,
+                       match_scores, retrieve)
 from .service import ReferenceServer, ServiceClient, parse_endpoint
 from .truncate import (
     Context,
@@ -105,11 +106,14 @@ __all__ = [
     "WeightedTermSet",
     "budget_recall",
     "build_matrix",
+    "candidate_order",
     "derive_trace",
     "grep_search",
     "ingest",
     "load_questions",
+    "match_scores",
     "mean_gold_rank",
+    "order_by_score",
     "parse_endpoint",
     "parse_query",
     "rank",

@@ -22,7 +22,7 @@ from .annotate import Annotator
 from .corpus import Corpus, GoldAnnotation
 from .errors import EmptyTermSetError
 from .parse import WeightedTerm, WeightedTermSet, parse_query
-from .retrieve import grep_search, semantic_fallback
+from .retrieve import candidate_order, grep_search, match_scores, semantic_fallback
 
 TOOLS = ("grep-or", "grep-and", "semantic")
 ENTITY_SOURCE_TOP = 10  # passages mined for new terms after each action
@@ -104,13 +104,15 @@ def derive_trace(
     # Action results are state-independent, so execution is memoized on the
     # action identity alone.
     memo: dict[Action, tuple[frozenset[str], frozenset[str]]] = {}
+    passages = corpus.passages
 
     def execute(action: Action) -> tuple[frozenset[str], frozenset[str]]:
         hit = memo.get(action)
         if hit is not None:
             return hit
         if action.tool == "semantic":
-            result = semantic_fallback(question, corpus, dense_scorer)
+            ids = semantic_fallback(question, corpus, dense_scorer).ids()
+            top = [corpus.get(pid) for pid in ids[:ENTITY_SOURCE_TOP]]
         else:
             term_set = WeightedTermSet(
                 terms=tuple(
@@ -121,13 +123,14 @@ def derive_trace(
                 query_text=question,
             )
             mode = "AND" if action.tool == "grep-and" else "OR"
-            result = grep_search(corpus, term_set, mode)
-        covered_gain = frozenset(c.passage_id for c in result.candidates) & gold_ids
+            hits = grep_search(corpus, term_set, mode)
+            ids = [passages[i].id for i in hits]
+            top = [passages[i] for i in
+                   candidate_order(corpus, match_scores(hits), ENTITY_SOURCE_TOP)]
+        covered_gain = frozenset(ids) & gold_ids
         found_terms = set()
-        for candidate in result.candidates[:ENTITY_SOURCE_TOP]:
-            for mention in annotator.extract_entities(
-                corpus.get(candidate.passage_id).text
-            ):
+        for passage in top:
+            for mention in annotator.extract_entities(passage.text):
                 low = mention.surface.lower()
                 casing.setdefault(low, mention.surface)
                 found_terms.add(low)

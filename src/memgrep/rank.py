@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
+from itertools import compress, repeat
+from operator import attrgetter, contains, neg
 
 from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, Passage
@@ -115,11 +117,12 @@ class FusionConfig:
         })
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedEntry:
+    # A passage's position in each scorer's ranking is its place in that
+    # ScoreVector's order, score descending, then id ascending.
     passage_id: str
     fused_score: float
-    ranks: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -156,13 +159,16 @@ class LexicalDenseScorer:
             terms = parse_query(query, self._annotator).terms
         except EmptyTermSetError:
             terms = ()
-        needles = [(term.surface.lower(), term.weight) for term in terms]
-        scores = []
-        for text in texts:
-            lowered = text.lower()
-            matched = sum(weight for needle, weight in needles if needle in lowered)
-            scores.append(matched - LENGTH_PENALTY * len(text.split()))
-        return scores
+        lowered = list(map(str.lower, texts))
+        positions = range(len(lowered))
+        # One C-level pass per term, as grep_search scans, adding weights in
+        # term order: the same sums as scoring one text at a time.
+        matched = [0] * len(lowered)
+        for term in terms:
+            for i in compress(positions, map(contains, lowered, repeat(term.surface.lower()))):
+                matched[i] += term.weight
+        words = map(len, map(str.split, texts))
+        return [m - LENGTH_PENALTY * n for m, n in zip(matched, words)]
 
 
 def score(scorer: ScorerHandle, query: str, passages: list[Passage],
@@ -171,7 +177,7 @@ def score(scorer: ScorerHandle, query: str, passages: list[Passage],
     An in-process scorer parses the query with the annotator."""
     values = scorer.client(annotator).score(query, [p.text for p in passages])
     return ScoreVector(scorer_name=scorer.name,
-                       scores={p.id: v for p, v in zip(passages, values)})
+                       scores=dict(zip(map(attrgetter("id"), passages), values)))
 
 
 # --- fusion ---
@@ -193,18 +199,13 @@ def rrf_fuse(
         if len(ids) != len(set(ids)):
             raise ValueError(f"ranking {name!r} contains duplicates")
     fused: dict[str, float] = {}
-    ranks: dict[str, dict[str, int]] = {}
     for name, ids in rankings:
         weight = cfg.weights[name]
         for position, passage_id in enumerate(ids, start=1):
             fused[passage_id] = fused.get(passage_id, 0.0) \
                 + weight / (cfg.k + position)
-            ranks.setdefault(passage_id, {})[name] = position
-    ordered = sorted(fused.items(), key=lambda item: (-item[1], item[0]))
-    entries = tuple(
-        RankedEntry(passage_id=pid, fused_score=value, ranks=ranks[pid])
-        for pid, value in ordered
-    )
+    entries = tuple(RankedEntry(passage_id=pid, fused_score=fused[pid])
+                    for pid in order_by_score(fused))
     return RankedList(entries=entries, query_id=query_id)
 
 
@@ -255,13 +256,12 @@ def rank(
     else:
         vectors = [score(s, query, passages, annotator) for s in scorers]
 
-    per_scorer_order = [
-        (vector.scorer_name, _order_ids(vector)) for vector in vectors
-    ]
+    per_scorer_order = [(v.scorer_name, order_by_score(v.scores)) for v in vectors]
     ranked = rrf_fuse(per_scorer_order, cfg, query_id=candidates.query_id)
     return ranked, vectors
 
 
-def _order_ids(vector: ScoreVector) -> list[str]:
-    return [pid for pid, _ in sorted(vector.scores.items(),
-                                     key=lambda item: (-item[1], item[0]))]
+def order_by_score(scores: dict[str, float]) -> list[str]:
+    """Ids by score descending, then id ascending. Ids are unique, so no two
+    (-score, id) keys tie."""
+    return [pid for _, pid in sorted(zip(map(neg, scores.values()), scores))]

@@ -6,14 +6,19 @@ single pseudo-relevance-feedback round. Each term costs one C-level substring
 pass over the corpus's lowercased passage texts. A pluggable dense scorer
 covers the rare query whose terms match nothing. No inverted index, no
 embedding store; the corpus text itself is the only data structure.
+
+A grep returns its raw hits by passage position. retrieve folds every hop's
+hits into one map (higher score wins, earliest hop kept) and builds each
+Candidate once, in candidate order: match score down, then passage id up.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, replace
 from itertools import compress, repeat
-from operator import contains
+from operator import attrgetter, contains, itemgetter, neg
 
 from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, Passage
@@ -33,11 +38,11 @@ def query_id_for(query: str) -> str:
     return hashlib.sha256(query.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     # match_score is the sum of matched_terms' weights by construction:
-    # grep_search sums them, _merge copies both together, and a fallback
-    # candidate is score-only (matched_terms empty).
+    # retrieve keeps the pairs of a passage's best hop with their sum, and a
+    # fallback candidate is score-only (matched_terms empty).
     passage_id: str
     match_score: float
     matched_terms: tuple[tuple[str, float], ...]
@@ -81,24 +86,26 @@ class RetrieveConfig:
             raise ValueError("max_hops must be >= 1")
         if self.prf_min_doc_freq < 1:
             raise ValueError("prf_min_doc_freq must be >= 1")
+        if self.entity_hop_source_top_m < 0 or self.prf_source_top_n < 0:
+            raise ValueError("source top counts must be >= 0")
 
 
 # --- substring search ---
 
-def grep_search(
-    corpus: Corpus,
-    terms: WeightedTermSet,
-    mode: str = "OR",
-    *,
-    hop: int = 0,
-) -> CandidateSet:
+# Passage position -> the (surface, weight) pairs of the terms it matched, in
+# term order.
+Hits = dict[int, list[tuple[str, float]]]
+_weight = itemgetter(1)
+
+
+def grep_search(corpus: Corpus, terms: WeightedTermSet, mode: str = "OR") -> Hits:
     """Scan every passage for term substrings; no index is consulted.
 
     Each needle is tested against every lowercased passage text in one
-    C-level pass (``operator.contains`` mapped over the corpus).
-    OR keeps any passage matching at least one term; AND requires all terms.
-    Scores sum the weights of distinct matched terms, in term order;
-    repeats add nothing.
+    C-level pass (``operator.contains`` mapped over the corpus). Returns the
+    raw hits: OR keeps any passage matching at least one term, AND only
+    those matching all of them. A passage's match score is the sum of its
+    pairs' weights; repeats of a term in the text add nothing.
     """
     if not terms.terms:
         raise ValueError("term set must be non-empty")
@@ -106,30 +113,30 @@ def grep_search(
         raise ValueError(f"mode must be OR or AND, got {mode!r}")
     lowered = corpus.lowered
     positions = range(len(lowered))
-    # Passage position -> (surface, weight) pairs, appended in term order.
-    hits: dict[int, list[tuple[str, float]]] = {}
+    hits: Hits = {}
     for term in terms.terms:
-        needle = term.surface.lower()
         pair = (term.surface, term.weight)
-        for i in compress(positions, map(contains, lowered, repeat(needle))):
+        for i in compress(positions, map(contains, lowered, repeat(term.surface.lower()))):
             hits.setdefault(i, []).append(pair)
-    passages = corpus.passages
-    candidates = [
-        Candidate(
-            passage_id=passages[i].id,
-            match_score=sum(weight for _, weight in matched),
-            matched_terms=tuple(matched),
-            hop=hop,
-        )
-        for i, matched in hits.items()
-        if mode == "OR" or len(matched) == len(terms.terms)
-    ]
-    candidates.sort(key=lambda c: (-c.match_score, c.passage_id))
-    return CandidateSet(
-        candidates=tuple(candidates),
-        query_id=query_id_for(terms.query_text),
-        hops_executed=1,
-    )
+    if mode == "AND":
+        return {i: matched for i, matched in hits.items()
+                if len(matched) == len(terms.terms)}
+    return hits
+
+
+def match_scores(hits: Hits) -> dict[int, float]:
+    """Each hit's match score: its pairs' weights summed in term order."""
+    return {i: sum(map(_weight, pairs)) for i, pairs in hits.items()}
+
+
+def candidate_order(corpus: Corpus, scores: dict[int, float],
+                    top: int | None = None) -> list[int]:
+    """Passage positions in candidate order, match score descending, then
+    passage id ascending; only the first `top` when it is given."""
+    ids = map(attrgetter("id"), map(corpus.passages.__getitem__, scores))
+    keyed = zip(map(neg, scores.values()), ids, scores)
+    rows = sorted(keyed) if top is None else heapq.nsmallest(top, keyed)
+    return [i for _, _, i in rows]
 
 
 # --- expansion hops ---
@@ -260,7 +267,27 @@ def retrieve(
         annotator = RuleAnnotator()
     qid = query_id_for(query)
     warnings: list[str] = []
-    merged: dict[str, Candidate] = {}
+    passages = corpus.passages
+    # Passage position -> its best match score over the hops so far, the
+    # pairs that scored it, and the first hop that found it.
+    scores: dict[int, float] = {}
+    best: Hits = {}
+    first_hop: dict[int, int] = {}
+
+    def fold(hits: Hits, hop: int) -> None:
+        for i, score in match_scores(hits).items():
+            held = scores.get(i)
+            if held is None:
+                first_hop[i] = hop
+            elif score <= held:
+                continue
+            scores[i] = score
+            best[i] = hits[i]
+
+    def candidates(top: int | None = None) -> tuple[Candidate, ...]:
+        return tuple(Candidate(passages[i].id, scores[i], tuple(best[i]), first_hop[i])
+                     for i in candidate_order(corpus, scores, top))
+
     hops = 0
     terms: WeightedTermSet | None = None
     try:
@@ -270,12 +297,11 @@ def retrieve(
 
     if terms is not None:
         searched = set(terms.surfaces_lower())
-        hop_set = grep_search(corpus, terms, cfg.mode, hop=0)
+        fold(grep_search(corpus, terms, cfg.mode), 0)
         hops = 1
-        _merge(merged, hop_set.candidates)
 
-        while cfg.entity_hop_enabled and merged and hops < cfg.max_hops:
-            prior = _as_set(merged, qid, hops)
+        while cfg.entity_hop_enabled and scores and hops < cfg.max_hops:
+            prior = CandidateSet(candidates(cfg.entity_hop_source_top_m), qid, hops)
             new_terms = entity_expansion_hop(
                 prior, terms, corpus, annotator,
                 top_m=cfg.entity_hop_source_top_m,
@@ -284,14 +310,11 @@ def retrieve(
             if not new_terms.terms:
                 break
             searched.update(new_terms.surfaces_lower())
-            hop_set = grep_search(corpus, new_terms, "OR", hop=hops)
+            fold(grep_search(corpus, new_terms, "OR"), hops)
             hops += 1
-            _merge(merged, hop_set.candidates)
 
-        if cfg.prf_enabled and merged:
-            prior = _as_set(merged, qid, hops)
-            top = [corpus.get(c.passage_id)
-                   for c in prior.candidates[:cfg.prf_source_top_n]]
+        if cfg.prf_enabled and scores:
+            top = [passages[i] for i in candidate_order(corpus, scores, cfg.prf_source_top_n)]
             prf_terms = prf_hop(
                 top, annotator,
                 min_doc_freq=cfg.prf_min_doc_freq,
@@ -299,47 +322,16 @@ def retrieve(
                 query_text=query,
             )
             if prf_terms.terms:
-                searched.update(prf_terms.surfaces_lower())
-                hop_set = grep_search(corpus, prf_terms, "OR", hop=hops)
-                _merge(merged, hop_set.candidates)
+                fold(grep_search(corpus, prf_terms, "OR"), hops)
 
-    if not merged:
-        if cfg.fallback_enabled and dense_scorer is not None:
-            try:
-                fallback = semantic_fallback(query, corpus, dense_scorer,
-                                             hop=hops)
-                _merge(merged, fallback.candidates)
-            except ScorerUnavailableError as exc:
-                warnings.append(f"semantic-fallback-unavailable: {exc}")
-        else:
-            warnings.append(
-                "no-candidates: substring search empty and fallback disabled"
-            )
-
-    return _as_set(merged, qid, hops, tuple(warnings))
-
-
-def _merge(merged: dict[str, Candidate], candidates: tuple[Candidate, ...]) -> None:
-    """Cross-hop dedup: max match_score wins, earliest hop is kept."""
-    for candidate in candidates:
-        held = merged.get(candidate.passage_id)
-        if held is None:
-            merged[candidate.passage_id] = candidate
-            continue
-        # Hops merge in increasing order, so held.hop <= candidate.hop: a
-        # held candidate that scores at least as high stays as it is.
-        if candidate.match_score > held.match_score:
-            merged[candidate.passage_id] = Candidate(
-                passage_id=candidate.passage_id,
-                match_score=candidate.match_score,
-                matched_terms=candidate.matched_terms,
-                hop=held.hop,
-            )
-
-
-def _as_set(merged: dict[str, Candidate], qid: str, hops: int,
-            warnings: tuple[str, ...] = ()) -> CandidateSet:
-    ordered = sorted(merged.values(),
-                     key=lambda c: (-c.match_score, c.passage_id))
-    return CandidateSet(candidates=tuple(ordered), query_id=qid,
-                        hops_executed=hops, warnings=warnings)
+    if scores:
+        return CandidateSet(candidates(), qid, hops, tuple(warnings))
+    if cfg.fallback_enabled and dense_scorer is not None:
+        try:
+            fallback = semantic_fallback(query, corpus, dense_scorer, hop=hops)
+            return replace(fallback, hops_executed=hops, warnings=tuple(warnings))
+        except ScorerUnavailableError as exc:
+            warnings.append(f"semantic-fallback-unavailable: {exc}")
+    else:
+        warnings.append("no-candidates: substring search empty and fallback disabled")
+    return CandidateSet((), qid, hops, tuple(warnings))

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from memgrep.corpus import Corpus, Passage
+from memgrep.retrieve import (Candidate, CandidateSet, candidate_order, grep_search,
+                              match_scores, query_id_for)
 
 
 def fixture_path(name: str) -> Path:
@@ -36,6 +38,17 @@ def make_corpus(texts, session_id="s", speaker="A"):
         for i, text in enumerate(texts)
     )
     return Corpus(passages=passages)
+
+
+def grep_candidates(corpus, terms, mode="OR"):
+    """One grep's hits as hop-0 candidates in candidate order, as retrieve
+    builds them from a single hop."""
+    hits = grep_search(corpus, terms, mode)
+    scores = match_scores(hits)
+    candidates = tuple(
+        Candidate(corpus.passages[i].id, scores[i], tuple(hits[i]), 0)
+        for i in candidate_order(corpus, scores))
+    return CandidateSet(candidates, query_id_for(terms.query_text), hops_executed=1)
 
 
 @pytest.fixture

@@ -144,8 +144,7 @@ def _ranked_instance(rng, n, word_counts):
     corpus = make_corpus(texts)
     pids = [p.id for p in corpus]
     entries = tuple(
-        RankedEntry(passage_id=pid, fused_score=float(n - i),
-                    ranks={"cross": i + 1})
+        RankedEntry(passage_id=pid, fused_score=float(n - i))
         for i, pid in enumerate(pids)
     )
     return corpus, RankedList(entries=entries, query_id="acc4"), pids

@@ -42,7 +42,7 @@ def test_search_surface_is_case_insensitive(tiny_corpus):
     for surface in ("javier", "JAVIER", "mOUNT rAINIER"):
         terms = WeightedTermSet.from_terms(
             [WeightedTerm(surface, 3.0, "query")], query_text="q")
-        assert grep_search(tiny_corpus, terms).ids() == ["s:0"]
+        assert list(grep_search(tiny_corpus, terms)) == [0]
 
 
 def test_checksum_is_content_addressed():

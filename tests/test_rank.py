@@ -20,11 +20,14 @@ from memgrep.rank import (
     LexicalDenseScorer,
     RankedList,
     ScorerHandle,
+    order_by_score,
     rank,
     rrf_fuse,
     score,
 )
 from memgrep.service import ReferenceServer, ServiceClient
+
+from conftest import grep_candidates
 
 
 def term_set(*pairs):
@@ -137,13 +140,15 @@ def test_rrf_spot_value_single_ranking():
 def test_rrf_rank_positions():
     # cross ranks: A=1, B=2; late ranks: A=3 (others ahead), B=2.
     cfg = FusionConfig(k=60.0, weights={"cross": 0.7, "late": 0.3})
-    fused = rrf_fuse(
-        [("cross", ["A", "B", "C"]), ("late", ["C", "B", "A"])], cfg, query_id="q",
-    )
+    rankings = [("cross", ["A", "B", "C"]), ("late", ["C", "B", "A"])]
+    fused = rrf_fuse(rankings, cfg, query_id="q")
     by_id = {e.passage_id: e for e in fused.entries}
     assert by_id["A"].fused_score == pytest.approx(0.7 / 61 + 0.3 / 63)
     assert by_id["B"].fused_score == pytest.approx(0.7 / 62 + 0.3 / 62)
-    assert by_id["A"].ranks == {"cross": 1, "late": 3}
+    positions = {name: ids.index("A") + 1 for name, ids in rankings}
+    assert positions == {"cross": 1, "late": 3}
+    assert by_id["A"].fused_score == \
+        sum(cfg.weights[name] / (cfg.k + p) for name, p in positions.items())
 
 
 def test_rrf_absent_item_contributes_zero():
@@ -152,7 +157,8 @@ def test_rrf_absent_item_contributes_zero():
     by_id = {e.passage_id: e for e in fused.entries}
     assert by_id["A"].fused_score == pytest.approx(0.7 / 61)
     assert by_id["B"].fused_score == pytest.approx(0.3 / 61)
-    assert by_id["A"].ranks == {"cross": 1}
+    # A holds rank 1 in cross only: nothing else adds to its score.
+    assert by_id["A"].fused_score == 0.7 / (60.0 + 1)
 
 
 def test_rrf_tie_breaks_by_passage_id():
@@ -208,16 +214,14 @@ def test_rrf_brute_force_equivalence_seeded():
 
 def brute_force_rrf(rankings, weights, k):
     """Per id: the sum of w/(k + rank) over the rankings that list it, with
-    1-based ranks, and the rank it holds in each; ordered by score
-    descending, then id ascending."""
-    scores, ranks = {}, {}
+    1-based ranks; ordered by score descending, then id ascending."""
+    scores = {}
     for name, ids in rankings:
         for doc in ids:
             rank_in = ids.index(doc) + 1
             scores[doc] = scores.get(doc, 0.0) + weights[name] / (k + rank_in)
-            ranks.setdefault(doc, {})[name] = rank_in
     order = sorted(scores, key=lambda doc: (-scores[doc], doc))
-    return [(doc, scores[doc], ranks[doc]) for doc in order]
+    return [(doc, scores[doc]) for doc in order]
 
 
 RRF_IDS = st.lists(st.sampled_from([f"p{i}" for i in range(12)]), unique=True,
@@ -238,11 +242,9 @@ def test_rrf_matches_brute_force(rankings, weights, k):
         cfg_weights["one"] = 1.0
     fused = rrf_fuse(named, FusionConfig(k=k, weights=cfg_weights), query_id="q")
     expected = brute_force_rrf(named, cfg_weights, k)
-    assert [e.passage_id for e in fused.entries] == [doc for doc, _, _ in expected]
     # At most two addends per id, and IEEE addition commutes, so the sums
     # agree exactly whatever order either side adds in.
-    assert [(e.fused_score, e.ranks) for e in fused.entries] == \
-        [(value, ranks) for _, value, ranks in expected]
+    assert [(e.passage_id, e.fused_score) for e in fused.entries] == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,6 +258,14 @@ def test_rrf_matches_brute_force(rankings, weights, k):
 def test_rrf_of_one_ranking_keeps_its_order(ids, weight, k):
     fused = rrf_fuse([("one", ids)], FusionConfig(k=k, weights={"one": weight}))
     assert fused.ids() == ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.dictionaries(
+    st.sampled_from([f"p{i}" for i in range(12)]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-1e3, 1e3)))
+def test_order_by_score_sorts_score_down_then_id_up(scores):
+    assert order_by_score(scores) == sorted(scores, key=lambda pid: (-scores[pid], pid))
 
 
 def test_fusion_config_validation():
@@ -281,9 +291,8 @@ def test_for_scorers_prefers_cross():
 
 def test_fusion_without_weights_takes_the_default_split_at_its_k(
         fixture_corpus_path):
-    from memgrep.retrieve import grep_search
     corpus = read_corpus(fixture_corpus_path)
-    candidates = grep_search(corpus, term_set(("the", 2.0)))
+    candidates = grep_candidates(corpus, term_set(("the", 2.0)))
     query = "Where did Javier go hiking?"
 
     def noisy(query, items):
@@ -370,8 +379,7 @@ def test_scorer_handle_validation():
 
 
 def test_rank_single_scorer_keeps_its_raw_score_order(tiny_corpus):
-    from memgrep.retrieve import grep_search
-    candidates = grep_search(tiny_corpus, term_set(("the", 2.0)))
+    candidates = grep_candidates(tiny_corpus, term_set(("the", 2.0)))
     handle = ScorerHandle(name="lex")
     ranked, vectors = rank(candidates, "Melanie went hiking", tiny_corpus, [handle])
     assert [v.scorer_name for v in vectors] == ["lex"]
@@ -381,16 +389,14 @@ def test_rank_single_scorer_keeps_its_raw_score_order(tiny_corpus):
 
 
 def test_rank_single_scorer_rejects_weights_that_do_not_name_it(tiny_corpus):
-    from memgrep.retrieve import grep_search
-    candidates = grep_search(tiny_corpus, term_set(("the", 2.0)))
+    candidates = grep_candidates(tiny_corpus, term_set(("the", 2.0)))
     cfg = FusionConfig(weights={"other": 1.0})
     with pytest.raises(UnknownScorerError):
         rank(candidates, "Melanie went hiking", tiny_corpus, [ScorerHandle(name="lex")], cfg)
 
 
 def test_rank_rejects_weights_that_name_another_scorer(tiny_corpus):
-    from memgrep.retrieve import grep_search
-    candidates = grep_search(tiny_corpus, term_set(("the", 2.0)))
+    candidates = grep_candidates(tiny_corpus, term_set(("the", 2.0)))
     cfg = FusionConfig(weights={"lex": 0.7, "third": 0.3})
     with pytest.raises(UnknownScorerError, match="third") as raised:
         rank(candidates, "Melanie went hiking", tiny_corpus,
@@ -399,8 +405,7 @@ def test_rank_rejects_weights_that_name_another_scorer(tiny_corpus):
 
 
 def test_rank_two_scorers_concurrent_equals_sequential(tiny_corpus):
-    from memgrep.retrieve import grep_search
-    candidates = grep_search(tiny_corpus, term_set(("the", 2.0)))
+    candidates = grep_candidates(tiny_corpus, term_set(("the", 2.0)))
 
     def noisy(query, items):
         return [math.sin(len(item)) for item in items]
@@ -419,8 +424,7 @@ def test_rank_two_scorers_concurrent_equals_sequential(tiny_corpus):
 
 
 def test_rank_rejects_duplicate_scorer_names(tiny_corpus):
-    from memgrep.retrieve import grep_search
-    candidates = grep_search(tiny_corpus, term_set(("the", 2.0)))
+    candidates = grep_candidates(tiny_corpus, term_set(("the", 2.0)))
     handles = [ScorerHandle(name="lex"), ScorerHandle(name="lex")]
     with pytest.raises(ValueError):
         rank(candidates, "q", tiny_corpus, handles)

@@ -20,7 +20,7 @@ from memgrep.retrieve import (
     semantic_fallback,
 )
 
-from conftest import fixture_path, make_corpus
+from conftest import fixture_path, grep_candidates, make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -40,39 +40,36 @@ def test_grep_or_scores_sum_of_matched_weights():
         "alpha only here",
         "nothing relevant",
     ])
-    result = grep_search(corpus, term_set(("alpha", 2.0), ("beta", 1.0)))
+    hits = grep_search(corpus, term_set(("alpha", 2.0), ("beta", 1.0)))
+    assert hits == {0: [("alpha", 2.0), ("beta", 1.0)], 1: [("alpha", 2.0)]}
+    result = grep_candidates(corpus, term_set(("alpha", 2.0), ("beta", 1.0)))
     assert [c.passage_id for c in result.candidates] == ["s:0", "s:1"]
     assert result.candidates[0].match_score == 3.0
     assert result.candidates[1].match_score == 2.0
-    assert result.candidates[0].matched_terms == (("alpha", 2.0), ("beta", 1.0))
-    assert result.candidates[1].matched_terms == (("alpha", 2.0),)
-    assert result.hops_executed == 1
 
 
 def test_grep_is_case_insensitive_substring():
     corpus = make_corpus(["We met Gina's manager.", "Regina arrived late."])
-    result = grep_search(corpus, term_set(("gina", 4.0)))
+    hits = grep_search(corpus, term_set(("gina", 4.0)))
     # Substring semantics: "Regina" contains "gina".
-    assert {c.passage_id for c in result.candidates} == {"s:0", "s:1"}
+    assert set(hits) == {0, 1}
 
 
 def test_grep_and_requires_every_term():
     corpus = make_corpus(["alpha beta", "alpha", "beta"])
-    result = grep_search(corpus, term_set(("alpha", 1.0), ("beta", 1.0)), mode="AND")
-    assert [c.passage_id for c in result.candidates] == ["s:0"]
-    assert result.candidates[0].match_score == 2.0
+    hits = grep_search(corpus, term_set(("alpha", 1.0), ("beta", 1.0)), mode="AND")
+    assert hits == {0: [("alpha", 1.0), ("beta", 1.0)]}
 
 
 def test_grep_tie_breaks_by_passage_id():
     corpus = make_corpus(["same word", "same word", "same word"])
-    result = grep_search(corpus, term_set(("word", 2.0)))
+    result = grep_candidates(corpus, term_set(("word", 2.0)))
     assert [c.passage_id for c in result.candidates] == ["s:0", "s:1", "s:2"]
 
 
 def test_grep_repeated_occurrences_count_once():
     corpus = make_corpus(["echo echo echo echo"])
-    result = grep_search(corpus, term_set(("echo", 2.0)))
-    assert result.candidates[0].match_score == 2.0
+    assert grep_search(corpus, term_set(("echo", 2.0))) == {0: [("echo", 2.0)]}
 
 
 def test_grep_empty_terms_rejected(tiny_corpus):
@@ -134,10 +131,9 @@ def test_grep_matches_brute_force_reference(case, mode):
          for surface, (provenance, weight) in pairs],
         query_text="q",
     )
-    result = grep_search(corpus, terms, mode, hop=2)
+    result = grep_candidates(corpus, terms, mode)
     got = [(c.passage_id, c.matched_terms, c.match_score) for c in result.candidates]
     assert got == reference_grep(corpus, terms, mode)
-    assert all(c.hop == 2 for c in result.candidates)
 
 
 # Capitalised names mid-sentence are entities to the rule annotator, so the
@@ -209,7 +205,8 @@ def test_retrieve_matches_per_hop_reference(tagger, texts, query, max_hops, prf,
 
 def test_entity_expansion_emits_new_terms(tagger):
     corpus = make_corpus(["She went hiking with Dr. Chen back then."])
-    prior = grep_search(corpus, term_set(("hiking", 2.0), query_text="Who did Melanie hike with?"))
+    prior = grep_candidates(corpus, term_set(("hiking", 2.0),
+                                             query_text="Who did Melanie hike with?"))
     new_terms = entity_expansion_hop(
         prior, term_set(("hiking", 2.0), ("Melanie", 4.0),
                         query_text="Who did Melanie hike with?"),
@@ -222,8 +219,8 @@ def test_entity_expansion_emits_new_terms(tagger):
 
 def test_entity_expansion_skips_terms_already_in_query(tagger):
     corpus = make_corpus(["Melanie talked about Seattle."])
-    prior = grep_search(corpus, term_set(("talked", 1.0),
-                                         query_text="what did Melanie say about Seattle"))
+    prior = grep_candidates(corpus, term_set(("talked", 1.0),
+                                             query_text="what did Melanie say about Seattle"))
     new_terms = entity_expansion_hop(
         prior,
         term_set(("talked", 1.0), ("Melanie", 4.0), ("Seattle", 4.0),
@@ -408,3 +405,9 @@ def test_retrieve_config_validation():
         RetrieveConfig(max_hops=0)
     with pytest.raises(ValueError):
         RetrieveConfig(prf_min_doc_freq=0)
+    # Expansion reads the first N of the candidate order; a negative N has no
+    # such reading.
+    with pytest.raises(ValueError):
+        RetrieveConfig(entity_hop_source_top_m=-1)
+    with pytest.raises(ValueError):
+        RetrieveConfig(prf_source_top_n=-1)

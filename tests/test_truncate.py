@@ -33,7 +33,7 @@ def passage(pid, text, speaker="A", timestamp=None):
 
 def ranked_list(*ids):
     entries = tuple(
-        RankedEntry(passage_id=pid, fused_score=-float(i), ranks={})
+        RankedEntry(passage_id=pid, fused_score=-float(i))
         for i, pid in enumerate(ids)
     )
     return RankedList(entries=entries, query_id="q")
