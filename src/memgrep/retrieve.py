@@ -235,15 +235,13 @@ def semantic_fallback(
     """
     if dense_scorer is None:
         raise ScorerUnavailableError("no dense scorer configured")
-    passages = list(corpus)
+    passages = corpus.passages
     scores = dense_scorer.score(query, [p.text for p in passages])
-    ranked = sorted(
-        zip(passages, scores), key=lambda pair: (-pair[1], pair[0].id)
-    )[:top_n]
+    by_position = dict(enumerate(scores))
     candidates = tuple(
-        Candidate(passage_id=p.id, match_score=float(s), matched_terms=(),
-                  hop=hop)
-        for p, s in ranked
+        Candidate(passage_id=passages[i].id, match_score=float(by_position[i]),
+                  matched_terms=(), hop=hop)
+        for i in candidate_order(corpus, by_position, top_n)
     )
     return CandidateSet(candidates=candidates, query_id=query_id_for(query),
                         hops_executed=0)
@@ -300,7 +298,9 @@ def retrieve(
         fold(grep_search(corpus, terms, cfg.mode), 0)
         hops = 1
 
-        while cfg.entity_hop_enabled and scores and hops < cfg.max_hops:
+        # A top-m of 0 mines no passage, so it ends the loop like an empty hop.
+        while (cfg.entity_hop_enabled and cfg.entity_hop_source_top_m and scores
+               and hops < cfg.max_hops):
             prior = CandidateSet(candidates(cfg.entity_hop_source_top_m), qid, hops)
             new_terms = entity_expansion_hop(
                 prior, terms, corpus, annotator,

@@ -25,8 +25,6 @@ from memgrep.rank import ScorerHandle
 from memgrep.truncate import TruncationConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-sys.path.insert(0, str(BENCH))
-import synth  # noqa: E402
 
 SEED = 7
 DENSE_QUESTIONS = 40
@@ -49,6 +47,12 @@ GOLDEN = {
 
 
 def _workload(name, out):
+    # bench/ goes on the import path only while its generator is imported.
+    sys.path.insert(0, str(BENCH))
+    try:
+        import synth
+    finally:
+        sys.path.remove(str(BENCH))
     synth.write_workload(name, SEED, out)
     corpus = read_corpus(out / "corpus.jsonl")
     return corpus, load_questions(out / "questions.json", corpus)

@@ -65,54 +65,26 @@ def brute_force_lexical(query, text):
 QUERY_WORDS = ["Melanie", "melanie", "Javier", "hiking", "Hiking", "trails",
                "went", "the", "of", "Mount", "Rainier", "baked", "İstanbul",
                "Straße", "Dr.", "Harvest", "Festival"]
+# test_retrieve.py's case-folding traps: "İ" lowers to two code points,
+# "Σ" to "σ" or final "ς", and "ß" stays "ß".
+FOLDING_ALPHABET = "aAbBiIİ\u0307ΣσςßsS \x00\n"
 TEXT_WORDS = st.sampled_from(QUERY_WORDS + ["MELANIE", "istanbul", "STRASSE"]) \
     | st.text(alphabet="abİıßΣσς\t\n ", min_size=1, max_size=6)
+TEXTS = st.lists(TEXT_WORDS, max_size=8).map(" ".join) \
+    | st.text(FOLDING_ALPHABET, max_size=24) \
+    | st.text(" \t\n\r\x0b\x0c\u3000", max_size=4)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     query=st.lists(st.sampled_from(QUERY_WORDS), min_size=1, max_size=5)
-    .map(" ".join),
-    texts=st.lists(st.lists(TEXT_WORDS, max_size=8).map(" ".join), max_size=5),
+    .map(" ".join)
+    | st.text(FOLDING_ALPHABET, min_size=1, max_size=16).filter(str.strip),
+    texts=st.lists(TEXTS, max_size=8),
 )
 def test_lexical_scorer_matches_brute_force(query, texts):
     assert LexicalDenseScorer().score(query, texts) == [
         brute_force_lexical(query, text) for text in texts
-    ]
-
-
-@pytest.fixture(scope="module")
-def tagger():
-    return RuleAnnotator()
-
-
-# test_retrieve.py's case-folding traps: "İ" lowers to two code points,
-# "Σ" to "σ" or final "ς", and "ß" stays "ß".
-FOLDING_ALPHABET = "aAbBiIİ\u0307ΣσςßsS \x00\n"
-
-
-def per_text_lexical(terms, text):
-    """The lexical score of one text: the weight of every parsed query term
-    whose lowercased surface occurs in the lowercased text, minus 0.001 per
-    whitespace-separated word."""
-    lowered = text.lower()
-    return sum(t.weight for t in terms if t.surface.lower() in lowered) \
-        - 0.001 * len(text.split())
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(
-    query=st.text(FOLDING_ALPHABET, min_size=1, max_size=16).filter(str.strip),
-    texts=st.lists(st.text(FOLDING_ALPHABET, max_size=24)
-                   | st.text(" \t\n\r\x0b\x0c\u3000", max_size=4), max_size=8),
-)
-def test_lexical_scorer_equals_per_text_reference(tagger, query, texts):
-    try:
-        terms = parse_query(query, tagger).terms
-    except EmptyTermSetError:
-        terms = ()
-    assert LexicalDenseScorer(tagger).score(query, texts) == [
-        per_text_lexical(terms, text) for text in texts
     ]
 
 

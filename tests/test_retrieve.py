@@ -189,13 +189,13 @@ def reference_retrieve(query, corpus, cfg, annotator):
        query=st.lists(st.sampled_from(_NAMES + _NOUNS), min_size=1, max_size=3)
        .map(lambda ws: "What did " + " ".join(ws) + " do?"),
        max_hops=st.integers(1, 3), prf=st.booleans(),
-       mode=st.sampled_from(["OR", "AND"]), top=st.integers(1, 4),
-       min_doc_freq=st.integers(1, 2))
+       mode=st.sampled_from(["OR", "AND"]), top_m=st.integers(0, 4),
+       top_n=st.integers(1, 4), min_doc_freq=st.integers(1, 2))
 def test_retrieve_matches_per_hop_reference(tagger, texts, query, max_hops, prf,
-                                            mode, top, min_doc_freq):
+                                            mode, top_m, top_n, min_doc_freq):
     corpus = make_corpus(texts)
     cfg = RetrieveConfig(mode=mode, max_hops=max_hops, prf_enabled=prf,
-                         entity_hop_source_top_m=top, prf_source_top_n=top,
+                         entity_hop_source_top_m=top_m, prf_source_top_n=top_n,
                          prf_min_doc_freq=min_doc_freq, fallback_enabled=False)
     result = retrieve(query, corpus, cfg, annotator=tagger)
     candidates, hops = reference_retrieve(query, corpus, cfg, tagger)
@@ -324,6 +324,19 @@ def test_retrieve_expansion_disabled_misses_bridge(tagger, fixture_corpus_path):
     ids = set(result.ids())
     assert "s1:5" in ids
     assert "s1:7" not in ids
+    assert result.hops_executed == 1
+
+
+def test_retrieve_top_m_zero_mines_no_entities(tagger, fixture_corpus_path):
+    # Entity hops read the first top-m candidates; none read means no hop.
+    corpus = read_corpus(fixture_corpus_path)
+    query = "What job does Gina have now?"
+    result = retrieve(query, corpus, RetrieveConfig(entity_hop_source_top_m=0,
+                                                    prf_enabled=False),
+                      annotator=tagger)
+    assert result.candidates == retrieve(
+        query, corpus, RetrieveConfig(max_hops=1, prf_enabled=False),
+        annotator=tagger).candidates
     assert result.hops_executed == 1
 
 
