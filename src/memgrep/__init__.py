@@ -32,7 +32,6 @@ from .errors import (
     EmptyTermSetError,
     MalformedDocumentError,
     MemgrepError,
-    MissingScoreError,
     PartialResponseError,
     ScorerUnavailableError,
     UnknownScorerError,
@@ -60,6 +59,7 @@ from .service import ReferenceServer, ServiceClient, parse_endpoint
 from .truncate import (
     Context,
     TruncationConfig,
+    estimate_tokens,
     render_context,
     truncate_adaptive,
     truncate_fixed,
@@ -84,7 +84,6 @@ __all__ = [
     "MalformedDocumentError",
     "MemgrepError",
     "MetricsReport",
-    "MissingScoreError",
     "OracleTrace",
     "PartialResponseError",
     "Passage",
@@ -108,6 +107,7 @@ __all__ = [
     "build_matrix",
     "candidate_order",
     "derive_trace",
+    "estimate_tokens",
     "grep_search",
     "ingest",
     "load_questions",

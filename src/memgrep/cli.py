@@ -41,6 +41,7 @@ from .evaluate import (
     read_matrix,
     render_sweep_text,
     run_question,
+    simulate_cell,
     simulate_truncation,
     sweep_to_json,
 )
@@ -337,14 +338,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         retrieve_cfg=cfg.retrieve, annotator=annotator, dense_scorer=dense,
         fusion_cfg=cfg.fusion,
     )
-    trunc = cfg.truncation
-    if trunc.strategy == "fixed":
-        cells = simulate_truncation(matrix, budgets=[trunc.word_budget],
-                                    alphas=[], top_k=trunc.top_k)
-    else:
-        cells = simulate_truncation(matrix, budgets=[], alphas=[trunc.alpha],
-                                    top_k=trunc.top_k, ceiling=trunc.word_budget)
-    truncation = asdict(cells[0])
+    truncation = asdict(simulate_cell(matrix, cfg.truncation))
     del truncation["per_question"]
     report = {
         "corpus_checksum": matrix.corpus_checksum,

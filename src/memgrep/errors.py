@@ -43,10 +43,6 @@ class UnknownScorerError(MemgrepError):
     """A ranking names a scorer missing from the fusion weight table."""
 
 
-class MissingScoreError(MemgrepError):
-    """A ranked passage has no entry in the supplied score vector."""
-
-
 class IncompleteMatrixError(MemgrepError):
     """A score matrix record lacks data the simulator needs."""
 

@@ -3,18 +3,28 @@
 A ScoreMatrix freezes everything the truncation stage consumes (candidate
 order, cross scores, match scores, per-passage word and render lengths) into
 one JSONL artifact keyed by corpus checksum. Sweeping budgets and alphas then
-replays the exact truncation code from truncate.py over stored numbers, with
-no scorer calls, so a whole grid costs milliseconds and simulated cells agree
-with live runs by construction.
+replays truncation over stored numbers, with no scorer calls, so a whole grid
+costs milliseconds.
+
+Every cut goes through `cut`, the one place that picks a strategy: a live
+run hands it its ranking's stats, computed only as the cut reads them, and
+the simulator, each sweep cell and eval hand it a matrix record's stored
+stats, so simulated cells agree with live runs by construction. `cut` calls
+truncate_fixed and truncate_adaptive through this module's globals, so a
+wrapper set on memgrep.evaluate (the benchmark's tracer sets one) sees
+every cut.
 
 Records are complete by construction: build_matrix fills every table from
 the candidates it ranked, and read_matrix rejects a line that lacks any
-entry, naming file:line. The simulator trusts the records it is given.
+entry or holds a score or count that is not a finite number, naming
+file:line. The simulator trusts the records it is given.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterator
@@ -32,14 +42,13 @@ from .rank import (
 )
 from .retrieve import CandidateSet, RetrieveConfig, retrieve
 from .truncate import (
+    DEFAULT_TOP_K,
     Context,
     PassageStats,
+    RankedStats,
     TruncationConfig,
-    adaptive_over_stats,
-    fixed_over_stats,
     render_context,
     stats_for,
-    tokens_from_stats,
     truncate_adaptive,
     truncate_fixed,
 )
@@ -99,6 +108,15 @@ def _first_gold_rank(ordered_ids, gold: frozenset[str]) -> int | None:
 
 # --- pipeline glue shared with the CLI ---
 
+def cut(stats: Sequence[PassageStats], cross: Mapping[str, float],
+        cfg: TruncationConfig) -> Context:
+    """Cut stats in rank order to cfg's budget with cfg's strategy; `cross`
+    maps each passage the adaptive cut reads to its cross score."""
+    if cfg.strategy == "adaptive":
+        return truncate_adaptive(stats, cross, cfg)
+    return truncate_fixed(stats, cfg.word_budget)
+
+
 _EMPTY_CONTEXT = Context(passage_ids=(), word_count=0, estimated_tokens=0,
                          pruned_by_threshold=0, pruned_by_budget=0)
 
@@ -145,10 +163,7 @@ def run_question(
     ranked, vectors = rank(candidates, query, corpus, scorers, fusion_cfg,
                            annotator=annotator)
     cross = vectors[primary_index(scorers)]
-    if trunc_cfg.strategy == "adaptive":
-        context = truncate_adaptive(ranked, cross, corpus, trunc_cfg)
-    else:
-        context = truncate_fixed(ranked, corpus, trunc_cfg.word_budget)
+    context = cut(RankedStats(ranked.ids(), corpus), cross.scores, trunc_cfg)
     rendered = render_context(context.passage_ids, corpus)
     return QuestionRun(
         question_id=qid, query=query, candidates=candidates,
@@ -288,7 +303,7 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
                 gold_ids=_id_set(rec, "gold"),
                 missing_gold=_id_set(rec, "missing"),
             ))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise IncompleteMatrixError(
                 f"{path}:{lineno}: missing or invalid field: {exc}"
             ) from exc
@@ -325,17 +340,18 @@ def _id_set(rec: dict, name: str) -> frozenset[str]:
 
 
 def _entries(rec: dict, name: str, ids: list, count: bool = False) -> list:
-    """The line's `name` table entry for each candidate id, in order; with
-    count set, every entry must be an int (a bool is not)."""
+    """The line's `name` table entry for each candidate id, in order. Every
+    entry must be a finite int or float, and with count set an int; a bool
+    is neither."""
     table = rec[name]
     try:
         values = [table[pid] for pid in ids]
     except KeyError as exc:
         raise ValueError(f"no {name} entry for {exc.args[0]}") from None
-    if count:
-        for pid, value in zip(ids, values):
-            if type(value) is not int:
-                raise ValueError(f"{name} entry for {pid} is not an int: {value!r}")
+    kinds, kind = ((int,), "an int") if count else ((int, float), "a finite number")
+    for pid, value in zip(ids, values):
+        if type(value) not in kinds or not math.isfinite(value):
+            raise ValueError(f"{name} entry for {pid} is not {kind}: {value!r}")
     return values
 
 
@@ -368,33 +384,27 @@ def simulate_truncation(
     matrix: ScoreMatrix,
     budgets: list[int],
     alphas: list[float],
-    top_k: int = 60,
+    top_k: int = DEFAULT_TOP_K,
     ceiling: int | None = None,
 ) -> list[MetricsReport]:
     """One MetricsReport per grid cell: fixed x budgets, adaptive x alphas.
 
     Adaptive cells run at `ceiling` (default: the largest budget in the
-    sweep). No scorers are consulted; the stored matrix is the whole input.
+    sweep). Each cell is a TruncationConfig, so a non-positive budget or an
+    alpha outside [0, 1) is a ValueError. No scorers are consulted; the
+    stored matrix is the whole input.
     """
     if alphas and ceiling is None:
         if not budgets:
             raise ValueError("adaptive cells need a ceiling or a budget grid")
         ceiling = max(budgets)
-    cells = []
-    for budget in budgets:
-        cells.append(_simulate_cell(matrix, "fixed", budget, None, top_k))
-    for alpha in alphas:
-        cells.append(_simulate_cell(matrix, "adaptive", ceiling, alpha, top_k))
-    return cells
+    cells = [TruncationConfig("fixed", budget, top_k=top_k) for budget in budgets]
+    cells += [TruncationConfig("adaptive", ceiling, alpha, top_k) for alpha in alphas]
+    return [simulate_cell(matrix, cell) for cell in cells]
 
 
-def _simulate_cell(
-    matrix: ScoreMatrix,
-    strategy: str,
-    budget: int,
-    alpha: float | None,
-    top_k: int,
-) -> MetricsReport:
+def simulate_cell(matrix: ScoreMatrix, cfg: TruncationConfig) -> MetricsReport:
+    """Cut every record of the matrix with cfg and aggregate the recall."""
     per_question = []
     covered_total = 0
     gold_total = 0
@@ -403,8 +413,8 @@ def _simulate_cell(
     misses = 0
     empty_gold = 0
     for rec in matrix.records:
-        included_ids, tokens = simulate_question(rec, strategy, budget, alpha,
-                                                 top_k)
+        context = cut(rec.stats, rec.cross_scores, cfg)
+        included_ids, tokens = context.passage_ids, context.estimated_tokens
         tokens_all.append(tokens)
         if not rec.gold_ids:
             empty_gold += 1
@@ -430,9 +440,9 @@ def _simulate_cell(
             included_passages=len(included_ids),
         ))
     return MetricsReport(
-        strategy=strategy,
-        budget=budget,
-        alpha=alpha,
+        strategy=cfg.strategy,
+        budget=cfg.word_budget,
+        alpha=cfg.applied_alpha,
         budget_recall=(covered_total / gold_total) if gold_total else 0.0,
         macro_recall=(sum(recalls) / len(recalls)) if recalls else 0.0,
         avg_tokens=(sum(tokens_all) / len(tokens_all)) if tokens_all else 0.0,
@@ -450,22 +460,14 @@ def simulate_question(
     alpha: float | None,
     top_k: int,
 ) -> tuple[tuple[str, ...], int]:
-    """Replay truncation for one question from stored stats.
+    """Replay truncation for one question from stored stats, through the
+    same cut a live run makes; an alpha of None is 0.
 
-    Returns (included passage ids in rank order, token estimate). Calls the
-    same core functions the live path uses.
+    Returns (included passage ids in rank order, token estimate).
     """
-    stats = rec.stats
-    if strategy == "fixed":
-        included, _, _ = fixed_over_stats(stats, budget)
-    elif strategy == "adaptive":
-        cfg = TruncationConfig(strategy="adaptive", word_budget=budget,
-                               alpha=alpha if alpha is not None else 0.0,
-                               top_k=top_k)
-        included, _, _, _ = adaptive_over_stats(stats, rec.cross_scores, cfg)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return tuple(s.passage_id for s in included), tokens_from_stats(included)
+    cfg = TruncationConfig(strategy, budget, 0.0 if alpha is None else alpha, top_k)
+    context = cut(rec.stats, rec.cross_scores, cfg)
+    return context.passage_ids, context.estimated_tokens
 
 
 # --- ranking effect ---

@@ -142,12 +142,10 @@ def candidate_order(corpus: Corpus, scores: dict[int, float],
 # --- expansion hops ---
 
 def entity_expansion_hop(
-    prior: CandidateSet,
+    ranked_top: list[Passage],
     original_terms: WeightedTermSet,
-    corpus: Corpus,
     annotator: Annotator,
     *,
-    top_m: int = 10,
     exclude: frozenset[str] = frozenset(),
 ) -> WeightedTermSet:
     """Mine the current top passages for entities worth a follow-up grep.
@@ -156,14 +154,13 @@ def entity_expansion_hop(
     insensitive) and surfaces in `exclude` (already searched on an earlier
     hop) are dropped; an empty result means the hop loop is done.
     """
-    if not prior.candidates:
-        raise ValueError("prior candidate set must be non-empty")
+    if not ranked_top:
+        raise ValueError("ranked_top must be non-empty")
     query_low = original_terms.query_text.lower()
     known = set(original_terms.surfaces_lower()) | set(exclude)
     terms: list[WeightedTerm] = []
     seen: set[str] = set()
-    for candidate in prior.candidates[:top_m]:
-        passage = corpus.get(candidate.passage_id)
+    for passage in ranked_top:
         for mention in annotator.extract_entities(passage.text):
             low = mention.surface.lower()
             if low in seen or low in known or low in query_low:
@@ -282,10 +279,6 @@ def retrieve(
             scores[i] = score
             best[i] = hits[i]
 
-    def candidates(top: int | None = None) -> tuple[Candidate, ...]:
-        return tuple(Candidate(passages[i].id, scores[i], tuple(best[i]), first_hop[i])
-                     for i in candidate_order(corpus, scores, top))
-
     hops = 0
     terms: WeightedTermSet | None = None
     try:
@@ -301,12 +294,10 @@ def retrieve(
         # A top-m of 0 mines no passage, so it ends the loop like an empty hop.
         while (cfg.entity_hop_enabled and cfg.entity_hop_source_top_m and scores
                and hops < cfg.max_hops):
-            prior = CandidateSet(candidates(cfg.entity_hop_source_top_m), qid, hops)
-            new_terms = entity_expansion_hop(
-                prior, terms, corpus, annotator,
-                top_m=cfg.entity_hop_source_top_m,
-                exclude=frozenset(searched),
-            )
+            top = [passages[i] for i in candidate_order(corpus, scores,
+                                                        cfg.entity_hop_source_top_m)]
+            new_terms = entity_expansion_hop(top, terms, annotator,
+                                             exclude=frozenset(searched))
             if not new_terms.terms:
                 break
             searched.update(new_terms.surfaces_lower())
@@ -325,7 +316,9 @@ def retrieve(
                 fold(grep_search(corpus, prf_terms, "OR"), hops)
 
     if scores:
-        return CandidateSet(candidates(), qid, hops, tuple(warnings))
+        found = tuple(Candidate(passages[i].id, scores[i], tuple(best[i]), first_hop[i])
+                      for i in candidate_order(corpus, scores))
+        return CandidateSet(found, qid, hops, tuple(warnings))
     if cfg.fallback_enabled and dense_scorer is not None:
         try:
             fallback = semantic_fallback(query, corpus, dense_scorer, hop=hops)

@@ -6,20 +6,21 @@ the rest). Adaptive: pre-select the top-K by fused score, prune everything
 whose cross score falls below tau = alpha * max cross score, then apply the
 fixed walk at a ceiling budget.
 
-Both strategies run through the same stats-level core functions, and the
-offline simulator in evaluate.py calls those same functions with stored
-numbers, so simulated and live contexts cannot drift apart.
+truncate_fixed and truncate_adaptive are the only truncation code. Both take
+passage stats in rank order. A live run passes RankedStats, which computes a
+passage's stats only when the cut reads it, so an adaptive cut pays for its
+top K and not for every ranked candidate; the offline simulator in
+evaluate.py passes the stats stored in a score matrix. Simulated and live
+contexts therefore come out of the same code.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, replace
 
 from .corpus import Corpus, Passage
-from .errors import MissingScoreError
-from .rank import RankedList, ScoreVector
 
 DEFAULT_FIXED_BUDGET = 2000
 DEFAULT_ADAPTIVE_CEILING = 4000
@@ -50,6 +51,11 @@ class TruncationConfig:
             raise ValueError("alpha must lie in [0, 1)")
         if self.top_k <= 0:
             raise ValueError("top_k must be positive")
+
+    @property
+    def applied_alpha(self) -> float | None:
+        """The threshold fraction the cut applies; a fixed cut applies none."""
+        return self.alpha if self.strategy == "adaptive" else None
 
 
 @dataclass(frozen=True)
@@ -112,12 +118,27 @@ def tokens_from_stats(included: list[PassageStats]) -> int:
     return math.ceil(total / CHARS_PER_TOKEN)
 
 
-# --- stats-level cores (shared with the offline simulator) ---
+class RankedStats(Sequence[PassageStats]):
+    """The stats of ranked passages, in rank order, each computed from the
+    corpus only when read. Its length is the number of ranked passages."""
 
-def fixed_over_stats(
-    stats: Sequence[PassageStats], budget_words: int
-) -> tuple[list[PassageStats], int, int]:
-    """Greedy skip-and-continue walk. Returns (included, words, pruned)."""
+    def __init__(self, ids: Sequence[str], corpus: Corpus) -> None:
+        self._ids = ids
+        self._corpus = corpus
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [stats_for(self._corpus.get(pid)) for pid in self._ids[index]]
+        return stats_for(self._corpus.get(self._ids[index]))
+
+
+# --- the two strategies ---
+
+def truncate_fixed(stats: Sequence[PassageStats], budget_words: int) -> Context:
+    """Greedy skip-and-continue walk over stats in rank order."""
     included: list[PassageStats] = []
     total = 0
     pruned = 0
@@ -127,18 +148,24 @@ def fixed_over_stats(
             total += stat.word_count
         else:
             pruned += 1
-    return included, total, pruned
+    return Context(
+        passage_ids=tuple(s.passage_id for s in included),
+        word_count=total,
+        estimated_tokens=tokens_from_stats(included),
+        pruned_by_threshold=0,
+        pruned_by_budget=pruned,
+    )
 
 
-def adaptive_over_stats(
+def truncate_adaptive(
     stats: Sequence[PassageStats],
-    cross: dict[str, float],
+    cross: Mapping[str, float],
     cfg: TruncationConfig,
-) -> tuple[list[PassageStats], int, int, int]:
-    """Top-K cut, threshold prune, budget walk.
+) -> Context:
+    """Top-K cut, threshold prune, budget walk at cfg.word_budget.
 
-    Returns (included, words, pruned_by_threshold, pruned_by_budget). The
-    threshold is skipped when alpha is 0 or the max cross score is
+    Only the top K stats are read, and `cross` needs an entry for each of
+    them. The threshold is skipped when alpha is 0 or the max cross score is
     non-positive: a fraction of a negative maximum would invert the pruning
     direction.
     """
@@ -151,57 +178,5 @@ def adaptive_over_stats(
             surviving = [s for s in kept if cross[s.passage_id] >= tau]
             pruned_threshold = len(kept) - len(surviving)
             kept = surviving
-    included, total, pruned_budget = fixed_over_stats(kept, cfg.word_budget)
-    return included, total, pruned_threshold, pruned_budget
-
-
-# --- live entry points ---
-
-def truncate_fixed(
-    ranked: RankedList,
-    corpus: Corpus,
-    budget_words: int = DEFAULT_FIXED_BUDGET,
-) -> Context:
-    if budget_words <= 0:
-        raise ValueError("budget_words must be positive")
-    stats = [stats_for(corpus.get(pid)) for pid in ranked.ids()]
-    included, total, pruned = fixed_over_stats(stats, budget_words)
-    return _context(included, total, 0, pruned)
-
-
-def truncate_adaptive(
-    ranked: RankedList,
-    cross_scores: ScoreVector,
-    corpus: Corpus,
-    cfg: TruncationConfig | None = None,
-) -> Context:
-    if cfg is None:
-        cfg = TruncationConfig(strategy="adaptive")
-    if cfg.strategy != "adaptive":
-        raise ValueError("truncate_adaptive requires an adaptive config")
-    missing = [pid for pid in ranked.ids() if pid not in cross_scores.scores]
-    if missing:
-        raise MissingScoreError(
-            f"no cross score for ranked passages: {', '.join(missing)}"
-        )
-    # adaptive_over_stats reads only the top K; stats for the rest go unused.
-    stats = [stats_for(corpus.get(pid)) for pid in ranked.ids()[:cfg.top_k]]
-    included, total, pruned_threshold, pruned_budget = adaptive_over_stats(
-        stats, cross_scores.scores, cfg
-    )
-    return _context(included, total, pruned_threshold, pruned_budget)
-
-
-def _context(
-    included: list[PassageStats],
-    total_words: int,
-    pruned_threshold: int,
-    pruned_budget: int,
-) -> Context:
-    return Context(
-        passage_ids=tuple(s.passage_id for s in included),
-        word_count=total_words,
-        estimated_tokens=tokens_from_stats(included),
-        pruned_by_threshold=pruned_threshold,
-        pruned_by_budget=pruned_budget,
-    )
+    return replace(truncate_fixed(kept, cfg.word_budget),
+                   pruned_by_threshold=pruned_threshold)

@@ -31,16 +31,13 @@ from memgrep.oracle import derive_trace
 from memgrep.parse import parse_query
 from memgrep.rank import (
     FusionConfig,
-    RankedEntry,
-    RankedList,
     ScorerHandle,
-    ScoreVector,
     rank,
     rrf_fuse,
 )
 from memgrep.retrieve import Candidate, CandidateSet, RetrieveConfig, retrieve
 from memgrep.service import ReferenceServer
-from memgrep.truncate import TruncationConfig, truncate_adaptive, truncate_fixed
+from memgrep.truncate import RankedStats, TruncationConfig, truncate_adaptive, truncate_fixed
 
 from conftest import fixture_path, make_corpus
 
@@ -139,34 +136,30 @@ def test_criterion_3_rrf_spot_values():
 ALPHA_GRID = (0.0, 0.01, 0.03, 0.05, 0.1)
 
 
-def _ranked_instance(rng, n, word_counts):
+def _ranked_instance(word_counts):
+    """The stats of passages of the given word counts, ranked in corpus
+    order, as a live run hands them to the cut; and their ids."""
     texts = [" ".join(["word"] * count) + "." for count in word_counts]
     corpus = make_corpus(texts)
     pids = [p.id for p in corpus]
-    entries = tuple(
-        RankedEntry(passage_id=pid, fused_score=float(n - i))
-        for i, pid in enumerate(pids)
-    )
-    return corpus, RankedList(entries=entries, query_id="acc4"), pids
+    return RankedStats(pids, corpus), pids
 
 
 def test_criterion_4_alpha_monotonicity():
     for seed in range(100):
         rng = random.Random(4100 + seed)
         n = rng.randint(1, 30)
-        corpus, ranked, pids = _ranked_instance(
-            rng, n, [rng.randint(1, 40) for _ in range(n)]
-        )
+        stats, pids = _ranked_instance([rng.randint(1, 40) for _ in range(n)])
         values = sorted((rng.uniform(0.1, 10.0) for _ in range(n)),
                         reverse=True)
-        cross = ScoreVector(scorer_name="cross", scores=dict(zip(pids, values)))
+        cross = dict(zip(pids, values))
         budget = rng.randint(5, 600)
         top_k = rng.randint(1, n)
         previous = None
         for alpha in ALPHA_GRID:
             cfg = TruncationConfig(strategy="adaptive", word_budget=budget,
                                    alpha=alpha, top_k=top_k)
-            kept = set(truncate_adaptive(ranked, cross, corpus, cfg).passage_ids)
+            kept = set(truncate_adaptive(stats, cross, cfg).passage_ids)
             if previous is not None:
                 assert kept <= previous, f"seed {seed} alpha {alpha}"
             previous = kept
@@ -177,12 +170,12 @@ def test_criterion_4_budget_monotonicity():
         rng = random.Random(4200 + seed)
         n = rng.randint(1, 30)
         width = rng.randint(1, 30)
-        corpus, ranked, pids = _ranked_instance(rng, n, [width] * n)
+        stats, pids = _ranked_instance([width] * n)
         gold = set(rng.sample(pids, rng.randint(1, n)))
         previous_ids: set = set()
         previous_covered = -1
         for budget in sorted(rng.sample(range(1, 901), 4)):
-            ids = set(truncate_fixed(ranked, corpus, budget).passage_ids)
+            ids = set(truncate_fixed(stats, budget).passage_ids)
             covered = len(ids & gold)
             assert previous_ids <= ids, f"seed {seed} budget {budget}"
             assert covered >= previous_covered
@@ -193,21 +186,14 @@ def test_criterion_4_alpha_zero_equals_fixed_on_prefix():
     for seed in range(100):
         rng = random.Random(4300 + seed)
         n = rng.randint(1, 30)
-        corpus, ranked, pids = _ranked_instance(
-            rng, n, [rng.randint(1, 40) for _ in range(n)]
-        )
-        cross = ScoreVector(
-            scorer_name="cross",
-            scores={pid: rng.uniform(-5.0, 10.0) for pid in pids},
-        )
+        stats, pids = _ranked_instance([rng.randint(1, 40) for _ in range(n)])
+        cross = {pid: rng.uniform(-5.0, 10.0) for pid in pids}
         top_k = rng.randint(1, n)
         budget = rng.randint(1, 500)
         cfg = TruncationConfig(strategy="adaptive", word_budget=budget,
                                alpha=0.0, top_k=top_k)
-        adaptive = truncate_adaptive(ranked, cross, corpus, cfg)
-        prefix = RankedList(entries=ranked.entries[:top_k],
-                            query_id=ranked.query_id)
-        fixed = truncate_fixed(prefix, corpus, budget)
+        adaptive = truncate_adaptive(stats, cross, cfg)
+        fixed = truncate_fixed(stats[:top_k], budget)
         assert adaptive.passage_ids == fixed.passage_ids
         assert set(adaptive.passage_ids) == set(fixed.passage_ids)
 

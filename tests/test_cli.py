@@ -94,6 +94,7 @@ def test_sweep_from_prebuilt_matrix(capsys, tmp_path, fix_corpus, fix_questions)
     "drop-render-lens", "not-json",
     "drop-cross-entry", "drop-match-entry", "drop-words-entry", "drop-render_lens-entry",
     "repeat-candidate", "fractional-words", "bool-render_lens",
+    "nan-cross", "string-match", "bool-cross", "huge-int-cross",
     "gold-not-a-list", "missing-not-a-list",
 ])
 def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpus,
@@ -122,6 +123,15 @@ def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpu
     elif damage == "bool-render_lens":
         record["render_lens"][first] = True
         expected = f"render_lens entry for {first} is not an int: True"
+    elif damage in ("nan-cross", "string-match", "bool-cross"):
+        # Python's json writes and reads NaN; float() would take all three.
+        kind, table = damage.split("-")
+        value = {"nan": float("nan"), "string": "7", "bool": True}[kind]
+        record[table][first] = value
+        expected = f"{table} entry for {first} is not a finite number: {value!r}"
+    elif damage == "huge-int-cross":
+        record["cross"][first] = 10 ** 400      # no float holds it
+        expected = "int too large to convert to float"
     elif damage.endswith("-not-a-list"):
         # A string would read as the set of its characters.
         field = damage[:-len("-not-a-list")]
@@ -434,6 +444,10 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
         bad.write_text(json.dumps([{"question_id": "q1", "gold_passage_ids": "s1:2"}]))
         return (["eval", "--corpus", str(corpus), "--questions", str(bad)],
                 "MalformedDocumentError", "gold_passage_ids must be a list")
+    if case == "sweep-zero-budget":
+        return (["sweep", "--corpus", str(corpus), "--questions", str(questions),
+                 "--budgets", "0", "--alphas", ""],
+                "ValueError", "word_budget must be positive")
     assert case == "matrix-line-without-cross"
     loaded = read_corpus(corpus)
     matrix = build_matrix(load_questions(questions, loaded), loaded,
@@ -451,7 +465,8 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
 
 @pytest.mark.parametrize("case", [*BAD_CONFIGS, "corpus-line-not-an-object",
                                   "fusion-weight-for-another-scorer",
-                                  "gold-not-a-list", "matrix-line-without-cross"])
+                                  "gold-not-a-list", "matrix-line-without-cross",
+                                  "sweep-zero-budget"])
 def test_cli_process_ends_damaged_input_in_one_error_record(tmp_path, case):
     argv, error, fragment = damaged_run(case, tmp_path)
     env = {key: value for key, value in os.environ.items() if key != "MEMGREP_CONFIG"}

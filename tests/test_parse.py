@@ -16,7 +16,7 @@ from memgrep.parse import (
     WeightedTermSet,
     parse_query,
 )
-from memgrep.retrieve import Candidate, CandidateSet, entity_expansion_hop, prf_hop
+from memgrep.retrieve import entity_expansion_hop, prf_hop
 
 from conftest import make_corpus
 
@@ -148,11 +148,7 @@ def test_expansion_hops_yield_unique_new_terms(tagger, texts, query, min_doc_fre
         original = parse_query(query, tagger)
     except EmptyTermSetError:
         original = WeightedTermSet(terms=(), query_text=query)
-    prior = CandidateSet(
-        candidates=tuple(Candidate(p.id, 1.0, (), 0) for p in corpus),
-        query_id="q", hops_executed=1)
-    hop = entity_expansion_hop(prior, original, corpus, tagger,
-                               top_m=len(texts), exclude=exclude)
+    hop = entity_expansion_hop(list(corpus), original, tagger, exclude=exclude)
     prf = prf_hop(list(corpus), tagger, min_doc_freq=min_doc_freq,
                   exclude=exclude, query_text=query)
     assert_term_invariants(hop, "entity-hop", (ENTITY_HOP_WEIGHT,))

@@ -167,9 +167,11 @@ def reference_retrieve(query, corpus, cfg, annotator):
     merge(terms, cfg.mode, 0)
     hops = 1
     while cfg.entity_hop_enabled and merged and hops < cfg.max_hops:
-        new_terms = entity_expansion_hop(
-            CandidateSet(ordered(), "q", hops), terms, corpus, annotator,
-            top_m=cfg.entity_hop_source_top_m, exclude=frozenset(searched))
+        top = [corpus.get(c.passage_id) for c in ordered()[:cfg.entity_hop_source_top_m]]
+        if not top:
+            break
+        new_terms = entity_expansion_hop(top, terms, annotator,
+                                         exclude=frozenset(searched))
         if not new_terms.terms:
             break
         searched.update(new_terms.surfaces_lower())
@@ -208,9 +210,10 @@ def test_entity_expansion_emits_new_terms(tagger):
     prior = grep_candidates(corpus, term_set(("hiking", 2.0),
                                              query_text="Who did Melanie hike with?"))
     new_terms = entity_expansion_hop(
-        prior, term_set(("hiking", 2.0), ("Melanie", 4.0),
-                        query_text="Who did Melanie hike with?"),
-        corpus, tagger,
+        [corpus.get(c.passage_id) for c in prior.candidates],
+        term_set(("hiking", 2.0), ("Melanie", 4.0),
+                 query_text="Who did Melanie hike with?"),
+        tagger,
     )
     assert [(t.surface, t.weight, t.provenance) for t in new_terms] == [
         ("Dr. Chen", 2.5, "entity-hop"),
@@ -222,18 +225,17 @@ def test_entity_expansion_skips_terms_already_in_query(tagger):
     prior = grep_candidates(corpus, term_set(("talked", 1.0),
                                              query_text="what did Melanie say about Seattle"))
     new_terms = entity_expansion_hop(
-        prior,
+        [corpus.get(c.passage_id) for c in prior.candidates],
         term_set(("talked", 1.0), ("Melanie", 4.0), ("Seattle", 4.0),
                  query_text="what did Melanie say about Seattle"),
-        corpus, tagger,
+        tagger,
     )
     assert len(new_terms) == 0
 
 
-def test_entity_expansion_requires_candidates(tagger, tiny_corpus):
-    empty = CandidateSet(candidates=(), query_id="x", hops_executed=1)
+def test_entity_expansion_requires_candidates(tagger):
     with pytest.raises(ValueError):
-        entity_expansion_hop(empty, term_set(("x", 1.0)), tiny_corpus, tagger)
+        entity_expansion_hop([], term_set(("x", 1.0)), tagger)
 
 
 def test_prf_mines_recurring_nouns(tagger):
