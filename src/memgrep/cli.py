@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -49,7 +48,7 @@ from .oracle import SearchLimits, derive_trace, trace_stats, traces_to_jsonl
 from .parse import parse_query
 from .rank import FusionConfig, LexicalDenseScorer, ScorerHandle
 from .retrieve import RetrieveConfig
-from .service import ServiceClient
+from .service import ServiceClient, finite_number
 from .truncate import TruncationConfig
 
 ENV_CONFIG = "MEMGREP_CONFIG"
@@ -96,8 +95,8 @@ def _load_config_file(path: str | None) -> dict:
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation: a bool is not a number,
-    an int passes where a float is expected and NaN or Infinity does not,
-    and X | None also takes null."""
+    an int passes where a float is expected and NaN, Infinity or an int too
+    large for a float does not, and X | None also takes null."""
     if get_origin(hint) is UnionType:
         return any(_fits(value, arg) for arg in get_args(hint))
     if get_origin(hint) is dict:
@@ -105,7 +104,7 @@ def _fits(value, hint) -> bool:
         return isinstance(value, dict) and all(
             _fits(k, key_hint) and _fits(v, value_hint) for k, v in value.items())
     if hint is float:
-        return type(value) in (int, float) and math.isfinite(value)
+        return finite_number(value)
     return type(value) is hint
 
 

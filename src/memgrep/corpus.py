@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -29,6 +30,11 @@ from .errors import (
 INGEST_FORMATS = ("locomo-like", "longmemeval-like", "generic-jsonl")
 
 _PASSAGE_ID_RE = re.compile(r"^(?P<session>.+):(?P<turn>\d+)$")
+
+# Passages per block of the scan surface, Corpus.scan. Building a block holds
+# only that block's lowercased texts apart from the joined text.
+SCAN_BLOCK = 512
+ScanBlock = tuple[str, tuple[int, ...], int]  # (text, starts, base)
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,13 @@ class Corpus:
 
     passages: tuple[Passage, ...]
     source_label: str = ""
-    # Lowercased texts in passage order: the substring-search surface.
-    lowered: tuple[str, ...] = field(init=False, default=(), repr=False, compare=False)
+    # The substring-search surface, in blocks of SCAN_BLOCK passages. Each
+    # block is (text, starts, base): the lowercased texts of passages base,
+    # base + 1, ... joined by NUL, and the offset in text where each one
+    # starts, then len(text) + 1. Passage base + j is text[starts[j]:
+    # starts[j + 1] - 1]. Offsets count lowercased characters: "İ".lower()
+    # is two.
+    scan: tuple[ScanBlock, ...] = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "passages", tuple(self.passages))
@@ -78,7 +89,7 @@ class Corpus:
             repeats = sorted(pid for pid, n in counts.items() if n > 1)
             raise DuplicateTurnError(f"duplicate passage ids: {', '.join(repeats)}")
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "lowered", tuple(p.text.lower() for p in self.passages))
+        object.__setattr__(self, "scan", _scan_blocks(self.passages))
 
     def __len__(self) -> int:
         return len(self.passages)
@@ -116,6 +127,16 @@ class Question:
     @property
     def gold(self) -> GoldAnnotation:
         return GoldAnnotation(self.question_id, self.gold_passage_ids)
+
+
+def _scan_blocks(passages: tuple[Passage, ...]) -> tuple[ScanBlock, ...]:
+    """The scan surface of :class:`Corpus`, one block per SCAN_BLOCK passages."""
+    blocks = []
+    for base in range(0, len(passages), SCAN_BLOCK):
+        lowered = [p.text.lower() for p in passages[base:base + SCAN_BLOCK]]
+        starts = tuple(accumulate((len(text) + 1 for text in lowered), initial=0))
+        blocks.append(("\0".join(lowered), starts, base))
+    return tuple(blocks)
 
 
 def _canonical_line(p: Passage) -> str:

@@ -25,7 +25,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 from itertools import compress, repeat
-from operator import attrgetter, contains, neg
+from operator import add, attrgetter, contains, neg, truediv
+from typing import NamedTuple
 
 from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, Passage
@@ -117,8 +118,7 @@ class FusionConfig:
         })
 
 
-@dataclass(frozen=True, slots=True)
-class RankedEntry:
+class RankedEntry(NamedTuple):
     # A passage's position in each scorer's ranking is its place in that
     # ScoreVector's order, score descending, then id ascending.
     passage_id: str
@@ -200,12 +200,14 @@ def rrf_fuse(
             raise ValueError(f"ranking {name!r} contains duplicates")
     fused: dict[str, float] = {}
     for name, ids in rankings:
-        weight = cfg.weights[name]
-        for position, passage_id in enumerate(ids, start=1):
-            fused[passage_id] = fused.get(passage_id, 0.0) \
-                + weight / (cfg.k + position)
-    entries = tuple(RankedEntry(passage_id=pid, fused_score=fused[pid])
-                    for pid in order_by_score(fused))
+        # Position p's share, weight / (k + p), added to what the ranking's
+        # ids hold so far (0.0 for a new id), one ranking after another.
+        shares = map(truediv, repeat(cfg.weights[name]),
+                     map(add, repeat(cfg.k), range(1, len(ids) + 1)))
+        sums = list(map(add, map(fused.get, ids, repeat(0.0)), shares))
+        fused.update(zip(ids, sums))
+    order = order_by_score(fused)
+    entries = tuple(map(RankedEntry, order, map(fused.__getitem__, order)))
     return RankedList(entries=entries, query_id=query_id)
 
 

@@ -2,10 +2,12 @@
 
 Main path is case-insensitive substring matching of weighted terms over every
 passage, repeated over up to max_hops rounds of entity expansion, then a
-single pseudo-relevance-feedback round. Each term costs one C-level substring
-pass over the corpus's lowercased passage texts. A pluggable dense scorer
-covers the rare query whose terms match nothing. No inverted index, no
-embedding store; the corpus text itself is the only data structure.
+single pseudo-relevance-feedback round. Each term is found with str.find
+over the corpus's scan surface, its lowercased passage texts joined by NUL,
+and each hit is mapped to its passage by bisecting the passage offsets. A
+pluggable dense scorer covers the rare query whose terms match nothing. No
+inverted index, no embedding store; the corpus text itself is the only data
+structure.
 
 A grep returns its raw hits by passage position. retrieve folds every hop's
 hits into one map (higher score wins, earliest hop kept) and builds each
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
-from operator import attrgetter, contains, itemgetter, neg
+from operator import attrgetter, itemgetter, neg
+from typing import NamedTuple
 
 from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, Passage
@@ -38,8 +41,7 @@ def query_id_for(query: str) -> str:
     return hashlib.sha256(query.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
+class Candidate(NamedTuple):
     # match_score is the sum of matched_terms' weights by construction:
     # retrieve keeps the pairs of a passage's best hop with their sum, and a
     # fallback candidate is score-only (matched_terms empty).
@@ -101,23 +103,36 @@ _weight = itemgetter(1)
 def grep_search(corpus: Corpus, terms: WeightedTermSet, mode: str = "OR") -> Hits:
     """Scan every passage for term substrings; no index is consulted.
 
-    Each needle is tested against every lowercased passage text in one
-    C-level pass (``operator.contains`` mapped over the corpus). Returns the
-    raw hits: OR keeps any passage matching at least one term, AND only
-    those matching all of them. A passage's match score is the sum of its
-    pairs' weights; repeats of a term in the text add nothing.
+    Each needle is found with ``str.find`` in each block of the corpus's
+    scan surface (see ``Corpus.scan``). A hit belongs to the passage whose
+    offset range holds its start, and the search resumes at the next
+    passage, so each passage is reported at most once per needle. A hit
+    that runs past its passage's end, over the NUL that separates it from
+    the next, is not a match, and neither is any later hit in that passage.
+    Returns the raw hits: OR keeps any passage matching at least one term,
+    AND only those matching all of them. A passage's match score is the sum
+    of its pairs' weights; repeats of a term in the text add nothing.
     """
     if not terms.terms:
         raise ValueError("term set must be non-empty")
     if mode not in ("OR", "AND"):
         raise ValueError(f"mode must be OR or AND, got {mode!r}")
-    lowered = corpus.lowered
-    positions = range(len(lowered))
     hits: Hits = {}
     for term in terms.terms:
         pair = (term.surface, term.weight)
-        for i in compress(positions, map(contains, lowered, repeat(term.surface.lower()))):
-            hits.setdefault(i, []).append(pair)
+        needle = term.surface.lower()
+        size = len(needle)
+        for text, starts, base in corpus.scan:
+            find = text.find
+            at = find(needle)
+            while at >= 0:
+                # The hit starts in passage base + j - 1, whose text ends at
+                # offset starts[j] - 2, just before a NUL or the block's end.
+                j = bisect_right(starts, at)
+                end = starts[j]
+                if at + size < end:
+                    hits.setdefault(base + j - 1, []).append(pair)
+                at = find(needle, end)
     if mode == "AND":
         return {i: matched for i, matched in hits.items()
                 if len(matched) == len(terms.terms)}

@@ -20,6 +20,16 @@ from typing import Callable
 from .errors import ConfigError, PartialResponseError, ScorerUnavailableError
 
 _MAX_LINE = 64 * 1024 * 1024
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def finite_number(value: object) -> bool:
+    """Whether a JSON value is a number a float holds finitely: an int or a
+    float, not a bool, NaN, an infinity or an int too large for a float."""
+    try:
+        return type(value) in _NUMBER_TYPES and math.isfinite(value)  # type: ignore[arg-type]
+    except OverflowError:
+        return False
 
 
 # --- endpoint addressing ---
@@ -137,13 +147,16 @@ class ServiceClient:
             raise PartialResponseError(
                 f"expected {len(items)} scores, got {got}"
             )
-        out = []
-        for value in scores:
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or not math.isfinite(value):
-                raise PartialResponseError(f"non-finite score in response: {value!r}")
-            out.append(float(value))
-        return out
+        # The whole reply in C-level passes; a loop only names a bad value.
+        try:
+            valid = _NUMBER_TYPES.issuperset(map(type, scores)) \
+                and all(map(math.isfinite, scores))
+        except OverflowError:  # an int too large for a float
+            valid = False
+        if not valid:
+            bad = next(value for value in scores if not finite_number(value))
+            raise PartialResponseError(f"non-finite score in response: {bad!r}")
+        return list(map(float, scores))
 
     def annotate(self, items: list[str]) -> list[dict]:
         response = self.request({"kind": "annotate", "query": "", "items": items})

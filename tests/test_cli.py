@@ -410,6 +410,8 @@ BAD_CONFIGS = {
     # Python's json reads NaN and Infinity as floats.
     "fusion-nan-weight": ({"fusion": {"weights": {"lexical": float("nan")}}}, "fusion"),
     "fusion-infinite-k": ({"fusion": {"k": float("inf")}}, "fusion"),
+    # An int too large for a float is not a finite number either.
+    "truncation-huge-int-alpha": ({"truncation": {"alpha": 10**400}}, "truncation"),
     "annotator-endpoint-not-a-string": ({"annotator": {"endpoint": 5}}, "annotator"),
     # transport is not part of a scorer entry; the endpoint decides it.
     "scorer-with-transport": ({"scorers": [{"name": "x", "transport": "in-process"}]},

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from memgrep import corpus as corpus_module
 from memgrep.corpus import (
+    SCAN_BLOCK,
     Corpus,
     Passage,
     corpus_metadata,
@@ -81,6 +82,27 @@ def test_equal_passages_and_label_give_equal_corpora():
     relabeled = Corpus(passages=a.passages, source_label="other")
     assert relabeled != a
     assert relabeled.checksum == a.checksum
+
+
+def test_equality_hash_and_repr_ignore_the_scan_surface():
+    a = make_corpus(["One", "Two"])
+    b = make_corpus(["One", "Two"])
+    object.__setattr__(b, "scan", (("tampered", (0, 9), 0),))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert "scan" not in repr(a)
+
+
+def test_scan_surface_joins_lowered_texts_in_blocks():
+    corpus = make_corpus(["İb", "", "C\x00d"])
+    assert corpus.scan == (("i\u0307b\x00\x00c\x00d", (0, 4, 5, 9), 0),)
+    texts = [f"T{i}" for i in range(SCAN_BLOCK + 2)]
+    blocks = make_corpus(texts).scan
+    assert [(len(starts), base) for _, starts, base in blocks] == [
+        (SCAN_BLOCK + 1, 0), (3, SCAN_BLOCK)]
+    assert blocks[1][0] == f"t{SCAN_BLOCK}\x00t{SCAN_BLOCK + 1}"
+    assert blocks[0][0] == "\x00".join(text.lower() for text in texts[:SCAN_BLOCK])
 
 
 _TRICKY_CHARS = st.sampled_from(

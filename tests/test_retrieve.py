@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
-from memgrep.corpus import load_questions, read_corpus
+from memgrep.corpus import SCAN_BLOCK, load_questions, read_corpus
 from memgrep.errors import ScorerUnavailableError
 from memgrep.parse import PRF_WEIGHT, WeightedTerm, WeightedTermSet, parse_query
 from memgrep.retrieve import (
@@ -134,6 +134,53 @@ def test_grep_matches_brute_force_reference(case, mode):
     result = grep_candidates(corpus, terms, mode)
     got = [(c.passage_id, c.matched_terms, c.match_score) for c in result.candidates]
     assert got == reference_grep(corpus, terms, mode)
+
+
+@st.composite
+def spanning_corpus_and_terms(draw):
+    """corpus_and_terms' needles over a corpus of two scan blocks and a few
+    passages more. The last passage before each block boundary ends with a
+    needle and the first after it starts with one; the drawn texts fill
+    those and a few other passages, and one drawn filler text the rest."""
+    texts, pairs = draw(corpus_and_terms())
+    surfaces = st.sampled_from([surface for surface, _ in pairs])
+    size = 2 * SCAN_BLOCK + draw(st.integers(1, 4))
+    filler = draw(st.text(_ALPHABET, max_size=6))
+    spanning = [filler] * size
+    others = draw(st.lists(st.integers(0, size - 1), max_size=4))
+    for k, slot in enumerate([0, size - 1, *others]):
+        spanning[slot] = texts[k % len(texts)]
+    for k, boundary in enumerate(range(SCAN_BLOCK, size, SCAN_BLOCK)):
+        spanning[boundary - 1] = texts[k % len(texts)] + draw(surfaces)
+        spanning[boundary] = draw(surfaces) + texts[-1 - k % len(texts)]
+    return spanning, pairs
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=spanning_corpus_and_terms(), mode=st.sampled_from(["OR", "AND"]))
+def test_grep_matches_brute_force_reference_across_scan_blocks(case, mode):
+    # The same check as test_grep_matches_brute_force_reference's, on these draws.
+    test_grep_matches_brute_force_reference.hypothesis.inner_test(case, mode)
+
+
+@pytest.mark.parametrize("needle, expected", [
+    ("b\x00c", set()),          # would join passages 0 and 1
+    ("d\x00e", {1}),            # a NUL inside one text
+    ("\n\x00g", set()),         # a newline ending passage 2, then passage 3
+    ("f\n", {2}),
+    ("\x00", {1}),
+])
+def test_grep_needle_never_spans_two_passages(needle, expected):
+    corpus = make_corpus(["ab", "cd\x00e", "f\n", "g"])
+    assert set(grep_search(corpus, term_set((needle, 1.0)))) == expected
+
+
+def test_grep_offsets_count_lowercased_characters():
+    # "İ".lower() is two characters, so each "İ" moves later passages by two.
+    corpus = make_corpus(["İİİ", "xa", "b", "İ"])
+    for needle, expected in [("x", {1}), ("a", {1}), ("b", {2}),
+                             ("i\u0307", {0, 3}), ("İ", {0, 3})]:
+        assert set(grep_search(corpus, term_set((needle, 1.0)))) == expected
 
 
 # Capitalised names mid-sentence are entities to the rule annotator, so the

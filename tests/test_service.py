@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import socket
 import threading
 import warnings
@@ -81,24 +82,18 @@ def test_wrong_score_count_is_partial_response():
             client.score("q", ["a", "b"])
 
 
-def test_non_numeric_scores_rejected():
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "high", None, 10**400],
+                         ids=["nan", "inf", "bool", "string", "null", "huge-int"])
+def test_bad_score_is_partial_response_naming_it(bad):
+    # Valid scores, then two bad ones: the message names the first.
     def score_fn(query, items):
-        return ["high"] * len(items)
+        return [0.5, 2, bad, "later"]
 
     with ReferenceServer(score_fn=score_fn) as server:
         client = ServiceClient(server.endpoint)
-        with pytest.raises(PartialResponseError):
-            client.score("q", ["a"])
-
-
-def test_non_finite_scores_rejected():
-    def score_fn(query, items):
-        return [float("nan")] * len(items)
-
-    with ReferenceServer(score_fn=score_fn) as server:
-        client = ServiceClient(server.endpoint)
-        with pytest.raises(PartialResponseError):
-            client.score("q", ["a"])
+        with pytest.raises(PartialResponseError,
+                           match=f"non-finite score in response: {re.escape(repr(bad))}$"):
+            client.score("q", ["a", "b", "c", "d"])
 
 
 def test_malformed_json_is_partial_response():
