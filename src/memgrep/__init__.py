@@ -22,7 +22,6 @@ from .corpus import (
     ingest,
     load_questions,
     read_corpus,
-    write_corpus,
 )
 from .errors import (
     ConfigError,
@@ -130,6 +129,5 @@ __all__ = [
     "trace_stats",
     "truncate_adaptive",
     "truncate_fixed",
-    "write_corpus",
     "write_matrix",
 ]

@@ -52,7 +52,6 @@ class TokenAnnotation:
 class EntityMention:
     surface: str
     label: str
-    passage_id: str | None = None
 
 
 class Annotator(Protocol):

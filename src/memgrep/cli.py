@@ -33,6 +33,7 @@ from .corpus import (
 )
 from .errors import ConfigError, EmptyTermSetError, MemgrepError
 from .evaluate import (
+    ScoreMatrix,
     build_matrix,
     matrix_to_jsonl,
     mean_gold_rank,
@@ -328,15 +329,19 @@ def cmd_oracle(cfg: RunConfig, max_states: int | None, max_edges: int | None) ->
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    corpus = _load_cli_corpus(cfg)
+def _build_cli_matrix(cfg: RunConfig, corpus: Corpus) -> ScoreMatrix:
+    """The score matrix of the run's questions over `corpus`."""
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
     annotator, dense = _run_parts(cfg)
-    matrix = build_matrix(
+    return build_matrix(
         questions, corpus, cfg.scorers,
         retrieve_cfg=cfg.retrieve, annotator=annotator, dense_scorer=dense,
         fusion_cfg=cfg.fusion,
     )
+
+
+def cmd_eval(cfg: RunConfig) -> int:
+    matrix = _build_cli_matrix(cfg, _load_cli_corpus(cfg))
     truncation = asdict(simulate_cell(matrix, cfg.truncation))
     del truncation["per_question"]
     report = {
@@ -363,24 +368,14 @@ def cmd_sweep(
     matrix_path: str | None,
 ) -> int:
     corpus = _load_cli_corpus(cfg)
-    built_here = False
-    if matrix_path:
-        matrix = read_matrix(matrix_path, corpus)
-    else:
-        questions = load_questions(_require(cfg.questions, "--questions"), corpus)
-        annotator, dense = _run_parts(cfg)
-        matrix = build_matrix(
-            questions, corpus, cfg.scorers,
-            retrieve_cfg=cfg.retrieve, annotator=annotator, dense_scorer=dense,
-            fusion_cfg=cfg.fusion,
-        )
-        built_here = True
+    matrix = (read_matrix(matrix_path, corpus) if matrix_path
+              else _build_cli_matrix(cfg, corpus))
     cells = simulate_truncation(matrix, budgets=budgets, alphas=alphas,
                                 top_k=cfg.truncation.top_k, ceiling=ceiling)
     table = render_sweep_text(cells)
     print(table, end="")
     files = {"sweep.txt": table, "sweep.json": sweep_to_json(cells)}
-    if built_here:
+    if not matrix_path:
         files["matrix.jsonl"] = matrix_to_jsonl(matrix)
     _write_artifacts(cfg, files)
     return 0

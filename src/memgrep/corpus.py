@@ -5,7 +5,7 @@ Passage ids follow the scheme ``{session_id}:{turn_index}`` and are stable
 across runs for identical input. The canonical interchange format is JSON
 Lines, one passage per line, which together with a content checksum makes
 ingestion reproducible byte-for-byte. The checksum is the sha256 of that
-canonical JSONL (the file :func:`write_corpus` writes), taken on first read.
+canonical JSONL (:func:`corpus_to_jsonl`'s output), taken on first read.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Collection, Iterator
 
 from .errors import (
     DanglingGoldError,
@@ -30,6 +30,15 @@ from .errors import (
 INGEST_FORMATS = ("locomo-like", "longmemeval-like", "generic-jsonl")
 
 _PASSAGE_ID_RE = re.compile(r"^(?P<session>.+):(?P<turn>\d+)$")
+
+# The JSON types each passage record field takes (a bool is not an int), and
+# how an error names them, in Passage's field order.
+_FIELD_TYPES = {
+    "id": ((str,), "a string"), "session_id": ((str,), "a string"),
+    "turn_index": ((int,), "an int"), "speaker": ((str,), "a string"),
+    "text": ((str,), "a string"), "timestamp": ((str, type(None)), "a string or null"),
+}
+_GENERIC_FIELDS = tuple(_FIELD_TYPES)[1:]   # generic-jsonl derives the id
 
 # Passages per block of the scan surface, Corpus.scan. Building a block holds
 # only that block's lowercased texts apart from the joined text.
@@ -227,21 +236,28 @@ def _jsonl_records(path: Path) -> Iterator[tuple[int, Any]]:
             yield lineno, rec
 
 
+def _typed_fields(rec: Any, names: Collection[str], path: Path, lineno: int) -> list:
+    """rec's value for each of `names`, a missing field reading as null. A
+    line that is not an object, or a value of a type `_FIELD_TYPES` does not
+    allow, is a MalformedDocumentError naming path:line (and the field)."""
+    if not isinstance(rec, dict):
+        raise MalformedDocumentError(f"{path}:{lineno}: expected an object per line")
+    values = [rec.get(name) for name in names]
+    for name, value in zip(names, values):
+        kinds, kind = _FIELD_TYPES[name]
+        if type(value) not in kinds:
+            raise MalformedDocumentError(
+                f"{path}:{lineno}: {name} must be {kind}, got {value!r}")
+    return values
+
+
 def _parse_generic_jsonl(path: Path) -> list[tuple[str, int, str, str, str | None]]:
     turns = []
     for lineno, rec in _jsonl_records(path):
-        if not isinstance(rec, dict):
-            raise MalformedDocumentError(f"{path}:{lineno}: expected an object per line")
-        try:
-            session_id = str(rec["session_id"])
-            turn_index = int(rec["turn_index"])
-            speaker = rec["speaker"]
-            text = rec["text"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedDocumentError(f"{path}:{lineno}: missing or invalid field: {exc}") from exc
+        session_id, turn_index, speaker, text, timestamp = _typed_fields(
+            rec, _GENERIC_FIELDS, path, lineno)
         if turn_index < 0:
             raise MalformedDocumentError(f"{path}:{lineno}: negative turn_index")
-        timestamp = rec.get("timestamp")
         turns.append((session_id, turn_index, speaker, text, timestamp))
     return turns
 
@@ -333,10 +349,6 @@ def corpus_to_jsonl(corpus: Corpus) -> str:
     return "".join(_canonical_line(p) + "\n" for p in corpus.passages)
 
 
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(corpus_to_jsonl(corpus), encoding="utf-8")
-
-
 def corpus_metadata(corpus: Corpus) -> dict:
     """Sidecar metadata record for a canonical corpus file."""
     return {
@@ -347,25 +359,25 @@ def corpus_metadata(corpus: Corpus) -> dict:
 
 
 def read_corpus(path: str | Path) -> Corpus:
-    """Read a canonical JSONL corpus file written by :func:`write_corpus`,
+    """Read a canonical JSONL corpus file, :func:`corpus_to_jsonl`'s output,
     line by line (see :func:`_jsonl_records`). A repeated passage id raises
     :class:`DuplicateTurnError` naming the lines of both occurrences."""
     path = Path(path)
     passages = []
     for lineno, rec in _jsonl_records(path):
         try:
-            passages.append(
-                Passage(
-                    id=rec["id"],
-                    session_id=rec["session_id"],
-                    turn_index=int(rec["turn_index"]),
-                    speaker=rec["speaker"],
-                    text=rec["text"],
-                    timestamp=rec.get("timestamp"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedDocumentError(f"{path}:{lineno}: bad passage record: {exc}") from exc
+            p = Passage(rec["id"], rec["session_id"], rec["turn_index"],
+                        rec["speaker"], rec["text"], rec.get("timestamp"))
+        except (KeyError, TypeError):   # a missing field, or not an object
+            p = None
+        # A well-typed line passes this one expression; _typed_fields names
+        # what is wrong with any other.
+        if p is None or not (
+                type(p.id) is type(p.session_id) is type(p.speaker) is type(p.text) is str
+                and type(p.turn_index) is int
+                and (p.timestamp is None or type(p.timestamp) is str)):
+            p = Passage(*_typed_fields(rec, _FIELD_TYPES, path, lineno))
+        passages.append(p)
     if not passages:
         raise EmptyCorpusError(f"{path} holds zero passages")
     passages.sort(key=lambda p: (p.session_id, p.turn_index))
@@ -408,16 +420,21 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
         if not isinstance(rec, dict) or "question_id" not in rec:
             raise MalformedDocumentError(f"{where}: annotation record missing question_id")
         gold_ids = rec.get("gold_passage_ids", [])
-        if not isinstance(gold_ids, (list, tuple)):
-            raise MalformedDocumentError(f"{where}: gold_passage_ids must be a list")
+        if (not isinstance(gold_ids, (list, tuple))
+                or not all(isinstance(pid, str) for pid in gold_ids)):
+            raise MalformedDocumentError(
+                f"{where}: gold_passage_ids must be a list of passage ids, got {gold_ids!r}")
+        text = rec.get("question", "")
+        if not isinstance(text, str):
+            raise MalformedDocumentError(f"{where}: question must be a string, got {text!r}")
         for pid in gold_ids:
             if pid not in corpus:
                 missing.append(f"{rec['question_id']}->{pid}")
         questions.append(
             Question(
                 question_id=str(rec["question_id"]),
-                text=str(rec.get("question", "")),
-                gold_passage_ids=frozenset(str(p) for p in gold_ids),
+                text=text,
+                gold_passage_ids=frozenset(gold_ids),
             )
         )
     if missing:

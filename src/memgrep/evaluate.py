@@ -23,9 +23,9 @@ file:line. The simulator trusts the records it is given.
 from __future__ import annotations
 
 import json
-import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -37,10 +37,12 @@ from .rank import (
     RankedList,
     ScorerHandle,
     ScoreVector,
+    order_by_score,
     primary_index,
     rank,
 )
 from .retrieve import CandidateSet, RetrieveConfig, retrieve
+from .service import finite_number
 from .truncate import (
     DEFAULT_TOP_K,
     Context,
@@ -76,18 +78,26 @@ class GoldRankResult:
 
 def mean_gold_rank(matrix: "ScoreMatrix") -> GoldRankResult:
     """Mean 1-based rank of the first gold passage under the stored fused
-    candidate order.
+    candidate order; see `_gold_rank`."""
+    return _gold_rank(matrix, attrgetter("candidate_ids"))
+
+
+def _gold_rank(matrix: "ScoreMatrix",
+               order: Callable[["QuestionRecord"], Sequence[str]]) -> GoldRankResult:
+    """Mean 1-based rank of the first gold passage in `order(rec)`, an
+    ordering of rec's candidates, over the matrix's records.
 
     Questions with empty gold are skipped. Questions whose gold never
-    appears in the ranking are excluded from the mean and counted in
-    `absent`.
+    appears among the candidates are excluded from the mean and counted in
+    `absent`; every ordering of the same candidates agrees on those.
     """
     ranks = []
     absent = 0
     for rec in matrix.records:
         if not rec.gold_ids:
             continue
-        position = _first_gold_rank(rec.candidate_ids, rec.gold_ids)
+        position = next((i for i, passage_id in enumerate(order(rec), start=1)
+                         if passage_id in rec.gold_ids), None)
         if position is None:
             absent += 1
         else:
@@ -97,13 +107,6 @@ def mean_gold_rank(matrix: "ScoreMatrix") -> GoldRankResult:
         considered=len(ranks),
         absent=absent,
     )
-
-
-def _first_gold_rank(ordered_ids, gold: frozenset[str]) -> int | None:
-    for position, passage_id in enumerate(ordered_ids, start=1):
-        if passage_id in gold:
-            return position
-    return None
 
 
 # --- pipeline glue shared with the CLI ---
@@ -152,24 +155,36 @@ def run_question(
         trunc_cfg = TruncationConfig()
     if annotator is None:
         annotator = RuleAnnotator()
-    candidates = retrieve(query, corpus, retrieve_cfg, annotator, dense_scorer)
-    qid = question_id if question_id is not None else candidates.query_id
-    if not candidates:
-        return QuestionRun(
-            question_id=qid, query=query, candidates=candidates,
-            ranked=None, cross=None,
-            context=_EMPTY_CONTEXT, rendered="",
-        )
-    ranked, vectors = rank(candidates, query, corpus, scorers, fusion_cfg,
-                           annotator=annotator)
-    cross = vectors[primary_index(scorers)]
-    context = cut(RankedStats(ranked.ids(), corpus), cross.scores, trunc_cfg)
-    rendered = render_context(context.passage_ids, corpus)
+    candidates, ranked, cross = _retrieve_and_rank(
+        query, corpus, scorers, retrieve_cfg, annotator, dense_scorer, fusion_cfg)
+    if ranked is None:
+        context, rendered = _EMPTY_CONTEXT, ""
+    else:
+        context = cut(RankedStats(ranked.ids(), corpus), cross.scores, trunc_cfg)
+        rendered = render_context(context.passage_ids, corpus)
     return QuestionRun(
-        question_id=qid, query=query, candidates=candidates,
+        question_id=question_id if question_id is not None else candidates.query_id,
+        query=query, candidates=candidates,
         ranked=ranked, cross=cross,
         context=context, rendered=rendered,
     )
+
+
+def _retrieve_and_rank(
+    query: str, corpus: Corpus, scorers: list[ScorerHandle],
+    retrieve_cfg: RetrieveConfig | None, annotator: Annotator, dense_scorer,
+    fusion_cfg: FusionConfig | None,
+) -> tuple[CandidateSet, RankedList | None, ScoreVector | None]:
+    """A query's candidates, their fused ranking and the primary scorer's
+    vector; the last two are None when nothing was retrieved. `retrieve` and
+    `rank` are looked up through this module's globals, so a wrapper set on
+    memgrep.evaluate (the benchmark's tracer sets them) sees every call."""
+    candidates = retrieve(query, corpus, retrieve_cfg, annotator, dense_scorer)
+    if not candidates:
+        return candidates, None, None
+    ranked, vectors = rank(candidates, query, corpus, scorers, fusion_cfg,
+                           annotator=annotator)
+    return candidates, ranked, vectors[primary_index(scorers)]
 
 
 # --- the score matrix ---
@@ -205,36 +220,26 @@ def build_matrix(
     dense_scorer=None,
     fusion_cfg: FusionConfig | None = None,
 ) -> ScoreMatrix:
-    """Run retrieval and ranking once per question and freeze the numbers.
-    Every question shares one annotator, a RuleAnnotator when none is given."""
+    """Retrieve and rank each question once and freeze the numbers; no
+    question is cut or rendered. Every question shares one annotator, a
+    RuleAnnotator when none is given."""
     if annotator is None:
         annotator = RuleAnnotator()
     records = []
     cross_name = ""
     for question in questions:
-        run = run_question(
-            question.text, corpus, scorers,
-            retrieve_cfg=retrieve_cfg, annotator=annotator,
-            dense_scorer=dense_scorer, fusion_cfg=fusion_cfg,
-            question_id=question.question_id,
-        )
-        if run.ranked is None:
-            records.append(QuestionRecord(
-                question_id=question.question_id, query=question.text,
-                stats=(), cross_scores={}, match_scores={},
-                gold_ids=question.gold_passage_ids,
-                missing_gold=question.gold_passage_ids,
-            ))
-            continue
-        cross_name = run.cross.scorer_name
-        ordered = run.ranked.ids()
-        match_scores = {c.passage_id: c.match_score
-                        for c in run.candidates.candidates}
+        candidates, ranked, cross = _retrieve_and_rank(
+            question.text, corpus, scorers, retrieve_cfg, annotator,
+            dense_scorer, fusion_cfg)
+        ordered = ranked.ids() if ranked is not None else ()
+        if cross is not None:
+            cross_name = cross.scorer_name
+        match_scores = {c.passage_id: c.match_score for c in candidates.candidates}
         records.append(QuestionRecord(
             question_id=question.question_id,
             query=question.text,
             stats=tuple(stats_for(corpus.get(pid)) for pid in ordered),
-            cross_scores={pid: run.cross.scores[pid] for pid in ordered},
+            cross_scores={pid: cross.scores[pid] for pid in ordered},
             match_scores={pid: match_scores[pid] for pid in ordered},
             gold_ids=question.gold_passage_ids,
             missing_gold=frozenset(question.gold_passage_ids - set(ordered)),
@@ -303,7 +308,7 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
                 gold_ids=_id_set(rec, "gold"),
                 missing_gold=_id_set(rec, "missing"),
             ))
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise IncompleteMatrixError(
                 f"{path}:{lineno}: missing or invalid field: {exc}"
             ) from exc
@@ -341,17 +346,19 @@ def _id_set(rec: dict, name: str) -> frozenset[str]:
 
 def _entries(rec: dict, name: str, ids: list, count: bool = False) -> list:
     """The line's `name` table entry for each candidate id, in order. Every
-    entry must be a finite int or float, and with count set an int; a bool
-    is neither."""
+    entry must be a finite number (`finite_number`), and with count set an
+    int."""
     table = rec[name]
     try:
         values = [table[pid] for pid in ids]
     except KeyError as exc:
         raise ValueError(f"no {name} entry for {exc.args[0]}") from None
-    kinds, kind = ((int,), "an int") if count else ((int, float), "a finite number")
+    kind = "an int" if count else "a finite number"
     for pid, value in zip(ids, values):
-        if type(value) not in kinds or not math.isfinite(value):
-            raise ValueError(f"{name} entry for {pid} is not {kind}: {value!r}")
+        if not finite_number(value) or count and type(value) is not int:
+            # An int that is not a finite number is too large for a float.
+            shown = "int too large to convert to float" if type(value) is int else repr(value)
+            raise ValueError(f"{name} entry for {pid} is not {kind}: {shown}")
     return values
 
 
@@ -481,34 +488,15 @@ class RankingEffect:
 
 
 def ranking_effect(matrix: ScoreMatrix) -> RankingEffect:
-    """Mean first-gold rank under match-score order vs cross-score order.
-
-    Questions whose gold was never retrieved are excluded from both means.
-    """
-    match_ranks = []
-    cross_ranks = []
-    absent = 0
-    for rec in matrix.records:
-        if not rec.gold_ids:
-            continue
-        by_match = sorted(rec.candidate_ids,
-                          key=lambda pid: (-rec.match_scores[pid], pid))
-        by_cross = sorted(rec.candidate_ids,
-                          key=lambda pid: (-rec.cross_scores[pid], pid))
-        match_rank = _first_gold_rank(by_match, rec.gold_ids)
-        cross_rank = _first_gold_rank(by_cross, rec.gold_ids)
-        if match_rank is None or cross_rank is None:
-            absent += 1
-            continue
-        match_ranks.append(match_rank)
-        cross_ranks.append(cross_rank)
+    """Mean first-gold rank under match-score order vs cross-score order,
+    each by score descending, then id (see `_gold_rank`)."""
+    by_match = _gold_rank(matrix, lambda rec: order_by_score(rec.match_scores))
+    by_cross = _gold_rank(matrix, lambda rec: order_by_score(rec.cross_scores))
     return RankingEffect(
-        mean_rank_by_match=(sum(match_ranks) / len(match_ranks)
-                            if match_ranks else None),
-        mean_rank_by_cross=(sum(cross_ranks) / len(cross_ranks)
-                            if cross_ranks else None),
-        considered=len(match_ranks),
-        absent=absent,
+        mean_rank_by_match=by_match.mean_rank,
+        mean_rank_by_cross=by_cross.mean_rank,
+        considered=by_match.considered,
+        absent=by_match.absent,
     )
 
 

@@ -319,7 +319,8 @@ def retrieve(
             fold(grep_search(corpus, new_terms, "OR"), hops)
             hops += 1
 
-        if cfg.prf_enabled and scores:
+        # A top-n of 0 mines no passage either, so it skips PRF.
+        if cfg.prf_enabled and cfg.prf_source_top_n and scores:
             top = [passages[i] for i in candidate_order(corpus, scores, cfg.prf_source_top_n)]
             prf_terms = prf_hop(
                 top, annotator,

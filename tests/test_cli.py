@@ -94,7 +94,7 @@ def test_sweep_from_prebuilt_matrix(capsys, tmp_path, fix_corpus, fix_questions)
     "drop-render-lens", "not-json",
     "drop-cross-entry", "drop-match-entry", "drop-words-entry", "drop-render_lens-entry",
     "repeat-candidate", "fractional-words", "bool-render_lens",
-    "nan-cross", "string-match", "bool-cross", "huge-int-cross",
+    "nan-cross", "string-match", "bool-cross", "huge-int-cross", "huge-int-words",
     "gold-not-a-list", "missing-not-a-list",
 ])
 def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpus,
@@ -131,6 +131,9 @@ def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpu
         expected = f"{table} entry for {first} is not a finite number: {value!r}"
     elif damage == "huge-int-cross":
         record["cross"][first] = 10 ** 400      # no float holds it
+        expected = "int too large to convert to float"
+    elif damage == "huge-int-words":
+        record["words"][first] = 10 ** 400
         expected = "int too large to convert to float"
     elif damage.endswith("-not-a-list"):
         # A string would read as the set of its characters.
@@ -419,6 +422,35 @@ BAD_CONFIGS = {
 }
 
 
+# Passage records with a field of the wrong type: the fields laid over the
+# first line of the canonical corpus, and over the third turn of a
+# generic-jsonl file whose first two are turns 0 and 1. The error names the
+# line and the first field given.
+BAD_PASSAGE_FIELDS = {
+    "corpus-text-not-a-string": {"text": 5},
+    "corpus-session-id-not-a-string": {"session_id": 3},
+    "corpus-id-not-a-string": {"id": 9},
+    "corpus-speaker-null": {"speaker": None},
+    "corpus-timestamp-not-a-string": {"timestamp": 7},
+    "corpus-bool-turn-index": {"turn_index": True},
+    "ingest-bool-turn-index": {"turn_index": True},
+    "ingest-fractional-turn-index": {"turn_index": 1.9},
+    "ingest-session-id-not-a-string": {"session_id": 3},
+    "ingest-timestamp-not-a-string": {"timestamp": 7},
+}
+
+# Question records with a field of the wrong type, and the field the error
+# must name.
+BAD_QUESTIONS = {
+    "gold-id-a-list": ({"question_id": "q1", "gold_passage_ids": [["s1:2"]]},
+                       "gold_passage_ids"),
+    "gold-id-a-number": ({"question_id": "q1", "gold_passage_ids": [5]},
+                         "gold_passage_ids"),
+    "question-null": ({"question_id": "q1", "question": None,
+                       "gold_passage_ids": ["s1:2"]}, "question"),
+}
+
+
 def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
     """Arguments for a run over one damaged input, the error it must end in,
     and a fragment its message must hold."""
@@ -430,6 +462,29 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
         config.write_text(json.dumps(doc))
         return (["query", QUERY, "--corpus", str(corpus), "--config", str(config)],
                 "ConfigError", f"{config}: {section}")
+    if case.startswith("corpus-") and case in BAD_PASSAGE_FIELDS:
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        fields = BAD_PASSAGE_FIELDS[case]
+        lines[0] = json.dumps({**json.loads(lines[0]), **fields})
+        bad = tmp / "corpus.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return (["query", QUERY, "--corpus", str(bad)],
+                "MalformedDocumentError", f"{bad}:1: {next(iter(fields))} must be")
+    if case in BAD_PASSAGE_FIELDS:
+        fields = BAD_PASSAGE_FIELDS[case]
+        turns = [{"session_id": "a", "turn_index": i, "speaker": "X", "text": "hi"}
+                 for i in range(3)]
+        turns[2].update(fields)
+        raw = tmp / "raw.jsonl"
+        raw.write_text("".join(json.dumps(turn) + "\n" for turn in turns), encoding="utf-8")
+        return (["ingest", "--corpus", str(raw), "--format", "generic-jsonl"],
+                "MalformedDocumentError", f"{raw}:3: {next(iter(fields))} must be")
+    if case in BAD_QUESTIONS:
+        record, field = BAD_QUESTIONS[case]
+        bad = tmp / "questions.json"
+        bad.write_text(json.dumps([record]))
+        return (["eval", "--corpus", str(corpus), "--questions", str(bad)],
+                "MalformedDocumentError", f"{bad}: {field} must be")
     if case == "corpus-line-not-an-object":
         lines = corpus.read_text(encoding="utf-8").splitlines()
         bad = tmp / "corpus.jsonl"
@@ -465,7 +520,8 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
             "IncompleteMatrixError", f"{bad}:2:")
 
 
-@pytest.mark.parametrize("case", [*BAD_CONFIGS, "corpus-line-not-an-object",
+@pytest.mark.parametrize("case", [*BAD_CONFIGS, *BAD_PASSAGE_FIELDS, *BAD_QUESTIONS,
+                                  "corpus-line-not-an-object",
                                   "fusion-weight-for-another-scorer",
                                   "gold-not-a-list", "matrix-line-without-cross",
                                   "sweep-zero-budget"])

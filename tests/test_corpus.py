@@ -18,7 +18,6 @@ from memgrep.corpus import (
     ingest,
     load_questions,
     read_corpus,
-    write_corpus,
 )
 from memgrep.errors import (
     DanglingGoldError,
@@ -65,7 +64,7 @@ def test_building_and_reading_a_corpus_do_not_hash(monkeypatch, tmp_path):
     monkeypatch.setattr(corpus_module, "_checksum", counting)
     corpus = make_corpus(["one", "two", "three"])
     path = tmp_path / "corpus.jsonl"
-    write_corpus(corpus, path)
+    path.write_text(corpus_to_jsonl(corpus), encoding="utf-8")
     back = read_corpus(path)
     assert calls == []
     assert back.checksum == back.checksum == corpus.checksum
@@ -132,7 +131,7 @@ def _passages(draw):
 def test_checksum_is_sha256_of_written_file(tmp_path_factory, passages):
     corpus = Corpus(passages=passages)
     path = tmp_path_factory.mktemp("checksum") / "corpus.jsonl"
-    write_corpus(corpus, path)
+    path.write_text(corpus_to_jsonl(corpus), encoding="utf-8")
     assert corpus.checksum == hashlib.sha256(path.read_bytes()).hexdigest()
     assert read_corpus(path).checksum == corpus.checksum
 
@@ -251,7 +250,7 @@ def test_ingest_longmemeval_like(tmp_path):
 
 def test_canonical_round_trip(tmp_path, tiny_corpus):
     path = tmp_path / "corpus.jsonl"
-    write_corpus(tiny_corpus, path)
+    path.write_text(corpus_to_jsonl(tiny_corpus), encoding="utf-8")
     back = read_corpus(path)
     assert back.checksum == tiny_corpus.checksum
     assert [p.to_record() for p in back] == [p.to_record() for p in tiny_corpus]
@@ -263,7 +262,7 @@ def test_canonical_round_trip_keeps_unicode_line_separators(tmp_path):
     # json.dumps(ensure_ascii=False) writes these separators raw in strings.
     corpus = make_corpus(["line\u2028separator", "next\x85line", "group\x1dsep"])
     path = tmp_path / "corpus.jsonl"
-    write_corpus(corpus, path)
+    path.write_text(corpus_to_jsonl(corpus), encoding="utf-8")
     assert read_corpus(path).checksum == corpus.checksum
 
 

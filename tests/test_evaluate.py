@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memgrep import evaluate
 from memgrep.annotate import RuleAnnotator
 from memgrep.corpus import GoldAnnotation, load_questions, read_corpus
 from memgrep.errors import IncompleteMatrixError
@@ -154,6 +155,21 @@ def test_build_matrix_flags_missing_gold(fixture_corpus_path, tmp_path):
     # The lexical fallback still retrieves; missing only if absent there too.
     assert rec.gold_ids == {"s1:4"}
     assert rec.missing_gold in (frozenset(), {"s1:4"})
+
+
+def test_build_matrix_neither_cuts_nor_renders(fixture_corpus_path,
+                                              fixture_questions_path, monkeypatch):
+    corpus = read_corpus(fixture_corpus_path)
+    questions = load_questions(fixture_questions_path, corpus)
+    calls = []
+    for name in ("cut", "render_context"):
+        def counting(*args, name=name, original=getattr(evaluate, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(evaluate, name, counting)
+    matrix = build_matrix(questions, corpus, [ScorerHandle(name="lex")])
+    assert calls == []
+    assert len(matrix.records) == len(questions)
 
 
 def _questions_file(tmp_path, records):
@@ -324,6 +340,61 @@ def test_ranking_effect_excludes_unretrieved_gold():
     effect = ranking_effect(matrix)
     assert effect.absent == 1
     assert effect.mean_rank_by_match is None
+
+
+def _reference_gold_rank(matrix, key):
+    """Mean first-gold rank, considered and absent, each record's candidates
+    sorted by `key(rec)` (None keeps the stored order)."""
+    ranks, absent = [], 0
+    for rec in matrix.records:
+        if not rec.gold_ids:
+            continue
+        ordered = (rec.candidate_ids if key is None
+                   else sorted(rec.candidate_ids, key=key(rec)))
+        hits = [i for i, pid in enumerate(ordered, start=1) if pid in rec.gold_ids]
+        if hits:
+            ranks.append(hits[0])
+        else:
+            absent += 1
+    return (sum(ranks) / len(ranks) if ranks else None), len(ranks), absent
+
+
+# Few ids and few distinct scores, so scores tie and gold is often absent.
+_few_ids = st.sampled_from(["a", "b", "c", "d", "e"])
+_few_scores = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+
+
+@st.composite
+def tied_matrices(draw):
+    records = []
+    for n in range(draw(st.integers(min_value=0, max_value=4))):
+        ids = draw(st.lists(_few_ids, max_size=5, unique=True))
+        gold = draw(st.frozensets(_few_ids, max_size=2))
+        records.append(QuestionRecord(
+            question_id=f"q{n}", query="q",
+            stats=tuple(PassageStats(pid, 1, 1) for pid in ids),
+            cross_scores={pid: draw(_few_scores) for pid in ids},
+            match_scores={pid: draw(_few_scores) for pid in ids},
+            gold_ids=gold,
+            missing_gold=gold - frozenset(ids),
+        ))
+    return ScoreMatrix(records=tuple(records), corpus_checksum="c", cross_scorer="lex")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(matrix=tied_matrices())
+def test_gold_ranks_match_brute_force_reference(matrix):
+    fused = mean_gold_rank(matrix)
+    assert (fused.mean_rank, fused.considered, fused.absent) == \
+        _reference_gold_rank(matrix, None)
+    by_match = _reference_gold_rank(
+        matrix, lambda rec: lambda pid: (-rec.match_scores[pid], pid))
+    by_cross = _reference_gold_rank(
+        matrix, lambda rec: lambda pid: (-rec.cross_scores[pid], pid))
+    effect = ranking_effect(matrix)
+    assert effect.mean_rank_by_match == by_match[0]
+    assert effect.mean_rank_by_cross == by_cross[0]
+    assert (effect.considered, effect.absent) == by_match[1:] == by_cross[1:]
 
 
 def test_fused_gold_rank_uses_stored_order():

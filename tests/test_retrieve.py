@@ -226,10 +226,11 @@ def reference_retrieve(query, corpus, cfg, annotator):
         hops += 1
     if cfg.prf_enabled and merged:
         top = [corpus.get(c.passage_id) for c in ordered()[:cfg.prf_source_top_n]]
-        prf_terms = prf_hop(top, annotator, min_doc_freq=cfg.prf_min_doc_freq,
-                            exclude=frozenset(searched), query_text=query)
-        if prf_terms.terms:
-            merge(prf_terms, "OR", hops)
+        if top:
+            prf_terms = prf_hop(top, annotator, min_doc_freq=cfg.prf_min_doc_freq,
+                                exclude=frozenset(searched), query_text=query)
+            if prf_terms.terms:
+                merge(prf_terms, "OR", hops)
     return ordered(), hops
 
 
@@ -239,7 +240,7 @@ def reference_retrieve(query, corpus, cfg, annotator):
        .map(lambda ws: "What did " + " ".join(ws) + " do?"),
        max_hops=st.integers(1, 3), prf=st.booleans(),
        mode=st.sampled_from(["OR", "AND"]), top_m=st.integers(0, 4),
-       top_n=st.integers(1, 4), min_doc_freq=st.integers(1, 2))
+       top_n=st.integers(0, 4), min_doc_freq=st.integers(1, 2))
 def test_retrieve_matches_per_hop_reference(tagger, texts, query, max_hops, prf,
                                             mode, top_m, top_n, min_doc_freq):
     corpus = make_corpus(texts)
