@@ -17,8 +17,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Collection, Iterator
+from typing import Any, Collection, Iterator, NamedTuple
 
 from .errors import (
     DanglingGoldError,
@@ -46,9 +47,14 @@ SCAN_BLOCK = 512
 ScanBlock = tuple[str, tuple[int, ...], int]  # (text, starts, base)
 
 
-@dataclass(frozen=True)
-class Passage:
-    """One conversation turn; the searchable unit."""
+class Passage(NamedTuple):
+    """One conversation turn; the searchable unit.
+
+    A NamedTuple, not a frozen dataclass: a corpus holds one per turn and
+    read_corpus builds every one of them, and a tuple is built about three
+    times as fast, is one tracked object instead of two and is smaller. Its
+    fields, their order, the default, the repr, hash and to_record are the
+    dataclass's, and assigning a field raises AttributeError as before."""
 
     id: str
     session_id: str
@@ -58,14 +64,7 @@ class Passage:
     timestamp: str | None = None
 
     def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "session_id": self.session_id,
-            "turn_index": self.turn_index,
-            "speaker": self.speaker,
-            "text": self.text,
-            "timestamp": self.timestamp,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -214,8 +213,14 @@ def ingest(raw_document: str | Path, format: str) -> Corpus:
         )
     if not passages:
         raise EmptyCorpusError(f"document {path} yielded zero passages")
-    passages.sort(key=lambda p: (p.session_id, p.turn_index))
+    passages.sort(key=attrgetter("session_id", "turn_index"))
     return Corpus(passages=tuple(passages), source_label=path.name)
+
+
+# json.loads(s) is this decoder's raw_decode between two runs of JSON
+# whitespace, which _jsonl_records strips instead.
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_WHITESPACE = " \t\n\r"
 
 
 def _jsonl_records(path: Path) -> Iterator[tuple[int, Any]]:
@@ -224,22 +229,37 @@ def _jsonl_records(path: Path) -> Iterator[tuple[int, Any]]:
     The file is read line by line, so no whole-file buffer is held, and only
     \\n, \\r\\n or \\r end a record: ``json.dumps(ensure_ascii=False)``
     leaves other line separators (U+2028, U+0085) raw inside strings.
+
+    A line is decoded once: stripped of JSON whitespace only, then taken
+    whole by one ``raw_decode``. Any other line falls back to the plain
+    reading, so the result is exactly ``json.loads``': a line that
+    ``str.strip`` empties (U+00A0 or U+001C alone, say) is skipped, and any
+    other gets ``json.loads(line)``, whose ValueError (bad JSON, a BOM, an
+    int of over 4,300 digits) is a MalformedDocumentError naming path:line.
     """
     with path.open(encoding="utf-8") as lines:
         for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
+            text = line.strip(_JSON_WHITESPACE)
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedDocumentError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                rec, end = _raw_decode(text)
+            except ValueError:
+                end = -1
+            if end != len(text):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except ValueError as exc:
+                    raise MalformedDocumentError(
+                        f"{path}:{lineno}: invalid JSON: {exc}") from exc
             yield lineno, rec
 
 
 def _typed_fields(rec: Any, names: Collection[str], path: Path, lineno: int) -> list:
     """rec's value for each of `names`, a missing field reading as null. A
-    line that is not an object, or a value of a type `_FIELD_TYPES` does not
-    allow, is a MalformedDocumentError naming path:line (and the field)."""
+    line that is not an object, a value of a type `_FIELD_TYPES` does not
+    allow, or a negative turn_index, is a MalformedDocumentError naming
+    path:line (and the field)."""
     if not isinstance(rec, dict):
         raise MalformedDocumentError(f"{path}:{lineno}: expected an object per line")
     values = [rec.get(name) for name in names]
@@ -248,24 +268,21 @@ def _typed_fields(rec: Any, names: Collection[str], path: Path, lineno: int) -> 
         if type(value) not in kinds:
             raise MalformedDocumentError(
                 f"{path}:{lineno}: {name} must be {kind}, got {value!r}")
+    if "turn_index" in names and rec["turn_index"] < 0:
+        raise MalformedDocumentError(
+            f"{path}:{lineno}: turn_index must be >= 0, got {rec['turn_index']}")
     return values
 
 
 def _parse_generic_jsonl(path: Path) -> list[tuple[str, int, str, str, str | None]]:
-    turns = []
-    for lineno, rec in _jsonl_records(path):
-        session_id, turn_index, speaker, text, timestamp = _typed_fields(
-            rec, _GENERIC_FIELDS, path, lineno)
-        if turn_index < 0:
-            raise MalformedDocumentError(f"{path}:{lineno}: negative turn_index")
-        turns.append((session_id, turn_index, speaker, text, timestamp))
-    return turns
+    return [tuple(_typed_fields(rec, _GENERIC_FIELDS, path, lineno))
+            for lineno, rec in _jsonl_records(path)]
 
 
 def _load_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an int too long to read
         raise MalformedDocumentError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -360,8 +377,12 @@ def corpus_metadata(corpus: Corpus) -> dict:
 
 def read_corpus(path: str | Path) -> Corpus:
     """Read a canonical JSONL corpus file, :func:`corpus_to_jsonl`'s output,
-    line by line (see :func:`_jsonl_records`). A repeated passage id raises
-    :class:`DuplicateTurnError` naming the lines of both occurrences."""
+    line by line (see :func:`_jsonl_records`). Each line's fields must have
+    their types, a ``turn_index`` of 0 or more and the ``id``
+    ``{session_id}:{turn_index}``, as :func:`ingest` writes them; a line
+    that breaks a rule is a MalformedDocumentError naming path:line and the
+    field. A repeated passage id raises :class:`DuplicateTurnError` naming
+    the lines of both occurrences."""
     path = Path(path)
     passages = []
     for lineno, rec in _jsonl_records(path):
@@ -370,17 +391,22 @@ def read_corpus(path: str | Path) -> Corpus:
                         rec["speaker"], rec["text"], rec.get("timestamp"))
         except (KeyError, TypeError):   # a missing field, or not an object
             p = None
-        # A well-typed line passes this one expression; _typed_fields names
-        # what is wrong with any other.
+        # A good line passes this one expression; _typed_fields and the id
+        # test below name what is wrong with any other.
         if p is None or not (
-                type(p.id) is type(p.session_id) is type(p.speaker) is type(p.text) is str
-                and type(p.turn_index) is int
+                type(p.session_id) is type(p.speaker) is type(p.text) is str
+                and type(p.turn_index) is int and p.turn_index >= 0
+                and p.id == f"{p.session_id}:{p.turn_index}"
                 and (p.timestamp is None or type(p.timestamp) is str)):
             p = Passage(*_typed_fields(rec, _FIELD_TYPES, path, lineno))
+            if p.id != f"{p.session_id}:{p.turn_index}":
+                raise MalformedDocumentError(
+                    f"{path}:{lineno}: id must be '{p.session_id}:{p.turn_index}', "
+                    f"got {p.id!r}")
         passages.append(p)
     if not passages:
         raise EmptyCorpusError(f"{path} holds zero passages")
-    passages.sort(key=lambda p: (p.session_id, p.turn_index))
+    passages.sort(key=attrgetter("session_id", "turn_index"))
     try:
         return Corpus(passages=tuple(passages), source_label=path.name)
     except DuplicateTurnError:
@@ -402,23 +428,41 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
     """Load question records, validating every gold id against the corpus.
 
     Accepts a JSON list or JSONL of records with ``question_id``,
-    ``gold_passage_ids`` and optional ``question`` text. Unresolvable
-    passage ids raise :class:`DanglingGoldError` listing every miss.
+    ``gold_passage_ids`` and optional ``question`` text. A ``question_id``
+    is a string or an int, read as its decimal string, and no two records
+    share one; a null or bool id, or a repeat, is a MalformedDocumentError
+    (a repeat names both records). Unresolvable passage ids raise
+    :class:`DanglingGoldError` listing every miss.
     """
     path = Path(raw_annotations)
-    # (where, record) pairs; for JSONL input, where names path:line.
+    # (where, position, record) triples; where prefixes an error, and names
+    # path:line for JSONL input.
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        records = [(f"{path}:{lineno}", rec) for lineno, rec in _jsonl_records(path)]
+    except ValueError:   # not one JSON document: read it as JSONL
+        records = [(f"{path}:{lineno}", f"line {lineno}", rec)
+                   for lineno, rec in _jsonl_records(path)]
     else:
-        records = [(str(path), rec) for rec in (doc if isinstance(doc, list) else [doc])]
+        records = [(str(path), f"record {i}", rec)
+                   for i, rec in enumerate(doc if isinstance(doc, list) else [doc])]
 
     questions = []
     missing: list[str] = []
-    for where, rec in records:
+    first_seen: dict[str, str] = {}   # question id -> its record's position
+    for where, position, rec in records:
         if not isinstance(rec, dict) or "question_id" not in rec:
             raise MalformedDocumentError(f"{where}: annotation record missing question_id")
+        question_id = rec["question_id"]
+        if type(question_id) is int:
+            question_id = str(question_id)
+        elif type(question_id) is not str:
+            raise MalformedDocumentError(
+                f"{where}: question_id must be a string or an int, got {question_id!r}")
+        if question_id in first_seen:
+            raise MalformedDocumentError(
+                f"{path}: question_id {question_id!r} appears at "
+                f"{first_seen[question_id]} and {position}")
+        first_seen[question_id] = position
         gold_ids = rec.get("gold_passage_ids", [])
         if (not isinstance(gold_ids, (list, tuple))
                 or not all(isinstance(pid, str) for pid in gold_ids)):
@@ -429,10 +473,10 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
             raise MalformedDocumentError(f"{where}: question must be a string, got {text!r}")
         for pid in gold_ids:
             if pid not in corpus:
-                missing.append(f"{rec['question_id']}->{pid}")
+                missing.append(f"{question_id}->{pid}")
         questions.append(
             Question(
-                question_id=str(rec["question_id"]),
+                question_id=question_id,
                 text=text,
                 gold_passage_ids=frozenset(gold_ids),
             )

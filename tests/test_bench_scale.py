@@ -6,6 +6,7 @@ more than one hop and scores rarely tie. Here the benchmark's generator
 nearly every passage, and the entity-rich offline corpus; every candidate,
 score, fused entry and context of the first questions is hashed, so a
 merge, ordering or tie-break change that only shows at scale fails here.
+The query-dense passages as read_corpus gives them are hashed too.
 After an intended output change, print the new digests with
 
     PYTHONPATH=src python tests/test_bench_scale.py
@@ -43,6 +44,8 @@ GOLDEN = {
         "95ddb7abef5f0c41865383e3c7bef3e4d7f738d642bd54b61217f8f7fd8aca76",
     "offline/oracle":
         "164ce51616c5688594287970351da29db4cff2a509d1286494eead16e58732c5",
+    "query-dense/passages":
+        "82e9e501e96782c64c4de1cecd7d0308857edad563a6b1b11d45703cd0fafa7c",
 }
 
 
@@ -87,6 +90,9 @@ def compute(tmp: Path) -> dict[str, str]:
     annotator = RuleAnnotator()
     got = {}
     corpus, questions = _workload("query-dense", tmp / "dense")
+    # The passages as read, field by field.
+    got["query-dense/passages"] = hashlib.sha256(
+        repr(corpus.passages).encode("utf-8")).hexdigest()
     for strategy in ("fixed", "adaptive"):
         trunc = TruncationConfig(strategy=strategy)
         got[f"query-dense/{strategy}"] = digest(

@@ -437,18 +437,43 @@ BAD_PASSAGE_FIELDS = {
     "ingest-fractional-turn-index": {"turn_index": 1.9},
     "ingest-session-id-not-a-string": {"session_id": 3},
     "ingest-timestamp-not-a-string": {"timestamp": 7},
+    # ingest derives the id and rejects a negative index; a canonical line
+    # must hold what ingest would have written.
+    "corpus-negative-turn-index": {"turn_index": -1},
+    "corpus-id-off-scheme": {"id": "zz:9"},
+    "ingest-negative-turn-index": {"turn_index": -1},
 }
 
-# Question records with a field of the wrong type, and the field the error
-# must name.
+# Question files with a bad record, and what the error must say after the
+# file's name.
 BAD_QUESTIONS = {
-    "gold-id-a-list": ({"question_id": "q1", "gold_passage_ids": [["s1:2"]]},
-                       "gold_passage_ids"),
-    "gold-id-a-number": ({"question_id": "q1", "gold_passage_ids": [5]},
-                         "gold_passage_ids"),
-    "question-null": ({"question_id": "q1", "question": None,
-                       "gold_passage_ids": ["s1:2"]}, "question"),
+    "gold-id-a-list": ([{"question_id": "q1", "gold_passage_ids": [["s1:2"]]}],
+                       "gold_passage_ids must be"),
+    "gold-id-a-number": ([{"question_id": "q1", "gold_passage_ids": [5]}],
+                         "gold_passage_ids must be"),
+    "question-null": ([{"question_id": "q1", "question": None,
+                        "gold_passage_ids": ["s1:2"]}], "question must be"),
+    "question-id-null": ([{"question_id": None, "gold_passage_ids": ["s1:2"]}],
+                         "question_id must be"),
+    "question-id-bool": ([{"question_id": True, "gold_passage_ids": ["s1:2"]}],
+                         "question_id must be"),
+    # An int id reads as its decimal string, so 7 and "7" are one id.
+    "question-id-repeated": ([{"question_id": 7, "gold_passage_ids": ["s1:2"]},
+                              {"question_id": "q2", "gold_passage_ids": []},
+                              {"question_id": "7", "gold_passage_ids": []}],
+                             "question_id '7' appears at record 0 and record 2"),
 }
+
+# A JSON integer literal of 5,000 digits: json reads it with a plain
+# ValueError (ints over 4,300 digits), not a JSONDecodeError.
+HUGE_INT = "9" * 5000
+
+
+def with_huge_int(record: dict, table: dict, key: str) -> str:
+    """record as a JSON line, with table[key] (a table within record) set to
+    HUGE_INT, which json.dumps would refuse to write."""
+    table[key] = "HUGE"
+    return json.dumps(record).replace('"HUGE"', HUGE_INT)
 
 
 def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
@@ -480,11 +505,19 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
         return (["ingest", "--corpus", str(raw), "--format", "generic-jsonl"],
                 "MalformedDocumentError", f"{raw}:3: {next(iter(fields))} must be")
     if case in BAD_QUESTIONS:
-        record, field = BAD_QUESTIONS[case]
+        records, message = BAD_QUESTIONS[case]
         bad = tmp / "questions.json"
-        bad.write_text(json.dumps([record]))
+        bad.write_text(json.dumps(records))
         return (["eval", "--corpus", str(corpus), "--questions", str(bad)],
-                "MalformedDocumentError", f"{bad}: {field} must be")
+                "MalformedDocumentError", f"{bad}: {message}")
+    if case == "corpus-huge-int-line":
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        lines[1] = with_huge_int(record, record, "turn_index")
+        bad = tmp / "corpus.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return (["query", QUERY, "--corpus", str(bad)],
+                "MalformedDocumentError", f"{bad}:2: invalid JSON:")
     if case == "corpus-line-not-an-object":
         lines = corpus.read_text(encoding="utf-8").splitlines()
         bad = tmp / "corpus.jsonl"
@@ -505,26 +538,32 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
         return (["sweep", "--corpus", str(corpus), "--questions", str(questions),
                  "--budgets", "0", "--alphas", ""],
                 "ValueError", "word_budget must be positive")
-    assert case == "matrix-line-without-cross"
+    assert case in ("matrix-line-without-cross", "matrix-huge-int-line")
     loaded = read_corpus(corpus)
     matrix = build_matrix(load_questions(questions, loaded), loaded,
                           [ScorerHandle(name="lexical")])
     lines = matrix_to_jsonl(matrix).splitlines()
     record = json.loads(lines[1])
-    del record["cross"]
-    lines[1] = json.dumps(record)
+    if case == "matrix-huge-int-line":
+        lines[1] = with_huge_int(record, record["cross"], record["candidates"][0])
+        fault = " invalid JSON:"
+    else:
+        del record["cross"]
+        lines[1] = json.dumps(record)
+        fault = ""
     bad = tmp / "matrix.jsonl"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return (["sweep", "--corpus", str(corpus), "--matrix", str(bad),
              "--budgets", "50", "--alphas", "0"],
-            "IncompleteMatrixError", f"{bad}:2:")
+            "IncompleteMatrixError", f"{bad}:2:{fault}")
 
 
 @pytest.mark.parametrize("case", [*BAD_CONFIGS, *BAD_PASSAGE_FIELDS, *BAD_QUESTIONS,
                                   "corpus-line-not-an-object",
                                   "fusion-weight-for-another-scorer",
                                   "gold-not-a-list", "matrix-line-without-cross",
-                                  "sweep-zero-budget"])
+                                  "sweep-zero-budget", "corpus-huge-int-line",
+                                  "matrix-huge-int-line"])
 def test_cli_process_ends_damaged_input_in_one_error_record(tmp_path, case):
     argv, error, fragment = damaged_run(case, tmp_path)
     env = {key: value for key, value in os.environ.items() if key != "MEMGREP_CONFIG"}

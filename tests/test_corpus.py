@@ -136,6 +136,88 @@ def test_checksum_is_sha256_of_written_file(tmp_path_factory, passages):
     assert read_corpus(path).checksum == corpus.checksum
 
 
+def test_passage_keeps_its_record_contract():
+    p = Passage("a:1", "a", 1, "X", "hi")
+    same = Passage(id="a:1", session_id="a", turn_index=1, speaker="X", text="hi",
+                   timestamp=None)
+    record = {"id": "a:1", "session_id": "a", "turn_index": 1, "speaker": "X",
+              "text": "hi", "timestamp": None}
+    assert list(p.to_record().items()) == list(record.items())
+    assert p.timestamp is None
+    assert repr(p) == ("Passage(id='a:1', session_id='a', turn_index=1, speaker='X', "
+                       "text='hi', timestamp=None)")
+    assert p == same and hash(p) == hash(same) == hash(tuple(record.values()))
+    assert p != Passage("a:1", "a", 1, "X", "hi", "2023-05-08")
+    assert Passage(**record) == p
+    p.to_record()["text"] = "changed"
+    assert p.text == "hi"
+    for name in record:
+        with pytest.raises(AttributeError):
+            setattr(p, name, "x")
+
+
+# Line padding: JSON whitespace (a newline ends the line instead) and
+# whitespace that str.strip removes but json does not accept.
+_NON_JSON_SPACE = ["\xa0", "\x1c", "\x0b", "\x0c", "\x85", "\u2028", "\u3000"]
+_PAD = st.text(st.sampled_from([" ", "\t", "\r", *_NON_JSON_SPACE]), max_size=3)
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6)
+_DOC = st.builds(lambda value, ascii: json.dumps(value, ensure_ascii=ascii),
+                 _JSON_VALUE, st.booleans())
+_HUGE_INT = st.builds(lambda sign, n: sign + "7" * n,
+                      st.sampled_from(["", "-"]), st.integers(4295, 4305))
+_LINE = st.one_of(
+    st.builds("".join, st.tuples(_PAD, _DOC, _PAD)),
+    _PAD,
+    st.builds("\ufeff".__add__, _DOC),
+    st.builds("".join, st.tuples(_DOC, st.sampled_from(["x", "]", "}", ",", " 1", "\xa0z"]))),
+    st.builds(lambda a, pad, b: a + pad + b, _DOC, _PAD, _DOC),
+    st.builds(lambda doc: doc[:-1], _DOC),
+    st.sampled_from(["NaN", "-Infinity", "[Infinity, NaN]", "nan"]),
+    _HUGE_INT,
+    st.builds('[{}, "x"]'.format, _HUGE_INT),
+)
+
+
+def _reference_records(path):
+    """The JSONL records of path and its error, read with plain json.loads."""
+    text = path.read_text(encoding="utf-8")   # \r\n and \r read as \n
+    parts = text.split("\n")
+    lines = [part + "\n" for part in parts[:-1]] + [parts[-1]]
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append((lineno, json.loads(line)))
+        except ValueError as exc:
+            return records, (MalformedDocumentError, f"{path}:{lineno}: invalid JSON: {exc}",
+                             type(exc))
+    return records, None
+
+
+def _read_records(path):
+    records = []
+    try:
+        for item in corpus_module._jsonl_records(path):
+            records.append(item)
+    except MalformedDocumentError as exc:
+        return records, (type(exc), str(exc), type(exc.__cause__))
+    return records, None
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(lines=st.lists(_LINE, min_size=1, max_size=6), ending=st.sampled_from(["\n", "\r\n"]))
+def test_jsonl_reader_matches_json_loads_per_line(tmp_path_factory, lines, ending):
+    path = tmp_path_factory.mktemp("jsonl") / "doc.jsonl"
+    path.write_bytes(ending.join(lines).encode("utf-8"))
+    got, want = _read_records(path), _reference_records(path)
+    # repr, so that a NaN equals itself
+    assert repr(got) == repr(want)
+
+
 def test_corpus_preserves_construction_order():
     passages = (
         Passage(id="b:0", session_id="b", turn_index=0, speaker="X", text="later"),
@@ -266,6 +348,24 @@ def test_canonical_round_trip_keeps_unicode_line_separators(tmp_path):
     assert read_corpus(path).checksum == corpus.checksum
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"turn_index": -3, "id": "a:-3"}, "turn_index must be >= 0, got -3"),
+    ({"id": "a:01"}, "id must be 'a:1', got 'a:01'"),
+    ({"id": "b:1"}, "id must be 'a:1', got 'b:1'"),
+])
+def test_read_corpus_holds_the_id_scheme(tmp_path, fields, message):
+    lines = [
+        {"id": "a:0", "session_id": "a", "turn_index": 0, "speaker": "X", "text": "one"},
+        {"id": "a:1", "session_id": "a", "turn_index": 1, "speaker": "X", "text": "two"},
+    ]
+    lines[1].update(fields)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    with pytest.raises(MalformedDocumentError) as err:
+        read_corpus(path)
+    assert str(err.value) == f"{path}:2: {message}"
+
+
 def test_read_corpus_rejects_garbage(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text("{}\n")
@@ -326,6 +426,24 @@ def test_load_questions_jsonl_errors_name_the_line(tmp_path, tiny_corpus,
     )
     with pytest.raises(MalformedDocumentError, match=re.escape(f"{path}:3: ") + f".*{message}"):
         load_questions(path, tiny_corpus)
+
+
+def test_load_questions_reads_an_int_id_as_its_string(tmp_path, tiny_corpus):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps([{"question_id": 12, "gold_passage_ids": ["s:0"]}]))
+    assert [q.question_id for q in load_questions(path, tiny_corpus)] == ["12"]
+
+
+def test_load_questions_jsonl_repeat_names_both_lines(tmp_path, tiny_corpus):
+    path = tmp_path / "q.jsonl"
+    path.write_text(
+        '{"question_id": "q1", "gold_passage_ids": ["s:0"]}\n'
+        '{"question_id": "q2", "gold_passage_ids": []}\n\n'
+        '{"question_id": "q1", "gold_passage_ids": []}\n'
+    )
+    with pytest.raises(MalformedDocumentError) as err:
+        load_questions(path, tiny_corpus)
+    assert str(err.value) == f"{path}: question_id 'q1' appears at line 1 and line 4"
 
 
 def test_load_questions_collects_all_dangling_ids(tmp_path, tiny_corpus):
