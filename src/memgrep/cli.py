@@ -87,7 +87,7 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {file_path}")
     try:
         doc = json.loads(file_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an int too long to read
         raise ConfigError(f"config file {file_path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {file_path} must hold a JSON object")

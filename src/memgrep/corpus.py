@@ -77,6 +77,8 @@ class Corpus:
 
     ``checksum`` is the sha256 of :func:`corpus_to_jsonl`'s output, computed
     once, on first read: building a corpus or a query never hashes.
+    ``word_count`` counts a passage's words on its first read too, so a
+    corpus built for one question counts only the passages it ranks.
     """
 
     passages: tuple[Passage, ...]
@@ -97,6 +99,7 @@ class Corpus:
             repeats = sorted(pid for pid, n in counts.items() if n > 1)
             raise DuplicateTurnError(f"duplicate passage ids: {', '.join(repeats)}")
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_words", {})
         object.__setattr__(self, "scan", _scan_blocks(self.passages))
 
     def __len__(self) -> int:
@@ -110,6 +113,14 @@ class Corpus:
 
     def get(self, passage_id: str) -> Passage:
         return self._by_id[passage_id]  # type: ignore[attr-defined]
+
+    def word_count(self, passage_id: str) -> int:
+        """The passage's number of whitespace-separated words."""
+        count = self._words.get(passage_id)  # type: ignore[attr-defined]
+        if count is None:
+            count = len(self.get(passage_id).text.split())
+            self._words[passage_id] = count  # type: ignore[attr-defined]
+        return count
 
     @cached_property
     def checksum(self) -> str:
@@ -428,7 +439,10 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
     """Load question records, validating every gold id against the corpus.
 
     Accepts a JSON list or JSONL of records with ``question_id``,
-    ``gold_passage_ids`` and optional ``question`` text. A ``question_id``
+    ``gold_passage_ids`` and optional ``question`` text. A file is read as
+    JSONL only when its first JSON document parses and more data follows;
+    any other fault is the document's own, a MalformedDocumentError naming
+    the file (and the line of a syntax error). A ``question_id``
     is a string or an int, read as its decimal string, and no two records
     share one; a null or bool id, or a repeat, is a MalformedDocumentError
     (a repeat names both records). Unresolvable passage ids raise
@@ -437,11 +451,18 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
     path = Path(raw_annotations)
     # (where, position, record) triples; where prefixes an error, and names
     # path:line for JSONL input.
+    text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError:   # not one JSON document: read it as JSONL
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        if exc.msg != "Extra data" and text.strip():
+            raise MalformedDocumentError(
+                f"{path}:{exc.lineno}: invalid JSON: {exc}") from exc
+        # More than one document, or none: read it as JSONL.
         records = [(f"{path}:{lineno}", f"line {lineno}", rec)
                    for lineno, rec in _jsonl_records(path)]
+    except ValueError as exc:   # an int too long to read
+        raise MalformedDocumentError(f"{path}: invalid JSON: {exc}") from exc
     else:
         records = [(str(path), f"record {i}", rec)
                    for i, rec in enumerate(doc if isinstance(doc, list) else [doc])]

@@ -149,8 +149,8 @@ def run_question(
     question_id: str | None = None,
 ) -> QuestionRun:
     """The live pipeline, end to end, for a single query. One annotator, a
-    RuleAnnotator when none is given, parses the query for both retrieval
-    and the in-process scorers."""
+    RuleAnnotator when none is given, parses the query, once, for retrieval;
+    the in-process scorer reads the sums retrieval found."""
     if trunc_cfg is None:
         trunc_cfg = TruncationConfig()
     if annotator is None:
@@ -182,8 +182,7 @@ def _retrieve_and_rank(
     candidates = retrieve(query, corpus, retrieve_cfg, annotator, dense_scorer)
     if not candidates:
         return candidates, None, None
-    ranked, vectors = rank(candidates, query, corpus, scorers, fusion_cfg,
-                           annotator=annotator)
+    ranked, vectors = rank(candidates, query, corpus, scorers, fusion_cfg)
     return candidates, ranked, vectors[primary_index(scorers)]
 
 

@@ -9,19 +9,26 @@ A FusionConfig whose weights are None, the default, means "the default
 split for these scorers": rank() fills it in with FusionConfig.for_scorers
 for the scorers it is given, at the config's k, so no caller decides it.
 
-Every scorer is an object with .score(query, texts) -> list[float], one
-finite score per text. Real relevance models live out of process and are
-reached through service.ServiceClient; LexicalDenseScorer is the one
-in-process scorer, so every code path runs deterministically with no model
-at all. A ScorerHandle, {name, kind, endpoint}, names a scorer: it is served
-when it has an endpoint and runs in process otherwise. Its client() picks
-between the two, and score() calls the result the same way for both. The
-lexical scorer parses the query with the annotator it is given, which in a
-pipeline run is the run's own annotator.
+A ScorerHandle, {name, kind, endpoint}, names a scorer: it is served when
+it has an endpoint and runs in process otherwise. Real relevance models live
+out of process and are reached through service.ServiceClient, which scores
+the candidates' texts. The in-process scorer is the lexical scorer, so every
+code path runs deterministically with no model at all. In rank it reads
+what retrieval found rather than the texts: each candidate's query-term sum
+(CandidateSet.term_sums) minus LENGTH_PENALTY per word, with the word count
+the corpus keeps per passage. So the query is parsed once per run, by
+retrieval. Scorers run concurrently only when both are served, to overlap
+their round trips; the in-process scorer runs on the calling thread.
+
+LexicalDenseScorer is the same scorer over texts, .score(query, texts) ->
+list[float], ServiceClient's shape. It is for texts that have no retrieval
+behind them: the semantic fallback, the oracle's semantic tool and a
+scorer host.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 from itertools import compress, repeat
@@ -140,15 +147,17 @@ class RankedList:
 # --- scoring ---
 
 class LexicalDenseScorer:
-    """The lexical scorer: matched distinct query-term weights minus a
-    length penalty of LENGTH_PENALTY per word.
+    """The lexical scorer over texts: matched distinct query-term weights
+    minus a length penalty of LENGTH_PENALTY per word.
 
-    It has ServiceClient's shape, .score(query, texts) -> list[float], so the
-    semantic fallback, the oracle's semantic tool and in-process ScorerHandles
-    all run through it with no model attached. The penalty makes scores
-    strictly length-sensitive, so ties are rare and the denser of two
-    equally-matching passages wins. Queries are parsed with the annotator
-    it is given, or with a RuleAnnotator of its own when given none.
+    It has ServiceClient's shape, .score(query, texts) -> list[float], for
+    texts that have no retrieval behind them: the semantic fallback and the
+    oracle's semantic tool run through it with no model attached. rank's
+    in-process scorer gives the same scores from retrieval's sums instead
+    (see score). The penalty makes scores strictly length-sensitive, so ties
+    are rare and the denser of two equally-matching passages wins. Queries
+    are parsed with the annotator it is given, or with a RuleAnnotator of
+    its own when given none.
     """
 
     def __init__(self, annotator: Annotator | None = None) -> None:
@@ -172,12 +181,24 @@ class LexicalDenseScorer:
 
 
 def score(scorer: ScorerHandle, query: str, passages: list[Passage],
-          annotator: Annotator | None = None) -> ScoreVector:
+          term_sums: Sequence[float] = (), corpus: Corpus | None = None) -> ScoreVector:
     """Evaluate one scorer over the passages; errors are never papered over.
-    An in-process scorer parses the query with the annotator."""
-    values = scorer.client(annotator).score(query, [p.text for p in passages])
-    return ScoreVector(scorer_name=scorer.name,
-                       scores=dict(zip(map(attrgetter("id"), passages), values)))
+
+    A served scorer scores the query against their texts. The in-process
+    scorer reads no text: passage k scores term_sums[k] (see CandidateSet)
+    minus LENGTH_PENALTY per word of it, counted by the corpus, which is
+    LexicalDenseScorer's score of the text bit for bit.
+    """
+    ids = list(map(attrgetter("id"), passages))
+    if scorer.endpoint:
+        values = scorer.client().score(query, [p.text for p in passages])
+    elif len(term_sums) != len(ids) or corpus is None:
+        raise ValueError("the in-process scorer needs a corpus and one query-term "
+                         f"sum per passage: got {len(term_sums)} for {len(ids)}")
+    else:
+        words = map(corpus.word_count, ids)
+        values = [m - LENGTH_PENALTY * n for m, n in zip(term_sums, words)]
+    return ScoreVector(scorer_name=scorer.name, scores=dict(zip(ids, values)))
 
 
 # --- fusion ---
@@ -219,17 +240,17 @@ def rank(
     cfg: FusionConfig | None = None,
     *,
     parallel: bool = True,
-    annotator: Annotator | None = None,
 ) -> tuple[RankedList, list[ScoreVector]]:
     """Score the full candidate set with every scorer, then fuse.
 
-    Scorers run concurrently when parallel is set; results are merged in
-    scorer order, so the output is bit-identical either way. One scorer
-    failing fails the whole call. A single scorer is fused alone, so its
-    order is kept. In-process scorers parse the query with the annotator,
-    a RuleAnnotator built once for the call when none is given. A missing
-    cfg, or one without weights, fuses with the default split at its k;
-    explicit weights must name exactly the given scorers.
+    Two served scorers run concurrently when parallel is set; otherwise the
+    scorers run in turn on the calling thread. Results are merged in scorer
+    order, so the output is bit-identical either way. One scorer failing
+    fails the whole call. A single scorer is fused alone, so its order is
+    kept. The in-process scorer reads the set's term_sums, one per
+    candidate. A missing cfg, or one without weights, fuses with the
+    default split at its k; explicit weights must name exactly the given
+    scorers.
     """
     if not candidates.candidates:
         raise ValueError("candidate set must be non-empty")
@@ -246,17 +267,16 @@ def rank(
         differ = sorted(set(cfg.weights) ^ set(names))
         raise UnknownScorerError(f"fusion weights must name exactly the scorers "
                                  f"{sorted(names)}; these differ: {differ}")
-    if annotator is None:
-        annotator = RuleAnnotator()
     passages = [corpus.get(pid) for pid in candidates.ids()]
+    sums = candidates.term_sums
 
-    if parallel and len(scorers) > 1:
+    if parallel and len(scorers) == 2 and all(s.endpoint for s in scorers):
         with ThreadPoolExecutor(max_workers=len(scorers)) as pool:
-            futures = [pool.submit(score, s, query, passages, annotator)
+            futures = [pool.submit(score, s, query, passages, sums, corpus)
                        for s in scorers]
             vectors = [future.result() for future in futures]
     else:
-        vectors = [score(s, query, passages, annotator) for s in scorers]
+        vectors = [score(s, query, passages, sums, corpus) for s in scorers]
 
     per_scorer_order = [(v.scorer_name, order_by_score(v.scores)) for v in vectors]
     ranked = rrf_fuse(per_scorer_order, cfg, query_id=candidates.query_id)

@@ -12,6 +12,9 @@ structure.
 A grep returns its raw hits by passage position. retrieve folds every hop's
 hits into one map (higher score wins, earliest hop kept) and builds each
 Candidate once, in candidate order: match score down, then passage id up.
+It also keeps each candidate's query-term sum, the weights of the
+question's own terms found in it, which rank's in-process lexical scorer
+reads in place of the text.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter, neg
 from typing import NamedTuple
@@ -55,10 +59,15 @@ class Candidate(NamedTuple):
 class CandidateSet:
     # Passage ids are unique by construction: every set is keyed by corpus
     # position, by passage id, or built from a corpus's passages.
+    # term_sums[k] is candidates[k]'s query-term sum: the weights, added in
+    # term order, of the question's own parsed terms that its text contains,
+    # as an OR grep of them finds it (0.0 when it holds none). retrieve fills
+    # it in every mode; rank's in-process scorer needs it.
     candidates: tuple[Candidate, ...]
     query_id: str
     hops_executed: int
     warnings: tuple[str, ...] = ()
+    term_sums: tuple[float, ...] = ()
 
     def ids(self) -> list[str]:
         return [c.passage_id for c in self.candidates]
@@ -133,10 +142,12 @@ def grep_search(corpus: Corpus, terms: WeightedTermSet, mode: str = "OR") -> Hit
                 if at + size < end:
                     hits.setdefault(base + j - 1, []).append(pair)
                 at = find(needle, end)
-    if mode == "AND":
-        return {i: matched for i, matched in hits.items()
-                if len(matched) == len(terms.terms)}
-    return hits
+    return and_hits(hits, terms) if mode == "AND" else hits
+
+
+def and_hits(hits: Hits, terms: WeightedTermSet) -> Hits:
+    """Those of terms' OR hits that match every term: AND mode's hits."""
+    return {i: matched for i, matched in hits.items() if len(matched) == len(terms.terms)}
 
 
 def match_scores(hits: Hits) -> dict[int, float]:
@@ -239,24 +250,30 @@ def semantic_fallback(
     *,
     top_n: int = SEMANTIC_FALLBACK_TOP_N,
     hop: int = 0,
+    term_sums: Mapping[int, float] | None = None,
 ) -> CandidateSet:
     """Score every passage with the dense scorer and keep the top slice.
 
     Only called when substring matching found nothing; matched_terms stays
-    empty to mark these candidates as score-only.
+    empty to mark these candidates as score-only. term_sums maps a passage
+    position to its query-term sum (see CandidateSet); a passage it lacks
+    sums to 0.0.
     """
     if dense_scorer is None:
         raise ScorerUnavailableError("no dense scorer configured")
     passages = corpus.passages
     scores = dense_scorer.score(query, [p.text for p in passages])
     by_position = dict(enumerate(scores))
+    order = candidate_order(corpus, by_position, top_n)
     candidates = tuple(
         Candidate(passage_id=passages[i].id, match_score=float(by_position[i]),
                   matched_terms=(), hop=hop)
-        for i in candidate_order(corpus, by_position, top_n)
+        for i in order
     )
+    sums = term_sums or {}
     return CandidateSet(candidates=candidates, query_id=query_id_for(query),
-                        hops_executed=0)
+                        hops_executed=0,
+                        term_sums=tuple(sums.get(i, 0.0) for i in order))
 
 
 # --- orchestration ---
@@ -283,16 +300,22 @@ def retrieve(
     scores: dict[int, float] = {}
     best: Hits = {}
     first_hop: dict[int, int] = {}
+    # Passage position -> its query-term sum; a passage absent holds none.
+    own: dict[int, float] = {}
 
-    def fold(hits: Hits, hop: int) -> None:
-        for i, score in match_scores(hits).items():
+    def fold(hits: Hits, hop: int, hit_scores: dict[int, float] | None = None) -> None:
+        # hit_scores, match_scores(hits) when not given, may hold more.
+        if hit_scores is None:
+            hit_scores = match_scores(hits)
+        for i, pairs in hits.items():
+            score = hit_scores[i]
             held = scores.get(i)
             if held is None:
                 first_hop[i] = hop
             elif score <= held:
                 continue
             scores[i] = score
-            best[i] = hits[i]
+            best[i] = pairs
 
     hops = 0
     terms: WeightedTermSet | None = None
@@ -303,7 +326,12 @@ def retrieve(
 
     if terms is not None:
         searched = set(terms.surfaces_lower())
-        fold(grep_search(corpus, terms, cfg.mode), 0)
+        # Hop 0 greps in OR mode in both modes: the query-term sums are OR
+        # sums, since a candidate AND mode finds later, or a fallback one,
+        # may still hold some of the terms. An AND hit holds all of them.
+        hits = grep_search(corpus, terms, "OR")
+        own = match_scores(hits)
+        fold(and_hits(hits, terms) if cfg.mode == "AND" else hits, 0, own)
         hops = 1
 
         # A top-m of 0 mines no passage, so it ends the loop like an empty hop.
@@ -332,12 +360,15 @@ def retrieve(
                 fold(grep_search(corpus, prf_terms, "OR"), hops)
 
     if scores:
+        order = candidate_order(corpus, scores)
         found = tuple(Candidate(passages[i].id, scores[i], tuple(best[i]), first_hop[i])
-                      for i in candidate_order(corpus, scores))
-        return CandidateSet(found, qid, hops, tuple(warnings))
+                      for i in order)
+        return CandidateSet(found, qid, hops, tuple(warnings),
+                            tuple(own.get(i, 0.0) for i in order))
     if cfg.fallback_enabled and dense_scorer is not None:
         try:
-            fallback = semantic_fallback(query, corpus, dense_scorer, hop=hops)
+            fallback = semantic_fallback(query, corpus, dense_scorer, hop=hops,
+                                         term_sums=own)
             return replace(fallback, hops_executed=hops, warnings=tuple(warnings))
         except ScorerUnavailableError as exc:
             warnings.append(f"semantic-fallback-unavailable: {exc}")

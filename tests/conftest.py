@@ -42,13 +42,15 @@ def make_corpus(texts, session_id="s", speaker="A"):
 
 def grep_candidates(corpus, terms, mode="OR"):
     """One grep's hits as hop-0 candidates in candidate order, as retrieve
-    builds them from a single hop."""
+    builds them from a single hop. Each hit holds its terms, so its match
+    score is its query-term sum."""
     hits = grep_search(corpus, terms, mode)
     scores = match_scores(hits)
+    order = candidate_order(corpus, scores)
     candidates = tuple(
-        Candidate(corpus.passages[i].id, scores[i], tuple(hits[i]), 0)
-        for i in candidate_order(corpus, scores))
-    return CandidateSet(candidates, query_id_for(terms.query_text), hops_executed=1)
+        Candidate(corpus.passages[i].id, scores[i], tuple(hits[i]), 0) for i in order)
+    return CandidateSet(candidates, query_id_for(terms.query_text), hops_executed=1,
+                        term_sums=tuple(scores[i] for i in order))
 
 
 @pytest.fixture

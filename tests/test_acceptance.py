@@ -35,7 +35,8 @@ from memgrep.rank import (
     rank,
     rrf_fuse,
 )
-from memgrep.retrieve import Candidate, CandidateSet, RetrieveConfig, retrieve
+from memgrep.retrieve import (Candidate, CandidateSet, RetrieveConfig, grep_search,
+                              match_scores, retrieve)
 from memgrep.service import ReferenceServer
 from memgrep.truncate import RankedStats, TruncationConfig, truncate_adaptive, truncate_fixed
 
@@ -336,12 +337,21 @@ def test_criterion_7_concurrency_equivalence():
         return [zlib.crc32(f"{query}|{text}".encode()) % 10_000 / 2500.0
                 for text in items]
 
+    def late_scores(query, items):
+        return [zlib.adler32(f"{text}|{query}".encode()) % 10_000 / 5000.0
+                for text in items]
+
+    annotator = RuleAnnotator()
     rng = random.Random(77001)
-    with ReferenceServer(score_fn=service_scores) as server:
-        scorers = [
-            ScorerHandle(name="cross", kind="pointwise-cross",
-                         endpoint=server.endpoint),
-            ScorerHandle(name="late", kind="lexical-test"),
+    with ReferenceServer(score_fn=service_scores) as server, \
+            ReferenceServer(score_fn=late_scores) as late_server:
+        cross = ScorerHandle(name="cross", kind="pointwise-cross", endpoint=server.endpoint)
+        # One served scorer runs in turn with the in-process one either way;
+        # two served scorers run on the pool when parallel is set.
+        scorer_pairs = [
+            [cross, ScorerHandle(name="late", kind="lexical-test")],
+            [cross, ScorerHandle(name="late", kind="late-interaction",
+                                 endpoint=late_server.endpoint)],
         ]
         for _ in range(100):
             texts = [
@@ -351,6 +361,8 @@ def test_criterion_7_concurrency_equivalence():
             ]
             corpus = make_corpus(texts)
             query, _ = _question(rng)
+            # Every passage is a candidate, with the query's own term sums.
+            sums = match_scores(grep_search(corpus, parse_query(query, annotator), "OR"))
             candidates = CandidateSet(
                 candidates=tuple(
                     Candidate(passage_id=p.id, match_score=0.0,
@@ -358,12 +370,14 @@ def test_criterion_7_concurrency_equivalence():
                     for p in corpus
                 ),
                 query_id="acc7", hops_executed=1,
+                term_sums=tuple(sums.get(i, 0.0) for i in range(len(corpus))),
             )
-            concurrent = rank(candidates, query, corpus, scorers,
-                              parallel=True)
-            sequential = rank(candidates, query, corpus, scorers,
-                              parallel=False)
-            assert concurrent == sequential
+            for scorers in scorer_pairs:
+                concurrent = rank(candidates, query, corpus, scorers,
+                                  parallel=True)
+                sequential = rank(candidates, query, corpus, scorers,
+                                  parallel=False)
+                assert concurrent == sequential
 
 
 # --- criterion 8: the offline simulator reproduces the live pipeline ---

@@ -444,8 +444,15 @@ BAD_PASSAGE_FIELDS = {
     "ingest-negative-turn-index": {"turn_index": -1},
 }
 
+# A JSON integer literal of 5,000 digits: json reads it with a plain
+# ValueError (ints over 4,300 digits), not a JSONDecodeError.
+HUGE_INT = "9" * 5000
+
+
 # Question files with a bad record, and what the error must say after the
-# file's name.
+# file's name. A file given as text is written as it stands, and its message
+# follows the name directly: a pretty-printed list is one JSON document, so
+# its fault is reported where it is, not read again as JSONL from line 1.
 BAD_QUESTIONS = {
     "gold-id-a-list": ([{"question_id": "q1", "gold_passage_ids": [["s1:2"]]}],
                        "gold_passage_ids must be"),
@@ -462,12 +469,13 @@ BAD_QUESTIONS = {
                               {"question_id": "q2", "gold_passage_ids": []},
                               {"question_id": "7", "gold_passage_ids": []}],
                              "question_id '7' appears at record 0 and record 2"),
+    "pretty-list-syntax-error": ('[\n {"question_id": "q1", "gold_passage_ids": []},\n'
+                                 ' {"question_id": "q2", "gold_passage_ids": [}\n]\n',
+                                 ":3: invalid JSON: Expecting value: line 3"),
+    "pretty-list-huge-int": ('[\n {"question_id": "q1", "gold_passage_ids": [], "n": '
+                             + HUGE_INT + '}\n]\n',
+                             ": invalid JSON: Exceeds the limit (4300 digits)"),
 }
-
-# A JSON integer literal of 5,000 digits: json reads it with a plain
-# ValueError (ints over 4,300 digits), not a JSONDecodeError.
-HUGE_INT = "9" * 5000
-
 
 def with_huge_int(record: dict, table: dict, key: str) -> str:
     """record as a JSON line, with table[key] (a table within record) set to
@@ -507,9 +515,18 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
     if case in BAD_QUESTIONS:
         records, message = BAD_QUESTIONS[case]
         bad = tmp / "questions.json"
+        argv = ["eval", "--corpus", str(corpus), "--questions", str(bad)]
+        if isinstance(records, str):
+            bad.write_text(records)
+            return argv, "MalformedDocumentError", f"{bad}{message}"
         bad.write_text(json.dumps(records))
-        return (["eval", "--corpus", str(corpus), "--questions", str(bad)],
-                "MalformedDocumentError", f"{bad}: {message}")
+        return argv, "MalformedDocumentError", f"{bad}: {message}"
+    if case == "config-huge-int":
+        record = {"truncation": {}}
+        config = tmp / "config.json"
+        config.write_text(with_huge_int(record, record["truncation"], "top_k"))
+        return (["query", QUERY, "--corpus", str(corpus), "--config", str(config)],
+                "ConfigError", f"config file {config} is not valid JSON: Exceeds")
     if case == "corpus-huge-int-line":
         lines = corpus.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[1])
@@ -563,7 +580,7 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
                                   "fusion-weight-for-another-scorer",
                                   "gold-not-a-list", "matrix-line-without-cross",
                                   "sweep-zero-budget", "corpus-huge-int-line",
-                                  "matrix-huge-int-line"])
+                                  "matrix-huge-int-line", "config-huge-int"])
 def test_cli_process_ends_damaged_input_in_one_error_record(tmp_path, case):
     argv, error, fragment = damaged_run(case, tmp_path)
     env = {key: value for key, value in os.environ.items() if key != "MEMGREP_CONFIG"}

@@ -1,11 +1,13 @@
 """Minimum-cost trace derivation and trace statistics."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from memgrep.annotate import RuleAnnotator
-from memgrep.corpus import GoldAnnotation
+from memgrep.corpus import GoldAnnotation, load_questions, read_corpus
 from memgrep.oracle import (
     ACTION_SPACE_NOTE,
     Action,
@@ -173,3 +175,41 @@ def test_failure_reason_recorded_in_stats(tagger):
     traces = [derive_trace("zanzibar", gold("s:0"), corpus, tagger)]
     stats = trace_stats(traces)
     assert stats["failure_reasons"] == {"no-path": 1}
+
+
+def replay_covers(actions, corpus, gold_ids):
+    """Re-run grep actions as plain case-insensitive substring tests over
+    every passage; True if together they retrieve all of gold_ids."""
+    lowered = [(p.id, p.text.lower()) for p in corpus]
+    covered = set()
+    for action in actions:
+        assert action.tool in ("grep-or", "grep-and"), action
+        needles = [surface.lower() for surface in action.term_surfaces]
+        test = all if action.tool == "grep-and" else any
+        covered.update(pid for pid, text in lowered if test(n in text for n in needles))
+    return gold_ids <= covered
+
+
+def test_replaying_a_trace_covers_its_gold_at_bench_scale(tagger, tmp_path):
+    # bench/ goes on the import path only while its generator is imported.
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import synth
+    finally:
+        sys.path.remove(bench)
+    synth.write_workload("offline", 3, tmp_path)
+    corpus = read_corpus(tmp_path / "corpus.jsonl")
+    # 1-, 2- and 3-action chains in turn; q0011, q0023, ... chain through
+    # people the fillers also name.
+    questions = load_questions(tmp_path / "questions.json", corpus)[:48]
+    successes = 0
+    for question in questions:
+        trace = derive_trace(question.text, question.gold, corpus, tagger)
+        if not trace.success:
+            continue
+        successes += 1
+        assert trace.cost == len(trace.actions), question.question_id
+        assert replay_covers(trace.actions, corpus, question.gold_passage_ids), \
+            question.question_id
+    assert successes >= len(questions) * 0.9

@@ -2,10 +2,11 @@
 
 import math
 import random
+import threading
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
@@ -25,9 +26,10 @@ from memgrep.rank import (
     rrf_fuse,
     score,
 )
+from memgrep.retrieve import RetrieveConfig, grep_search, match_scores, retrieve
 from memgrep.service import ReferenceServer, ServiceClient
 
-from conftest import grep_candidates
+from conftest import grep_candidates, make_corpus
 
 
 def term_set(*pairs):
@@ -285,9 +287,22 @@ def test_fusion_without_weights_takes_the_default_split_at_its_k(
         assert unweighted != ranked(FusionConfig())
 
 
+def corpus_term_sums(corpus, query):
+    """Every passage's query-term sum for query, in corpus order, as
+    retrieve's hop-0 OR grep finds it."""
+    try:
+        hits = grep_search(corpus, parse_query(query, RuleAnnotator()), "OR")
+    except EmptyTermSetError:
+        hits = {}
+    sums = match_scores(hits)
+    return [sums.get(i, 0.0) for i in range(len(corpus))]
+
+
 def test_score_in_process_lexical(tiny_corpus):
     handle = ScorerHandle(name="lex")
-    vector = score(handle, "Melanie went hiking", list(tiny_corpus))
+    query = "Melanie went hiking"
+    vector = score(handle, query, list(tiny_corpus),
+                   corpus_term_sums(tiny_corpus, query), tiny_corpus)
     assert vector.scorer_name == "lex"
     best = max(vector.scores, key=vector.scores.get)
     assert best == "s:0"
@@ -337,7 +352,8 @@ def test_in_process_and_socket_scoring_agree(fixture_corpus_path,
         remote = ScorerHandle(name="lex", kind="pointwise-cross",
                               endpoint=server.endpoint)
         for query in queries:
-            local = score(ScorerHandle(name="lex"), query, passages)
+            local = score(ScorerHandle(name="lex"), query, passages,
+                          corpus_term_sums(corpus, query), corpus)
             assert score(remote, query, passages).scores == local.scores
 
 
@@ -422,3 +438,63 @@ def test_lexical_dense_scorer_stopword_query():
     scorer = LexicalDenseScorer(RuleAnnotator())
     scores = scorer.score("the of and", ["some text here"])
     assert scores == [pytest.approx(-0.003)]
+
+
+# Texts of query words, their case variants and fillers, joined by assorted
+# whitespace, so terms repeat, "İ" lowers to two code points and words split
+# on more than spaces.
+RANK_WORDS = st.sampled_from(QUERY_WORDS + ["MELANIE", "İSTANBUL", "istanbul", "STRASSE",
+                                            "cabin", "lake", "dusk"])
+RANK_TEXTS = st.lists(st.tuples(RANK_WORDS, st.sampled_from([" ", "  ", "\t", "\n", "\u3000"])),
+                      max_size=8).map(lambda pairs: "".join(w + sep for w, sep in pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    query=st.lists(RANK_WORDS, min_size=1, max_size=4).map(" ".join),
+    texts=st.lists(RANK_TEXTS, min_size=1, max_size=10),
+    mode=st.sampled_from(["OR", "AND"]),
+)
+# AND finds nothing, so the semantic fallback supplies every passage, and two
+# of them hold one query term each.
+@example(query="Melanie hiking", mode="AND",
+         texts=["Melanie went\tout", "hiking hiking\u3000trails", "cabin lake"])
+# No content terms: every sum is 0, the length penalty alone.
+@example(query="the of", mode="OR", texts=["the cabin", "of\nthe lake dusk"])
+def test_rank_in_process_vector_equals_the_text_path(query, texts, mode):
+    annotator = RuleAnnotator()
+    corpus = make_corpus(texts)
+    text_path = LexicalDenseScorer(annotator)
+    candidates = retrieve(query, corpus, RetrieveConfig(mode=mode), annotator, text_path)
+    _, (vector,) = rank(candidates, query, corpus, [ScorerHandle(name="lex")])
+    ids = candidates.ids()
+    assert list(vector.scores) == ids
+    assert list(vector.scores.values()) == text_path.score(
+        query, [corpus.get(pid).text for pid in ids])
+
+
+def test_rank_with_at_most_one_served_scorer_starts_no_thread(tiny_corpus, monkeypatch):
+    candidates = grep_candidates(tiny_corpus, term_set(("the", 2.0)))
+    caller = threading.current_thread()
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        if threading.current_thread() is caller:
+            started.append(thread)
+        start(thread)
+
+    with ReferenceServer(score_fn=lambda q, items: [1.0] * len(items)) as one, \
+            ReferenceServer(score_fn=lambda q, items: [2.0] * len(items)) as two:
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        served = [ScorerHandle(name="a", kind="pointwise-cross", endpoint=one.endpoint),
+                  ScorerHandle(name="b", kind="late-interaction", endpoint=two.endpoint)]
+        for scorers in ([ScorerHandle(name="lex")],
+                        [ScorerHandle(name="lex"), ScorerHandle(name="lex2")],
+                        [served[0]],
+                        [served[0], ScorerHandle(name="lex")]):
+            rank(candidates, "Melanie went hiking", tiny_corpus, scorers, parallel=True)
+        assert started == []
+        # Two served scorers overlap their round trips on a pool.
+        rank(candidates, "Melanie went hiking", tiny_corpus, served, parallel=True)
+        assert started
