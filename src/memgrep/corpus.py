@@ -435,14 +435,24 @@ def read_corpus(path: str | Path) -> Corpus:
 # Gold annotations
 # ---------------------------------------------------------------------------
 
+def _syntax_fault(text: str) -> json.JSONDecodeError | None:
+    """json's syntax error for text as one document, or None when it has
+    none; ints are not converted, so no int is too long here."""
+    try:
+        json.loads(text, parse_int=len)
+    except json.JSONDecodeError as exc:
+        return exc
+    return None
+
+
 def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question]:
     """Load question records, validating every gold id against the corpus.
 
     Accepts a JSON list or JSONL of records with ``question_id``,
     ``gold_passage_ids`` and optional ``question`` text. A file is read as
-    JSONL only when its first JSON document parses and more data follows;
-    any other fault is the document's own, a MalformedDocumentError naming
-    the file (and the line of a syntax error). A ``question_id``
+    JSONL only when its first JSON document is well formed and more data
+    follows; any other fault is the document's own, a MalformedDocumentError
+    naming the file (and the line of a syntax error). A ``question_id``
     is a string or an int, read as its decimal string, and no two records
     share one; a null or bool id, or a repeat, is a MalformedDocumentError
     (a repeat names both records). Unresolvable passage ids raise
@@ -454,15 +464,18 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
     text = path.read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        if exc.msg != "Extra data" and text.strip():
+    except ValueError as exc:
+        # json meets an int too long to read before it can see Extra data,
+        # so the file's shape is then read again with ints left unconverted.
+        fault = exc if isinstance(exc, json.JSONDecodeError) else _syntax_fault(text)
+        if fault is None:
+            raise MalformedDocumentError(f"{path}: invalid JSON: {exc}") from exc
+        if fault.msg != "Extra data" and text.strip():
             raise MalformedDocumentError(
-                f"{path}:{exc.lineno}: invalid JSON: {exc}") from exc
+                f"{path}:{fault.lineno}: invalid JSON: {fault}") from exc
         # More than one document, or none: read it as JSONL.
         records = [(f"{path}:{lineno}", f"line {lineno}", rec)
                    for lineno, rec in _jsonl_records(path)]
-    except ValueError as exc:   # an int too long to read
-        raise MalformedDocumentError(f"{path}: invalid JSON: {exc}") from exc
     else:
         records = [(str(path), f"record {i}", rec)
                    for i, rec in enumerate(doc if isinstance(doc, list) else [doc])]

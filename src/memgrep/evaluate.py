@@ -237,7 +237,7 @@ def build_matrix(
         records.append(QuestionRecord(
             question_id=question.question_id,
             query=question.text,
-            stats=tuple(stats_for(corpus.get(pid)) for pid in ordered),
+            stats=tuple(stats_for(corpus, pid) for pid in ordered),
             cross_scores={pid: cross.scores[pid] for pid in ordered},
             match_scores={pid: match_scores[pid] for pid in ordered},
             gold_ids=question.gold_passage_ids,

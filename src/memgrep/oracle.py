@@ -111,8 +111,9 @@ def derive_trace(
         if hit is not None:
             return hit
         if action.tool == "semantic":
-            ids = semantic_fallback(question, corpus, dense_scorer).ids()
-            top = [corpus.get(pid) for pid in ids[:ENTITY_SOURCE_TOP]]
+            order = list(semantic_fallback(question, corpus, dense_scorer))
+            ids = [passages[i].id for i in order]
+            top = [passages[i] for i in order[:ENTITY_SOURCE_TOP]]
         else:
             term_set = WeightedTermSet(
                 terms=tuple(

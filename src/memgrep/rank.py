@@ -10,15 +10,17 @@ split for these scorers": rank() fills it in with FusionConfig.for_scorers
 for the scorers it is given, at the config's k, so no caller decides it.
 
 A ScorerHandle, {name, kind, endpoint}, names a scorer: it is served when
-it has an endpoint and runs in process otherwise. Real relevance models live
-out of process and are reached through service.ServiceClient, which scores
-the candidates' texts. The in-process scorer is the lexical scorer, so every
-code path runs deterministically with no model at all. In rank it reads
-what retrieval found rather than the texts: each candidate's query-term sum
-(CandidateSet.term_sums) minus LENGTH_PENALTY per word, with the word count
-the corpus keeps per passage. So the query is parsed once per run, by
-retrieval. Scorers run concurrently only when both are served, to overlap
-their round trips; the in-process scorer runs on the calling thread.
+it has an endpoint and runs in process otherwise. Every scorer scores the
+CandidateSet retrieve returned. Real relevance models live out of process
+and are reached through service.ServiceClient, which scores the
+candidates' texts, read from the corpus. The in-process scorer is the
+lexical scorer, so every code path runs deterministically with no model at
+all. In rank it reads what retrieval found rather than the texts: each
+candidate's query-term sum (CandidateSet.term_sums) minus LENGTH_PENALTY
+per word, with the word count the corpus keeps per passage. So the query
+is parsed once per run, by retrieval. Scorers run concurrently only when
+both are served, to overlap their round trips; the in-process scorer runs
+on the calling thread.
 
 LexicalDenseScorer is the same scorer over texts, .score(query, texts) ->
 list[float], ServiceClient's shape. It is for texts that have no retrieval
@@ -28,15 +30,14 @@ scorer host.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 from itertools import compress, repeat
-from operator import add, attrgetter, contains, neg, truediv
+from operator import add, contains, neg, truediv
 from typing import NamedTuple
 
 from .annotate import Annotator, RuleAnnotator
-from .corpus import Corpus, Passage
+from .corpus import Corpus
 from .errors import EmptyTermSetError, UnknownScorerError
 from .parse import parse_query
 from .retrieve import CandidateSet
@@ -135,7 +136,6 @@ class RankedEntry(NamedTuple):
 @dataclass(frozen=True)
 class RankedList:
     entries: tuple[RankedEntry, ...]
-    query_id: str
 
     def ids(self) -> list[str]:
         return [entry.passage_id for entry in self.entries]
@@ -180,24 +180,26 @@ class LexicalDenseScorer:
         return [m - LENGTH_PENALTY * n for m, n in zip(matched, words)]
 
 
-def score(scorer: ScorerHandle, query: str, passages: list[Passage],
-          term_sums: Sequence[float] = (), corpus: Corpus | None = None) -> ScoreVector:
-    """Evaluate one scorer over the passages; errors are never papered over.
+def score(scorer: ScorerHandle, query: str, candidates: CandidateSet,
+          corpus: Corpus) -> ScoreVector:
+    """Evaluate one scorer over the candidates; errors are never papered over.
 
-    A served scorer scores the query against their texts. The in-process
-    scorer reads no text: passage k scores term_sums[k] (see CandidateSet)
-    minus LENGTH_PENALTY per word of it, counted by the corpus, which is
-    LexicalDenseScorer's score of the text bit for bit.
+    A served scorer scores the query against their texts, which it reads
+    from the corpus. The in-process scorer reads no text: candidate k scores
+    candidates.term_sums[k] (see CandidateSet) minus LENGTH_PENALTY per word
+    of it, counted by the corpus, which is LexicalDenseScorer's score of the
+    text bit for bit.
     """
-    ids = list(map(attrgetter("id"), passages))
+    ids = candidates.ids()
+    sums = candidates.term_sums
     if scorer.endpoint:
-        values = scorer.client().score(query, [p.text for p in passages])
-    elif len(term_sums) != len(ids) or corpus is None:
-        raise ValueError("the in-process scorer needs a corpus and one query-term "
-                         f"sum per passage: got {len(term_sums)} for {len(ids)}")
+        values = scorer.client().score(query, [corpus.get(pid).text for pid in ids])
+    elif len(sums) != len(ids):
+        raise ValueError("the in-process scorer needs one query-term sum per "
+                         f"candidate: got {len(sums)} for {len(ids)}")
     else:
         words = map(corpus.word_count, ids)
-        values = [m - LENGTH_PENALTY * n for m, n in zip(term_sums, words)]
+        values = [m - LENGTH_PENALTY * n for m, n in zip(sums, words)]
     return ScoreVector(scorer_name=scorer.name, scores=dict(zip(ids, values)))
 
 
@@ -206,8 +208,6 @@ def score(scorer: ScorerHandle, query: str, passages: list[Passage],
 def rrf_fuse(
     rankings: list[tuple[str, list[str]]],
     cfg: FusionConfig,
-    *,
-    query_id: str = "",
 ) -> RankedList:
     """fused(d) = sum over rankings holding d of weight / (k + rank(d)).
 
@@ -229,7 +229,7 @@ def rrf_fuse(
         fused.update(zip(ids, sums))
     order = order_by_score(fused)
     entries = tuple(map(RankedEntry, order, map(fused.__getitem__, order)))
-    return RankedList(entries=entries, query_id=query_id)
+    return RankedList(entries=entries)
 
 
 def rank(
@@ -267,19 +267,15 @@ def rank(
         differ = sorted(set(cfg.weights) ^ set(names))
         raise UnknownScorerError(f"fusion weights must name exactly the scorers "
                                  f"{sorted(names)}; these differ: {differ}")
-    passages = [corpus.get(pid) for pid in candidates.ids()]
-    sums = candidates.term_sums
-
     if parallel and len(scorers) == 2 and all(s.endpoint for s in scorers):
         with ThreadPoolExecutor(max_workers=len(scorers)) as pool:
-            futures = [pool.submit(score, s, query, passages, sums, corpus)
-                       for s in scorers]
+            futures = [pool.submit(score, s, query, candidates, corpus) for s in scorers]
             vectors = [future.result() for future in futures]
     else:
-        vectors = [score(s, query, passages, sums, corpus) for s in scorers]
+        vectors = [score(s, query, candidates, corpus) for s in scorers]
 
     per_scorer_order = [(v.scorer_name, order_by_score(v.scores)) for v in vectors]
-    ranked = rrf_fuse(per_scorer_order, cfg, query_id=candidates.query_id)
+    ranked = rrf_fuse(per_scorer_order, cfg)
     return ranked, vectors
 
 

@@ -10,11 +10,13 @@ inverted index, no embedding store; the corpus text itself is the only data
 structure.
 
 A grep returns its raw hits by passage position. retrieve folds every hop's
-hits into one map (higher score wins, earliest hop kept) and builds each
-Candidate once, in candidate order: match score down, then passage id up.
-It also keeps each candidate's query-term sum, the weights of the
-question's own terms found in it, which rank's in-process lexical scorer
-reads in place of the text.
+hits into one map (higher score wins, earliest hop kept); the dense
+fallback's top scores fold into it too, with no matched terms. retrieve then
+builds each Candidate once, in candidate order: match score down, then
+passage id up. It also keeps each candidate's query-term sum, the weights of
+the question's own terms found in it, which rank's in-process lexical
+scorer reads in place of the text. Every CandidateSet retrieve returns, an
+empty one included, is built at that one exit.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from bisect import bisect_right
-from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter, neg
 from typing import NamedTuple
 
@@ -57,8 +58,8 @@ class Candidate(NamedTuple):
 
 @dataclass(frozen=True)
 class CandidateSet:
-    # Passage ids are unique by construction: every set is keyed by corpus
-    # position, by passage id, or built from a corpus's passages.
+    # Passage ids are unique by construction: retrieve builds every set from
+    # its maps keyed by corpus position, grep hits and fallback alike.
     # term_sums[k] is candidates[k]'s query-term sum: the weights, added in
     # term order, of the question's own parsed terms that its text contains,
     # as an OR grep of them finds it (0.0 when it holds none). retrieve fills
@@ -243,37 +244,17 @@ def prf_hop(
 
 # --- dense fallback ---
 
-def semantic_fallback(
-    query: str,
-    corpus: Corpus,
-    dense_scorer,
-    *,
-    top_n: int = SEMANTIC_FALLBACK_TOP_N,
-    hop: int = 0,
-    term_sums: Mapping[int, float] | None = None,
-) -> CandidateSet:
-    """Score every passage with the dense scorer and keep the top slice.
+def semantic_fallback(query: str, corpus: Corpus, dense_scorer) -> dict[int, float]:
+    """Score every passage with the dense scorer and keep the top
+    SEMANTIC_FALLBACK_TOP_N, as passage position -> score in candidate order.
 
-    Only called when substring matching found nothing; matched_terms stays
-    empty to mark these candidates as score-only. term_sums maps a passage
-    position to its query-term sum (see CandidateSet); a passage it lacks
-    sums to 0.0.
+    Only called when substring matching found nothing.
     """
     if dense_scorer is None:
         raise ScorerUnavailableError("no dense scorer configured")
-    passages = corpus.passages
-    scores = dense_scorer.score(query, [p.text for p in passages])
-    by_position = dict(enumerate(scores))
-    order = candidate_order(corpus, by_position, top_n)
-    candidates = tuple(
-        Candidate(passage_id=passages[i].id, match_score=float(by_position[i]),
-                  matched_terms=(), hop=hop)
-        for i in order
-    )
-    sums = term_sums or {}
-    return CandidateSet(candidates=candidates, query_id=query_id_for(query),
-                        hops_executed=0,
-                        term_sums=tuple(sums.get(i, 0.0) for i in order))
+    scores = dict(enumerate(dense_scorer.score(query, [p.text for p in corpus.passages])))
+    return {i: float(scores[i])
+            for i in candidate_order(corpus, scores, SEMANTIC_FALLBACK_TOP_N)}
 
 
 # --- orchestration ---
@@ -292,7 +273,6 @@ def retrieve(
         cfg = RetrieveConfig()
     if annotator is None:
         annotator = RuleAnnotator()
-    qid = query_id_for(query)
     warnings: list[str] = []
     passages = corpus.passages
     # Passage position -> its best match score over the hops so far, the
@@ -359,19 +339,19 @@ def retrieve(
             if prf_terms.terms:
                 fold(grep_search(corpus, prf_terms, "OR"), hops)
 
-    if scores:
-        order = candidate_order(corpus, scores)
-        found = tuple(Candidate(passages[i].id, scores[i], tuple(best[i]), first_hop[i])
-                      for i in order)
-        return CandidateSet(found, qid, hops, tuple(warnings),
-                            tuple(own.get(i, 0.0) for i in order))
-    if cfg.fallback_enabled and dense_scorer is not None:
-        try:
-            fallback = semantic_fallback(query, corpus, dense_scorer, hop=hops,
-                                         term_sums=own)
-            return replace(fallback, hops_executed=hops, warnings=tuple(warnings))
-        except ScorerUnavailableError as exc:
-            warnings.append(f"semantic-fallback-unavailable: {exc}")
-    else:
-        warnings.append("no-candidates: substring search empty and fallback disabled")
-    return CandidateSet((), qid, hops, tuple(warnings))
+    if not scores:
+        if cfg.fallback_enabled and dense_scorer is not None:
+            try:
+                dense = semantic_fallback(query, corpus, dense_scorer)
+            except ScorerUnavailableError as exc:
+                warnings.append(f"semantic-fallback-unavailable: {exc}")
+            else:
+                # Score-only candidates: no matched terms, found at hop `hops`.
+                fold(dict.fromkeys(dense, ()), hops, dense)
+        else:
+            warnings.append("no-candidates: substring search empty and fallback disabled")
+    order = candidate_order(corpus, scores)
+    found = tuple(Candidate(passages[i].id, scores[i], tuple(best[i]), first_hop[i])
+                  for i in order)
+    return CandidateSet(found, query_id_for(query), hops, tuple(warnings),
+                        tuple(own.get(i, 0.0) for i in order))

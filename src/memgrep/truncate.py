@@ -94,15 +94,13 @@ def estimate_tokens(rendered: str) -> int:
     return math.ceil(len(rendered) / CHARS_PER_TOKEN)
 
 
-def word_count(passage: Passage) -> int:
-    return len(passage.text.split())
-
-
-def stats_for(passage: Passage) -> PassageStats:
+def stats_for(corpus: Corpus, passage_id: str) -> PassageStats:
+    """A passage's stats; the word count is the corpus's own, which the
+    in-process scorer has already taken for every candidate it scored."""
     return PassageStats(
-        passage_id=passage.id,
-        word_count=word_count(passage),
-        render_len=len(render_block(passage)),
+        passage_id=passage_id,
+        word_count=corpus.word_count(passage_id),
+        render_len=len(render_block(corpus.get(passage_id))),
     )
 
 
@@ -131,8 +129,8 @@ class RankedStats(Sequence[PassageStats]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [stats_for(self._corpus.get(pid)) for pid in self._ids[index]]
-        return stats_for(self._corpus.get(self._ids[index]))
+            return [stats_for(self._corpus, pid) for pid in self._ids[index]]
+        return stats_for(self._corpus, self._ids[index])
 
 
 # --- the two strategies ---

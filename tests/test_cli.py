@@ -475,6 +475,11 @@ BAD_QUESTIONS = {
     "pretty-list-huge-int": ('[\n {"question_id": "q1", "gold_passage_ids": [], "n": '
                              + HUGE_INT + '}\n]\n',
                              ": invalid JSON: Exceeds the limit (4300 digits)"),
+    # JSONL whose first line holds the over-long int: the fault is line 1's.
+    "jsonl-first-line-huge-int": ('{"question_id": "q1", "gold_passage_ids": [], "n": '
+                                  + HUGE_INT + '}\n'
+                                  '{"question_id": "q2", "gold_passage_ids": []}\n',
+                                  ":1: invalid JSON: Exceeds the limit (4300 digits)"),
 }
 
 def with_huge_int(record: dict, table: dict, key: str) -> str:

@@ -38,6 +38,12 @@ def test_passage_lookup_and_length(tiny_corpus):
     assert "s:9" not in tiny_corpus
 
 
+def test_word_count_splits_on_whitespace():
+    corpus = make_corpus(["one  two\tthree\nfour", ""])
+    assert corpus.word_count("s:0") == 4
+    assert corpus.word_count("s:1") == 0
+
+
 def test_search_surface_is_case_insensitive(tiny_corpus):
     for surface in ("javier", "JAVIER", "mOUNT rAINIER"):
         terms = WeightedTermSet.from_terms(

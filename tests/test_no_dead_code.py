@@ -36,3 +36,51 @@ def test_every_top_level_definition_has_a_caller_or_is_exported():
     dead = [f"{name} ({where})" for name, where in defined
             if name not in read and name not in memgrep.__all__]
     assert not dead, f"no caller in src/ and not exported: {dead}"
+
+
+# The console script calls main() with no argument; tests pass argv.
+UNUSED_DEFAULT_EXEMPT = {("cli.py", "main", "argv")}
+
+
+def _defaulted_params(fn: ast.FunctionDef | ast.AsyncFunctionDef):
+    """(name, position or None) of each parameter with a default; position is
+    None for a keyword-only parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    params = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    params += [(a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None]
+    return params
+
+
+def test_every_default_of_an_internal_function_is_passed_somewhere():
+    functions = []
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        functions += [(path.name, top) for top in tree.body
+                      if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and top.name not in memgrep.__all__]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for filename, fn in functions:
+        for param, position in _defaulted_params(fn):
+            if (filename, fn.name, param) in UNUSED_DEFAULT_EXEMPT:
+                continue
+            passed = False
+            for call in calls.get(fn.name, ()):
+                if any(k.arg in (param, None) for k in call.keywords):
+                    passed = True      # by keyword, or possibly through **kwargs
+                elif position is not None:
+                    starred = any(isinstance(a, ast.Starred) for a in call.args)
+                    passed = starred or position < len(call.args)
+                if passed:
+                    break
+            if not passed:
+                unpassed.append(f"{fn.name}({param}=) ({filename}:{fn.lineno})")
+    assert not unpassed, f"defaults no call in src/ passes: {unpassed}"

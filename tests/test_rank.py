@@ -26,7 +26,8 @@ from memgrep.rank import (
     rrf_fuse,
     score,
 )
-from memgrep.retrieve import RetrieveConfig, grep_search, match_scores, retrieve
+from memgrep.retrieve import (Candidate, CandidateSet, RetrieveConfig, grep_search,
+                              match_scores, query_id_for, retrieve)
 from memgrep.service import ReferenceServer, ServiceClient
 
 from conftest import grep_candidates, make_corpus
@@ -98,16 +99,14 @@ def test_default_constants():
 
 def test_rrf_spot_value_both_rank_one():
     cfg = FusionConfig(k=60.0, weights={"cross": 0.7, "late": 0.3})
-    fused = rrf_fuse(
-        [("cross", ["p1"]), ("late", ["p1"])], cfg, query_id="q",
-    )
+    fused = rrf_fuse([("cross", ["p1"]), ("late", ["p1"])], cfg)
     # 0.7/61 + 0.3/61 = 1/61.
     assert fused.entries[0].fused_score == pytest.approx(1 / 61, abs=1e-15)
 
 
 def test_rrf_spot_value_single_ranking():
     cfg = FusionConfig(k=60.0, weights={"cross": 0.7, "late": 0.3})
-    fused = rrf_fuse([("cross", ["p1"])], cfg, query_id="q")
+    fused = rrf_fuse([("cross", ["p1"])], cfg)
     assert fused.entries[0].fused_score == pytest.approx(0.7 / 61, abs=1e-15)
 
 
@@ -115,7 +114,7 @@ def test_rrf_rank_positions():
     # cross ranks: A=1, B=2; late ranks: A=3 (others ahead), B=2.
     cfg = FusionConfig(k=60.0, weights={"cross": 0.7, "late": 0.3})
     rankings = [("cross", ["A", "B", "C"]), ("late", ["C", "B", "A"])]
-    fused = rrf_fuse(rankings, cfg, query_id="q")
+    fused = rrf_fuse(rankings, cfg)
     by_id = {e.passage_id: e for e in fused.entries}
     assert by_id["A"].fused_score == pytest.approx(0.7 / 61 + 0.3 / 63)
     assert by_id["B"].fused_score == pytest.approx(0.7 / 62 + 0.3 / 62)
@@ -127,7 +126,7 @@ def test_rrf_rank_positions():
 
 def test_rrf_absent_item_contributes_zero():
     cfg = FusionConfig(k=60.0, weights={"cross": 0.7, "late": 0.3})
-    fused = rrf_fuse([("cross", ["A"]), ("late", ["B"])], cfg, query_id="q")
+    fused = rrf_fuse([("cross", ["A"]), ("late", ["B"])], cfg)
     by_id = {e.passage_id: e for e in fused.entries}
     assert by_id["A"].fused_score == pytest.approx(0.7 / 61)
     assert by_id["B"].fused_score == pytest.approx(0.3 / 61)
@@ -137,24 +136,24 @@ def test_rrf_absent_item_contributes_zero():
 
 def test_rrf_tie_breaks_by_passage_id():
     cfg = FusionConfig(k=60.0, weights={"a": 1.0})
-    fused = rrf_fuse([("a", ["z", "y"])], cfg, query_id="q")
+    fused = rrf_fuse([("a", ["z", "y"])], cfg)
     assert [e.passage_id for e in fused.entries] == ["z", "y"]
     # Symmetric scores tie; id ascending decides.
     cfg2 = FusionConfig(k=60.0, weights={"a": 0.5, "b": 0.5})
-    fused2 = rrf_fuse([("a", ["z", "y"]), ("b", ["y", "z"])], cfg2, query_id="q")
+    fused2 = rrf_fuse([("a", ["z", "y"]), ("b", ["y", "z"])], cfg2)
     assert [e.passage_id for e in fused2.entries] == ["y", "z"]
 
 
 def test_rrf_missing_weight_is_an_error():
     cfg = FusionConfig(k=60.0, weights={"cross": 1.0})
     with pytest.raises(UnknownScorerError):
-        rrf_fuse([("mystery", ["A"])], cfg, query_id="q")
+        rrf_fuse([("mystery", ["A"])], cfg)
 
 
 def test_rrf_duplicate_in_ranking_rejected():
     cfg = FusionConfig(k=60.0, weights={"a": 1.0})
     with pytest.raises(ValueError):
-        rrf_fuse([("a", ["A", "A"])], cfg, query_id="q")
+        rrf_fuse([("a", ["A", "A"])], cfg)
 
 
 def test_rrf_brute_force_equivalence_seeded():
@@ -169,7 +168,7 @@ def test_rrf_brute_force_equivalence_seeded():
         k = rng.uniform(1, 100)
         w1, w2 = rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0)
         cfg = FusionConfig(k=k, weights={"one": w1, "two": w2})
-        fused = rrf_fuse([("one", r1), ("two", r2)], cfg, query_id="q")
+        fused = rrf_fuse([("one", r1), ("two", r2)], cfg)
 
         expected = {}
         for doc in set(r1) | set(r2):
@@ -214,7 +213,7 @@ def test_rrf_matches_brute_force(rankings, weights, k):
     cfg_weights = {name: w for (name, _), w in zip(named, weights)}
     if sum(cfg_weights.values()) <= 0:
         cfg_weights["one"] = 1.0
-    fused = rrf_fuse(named, FusionConfig(k=k, weights=cfg_weights), query_id="q")
+    fused = rrf_fuse(named, FusionConfig(k=k, weights=cfg_weights))
     expected = brute_force_rrf(named, cfg_weights, k)
     # At most two addends per id, and IEEE addition commutes, so the sums
     # agree exactly whatever order either side adds in.
@@ -287,22 +286,23 @@ def test_fusion_without_weights_takes_the_default_split_at_its_k(
         assert unweighted != ranked(FusionConfig())
 
 
-def corpus_term_sums(corpus, query):
-    """Every passage's query-term sum for query, in corpus order, as
-    retrieve's hop-0 OR grep finds it."""
+def corpus_candidates(corpus, query):
+    """Every passage as a candidate, in corpus order, with its query-term sum
+    for query as retrieve's hop-0 OR grep finds it."""
     try:
         hits = grep_search(corpus, parse_query(query, RuleAnnotator()), "OR")
     except EmptyTermSetError:
         hits = {}
     sums = match_scores(hits)
-    return [sums.get(i, 0.0) for i in range(len(corpus))]
+    return CandidateSet(tuple(Candidate(p.id, 0.0, (), 0) for p in corpus),
+                        query_id_for(query), hops_executed=1,
+                        term_sums=tuple(sums.get(i, 0.0) for i in range(len(corpus))))
 
 
 def test_score_in_process_lexical(tiny_corpus):
     handle = ScorerHandle(name="lex")
     query = "Melanie went hiking"
-    vector = score(handle, query, list(tiny_corpus),
-                   corpus_term_sums(tiny_corpus, query), tiny_corpus)
+    vector = score(handle, query, corpus_candidates(tiny_corpus, query), tiny_corpus)
     assert vector.scorer_name == "lex"
     best = max(vector.scores, key=vector.scores.get)
     assert best == "s:0"
@@ -315,7 +315,7 @@ def test_score_via_service(tiny_corpus):
     with ReferenceServer(score_fn=score_fn) as server:
         handle = ScorerHandle(name="svc", kind="pointwise-cross",
                               endpoint=server.endpoint)
-        vector = score(handle, "q", list(tiny_corpus))
+        vector = score(handle, "q", corpus_candidates(tiny_corpus, "q"), tiny_corpus)
     assert vector.scores["s:2"] == 2.0
 
 
@@ -345,16 +345,15 @@ def test_scorer_handle_is_name_kind_and_endpoint():
 def test_in_process_and_socket_scoring_agree(fixture_corpus_path,
                                              fixture_questions_path):
     corpus = read_corpus(fixture_corpus_path)
-    passages = list(corpus)
     queries = [q.text for q in load_questions(fixture_questions_path, corpus)]
     queries.append("the of and")  # no content terms: length penalty only
     with ReferenceServer(score_fn=LexicalDenseScorer().score) as server:
         remote = ScorerHandle(name="lex", kind="pointwise-cross",
                               endpoint=server.endpoint)
         for query in queries:
-            local = score(ScorerHandle(name="lex"), query, passages,
-                          corpus_term_sums(corpus, query), corpus)
-            assert score(remote, query, passages).scores == local.scores
+            candidates = corpus_candidates(corpus, query)
+            local = score(ScorerHandle(name="lex"), query, candidates, corpus)
+            assert score(remote, query, candidates, corpus).scores == local.scores
 
 
 def test_scorer_handle_validation():
@@ -419,10 +418,17 @@ def test_rank_rejects_duplicate_scorer_names(tiny_corpus):
 
 
 def test_rank_empty_candidates_rejected(tiny_corpus):
-    from memgrep.retrieve import CandidateSet
     empty = CandidateSet(candidates=(), query_id="q", hops_executed=1)
     with pytest.raises(ValueError):
         rank(empty, "Melanie went hiking", tiny_corpus, [ScorerHandle(name="lex")])
+
+
+def test_in_process_scorer_rejects_a_set_without_one_sum_per_candidate(tiny_corpus):
+    # A hand-built set need not carry the sums retrieve fills in.
+    bare = CandidateSet(tuple(Candidate(p.id, 1.0, (), 0) for p in tiny_corpus),
+                        query_id="q", hops_executed=1)
+    with pytest.raises(ValueError, match="one query-term sum per candidate: got 0 for 3"):
+        rank(bare, "Melanie went hiking", tiny_corpus, [ScorerHandle(name="lex")])
 
 
 def test_lexical_dense_scorer_orders_by_term_overlap():

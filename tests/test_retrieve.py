@@ -1,14 +1,17 @@
 """Substring retrieval, expansion hops, and the fallback path."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
 from memgrep.corpus import SCAN_BLOCK, load_questions, read_corpus
-from memgrep.errors import ScorerUnavailableError
+from memgrep.errors import EmptyTermSetError, ScorerUnavailableError
 from memgrep.parse import PRF_WEIGHT, WeightedTerm, WeightedTermSet, parse_query
 from memgrep.retrieve import (
+    SEMANTIC_FALLBACK_TOP_N,
     Candidate,
     CandidateSet,
     RetrieveConfig,
@@ -303,15 +306,92 @@ def test_prf_mines_recurring_nouns(tagger):
     assert all(t.weight == 0.5 and t.provenance == "prf" for t in new_terms)
 
 
-def test_semantic_fallback_orders_by_score(tiny_corpus):
-    class Doubler:
-        def score(self, query, items):
-            return [float(len(item)) for item in items]
+# Filler words share no substring with the fallback queries' terms, so a
+# passage holds exactly the query words it is given.
+FILLER = ("amber", "cobalt", "dune", "fjord", "glacier", "island", "jungle",
+          "kelp", "lagoon", "meadow", "nectar", "orchid")
 
-    result = semantic_fallback("anything", tiny_corpus, Doubler(), top_n=2)
-    texts = sorted(tiny_corpus, key=lambda p: -len(p.text))
-    assert [c.passage_id for c in result.candidates] == [p.id for p in texts[:2]]
+
+def fallback_corpus(seed, size=120):
+    """More passages than SEMANTIC_FALLBACK_TOP_N; about a third hold one of
+    the words Melanie, bake or bread, and none holds two."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(size):
+        words = rng.sample(FILLER, rng.randint(2, 6))
+        if rng.random() < 0.35:
+            words.insert(rng.randrange(len(words) + 1),
+                         rng.choice(("Melanie", "baked", "bread")))
+        texts.append(" ".join(words) + ".")
+    return make_corpus(texts)
+
+
+class LengthScorer:
+    """Integer dense scores with many ties, so id order decides inside them
+    and the top slice cuts through a tie."""
+
+    def score(self, query, texts):
+        return [len(text) % 7 for text in texts]
+
+
+class DownScorer:
+    def score(self, query, texts):
+        raise ScorerUnavailableError("scorer host down")
+
+
+FALLBACK_CASES = {
+    # name: (query, mode, dense scorer, expected hops, expected warnings)
+    "or-no-hit": ("Where is the zanzibar quodlibet?", "OR", LengthScorer(), 1, ()),
+    "and-or-sums-no-and-hit": ("Did Melanie bake bread?", "AND", LengthScorer(), 1, ()),
+    "empty-terms": ("the of and", "OR", LengthScorer(), 0,
+                    ("empty-term-set: no content terms in query",)),
+    "scorer-unavailable": ("Where is the zanzibar quodlibet?", "OR", DownScorer(), 1,
+                           ("semantic-fallback-unavailable: scorer host down",)),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+def test_fallback_set_through_retrieve_equals_brute_force(case, seed, tagger):
+    query, mode, dense, hops, warnings = FALLBACK_CASES[case]
+    corpus = fallback_corpus(seed)
+    passages = corpus.passages
+    try:
+        terms = parse_query(query, tagger).terms
+    except EmptyTermSetError:
+        terms = ()
+    # Brute force: each passage's OR sum, the weights of the terms its text
+    # holds added in term order; the top SEMANTIC_FALLBACK_TOP_N dense
+    # scores in (-score, id) order.
+    sums = [sum(t.weight for t in terms if t.surface.lower() in p.text.lower())
+            for p in passages]
+    if mode == "AND":
+        assert any(sums), "some passage must hold a query term"
+        assert not any(all(t.surface.lower() in p.text.lower() for t in terms)
+                       for p in passages), "no passage may hold every term"
+    try:
+        dense_scores = dense.score(query, [p.text for p in passages])
+    except ScorerUnavailableError:
+        top = []
+    else:
+        top = sorted(range(len(passages)),
+                     key=lambda i: (-dense_scores[i], passages[i].id))
+        top = top[:SEMANTIC_FALLBACK_TOP_N]
+        assert len(passages) > len(top) == SEMANTIC_FALLBACK_TOP_N
+
+    result = retrieve(query, corpus, RetrieveConfig(mode=mode), annotator=tagger,
+                      dense_scorer=dense)
+
+    assert result.ids() == [passages[i].id for i in top]
+    assert [c.match_score for c in result.candidates] == [
+        float(dense_scores[i]) for i in top]
+    assert all(type(c.match_score) is float for c in result.candidates)
     assert all(c.matched_terms == () for c in result.candidates)
+    assert result.hops_executed == hops
+    assert all(c.hop == hops for c in result.candidates)
+    assert result.term_sums == tuple(sums[i] for i in top)
+    assert result.warnings == warnings
+    assert result.query_id == query_id_for(query)
 
 
 def test_semantic_fallback_without_scorer(tiny_corpus):

@@ -21,7 +21,6 @@ from memgrep.truncate import (
     tokens_from_stats,
     truncate_adaptive,
     truncate_fixed,
-    word_count,
 )
 
 from conftest import make_corpus
@@ -69,14 +68,10 @@ def test_estimate_tokens_is_ceil_chars_over_four():
 
 def test_tokens_from_stats_matches_rendered_estimate():
     corpus = make_corpus(["alpha beta gamma", "delta epsilon"])
-    stats = [stats_for(p) for p in corpus]
+    stats = [stats_for(corpus, p.id) for p in corpus]
     rendered = render_context([p.id for p in corpus], corpus)
     assert tokens_from_stats(stats) == estimate_tokens(rendered)
     assert tokens_from_stats([]) == 0
-
-
-def test_word_count_splits_on_whitespace():
-    assert word_count(passage("s:0", "one  two\tthree\nfour")) == 4
 
 
 def test_fixed_budget_skips_and_continues():
@@ -238,7 +233,7 @@ def test_strategies_match_reference(passages, ranked, strategy, budget, alpha, t
     expected = reference_cut(ranking, cross, corpus, cfg)
     # A live run's lazy stats and a matrix record's stored ones cut alike.
     for stats in (RankedStats(ranking, corpus),
-                  tuple(stats_for(corpus.get(pid)) for pid in ranking)):
+                  tuple(stats_for(corpus, pid) for pid in ranking)):
         if strategy == "fixed":
             assert truncate_fixed(stats, budget) == expected
         else:
@@ -249,9 +244,9 @@ def test_live_adaptive_run_computes_stats_for_top_k_only(monkeypatch):
     corpus = make_corpus([f"Melanie went hiking near lake {i}." for i in range(20)])
     computed = []
 
-    def counted(passage):
-        computed.append(passage.id)
-        return stats_for(passage)
+    def counted(corpus, passage_id):
+        computed.append(passage_id)
+        return stats_for(corpus, passage_id)
 
     # Every stats computation goes through one of these two names.
     monkeypatch.setattr("memgrep.truncate.stats_for", counted)
