@@ -33,7 +33,7 @@ def main() -> None:
     print(f"question: {question}")
     print(f"gold evidence: {sorted(gold)} (starred below)\n")
 
-    flat = retrieve(question, corpus, RetrieveConfig(entity_hop_enabled=False))
+    flat = retrieve(question, corpus, RetrieveConfig(max_hops=1))
     show("expansion disabled", flat, corpus, gold)
 
     expanded = retrieve(question, corpus, RetrieveConfig())

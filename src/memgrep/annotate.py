@@ -3,8 +3,9 @@
 The rule annotator is the default and ships its own lexicon data files. An
 adapter over the scoring-service line protocol (kind="annotate") lets an
 external statistical tagger take its place without touching the rest of the
-pipeline; both expose the same two operations. AnnotatorConfig names the
-one a run uses and builds it.
+pipeline; both expose the same two operations. AnnotatorConfig builds the
+one a run uses: the service annotator when it has an endpoint, else the
+rule annotator.
 
 Both operations are views over one analysis of the text, which gives the
 tokens and the mentions together. Each annotator keeps the last MEMO_SIZE
@@ -62,21 +63,17 @@ class Annotator(Protocol):
 
 @dataclass(frozen=True)
 class AnnotatorConfig:
-    """Which annotator a run uses: the rule annotator, or a service one at
-    an endpoint."""
+    """Which annotator a run uses: the service one at endpoint when it is
+    set, else the rule annotator."""
 
-    kind: str = "rules"
     endpoint: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rules", "service"):
-            raise ValueError(f"kind must be rules or service, got {self.kind!r}")
-        if self.kind == "service" and not (isinstance(self.endpoint, str) and self.endpoint):
-            raise ValueError("a service annotator needs an endpoint "
-                             "(--annotator-endpoint)")
+        if self.endpoint == "":
+            raise ValueError("endpoint must be a non-empty string or null")
 
     def build(self) -> Annotator:
-        if self.kind == "service":
+        if self.endpoint:
             return ServiceAnnotator(self.endpoint)
         return RuleAnnotator()
 

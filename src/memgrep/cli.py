@@ -188,7 +188,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         **top_level,
         annotator=_section(AnnotatorConfig, doc, "annotator", source,
-                           kind=flag("annotator"), endpoint=flag("annotator_endpoint")),
+                           endpoint=flag("annotator_endpoint")),
         retrieve=_section(RetrieveConfig, doc, "retrieve", source,
                           mode=mode.upper() if mode else None),
         fusion=_section(FusionConfig, doc, "fusion", source),
@@ -206,7 +206,7 @@ def _run_parts(cfg: RunConfig) -> tuple[Annotator, "ServiceClient | LexicalDense
     parsing with the run's annotator."""
     annotator = cfg.annotator.build()
     served = [handle for handle in cfg.scorers if handle.endpoint]
-    dense = (served[0] if served else ScorerHandle("lexical")).client(annotator)
+    dense = ServiceClient(served[0].endpoint) if served else LexicalDenseScorer(annotator)
     return annotator, dense
 
 
@@ -398,8 +398,8 @@ def _add_pipeline(parser: argparse.ArgumentParser, *, ranks: bool, cuts: bool) -
     parser.add_argument("--scorer", action="append", metavar="NAME=ENDPOINT",
                         help="scorer (repeatable; endpoint 'lexical' for the "
                              "in-process test scorer)")
-    parser.add_argument("--annotator", choices=("rules", "service"))
-    parser.add_argument("--annotator-endpoint", dest="annotator_endpoint")
+    parser.add_argument("--annotator-endpoint", dest="annotator_endpoint",
+                        help="service annotator (default: the rule annotator)")
     if ranks:
         parser.add_argument("--mode", choices=("or", "and"), help="grep mode")
         parser.add_argument("--top-k", dest="top_k", type=int,

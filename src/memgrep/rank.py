@@ -18,9 +18,10 @@ lexical scorer, so every code path runs deterministically with no model at
 all. In rank it reads what retrieval found rather than the texts: each
 candidate's query-term sum (CandidateSet.term_sums) minus LENGTH_PENALTY
 per word, with the word count the corpus keeps per passage. So the query
-is parsed once per run, by retrieval. Scorers run concurrently only when
-both are served, to overlap their round trips; the in-process scorer runs
-on the calling thread.
+is parsed once per run, by retrieval. Two scorers run concurrently if and
+only if both are served, to overlap their round trips; rank reads that from
+the handles and takes no switch for it. The in-process scorer runs on the
+calling thread.
 
 LexicalDenseScorer is the same scorer over texts, .score(query, texts) ->
 list[float], ServiceClient's shape. It is for texts that have no retrieval
@@ -66,14 +67,6 @@ class ScorerHandle:
             raise ValueError(f"transport {transport!r} contradicts endpoint {self.endpoint!r}")
         if not self.endpoint and self.kind != "lexical-test":
             raise ValueError(f"{self.kind} runs out of process and needs an endpoint")
-
-    def client(self, annotator: Annotator | None = None
-               ) -> "ServiceClient | LexicalDenseScorer":
-        """The object that scores for this handle; an in-process scorer
-        parses queries with the given annotator."""
-        if self.endpoint:
-            return ServiceClient(self.endpoint)
-        return LexicalDenseScorer(annotator)
 
 
 def primary_index(scorers: list[ScorerHandle]) -> int:
@@ -193,7 +186,8 @@ def score(scorer: ScorerHandle, query: str, candidates: CandidateSet,
     ids = candidates.ids()
     sums = candidates.term_sums
     if scorer.endpoint:
-        values = scorer.client().score(query, [corpus.get(pid).text for pid in ids])
+        values = ServiceClient(scorer.endpoint).score(
+            query, [corpus.get(pid).text for pid in ids])
     elif len(sums) != len(ids):
         raise ValueError("the in-process scorer needs one query-term sum per "
                          f"candidate: got {len(sums)} for {len(ids)}")
@@ -238,14 +232,13 @@ def rank(
     corpus: Corpus,
     scorers: list[ScorerHandle],
     cfg: FusionConfig | None = None,
-    *,
-    parallel: bool = True,
 ) -> tuple[RankedList, list[ScoreVector]]:
     """Score the full candidate set with every scorer, then fuse.
 
-    Two served scorers run concurrently when parallel is set; otherwise the
-    scorers run in turn on the calling thread. Results are merged in scorer
-    order, so the output is bit-identical either way. One scorer failing
+    Two served scorers run concurrently, to overlap their round trips;
+    otherwise the scorers run in turn on the calling thread. Results are
+    merged in scorer order, so the output is bit-identical to scoring each
+    in turn with score and fusing with rrf_fuse. One scorer failing
     fails the whole call. A single scorer is fused alone, so its order is
     kept. The in-process scorer reads the set's term_sums, one per
     candidate. A missing cfg, or one without weights, fuses with the
@@ -267,7 +260,7 @@ def rank(
         differ = sorted(set(cfg.weights) ^ set(names))
         raise UnknownScorerError(f"fusion weights must name exactly the scorers "
                                  f"{sorted(names)}; these differ: {differ}")
-    if parallel and len(scorers) == 2 and all(s.endpoint for s in scorers):
+    if len(scorers) == 2 and all(s.endpoint for s in scorers):
         with ThreadPoolExecutor(max_workers=len(scorers)) as pool:
             futures = [pool.submit(score, s, query, candidates, corpus) for s in scorers]
             vectors = [future.result() for future in futures]

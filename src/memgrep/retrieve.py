@@ -82,11 +82,12 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class RetrieveConfig:
+    """Retrieval's settings. max_hops=1 runs no entity hop and
+    prf_source_top_n=0 runs no PRF round."""
+
     mode: str = "OR"
     max_hops: int = 3
     entity_hop_source_top_m: int = 10
-    prf_enabled: bool = True
-    entity_hop_enabled: bool = True
     prf_min_doc_freq: int = 2
     prf_source_top_n: int = 10
     fallback_enabled: bool = True
@@ -314,9 +315,9 @@ def retrieve(
         fold(and_hits(hits, terms) if cfg.mode == "AND" else hits, 0, own)
         hops = 1
 
-        # A top-m of 0 mines no passage, so it ends the loop like an empty hop.
-        while (cfg.entity_hop_enabled and cfg.entity_hop_source_top_m and scores
-               and hops < cfg.max_hops):
+        # A top-m of 0 mines no passage, so it ends the loop like an empty
+        # hop, as a max_hops of 1 does.
+        while cfg.entity_hop_source_top_m and scores and hops < cfg.max_hops:
             top = [passages[i] for i in candidate_order(corpus, scores,
                                                         cfg.entity_hop_source_top_m)]
             new_terms = entity_expansion_hop(top, terms, annotator,
@@ -328,7 +329,7 @@ def retrieve(
             hops += 1
 
         # A top-n of 0 mines no passage either, so it skips PRF.
-        if cfg.prf_enabled and cfg.prf_source_top_n and scores:
+        if cfg.prf_source_top_n and scores:
             top = [passages[i] for i in candidate_order(corpus, scores, cfg.prf_source_top_n)]
             prf_terms = prf_hop(
                 top, annotator,

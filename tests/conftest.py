@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from memgrep.corpus import Corpus, Passage
+from memgrep.rank import FusionConfig, order_by_score, rrf_fuse, score
 from memgrep.retrieve import (Candidate, CandidateSet, candidate_order, grep_search,
                               match_scores, query_id_for)
 
@@ -51,6 +52,32 @@ def grep_candidates(corpus, terms, mode="OR"):
         Candidate(corpus.passages[i].id, scores[i], tuple(hits[i]), 0) for i in order)
     return CandidateSet(candidates, query_id_for(terms.query_text), hops_executed=1,
                         term_sums=tuple(scores[i] for i in order))
+
+
+def annotation_payload(annotator, texts):
+    """The server side of the annotate wire: a ReferenceServer's annotate_fn
+    answering from a local annotator."""
+    return [
+        {
+            "tokens": [
+                {"token": a.token, "pos": a.pos, "entity_label": a.entity_label}
+                for a in annotator.annotate(text)
+            ],
+            "entities": [
+                {"surface": e.surface, "label": e.label}
+                for e in annotator.extract_entities(text)
+            ],
+        }
+        for text in texts
+    ]
+
+
+def sequential_rank(candidates, query, corpus, scorers):
+    """rank() with its default fusion, rebuilt from its parts: each scorer
+    scores in turn on the calling thread, then the orders are fused."""
+    vectors = [score(s, query, candidates, corpus) for s in scorers]
+    orders = [(v.scorer_name, order_by_score(v.scores)) for v in vectors]
+    return rrf_fuse(orders, FusionConfig.for_scorers(scorers)), vectors
 
 
 @pytest.fixture

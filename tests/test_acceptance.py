@@ -40,7 +40,7 @@ from memgrep.retrieve import (Candidate, CandidateSet, RetrieveConfig, grep_sear
 from memgrep.service import ReferenceServer
 from memgrep.truncate import RankedStats, TruncationConfig, truncate_adaptive, truncate_fixed
 
-from conftest import fixture_path, make_corpus
+from conftest import fixture_path, make_corpus, sequential_rank
 
 NAMES = ("Marisol", "Quenby", "Dorian", "Ilsa", "Tobias", "Petra")
 VERBS = ("went", "go", "baked", "build", "drove", "started")
@@ -346,8 +346,8 @@ def test_criterion_7_concurrency_equivalence():
     with ReferenceServer(score_fn=service_scores) as server, \
             ReferenceServer(score_fn=late_scores) as late_server:
         cross = ScorerHandle(name="cross", kind="pointwise-cross", endpoint=server.endpoint)
-        # One served scorer runs in turn with the in-process one either way;
-        # two served scorers run on the pool when parallel is set.
+        # One served scorer runs in turn with the in-process one; two served
+        # scorers run on the pool. Both must equal scoring in turn.
         scorer_pairs = [
             [cross, ScorerHandle(name="late", kind="lexical-test")],
             [cross, ScorerHandle(name="late", kind="late-interaction",
@@ -373,11 +373,8 @@ def test_criterion_7_concurrency_equivalence():
                 term_sums=tuple(sums.get(i, 0.0) for i in range(len(corpus))),
             )
             for scorers in scorer_pairs:
-                concurrent = rank(candidates, query, corpus, scorers,
-                                  parallel=True)
-                sequential = rank(candidates, query, corpus, scorers,
-                                  parallel=False)
-                assert concurrent == sequential
+                assert rank(candidates, query, corpus, scorers) == \
+                    sequential_rank(candidates, query, corpus, scorers)
 
 
 # --- criterion 8: the offline simulator reproduces the live pipeline ---
@@ -447,8 +444,7 @@ def test_criterion_9_two_hop_expansion():
     with_expansion = retrieve(q2.text, corpus, RetrieveConfig())
     assert gold <= set(with_expansion.ids())
 
-    without = retrieve(q2.text, corpus,
-                       RetrieveConfig(entity_hop_enabled=False))
+    without = retrieve(q2.text, corpus, RetrieveConfig(max_hops=1))
     assert set(without.ids()) & gold == {"s1:5"}
 
 

@@ -20,23 +20,7 @@ from memgrep.errors import PartialResponseError, ScorerUnavailableError
 from memgrep.retrieve import retrieve
 from memgrep.service import ReferenceServer
 
-
-def annotation_payload(annotator, texts):
-    """The server side of the annotate wire: a ReferenceServer's annotate_fn
-    answering from a local annotator."""
-    return [
-        {
-            "tokens": [
-                {"token": a.token, "pos": a.pos, "entity_label": a.entity_label}
-                for a in annotator.annotate(text)
-            ],
-            "entities": [
-                {"surface": e.surface, "label": e.label}
-                for e in annotator.extract_entities(text)
-            ],
-        }
-        for text in texts
-    ]
+from conftest import annotation_payload
 
 
 @pytest.fixture(scope="module")

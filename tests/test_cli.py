@@ -9,15 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from memgrep.annotate import AnnotatorConfig
+from memgrep.annotate import AnnotatorConfig, RuleAnnotator
 from memgrep.cli import build_run_config, main, make_parser
 from memgrep.corpus import load_questions, read_corpus
 from memgrep.evaluate import build_matrix, matrix_to_jsonl
 from memgrep.rank import FusionConfig, ScorerHandle
 from memgrep.retrieve import RetrieveConfig
+from memgrep.service import ReferenceServer
 from memgrep.truncate import TruncationConfig
 
-from conftest import fixture_path
+from conftest import annotation_payload, fixture_path
 
 REPO = Path(__file__).resolve().parent.parent
 QUERY = "Where did Javier go hiking?"
@@ -291,8 +292,8 @@ def test_env_var_names_config(capsys, tmp_path, fix_corpus, monkeypatch):
 
 
 def test_config_key_named_empty_does_not_pick_the_annotator(capsys, tmp_path, fix_corpus):
-    # The annotator kind comes from the flag or annotator.kind, never from a
-    # top-level key.
+    # The annotator comes from --annotator-endpoint or annotator.endpoint,
+    # never from a top-level key.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"": "service", "corpus": fix_corpus}))
     out_dir = tmp_path / "out"
@@ -300,7 +301,28 @@ def test_config_key_named_empty_does_not_pick_the_annotator(capsys, tmp_path, fi
                            "--config", str(config), "--out", str(out_dir))
     assert code == 0, err
     runconfig = json.loads((out_dir / "runconfig.json").read_text())
-    assert runconfig["annotator"] == {"kind": "rules", "endpoint": None}
+    assert runconfig["annotator"] == {"endpoint": None}
+
+
+def test_annotator_endpoint_alone_picks_the_service_annotator(capsys, tmp_path, fix_corpus):
+    tagger = RuleAnnotator()
+    asked = []
+
+    def annotate_fn(items):
+        asked.extend(items)
+        return annotation_payload(tagger, items)
+
+    out_dir = tmp_path / "out"
+    with ReferenceServer(annotate_fn=annotate_fn) as server:
+        code, served, err = run_cli(capsys, "query", QUERY, "--corpus", fix_corpus,
+                                    "--annotator-endpoint", server.endpoint,
+                                    "--out", str(out_dir))
+    assert code == 0, err
+    assert QUERY in asked
+    runconfig = json.loads((out_dir / "runconfig.json").read_text())
+    assert runconfig["annotator"] == {"endpoint": server.endpoint}
+    # Served the rule annotator's answers, the run prints what a rule run does.
+    assert served == run_cli(capsys, "query", QUERY, "--corpus", fix_corpus)[1]
 
 
 def test_bad_config_file(capsys, tmp_path):
@@ -339,6 +361,7 @@ def test_parser_rejects_unknown_command():
     ["oracle", "--strategy", "adaptive"],   # the oracle neither ranks nor cuts
     ["oracle", "--mode", "and"],
     ["sweep", "--budget", "5"],             # the sweep takes --budgets
+    ["query", "x", "--annotator", "service"],  # annotator.endpoint picks it
 ])
 def test_commands_take_only_the_flags_they_read(argv, capsys):
     with pytest.raises(SystemExit):
@@ -406,7 +429,8 @@ BAD_CONFIGS = {
     "retrieve-top-m-not-an-int": ({"retrieve": {"entity_hop_source_top_m": "x"}},
                                   "retrieve"),
     "retrieve-fractional-max-hops": ({"retrieve": {"max_hops": 2.5}}, "retrieve"),
-    "retrieve-prf-enabled-not-a-bool": ({"retrieve": {"prf_enabled": "no"}}, "retrieve"),
+    "retrieve-fallback-enabled-not-a-bool": ({"retrieve": {"fallback_enabled": "no"}},
+                                             "retrieve"),
     "truncation-fractional-budget": ({"truncation": {"word_budget": 10.5}}, "truncation"),
     "fusion-bool-k": ({"fusion": {"k": True}}, "fusion"),
     "fusion-bool-weight": ({"fusion": {"weights": {"lexical": True}}}, "fusion"),
@@ -416,6 +440,15 @@ BAD_CONFIGS = {
     # An int too large for a float is not a finite number either.
     "truncation-huge-int-alpha": ({"truncation": {"alpha": 10**400}}, "truncation"),
     "annotator-endpoint-not-a-string": ({"annotator": {"endpoint": 5}}, "annotator"),
+    "annotator-endpoint-empty": ({"annotator": {"endpoint": ""}}, "annotator"),
+    # Keys that repeated another setting are gone: the endpoint picks the
+    # annotator, max_hops=1 ends the entity hops and a PRF top-n of 0 skips PRF.
+    "annotator-kind-removed": ({"annotator": {"kind": "rules"}},
+                               "annotator: unknown key 'kind'"),
+    "retrieve-entity-hop-enabled-removed": ({"retrieve": {"entity_hop_enabled": True}},
+                                            "retrieve: unknown key 'entity_hop_enabled'"),
+    "retrieve-prf-enabled-removed": ({"retrieve": {"prf_enabled": True}},
+                                     "retrieve: unknown key 'prf_enabled'"),
     # transport is not part of a scorer entry; the endpoint decides it.
     "scorer-with-transport": ({"scorers": [{"name": "x", "transport": "in-process"}]},
                               "scorers[0]"),

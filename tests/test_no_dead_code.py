@@ -3,7 +3,9 @@
 Every top-level function and class in the package must be read somewhere in
 src/ besides its own definition, as a name or as an attribute, or be part
 of the public API in memgrep.__all__. Importing a name does not count as
-reading it.
+reading it. Likewise every default of a function or a method, exported or
+not, must be overridden by some call in src/: a setting nothing in the
+package sets is a switch kept for tests.
 """
 
 import ast
@@ -38,20 +40,42 @@ def test_every_top_level_definition_has_a_caller_or_is_exported():
     assert not dead, f"no caller in src/ and not exported: {dead}"
 
 
-# The console script calls main() with no argument; tests pass argv.
-UNUSED_DEFAULT_EXEMPT = {("cli.py", "main", "argv")}
+UNUSED_DEFAULT_EXEMPT = {
+    # The console script calls main() with no argument; tests pass argv.
+    ("cli.py", "main", "argv"),
+    # bench/workloads.py passes it, to label each run with its question.
+    ("evaluate.py", "run_question", "question_id"),
+}
 
 
-def _defaulted_params(fn: ast.FunctionDef | ast.AsyncFunctionDef):
+def _defaulted_params(fn: ast.FunctionDef | ast.AsyncFunctionDef, bound: int):
     """(name, position or None) of each parameter with a default; position is
-    None for a keyword-only parameter."""
+    None for a keyword-only parameter. A call passes neither self nor cls,
+    so the first `bound` positional parameters take no position."""
     args = fn.args
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
-    params = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    params = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
     params += [(a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
                if default is not None]
     return params
+
+
+def _functions(tree: ast.Module):
+    """(function, bound) for each top-level function and each method of a
+    top-level class; bound is 1 for a method called on an instance or a
+    class. Dunder methods are left out: Python calls them, not a call by
+    their name."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield top, 0
+        elif isinstance(top, ast.ClassDef):
+            for fn in top.body:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not fn.name.startswith("__")):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    yield fn, 0 if static else 1
 
 
 def test_every_default_of_an_internal_function_is_passed_somewhere():
@@ -59,17 +83,15 @@ def test_every_default_of_an_internal_function_is_passed_somewhere():
     calls: dict[str, list[ast.Call]] = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        functions += [(path.name, top) for top in tree.body
-                      if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
-                      and top.name not in memgrep.__all__]
+        functions += [(path.name, fn, bound) for fn, bound in _functions(tree)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
     unpassed = []
-    for filename, fn in functions:
-        for param, position in _defaulted_params(fn):
+    for filename, fn, bound in functions:
+        for param, position in _defaulted_params(fn, bound):
             if (filename, fn.name, param) in UNUSED_DEFAULT_EXEMPT:
                 continue
             passed = False

@@ -28,9 +28,9 @@ from memgrep.rank import (
 )
 from memgrep.retrieve import (Candidate, CandidateSet, RetrieveConfig, grep_search,
                               match_scores, query_id_for, retrieve)
-from memgrep.service import ReferenceServer, ServiceClient
+from memgrep.service import ReferenceServer
 
-from conftest import grep_candidates, make_corpus
+from conftest import grep_candidates, make_corpus, sequential_rank
 
 
 def term_set(*pairs):
@@ -319,13 +319,6 @@ def test_score_via_service(tiny_corpus):
     assert vector.scores["s:2"] == 2.0
 
 
-def test_scorer_handle_client_follows_the_transport():
-    assert isinstance(ScorerHandle(name="lex").client(), LexicalDenseScorer)
-    handle = ScorerHandle(name="ce", kind="pointwise-cross", endpoint="tcp:h:1")
-    # A served scorer keeps ServiceClient's own limits: 10 s, one connect retry.
-    assert handle.client() == ServiceClient("tcp:h:1", timeout=10.0, retries=1)
-
-
 def test_scorer_handle_is_name_kind_and_endpoint():
     served = ScorerHandle(name="ce", kind="pointwise-cross", endpoint="tcp:h:1",
                           transport="service-adapter")
@@ -397,17 +390,19 @@ def test_rank_two_scorers_concurrent_equals_sequential(tiny_corpus):
     def noisy(query, items):
         return [math.sin(len(item)) for item in items]
 
-    with ReferenceServer(score_fn=noisy) as server:
-        handles = [
-            ScorerHandle(name="svc", kind="pointwise-cross",
-                         endpoint=server.endpoint),
-            ScorerHandle(name="lex"),
-        ]
-        par, _ = rank(candidates, "Melanie went hiking", tiny_corpus, handles,
-                      parallel=True)
-        seq, _ = rank(candidates, "Melanie went hiking", tiny_corpus, handles,
-                      parallel=False)
-    assert par == seq
+    def other(query, items):
+        return [math.cos(len(item)) for item in items]
+
+    with ReferenceServer(score_fn=noisy) as server, \
+            ReferenceServer(score_fn=other) as late_server:
+        svc = ScorerHandle(name="svc", kind="pointwise-cross", endpoint=server.endpoint)
+        late = ScorerHandle(name="late", kind="late-interaction",
+                            endpoint=late_server.endpoint)
+        # Two served scorers run on the pool; one runs in turn with the
+        # in-process scorer. Either way the result is scoring in turn's.
+        for handles in ([svc, late], [svc, ScorerHandle(name="lex")]):
+            assert rank(candidates, "Melanie went hiking", tiny_corpus, handles) == \
+                sequential_rank(candidates, "Melanie went hiking", tiny_corpus, handles)
 
 
 def test_rank_rejects_duplicate_scorer_names(tiny_corpus):
@@ -499,8 +494,8 @@ def test_rank_with_at_most_one_served_scorer_starts_no_thread(tiny_corpus, monke
                         [ScorerHandle(name="lex"), ScorerHandle(name="lex2")],
                         [served[0]],
                         [served[0], ScorerHandle(name="lex")]):
-            rank(candidates, "Melanie went hiking", tiny_corpus, scorers, parallel=True)
+            rank(candidates, "Melanie went hiking", tiny_corpus, scorers)
         assert started == []
         # Two served scorers overlap their round trips on a pool.
-        rank(candidates, "Melanie went hiking", tiny_corpus, served, parallel=True)
+        rank(candidates, "Melanie went hiking", tiny_corpus, served)
         assert started

@@ -216,7 +216,7 @@ def reference_retrieve(query, corpus, cfg, annotator):
     searched = set(terms.surfaces_lower())
     merge(terms, cfg.mode, 0)
     hops = 1
-    while cfg.entity_hop_enabled and merged and hops < cfg.max_hops:
+    while merged and hops < cfg.max_hops:
         top = [corpus.get(c.passage_id) for c in ordered()[:cfg.entity_hop_source_top_m]]
         if not top:
             break
@@ -227,7 +227,7 @@ def reference_retrieve(query, corpus, cfg, annotator):
         searched.update(new_terms.surfaces_lower())
         merge(new_terms, "OR", hops)
         hops += 1
-    if cfg.prf_enabled and merged:
+    if merged:
         top = [corpus.get(c.passage_id) for c in ordered()[:cfg.prf_source_top_n]]
         if top:
             prf_terms = prf_hop(top, annotator, min_doc_freq=cfg.prf_min_doc_freq,
@@ -247,13 +247,30 @@ def reference_retrieve(query, corpus, cfg, annotator):
 def test_retrieve_matches_per_hop_reference(tagger, texts, query, max_hops, prf,
                                             mode, top_m, top_n, min_doc_freq):
     corpus = make_corpus(texts)
-    cfg = RetrieveConfig(mode=mode, max_hops=max_hops, prf_enabled=prf,
-                         entity_hop_source_top_m=top_m, prf_source_top_n=top_n,
+    # A top-n of 0 is how PRF is turned off.
+    cfg = RetrieveConfig(mode=mode, max_hops=max_hops,
+                         entity_hop_source_top_m=top_m,
+                         prf_source_top_n=top_n if prf else 0,
                          prf_min_doc_freq=min_doc_freq, fallback_enabled=False)
     result = retrieve(query, corpus, cfg, annotator=tagger)
     candidates, hops = reference_retrieve(query, corpus, cfg, tagger)
     assert result.candidates == candidates
     assert result.hops_executed == hops
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(texts=st.lists(_SENTENCE, min_size=1, max_size=14),
+       query=st.lists(st.sampled_from(_NAMES + _NOUNS), min_size=1, max_size=3)
+       .map(lambda ws: "What did " + " ".join(ws) + " do?"),
+       mode=st.sampled_from(["OR", "AND"]), top_n=st.integers(0, 4))
+def test_one_hop_and_top_m_zero_retrieve_alike(tagger, texts, query, mode, top_n):
+    # Either setting alone turns the entity hops off, PRF or not.
+    corpus = make_corpus(texts)
+    one_hop = RetrieveConfig(mode=mode, max_hops=1, prf_source_top_n=top_n)
+    no_source = RetrieveConfig(mode=mode, entity_hop_source_top_m=0,
+                               prf_source_top_n=top_n)
+    assert retrieve(query, corpus, one_hop, annotator=tagger) == \
+        retrieve(query, corpus, no_source, annotator=tagger)
 
 
 def test_entity_expansion_emits_new_terms(tagger):
@@ -449,7 +466,7 @@ def test_retrieve_two_hop_bridges_entity(tagger, fixture_corpus_path):
 
 def test_retrieve_expansion_disabled_misses_bridge(tagger, fixture_corpus_path):
     corpus = read_corpus(fixture_corpus_path)
-    cfg = RetrieveConfig(entity_hop_enabled=False, prf_enabled=False)
+    cfg = RetrieveConfig(max_hops=1, prf_source_top_n=0)
     result = retrieve("What job does Gina have now?", corpus, cfg, annotator=tagger)
     ids = set(result.ids())
     assert "s1:5" in ids
@@ -462,10 +479,10 @@ def test_retrieve_top_m_zero_mines_no_entities(tagger, fixture_corpus_path):
     corpus = read_corpus(fixture_corpus_path)
     query = "What job does Gina have now?"
     result = retrieve(query, corpus, RetrieveConfig(entity_hop_source_top_m=0,
-                                                    prf_enabled=False),
+                                                    prf_source_top_n=0),
                       annotator=tagger)
     assert result.candidates == retrieve(
-        query, corpus, RetrieveConfig(max_hops=1, prf_enabled=False),
+        query, corpus, RetrieveConfig(max_hops=1, prf_source_top_n=0),
         annotator=tagger).candidates
     assert result.hops_executed == 1
 
@@ -528,7 +545,7 @@ def test_max_hops_bounds_expansion(tagger):
         "Corwin praised Delmont.",
         "Delmont thanked Evander.",
     ])
-    cfg = RetrieveConfig(max_hops=2, prf_enabled=False)
+    cfg = RetrieveConfig(max_hops=2, prf_source_top_n=0)
     result = retrieve("Who talked to Alice?", corpus, cfg, annotator=tagger)
     assert result.hops_executed <= 2
     ids = set(result.ids())

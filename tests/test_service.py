@@ -148,6 +148,12 @@ def test_connection_failures_are_retried(monkeypatch):
     assert len(attempts) == 3
 
 
+def test_client_defaults_are_a_10_second_timeout_and_one_retry():
+    # Served scorers, the CLI's fallback scorer and the service annotator
+    # build their clients from the endpoint alone, so these are their limits.
+    assert ServiceClient("tcp:h:1") == ServiceClient("tcp:h:1", timeout=10.0, retries=1)
+
+
 def test_failed_unix_connect_closes_its_socket(tmp_path):
     client = ServiceClient(f"unix:{tmp_path / 'absent.sock'}", retries=1)
     with warnings.catch_warnings(record=True) as caught:
