@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Collection, Iterator, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from .errors import (
     DanglingGoldError,
@@ -39,7 +39,6 @@ _FIELD_TYPES = {
     "turn_index": ((int,), "an int"), "speaker": ((str,), "a string"),
     "text": ((str,), "a string"), "timestamp": ((str, type(None)), "a string or null"),
 }
-_GENERIC_FIELDS = tuple(_FIELD_TYPES)[1:]   # generic-jsonl derives the id
 
 # Passages per block of the scan surface, Corpus.scan. Building a block holds
 # only that block's lowercased texts apart from the joined text.
@@ -183,7 +182,7 @@ def ingest(raw_document: str | Path, format: str) -> Corpus:
 
     - ``generic-jsonl``: one turn per line with keys ``session_id``,
       ``turn_index``, ``speaker``, ``text`` and optional ``timestamp``.
-      An explicit ``id`` is accepted when consistent with the id scheme.
+      An explicit ``id`` is accepted when it is ``{session_id}:{turn_index}``.
     - ``locomo-like``: a JSON object (or list of objects) with a
       ``conversation`` mapping of ``session_<k>`` keys to turn lists; turns
       carry ``speaker`` and ``text`` and may carry a ``dia_id`` of the form
@@ -192,40 +191,88 @@ def ingest(raw_document: str | Path, format: str) -> Corpus:
     - ``longmemeval-like``: a JSON object with a ``sessions`` list
       (``session_id``, optional ``date``, ``turns`` of role/content pairs),
       or a single question record with ``haystack_sessions``.
+
+    Every turn follows :func:`read_corpus`'s rules, has a speaker and a text
+    not all whitespace; an error names the turn's ``path:line`` (JSONL) or
+    ``path:session_1[3]`` (JSON), and a repeated turn both positions.
     """
     path = Path(raw_document)
     if format not in INGEST_FORMATS:
         raise MalformedDocumentError(f"unknown ingest format: {format!r}")
     if not path.exists():
         raise MalformedDocumentError(f"no such file: {path}")
+    readers = {"generic-jsonl": _jsonl_records, "locomo-like": _locomo_records,
+               "longmemeval-like": _longmemeval_records}
+    return _corpus(path, readers[format](path), ingested=True)
 
-    if format == "generic-jsonl":
-        turns = _parse_generic_jsonl(path)
-    elif format == "locomo-like":
-        turns = _parse_locomo(path)
-    else:
-        turns = _parse_longmemeval(path)
 
-    passages = []
-    for session_id, turn_index, speaker, text, timestamp in turns:
-        if not isinstance(speaker, str) or not speaker:
-            raise MalformedDocumentError(f"turn ({session_id}, {turn_index}) has no speaker")
-        if not isinstance(text, str) or not text.strip():
-            raise MalformedDocumentError(f"turn ({session_id}, {turn_index}) has empty text")
-        passages.append(
-            Passage(
-                id=f"{session_id}:{turn_index}",
-                session_id=session_id,
-                turn_index=turn_index,
-                speaker=speaker,
-                text=text,
-                timestamp=timestamp,
-            )
-        )
+def _passage(rec: Any, where: str, ingested: bool) -> Passage:
+    """rec as a Passage, or a MalformedDocumentError naming where and the
+    field at fault: each field of its _FIELD_TYPES type (a missing one is
+    null), a turn_index >= 0, the id {session_id}:{turn_index} and, ingested,
+    a non-empty speaker and a text not all whitespace."""
+    if not isinstance(rec, dict):
+        raise MalformedDocumentError(f"{where}: expected an object per line")
+    for name, (kinds, kind) in _FIELD_TYPES.items():
+        if type(rec.get(name)) not in kinds:
+            raise MalformedDocumentError(
+                f"{where}: {name} must be {kind}, got {rec.get(name)!r}")
+    p = Passage(*map(rec.get, _FIELD_TYPES))
+    if p.turn_index < 0:
+        raise MalformedDocumentError(f"{where}: turn_index must be >= 0, got {p.turn_index}")
+    if p.id != f"{p.session_id}:{p.turn_index}":
+        raise MalformedDocumentError(
+            f"{where}: id must be '{p.session_id}:{p.turn_index}', got {p.id!r}")
+    if ingested and not p.speaker:
+        raise MalformedDocumentError(f"{where}: speaker must be non-empty")
+    if ingested and not p.text.strip():
+        raise MalformedDocumentError(f"{where}: text must not be blank, got {p.text!r}")
+    return p
+
+
+def _corpus(path: Path, records: Iterator[tuple[int | str, Any]], ingested: bool) -> Corpus:
+    """The corpus, in (session_id, turn_index) order, of the records read
+    from path, each at a location: a JSONL line number, or a JSON turn's
+    position such as "session_1[3]". A repeat names both locations. An
+    ingested record without an id takes {session_id}:{turn_index}."""
+    # moved: a record's location where it is not its position + 1 (a JSONL
+    # line after a blank one), so that no int is kept per line of a big file.
+    passages, moved = [], {}
+    for loc, rec in records:
+        if ingested and isinstance(rec, dict):
+            rec.setdefault("id", f"{rec.get('session_id')}:{rec.get('turn_index')}")
+        try:
+            p = Passage(rec["id"], rec["session_id"], rec["turn_index"],
+                        rec["speaker"], rec["text"], rec.get("timestamp"))
+        except (KeyError, TypeError):   # a missing field, or not an object
+            p = None
+        # A good record passes this one expression and builds no location
+        # string; _passage names what is wrong with any other.
+        if p is None or not (
+                type(p.session_id) is type(p.speaker) is type(p.text) is str
+                and type(p.turn_index) is int and p.turn_index >= 0
+                and p.id == f"{p.session_id}:{p.turn_index}"
+                and (p.timestamp is None or type(p.timestamp) is str)
+                and (not ingested or p.speaker and p.text.strip())):
+            p = _passage(rec, f"{path}:{loc}", ingested)
+        passages.append(p)
+        if loc != len(passages):
+            moved[len(passages) - 1] = loc
     if not passages:
-        raise EmptyCorpusError(f"document {path} yielded zero passages")
-    passages.sort(key=attrgetter("session_id", "turn_index"))
-    return Corpus(passages=tuple(passages), source_label=path.name)
+        raise EmptyCorpusError(f"{path} holds zero passages")
+    try:
+        return Corpus(tuple(sorted(passages, key=attrgetter("session_id", "turn_index"))),
+                      path.name)
+    except DuplicateTurnError:
+        first: dict[str, int | str] = {}
+        for i, p in enumerate(passages):
+            loc = moved.get(i, i + 1)
+            if p.id in first:
+                seen = first[p.id] if type(loc) is str else f"line {first[p.id]}"
+                raise DuplicateTurnError(
+                    f"{path}:{loc}: passage id {p.id!r} repeats {seen}") from None
+            first[p.id] = loc
+        raise
 
 
 # json.loads(s) is this decoder's raw_decode between two runs of JSON
@@ -266,30 +313,6 @@ def _jsonl_records(path: Path) -> Iterator[tuple[int, Any]]:
             yield lineno, rec
 
 
-def _typed_fields(rec: Any, names: Collection[str], path: Path, lineno: int) -> list:
-    """rec's value for each of `names`, a missing field reading as null. A
-    line that is not an object, a value of a type `_FIELD_TYPES` does not
-    allow, or a negative turn_index, is a MalformedDocumentError naming
-    path:line (and the field)."""
-    if not isinstance(rec, dict):
-        raise MalformedDocumentError(f"{path}:{lineno}: expected an object per line")
-    values = [rec.get(name) for name in names]
-    for name, value in zip(names, values):
-        kinds, kind = _FIELD_TYPES[name]
-        if type(value) not in kinds:
-            raise MalformedDocumentError(
-                f"{path}:{lineno}: {name} must be {kind}, got {value!r}")
-    if "turn_index" in names and rec["turn_index"] < 0:
-        raise MalformedDocumentError(
-            f"{path}:{lineno}: turn_index must be >= 0, got {rec['turn_index']}")
-    return values
-
-
-def _parse_generic_jsonl(path: Path) -> list[tuple[str, int, str, str, str | None]]:
-    return [tuple(_typed_fields(rec, _GENERIC_FIELDS, path, lineno))
-            for lineno, rec in _jsonl_records(path)]
-
-
 def _load_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -297,36 +320,36 @@ def _load_json(path: Path):
         raise MalformedDocumentError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _objects(path: Path, label: str, items: Any) -> Iterator[tuple[str, int, dict]]:
+    """(location, position, item) for each item of the JSON object list at label."""
+    if not isinstance(items, list):
+        raise MalformedDocumentError(f"{path}: {label} is not a list")
+    for j, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise MalformedDocumentError(f"{path}: {label}[{j}] is not an object")
+        yield f"{label}[{j}]", j, item
+
+
 _SESSION_KEY_RE = re.compile(r"^session_(\d+)$")
 
 
-def _parse_locomo(path: Path) -> list[tuple[str, int, str, str, str | None]]:
+def _locomo_records(path: Path) -> Iterator[tuple[str, dict]]:
     doc = _load_json(path)
     conversations = doc if isinstance(doc, list) else [doc]
-    turns = []
-    for pos, conv in enumerate(conversations):
-        if not isinstance(conv, dict):
-            raise MalformedDocumentError(f"{path}: conversation {pos} is not an object")
+    for label, pos, conv in _objects(path, "conversation", conversations):
         mapping = conv.get("conversation", conv)
         if not isinstance(mapping, dict):
-            raise MalformedDocumentError(f"{path}: conversation {pos} has no session mapping")
+            raise MalformedDocumentError(f"{path}: {label} has no session mapping")
         session_keys = sorted(
             (k for k in mapping if _SESSION_KEY_RE.match(k)),
             key=lambda k: int(_SESSION_KEY_RE.match(k).group(1)),  # type: ignore[union-attr]
         )
         if not session_keys:
-            raise MalformedDocumentError(f"{path}: conversation {pos} has no session_<k> keys")
+            raise MalformedDocumentError(f"{path}: {label} has no session_<k> keys")
         prefix = f"c{pos}-" if len(conversations) > 1 else ""
         for key in session_keys:
-            session_turns = mapping[key]
             timestamp = mapping.get(f"{key}_date_time")
-            if not isinstance(session_turns, list):
-                raise MalformedDocumentError(f"{path}: {key} is not a turn list")
-            for j, turn in enumerate(session_turns):
-                if not isinstance(turn, dict):
-                    raise MalformedDocumentError(f"{path}: {key}[{j}] is not an object")
-                speaker = turn.get("speaker", "")
-                text = turn.get("text", turn.get("clean_text", ""))
+            for loc, j, turn in _objects(path, prefix + key, mapping[key]):
                 session_id, turn_index = prefix + key, j
                 dia_id = turn.get("dia_id")
                 if isinstance(dia_id, str):
@@ -334,38 +357,38 @@ def _parse_locomo(path: Path) -> list[tuple[str, int, str, str, str | None]]:
                     if m:
                         session_id = prefix + m.group("session")
                         turn_index = int(m.group("turn"))
-                turns.append((session_id, turn_index, speaker, text, timestamp))
-    return turns
+                yield loc, {"session_id": session_id, "turn_index": turn_index,
+                            "speaker": turn.get("speaker", ""),
+                            "text": turn.get("text", turn.get("clean_text", "")),
+                            "timestamp": timestamp}
 
 
-def _parse_longmemeval(path: Path) -> list[tuple[str, int, str, str, str | None]]:
+def _longmemeval_records(path: Path) -> Iterator[tuple[str, dict]]:
     doc = _load_json(path)
-    turns = []
     if isinstance(doc, dict) and "sessions" in doc:
-        sessions = doc["sessions"]
-        if not isinstance(sessions, list):
-            raise MalformedDocumentError(f"{path}: 'sessions' is not a list")
-        for k, session in enumerate(sessions):
-            if not isinstance(session, dict):
-                raise MalformedDocumentError(f"{path}: session {k} is not an object")
-            session_id = str(session.get("session_id", f"s{k}"))
-            date = session.get("date")
-            for j, turn in enumerate(session.get("turns", [])):
-                speaker = turn.get("speaker", turn.get("role", ""))
-                text = turn.get("text", turn.get("content", ""))
-                turns.append((session_id, j, speaker, text, date))
+        # (label, session id, date, turns) per session
+        sessions = [(f"{loc}.turns", str(session.get("session_id", f"s{k}")),
+                     session.get("date"), session.get("turns", []))
+                    for loc, k, session in _objects(path, "sessions", doc["sessions"])]
     elif isinstance(doc, dict) and "haystack_sessions" in doc:
-        sessions = doc["haystack_sessions"]
-        ids = doc.get("haystack_session_ids") or [f"s{k}" for k in range(len(sessions))]
-        dates = doc.get("haystack_dates") or [None] * len(sessions)
-        for k, session in enumerate(sessions):
-            for j, turn in enumerate(session):
-                speaker = turn.get("speaker", turn.get("role", ""))
-                text = turn.get("text", turn.get("content", ""))
-                turns.append((str(ids[k]), j, speaker, text, dates[k]))
+        haystack = doc["haystack_sessions"]
+        if not isinstance(haystack, list):
+            raise MalformedDocumentError(f"{path}: haystack_sessions is not a list")
+        ids = doc.get("haystack_session_ids") or [f"s{k}" for k in range(len(haystack))]
+        dates = doc.get("haystack_dates") or [None] * len(haystack)
+        for name, values in (("haystack_session_ids", ids), ("haystack_dates", dates)):
+            if not isinstance(values, list) or len(values) != len(haystack):
+                raise MalformedDocumentError(
+                    f"{path}: {name} must be a list of {len(haystack)}, one per session")
+        sessions = [(f"haystack_sessions[{k}]", str(ids[k]), dates[k], turns)
+                    for k, turns in enumerate(haystack)]
     else:
         raise MalformedDocumentError(f"{path}: expected 'sessions' or 'haystack_sessions'")
-    return turns
+    for label, session_id, date, turns in sessions:
+        for loc, j, turn in _objects(path, label, turns):
+            yield loc, {"session_id": session_id, "turn_index": j,
+                        "speaker": turn.get("speaker", turn.get("role", "")),
+                        "text": turn.get("text", turn.get("content", "")), "timestamp": date}
 
 
 # ---------------------------------------------------------------------------
@@ -393,42 +416,10 @@ def read_corpus(path: str | Path) -> Corpus:
     ``{session_id}:{turn_index}``, as :func:`ingest` writes them; a line
     that breaks a rule is a MalformedDocumentError naming path:line and the
     field. A repeated passage id raises :class:`DuplicateTurnError` naming
-    the lines of both occurrences."""
+    the lines of both occurrences. Blank speakers and texts, which ingest
+    rejects, are read back as written."""
     path = Path(path)
-    passages = []
-    for lineno, rec in _jsonl_records(path):
-        try:
-            p = Passage(rec["id"], rec["session_id"], rec["turn_index"],
-                        rec["speaker"], rec["text"], rec.get("timestamp"))
-        except (KeyError, TypeError):   # a missing field, or not an object
-            p = None
-        # A good line passes this one expression; _typed_fields and the id
-        # test below name what is wrong with any other.
-        if p is None or not (
-                type(p.session_id) is type(p.speaker) is type(p.text) is str
-                and type(p.turn_index) is int and p.turn_index >= 0
-                and p.id == f"{p.session_id}:{p.turn_index}"
-                and (p.timestamp is None or type(p.timestamp) is str)):
-            p = Passage(*_typed_fields(rec, _FIELD_TYPES, path, lineno))
-            if p.id != f"{p.session_id}:{p.turn_index}":
-                raise MalformedDocumentError(
-                    f"{path}:{lineno}: id must be '{p.session_id}:{p.turn_index}', "
-                    f"got {p.id!r}")
-        passages.append(p)
-    if not passages:
-        raise EmptyCorpusError(f"{path} holds zero passages")
-    passages.sort(key=attrgetter("session_id", "turn_index"))
-    try:
-        return Corpus(passages=tuple(passages), source_label=path.name)
-    except DuplicateTurnError:
-        first_line: dict[str, int] = {}
-        for lineno, rec in _jsonl_records(path):
-            if rec["id"] in first_line:
-                raise DuplicateTurnError(
-                    f"{path}:{lineno}: passage id {rec['id']!r} repeats line "
-                    f"{first_line[rec['id']]}") from None
-            first_line[rec["id"]] = lineno
-        raise
+    return _corpus(path, _jsonl_records(path), ingested=False)
 
 
 # ---------------------------------------------------------------------------

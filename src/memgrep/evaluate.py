@@ -196,11 +196,15 @@ class QuestionRecord:
     cross_scores: dict[str, float]          # an entry for every candidate
     match_scores: dict[str, float]          # an entry for every candidate
     gold_ids: frozenset[str]
-    missing_gold: frozenset[str]            # gold never retrieved
 
     @property
     def candidate_ids(self) -> tuple[str, ...]:
         return tuple(s.passage_id for s in self.stats)
+
+    @property
+    def missing_gold(self) -> frozenset[str]:
+        """The gold never retrieved; read per sweep cell, so no candidate set."""
+        return self.gold_ids.difference(s.passage_id for s in self.stats)
 
 
 @dataclass(frozen=True)
@@ -241,7 +245,6 @@ def build_matrix(
             cross_scores={pid: cross.scores[pid] for pid in ordered},
             match_scores={pid: match_scores[pid] for pid in ordered},
             gold_ids=question.gold_passage_ids,
-            missing_gold=frozenset(question.gold_passage_ids - set(ordered)),
         ))
     return ScoreMatrix(records=tuple(records),
                        corpus_checksum=corpus.checksum,
@@ -297,7 +300,7 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
             cross, match = _entries(rec, "cross", ids), _entries(rec, "match", ids)
             words = _entries(rec, "words", ids, count=True)
             render_lens = _entries(rec, "render_lens", ids, count=True)
-            records.append(QuestionRecord(
+            record = QuestionRecord(
                 question_id=rec["question_id"],
                 query=rec["query"],
                 stats=tuple(PassageStats(pid, w, r)
@@ -305,8 +308,11 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
                 cross_scores={pid: float(v) for pid, v in zip(ids, cross)},
                 match_scores={pid: float(v) for pid, v in zip(ids, match)},
                 gold_ids=_id_set(rec, "gold"),
-                missing_gold=_id_set(rec, "missing"),
-            ))
+            )
+            if _id_set(rec, "missing") != record.missing_gold:
+                raise ValueError(f"missing must be the gold that candidates lack, "
+                                 f"{sorted(record.missing_gold)}, got {rec['missing']!r}")
+            records.append(record)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise IncompleteMatrixError(
                 f"{path}:{lineno}: missing or invalid field: {exc}"

@@ -61,6 +61,8 @@ class ScorerHandle:
     def __post_init__(self, transport: str | None) -> None:
         if not self.name:
             raise ValueError("a scorer needs a name")
+        if self.endpoint == "":
+            raise ValueError("endpoint must be a non-empty string or null")
         if self.kind not in SCORER_KINDS:
             raise ValueError(f"unknown scorer kind {self.kind!r}")
         if transport not in (None, "service-adapter" if self.endpoint else "in-process"):

@@ -96,7 +96,7 @@ def test_sweep_from_prebuilt_matrix(capsys, tmp_path, fix_corpus, fix_questions)
     "drop-cross-entry", "drop-match-entry", "drop-words-entry", "drop-render_lens-entry",
     "repeat-candidate", "fractional-words", "bool-render_lens",
     "nan-cross", "string-match", "bool-cross", "huge-int-cross", "huge-int-words",
-    "gold-not-a-list", "missing-not-a-list",
+    "gold-not-a-list", "missing-not-a-list", "missing-not-gold-minus-candidates",
 ])
 def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpus,
                                                      fix_questions, damage):
@@ -136,6 +136,11 @@ def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpu
     elif damage == "huge-int-words":
         record["words"][first] = 10 ** 400
         expected = "int too large to convert to float"
+    elif damage == "missing-not-gold-minus-candidates":
+        # This question retrieved its gold, so none of it is missing.
+        assert record["missing"] == [] and record["gold"]
+        record["missing"] = record["gold"]
+        expected = f"missing must be the gold that candidates lack, [], got {record['gold']!r}"
     elif damage.endswith("-not-a-list"):
         # A string would read as the set of its characters.
         field = damage[:-len("-not-a-list")]
@@ -441,6 +446,7 @@ BAD_CONFIGS = {
     "truncation-huge-int-alpha": ({"truncation": {"alpha": 10**400}}, "truncation"),
     "annotator-endpoint-not-a-string": ({"annotator": {"endpoint": 5}}, "annotator"),
     "annotator-endpoint-empty": ({"annotator": {"endpoint": ""}}, "annotator"),
+    "scorer-endpoint-empty": ({"scorers": [{"name": "ce", "endpoint": ""}]}, "scorers[0]"),
     # Keys that repeated another setting are gone: the endpoint picks the
     # annotator, max_hops=1 ends the entity hops and a PRF top-n of 0 skips PRF.
     "annotator-kind-removed": ({"annotator": {"kind": "rules"}},
@@ -475,6 +481,41 @@ BAD_PASSAGE_FIELDS = {
     "corpus-negative-turn-index": {"turn_index": -1},
     "corpus-id-off-scheme": {"id": "zz:9"},
     "ingest-negative-turn-index": {"turn_index": -1},
+}
+
+# Raw documents that ingest rejects: the format, the document (for
+# generic-jsonl, its records, one per line), the error, and what its message
+# must say after the file's name: the turn's position (path:line in JSONL)
+# and the field, or the part of the document at fault.
+_LONGMEMEVAL_TURN = {"role": "user", "content": "hi"}
+_GENERIC_TURNS = [{"session_id": "a", "turn_index": i, "speaker": "X", "text": "hi"}
+                  for i in range(2)]
+BAD_INGEST = {
+    "longmemeval-turn-not-an-object": (
+        "longmemeval-like", {"sessions": [{"session_id": "s1", "turns": ["hello"]}]},
+        "MalformedDocumentError", ": sessions[0].turns[0] is not an object"),
+    "longmemeval-turns-not-a-list": (
+        "longmemeval-like", {"sessions": [{"session_id": "s1", "turns": 5}]},
+        "MalformedDocumentError", ": sessions[0].turns is not a list"),
+    "longmemeval-fewer-session-ids-than-sessions": (
+        "longmemeval-like", {"haystack_session_ids": ["a"],
+                             "haystack_sessions": [[_LONGMEMEVAL_TURN], [_LONGMEMEVAL_TURN]]},
+        "MalformedDocumentError", ": haystack_session_ids must be a list of 2"),
+    "longmemeval-blank-turn": (
+        "longmemeval-like", {"sessions": [{"session_id": "s1",
+                                           "turns": [{"role": "user", "content": " "}]}]},
+        "MalformedDocumentError", ":sessions[0].turns[0]: text must not be blank"),
+    # ingest would write a corpus that read_corpus rejects.
+    "locomo-date-not-a-string": (
+        "locomo-like", {"conversation": {"session_1": [{"speaker": "A", "text": "hi"}],
+                                         "session_1_date_time": 5}},
+        "MalformedDocumentError", ":session_1[0]: timestamp must be a string or null, got 5"),
+    "generic-id-off-scheme": (
+        "generic-jsonl", [_GENERIC_TURNS[0], {**_GENERIC_TURNS[1], "id": "zz:9"}],
+        "MalformedDocumentError", ":2: id must be 'a:1', got 'zz:9'"),
+    "generic-repeated-turn": (
+        "generic-jsonl", [*_GENERIC_TURNS, _GENERIC_TURNS[0]],
+        "DuplicateTurnError", ":3: passage id 'a:0' repeats line 1"),
 }
 
 # A JSON integer literal of 5,000 digits: json reads it with a plain
@@ -550,6 +591,15 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
         raw.write_text("".join(json.dumps(turn) + "\n" for turn in turns), encoding="utf-8")
         return (["ingest", "--corpus", str(raw), "--format", "generic-jsonl"],
                 "MalformedDocumentError", f"{raw}:3: {next(iter(fields))} must be")
+    if case in BAD_INGEST:
+        format, doc, error, message = BAD_INGEST[case]
+        if format == "generic-jsonl":
+            raw = tmp / "raw.jsonl"
+            raw.write_text("".join(json.dumps(turn) + "\n" for turn in doc))
+        else:
+            raw = tmp / "raw.json"
+            raw.write_text(json.dumps(doc))
+        return (["ingest", "--corpus", str(raw), "--format", format], error, f"{raw}{message}")
     if case in BAD_QUESTIONS:
         records, message = BAD_QUESTIONS[case]
         bad = tmp / "questions.json"
@@ -613,7 +663,7 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
             "IncompleteMatrixError", f"{bad}:2:{fault}")
 
 
-@pytest.mark.parametrize("case", [*BAD_CONFIGS, *BAD_PASSAGE_FIELDS, *BAD_QUESTIONS,
+@pytest.mark.parametrize("case", [*BAD_CONFIGS, *BAD_PASSAGE_FIELDS, *BAD_INGEST, *BAD_QUESTIONS,
                                   "corpus-line-not-an-object",
                                   "fusion-weight-for-another-scorer",
                                   "gold-not-a-list", "matrix-line-without-cross",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from memgrep import corpus as corpus_module
 from memgrep.corpus import (
+    INGEST_FORMATS,
     SCAN_BLOCK,
     Corpus,
     Passage,
@@ -140,6 +141,59 @@ def test_checksum_is_sha256_of_written_file(tmp_path_factory, passages):
     path.write_text(corpus_to_jsonl(corpus), encoding="utf-8")
     assert corpus.checksum == hashlib.sha256(path.read_bytes()).hexdigest()
     assert read_corpus(path).checksum == corpus.checksum
+
+
+# A session's date and its (speaker, text) turns. A date that is neither a
+# string nor null, and a blank speaker or text, are rejected by ingest.
+_SESSIONS = st.lists(
+    st.tuples(st.none() | _TEXT | st.integers(0, 9),
+              st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=3)),
+    min_size=1, max_size=3)
+
+
+def _raw_document(format, sessions, haystack):
+    """sessions as a raw document of the ingest format; haystack picks the
+    longmemeval-like question-record form."""
+    if format == "generic-jsonl":
+        return "".join(
+            json.dumps({"session_id": f"s{k}", "turn_index": j, "speaker": speaker,
+                        "text": text, "timestamp": date}, ensure_ascii=False) + "\n"
+            for k, (date, turns) in enumerate(sessions)
+            for j, (speaker, text) in enumerate(turns))
+    if format == "locomo-like":
+        conversation = {}
+        for k, (date, turns) in enumerate(sessions, start=1):
+            conversation[f"session_{k}"] = [{"speaker": s, "text": t} for s, t in turns]
+            conversation[f"session_{k}_date_time"] = date
+        return json.dumps({"conversation": conversation}, ensure_ascii=False)
+    dates = [date for date, _ in sessions]
+    turn_lists = [[{"role": s, "content": t} for s, t in turns] for _, turns in sessions]
+    if haystack:
+        doc = {"haystack_session_ids": [f"s{k}" for k in range(len(sessions))],
+               "haystack_dates": dates, "haystack_sessions": turn_lists}
+    else:
+        doc = {"sessions": [{"session_id": f"s{k}", "date": date, "turns": turns}
+                            for k, (date, turns) in enumerate(zip(dates, turn_lists))]}
+    return json.dumps(doc, ensure_ascii=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(format=st.sampled_from(INGEST_FORMATS), sessions=_SESSIONS, haystack=st.booleans())
+def test_ingested_corpus_reads_back_as_ingested(tmp_path_factory, format, sessions, haystack):
+    folder = tmp_path_factory.mktemp("ingest")
+    raw = folder / "raw"
+    raw.write_text(_raw_document(format, sessions, haystack), encoding="utf-8")
+    if any(date is not None and not isinstance(date, str) for date, _ in sessions) or any(
+            not speaker or not text.strip() for _, turns in sessions for speaker, text in turns):
+        with pytest.raises(MalformedDocumentError, match=f"^{re.escape(str(raw))}:"):
+            ingest(raw, format)
+        return
+    corpus = ingest(raw, format)
+    path = folder / "corpus.jsonl"
+    path.write_text(corpus_to_jsonl(corpus), encoding="utf-8")
+    back = read_corpus(path)
+    assert back.passages == corpus.passages
+    assert back.checksum == corpus.checksum
 
 
 def test_passage_keeps_its_record_contract():
@@ -305,6 +359,15 @@ def test_ingest_locomo_like(tmp_path):
     assert "D1:3" in ids
     assert "session_1:1" in ids
     assert corpus.get("D1:3").timestamp == "1:14 pm on 8 May, 2023"
+
+
+def test_ingest_names_both_positions_of_a_repeated_json_turn(tmp_path):
+    raw = tmp_path / "raw.json"
+    turn = {"speaker": "A", "text": "hi", "dia_id": "D1:3"}
+    raw.write_text(json.dumps({"conversation": {"session_1": [turn, turn]}}))
+    with pytest.raises(DuplicateTurnError) as err:
+        ingest(raw, "locomo-like")
+    assert str(err.value) == f"{raw}:session_1[1]: passage id 'D1:3' repeats session_1[0]"
 
 
 def test_ingest_locomo_multiple_conversations_get_prefixes(tmp_path):
@@ -484,6 +547,20 @@ def test_read_corpus_names_lines_of_repeated_id(tmp_path):
     with pytest.raises(DuplicateTurnError) as err:
         read_corpus(path)
     assert str(err.value) == f"{path}:3: passage id 'a:0' repeats line 1"
+
+
+def test_read_corpus_counts_blank_lines_in_a_repeat_position(tmp_path):
+    lines = [
+        {"id": "a:0", "session_id": "a", "turn_index": 0, "speaker": "X", "text": "one"},
+        {"id": "a:1", "session_id": "a", "turn_index": 1, "speaker": "X", "text": "two"},
+        {"id": "a:0", "session_id": "a", "turn_index": 0, "speaker": "Y", "text": "again"},
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n" + json.dumps(lines[0]) + "\n" + json.dumps(lines[1]) + "\n \n\n"
+                    + json.dumps(lines[2]) + "\n")
+    with pytest.raises(DuplicateTurnError) as err:
+        read_corpus(path)
+    assert str(err.value) == f"{path}:6: passage id 'a:0' repeats line 2"
 
 
 def test_bundled_fixture_is_valid(fixture_corpus_path, fixture_questions_path):

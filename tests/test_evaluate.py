@@ -40,7 +40,7 @@ def context(*ids):
                    pruned_by_threshold=0, pruned_by_budget=0)
 
 
-def record(qid, candidates, cross, gold_ids, missing=(), words=None):
+def record(qid, candidates, cross, gold_ids, words=None):
     words = words or {pid: 5 for pid in candidates}
     return QuestionRecord(
         question_id=qid,
@@ -50,7 +50,6 @@ def record(qid, candidates, cross, gold_ids, missing=(), words=None):
         cross_scores=dict(cross),
         match_scores={pid: 1.0 for pid in candidates},
         gold_ids=frozenset(gold_ids),
-        missing_gold=frozenset(missing),
     )
 
 
@@ -82,7 +81,7 @@ def test_mean_gold_rank_averages_first_positions():
 
 def test_mean_gold_rank_counts_absent():
     result = mean_gold_rank(matrix_of(
-        record("q", ["a", "b"], {}, ["missing"], missing=["missing"]),
+        record("q", ["a", "b"], {}, ["missing"]),
     ))
     assert result.mean_rank is None
     assert result.absent == 1
@@ -219,7 +218,6 @@ def score_matrices(draw):
             cross_scores={pid: draw(_score) for pid in ids},
             match_scores={pid: draw(_score) for pid in ids},
             gold_ids=gold,
-            missing_gold=gold - frozenset(ids),
         ))
     return ScoreMatrix(records=tuple(records), corpus_checksum=draw(_matrix_text),
                        cross_scorer=draw(_matrix_text))
@@ -261,7 +259,7 @@ def test_simulate_retrieval_miss_bucket():
     matrix = ScoreMatrix(
         records=(
             record("hit", ["a"], {"a": 1.0}, ["a"]),
-            record("miss", ["b"], {"b": 1.0}, ["g"], missing=["g"]),
+            record("miss", ["b"], {"b": 1.0}, ["g"]),
         ),
         corpus_checksum="c", cross_scorer="lex",
     )
@@ -275,7 +273,7 @@ def test_simulate_partial_miss_keeps_full_denominator():
     # One of two gold passages was never retrieved: recall caps at 0.5.
     matrix = ScoreMatrix(
         records=(
-            record("q", ["a"], {"a": 1.0}, ["a", "g"], missing=["g"]),
+            record("q", ["a"], {"a": 1.0}, ["a", "g"]),
         ),
         corpus_checksum="c", cross_scorer="lex",
     )
@@ -312,7 +310,7 @@ def test_micro_vs_macro_divergence():
         records=(
             record("big", ["a", "b", "c", "d"],
                    {pid: 1.0 for pid in "abcd"}, ["a", "b", "c", "d"]),
-            record("small", ["z"], {"z": 1.0}, ["z", "y"], missing=["y"]),
+            record("small", ["z"], {"z": 1.0}, ["z", "y"]),
         ),
         corpus_checksum="c", cross_scorer="lex",
     )
@@ -335,7 +333,7 @@ def test_ranking_effect_constructed_inversion():
 
 
 def test_ranking_effect_excludes_unretrieved_gold():
-    rec = record("q", ["a"], {"a": 1.0}, ["g"], missing=["g"])
+    rec = record("q", ["a"], {"a": 1.0}, ["g"])
     matrix = ScoreMatrix(records=(rec,), corpus_checksum="c", cross_scorer="lex")
     effect = ranking_effect(matrix)
     assert effect.absent == 1
@@ -376,7 +374,6 @@ def tied_matrices(draw):
             cross_scores={pid: draw(_few_scores) for pid in ids},
             match_scores={pid: draw(_few_scores) for pid in ids},
             gold_ids=gold,
-            missing_gold=gold - frozenset(ids),
         ))
     return ScoreMatrix(records=tuple(records), corpus_checksum="c", cross_scorer="lex")
 
