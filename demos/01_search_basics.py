@@ -28,7 +28,7 @@ def main() -> None:
         print(f"  {term.surface:<10} weight {term.weight:.1f}")
 
     # grep_search returns passage position -> matched (surface, weight) pairs.
-    hits = grep_search(corpus, terms, mode="OR")
+    hits = grep_search(corpus, terms)
     scores = match_scores(hits)
     print(f"\nsubstring matches, best first ({len(hits)} passages):")
     for i in candidate_order(corpus, scores):

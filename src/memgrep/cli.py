@@ -31,7 +31,7 @@ from .corpus import (
     load_questions,
     read_corpus,
 )
-from .errors import ConfigError, EmptyTermSetError, MemgrepError
+from .errors import ConfigError, MemgrepError
 from .evaluate import (
     ScoreMatrix,
     build_matrix,
@@ -46,7 +46,6 @@ from .evaluate import (
     sweep_to_json,
 )
 from .oracle import SearchLimits, derive_trace, trace_stats, traces_to_jsonl
-from .parse import parse_query
 from .rank import FusionConfig, LexicalDenseScorer, ScorerHandle
 from .retrieve import RetrieveConfig
 from .service import ServiceClient, finite_number
@@ -145,17 +144,16 @@ def _scorer(entry: object, where: str) -> ScorerHandle:
     return _build(ScorerHandle, {"kind": kind, **entry}, where)
 
 
-def _scorer_from_flag(spec: str, position: int) -> dict:
+def _scorer_from_flag(spec: str) -> dict:
+    """The scorer entry a --scorer flag gives: its name and its endpoint,
+    none for 'lexical'; _scorer then picks the kind as for a file entry."""
     name, sep, endpoint = spec.partition("=")
     if not sep or not name or not endpoint:
         raise ConfigError(
             f"bad --scorer {spec!r}; expected name=endpoint "
             "(endpoint 'lexical' for the in-process test scorer)"
         )
-    if endpoint == "lexical":
-        return {"name": name}
-    kind = "pointwise-cross" if position == 0 else "late-interaction"
-    return {"name": name, "kind": kind, "endpoint": endpoint}
+    return {"name": name} if endpoint == "lexical" else {"name": name, "endpoint": endpoint}
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -165,7 +163,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     source = path or "flags"
 
     if flag("scorer"):
-        entries = [_scorer_from_flag(spec, i) for i, spec in enumerate(flag("scorer"))]
+        entries = [_scorer_from_flag(spec) for spec in flag("scorer")]
         where = "--scorer"
     else:
         entries = doc.get("scorers") or []
@@ -267,17 +265,11 @@ def cmd_query(cfg: RunConfig, query: str) -> int:
         dense_scorer=dense,
         fusion_cfg=cfg.fusion,
     )
-    try:
-        terms = [
-            {"surface": t.surface, "weight": t.weight, "provenance": t.provenance}
-            for t in parse_query(query, annotator).terms
-        ]
-    except EmptyTermSetError:
-        terms = []
     stage_trace = {
         "query": query,
         "query_id": run.candidates.query_id,
-        "terms": terms,
+        "terms": [{"surface": t.surface, "weight": t.weight, "provenance": t.provenance}
+                  for t in run.candidates.terms],
         "hops_executed": run.candidates.hops_executed,
         "candidate_count": len(run.candidates),
         "warnings": list(run.candidates.warnings),

@@ -313,6 +313,14 @@ def _jsonl_records(path: Path) -> Iterator[tuple[int, Any]]:
             yield lineno, rec
 
 
+def _id(where: str, name: str, value: Any) -> str:
+    """An id read from JSON: a string, or an int read as its decimal string.
+    Anything else (null, a bool, a float, an object) is an error."""
+    if type(value) not in (str, int):
+        raise MalformedDocumentError(f"{where}: {name} must be a string or an int, got {value!r}")
+    return str(value)
+
+
 def _load_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -356,7 +364,12 @@ def _locomo_records(path: Path) -> Iterator[tuple[str, dict]]:
                     m = _PASSAGE_ID_RE.match(dia_id)
                     if m:
                         session_id = prefix + m.group("session")
-                        turn_index = int(m.group("turn"))
+                        try:
+                            turn_index = int(m.group("turn"))
+                        except ValueError as exc:   # over 4,300 digits
+                            raise MalformedDocumentError(
+                                f"{path}:{loc}: dia_id turn is too long to read: {exc}"
+                            ) from None
                 yield loc, {"session_id": session_id, "turn_index": turn_index,
                             "speaker": turn.get("speaker", ""),
                             "text": turn.get("text", turn.get("clean_text", "")),
@@ -367,7 +380,8 @@ def _longmemeval_records(path: Path) -> Iterator[tuple[str, dict]]:
     doc = _load_json(path)
     if isinstance(doc, dict) and "sessions" in doc:
         # (label, session id, date, turns) per session
-        sessions = [(f"{loc}.turns", str(session.get("session_id", f"s{k}")),
+        sessions = [(f"{loc}.turns",
+                     _id(f"{path}:{loc}", "session_id", session.get("session_id", f"s{k}")),
                      session.get("date"), session.get("turns", []))
                     for loc, k, session in _objects(path, "sessions", doc["sessions"])]
     elif isinstance(doc, dict) and "haystack_sessions" in doc:
@@ -380,7 +394,8 @@ def _longmemeval_records(path: Path) -> Iterator[tuple[str, dict]]:
             if not isinstance(values, list) or len(values) != len(haystack):
                 raise MalformedDocumentError(
                     f"{path}: {name} must be a list of {len(haystack)}, one per session")
-        sessions = [(f"haystack_sessions[{k}]", str(ids[k]), dates[k], turns)
+        sessions = [(f"haystack_sessions[{k}]",
+                     _id(str(path), f"haystack_session_ids[{k}]", ids[k]), dates[k], turns)
                     for k, turns in enumerate(haystack)]
     else:
         raise MalformedDocumentError(f"{path}: expected 'sessions' or 'haystack_sessions'")
@@ -477,12 +492,7 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
     for where, position, rec in records:
         if not isinstance(rec, dict) or "question_id" not in rec:
             raise MalformedDocumentError(f"{where}: annotation record missing question_id")
-        question_id = rec["question_id"]
-        if type(question_id) is int:
-            question_id = str(question_id)
-        elif type(question_id) is not str:
-            raise MalformedDocumentError(
-                f"{where}: question_id must be a string or an int, got {question_id!r}")
+        question_id = _id(where, "question_id", rec["question_id"])
         if question_id in first_seen:
             raise MalformedDocumentError(
                 f"{path}: question_id {question_id!r} appears at "

@@ -5,7 +5,9 @@ the shortest sequence of search actions that covers all of them? Nodes are
 search states (gold covered so far, term surfaces discovered so far); edges
 are unit-cost (tool, term-subset) actions. Unit cost makes Dijkstra's
 algorithm collapse to breadth-first search, which is what runs, and makes a
-trace's cost and hops both its action count.
+trace's cost and hops both its action count. Term surfaces are kept
+lowercased, as grep matches them; grep-or is retrieve's OR grep of the
+action's terms, and grep-and keeps its hits that hold every term.
 
 The oracle sees gold passage ids only. Nothing in this module reads or
 accepts answer text.
@@ -22,7 +24,7 @@ from .annotate import Annotator
 from .corpus import Corpus, GoldAnnotation
 from .errors import EmptyTermSetError
 from .parse import WeightedTerm, WeightedTermSet, parse_query
-from .retrieve import candidate_order, grep_search, match_scores, semantic_fallback
+from .retrieve import and_hits, candidate_order, grep_search, match_scores, semantic_fallback
 
 TOOLS = ("grep-or", "grep-and", "semantic")
 ENTITY_SOURCE_TOP = 10  # passages mined for new terms after each action
@@ -85,12 +87,8 @@ def derive_trace(
     if limits is None:
         limits = SearchLimits()
 
-    casing: dict[str, str] = {}
     try:
-        query_terms = parse_query(question, annotator)
-        for term in query_terms.terms:
-            casing.setdefault(term.surface.lower(), term.surface)
-        initial_terms = frozenset(casing)
+        initial_terms = parse_query(question, annotator).surfaces_lower()
     except EmptyTermSetError:
         initial_terms = frozenset()
 
@@ -115,27 +113,19 @@ def derive_trace(
             ids = [passages[i].id for i in order]
             top = [passages[i] for i in order[:ENTITY_SOURCE_TOP]]
         else:
-            term_set = WeightedTermSet(
-                terms=tuple(
-                    WeightedTerm(surface=casing[low], weight=1.0,
-                                 provenance="query")
-                    for low in sorted(action.term_surfaces)
-                ),
-                query_text=question,
-            )
-            mode = "AND" if action.tool == "grep-and" else "OR"
-            hits = grep_search(corpus, term_set, mode)
+            term_set = WeightedTermSet(tuple(
+                WeightedTerm(surface=low, weight=1.0, provenance="query")
+                for low in sorted(action.term_surfaces)))
+            hits = grep_search(corpus, term_set)
+            if action.tool == "grep-and":
+                hits = and_hits(hits, term_set)
             ids = [passages[i].id for i in hits]
             top = [passages[i] for i in
                    candidate_order(corpus, match_scores(hits), ENTITY_SOURCE_TOP)]
         covered_gain = frozenset(ids) & gold_ids
-        found_terms = set()
-        for passage in top:
-            for mention in annotator.extract_entities(passage.text):
-                low = mention.surface.lower()
-                casing.setdefault(low, mention.surface)
-                found_terms.add(low)
-        outcome = (covered_gain, frozenset(found_terms))
+        found_terms = frozenset(mention.surface.lower() for passage in top
+                                for mention in annotator.extract_entities(passage.text))
+        outcome = (covered_gain, found_terms)
         memo[action] = outcome
         return outcome
 

@@ -3,7 +3,8 @@
 Weights encode linguistic specificity: proper nouns 3.0, nouns 2.0, verbs 1.0,
 plus 1.0 when the token sits inside a named-entity span. Expansion stages
 attach their own fixed weights (entity hops 2.5, pseudo-relevance feedback
-0.5) through the same term type.
+0.5) through the same term type. A term set holds only its terms; retrieve
+parses the query once per run and carries its terms, not its text.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ class WeightedTermSet:
     """Terms with case-insensitive unique surfaces; max weight wins on clash."""
 
     terms: tuple[WeightedTerm, ...]
-    query_text: str
 
     @staticmethod
-    def from_terms(terms: list[WeightedTerm], query_text: str) -> "WeightedTermSet":
+    def from_terms(terms: list[WeightedTerm]) -> "WeightedTermSet":
         """Dedup case-insensitively, keeping the max-weight reading per surface.
 
         First occurrence fixes position and casing; a later higher-weight
@@ -56,18 +56,10 @@ class WeightedTermSet:
                     weight=term.weight,
                     provenance=term.provenance,
                 )
-        return WeightedTermSet(
-            terms=tuple(best[key] for key in order), query_text=query_text
-        )
+        return WeightedTermSet(tuple(best[key] for key in order))
 
     def surfaces_lower(self) -> frozenset[str]:
         return frozenset(term.surface.lower() for term in self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
 
 
 def parse_query(query: str, annotator: Annotator) -> WeightedTermSet:
@@ -94,7 +86,7 @@ def parse_query(query: str, annotator: Annotator) -> WeightedTermSet:
             weight=_head_weight(mention.surface, terms),
             provenance="query",
         ))
-    term_set = WeightedTermSet.from_terms(terms, query_text=query)
+    term_set = WeightedTermSet.from_terms(terms)
     if not term_set.terms:
         raise EmptyTermSetError(f"no content terms in query {query!r}")
     return term_set

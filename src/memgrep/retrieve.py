@@ -9,14 +9,16 @@ pluggable dense scorer covers the rare query whose terms match nothing. No
 inverted index, no embedding store; the corpus text itself is the only data
 structure.
 
-A grep returns its raw hits by passage position. retrieve folds every hop's
-hits into one map (higher score wins, earliest hop kept); the dense
+A grep is an OR grep: it returns its raw hits by passage position, every
+passage holding at least one term. AND mode is and_hits over the query's own
+hits at hop 0; expansion hops grep OR in both modes. retrieve folds every
+hop's hits into one map (higher score wins, earliest hop kept); the dense
 fallback's top scores fold into it too, with no matched terms. retrieve then
 builds each Candidate once, in candidate order: match score down, then
-passage id up. It also keeps each candidate's query-term sum, the weights of
-the question's own terms found in it, which rank's in-process lexical
-scorer reads in place of the text. Every CandidateSet retrieve returns, an
-empty one included, is built at that one exit.
+passage id up. It also keeps the query's parsed terms and each candidate's
+query-term sum, the weights of those terms found in it, which rank's
+in-process lexical scorer reads in place of the text. Every CandidateSet
+retrieve returns, an empty one included, is built at that one exit.
 """
 
 from __future__ import annotations
@@ -63,12 +65,14 @@ class CandidateSet:
     # term_sums[k] is candidates[k]'s query-term sum: the weights, added in
     # term order, of the question's own parsed terms that its text contains,
     # as an OR grep of them finds it (0.0 when it holds none). retrieve fills
-    # it in every mode; rank's in-process scorer needs it.
+    # it in every mode; rank's in-process scorer needs it. terms are those
+    # parsed terms, empty when the query has none.
     candidates: tuple[Candidate, ...]
     query_id: str
     hops_executed: int
     warnings: tuple[str, ...] = ()
     term_sums: tuple[float, ...] = ()
+    terms: tuple[WeightedTerm, ...] = ()
 
     def ids(self) -> list[str]:
         return [c.passage_id for c in self.candidates]
@@ -111,7 +115,7 @@ Hits = dict[int, list[tuple[str, float]]]
 _weight = itemgetter(1)
 
 
-def grep_search(corpus: Corpus, terms: WeightedTermSet, mode: str = "OR") -> Hits:
+def grep_search(corpus: Corpus, terms: WeightedTermSet) -> Hits:
     """Scan every passage for term substrings; no index is consulted.
 
     Each needle is found with ``str.find`` in each block of the corpus's
@@ -120,14 +124,12 @@ def grep_search(corpus: Corpus, terms: WeightedTermSet, mode: str = "OR") -> Hit
     passage, so each passage is reported at most once per needle. A hit
     that runs past its passage's end, over the NUL that separates it from
     the next, is not a match, and neither is any later hit in that passage.
-    Returns the raw hits: OR keeps any passage matching at least one term,
-    AND only those matching all of them. A passage's match score is the sum
-    of its pairs' weights; repeats of a term in the text add nothing.
+    Returns the raw OR hits, every passage matching at least one term;
+    and_hits keeps those matching all of them. A passage's match score is
+    the sum of its pairs' weights; repeats of a term in the text add nothing.
     """
     if not terms.terms:
         raise ValueError("term set must be non-empty")
-    if mode not in ("OR", "AND"):
-        raise ValueError(f"mode must be OR or AND, got {mode!r}")
     hits: Hits = {}
     for term in terms.terms:
         pair = (term.surface, term.weight)
@@ -144,7 +146,7 @@ def grep_search(corpus: Corpus, terms: WeightedTermSet, mode: str = "OR") -> Hit
                 if at + size < end:
                     hits.setdefault(base + j - 1, []).append(pair)
                 at = find(needle, end)
-    return and_hits(hits, terms) if mode == "AND" else hits
+    return hits
 
 
 def and_hits(hits: Hits, terms: WeightedTermSet) -> Hits:
@@ -171,27 +173,27 @@ def candidate_order(corpus: Corpus, scores: dict[int, float],
 
 def entity_expansion_hop(
     ranked_top: list[Passage],
-    original_terms: WeightedTermSet,
+    query: str,
     annotator: Annotator,
     *,
-    exclude: frozenset[str] = frozenset(),
+    exclude: frozenset[str],
 ) -> WeightedTermSet:
     """Mine the current top passages for entities worth a follow-up grep.
 
-    Entities already present in the original query (as substrings, case-
-    insensitive) and surfaces in `exclude` (already searched on an earlier
-    hop) are dropped; an empty result means the hop loop is done.
+    Entities already present in the query text (as substrings, case-
+    insensitive) and surfaces in `exclude` (the query's terms and those
+    searched on an earlier hop) are dropped; an empty result means the hop
+    loop is done.
     """
     if not ranked_top:
         raise ValueError("ranked_top must be non-empty")
-    query_low = original_terms.query_text.lower()
-    known = set(original_terms.surfaces_lower()) | set(exclude)
+    query_low = query.lower()
     terms: list[WeightedTerm] = []
     seen: set[str] = set()
     for passage in ranked_top:
         for mention in annotator.extract_entities(passage.text):
             low = mention.surface.lower()
-            if low in seen or low in known or low in query_low:
+            if low in seen or low in exclude or low in query_low:
                 continue
             seen.add(low)
             terms.append(WeightedTerm(
@@ -199,8 +201,7 @@ def entity_expansion_hop(
                 weight=ENTITY_HOP_WEIGHT,
                 provenance="entity-hop",
             ))
-    return WeightedTermSet(terms=tuple(terms),
-                           query_text=original_terms.query_text)
+    return WeightedTermSet(tuple(terms))
 
 
 def prf_hop(
@@ -209,7 +210,6 @@ def prf_hop(
     *,
     min_doc_freq: int = 2,
     exclude: frozenset[str] = frozenset(),
-    query_text: str = "",
 ) -> WeightedTermSet:
     """Low-weight terms from content words recurring across top passages.
 
@@ -240,7 +240,7 @@ def prf_hop(
         for low in order
         if doc_freq[low] >= min_doc_freq
     )
-    return WeightedTermSet(terms=terms, query_text=query_text)
+    return WeightedTermSet(terms)
 
 
 # --- dense fallback ---
@@ -251,8 +251,6 @@ def semantic_fallback(query: str, corpus: Corpus, dense_scorer) -> dict[int, flo
 
     Only called when substring matching found nothing.
     """
-    if dense_scorer is None:
-        raise ScorerUnavailableError("no dense scorer configured")
     scores = dict(enumerate(dense_scorer.score(query, [p.text for p in corpus.passages])))
     return {i: float(scores[i])
             for i in candidate_order(corpus, scores, SEMANTIC_FALLBACK_TOP_N)}
@@ -299,18 +297,18 @@ def retrieve(
             best[i] = pairs
 
     hops = 0
-    terms: WeightedTermSet | None = None
+    terms = WeightedTermSet(())
     try:
         terms = parse_query(query, annotator)
     except EmptyTermSetError:
         warnings.append("empty-term-set: no content terms in query")
 
-    if terms is not None:
+    if terms.terms:
         searched = set(terms.surfaces_lower())
         # Hop 0 greps in OR mode in both modes: the query-term sums are OR
         # sums, since a candidate AND mode finds later, or a fallback one,
         # may still hold some of the terms. An AND hit holds all of them.
-        hits = grep_search(corpus, terms, "OR")
+        hits = grep_search(corpus, terms)
         own = match_scores(hits)
         fold(and_hits(hits, terms) if cfg.mode == "AND" else hits, 0, own)
         hops = 1
@@ -320,12 +318,12 @@ def retrieve(
         while cfg.entity_hop_source_top_m and scores and hops < cfg.max_hops:
             top = [passages[i] for i in candidate_order(corpus, scores,
                                                         cfg.entity_hop_source_top_m)]
-            new_terms = entity_expansion_hop(top, terms, annotator,
+            new_terms = entity_expansion_hop(top, query, annotator,
                                              exclude=frozenset(searched))
             if not new_terms.terms:
                 break
             searched.update(new_terms.surfaces_lower())
-            fold(grep_search(corpus, new_terms, "OR"), hops)
+            fold(grep_search(corpus, new_terms), hops)
             hops += 1
 
         # A top-n of 0 mines no passage either, so it skips PRF.
@@ -335,10 +333,9 @@ def retrieve(
                 top, annotator,
                 min_doc_freq=cfg.prf_min_doc_freq,
                 exclude=frozenset(searched),
-                query_text=query,
             )
             if prf_terms.terms:
-                fold(grep_search(corpus, prf_terms, "OR"), hops)
+                fold(grep_search(corpus, prf_terms), hops)
 
     if not scores:
         if cfg.fallback_enabled and dense_scorer is not None:
@@ -355,4 +352,4 @@ def retrieve(
     found = tuple(Candidate(passages[i].id, scores[i], tuple(best[i]), first_hop[i])
                   for i in order)
     return CandidateSet(found, query_id_for(query), hops, tuple(warnings),
-                        tuple(own.get(i, 0.0) for i in order))
+                        tuple(own.get(i, 0.0) for i in order), terms.terms)

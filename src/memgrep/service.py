@@ -20,6 +20,10 @@ from typing import Callable
 from .errors import ConfigError, PartialResponseError, ScorerUnavailableError
 
 _MAX_LINE = 64 * 1024 * 1024
+# Every client's fixed limits: the socket timeout of a connect and of the
+# reply, in seconds, and the extra connection attempts after the first.
+TIMEOUT_S = 10.0
+CONNECT_RETRIES = 1
 _NUMBER_TYPES = frozenset((int, float))
 
 
@@ -71,25 +75,22 @@ def _connect(spec: str, timeout: float) -> socket.socket:
 class ServiceClient:
     """Blocking client for the line-protocol above.
 
-    retries counts extra connection attempts after the first, and only a
-    failure to connect is retried. Once connected, the request is sent
-    exactly once: a timeout or a dropped connection after that raises
-    ScorerUnavailableError at once, because the service may still be working
-    on the request and a resend would make it do the work twice. A service
-    that answers with malformed content is not retried either (the failure
-    is not transient).
+    Only a failure to connect is retried, CONNECT_RETRIES times. Once
+    connected, the request is sent exactly once: a timeout or a dropped
+    connection after that raises ScorerUnavailableError at once, because the
+    service may still be working on the request and a resend would make it
+    do the work twice. A service that answers with malformed content is not
+    retried either (the failure is not transient).
     """
 
     endpoint: str
-    timeout: float = 10.0
-    retries: int = 1
 
     def request(self, payload: dict) -> dict:
         line = (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8")
         last_error: OSError | None = None
-        for _ in range(self.retries + 1):
+        for _ in range(CONNECT_RETRIES + 1):
             try:
-                sock = _connect(self.endpoint, self.timeout)
+                sock = _connect(self.endpoint, TIMEOUT_S)
                 break
             except OSError as exc:  # TimeoutError included
                 last_error = exc

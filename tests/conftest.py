@@ -8,8 +8,8 @@ import pytest
 
 from memgrep.corpus import Corpus, Passage
 from memgrep.rank import FusionConfig, order_by_score, rrf_fuse, score
-from memgrep.retrieve import (Candidate, CandidateSet, candidate_order, grep_search,
-                              match_scores, query_id_for)
+from memgrep.retrieve import (Candidate, CandidateSet, and_hits, candidate_order,
+                              grep_search, match_scores, query_id_for)
 
 
 def fixture_path(name: str) -> Path:
@@ -45,13 +45,15 @@ def grep_candidates(corpus, terms, mode="OR"):
     """One grep's hits as hop-0 candidates in candidate order, as retrieve
     builds them from a single hop. Each hit holds its terms, so its match
     score is its query-term sum."""
-    hits = grep_search(corpus, terms, mode)
+    hits = grep_search(corpus, terms)
+    if mode == "AND":
+        hits = and_hits(hits, terms)
     scores = match_scores(hits)
     order = candidate_order(corpus, scores)
     candidates = tuple(
         Candidate(corpus.passages[i].id, scores[i], tuple(hits[i]), 0) for i in order)
-    return CandidateSet(candidates, query_id_for(terms.query_text), hops_executed=1,
-                        term_sums=tuple(scores[i] for i in order))
+    return CandidateSet(candidates, query_id_for("q"), hops_executed=1,
+                        term_sums=tuple(scores[i] for i in order), terms=terms.terms)
 
 
 def annotation_payload(annotator, texts):

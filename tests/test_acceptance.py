@@ -362,7 +362,7 @@ def test_criterion_7_concurrency_equivalence():
             corpus = make_corpus(texts)
             query, _ = _question(rng)
             # Every passage is a candidate, with the query's own term sums.
-            sums = match_scores(grep_search(corpus, parse_query(query, annotator), "OR"))
+            sums = match_scores(grep_search(corpus, parse_query(query, annotator)))
             candidates = CandidateSet(
                 candidates=tuple(
                     Candidate(passage_id=p.id, match_score=0.0,

@@ -13,7 +13,8 @@ from memgrep.annotate import AnnotatorConfig, RuleAnnotator
 from memgrep.cli import build_run_config, main, make_parser
 from memgrep.corpus import load_questions, read_corpus
 from memgrep.evaluate import build_matrix, matrix_to_jsonl
-from memgrep.rank import FusionConfig, ScorerHandle
+from memgrep.parse import parse_query
+from memgrep.rank import FusionConfig, ScorerHandle, primary_index
 from memgrep.retrieve import RetrieveConfig
 from memgrep.service import ReferenceServer
 from memgrep.truncate import TruncationConfig
@@ -402,6 +403,49 @@ def test_scorer_entries_are_completed_and_keep_their_kind(tmp_path):
     assert cfg.scorers == [ScorerHandle(name="lex", kind="lexical-test", endpoint=None)]
 
 
+@pytest.mark.parametrize("specs", [
+    ["lex=lexical", "ce=unix:/x"],
+    ["ce=unix:/x", "lex=lexical"],
+    ["a=unix:/x", "b=tcp:h:1"],
+    ["ce=unix:/x"],
+])
+def test_scorer_flags_build_the_scorers_of_the_equivalent_config(tmp_path, specs):
+    # Served entries are never contacted here: only the config is built.
+    entries = []
+    for spec in specs:
+        name, _, endpoint = spec.partition("=")
+        entries.append({"name": name} if endpoint == "lexical"
+                       else {"name": name, "endpoint": endpoint})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scorers": entries}))
+    flags = [arg for spec in specs for arg in ("--scorer", spec)]
+    from_flags = build_run_config(make_parser().parse_args(["query", "x", *flags]))
+    from_file = build_run_config(
+        make_parser().parse_args(["query", "x", "--config", str(config)]))
+    assert from_flags.scorers == from_file.scorers
+    # One kind rule: a served scorer is pointwise-cross, and so primary.
+    assert {s.kind for s in from_flags.scorers if s.endpoint} <= {"pointwise-cross"}
+    if "ce=unix:/x" in specs:
+        assert from_flags.scorers[primary_index(from_flags.scorers)].name == "ce"
+
+
+def test_query_prints_the_parsed_query_terms(capsys, fix_corpus):
+    code, out, _ = run_cli(capsys, "query", QUERY, "--corpus", fix_corpus)
+    assert code == 0
+    trace = json.loads(out.split("\n\n")[0])
+    assert [(t["surface"], t["weight"], t["provenance"]) for t in trace["terms"]] == [
+        (t.surface, t.weight, t.provenance) for t in parse_query(QUERY, RuleAnnotator()).terms]
+    assert trace["terms"]
+
+
+def test_query_without_content_terms_prints_no_terms(capsys, fix_corpus):
+    code, out, _ = run_cli(capsys, "query", "the of and", "--corpus", fix_corpus)
+    assert code == 0
+    trace = json.loads(out.split("\n\n")[0])
+    assert trace["terms"] == []
+    assert any(w.startswith("empty-term-set") for w in trace["warnings"])
+
+
 @pytest.mark.parametrize("strategy", ["fixed", "adaptive"])
 def test_runconfig_passed_back_as_config_repeats_the_run(capsys, tmp_path, fix_corpus,
                                                          strategy):
@@ -510,6 +554,23 @@ BAD_INGEST = {
         "locomo-like", {"conversation": {"session_1": [{"speaker": "A", "text": "hi"}],
                                          "session_1_date_time": 5}},
         "MalformedDocumentError", ":session_1[0]: timestamp must be a string or null, got 5"),
+    # A session id is a string or an int, as a question_id is.
+    **{f"longmemeval-session-id-{name}": (
+        "longmemeval-like", {"sessions": [{"session_id": value, "turns": [_LONGMEMEVAL_TURN]}]},
+        "MalformedDocumentError",
+        f":sessions[0]: session_id must be a string or an int, got {value!r}")
+       for name, value in (("null", None), ("bool", True), ("float", 1.5),
+                           ("object", {"id": "s1"}))},
+    "longmemeval-haystack-session-id-null": (
+        "longmemeval-like", {"haystack_session_ids": ["a", None],
+                             "haystack_sessions": [[_LONGMEMEVAL_TURN], [_LONGMEMEVAL_TURN]]},
+        "MalformedDocumentError",
+        ": haystack_session_ids[1] must be a string or an int, got None"),
+    # int() refuses a turn of over 4,300 digits with a plain ValueError.
+    "locomo-dia-id-turn-too-long": (
+        "locomo-like", {"conversation": {"session_1": [
+            {"speaker": "A", "text": "hi", "dia_id": "D1:" + "9" * 5000}]}},
+        "MalformedDocumentError", ":session_1[0]: dia_id turn is too long to read"),
     "generic-id-off-scheme": (
         "generic-jsonl", [_GENERIC_TURNS[0], {**_GENERIC_TURNS[1], "id": "zz:9"}],
         "MalformedDocumentError", ":2: id must be 'a:1', got 'zz:9'"),

@@ -47,8 +47,7 @@ def test_word_count_splits_on_whitespace():
 
 def test_search_surface_is_case_insensitive(tiny_corpus):
     for surface in ("javier", "JAVIER", "mOUNT rAINIER"):
-        terms = WeightedTermSet.from_terms(
-            [WeightedTerm(surface, 3.0, "query")], query_text="q")
+        terms = WeightedTermSet.from_terms([WeightedTerm(surface, 3.0, "query")])
         assert list(grep_search(tiny_corpus, terms)) == [0]
 
 
@@ -397,6 +396,16 @@ def test_ingest_longmemeval_like(tmp_path):
     assert len(corpus) == 2
     assert corpus.get("sess_a:0").speaker == "user"
     assert corpus.get("sess_a:1").text == "answer text"
+
+
+@pytest.mark.parametrize("haystack", [False, True])
+def test_ingest_longmemeval_reads_an_int_session_id_as_its_string(tmp_path, haystack):
+    raw = tmp_path / "raw.json"
+    turns = [{"role": "user", "content": "hi"}]
+    doc = ({"haystack_session_ids": [7], "haystack_sessions": [turns]} if haystack
+           else {"sessions": [{"session_id": 7, "turns": turns}]})
+    raw.write_text(json.dumps(doc))
+    assert [p.id for p in ingest(raw, "longmemeval-like")] == ["7:0"]
 
 
 def test_canonical_round_trip(tmp_path, tiny_corpus):

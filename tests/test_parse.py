@@ -73,7 +73,6 @@ def test_from_terms_keeps_first_casing_and_max_weight():
             WeightedTerm("Gina", 4.0, "query"),
             WeightedTerm("job", 2.0, "query"),
         ],
-        query_text="q",
     )
     assert [t.surface for t in merged.terms] == ["gina", "job"]
     assert weights_of(merged)["gina"] == 4.0
@@ -117,11 +116,11 @@ _SENTENCE = st.lists(_WORD, min_size=1, max_size=12).map(" ".join)
 
 
 def assert_term_invariants(term_set, provenance, weights):
-    lows = [term.surface.lower() for term in term_set]
+    lows = [term.surface.lower() for term in term_set.terms]
     assert all(lows)
     assert len(lows) == len(set(lows)), lows
-    assert {term.provenance for term in term_set} <= {provenance}
-    assert {term.weight for term in term_set} <= set(weights)
+    assert {term.provenance for term in term_set.terms} <= {provenance}
+    assert {term.weight for term in term_set.terms} <= set(weights)
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,13 +143,8 @@ def test_expansion_hops_yield_unique_new_terms(tagger, texts, query, min_doc_fre
         {m.surface.lower() for p in corpus for m in tagger.extract_entities(p.text)}
         | {a.token.lower() for p in corpus for a in tagger.annotate(p.text)})
     exclude = frozenset(data.draw(st.lists(st.sampled_from(surfaces), max_size=4)))
-    try:
-        original = parse_query(query, tagger)
-    except EmptyTermSetError:
-        original = WeightedTermSet(terms=(), query_text=query)
-    hop = entity_expansion_hop(list(corpus), original, tagger, exclude=exclude)
-    prf = prf_hop(list(corpus), tagger, min_doc_freq=min_doc_freq,
-                  exclude=exclude, query_text=query)
+    hop = entity_expansion_hop(list(corpus), query, tagger, exclude=exclude)
+    prf = prf_hop(list(corpus), tagger, min_doc_freq=min_doc_freq, exclude=exclude)
     assert_term_invariants(hop, "entity-hop", (ENTITY_HOP_WEIGHT,))
     assert_term_invariants(prf, "prf", (PRF_WEIGHT,))
     for term_set in (hop, prf):

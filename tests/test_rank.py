@@ -34,9 +34,7 @@ from conftest import grep_candidates, make_corpus, sequential_rank
 
 
 def term_set(*pairs):
-    return WeightedTermSet.from_terms(
-        [WeightedTerm(s, w, "query") for s, w in pairs], query_text="q",
-    )
+    return WeightedTermSet.from_terms([WeightedTerm(s, w, "query") for s, w in pairs])
 
 
 def test_lexical_score_matches_minus_length_penalty():
@@ -290,7 +288,7 @@ def corpus_candidates(corpus, query):
     """Every passage as a candidate, in corpus order, with its query-term sum
     for query as retrieve's hop-0 OR grep finds it."""
     try:
-        hits = grep_search(corpus, parse_query(query, RuleAnnotator()), "OR")
+        hits = grep_search(corpus, parse_query(query, RuleAnnotator()))
     except EmptyTermSetError:
         hits = {}
     sums = match_scores(hits)

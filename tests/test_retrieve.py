@@ -15,12 +15,12 @@ from memgrep.retrieve import (
     Candidate,
     CandidateSet,
     RetrieveConfig,
+    and_hits,
     entity_expansion_hop,
     grep_search,
     prf_hop,
     query_id_for,
     retrieve,
-    semantic_fallback,
 )
 
 from conftest import fixture_path, grep_candidates, make_corpus
@@ -31,10 +31,8 @@ def tagger():
     return RuleAnnotator()
 
 
-def term_set(*pairs, query_text="q"):
-    return WeightedTermSet.from_terms(
-        [WeightedTerm(s, w, "query") for s, w in pairs], query_text=query_text,
-    )
+def term_set(*pairs):
+    return WeightedTermSet.from_terms([WeightedTerm(s, w, "query") for s, w in pairs])
 
 
 def test_grep_or_scores_sum_of_matched_weights():
@@ -60,8 +58,8 @@ def test_grep_is_case_insensitive_substring():
 
 def test_grep_and_requires_every_term():
     corpus = make_corpus(["alpha beta", "alpha", "beta"])
-    hits = grep_search(corpus, term_set(("alpha", 1.0), ("beta", 1.0)), mode="AND")
-    assert hits == {0: [("alpha", 1.0), ("beta", 1.0)]}
+    terms = term_set(("alpha", 1.0), ("beta", 1.0))
+    assert and_hits(grep_search(corpus, terms), terms) == {0: [("alpha", 1.0), ("beta", 1.0)]}
 
 
 def test_grep_tie_breaks_by_passage_id():
@@ -77,7 +75,7 @@ def test_grep_repeated_occurrences_count_once():
 
 def test_grep_empty_terms_rejected(tiny_corpus):
     with pytest.raises(ValueError):
-        grep_search(tiny_corpus, WeightedTermSet(terms=(), query_text="q"))
+        grep_search(tiny_corpus, WeightedTermSet(terms=()))
 
 
 # Case-folding traps: "İ" lowers to two code points ("i" + combining dot),
@@ -131,9 +129,7 @@ def test_grep_matches_brute_force_reference(case, mode):
     corpus = make_corpus(texts)
     terms = WeightedTermSet.from_terms(
         [WeightedTerm(surface, weight, provenance)
-         for surface, (provenance, weight) in pairs],
-        query_text="q",
-    )
+         for surface, (provenance, weight) in pairs])
     result = grep_candidates(corpus, terms, mode)
     got = [(c.passage_id, c.matched_terms, c.match_score) for c in result.candidates]
     assert got == reference_grep(corpus, terms, mode)
@@ -220,7 +216,7 @@ def reference_retrieve(query, corpus, cfg, annotator):
         top = [corpus.get(c.passage_id) for c in ordered()[:cfg.entity_hop_source_top_m]]
         if not top:
             break
-        new_terms = entity_expansion_hop(top, terms, annotator,
+        new_terms = entity_expansion_hop(top, query, annotator,
                                          exclude=frozenset(searched))
         if not new_terms.terms:
             break
@@ -231,7 +227,7 @@ def reference_retrieve(query, corpus, cfg, annotator):
         top = [corpus.get(c.passage_id) for c in ordered()[:cfg.prf_source_top_n]]
         if top:
             prf_terms = prf_hop(top, annotator, min_doc_freq=cfg.prf_min_doc_freq,
-                                exclude=frozenset(searched), query_text=query)
+                                exclude=frozenset(searched))
             if prf_terms.terms:
                 merge(prf_terms, "OR", hops)
     return ordered(), hops
@@ -275,35 +271,30 @@ def test_one_hop_and_top_m_zero_retrieve_alike(tagger, texts, query, mode, top_n
 
 def test_entity_expansion_emits_new_terms(tagger):
     corpus = make_corpus(["She went hiking with Dr. Chen back then."])
-    prior = grep_candidates(corpus, term_set(("hiking", 2.0),
-                                             query_text="Who did Melanie hike with?"))
+    prior = grep_candidates(corpus, term_set(("hiking", 2.0)))
     new_terms = entity_expansion_hop(
         [corpus.get(c.passage_id) for c in prior.candidates],
-        term_set(("hiking", 2.0), ("Melanie", 4.0),
-                 query_text="Who did Melanie hike with?"),
-        tagger,
+        "Who did Melanie hike with?", tagger, exclude=frozenset({"hiking", "melanie"}),
     )
-    assert [(t.surface, t.weight, t.provenance) for t in new_terms] == [
+    assert [(t.surface, t.weight, t.provenance) for t in new_terms.terms] == [
         ("Dr. Chen", 2.5, "entity-hop"),
     ]
 
 
 def test_entity_expansion_skips_terms_already_in_query(tagger):
     corpus = make_corpus(["Melanie talked about Seattle."])
-    prior = grep_candidates(corpus, term_set(("talked", 1.0),
-                                             query_text="what did Melanie say about Seattle"))
+    prior = grep_candidates(corpus, term_set(("talked", 1.0)))
+    # Neither mention is excluded: the query text alone names them.
     new_terms = entity_expansion_hop(
         [corpus.get(c.passage_id) for c in prior.candidates],
-        term_set(("talked", 1.0), ("Melanie", 4.0), ("Seattle", 4.0),
-                 query_text="what did Melanie say about Seattle"),
-        tagger,
+        "what did Melanie say about Seattle", tagger, exclude=frozenset({"talked"}),
     )
-    assert len(new_terms) == 0
+    assert new_terms.terms == ()
 
 
 def test_entity_expansion_requires_candidates(tagger):
     with pytest.raises(ValueError):
-        entity_expansion_hop([], term_set(("x", 1.0)), tagger)
+        entity_expansion_hop([], "x", tagger, exclude=frozenset())
 
 
 def test_prf_mines_recurring_nouns(tagger):
@@ -315,12 +306,12 @@ def test_prf_mines_recurring_nouns(tagger):
     ranked = ["s:0", "s:1"]
     new_terms = prf_hop(
         [corpus.get(pid) for pid in ranked], tagger,
-        exclude=frozenset({"dawn"}), query_text="when did you start",
+        exclude=frozenset({"dawn"}),
     )
-    surfaces = {t.surface for t in new_terms}
+    surfaces = {t.surface for t in new_terms.terms}
     assert "trailhead" in surfaces
     assert "parking" not in surfaces  # appears in one passage only
-    assert all(t.weight == 0.5 and t.provenance == "prf" for t in new_terms)
+    assert all(t.weight == 0.5 and t.provenance == "prf" for t in new_terms.terms)
 
 
 # Filler words share no substring with the fallback queries' terms, so a
@@ -409,11 +400,6 @@ def test_fallback_set_through_retrieve_equals_brute_force(case, seed, tagger):
     assert result.term_sums == tuple(sums[i] for i in top)
     assert result.warnings == warnings
     assert result.query_id == query_id_for(query)
-
-
-def test_semantic_fallback_without_scorer(tiny_corpus):
-    with pytest.raises(ScorerUnavailableError):
-        semantic_fallback("anything", tiny_corpus, None)
 
 
 def test_retrieve_single_hop(tagger, fixture_corpus_path):

@@ -96,7 +96,7 @@ def test_bad_score_is_partial_response_naming_it(bad):
             client.score("q", ["a", "b", "c", "d"])
 
 
-def test_malformed_json_is_partial_response():
+def test_malformed_json_is_partial_response(monkeypatch):
     # Raw socket server that answers garbage to any request line.
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.bind(("127.0.0.1", 0))
@@ -111,7 +111,8 @@ def test_malformed_json_is_partial_response():
 
     thread = threading.Thread(target=serve_once, daemon=True)
     thread.start()
-    client = ServiceClient(f"tcp:127.0.0.1:{port}", retries=0)
+    monkeypatch.setattr(service, "CONNECT_RETRIES", 0)
+    client = ServiceClient(f"tcp:127.0.0.1:{port}")
     try:
         with pytest.raises(PartialResponseError):
             client.score("q", ["a"])
@@ -120,13 +121,15 @@ def test_malformed_json_is_partial_response():
         srv.close()
 
 
-def test_connection_refused_surfaces_as_unavailable():
+def test_connection_refused_surfaces_as_unavailable(monkeypatch):
     # Grab a free port, then close it so nothing listens there.
     probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
-    client = ServiceClient(f"tcp:127.0.0.1:{port}", timeout=0.5, retries=0)
+    monkeypatch.setattr(service, "TIMEOUT_S", 0.5)
+    monkeypatch.setattr(service, "CONNECT_RETRIES", 0)
+    client = ServiceClient(f"tcp:127.0.0.1:{port}")
     with pytest.raises(ScorerUnavailableError):
         client.score("q", ["a"])
 
@@ -142,8 +145,9 @@ def test_connection_failures_are_retried(monkeypatch):
 
     connect = service._connect
     monkeypatch.setattr(service, "_connect", refuse_twice)
+    monkeypatch.setattr(service, "CONNECT_RETRIES", 2)
     with ReferenceServer(score_fn=lambda q, i: [0.5] * len(i)) as server:
-        client = ServiceClient(server.endpoint, retries=2)
+        client = ServiceClient(server.endpoint)
         assert client.score("q", ["a"]) == [0.5]
     assert len(attempts) == 3
 
@@ -151,11 +155,11 @@ def test_connection_failures_are_retried(monkeypatch):
 def test_client_defaults_are_a_10_second_timeout_and_one_retry():
     # Served scorers, the CLI's fallback scorer and the service annotator
     # build their clients from the endpoint alone, so these are their limits.
-    assert ServiceClient("tcp:h:1") == ServiceClient("tcp:h:1", timeout=10.0, retries=1)
+    assert (service.TIMEOUT_S, service.CONNECT_RETRIES) == (10.0, 1)
 
 
 def test_failed_unix_connect_closes_its_socket(tmp_path):
-    client = ServiceClient(f"unix:{tmp_path / 'absent.sock'}", retries=1)
+    client = ServiceClient(f"unix:{tmp_path / 'absent.sock'}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         try:
@@ -166,7 +170,7 @@ def test_failed_unix_connect_closes_its_socket(tmp_path):
     assert [w for w in caught if w.category is ResourceWarning] == []
 
 
-def test_read_timeout_is_not_resent():
+def test_read_timeout_is_not_resent(monkeypatch):
     # The service accepts the request but answers after the client's
     # timeout; resending would make it score the same batch again.
     dispatches = []
@@ -177,8 +181,9 @@ def test_read_timeout_is_not_resent():
         release.wait(0.6)
         return [1.0] * len(items)
 
+    monkeypatch.setattr(service, "TIMEOUT_S", 0.2)
     with ReferenceServer(score_fn=slow) as server:
-        client = ServiceClient(server.endpoint, timeout=0.2, retries=1)
+        client = ServiceClient(server.endpoint)
         try:
             with pytest.raises(ScorerUnavailableError, match="did not answer"):
                 client.score("q", ["a"])
