@@ -8,8 +8,7 @@ Run from the repository root after `pip install -e .`:
 
 from importlib import resources
 
-from memgrep import (RuleAnnotator, candidate_order, grep_search, match_scores, parse_query,
-                     read_corpus)
+from memgrep import RuleAnnotator, candidate_order, grep_search, parse_query, read_corpus
 
 
 def main() -> None:
@@ -27,14 +26,14 @@ def main() -> None:
     for term in terms.terms:
         print(f"  {term.surface:<10} weight {term.weight:.1f}")
 
-    # grep_search returns passage position -> matched (surface, weight) pairs.
-    hits = grep_search(corpus, terms)
-    scores = match_scores(hits)
-    print(f"\nsubstring matches, best first ({len(hits)} passages):")
+    # grep_search returns passage position -> match score, the summed
+    # weights of the terms the passage holds.
+    scores = grep_search(corpus, terms)
+    print(f"\nsubstring matches, best first ({len(scores)} passages):")
     for i in candidate_order(corpus, scores):
         passage = corpus.passages[i]
-        matched = ", ".join(surface for surface, _ in hits[i])
-        print(f"  [{passage.id}] score {scores[i]:.1f} via {matched}")
+        via = [t.surface for t in terms.terms if t.surface.lower() in passage.text.lower()]
+        print(f"  [{passage.id}] score {scores[i]:.1f} via {', '.join(via)}")
         print(f"      {passage.text}")
 
 

@@ -53,7 +53,7 @@ from .oracle import OracleTrace, SearchLimits, derive_trace, trace_stats
 from .parse import WeightedTerm, WeightedTermSet, parse_query
 from .rank import FusionConfig, RankedList, ScorerHandle, order_by_score, rank, rrf_fuse
 from .retrieve import (Candidate, CandidateSet, RetrieveConfig, candidate_order, grep_search,
-                       match_scores, retrieve)
+                       retrieve)
 from .service import ReferenceServer, ServiceClient, parse_endpoint
 from .truncate import (
     Context,
@@ -110,7 +110,6 @@ __all__ = [
     "grep_search",
     "ingest",
     "load_questions",
-    "match_scores",
     "mean_gold_rank",
     "order_by_score",
     "parse_endpoint",

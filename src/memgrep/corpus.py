@@ -388,8 +388,12 @@ def _longmemeval_records(path: Path) -> Iterator[tuple[str, dict]]:
         haystack = doc["haystack_sessions"]
         if not isinstance(haystack, list):
             raise MalformedDocumentError(f"{path}: haystack_sessions is not a list")
-        ids = doc.get("haystack_session_ids") or [f"s{k}" for k in range(len(haystack))]
-        dates = doc.get("haystack_dates") or [None] * len(haystack)
+        # Only an absent list defaults; an empty one is checked like any other.
+        ids, dates = doc.get("haystack_session_ids"), doc.get("haystack_dates")
+        if ids is None:
+            ids = [f"s{k}" for k in range(len(haystack))]
+        if dates is None:
+            dates = [None] * len(haystack)
         for name, values in (("haystack_session_ids", ids), ("haystack_dates", dates)):
             if not isinstance(values, list) or len(values) != len(haystack):
                 raise MalformedDocumentError(
@@ -455,14 +459,15 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
     """Load question records, validating every gold id against the corpus.
 
     Accepts a JSON list or JSONL of records with ``question_id``,
-    ``gold_passage_ids`` and optional ``question`` text. A file is read as
+    ``question`` text and ``gold_passage_ids``. A file is read as
     JSONL only when its first JSON document is well formed and more data
     follows; any other fault is the document's own, a MalformedDocumentError
     naming the file (and the line of a syntax error). A ``question_id``
     is a string or an int, read as its decimal string, and no two records
     share one; a null or bool id, or a repeat, is a MalformedDocumentError
-    (a repeat names both records). Unresolvable passage ids raise
-    :class:`DanglingGoldError` listing every miss.
+    (a repeat names both records), as is a missing or blank ``question``.
+    Unresolvable passage ids raise :class:`DanglingGoldError` naming the
+    file and listing every miss.
     """
     path = Path(raw_annotations)
     # (where, position, record) triples; where prefixes an error, and names
@@ -503,9 +508,10 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
                 or not all(isinstance(pid, str) for pid in gold_ids)):
             raise MalformedDocumentError(
                 f"{where}: gold_passage_ids must be a list of passage ids, got {gold_ids!r}")
-        text = rec.get("question", "")
-        if not isinstance(text, str):
-            raise MalformedDocumentError(f"{where}: question must be a string, got {text!r}")
+        text = rec.get("question")
+        if not isinstance(text, str) or not text.strip():
+            raise MalformedDocumentError(
+                f"{where}: question must be a non-blank string, got {text!r}")
         for pid in gold_ids:
             if pid not in corpus:
                 missing.append(f"{question_id}->{pid}")
@@ -517,5 +523,5 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
             )
         )
     if missing:
-        raise DanglingGoldError(missing)
+        raise DanglingGoldError(path, missing)
     return questions

@@ -22,9 +22,10 @@ class DuplicateTurnError(MalformedDocumentError):
 class DanglingGoldError(MemgrepError):
     """Gold annotation references passage ids absent from the corpus."""
 
-    def __init__(self, missing: list[str]):
+    def __init__(self, path, missing: list[str]):
         self.missing = list(missing)
-        super().__init__(f"gold references unknown passage ids: {', '.join(self.missing)}")
+        super().__init__(
+            f"{path}: gold references unknown passage ids: {', '.join(self.missing)}")
 
 
 class EmptyTermSetError(MemgrepError):

@@ -24,7 +24,7 @@ from .annotate import Annotator
 from .corpus import Corpus, GoldAnnotation
 from .errors import EmptyTermSetError
 from .parse import WeightedTerm, WeightedTermSet, parse_query
-from .retrieve import and_hits, candidate_order, grep_search, match_scores, semantic_fallback
+from .retrieve import and_hits, candidate_order, grep_search, semantic_fallback
 
 TOOLS = ("grep-or", "grep-and", "semantic")
 ENTITY_SOURCE_TOP = 10  # passages mined for new terms after each action
@@ -120,8 +120,7 @@ def derive_trace(
             if action.tool == "grep-and":
                 hits = and_hits(hits, term_set)
             ids = [passages[i].id for i in hits]
-            top = [passages[i] for i in
-                   candidate_order(corpus, match_scores(hits), ENTITY_SOURCE_TOP)]
+            top = [passages[i] for i in candidate_order(corpus, hits, ENTITY_SOURCE_TOP)]
         covered_gain = frozenset(ids) & gold_ids
         found_terms = frozenset(mention.surface.lower() for passage in top
                                 for mention in annotator.extract_entities(passage.text))

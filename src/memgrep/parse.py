@@ -24,7 +24,8 @@ class WeightedTerm:
     # By construction, surfaces are non-empty (no annotator yields an empty
     # token or mention) and weights follow provenance: parse_query weighs by
     # POS_WEIGHTS (+1 inside an entity), the hops by ENTITY_HOP_WEIGHT and
-    # PRF_WEIGHT.
+    # PRF_WEIGHT, the oracle's grep actions by 1.0. Every weight is thus a
+    # positive multiple of 0.5, which and_hits relies on.
     surface: str
     weight: float
     provenance: str

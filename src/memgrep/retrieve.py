@@ -9,16 +9,16 @@ pluggable dense scorer covers the rare query whose terms match nothing. No
 inverted index, no embedding store; the corpus text itself is the only data
 structure.
 
-A grep is an OR grep: it returns its raw hits by passage position, every
-passage holding at least one term. AND mode is and_hits over the query's own
-hits at hop 0; expansion hops grep OR in both modes. retrieve folds every
-hop's hits into one map (higher score wins, earliest hop kept); the dense
-fallback's top scores fold into it too, with no matched terms. retrieve then
-builds each Candidate once, in candidate order: match score down, then
-passage id up. It also keeps the query's parsed terms and each candidate's
-query-term sum, the weights of those terms found in it, which rank's
-in-process lexical scorer reads in place of the text. Every CandidateSet
-retrieve returns, an empty one included, is built at that one exit.
+A grep is an OR grep: it returns each passage holding at least one term with
+its match score, by passage position. AND mode is and_hits over the query's
+own hits at hop 0; expansion hops grep OR in both modes. retrieve folds every
+hop's scores into one map (higher score wins, earliest hop kept); the dense
+fallback's top scores fold into it too. retrieve then builds each Candidate
+once, in candidate order: match score down, then passage id up. It also
+keeps the query's parsed terms and each candidate's query-term sum, the
+weights of those terms found in it, which rank's in-process lexical scorer
+reads in place of the text. Every CandidateSet retrieve returns, an empty one
+included, is built at that one exit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import hashlib
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter, neg
+from operator import attrgetter, neg
 from typing import NamedTuple
 
 from .annotate import Annotator, RuleAnnotator
@@ -49,12 +49,11 @@ def query_id_for(query: str) -> str:
 
 
 class Candidate(NamedTuple):
-    # match_score is the sum of matched_terms' weights by construction:
-    # retrieve keeps the pairs of a passage's best hop with their sum, and a
-    # fallback candidate is score-only (matched_terms empty).
+    # match_score is the passage's best grep score over the hops, the weights
+    # of one hop's terms its text holds, or its dense score if the fallback
+    # found it; hop is the first hop that found it.
     passage_id: str
     match_score: float
-    matched_terms: tuple[tuple[str, float], ...]
     hop: int
 
 
@@ -109,13 +108,7 @@ class RetrieveConfig:
 
 # --- substring search ---
 
-# Passage position -> the (surface, weight) pairs of the terms it matched, in
-# term order.
-Hits = dict[int, list[tuple[str, float]]]
-_weight = itemgetter(1)
-
-
-def grep_search(corpus: Corpus, terms: WeightedTermSet) -> Hits:
+def grep_search(corpus: Corpus, terms: WeightedTermSet) -> dict[int, float]:
     """Scan every passage for term substrings; no index is consulted.
 
     Each needle is found with ``str.find`` in each block of the corpus's
@@ -124,15 +117,17 @@ def grep_search(corpus: Corpus, terms: WeightedTermSet) -> Hits:
     passage, so each passage is reported at most once per needle. A hit
     that runs past its passage's end, over the NUL that separates it from
     the next, is not a match, and neither is any later hit in that passage.
-    Returns the raw OR hits, every passage matching at least one term;
-    and_hits keeps those matching all of them. A passage's match score is
-    the sum of its pairs' weights; repeats of a term in the text add nothing.
+    Returns the raw OR hits, every passage matching at least one term, as
+    passage position -> match score: the weights of the terms it holds,
+    added in term order. Repeats of a term in the text add nothing. and_hits
+    keeps the hits that match every term.
     """
     if not terms.terms:
         raise ValueError("term set must be non-empty")
-    hits: Hits = {}
+    hits: dict[int, float] = {}
+    get = hits.get
     for term in terms.terms:
-        pair = (term.surface, term.weight)
+        weight = term.weight
         needle = term.surface.lower()
         size = len(needle)
         for text, starts, base in corpus.scan:
@@ -144,19 +139,19 @@ def grep_search(corpus: Corpus, terms: WeightedTermSet) -> Hits:
                 j = bisect_right(starts, at)
                 end = starts[j]
                 if at + size < end:
-                    hits.setdefault(base + j - 1, []).append(pair)
+                    i = base + j - 1
+                    hits[i] = get(i, 0.0) + weight
                 at = find(needle, end)
     return hits
 
 
-def and_hits(hits: Hits, terms: WeightedTermSet) -> Hits:
-    """Those of terms' OR hits that match every term: AND mode's hits."""
-    return {i: matched for i, matched in hits.items() if len(matched) == len(terms.terms)}
-
-
-def match_scores(hits: Hits) -> dict[int, float]:
-    """Each hit's match score: its pairs' weights summed in term order."""
-    return {i: sum(map(_weight, pairs)) for i, pairs in hits.items()}
+def and_hits(hits: dict[int, float], terms: WeightedTermSet) -> dict[int, float]:
+    """Those of terms' OR hits that match every term, AND mode's hits: the
+    hits scoring the total weight. Both sums add the same weights in the same
+    order, and every weight is a positive multiple of 0.5 (see WeightedTerm),
+    so the sums are exact and a hit missing a term scores strictly less."""
+    total = sum(t.weight for t in terms.terms)
+    return {i: score for i, score in hits.items() if score == total}
 
 
 def candidate_order(corpus: Corpus, scores: dict[int, float],
@@ -274,27 +269,21 @@ def retrieve(
         annotator = RuleAnnotator()
     warnings: list[str] = []
     passages = corpus.passages
-    # Passage position -> its best match score over the hops so far, the
-    # pairs that scored it, and the first hop that found it.
+    # Passage position -> its best match score over the hops so far, and the
+    # first hop that found it.
     scores: dict[int, float] = {}
-    best: Hits = {}
     first_hop: dict[int, int] = {}
     # Passage position -> its query-term sum; a passage absent holds none.
     own: dict[int, float] = {}
 
-    def fold(hits: Hits, hop: int, hit_scores: dict[int, float] | None = None) -> None:
-        # hit_scores, match_scores(hits) when not given, may hold more.
-        if hit_scores is None:
-            hit_scores = match_scores(hits)
-        for i, pairs in hits.items():
-            score = hit_scores[i]
+    def fold(hits: dict[int, float], hop: int) -> None:
+        for i, score in hits.items():
             held = scores.get(i)
             if held is None:
                 first_hop[i] = hop
             elif score <= held:
                 continue
             scores[i] = score
-            best[i] = pairs
 
     hops = 0
     terms = WeightedTermSet(())
@@ -308,9 +297,8 @@ def retrieve(
         # Hop 0 greps in OR mode in both modes: the query-term sums are OR
         # sums, since a candidate AND mode finds later, or a fallback one,
         # may still hold some of the terms. An AND hit holds all of them.
-        hits = grep_search(corpus, terms)
-        own = match_scores(hits)
-        fold(and_hits(hits, terms) if cfg.mode == "AND" else hits, 0, own)
+        own = grep_search(corpus, terms)
+        fold(and_hits(own, terms) if cfg.mode == "AND" else own, 0)
         hops = 1
 
         # A top-m of 0 mines no passage, so it ends the loop like an empty
@@ -344,12 +332,11 @@ def retrieve(
             except ScorerUnavailableError as exc:
                 warnings.append(f"semantic-fallback-unavailable: {exc}")
             else:
-                # Score-only candidates: no matched terms, found at hop `hops`.
-                fold(dict.fromkeys(dense, ()), hops, dense)
+                # Dense-scored candidates, found at hop `hops`.
+                fold(dense, hops)
         else:
             warnings.append("no-candidates: substring search empty and fallback disabled")
     order = candidate_order(corpus, scores)
-    found = tuple(Candidate(passages[i].id, scores[i], tuple(best[i]), first_hop[i])
-                  for i in order)
+    found = tuple(Candidate(passages[i].id, scores[i], first_hop[i]) for i in order)
     return CandidateSet(found, query_id_for(query), hops, tuple(warnings),
                         tuple(own.get(i, 0.0) for i in order), terms.terms)

@@ -9,7 +9,7 @@ import pytest
 from memgrep.corpus import Corpus, Passage
 from memgrep.rank import FusionConfig, order_by_score, rrf_fuse, score
 from memgrep.retrieve import (Candidate, CandidateSet, and_hits, candidate_order,
-                              grep_search, match_scores, query_id_for)
+                              grep_search, query_id_for)
 
 
 def fixture_path(name: str) -> Path:
@@ -43,15 +43,13 @@ def make_corpus(texts, session_id="s", speaker="A"):
 
 def grep_candidates(corpus, terms, mode="OR"):
     """One grep's hits as hop-0 candidates in candidate order, as retrieve
-    builds them from a single hop. Each hit holds its terms, so its match
-    score is its query-term sum."""
-    hits = grep_search(corpus, terms)
+    builds them from a single hop. Each hit's match score is its query-term
+    sum."""
+    scores = grep_search(corpus, terms)
     if mode == "AND":
-        hits = and_hits(hits, terms)
-    scores = match_scores(hits)
+        scores = and_hits(scores, terms)
     order = candidate_order(corpus, scores)
-    candidates = tuple(
-        Candidate(corpus.passages[i].id, scores[i], tuple(hits[i]), 0) for i in order)
+    candidates = tuple(Candidate(corpus.passages[i].id, scores[i], 0) for i in order)
     return CandidateSet(candidates, query_id_for("q"), hops_executed=1,
                         term_sums=tuple(scores[i] for i in order), terms=terms.terms)
 

@@ -35,8 +35,7 @@ from memgrep.rank import (
     rank,
     rrf_fuse,
 )
-from memgrep.retrieve import (Candidate, CandidateSet, RetrieveConfig, grep_search,
-                              match_scores, retrieve)
+from memgrep.retrieve import Candidate, CandidateSet, RetrieveConfig, grep_search, retrieve
 from memgrep.service import ReferenceServer
 from memgrep.truncate import RankedStats, TruncationConfig, truncate_adaptive, truncate_fixed
 
@@ -362,11 +361,10 @@ def test_criterion_7_concurrency_equivalence():
             corpus = make_corpus(texts)
             query, _ = _question(rng)
             # Every passage is a candidate, with the query's own term sums.
-            sums = match_scores(grep_search(corpus, parse_query(query, annotator)))
+            sums = grep_search(corpus, parse_query(query, annotator))
             candidates = CandidateSet(
                 candidates=tuple(
-                    Candidate(passage_id=p.id, match_score=0.0,
-                              matched_terms=(), hop=0)
+                    Candidate(passage_id=p.id, match_score=0.0, hop=0)
                     for p in corpus
                 ),
                 query_id="acc7", hops_executed=1,

@@ -37,11 +37,11 @@ SCORERS = [ScorerHandle(name="lexical", kind="lexical-test"),
 
 GOLDEN = {
     "query-dense/fixed":
-        "fca580a6662a90ecb51fba308332d00886096accf34d8660e069bfbc63c3017b",
+        "2ecdf3bd6aa0b91959b347e821beacbbef8189e6b8554435472cc9339096afb3",
     "query-dense/adaptive":
-        "b194ca5ca01eb40004e680f1fe3afe0493b14a598306d4258adb29e1c5bb1c64",
+        "feddc5114a9f7ede79c46394b106720e1515b6c01d33a8ed5c4a8fc04a6d4394",
     "offline/fixed":
-        "95ddb7abef5f0c41865383e3c7bef3e4d7f738d642bd54b61217f8f7fd8aca76",
+        "944ed5d1c4eabf85358993ff9827aaddcb8487aba945126ca8e563fdf67ff84b",
     "offline/oracle":
         "164ce51616c5688594287970351da29db4cff2a509d1286494eead16e58732c5",
     "query-dense/passages":
@@ -67,7 +67,7 @@ def run_lines(run):
     both; the fused order depends on both rankings."""
     yield f"question {run.question_id}"
     for c in run.candidates.candidates:
-        yield f"candidate {c.passage_id} {c.match_score!r} {c.matched_terms!r} {c.hop}"
+        yield f"candidate {c.passage_id} {c.match_score!r} {c.hop}"
     yield f"hops {run.candidates.hops_executed} {run.candidates.warnings!r}"
     if run.ranked is None:
         return

@@ -545,6 +545,12 @@ BAD_INGEST = {
         "longmemeval-like", {"haystack_session_ids": ["a"],
                              "haystack_sessions": [[_LONGMEMEVAL_TURN], [_LONGMEMEVAL_TURN]]},
         "MalformedDocumentError", ": haystack_session_ids must be a list of 2"),
+    # An empty list is a list of the wrong length, not an absent one.
+    **{f"longmemeval-empty-{name}": (
+        "longmemeval-like", {name: [],
+                             "haystack_sessions": [[_LONGMEMEVAL_TURN], [_LONGMEMEVAL_TURN]]},
+        "MalformedDocumentError", f": {name} must be a list of 2")
+       for name in ("haystack_session_ids", "haystack_dates")},
     "longmemeval-blank-turn": (
         "longmemeval-like", {"sessions": [{"session_id": "s1",
                                            "turns": [{"role": "user", "content": " "}]}]},
@@ -589,31 +595,39 @@ HUGE_INT = "9" * 5000
 # follows the name directly: a pretty-printed list is one JSON document, so
 # its fault is reported where it is, not read again as JSONL from line 1.
 BAD_QUESTIONS = {
-    "gold-id-a-list": ([{"question_id": "q1", "gold_passage_ids": [["s1:2"]]}],
-                       "gold_passage_ids must be"),
-    "gold-id-a-number": ([{"question_id": "q1", "gold_passage_ids": [5]}],
-                         "gold_passage_ids must be"),
+    "gold-id-a-list": ([{"question_id": "q1", "question": "Who?",
+                         "gold_passage_ids": [["s1:2"]]}], "gold_passage_ids must be"),
+    "gold-id-a-number": ([{"question_id": "q1", "question": "Who?",
+                           "gold_passage_ids": [5]}], "gold_passage_ids must be"),
     "question-null": ([{"question_id": "q1", "question": None,
                         "gold_passage_ids": ["s1:2"]}], "question must be"),
-    "question-id-null": ([{"question_id": None, "gold_passage_ids": ["s1:2"]}],
-                         "question_id must be"),
-    "question-id-bool": ([{"question_id": True, "gold_passage_ids": ["s1:2"]}],
-                         "question_id must be"),
+    "question-missing": ([{"question_id": "q1", "gold_passage_ids": ["s1:2"]}],
+                         "question must be a non-blank string, got None"),
+    "question-blank": ([{"question_id": "q1", "question": "   ",
+                         "gold_passage_ids": ["s1:2"]}],
+                       "question must be a non-blank string, got '   '"),
+    "question-id-null": ([{"question_id": None, "question": "Who?",
+                           "gold_passage_ids": ["s1:2"]}], "question_id must be"),
+    "question-id-bool": ([{"question_id": True, "question": "Who?",
+                           "gold_passage_ids": ["s1:2"]}], "question_id must be"),
     # An int id reads as its decimal string, so 7 and "7" are one id.
-    "question-id-repeated": ([{"question_id": 7, "gold_passage_ids": ["s1:2"]},
-                              {"question_id": "q2", "gold_passage_ids": []},
-                              {"question_id": "7", "gold_passage_ids": []}],
+    "question-id-repeated": ([{"question_id": 7, "question": "Who?", "gold_passage_ids": ["s1:2"]},
+                              {"question_id": "q2", "question": "Who?", "gold_passage_ids": []},
+                              {"question_id": "7", "question": "Who?", "gold_passage_ids": []}],
                              "question_id '7' appears at record 0 and record 2"),
-    "pretty-list-syntax-error": ('[\n {"question_id": "q1", "gold_passage_ids": []},\n'
-                                 ' {"question_id": "q2", "gold_passage_ids": [}\n]\n',
+    "pretty-list-syntax-error": ('[\n {"question_id": "q1", "question": "Who?",'
+                                 ' "gold_passage_ids": []},\n'
+                                 ' {"question_id": "q2", "question": "Who?",'
+                                 ' "gold_passage_ids": [}\n]\n',
                                  ":3: invalid JSON: Expecting value: line 3"),
-    "pretty-list-huge-int": ('[\n {"question_id": "q1", "gold_passage_ids": [], "n": '
-                             + HUGE_INT + '}\n]\n',
+    "pretty-list-huge-int": ('[\n {"question_id": "q1", "question": "Who?",'
+                             ' "gold_passage_ids": [], "n": ' + HUGE_INT + '}\n]\n',
                              ": invalid JSON: Exceeds the limit (4300 digits)"),
     # JSONL whose first line holds the over-long int: the fault is line 1's.
-    "jsonl-first-line-huge-int": ('{"question_id": "q1", "gold_passage_ids": [], "n": '
-                                  + HUGE_INT + '}\n'
-                                  '{"question_id": "q2", "gold_passage_ids": []}\n',
+    "jsonl-first-line-huge-int": ('{"question_id": "q1", "question": "Who?",'
+                                  ' "gold_passage_ids": [], "n": ' + HUGE_INT + '}\n'
+                                  '{"question_id": "q2", "question": "Who?",'
+                                  ' "gold_passage_ids": []}\n',
                                   ":1: invalid JSON: Exceeds the limit (4300 digits)"),
 }
 
@@ -697,7 +711,8 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
                 "UnknownScorerError", "'other'")
     if case == "gold-not-a-list":
         bad = tmp / "questions.json"
-        bad.write_text(json.dumps([{"question_id": "q1", "gold_passage_ids": "s1:2"}]))
+        bad.write_text(json.dumps([{"question_id": "q1", "question": "Who?",
+                                    "gold_passage_ids": "s1:2"}]))
         return (["eval", "--corpus", str(corpus), "--questions", str(bad)],
                 "MalformedDocumentError", "gold_passage_ids must be a list")
     if case == "sweep-zero-budget":

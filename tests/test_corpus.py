@@ -461,7 +461,7 @@ def test_load_questions_json_list(tmp_path, tiny_corpus):
     path = tmp_path / "q.json"
     path.write_text(json.dumps([
         {"question_id": "q1", "question": "who hiked?", "gold_passage_ids": ["s:0"]},
-        {"question_id": "q2", "gold_passage_ids": []},
+        {"question_id": "q2", "question": "Who?", "gold_passage_ids": []},
     ]))
     questions = load_questions(path, tiny_corpus)
     assert questions[0].gold_passage_ids == frozenset({"s:0"})
@@ -472,8 +472,8 @@ def test_load_questions_json_list(tmp_path, tiny_corpus):
 def test_load_questions_jsonl(tmp_path, tiny_corpus):
     path = tmp_path / "q.jsonl"
     path.write_text(
-        '{"question_id": "q1", "gold_passage_ids": ["s:1"]}\n'
-        '{"question_id": "q2", "gold_passage_ids": ["s:2"]}\n'
+        '{"question_id": "q1", "question": "Who?", "gold_passage_ids": ["s:1"]}\n'
+        '{"question_id": "q2", "question": "Who?", "gold_passage_ids": ["s:2"]}\n'
     )
     assert len(load_questions(path, tiny_corpus)) == 2
 
@@ -492,14 +492,14 @@ def test_load_questions_jsonl_keeps_unicode_line_separators(tmp_path, tiny_corpu
 
 
 @pytest.mark.parametrize("bad_record, message", [
-    ({"gold_passage_ids": []}, "missing question_id"),
-    ({"question_id": "q2", "gold_passage_ids": "s:1"}, "must be a list"),
+    ({"question": "Who?", "gold_passage_ids": []}, "missing question_id"),
+    ({"question_id": "q2", "question": "Who?", "gold_passage_ids": "s:1"}, "must be a list"),
 ])
 def test_load_questions_jsonl_errors_name_the_line(tmp_path, tiny_corpus,
                                                    bad_record, message):
     path = tmp_path / "q.jsonl"
     path.write_text(
-        '{"question_id": "q1", "gold_passage_ids": ["s:0"]}\n\n'
+        '{"question_id": "q1", "question": "Who?", "gold_passage_ids": ["s:0"]}\n\n'
         + json.dumps(bad_record) + "\n"
     )
     with pytest.raises(MalformedDocumentError, match=re.escape(f"{path}:3: ") + f".*{message}"):
@@ -508,16 +508,17 @@ def test_load_questions_jsonl_errors_name_the_line(tmp_path, tiny_corpus,
 
 def test_load_questions_reads_an_int_id_as_its_string(tmp_path, tiny_corpus):
     path = tmp_path / "q.json"
-    path.write_text(json.dumps([{"question_id": 12, "gold_passage_ids": ["s:0"]}]))
+    path.write_text(json.dumps([{"question_id": 12, "question": "Who?",
+                                 "gold_passage_ids": ["s:0"]}]))
     assert [q.question_id for q in load_questions(path, tiny_corpus)] == ["12"]
 
 
 def test_load_questions_jsonl_repeat_names_both_lines(tmp_path, tiny_corpus):
     path = tmp_path / "q.jsonl"
     path.write_text(
-        '{"question_id": "q1", "gold_passage_ids": ["s:0"]}\n'
-        '{"question_id": "q2", "gold_passage_ids": []}\n\n'
-        '{"question_id": "q1", "gold_passage_ids": []}\n'
+        '{"question_id": "q1", "question": "Who?", "gold_passage_ids": ["s:0"]}\n'
+        '{"question_id": "q2", "question": "Who?", "gold_passage_ids": []}\n\n'
+        '{"question_id": "q1", "question": "Who?", "gold_passage_ids": []}\n'
     )
     with pytest.raises(MalformedDocumentError) as err:
         load_questions(path, tiny_corpus)
@@ -527,12 +528,14 @@ def test_load_questions_jsonl_repeat_names_both_lines(tmp_path, tiny_corpus):
 def test_load_questions_collects_all_dangling_ids(tmp_path, tiny_corpus):
     path = tmp_path / "q.json"
     path.write_text(json.dumps([
-        {"question_id": "q1", "gold_passage_ids": ["s:0", "nope:1"]},
-        {"question_id": "q2", "gold_passage_ids": ["nope:2"]},
+        {"question_id": "q1", "question": "Who?", "gold_passage_ids": ["s:0", "nope:1"]},
+        {"question_id": "q2", "question": "Who?", "gold_passage_ids": ["nope:2"]},
     ]))
     with pytest.raises(DanglingGoldError) as err:
         load_questions(path, tiny_corpus)
-    assert len(err.value.missing) == 2
+    assert err.value.missing == ["q1->nope:1", "q2->nope:2"]
+    assert str(err.value) == (
+        f"{path}: gold references unknown passage ids: q1->nope:1, q2->nope:2")
 
 
 def test_corpus_rejects_duplicate_id():

@@ -27,7 +27,7 @@ from memgrep.rank import (
     score,
 )
 from memgrep.retrieve import (Candidate, CandidateSet, RetrieveConfig, grep_search,
-                              match_scores, query_id_for, retrieve)
+                              query_id_for, retrieve)
 from memgrep.service import ReferenceServer
 
 from conftest import grep_candidates, make_corpus, sequential_rank
@@ -288,11 +288,10 @@ def corpus_candidates(corpus, query):
     """Every passage as a candidate, in corpus order, with its query-term sum
     for query as retrieve's hop-0 OR grep finds it."""
     try:
-        hits = grep_search(corpus, parse_query(query, RuleAnnotator()))
+        sums = grep_search(corpus, parse_query(query, RuleAnnotator()))
     except EmptyTermSetError:
-        hits = {}
-    sums = match_scores(hits)
-    return CandidateSet(tuple(Candidate(p.id, 0.0, (), 0) for p in corpus),
+        sums = {}
+    return CandidateSet(tuple(Candidate(p.id, 0.0, 0) for p in corpus),
                         query_id_for(query), hops_executed=1,
                         term_sums=tuple(sums.get(i, 0.0) for i in range(len(corpus))))
 
@@ -418,7 +417,7 @@ def test_rank_empty_candidates_rejected(tiny_corpus):
 
 def test_in_process_scorer_rejects_a_set_without_one_sum_per_candidate(tiny_corpus):
     # A hand-built set need not carry the sums retrieve fills in.
-    bare = CandidateSet(tuple(Candidate(p.id, 1.0, (), 0) for p in tiny_corpus),
+    bare = CandidateSet(tuple(Candidate(p.id, 1.0, 0) for p in tiny_corpus),
                         query_id="q", hops_executed=1)
     with pytest.raises(ValueError, match="one query-term sum per candidate: got 0 for 3"):
         rank(bare, "Melanie went hiking", tiny_corpus, [ScorerHandle(name="lex")])

@@ -42,7 +42,7 @@ def test_grep_or_scores_sum_of_matched_weights():
         "nothing relevant",
     ])
     hits = grep_search(corpus, term_set(("alpha", 2.0), ("beta", 1.0)))
-    assert hits == {0: [("alpha", 2.0), ("beta", 1.0)], 1: [("alpha", 2.0)]}
+    assert hits == {0: 3.0, 1: 2.0}
     result = grep_candidates(corpus, term_set(("alpha", 2.0), ("beta", 1.0)))
     assert [c.passage_id for c in result.candidates] == ["s:0", "s:1"]
     assert result.candidates[0].match_score == 3.0
@@ -59,7 +59,7 @@ def test_grep_is_case_insensitive_substring():
 def test_grep_and_requires_every_term():
     corpus = make_corpus(["alpha beta", "alpha", "beta"])
     terms = term_set(("alpha", 1.0), ("beta", 1.0))
-    assert and_hits(grep_search(corpus, terms), terms) == {0: [("alpha", 1.0), ("beta", 1.0)]}
+    assert and_hits(grep_search(corpus, terms), terms) == {0: 2.0}
 
 
 def test_grep_tie_breaks_by_passage_id():
@@ -70,7 +70,7 @@ def test_grep_tie_breaks_by_passage_id():
 
 def test_grep_repeated_occurrences_count_once():
     corpus = make_corpus(["echo echo echo echo"])
-    assert grep_search(corpus, term_set(("echo", 2.0))) == {0: [("echo", 2.0)]}
+    assert grep_search(corpus, term_set(("echo", 2.0))) == {0: 2.0}
 
 
 def test_grep_empty_terms_rejected(tiny_corpus):
@@ -102,15 +102,17 @@ def corpus_and_terms(draw):
 
 
 def reference_grep(corpus, terms, mode):
-    """Per passage, per term: ``needle in text.lower()``."""
+    """Per passage, per term: ``needle in text.lower()``. Rows of (passage
+    id, score) in candidate order, the score the weights of the terms the
+    passage holds, summed in term order; AND keeps the passages holding
+    every term."""
     rows = []
     for passage in corpus:
-        matched = tuple((t.surface, t.weight) for t in terms.terms
-                        if t.surface.lower() in passage.text.lower())
+        matched = [t.weight for t in terms.terms if t.surface.lower() in passage.text.lower()]
         if not matched or (mode == "AND" and len(matched) != len(terms.terms)):
             continue
-        rows.append((passage.id, matched, sum(w for _, w in matched)))
-    rows.sort(key=lambda row: (-row[2], row[0]))
+        rows.append((passage.id, sum(matched)))
+    rows.sort(key=lambda row: (-row[1], row[0]))
     return rows
 
 
@@ -130,9 +132,13 @@ def test_grep_matches_brute_force_reference(case, mode):
     terms = WeightedTermSet.from_terms(
         [WeightedTerm(surface, weight, provenance)
          for surface, (provenance, weight) in pairs])
+    expected = reference_grep(corpus, terms, mode)
+    hits = grep_search(corpus, terms)
+    if mode == "AND":
+        hits = and_hits(hits, terms)
+    assert {corpus.passages[i].id: score for i, score in hits.items()} == dict(expected)
     result = grep_candidates(corpus, terms, mode)
-    got = [(c.passage_id, c.matched_terms, c.match_score) for c in result.candidates]
-    assert got == reference_grep(corpus, terms, mode)
+    assert [(c.passage_id, c.match_score) for c in result.candidates] == expected
 
 
 @st.composite
@@ -198,15 +204,14 @@ def reference_retrieve(query, corpus, cfg, annotator):
     merged = {}
 
     def merge(term_set, mode, hop):
-        for pid, matched, score in reference_grep(corpus, term_set, mode):
+        for pid, score in reference_grep(corpus, term_set, mode):
             held = merged.get(pid)
             if held is None or score > held[0]:
-                merged[pid] = (score, matched, hop if held is None else held[2])
+                merged[pid] = (score, hop if held is None else held[1])
 
     def ordered():
         rows = sorted(merged.items(), key=lambda row: (-row[1][0], row[0]))
-        return tuple(Candidate(pid, score, matched, hop)
-                     for pid, (score, matched, hop) in rows)
+        return tuple(Candidate(pid, score, hop) for pid, (score, hop) in rows)
 
     terms = parse_query(query, annotator)
     searched = set(terms.surfaces_lower())
@@ -394,7 +399,6 @@ def test_fallback_set_through_retrieve_equals_brute_force(case, seed, tagger):
     assert [c.match_score for c in result.candidates] == [
         float(dense_scores[i]) for i in top]
     assert all(type(c.match_score) is float for c in result.candidates)
-    assert all(c.matched_terms == () for c in result.candidates)
     assert result.hops_executed == hops
     assert all(c.hop == hops for c in result.candidates)
     assert result.term_sums == tuple(sums[i] for i in top)
@@ -414,16 +418,16 @@ def test_retrieve_single_hop(tagger, fixture_corpus_path):
 
 def assert_candidates_consistent(result: CandidateSet) -> None:
     """What Candidate holds by construction, checked on retrieve's output:
-    a grep candidate scores the sum of its matched weights, and every hop
-    lies in [0, hops_executed]. Only PRF (all weights PRF_WEIGHT) and the
-    dense fallback (no matched terms) add candidates at hops_executed."""
-    for c in result.candidates:
-        if c.matched_terms:
-            assert c.match_score == pytest.approx(
-                sum(weight for _, weight in c.matched_terms), abs=1e-9)
-        assert 0 <= c.hop <= result.hops_executed
-        if c.hop == result.hops_executed:
-            assert all(weight == PRF_WEIGHT for _, weight in c.matched_terms)
+    every hop lies in [0, hops_executed], and only PRF and the dense
+    fallback add candidates at hops_executed. The fallback runs only when no
+    grep found a candidate, so it puts every candidate there; a PRF
+    candidate scores a whole number of PRF_WEIGHTs."""
+    hops = [c.hop for c in result.candidates]
+    assert all(0 <= hop <= result.hops_executed for hop in hops)
+    if any(hop < result.hops_executed for hop in hops):
+        for c in result.candidates:
+            if c.hop == result.hops_executed:
+                assert c.match_score > 0 and c.match_score % PRF_WEIGHT == 0
 
 
 def test_retrieve_two_hop_bridges_entity(tagger, fixture_corpus_path):
