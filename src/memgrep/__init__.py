@@ -51,7 +51,8 @@ from .evaluate import (
 )
 from .oracle import OracleTrace, SearchLimits, derive_trace, trace_stats
 from .parse import WeightedTerm, WeightedTermSet, parse_query
-from .rank import FusionConfig, RankedList, ScorerHandle, order_by_score, rank, rrf_fuse
+from .rank import (FusionConfig, LexicalDenseScorer, RankedList, ScorerHandle, order_by_score,
+                   rank, rrf_fuse)
 from .retrieve import (Candidate, CandidateSet, RetrieveConfig, candidate_order, grep_search,
                        retrieve)
 from .service import ReferenceServer, ServiceClient, parse_endpoint
@@ -80,6 +81,7 @@ __all__ = [
     "EntityMention",
     "FusionConfig",
     "GoldAnnotation",
+    "LexicalDenseScorer",
     "MalformedDocumentError",
     "MemgrepError",
     "MetricsReport",

@@ -21,7 +21,7 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .annotate import Annotator, AnnotatorConfig
+from .annotate import AnnotatorConfig
 from .corpus import (
     INGEST_FORMATS,
     Corpus,
@@ -45,10 +45,11 @@ from .evaluate import (
     simulate_truncation,
     sweep_to_json,
 )
-from .oracle import SearchLimits, derive_trace, trace_stats, traces_to_jsonl
-from .rank import FusionConfig, LexicalDenseScorer, ScorerHandle
+from .oracle import (SearchLimits, derive_trace, offers_semantic_tool, trace_stats,
+                     traces_to_jsonl)
+from .rank import FusionConfig, ScorerHandle
 from .retrieve import RetrieveConfig
-from .service import ServiceClient, finite_number
+from .service import finite_number
 from .truncate import TruncationConfig
 
 ENV_CONFIG = "MEMGREP_CONFIG"
@@ -173,6 +174,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if len(entries) > 2:
         raise ConfigError("at most two scorers are supported")
     scorers = [_scorer(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
+    if len(scorers) == 2 and scorers[0].name == scorers[1].name:
+        raise ConfigError(f"{where}[1]: scorer name {scorers[1].name!r} repeats {where}[0]")
 
     top_level = {"scorers": scorers} if scorers else {}
     for key in ("corpus", "format", "questions", "out"):
@@ -197,16 +200,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 # --- config materialization ---
-
-def _run_parts(cfg: RunConfig) -> tuple[Annotator, "ServiceClient | LexicalDenseScorer"]:
-    """The run's annotator and its fallback scorer: the first served scorer
-    when one is configured, otherwise the in-process lexical scorer,
-    parsing with the run's annotator."""
-    annotator = cfg.annotator.build()
-    served = [handle for handle in cfg.scorers if handle.endpoint]
-    dense = ServiceClient(served[0].endpoint) if served else LexicalDenseScorer(annotator)
-    return annotator, dense
-
 
 def _require(value, flag: str):
     if value is None:
@@ -256,13 +249,11 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_query(cfg: RunConfig, query: str) -> int:
     corpus = _load_cli_corpus(cfg)
-    annotator, dense = _run_parts(cfg)
     run = run_question(
         query, corpus, cfg.scorers,
         retrieve_cfg=cfg.retrieve,
         trunc_cfg=cfg.truncation,
-        annotator=annotator,
-        dense_scorer=dense,
+        annotator=cfg.annotator.build(),
         fusion_cfg=cfg.fusion,
     )
     stage_trace = {
@@ -295,13 +286,9 @@ def cmd_query(cfg: RunConfig, query: str) -> int:
 def cmd_oracle(cfg: RunConfig, max_states: int | None, max_edges: int | None) -> int:
     corpus = _load_cli_corpus(cfg)
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
-    annotator, dense = _run_parts(cfg)
+    annotator = cfg.annotator.build()
     limits = _section(SearchLimits, {}, "search limits", "flags",
                       max_states=max_states, max_edges=max_edges)
-    # The semantic tool joins the action space only when a real scorer is
-    # configured; the lexical stand-in would trivialize every trace.
-    if not any(handle.endpoint for handle in cfg.scorers):
-        dense = None
     traces = []
     skipped = 0
     for question in questions:
@@ -309,13 +296,13 @@ def cmd_oracle(cfg: RunConfig, max_states: int | None, max_edges: int | None) ->
             skipped += 1
             continue
         traces.append(derive_trace(question.text, question.gold, corpus,
-                                   annotator, dense, limits))
+                                   annotator, cfg.scorers, limits))
     stats = trace_stats(traces)
     stats["skipped_empty_gold"] = skipped
     output = json.dumps(stats, sort_keys=True, ensure_ascii=False, indent=2)
     print(output)
     _write_artifacts(cfg, {
-        "traces.jsonl": traces_to_jsonl(traces, limits, dense is not None),
+        "traces.jsonl": traces_to_jsonl(traces, limits, offers_semantic_tool(cfg.scorers)),
         "oracle_stats.json": output + "\n",
     })
     return 0
@@ -324,11 +311,9 @@ def cmd_oracle(cfg: RunConfig, max_states: int | None, max_edges: int | None) ->
 def _build_cli_matrix(cfg: RunConfig, corpus: Corpus) -> ScoreMatrix:
     """The score matrix of the run's questions over `corpus`."""
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
-    annotator, dense = _run_parts(cfg)
     return build_matrix(
-        questions, corpus, cfg.scorers,
-        retrieve_cfg=cfg.retrieve, annotator=annotator, dense_scorer=dense,
-        fusion_cfg=cfg.fusion,
+        questions, corpus, cfg.scorers, retrieve_cfg=cfg.retrieve,
+        annotator=cfg.annotator.build(), fusion_cfg=cfg.fusion,
     )
 
 
@@ -448,6 +433,13 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _grid(values: str, flag: str, kind: type) -> list:
+    try:  # a value that `kind` cannot read is a ConfigError naming the flag
+        return [kind(value) for value in values.split(",") if value]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -462,8 +454,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg)
         if args.command == "sweep":
-            budgets = [int(b) for b in args.budgets.split(",") if b != ""]
-            alphas = [float(a) for a in args.alphas.split(",") if a != ""]
+            budgets = _grid(args.budgets, "--budgets", int)
+            alphas = _grid(args.alphas, "--alphas", float)
             return cmd_sweep(cfg, budgets, alphas, args.ceiling, args.matrix)
         raise ConfigError(f"unknown command {args.command!r}")
     except (MemgrepError, ValueError, OSError) as exc:

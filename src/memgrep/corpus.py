@@ -459,19 +459,19 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
     """Load question records, validating every gold id against the corpus.
 
     Accepts a JSON list or JSONL of records with ``question_id``,
-    ``question`` text and ``gold_passage_ids``. A file is read as
-    JSONL only when its first JSON document is well formed and more data
-    follows; any other fault is the document's own, a MalformedDocumentError
-    naming the file (and the line of a syntax error). A ``question_id``
-    is a string or an int, read as its decimal string, and no two records
-    share one; a null or bool id, or a repeat, is a MalformedDocumentError
-    (a repeat names both records), as is a missing or blank ``question``.
+    ``question`` text and ``gold_passage_ids``. A file is read as JSONL only
+    when its first JSON document is well formed and more data follows; any
+    other fault is the document's own. Each MalformedDocumentError names the
+    file and the line, or the record of a JSON list, at fault. A
+    ``question_id`` is a string or an int, read as its decimal string, and
+    unique across records; a null or bool id or a repeat (naming both
+    records) is one too, as is a missing or blank ``question``.
     Unresolvable passage ids raise :class:`DanglingGoldError` naming the
     file and listing every miss.
     """
     path = Path(raw_annotations)
-    # (where, position, record) triples; where prefixes an error, and names
-    # path:line for JSONL input.
+    # (where, position, record) triples; where prefixes an error, naming
+    # path:line for JSONL input and "path: record i" for a JSON list.
     text = path.read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
@@ -488,7 +488,7 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
         records = [(f"{path}:{lineno}", f"line {lineno}", rec)
                    for lineno, rec in _jsonl_records(path)]
     else:
-        records = [(str(path), f"record {i}", rec)
+        records = [(f"{path}: record {i}", f"record {i}", rec)
                    for i, rec in enumerate(doc if isinstance(doc, list) else [doc])]
 
     questions = []

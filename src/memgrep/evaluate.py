@@ -144,7 +144,6 @@ def run_question(
     retrieve_cfg: RetrieveConfig | None = None,
     trunc_cfg: TruncationConfig | None = None,
     annotator: Annotator | None = None,
-    dense_scorer=None,
     fusion_cfg: FusionConfig | None = None,
     question_id: str | None = None,
 ) -> QuestionRun:
@@ -156,7 +155,7 @@ def run_question(
     if annotator is None:
         annotator = RuleAnnotator()
     candidates, ranked, cross = _retrieve_and_rank(
-        query, corpus, scorers, retrieve_cfg, annotator, dense_scorer, fusion_cfg)
+        query, corpus, scorers, retrieve_cfg, annotator, fusion_cfg)
     if ranked is None:
         context, rendered = _EMPTY_CONTEXT, ""
     else:
@@ -172,14 +171,14 @@ def run_question(
 
 def _retrieve_and_rank(
     query: str, corpus: Corpus, scorers: list[ScorerHandle],
-    retrieve_cfg: RetrieveConfig | None, annotator: Annotator, dense_scorer,
+    retrieve_cfg: RetrieveConfig | None, annotator: Annotator,
     fusion_cfg: FusionConfig | None,
 ) -> tuple[CandidateSet, RankedList | None, ScoreVector | None]:
     """A query's candidates, their fused ranking and the primary scorer's
     vector; the last two are None when nothing was retrieved. `retrieve` and
     `rank` are looked up through this module's globals, so a wrapper set on
     memgrep.evaluate (the benchmark's tracer sets them) sees every call."""
-    candidates = retrieve(query, corpus, retrieve_cfg, annotator, dense_scorer)
+    candidates = retrieve(query, corpus, retrieve_cfg, annotator, scorers)
     if not candidates:
         return candidates, None, None
     ranked, vectors = rank(candidates, query, corpus, scorers, fusion_cfg)
@@ -220,7 +219,6 @@ def build_matrix(
     scorers: list[ScorerHandle],
     retrieve_cfg: RetrieveConfig | None = None,
     annotator: Annotator | None = None,
-    dense_scorer=None,
     fusion_cfg: FusionConfig | None = None,
 ) -> ScoreMatrix:
     """Retrieve and rank each question once and freeze the numbers; no
@@ -232,8 +230,7 @@ def build_matrix(
     cross_name = ""
     for question in questions:
         candidates, ranked, cross = _retrieve_and_rank(
-            question.text, corpus, scorers, retrieve_cfg, annotator,
-            dense_scorer, fusion_cfg)
+            question.text, corpus, scorers, retrieve_cfg, annotator, fusion_cfg)
         ordered = ranked.ids() if ranked is not None else ()
         if cross is not None:
             cross_name = cross.scorer_name

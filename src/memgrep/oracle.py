@@ -7,7 +7,9 @@ are unit-cost (tool, term-subset) actions. Unit cost makes Dijkstra's
 algorithm collapse to breadth-first search, which is what runs, and makes a
 trace's cost and hops both its action count. Term surfaces are kept
 lowercased, as grep matches them; grep-or is retrieve's OR grep of the
-action's terms, and grep-and keeps its hits that hold every term.
+action's terms, and grep-and keeps its hits that hold every term. The
+semantic tool, retrieve's fallback over the run's scorers, is offered only
+when some scorer is served: the lexical stand-in would trivialize traces.
 
 The oracle sees gold passage ids only. Nothing in this module reads or
 accepts answer text.
@@ -19,11 +21,13 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .annotate import Annotator
 from .corpus import Corpus, GoldAnnotation
 from .errors import EmptyTermSetError
 from .parse import WeightedTerm, WeightedTermSet, parse_query
+from .rank import ScorerHandle
 from .retrieve import and_hits, candidate_order, grep_search, semantic_fallback
 
 TOOLS = ("grep-or", "grep-and", "semantic")
@@ -71,7 +75,7 @@ def derive_trace(
     gold: GoldAnnotation,
     corpus: Corpus,
     annotator: Annotator,
-    dense_scorer=None,
+    scorers: Sequence[ScorerHandle] = (),
     limits: SearchLimits | None = None,
 ) -> OracleTrace:
     """Breadth-first search from (covered=empty, discovered=query terms).
@@ -96,7 +100,8 @@ def derive_trace(
         return OracleTrace(question_id=gold.question_id, actions=(),
                            success=False, reason=reason)
 
-    if not initial_terms and dense_scorer is None:
+    semantic = offers_semantic_tool(scorers)
+    if not initial_terms and not semantic:
         return fail("no-path")
 
     # Action results are state-independent, so execution is memoized on the
@@ -109,7 +114,7 @@ def derive_trace(
         if hit is not None:
             return hit
         if action.tool == "semantic":
-            order = list(semantic_fallback(question, corpus, dense_scorer))
+            order = list(semantic_fallback(question, corpus, scorers, {}))
             ids = [passages[i].id for i in order]
             top = [passages[i] for i in order[:ENTITY_SOURCE_TOP]]
         else:
@@ -136,7 +141,7 @@ def derive_trace(
             pair = frozenset((a, b))
             actions.append(Action(tool="grep-or", term_surfaces=pair))
             actions.append(Action(tool="grep-and", term_surfaces=pair))
-        if dense_scorer is not None:
+        if semantic:
             actions.append(Action(tool="semantic", term_surfaces=frozenset()))
         actions.sort(key=Action.sort_key)
         return actions
@@ -173,6 +178,11 @@ def derive_trace(
                                    actions=tuple(reversed(path)), success=True)
             queue.append(next_state)
     return fail("no-path")
+
+
+def offers_semantic_tool(scorers: Sequence[ScorerHandle]) -> bool:
+    """Whether derive_trace offers the semantic tool (see the module docstring)."""
+    return any(s.endpoint for s in scorers)
 
 
 # --- aggregation ---

@@ -9,24 +9,20 @@ A FusionConfig whose weights are None, the default, means "the default
 split for these scorers": rank() fills it in with FusionConfig.for_scorers
 for the scorers it is given, at the config's k, so no caller decides it.
 
-A ScorerHandle, {name, kind, endpoint}, names a scorer: it is served when
-it has an endpoint and runs in process otherwise. Every scorer scores the
-CandidateSet retrieve returned. Real relevance models live out of process
-and are reached through service.ServiceClient, which scores the
-candidates' texts, read from the corpus. The in-process scorer is the
-lexical scorer, so every code path runs deterministically with no model at
-all. In rank it reads what retrieval found rather than the texts: each
-candidate's query-term sum (CandidateSet.term_sums) minus LENGTH_PENALTY
-per word, with the word count the corpus keeps per passage. So the query
-is parsed once per run, by retrieval. Two scorers run concurrently if and
-only if both are served, to overlap their round trips; rank reads that from
-the handles and takes no switch for it. The in-process scorer runs on the
-calling thread.
+A ScorerHandle, {name, kind, endpoint}, names a scorer: served when it has
+an endpoint, in process otherwise. Every scorer scores the CandidateSet
+retrieve returned through retrieve.scorer_scores, the one dispatch the
+semantic fallback also uses. A served scorer, a relevance model out of
+process, scores the candidates' texts through service.ServiceClient. The
+in-process scorer is the lexical scorer, so every code path runs with no
+model at all; it reads no text but each candidate's query-term sum
+(CandidateSet.term_sums) minus LENGTH_PENALTY per word, so the query is
+parsed once per run, by retrieval. Two scorers run concurrently if and only
+if both are served, to overlap their round trips; rank reads that from the
+handles and takes no switch for it.
 
-LexicalDenseScorer is the same scorer over texts, .score(query, texts) ->
-list[float], ServiceClient's shape. It is for texts that have no retrieval
-behind them: the semantic fallback, the oracle's semantic tool and a
-scorer host.
+LexicalDenseScorer is the same scorer over texts, in ServiceClient's shape;
+nothing in the pipeline calls it, but a ReferenceServer host serves it.
 """
 
 from __future__ import annotations
@@ -37,18 +33,16 @@ from itertools import compress, repeat
 from operator import add, contains, neg, truediv
 from typing import NamedTuple
 
-from .annotate import Annotator, RuleAnnotator
+from .annotate import RuleAnnotator
 from .corpus import Corpus
 from .errors import EmptyTermSetError, UnknownScorerError
 from .parse import parse_query
-from .retrieve import CandidateSet
-from .service import ServiceClient
+from .retrieve import LENGTH_PENALTY, CandidateSet, scorer_scores
 
 SCORER_KINDS = ("pointwise-cross", "late-interaction", "lexical-test")
 DEFAULT_RRF_K = 60.0
 DEFAULT_CROSS_WEIGHT = 0.7
 DEFAULT_LATE_WEIGHT = 0.3
-LENGTH_PENALTY = 0.001
 
 
 @dataclass(frozen=True)
@@ -145,18 +139,15 @@ class LexicalDenseScorer:
     """The lexical scorer over texts: matched distinct query-term weights
     minus a length penalty of LENGTH_PENALTY per word.
 
-    It has ServiceClient's shape, .score(query, texts) -> list[float], for
-    texts that have no retrieval behind them: the semantic fallback and the
-    oracle's semantic tool run through it with no model attached. rank's
-    in-process scorer gives the same scores from retrieval's sums instead
-    (see score). The penalty makes scores strictly length-sensitive, so ties
-    are rare and the denser of two equally-matching passages wins. Queries
-    are parsed with the annotator it is given, or with a RuleAnnotator of
-    its own when given none.
+    It has ServiceClient's shape, .score(query, texts) -> list[float], so a
+    ReferenceServer can serve it in place of a model; the in-process scorer
+    gives the same scores from retrieval's sums. The penalty makes scores
+    strictly length-sensitive, so ties are rare and the denser of two
+    equally-matching passages wins. Queries are parsed with a RuleAnnotator.
     """
 
-    def __init__(self, annotator: Annotator | None = None) -> None:
-        self._annotator = annotator if annotator is not None else RuleAnnotator()
+    def __init__(self) -> None:
+        self._annotator = RuleAnnotator()
 
     def score(self, query: str, texts: list[str]) -> list[float]:
         try:
@@ -177,25 +168,10 @@ class LexicalDenseScorer:
 
 def score(scorer: ScorerHandle, query: str, candidates: CandidateSet,
           corpus: Corpus) -> ScoreVector:
-    """Evaluate one scorer over the candidates; errors are never papered over.
-
-    A served scorer scores the query against their texts, which it reads
-    from the corpus. The in-process scorer reads no text: candidate k scores
-    candidates.term_sums[k] (see CandidateSet) minus LENGTH_PENALTY per word
-    of it, counted by the corpus, which is LexicalDenseScorer's score of the
-    text bit for bit.
-    """
+    """One scorer's vector over the candidates, from retrieve.scorer_scores;
+    errors are never papered over."""
     ids = candidates.ids()
-    sums = candidates.term_sums
-    if scorer.endpoint:
-        values = ServiceClient(scorer.endpoint).score(
-            query, [corpus.get(pid).text for pid in ids])
-    elif len(sums) != len(ids):
-        raise ValueError("the in-process scorer needs one query-term sum per "
-                         f"candidate: got {len(sums)} for {len(ids)}")
-    else:
-        words = map(corpus.word_count, ids)
-        values = [m - LENGTH_PENALTY * n for m, n in zip(sums, words)]
+    values = scorer_scores(scorer.endpoint, query, corpus, ids, candidates.term_sums)
     return ScoreVector(scorer_name=scorer.name, scores=dict(zip(ids, values)))
 
 

@@ -4,19 +4,21 @@ Main path is case-insensitive substring matching of weighted terms over every
 passage, repeated over up to max_hops rounds of entity expansion, then a
 single pseudo-relevance-feedback round. Each term is found with str.find
 over the corpus's scan surface, its lowercased passage texts joined by NUL,
-and each hit is mapped to its passage by bisecting the passage offsets. A
-pluggable dense scorer covers the rare query whose terms match nothing. No
+and each hit is mapped to its passage by bisecting the passage offsets. No
 inverted index, no embedding store; the corpus text itself is the only data
-structure.
+structure. When every grep comes back empty, the semantic fallback scores
+every passage with the run's first served scorer, else in process, where a
+passage scores its query-term sum minus a length penalty: in OR mode every
+sum is then 0.0, so the shortest passages win.
 
 A grep is an OR grep: it returns each passage holding at least one term with
 its match score, by passage position. AND mode is and_hits over the query's
 own hits at hop 0; expansion hops grep OR in both modes. retrieve folds every
-hop's scores into one map (higher score wins, earliest hop kept); the dense
+hop's scores into one map (higher score wins, earliest hop kept); the
 fallback's top scores fold into it too. retrieve then builds each Candidate
 once, in candidate order: match score down, then passage id up. It also
 keeps the query's parsed terms and each candidate's query-term sum, the
-weights of those terms found in it, which rank's in-process lexical scorer
+weights of those terms found in it, which the in-process lexical scorer
 reads in place of the text. Every CandidateSet retrieve returns, an empty one
 included, is built at that one exit.
 """
@@ -28,7 +30,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter, neg
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, Passage
@@ -40,8 +42,13 @@ from .parse import (
     WeightedTermSet,
     parse_query,
 )
+from .service import ServiceClient
+
+if TYPE_CHECKING:
+    from .rank import ScorerHandle
 
 SEMANTIC_FALLBACK_TOP_N = 50
+LENGTH_PENALTY = 0.001
 
 
 def query_id_for(query: str) -> str:
@@ -50,7 +57,7 @@ def query_id_for(query: str) -> str:
 
 class Candidate(NamedTuple):
     # match_score is the passage's best grep score over the hops, the weights
-    # of one hop's terms its text holds, or its dense score if the fallback
+    # of one hop's terms its text holds, or its fallback score if the fallback
     # found it; hop is the first hop that found it.
     passage_id: str
     match_score: float
@@ -76,11 +83,8 @@ class CandidateSet:
     def ids(self) -> list[str]:
         return [c.passage_id for c in self.candidates]
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:   # also its truth: a set is true iff non-empty
         return len(self.candidates)
-
-    def __bool__(self) -> bool:
-        return bool(self.candidates)
 
 
 @dataclass(frozen=True)
@@ -238,17 +242,34 @@ def prf_hop(
     return WeightedTermSet(terms)
 
 
-# --- dense fallback ---
+# --- scoring and the fallback ---
 
-def semantic_fallback(query: str, corpus: Corpus, dense_scorer) -> dict[int, float]:
-    """Score every passage with the dense scorer and keep the top
+def scorer_scores(endpoint: str | None, query: str, corpus: Corpus,
+                  ids: list[str], sums: Sequence[float]) -> list[float]:
+    """One scorer's scores of the passages `ids`, for rank.score and the
+    fallback alike. A served scorer (an endpoint) scores their texts; in
+    process, passage k scores its query-term sum sums[k] minus LENGTH_PENALTY
+    per word, which is rank.LexicalDenseScorer's score of the text bit for
+    bit."""
+    if endpoint:
+        return ServiceClient(endpoint).score(query, [corpus.get(pid).text for pid in ids])
+    if len(sums) != len(ids):
+        raise ValueError("the in-process scorer needs one query-term sum per "
+                         f"candidate: got {len(sums)} for {len(ids)}")
+    return [m - LENGTH_PENALTY * n for m, n in zip(sums, map(corpus.word_count, ids))]
+
+
+def semantic_fallback(query: str, corpus: Corpus, scorers: Sequence[ScorerHandle],
+                      own: dict[int, float]) -> dict[int, float]:
+    """Score every passage with the first served scorer, else in process
+    from `own`, the query-term sums by position, and keep the top
     SEMANTIC_FALLBACK_TOP_N, as passage position -> score in candidate order.
-
-    Only called when substring matching found nothing.
-    """
-    scores = dict(enumerate(dense_scorer.score(query, [p.text for p in corpus.passages])))
-    return {i: float(scores[i])
-            for i in candidate_order(corpus, scores, SEMANTIC_FALLBACK_TOP_N)}
+    Only called when substring matching found nothing."""
+    endpoint = next((s.endpoint for s in scorers if s.endpoint), None)
+    ids = [p.id for p in corpus.passages]
+    sums = [own.get(i, 0.0) for i in range(len(ids))]
+    scores = dict(enumerate(scorer_scores(endpoint, query, corpus, ids, sums)))
+    return {i: scores[i] for i in candidate_order(corpus, scores, SEMANTIC_FALLBACK_TOP_N)}
 
 
 # --- orchestration ---
@@ -258,10 +279,11 @@ def retrieve(
     corpus: Corpus,
     cfg: RetrieveConfig | None = None,
     annotator: Annotator | None = None,
-    dense_scorer=None,
+    scorers: Sequence[ScorerHandle] = (),
 ) -> CandidateSet:
     """Full retrieval: grep, entity hops while they yield new terms, one PRF
-    round, dense fallback only if everything else came back empty.
+    round, and the semantic fallback over the run's scorers only if
+    everything else came back empty and cfg.fallback_enabled.
     """
     if cfg is None:
         cfg = RetrieveConfig()
@@ -326,14 +348,14 @@ def retrieve(
                 fold(grep_search(corpus, prf_terms), hops)
 
     if not scores:
-        if cfg.fallback_enabled and dense_scorer is not None:
+        if cfg.fallback_enabled:
             try:
-                dense = semantic_fallback(query, corpus, dense_scorer)
+                fallback = semantic_fallback(query, corpus, scorers, own)
             except ScorerUnavailableError as exc:
                 warnings.append(f"semantic-fallback-unavailable: {exc}")
             else:
-                # Dense-scored candidates, found at hop `hops`.
-                fold(dense, hops)
+                # Fallback-scored candidates, found at hop `hops`.
+                fold(fallback, hops)
         else:
             warnings.append("no-candidates: substring search empty and fallback disabled")
     order = candidate_order(corpus, scores)

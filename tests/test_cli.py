@@ -502,6 +502,9 @@ BAD_CONFIGS = {
     # transport is not part of a scorer entry; the endpoint decides it.
     "scorer-with-transport": ({"scorers": [{"name": "x", "transport": "in-process"}]},
                               "scorers[0]"),
+    # Fusion weights and score vectors are keyed by scorer name.
+    "scorer-name-repeated": ({"scorers": [{"name": "a"}, {"name": "a"}]},
+                             "scorers[1]: scorer name 'a' repeats"),
 }
 
 
@@ -594,22 +597,36 @@ HUGE_INT = "9" * 5000
 # file's name. A file given as text is written as it stands, and its message
 # follows the name directly: a pretty-printed list is one JSON document, so
 # its fault is reported where it is, not read again as JSONL from line 1.
+_GOOD_QUESTION = {"question_id": "q0", "question": "Who?", "gold_passage_ids": ["s1:2"]}
 BAD_QUESTIONS = {
     "gold-id-a-list": ([{"question_id": "q1", "question": "Who?",
-                         "gold_passage_ids": [["s1:2"]]}], "gold_passage_ids must be"),
+                         "gold_passage_ids": [["s1:2"]]}], "record 0: gold_passage_ids must be"),
     "gold-id-a-number": ([{"question_id": "q1", "question": "Who?",
-                           "gold_passage_ids": [5]}], "gold_passage_ids must be"),
+                           "gold_passage_ids": [5]}], "record 0: gold_passage_ids must be"),
     "question-null": ([{"question_id": "q1", "question": None,
-                        "gold_passage_ids": ["s1:2"]}], "question must be"),
+                        "gold_passage_ids": ["s1:2"]}], "record 0: question must be"),
     "question-missing": ([{"question_id": "q1", "gold_passage_ids": ["s1:2"]}],
-                         "question must be a non-blank string, got None"),
+                         "record 0: question must be a non-blank string, got None"),
     "question-blank": ([{"question_id": "q1", "question": "   ",
                          "gold_passage_ids": ["s1:2"]}],
-                       "question must be a non-blank string, got '   '"),
+                       "record 0: question must be a non-blank string, got '   '"),
     "question-id-null": ([{"question_id": None, "question": "Who?",
-                           "gold_passage_ids": ["s1:2"]}], "question_id must be"),
+                           "gold_passage_ids": ["s1:2"]}], "record 0: question_id must be"),
     "question-id-bool": ([{"question_id": True, "question": "Who?",
-                           "gold_passage_ids": ["s1:2"]}], "question_id must be"),
+                           "gold_passage_ids": ["s1:2"]}], "record 0: question_id must be"),
+    # A fault after a good record names its own record, as a JSONL line does.
+    "record-1-question-null": ([_GOOD_QUESTION, {"question_id": "q1", "question": None,
+                                                 "gold_passage_ids": ["s1:2"]}],
+                               "record 1: question must be a non-blank string, got None"),
+    "record-1-gold-id-a-number": ([_GOOD_QUESTION, {"question_id": "q1", "question": "Who?",
+                                                    "gold_passage_ids": [5]}],
+                                  "record 1: gold_passage_ids must be"),
+    "record-1-question-id-null": ([_GOOD_QUESTION, {"question_id": None, "question": "Who?",
+                                                    "gold_passage_ids": ["s1:2"]}],
+                                  "record 1: question_id must be"),
+    "record-1-without-question-id": ([_GOOD_QUESTION, {"question": "Who?",
+                                                       "gold_passage_ids": ["s1:2"]}],
+                                     "record 1: annotation record missing question_id"),
     # An int id reads as its decimal string, so 7 and "7" are one id.
     "question-id-repeated": ([{"question_id": 7, "question": "Who?", "gold_passage_ids": ["s1:2"]},
                               {"question_id": "q2", "question": "Who?", "gold_passage_ids": []},
@@ -715,6 +732,18 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
                                     "gold_passage_ids": "s1:2"}]))
         return (["eval", "--corpus", str(corpus), "--questions", str(bad)],
                 "MalformedDocumentError", "gold_passage_ids must be a list")
+    if case == "scorer-flag-name-repeated":
+        return (["oracle", "--corpus", str(corpus), "--questions", str(questions),
+                 "--scorer", "a=lexical", "--scorer", "a=lexical"],
+                "ConfigError", "--scorer[1]: scorer name 'a' repeats --scorer[0]")
+    if case == "sweep-budget-not-an-int":
+        return (["sweep", "--corpus", str(corpus), "--questions", str(questions),
+                 "--budgets", "50,1.5", "--alphas", "0"],
+                "ConfigError", "--budgets: invalid literal for int() with base 10: '1.5'")
+    if case == "sweep-alpha-not-a-number":
+        return (["sweep", "--corpus", str(corpus), "--questions", str(questions),
+                 "--budgets", "50", "--alphas", "0.1,abc"],
+                "ConfigError", "--alphas: could not convert string to float: 'abc'")
     if case == "sweep-zero-budget":
         return (["sweep", "--corpus", str(corpus), "--questions", str(questions),
                  "--budgets", "0", "--alphas", ""],
@@ -744,6 +773,8 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
                                   "fusion-weight-for-another-scorer",
                                   "gold-not-a-list", "matrix-line-without-cross",
                                   "sweep-zero-budget", "corpus-huge-int-line",
+                                  "scorer-flag-name-repeated", "sweep-budget-not-an-int",
+                                  "sweep-alpha-not-a-number",
                                   "matrix-huge-int-line", "config-huge-int"])
 def test_cli_process_ends_damaged_input_in_one_error_record(tmp_path, case):
     argv, error, fragment = damaged_run(case, tmp_path)

@@ -17,7 +17,8 @@ from memgrep.oracle import (
     trace_stats,
     traces_to_jsonl,
 )
-from memgrep.rank import LexicalDenseScorer
+from memgrep.rank import LexicalDenseScorer, ScorerHandle
+from memgrep.service import ReferenceServer
 
 from conftest import make_corpus
 
@@ -70,6 +71,9 @@ def test_no_path_without_terms_or_scorer(tagger):
     assert not trace.success
     assert trace.reason == "no-path"
     assert trace.actions == ()
+    # An in-process scorer offers no semantic tool.
+    assert derive_trace("zanzibar quodlibet xylophone", gold("s:0"), corpus, tagger,
+                        [ScorerHandle(name="lex")]) == trace
 
 
 def test_semantic_tool_rescues_unreachable_gold(tagger):
@@ -77,8 +81,12 @@ def test_semantic_tool_rescues_unreachable_gold(tagger):
         "Gold passage with nothing in common.",
         "Another passage to search.",
     ])
-    trace = derive_trace("zanzibar quodlibet xylophone", gold("s:0"), corpus,
-                         tagger, dense_scorer=LexicalDenseScorer(tagger))
+    # The semantic tool is offered only when some scorer is served.
+    with ReferenceServer(score_fn=LexicalDenseScorer().score) as server:
+        trace = derive_trace("zanzibar quodlibet xylophone", gold("s:0"), corpus, tagger,
+                             [ScorerHandle(name="lex"),
+                              ScorerHandle(name="svc", kind="pointwise-cross",
+                                           endpoint=server.endpoint)])
     # Lexical fallback retrieves everything; one semantic action suffices.
     assert trace.success
     assert trace.cost == 1

@@ -28,7 +28,7 @@ from memgrep.rank import (
 )
 from memgrep.retrieve import (Candidate, CandidateSet, RetrieveConfig, grep_search,
                               query_id_for, retrieve)
-from memgrep.service import ReferenceServer
+from memgrep.service import ReferenceServer, ServiceClient
 
 from conftest import grep_candidates, make_corpus, sequential_rank
 
@@ -424,7 +424,7 @@ def test_in_process_scorer_rejects_a_set_without_one_sum_per_candidate(tiny_corp
 
 
 def test_lexical_dense_scorer_orders_by_term_overlap():
-    scorer = LexicalDenseScorer(RuleAnnotator())
+    scorer = LexicalDenseScorer()
     scores = scorer.score("Melanie went hiking", [
         "Melanie went hiking yesterday",
         "nothing in common here at all",
@@ -433,7 +433,7 @@ def test_lexical_dense_scorer_orders_by_term_overlap():
 
 
 def test_lexical_dense_scorer_stopword_query():
-    scorer = LexicalDenseScorer(RuleAnnotator())
+    scorer = LexicalDenseScorer()
     scores = scorer.score("the of and", ["some text here"])
     assert scores == [pytest.approx(-0.003)]
 
@@ -445,6 +445,13 @@ RANK_WORDS = st.sampled_from(QUERY_WORDS + ["MELANIE", "İSTANBUL", "istanbul", 
                                             "cabin", "lake", "dusk"])
 RANK_TEXTS = st.lists(st.tuples(RANK_WORDS, st.sampled_from([" ", "  ", "\t", "\n", "\u3000"])),
                       max_size=8).map(lambda pairs: "".join(w + sep for w, sep in pairs))
+
+
+@pytest.fixture(scope="module")
+def served_lexical():
+    """LexicalDenseScorer served as a scorer host serves it."""
+    with ReferenceServer(score_fn=LexicalDenseScorer().score) as server:
+        yield ScorerHandle(name="served", kind="pointwise-cross", endpoint=server.endpoint)
 
 
 @settings(max_examples=200, deadline=None)
@@ -459,16 +466,23 @@ RANK_TEXTS = st.lists(st.tuples(RANK_WORDS, st.sampled_from([" ", "  ", "\t", "\
          texts=["Melanie went\tout", "hiking hiking\u3000trails", "cabin lake"])
 # No content terms: every sum is 0, the length penalty alone.
 @example(query="the of", mode="OR", texts=["the cabin", "of\nthe lake dusk"])
-def test_rank_in_process_vector_equals_the_text_path(query, texts, mode):
+def test_rank_in_process_vector_equals_the_text_path(query, texts, mode, served_lexical):
     annotator = RuleAnnotator()
     corpus = make_corpus(texts)
-    text_path = LexicalDenseScorer(annotator)
-    candidates = retrieve(query, corpus, RetrieveConfig(mode=mode), annotator, text_path)
+    cfg = RetrieveConfig(mode=mode)
+    candidates = retrieve(query, corpus, cfg, annotator)
     _, (vector,) = rank(candidates, query, corpus, [ScorerHandle(name="lex")])
     ids = candidates.ids()
+    candidate_texts = [corpus.get(pid).text for pid in ids]
     assert list(vector.scores) == ids
-    assert list(vector.scores.values()) == text_path.score(
-        query, [corpus.get(pid).text for pid in ids])
+    assert list(vector.scores.values()) == LexicalDenseScorer().score(query, candidate_texts)
+    # The in-process fallback scores each passage as the served text scorer
+    # does, so serving that scorer changes no candidate.
+    assert retrieve(query, corpus, cfg, annotator, [served_lexical]) == candidates
+    if not retrieve(query, corpus, RetrieveConfig(mode=mode, fallback_enabled=False),
+                    annotator):
+        assert [c.match_score for c in candidates.candidates] == \
+            ServiceClient(served_lexical.endpoint).score(query, candidate_texts)
 
 
 def test_rank_with_at_most_one_served_scorer_starts_no_thread(tiny_corpus, monkeypatch):

@@ -1,6 +1,7 @@
 """Substring retrieval, expansion hops, and the fallback path."""
 
 import random
+from contextlib import ExitStack
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from memgrep.annotate import RuleAnnotator
 from memgrep.corpus import SCAN_BLOCK, load_questions, read_corpus
 from memgrep.errors import EmptyTermSetError, ScorerUnavailableError
 from memgrep.parse import PRF_WEIGHT, WeightedTerm, WeightedTermSet, parse_query
+from memgrep.rank import ScorerHandle
 from memgrep.retrieve import (
     SEMANTIC_FALLBACK_TOP_N,
     Candidate,
@@ -22,6 +24,7 @@ from memgrep.retrieve import (
     query_id_for,
     retrieve,
 )
+from memgrep.service import ReferenceServer
 
 from conftest import fixture_path, grep_candidates, make_corpus
 
@@ -340,8 +343,8 @@ def fallback_corpus(seed, size=120):
 
 
 class LengthScorer:
-    """Integer dense scores with many ties, so id order decides inside them
-    and the top slice cuts through a tie."""
+    """Integer scores with many ties, so id order decides inside them and
+    the top slice cuts through a tie."""
 
     def score(self, query, texts):
         return [len(text) % 7 for text in texts]
@@ -352,21 +355,34 @@ class DownScorer:
         raise ScorerUnavailableError("scorer host down")
 
 
+def served(scorer, stack, name="svc"):
+    """A handle for `scorer` served by a ReferenceServer that `stack` closes."""
+    server = stack.enter_context(ReferenceServer(score_fn=scorer.score))
+    return ScorerHandle(name=name, kind="pointwise-cross", endpoint=server.endpoint)
+
+
+UNAVAILABLE = ("semantic-fallback-unavailable: service at {endpoint} refused request: "
+               "ScorerUnavailableError: scorer host down",)
 FALLBACK_CASES = {
-    # name: (query, mode, dense scorer, expected hops, expected warnings)
-    "or-no-hit": ("Where is the zanzibar quodlibet?", "OR", LengthScorer(), 1, ()),
-    "and-or-sums-no-and-hit": ("Did Melanie bake bread?", "AND", LengthScorer(), 1, ()),
-    "empty-terms": ("the of and", "OR", LengthScorer(), 0,
+    # name: (query, mode, served scorer or None for the in-process one,
+    #        expected hops, expected warnings)
+    "or-no-hit": ("Where is the zanzibar quodlibet?", "OR", None, 1, ()),
+    "or-no-hit-served": ("Where is the zanzibar quodlibet?", "OR", LengthScorer(), 1, ()),
+    "and-or-sums-no-and-hit": ("Did Melanie bake bread?", "AND", None, 1, ()),
+    "and-or-sums-no-and-hit-served": ("Did Melanie bake bread?", "AND", LengthScorer(), 1, ()),
+    "empty-terms": ("the of and", "OR", None, 0,
                     ("empty-term-set: no content terms in query",)),
+    "empty-terms-served": ("the of and", "OR", LengthScorer(), 0,
+                           ("empty-term-set: no content terms in query",)),
     "scorer-unavailable": ("Where is the zanzibar quodlibet?", "OR", DownScorer(), 1,
-                           ("semantic-fallback-unavailable: scorer host down",)),
+                           UNAVAILABLE),
 }
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
 def test_fallback_set_through_retrieve_equals_brute_force(case, seed, tagger):
-    query, mode, dense, hops, warnings = FALLBACK_CASES[case]
+    query, mode, scorer, hops, warnings = FALLBACK_CASES[case]
     corpus = fallback_corpus(seed)
     passages = corpus.passages
     try:
@@ -374,17 +390,23 @@ def test_fallback_set_through_retrieve_equals_brute_force(case, seed, tagger):
     except EmptyTermSetError:
         terms = ()
     # Brute force: each passage's OR sum, the weights of the terms its text
-    # holds added in term order; the top SEMANTIC_FALLBACK_TOP_N dense
-    # scores in (-score, id) order.
+    # holds added in term order; the top SEMANTIC_FALLBACK_TOP_N fallback
+    # scores in (-score, id) order. In process, a passage scores its sum
+    # minus 0.001 per word; a served scorer scores the texts.
     sums = [sum(t.weight for t in terms if t.surface.lower() in p.text.lower())
             for p in passages]
     if mode == "AND":
         assert any(sums), "some passage must hold a query term"
         assert not any(all(t.surface.lower() in p.text.lower() for t in terms)
                        for p in passages), "no passage may hold every term"
-    try:
-        dense_scores = dense.score(query, [p.text for p in passages])
-    except ScorerUnavailableError:
+    if scorer is None:
+        dense_scores = [m - 0.001 * len(p.text.split()) for m, p in zip(sums, passages)]
+    else:
+        try:
+            dense_scores = scorer.score(query, [p.text for p in passages])
+        except ScorerUnavailableError:
+            dense_scores = None
+    if dense_scores is None:
         top = []
     else:
         top = sorted(range(len(passages)),
@@ -392,8 +414,14 @@ def test_fallback_set_through_retrieve_equals_brute_force(case, seed, tagger):
         top = top[:SEMANTIC_FALLBACK_TOP_N]
         assert len(passages) > len(top) == SEMANTIC_FALLBACK_TOP_N
 
-    result = retrieve(query, corpus, RetrieveConfig(mode=mode), annotator=tagger,
-                      dense_scorer=dense)
+    with ExitStack() as stack:
+        # The fallback scores with the first served handle, wherever it
+        # stands, and in process when no handle is served.
+        scorers = [ScorerHandle(name="lex")]
+        if scorer is not None:
+            scorers.append(served(scorer, stack))
+            warnings = tuple(w.format(endpoint=scorers[1].endpoint) for w in warnings)
+        result = retrieve(query, corpus, RetrieveConfig(mode=mode), tagger, scorers)
 
     assert result.ids() == [passages[i].id for i in top]
     assert [c.match_score for c in result.candidates] == [
@@ -404,6 +432,9 @@ def test_fallback_set_through_retrieve_equals_brute_force(case, seed, tagger):
     assert result.term_sums == tuple(sums[i] for i in top)
     assert result.warnings == warnings
     assert result.query_id == query_id_for(query)
+    if scorer is None:
+        # With no scorer given, retrieve falls back in process as well.
+        assert retrieve(query, corpus, RetrieveConfig(mode=mode), tagger) == result
 
 
 def test_retrieve_single_hop(tagger, fixture_corpus_path):
@@ -491,13 +522,15 @@ def test_retrieve_dedup_keeps_max_score_and_min_hop(tagger):
     assert seen["s:0"].match_score == best
 
 
-def test_retrieve_empty_grep_falls_back(tagger, tiny_corpus):
-    class Flat:
-        def score(self, query, items):
-            return [0.0] * len(items)
+class Flat:
+    def score(self, query, items):
+        return [0.0] * len(items)
 
-    result = retrieve("zanzibar quodlibet", tiny_corpus, annotator=tagger,
-                      dense_scorer=Flat())
+
+def test_retrieve_empty_grep_falls_back(tagger, tiny_corpus):
+    with ExitStack() as stack:
+        result = retrieve("zanzibar quodlibet", tiny_corpus, annotator=tagger,
+                          scorers=[served(Flat(), stack)])
     assert len(result) == len(tiny_corpus)
     assert result.hops_executed == 1
     assert all(c.hop == 1 for c in result.candidates)
@@ -514,12 +547,9 @@ def test_retrieve_no_fallback_available(tagger, tiny_corpus):
 
 
 def test_retrieve_empty_term_set_warns(tagger, tiny_corpus):
-    class Flat:
-        def score(self, query, items):
-            return [0.0] * len(items)
-
-    result = retrieve("the of and", tiny_corpus, annotator=tagger,
-                      dense_scorer=Flat())
+    with ExitStack() as stack:
+        result = retrieve("the of and", tiny_corpus, annotator=tagger,
+                          scorers=[served(Flat(), stack)])
     assert result.hops_executed == 0
     assert any("empty-term-set" in w for w in result.warnings)
     assert result and all(c.hop == 0 for c in result.candidates)

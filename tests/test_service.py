@@ -153,8 +153,9 @@ def test_connection_failures_are_retried(monkeypatch):
 
 
 def test_client_defaults_are_a_10_second_timeout_and_one_retry():
-    # Served scorers, the CLI's fallback scorer and the service annotator
-    # build their clients from the endpoint alone, so these are their limits.
+    # Served scorers, in rank and in the fallback alike, and the service
+    # annotator build their clients from the endpoint alone, so these are
+    # their limits.
     assert (service.TIMEOUT_S, service.CONNECT_RETRIES) == (10.0, 1)
 
 
