@@ -30,7 +30,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 from itertools import compress, repeat
-from operator import add, contains, neg, truediv
+from operator import add, contains, truediv
 from typing import NamedTuple
 
 from .annotate import RuleAnnotator
@@ -200,7 +200,9 @@ def rrf_fuse(
         sums = list(map(add, map(fused.get, ids, repeat(0.0)), shares))
         fused.update(zip(ids, sums))
     order = order_by_score(fused)
-    entries = tuple(map(RankedEntry, order, map(fused.__getitem__, order)))
+    # tuple.__new__ builds each record in C; RankedEntry's own __new__ is Python.
+    entries = tuple(map(tuple.__new__, repeat(RankedEntry),
+                        zip(order, map(fused.__getitem__, order))))
     return RankedList(entries=entries)
 
 
@@ -245,12 +247,20 @@ def rank(
     else:
         vectors = [score(s, query, candidates, corpus) for s in scorers]
 
-    per_scorer_order = [(v.scorer_name, order_by_score(v.scores)) for v in vectors]
+    # Every vector scores the same ids, so they are sorted once; each stable
+    # sort by score then gives order_by_score(v.scores).
+    ids = sorted(candidates.ids())
+    per_scorer_order = [(v.scorer_name, sorted(ids, key=v.scores.__getitem__, reverse=True))
+                        for v in vectors]
     ranked = rrf_fuse(per_scorer_order, cfg)
     return ranked, vectors
 
 
 def order_by_score(scores: dict[str, float]) -> list[str]:
-    """Ids by score descending, then id ascending. Ids are unique, so no two
-    (-score, id) keys tie."""
-    return [pid for _, pid in sorted(zip(map(neg, scores.values()), scores))]
+    """Ids by score descending, then id ascending: the ids sorted, then
+    stable-sorted by score alone. A stable sort keeps tied scores (0.0 and
+    -0.0 included) in id order, so this is the (-score, id) order, and ids
+    are unique, so no two of those keys tie."""
+    order = sorted(scores)
+    order.sort(key=scores.__getitem__, reverse=True)
+    return order

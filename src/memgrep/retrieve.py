@@ -29,7 +29,8 @@ import hashlib
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter, neg
+from itertools import compress, repeat
+from operator import attrgetter, le
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .annotate import Annotator, RuleAnnotator
@@ -161,11 +162,25 @@ def and_hits(hits: dict[int, float], terms: WeightedTermSet) -> dict[int, float]
 def candidate_order(corpus: Corpus, scores: dict[int, float],
                     top: int | None = None) -> list[int]:
     """Passage positions in candidate order, match score descending, then
-    passage id ascending; only the first `top` when it is given."""
-    ids = map(attrgetter("id"), map(corpus.passages.__getitem__, scores))
-    keyed = zip(map(neg, scores.values()), ids, scores)
-    rows = sorted(keyed) if top is None else heapq.nsmallest(top, keyed)
-    return [i for _, _, i in rows]
+    passage id ascending; only the first `top` when it is given.
+
+    The positions are sorted by passage id, then stable-sorted by score, so
+    tied scores (0.0 and -0.0 included) stay in id order: the (-score, id)
+    order. Given `top`, only the positions scoring at least the top-th
+    largest score are sorted, every tie at that cutoff included, and the
+    order is cut after."""
+    if top is not None and top < len(scores):
+        if top <= 0:
+            return []
+        cutoff = heapq.nlargest(top, scores.values())[-1]
+        positions = list(compress(scores, map(le, repeat(cutoff), scores.values())))
+    else:
+        positions = list(scores)
+    ids = dict(zip(positions, map(attrgetter("id"), map(corpus.passages.__getitem__,
+                                                          positions))))
+    positions.sort(key=ids.__getitem__)
+    positions.sort(key=scores.__getitem__, reverse=True)
+    return positions[:top]
 
 
 # --- expansion hops ---
@@ -359,6 +374,9 @@ def retrieve(
         else:
             warnings.append("no-candidates: substring search empty and fallback disabled")
     order = candidate_order(corpus, scores)
-    found = tuple(Candidate(passages[i].id, scores[i], first_hop[i]) for i in order)
+    # tuple.__new__ builds each record in C; Candidate's own __new__ is Python.
+    found = tuple(map(tuple.__new__, repeat(Candidate),
+                      zip(map(attrgetter("id"), map(passages.__getitem__, order)),
+                          map(scores.__getitem__, order), map(first_hop.__getitem__, order))))
     return CandidateSet(found, query_id_for(query), hops, tuple(warnings),
-                        tuple(own.get(i, 0.0) for i in order), terms.terms)
+                        tuple(map(own.get, order, repeat(0.0))), terms.terms)

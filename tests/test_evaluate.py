@@ -1,7 +1,9 @@
 """Metrics, the score matrix artifact, and the offline simulator."""
 
 import dataclasses
+import importlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,9 @@ from memgrep.evaluate import (
     sweep_to_json,
     write_matrix,
 )
-from memgrep.rank import ScorerHandle
+from memgrep.rank import LexicalDenseScorer, ScorerHandle
+from memgrep.retrieve import RetrieveConfig
+from memgrep.service import ReferenceServer
 from memgrep.truncate import Context, PassageStats
 
 
@@ -126,6 +130,36 @@ def test_run_question_parses_the_query_with_its_annotator(fixture_corpus_path):
     assert annotator.annotated.count(query) == 1
 
 
+# bench/tracing.py times each layer by replacing these module attributes, so
+# the pipeline must look each one up there when it calls it.
+TRACED_HOOKS = [("evaluate", "retrieve"), ("evaluate", "rank"), ("retrieve", "grep_search"),
+                ("rank", "score"), ("rank", "rrf_fuse")]
+
+
+def test_run_question_calls_every_traced_hook_through_its_module(fixture_corpus_path,
+                                                                 monkeypatch):
+    corpus = read_corpus(fixture_corpus_path)
+    calls = Counter()
+
+    def counted(key, inner):
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        return counting
+
+    for module, name in TRACED_HOOKS:
+        owner = importlib.import_module(f"memgrep.{module}")
+        monkeypatch.setattr(owner, name, counted(f"{module}.{name}", getattr(owner, name)))
+    with ReferenceServer(score_fn=LexicalDenseScorer().score) as server:
+        scorers = [ScorerHandle(name="ce", kind="pointwise-cross", endpoint=server.endpoint),
+                   ScorerHandle(name="lex")]
+        run = run_question("What job does Gina have now?", corpus, scorers)
+    assert run.ranked
+    # Three greps: the query's, one entity hop's and the PRF round's.
+    assert calls == {"evaluate.retrieve": 1, "evaluate.rank": 1, "retrieve.grep_search": 3,
+                     "rank.score": 2, "rank.rrf_fuse": 1}
+
+
 def test_build_matrix_builds_one_annotator(fixture_corpus_path,
                                           fixture_questions_path, monkeypatch):
     corpus = read_corpus(fixture_corpus_path)
@@ -149,11 +183,17 @@ def test_build_matrix_flags_missing_gold(fixture_corpus_path, tmp_path):
         {"question_id": "impossible", "question": "zanzibar quodlibet",
          "gold_passage_ids": ["s1:4"]},
     ]), corpus)
-    matrix = build_matrix(questions, corpus, [ScorerHandle(name="lex")])
-    rec = matrix.records[0]
-    # The lexical fallback still retrieves; missing only if absent there too.
+    lex = [ScorerHandle(name="lex")]
+    # No term hits, so the in-process fallback keeps its top 50: all ten
+    # fixture passages, the gold one included.
+    rec = build_matrix(questions, corpus, lex).records[0]
     assert rec.gold_ids == {"s1:4"}
-    assert rec.missing_gold in (frozenset(), {"s1:4"})
+    assert len(rec.stats) == len(corpus)
+    assert rec.missing_gold == frozenset()
+    # Without the fallback nothing is retrieved, so the gold is missing.
+    rec = build_matrix(questions, corpus, lex, RetrieveConfig(fallback_enabled=False)).records[0]
+    assert rec.stats == ()
+    assert rec.missing_gold == {"s1:4"}
 
 
 def test_build_matrix_neither_cuts_nor_renders(fixture_corpus_path,

@@ -1,5 +1,6 @@
 """Scoring and reciprocal rank fusion."""
 
+import importlib
 import math
 import random
 import threading
@@ -19,6 +20,7 @@ from memgrep.rank import (
     DEFAULT_RRF_K,
     FusionConfig,
     LexicalDenseScorer,
+    RankedEntry,
     RankedList,
     ScorerHandle,
     order_by_score,
@@ -31,6 +33,9 @@ from memgrep.retrieve import (Candidate, CandidateSet, RetrieveConfig, grep_sear
 from memgrep.service import ReferenceServer, ServiceClient
 
 from conftest import grep_candidates, make_corpus, sequential_rank
+
+# The module, which memgrep's own `rank` (the function) shadows as an attribute.
+rank_module = importlib.import_module("memgrep.rank")
 
 
 def term_set(*pairs):
@@ -400,6 +405,39 @@ def test_rank_two_scorers_concurrent_equals_sequential(tiny_corpus):
         for handles in ([svc, late], [svc, ScorerHandle(name="lex")]):
             assert rank(candidates, "Melanie went hiking", tiny_corpus, handles) == \
                 sequential_rank(candidates, "Melanie went hiking", tiny_corpus, handles)
+
+
+def test_rank_orders_each_tied_vector_as_order_by_score(monkeypatch):
+    # Twelve ids, so s:10 sorts before s:2, listed in reverse; few distinct
+    # scores, 0.0 and -0.0 among them, so both vectors are full of ties.
+    corpus = make_corpus(["text " + "x " * (i % 3) for i in range(12)])
+    candidates = CandidateSet(tuple(Candidate(p.id, 0.0, 0) for p in reversed(corpus.passages)),
+                              query_id="q", hops_executed=1, term_sums=(0.0,) * 12)
+    fused = []
+    fuse = rank_module.rrf_fuse
+
+    def recording_fuse(rankings, cfg):
+        fused.append(rankings)
+        return fuse(rankings, cfg)
+
+    def tied(query, items):
+        return [float(len(item) % 4) for item in items]
+
+    def signed_zeros(query, items):
+        return [0.0 if len(item) % 3 else -0.0 for item in items]
+
+    monkeypatch.setattr(rank_module, "rrf_fuse", recording_fuse)
+    with ReferenceServer(score_fn=tied) as one, ReferenceServer(score_fn=signed_zeros) as two:
+        served = [ScorerHandle(name="a", kind="pointwise-cross", endpoint=one.endpoint),
+                  ScorerHandle(name="b", kind="late-interaction", endpoint=two.endpoint)]
+        for scorers in (served, [served[0], ScorerHandle(name="lex")]):
+            fused.clear()
+            ranked, vectors = rank(candidates, "q", corpus, scorers)
+            assert all(len(set(v.scores.values())) < len(v.scores) for v in vectors)
+            assert fused == [[(v.scorer_name, order_by_score(v.scores)) for v in vectors]]
+            for entry in ranked.entries:
+                twin = RankedEntry(passage_id=entry.passage_id, fused_score=entry.fused_score)
+                assert type(entry) is RankedEntry and repr(entry) == repr(twin)
 
 
 def test_rank_rejects_duplicate_scorer_names(tiny_corpus):

@@ -18,6 +18,7 @@ from memgrep.retrieve import (
     CandidateSet,
     RetrieveConfig,
     and_hits,
+    candidate_order,
     entity_expansion_hop,
     grep_search,
     prf_hop,
@@ -69,6 +70,24 @@ def test_grep_tie_breaks_by_passage_id():
     corpus = make_corpus(["same word", "same word", "same word"])
     result = grep_candidates(corpus, term_set(("word", 2.0)))
     assert [c.passage_id for c in result.candidates] == ["s:0", "s:1", "s:2"]
+
+
+# A few repeated scores, 0.0 and -0.0 among them, so ties straddle any cutoff.
+TIED_SCORES = st.sampled_from([2.5, 1.0, 0.5, 0.0, -0.0, -1.0])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(order=st.permutations(range(14)), n=st.integers(0, 14),
+       values=st.lists(TIED_SCORES, min_size=14, max_size=14))
+@example(order=[12, 2, 10, 3, 1, 0, 4, 5, 6, 7, 8, 9, 11, 13], n=5,
+         values=[1.0, 1.0, -0.0, 0.0, 0.0] + [0.0] * 9)
+def test_candidate_order_is_score_down_then_id_up(order, n, values):
+    # Ids s:0 .. s:13 sort as strings, so s:10 comes before s:2.
+    corpus = make_corpus(["text"] * 14)
+    scores = dict(zip(order[:n], values))
+    expected = sorted(scores, key=lambda i: (-scores[i], corpus.passages[i].id))
+    for top in (None, 0, 1, n - 1, n, n + 1):
+        assert candidate_order(corpus, scores, top) == expected[:top]
 
 
 def test_grep_repeated_occurrences_count_once():
@@ -452,7 +471,11 @@ def assert_candidates_consistent(result: CandidateSet) -> None:
     every hop lies in [0, hops_executed], and only PRF and the dense
     fallback add candidates at hops_executed. The fallback runs only when no
     grep found a candidate, so it puts every candidate there; a PRF
-    candidate scores a whole number of PRF_WEIGHTs."""
+    candidate scores a whole number of PRF_WEIGHTs. Each record is a plain
+    Candidate, as its keyword-built twin."""
+    for c in result.candidates:
+        twin = Candidate(passage_id=c.passage_id, match_score=c.match_score, hop=c.hop)
+        assert type(c) is Candidate and repr(c) == repr(twin)
     hops = [c.hop for c in result.candidates]
     assert all(0 <= hop <= result.hops_executed for hop in hops)
     if any(hop < result.hops_executed for hop in hops):
