@@ -3,11 +3,15 @@
 Configuration comes from the pipeline's config dataclasses' defaults, then a
 JSON config file (--config or the MEMGREP_CONFIG environment variable), then
 flags; later sources win key by key. The config file has runconfig.json's
-shape, and each flag overrides one key of its section. Every
-artifact-producing run writes runconfig.json, the record of the RunConfig
-that ran, next to its outputs, so passing it back as --config repeats the
-run. Artifacts carry no timestamps, and nothing in the pipeline draws
-randomness, so identical inputs produce byte-identical outputs.
+shape; one builder walks RunConfig's fields, so a key at any level that names
+no field, or a `deterministic` marker that is not true, is rejected. Each
+flag's dest names the key it overrides (`truncation.word_budget`, `corpus`).
+Every artifact-producing run writes runconfig.json, the record of the
+RunConfig that ran, next to its outputs, so passing it back as --config
+repeats the run; oracle's search limits and sweep's grid and --matrix are not
+in it, so a replay runs their defaults. Artifacts carry no timestamps, and
+nothing in the pipeline draws randomness, so identical inputs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -109,94 +113,87 @@ def _fits(value, hint) -> bool:
     return type(value) is hint
 
 
-def _build(cls, values: dict, where: str):
-    """A `cls` from `values`, each of which must name a field of `cls` and
-    fit its annotation; any failure is a ConfigError naming `where`."""
+def _build(cls, values: object, where: str):
+    """A `cls` from the JSON object `values`, each key of which must name a
+    field of `cls` and fit its annotation: a dataclass-typed field is built
+    from its own object, named `where: key`, and the scorer list by
+    _scorers. Any failure is a ConfigError naming `where`."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{where} must be an object, got {values!r}")
     hints = get_type_hints(cls)
     names = {f.name for f in fields(cls)}
+    built = {}
     try:
         for key, value in values.items():
             if key not in names:
                 raise TypeError(f"unknown key {key!r}")
-            if not _fits(value, hints[key]):
-                hint = getattr(hints[key], "__name__", hints[key])
-                raise TypeError(f"{key} must be {hint}, got {value!r}")
-        return cls(**values)
+            hint = hints[key]
+            if is_dataclass(hint):
+                value = _build(hint, value, f"{where}: {key}")
+            elif hint == list[ScorerHandle]:
+                value = _scorers(value, f"{where}: {key}")
+            elif not _fits(value, hint):
+                raise TypeError(f"{key} must be {getattr(hint, '__name__', hint)}, got {value!r}")
+            built[key] = value
+        return cls(**built)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _section(cls, doc: dict, name: str, source: str, **flags):
-    """The `name` section as a `cls`: the flags that were given, laid over
-    the file's section, laid over the dataclass defaults."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{source}: {name} must be an object, got {section!r}")
-    given = {key: value for key, value in flags.items() if value is not None}
-    return _build(cls, {**section, **given}, f"{source}: {name}")
-
-
-def _scorer(entry: object, where: str) -> ScorerHandle:
-    """The handle a scorer entry names: served when it has an endpoint (a
-    pointwise-cross scorer unless its kind says otherwise), else in process."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: a scorer entry must be an object, got {entry!r}")
-    kind = "pointwise-cross" if entry.get("endpoint") else ScorerHandle.kind
-    return _build(ScorerHandle, {"kind": kind, **entry}, where)
+def _scorers(entries: object, where: str) -> list[ScorerHandle]:
+    """The handles of one or two scorer entries with distinct names. An
+    entry is served when it has an endpoint, and then a pointwise-cross
+    scorer unless its kind says otherwise; else it runs in process."""
+    if not isinstance(entries, list) or len(entries) not in (1, 2):
+        raise ConfigError(f"{where}: expected one or two scorer entries, got {entries!r}")
+    scorers = []
+    for i, entry in enumerate(entries):
+        if isinstance(entry, dict) and entry.get("endpoint"):
+            entry = {"kind": "pointwise-cross", **entry}
+        scorers.append(_build(ScorerHandle, entry, f"{where}[{i}]"))
+    if len(scorers) == 2 and scorers[0].name == scorers[1].name:
+        raise ConfigError(f"{where}[1]: scorer name {scorers[1].name!r} repeats {where}[0]")
+    return scorers
 
 
 def _scorer_from_flag(spec: str) -> dict:
     """The scorer entry a --scorer flag gives: its name and its endpoint,
-    none for 'lexical'; _scorer then picks the kind as for a file entry."""
+    none for 'lexical'; _scorers then picks the kind as for a file entry."""
     name, sep, endpoint = spec.partition("=")
     if not sep or not name or not endpoint:
-        raise ConfigError(
-            f"bad --scorer {spec!r}; expected name=endpoint "
-            "(endpoint 'lexical' for the in-process test scorer)"
-        )
+        raise ConfigError(f"bad --scorer {spec!r}; expected name=endpoint "
+                          "(endpoint 'lexical' for the in-process test scorer)")
     return {"name": name} if endpoint == "lexical" else {"name": name, "endpoint": endpoint}
 
 
+def _read(cls, doc: dict, args: argparse.Namespace, where: str):
+    """A `cls` built from `doc` with each flag given laid over the key its
+    dest names: a field of `cls`, or `section.field` for a field of one of
+    its sections."""
+    names = {f.name for f in fields(cls)}
+    for dest, value in vars(args).items():
+        name, _, key = dest.partition(".")
+        if value is None or name not in names:
+            continue
+        if not key:
+            doc[name] = value
+        elif isinstance(doc.setdefault(name, {}), dict):   # _build rejects a non-object
+            doc[name][key] = value
+    return _build(cls, doc, where)
+
+
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    flag = vars(args).get
-    path = flag("config") or os.environ.get(ENV_CONFIG)
+    """The config file's RunConfig with every flag given laid over it."""
+    path = args.config or os.environ.get(ENV_CONFIG)
     doc = _load_config_file(path)
     source = path or "flags"
-
-    if flag("scorer"):
-        entries = [_scorer_from_flag(spec) for spec in flag("scorer")]
-        where = "--scorer"
-    else:
-        entries = doc.get("scorers") or []
-        where = f"{source}: scorers"
-        if not isinstance(entries, list):
-            raise ConfigError(f"{where} must be a list, got {entries!r}")
-    if len(entries) > 2:
-        raise ConfigError("at most two scorers are supported")
-    scorers = [_scorer(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
-    if len(scorers) == 2 and scorers[0].name == scorers[1].name:
-        raise ConfigError(f"{where}[1]: scorer name {scorers[1].name!r} repeats {where}[0]")
-
-    top_level = {"scorers": scorers} if scorers else {}
-    for key in ("corpus", "format", "questions", "out"):
-        value = flag(key) if flag(key) is not None else doc.get(key)
-        if not isinstance(value, (str, type(None))):
-            raise ConfigError(f"{source}: {key} must be a string, got {value!r}")
-        if value is not None:
-            top_level[key] = value
-    mode = flag("mode")
-
-    return RunConfig(
-        **top_level,
-        annotator=_section(AnnotatorConfig, doc, "annotator", source,
-                           endpoint=flag("annotator_endpoint")),
-        retrieve=_section(RetrieveConfig, doc, "retrieve", source,
-                          mode=mode.upper() if mode else None),
-        fusion=_section(FusionConfig, doc, "fusion", source),
-        truncation=_section(TruncationConfig, doc, "truncation", source,
-                            strategy=flag("strategy"), word_budget=flag("budget"),
-                            alpha=flag("alpha"), top_k=flag("top_k")),
-    )
+    # runconfig.json records its run as deterministic; no RunConfig field holds it.
+    if (marker := doc.pop("deterministic", True)) is not True:
+        raise ConfigError(f"{source}: deterministic must be true, got {marker!r}")
+    if vars(args).get("scorer"):   # flags replace the file's scorers
+        doc["scorers"] = [_scorer_from_flag(spec) for spec in args.scorer]
+        _scorers(doc["scorers"], "--scorer")   # so that an error names the flag
+    return _read(RunConfig, doc, args, source)
 
 
 # --- config materialization ---
@@ -232,9 +229,7 @@ def _write_artifacts(cfg: RunConfig, files: dict[str, str]) -> None:
 
 def cmd_ingest(cfg: RunConfig) -> int:
     if cfg.format not in INGEST_FORMATS:
-        raise ConfigError(
-            f"ingest needs --format from {', '.join(INGEST_FORMATS)}"
-        )
+        raise ConfigError(f"ingest needs --format from {', '.join(INGEST_FORMATS)}")
     corpus = ingest(_require(cfg.corpus, "--corpus"), cfg.format)
     meta = corpus_metadata(corpus)
     files = {
@@ -283,22 +278,15 @@ def cmd_query(cfg: RunConfig, query: str) -> int:
     return 0
 
 
-def cmd_oracle(cfg: RunConfig, max_states: int | None, max_edges: int | None) -> int:
+def cmd_oracle(cfg: RunConfig, limits: SearchLimits) -> int:
     corpus = _load_cli_corpus(cfg)
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
     annotator = cfg.annotator.build()
-    limits = _section(SearchLimits, {}, "search limits", "flags",
-                      max_states=max_states, max_edges=max_edges)
-    traces = []
-    skipped = 0
-    for question in questions:
-        if not question.gold_passage_ids:
-            skipped += 1
-            continue
-        traces.append(derive_trace(question.text, question.gold, corpus,
-                                   annotator, cfg.scorers, limits))
+    asked = [question for question in questions if question.gold_passage_ids]
+    traces = [derive_trace(question.text, question.gold, corpus, annotator, cfg.scorers, limits)
+              for question in asked]
     stats = trace_stats(traces)
-    stats["skipped_empty_gold"] = skipped
+    stats["skipped_empty_gold"] = len(questions) - len(asked)
     output = json.dumps(stats, sort_keys=True, ensure_ascii=False, indent=2)
     print(output)
     _write_artifacts(cfg, {
@@ -375,17 +363,20 @@ def _add_pipeline(parser: argparse.ArgumentParser, *, ranks: bool, cuts: bool) -
     parser.add_argument("--scorer", action="append", metavar="NAME=ENDPOINT",
                         help="scorer (repeatable; endpoint 'lexical' for the "
                              "in-process test scorer)")
-    parser.add_argument("--annotator-endpoint", dest="annotator_endpoint",
+    parser.add_argument("--annotator-endpoint", dest="annotator.endpoint",
                         help="service annotator (default: the rule annotator)")
     if ranks:
-        parser.add_argument("--mode", choices=("or", "and"), help="grep mode")
-        parser.add_argument("--top-k", dest="top_k", type=int,
+        parser.add_argument("--mode", dest="retrieve.mode", type=str.upper,
+                            choices=("OR", "AND"), help="grep mode")
+        parser.add_argument("--top-k", dest="truncation.top_k", type=int,
                             help="adaptive pre-selection size")
     if cuts:
-        parser.add_argument("--strategy", choices=("fixed", "adaptive"),
-                            help="truncation strategy")
-        parser.add_argument("--budget", type=int, help="word budget / ceiling")
-        parser.add_argument("--alpha", type=float, help="adaptive threshold fraction")
+        parser.add_argument("--strategy", dest="truncation.strategy",
+                            choices=("fixed", "adaptive"), help="truncation strategy")
+        parser.add_argument("--budget", dest="truncation.word_budget", type=int,
+                            help="word budget / ceiling")
+        parser.add_argument("--alpha", dest="truncation.alpha", type=float,
+                            help="adaptive threshold fraction")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -407,8 +398,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p_oracle)
     _add_pipeline(p_oracle, ranks=False, cuts=False)
     p_oracle.add_argument("--questions", help="question/gold annotation file")
-    p_oracle.add_argument("--max-states", dest="max_states", type=int)
-    p_oracle.add_argument("--max-edges", dest="max_edges", type=int)
+    p_oracle.add_argument("--max-states", type=int)
+    p_oracle.add_argument("--max-edges", type=int)
 
     p_eval = sub.add_parser("eval", help="score matrix plus metrics report")
     _add_common(p_eval)
@@ -433,11 +424,16 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid(values: str, flag: str, kind: type) -> list:
-    try:  # a value that `kind` cannot read is a ConfigError naming the flag
-        return [kind(value) for value in values.split(",") if value]
+def _grid(values: str, flag: str, kind: type, key: str) -> list:
+    """A sweep flag's comma-separated values, each read by `kind` and checked
+    as TruncationConfig's `key`; a bad one is a ConfigError naming the flag."""
+    try:
+        grid = [kind(value) for value in values.split(",") if value]
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from None
+    for value in grid:
+        _build(TruncationConfig, {key: value}, flag)
+    return grid
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -450,12 +446,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "query":
             return cmd_query(cfg, args.query_text)
         if args.command == "oracle":
-            return cmd_oracle(cfg, args.max_states, args.max_edges)
+            return cmd_oracle(cfg, _read(SearchLimits, {}, args, "flags"))
         if args.command == "eval":
             return cmd_eval(cfg)
         if args.command == "sweep":
-            budgets = _grid(args.budgets, "--budgets", int)
-            alphas = _grid(args.alphas, "--alphas", float)
+            budgets = _grid(args.budgets, "--budgets", int, "word_budget")
+            alphas = _grid(args.alphas, "--alphas", float, "alpha")
+            _build(TruncationConfig, {"word_budget": args.ceiling}, "--ceiling")
             return cmd_sweep(cfg, budgets, alphas, args.ceiling, args.matrix)
         raise ConfigError(f"unknown command {args.command!r}")
     except (MemgrepError, ValueError, OSError) as exc:

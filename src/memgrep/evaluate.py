@@ -278,18 +278,20 @@ def write_matrix(matrix: ScoreMatrix, path: str | Path) -> None:
 
 def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
     """Read a matrix artifact; with a corpus given, insist it is the one the
-    matrix was built from (checksum match)."""
+    matrix was built from (checksum match). The header opens the file, and
+    every later record is a question."""
     path = Path(path)
     header = None
     records = []
     for lineno, rec in _matrix_lines(path):
         if not isinstance(rec, dict):
             raise IncompleteMatrixError(f"{path}:{lineno}: expected an object per line")
-        if rec.get("record") == "header":
-            header = rec
+        if header is None:
+            header = _header(rec, f"{path}:{lineno}")
             continue
         if rec.get("record") != "question":
-            raise IncompleteMatrixError(f"{path}:{lineno}: unknown record kind")
+            raise IncompleteMatrixError(
+                f"{path}:{lineno}: expected a question record, got {rec.get('record')!r}")
         try:
             ids = rec["candidates"]
             if len(set(ids)) != len(ids):
@@ -318,8 +320,8 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
         raise IncompleteMatrixError(f"{path}: missing matrix header record")
     matrix = ScoreMatrix(
         records=tuple(records),
-        corpus_checksum=header.get("corpus_checksum", ""),
-        cross_scorer=header.get("cross_scorer", ""),
+        corpus_checksum=header["corpus_checksum"],
+        cross_scorer=header["cross_scorer"],
     )
     if corpus is not None and matrix.corpus_checksum != corpus.checksum:
         raise IncompleteMatrixError(
@@ -336,6 +338,20 @@ def _matrix_lines(path: Path) -> Iterator[tuple[int, Any]]:
         yield from _jsonl_records(path)
     except MalformedDocumentError as exc:
         raise IncompleteMatrixError(str(exc)) from exc
+
+
+def _header(rec: dict, where: str) -> dict:
+    """The matrix's first record, which must be the header matrix_to_jsonl
+    writes: its record, kind and MATRIX_FORMAT, and two strings."""
+    for key, want in {"record": "header", "kind": "score-matrix", "format": MATRIX_FORMAT}.items():
+        if type(rec.get(key)) is not type(want) or rec.get(key) != want:
+            raise IncompleteMatrixError(
+                f"{where}: expected the matrix header with {key} {want!r}, got {rec.get(key)!r}")
+    for key in ("corpus_checksum", "cross_scorer"):
+        if type(rec.get(key)) is not str:
+            raise IncompleteMatrixError(
+                f"{where}: expected the matrix header with a string {key}, got {rec.get(key)!r}")
+    return rec
 
 
 def _id_set(rec: dict, name: str) -> frozenset[str]:

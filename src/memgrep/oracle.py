@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .annotate import Annotator
 from .corpus import Corpus, GoldAnnotation
-from .errors import EmptyTermSetError
+from .errors import EmptyTermSetError, ScorerUnavailableError
 from .parse import WeightedTerm, WeightedTermSet, parse_query
 from .rank import ScorerHandle
 from .retrieve import and_hits, candidate_order, grep_search, semantic_fallback
@@ -83,7 +83,8 @@ def derive_trace(
     Each action greps (or semantically scores) the corpus, adds retrieved
     gold passages to `covered`, and adds entities from the top retrieved
     passages to `discovered`. The goal is full gold coverage. Failure inside
-    the state/edge limits is reported, not raised; the trace records why.
+    the state/edge limits, or a semantic action whose served scorer is down
+    ("scorer-unavailable"), is reported, not raised; the trace records why.
     """
     gold_ids = frozenset(gold.gold_passage_ids)
     if not gold_ids:
@@ -164,7 +165,10 @@ def derive_trace(
             edges += 1
             if edges > limits.max_edges:
                 return fail("search-budget-exhausted")
-            covered_gain, found_terms = execute(action)
+            try:
+                covered_gain, found_terms = execute(action)
+            except ScorerUnavailableError:
+                return fail("scorer-unavailable")
             next_state = (covered | covered_gain, discovered | found_terms)
             if next_state in came_from:
                 continue

@@ -1,20 +1,26 @@
 """Command-line surface: artifacts, config precedence, error records."""
 
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memgrep.annotate import AnnotatorConfig, RuleAnnotator
-from memgrep.cli import build_run_config, main, make_parser
-from memgrep.corpus import load_questions, read_corpus
+from memgrep.cli import (CANONICAL_FORMAT, RunConfig, _write_artifacts, build_run_config, main,
+                         make_parser)
+from memgrep.corpus import INGEST_FORMATS, load_questions, read_corpus
 from memgrep.evaluate import build_matrix, matrix_to_jsonl
 from memgrep.parse import parse_query
-from memgrep.rank import FusionConfig, ScorerHandle, primary_index
+from memgrep.rank import SCORER_KINDS, FusionConfig, ScorerHandle, primary_index
 from memgrep.retrieve import RetrieveConfig
 from memgrep.service import ReferenceServer
 from memgrep.truncate import TruncationConfig
@@ -170,6 +176,30 @@ def test_oracle_stats(capsys, fix_corpus, fix_questions):
     assert stats["total"] == 5
 
 
+def test_oracle_with_an_unreachable_served_scorer_fails_only_the_question_that_asks_it(
+        capsys, tmp_path, fix_corpus, fix_questions):
+    # A served scorer offers the semantic tool, the last action of a depth.
+    # Only q2 needs two actions, so only its search runs that action, and the
+    # scorer is down; the others end at depth 1 as the default run's do.
+    runs = {}
+    down = ["--scorer", f"ce=unix:{tmp_path}/absent.sock"]
+    for name, scorer in (("golden", []), ("down", down)):
+        code, out, err = run_cli(capsys, "oracle", "--corpus", fix_corpus, "--questions",
+                                 fix_questions, *scorer, "--out", str(tmp_path / name))
+        assert code == 0, err
+        lines = (tmp_path / name / "traces.jsonl").read_text().splitlines()[1:]
+        runs[name] = (json.loads(out), {json.loads(line)["question_id"]: line for line in lines})
+    (golden_stats, golden), (stats, traces) = runs["golden"], runs["down"]
+    assert json.loads(traces.pop("q2")) == {
+        "record": "trace", "question_id": "q2", "actions": [], "cost": 0, "hops": 0,
+        "success": False, "reason": "scorer-unavailable"}
+    del golden["q2"]
+    assert traces == golden
+    assert golden_stats["failure_reasons"] == {}
+    assert stats["failure_reasons"] == {"scorer-unavailable": 1}
+    assert (stats["total"], stats["successes"]) == (5, 4)
+
+
 def test_oracle_artifact_has_header(capsys, tmp_path, fix_corpus, fix_questions):
     out_dir = tmp_path / "oracle"
     run_cli(capsys, "oracle", "--corpus", fix_corpus, "--questions", fix_questions,
@@ -299,15 +329,16 @@ def test_env_var_names_config(capsys, tmp_path, fix_corpus, monkeypatch):
 
 def test_config_key_named_empty_does_not_pick_the_annotator(capsys, tmp_path, fix_corpus):
     # The annotator comes from --annotator-endpoint or annotator.endpoint,
-    # never from a top-level key.
+    # never from a top-level key; a key that names no field is an error.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"": "service", "corpus": fix_corpus}))
     out_dir = tmp_path / "out"
     code, _, err = run_cli(capsys, "query", "Where did Javier go hiking?",
                            "--config", str(config), "--out", str(out_dir))
-    assert code == 0, err
-    runconfig = json.loads((out_dir / "runconfig.json").read_text())
-    assert runconfig["annotator"] == {"endpoint": None}
+    assert code == 1
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": f"{config}: unknown key ''"}
+    assert not out_dir.exists()
 
 
 def test_annotator_endpoint_alone_picks_the_service_annotator(capsys, tmp_path, fix_corpus):
@@ -460,6 +491,56 @@ def test_runconfig_passed_back_as_config_repeats_the_run(capsys, tmp_path, fix_c
         assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
+def test_every_dotted_flag_dest_names_a_field_of_a_run_config_section():
+    # build_run_config lays a flag over the key its dest names and skips a
+    # dest that names no field, so a misspelt one would silently do nothing.
+    hints = get_type_hints(RunConfig)
+    commands = next(action for action in make_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    dests = {action.dest for command in commands.values() for action in command._actions}
+    dotted = {dest for dest in dests if "." in dest}
+    assert {"retrieve.mode", "truncation.word_budget", "annotator.endpoint"} <= dotted
+    for dest in dotted:
+        section, key = dest.split(".")
+        assert is_dataclass(hints.get(section)), dest
+        assert key in {f.name for f in fields(hints[section])}, dest
+
+
+_NAMES = st.text(alphabet="abcé-_", min_size=1, max_size=4)
+_ENDPOINTS = st.sampled_from(["unix:/x.sock", "tcp:127.0.0.1:9"])
+_SCORER = st.builds(ScorerHandle, name=_NAMES) | st.builds(
+    ScorerHandle, name=_NAMES, kind=st.sampled_from(SCORER_KINDS), endpoint=_ENDPOINTS)
+_COUNTS = st.integers(min_value=1, max_value=10**6)
+_RUN_CONFIGS = st.builds(
+    RunConfig,
+    corpus=st.none() | st.text(max_size=8),
+    format=st.sampled_from((CANONICAL_FORMAT,) + INGEST_FORMATS),
+    questions=st.none() | st.text(max_size=8),
+    annotator=st.builds(AnnotatorConfig, endpoint=st.none() | _ENDPOINTS),
+    scorers=st.lists(_SCORER, min_size=1, max_size=2, unique_by=lambda s: s.name),
+    retrieve=st.builds(RetrieveConfig, mode=st.sampled_from(("OR", "AND")), max_hops=_COUNTS,
+                       entity_hop_source_top_m=st.integers(0, 50), prf_min_doc_freq=_COUNTS,
+                       prf_source_top_n=st.integers(0, 50), fallback_enabled=st.booleans()),
+    fusion=st.builds(FusionConfig,
+                     k=st.floats(min_value=1e-3, max_value=1e6) | _COUNTS,
+                     weights=st.none() | st.dictionaries(
+                         _NAMES, st.floats(min_value=0.5, max_value=10), min_size=1, max_size=2)),
+    truncation=st.builds(TruncationConfig, strategy=st.sampled_from(("fixed", "adaptive")),
+                         word_budget=st.none() | _COUNTS,
+                         alpha=st.floats(min_value=0, max_value=1, exclude_max=True),
+                         top_k=_COUNTS),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=_RUN_CONFIGS)
+def test_runconfig_json_reads_back_as_the_run_config_that_wrote_it(tmp_path_factory, cfg):
+    out = tmp_path_factory.mktemp("run")
+    _write_artifacts(replace(cfg, out=str(out)), {})
+    args = make_parser().parse_args(["query", "x", "--config", str(out / "runconfig.json")])
+    assert build_run_config(args) == cfg
+
+
 # Config files that name a bad section or scorer entry, with the section or
 # entry the error must name.
 BAD_CONFIGS = {
@@ -505,6 +586,22 @@ BAD_CONFIGS = {
     # Fusion weights and score vectors are keyed by scorer name.
     "scorer-name-repeated": ({"scorers": [{"name": "a"}, {"name": "a"}]},
                              "scorers[1]: scorer name 'a' repeats"),
+    # The top level is read against RunConfig's fields like every section.
+    "top-level-unknown-key": ({"Retrieve": {"mode": "AND"}}, "unknown key 'Retrieve'"),
+    "top-level-empty-key": ({"": "service"}, "unknown key ''"),
+    "format-null": ({"format": None}, "format must be str, got None"),
+    "questions-not-a-string": ({"questions": 5}, "questions must be str | None, got 5"),
+    # A run has one or two scorers; there is no empty or absent list.
+    "scorers-an-object": ({"scorers": {}}, "scorers: expected one or two scorer entries"),
+    "scorers-empty": ({"scorers": []}, "scorers: expected one or two scorer entries"),
+    "scorers-zero": ({"scorers": 0}, "scorers: expected one or two scorer entries"),
+    "scorers-null": ({"scorers": None}, "scorers: expected one or two scorer entries"),
+    "scorers-a-string": ({"scorers": "x"}, "scorers: expected one or two scorer entries"),
+    "scorers-three": ({"scorers": [{"name": "a"}, {"name": "b"}, {"name": "c"}]},
+                      "scorers: expected one or two scorer entries"),
+    # runconfig.json marks its runs deterministic; no other marker is read.
+    "deterministic-not-true": ({"deterministic": "no"}, "deterministic must be true, got 'no'"),
+    "deterministic-false": ({"deterministic": False}, "deterministic must be true, got False"),
 }
 
 
@@ -648,6 +745,35 @@ BAD_QUESTIONS = {
                                   ":1: invalid JSON: Exceeds the limit (4300 digits)"),
 }
 
+# Sweep grids that no cut takes: the grid flags, and the error message. Each
+# is checked before the matrix is built.
+BAD_SWEEP_GRIDS = {
+    "sweep-zero-budget": (["--budgets", "0", "--alphas", ""],
+                          "--budgets: word_budget must be positive"),
+    "sweep-zero-ceiling": (["--budgets", "50", "--alphas", "0", "--ceiling", "0"],
+                           "--ceiling: word_budget must be positive"),
+    "sweep-alpha-out-of-range": (["--budgets", "50", "--alphas", "0,1.5"],
+                                 "--alphas: alpha must lie in [0, 1)"),
+    "sweep-alpha-nan": (["--budgets", "50", "--alphas", "nan"],
+                        "--alphas: alpha must be float, got nan"),
+}
+
+# Matrix headers that are not the one matrix_to_jsonl writes: the fields
+# laid over it, and the fault the error names at line 1.
+BAD_MATRIX_HEADERS = {
+    "matrix-header-format": ({"format": 99}, " expected the matrix header with format 1, got 99"),
+    "matrix-header-bool-format": ({"format": True},
+                                  " expected the matrix header with format 1, got True"),
+    "matrix-header-kind": ({"kind": "nonsense"},
+                           " expected the matrix header with kind 'score-matrix', got 'nonsense'"),
+    "matrix-header-cross-scorer-not-a-string": (
+        {"cross_scorer": 5}, " expected the matrix header with a string cross_scorer, got 5"),
+    "matrix-header-checksum-not-a-string": (
+        {"corpus_checksum": None},
+        " expected the matrix header with a string corpus_checksum, got None"),
+}
+
+
 def with_huge_int(record: dict, table: dict, key: str) -> str:
     """record as a JSON line, with table[key] (a table within record) set to
     HUGE_INT, which json.dumps would refuse to write."""
@@ -744,38 +870,50 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
         return (["sweep", "--corpus", str(corpus), "--questions", str(questions),
                  "--budgets", "50", "--alphas", "0.1,abc"],
                 "ConfigError", "--alphas: could not convert string to float: 'abc'")
-    if case == "sweep-zero-budget":
-        return (["sweep", "--corpus", str(corpus), "--questions", str(questions),
-                 "--budgets", "0", "--alphas", ""],
-                "ValueError", "word_budget must be positive")
-    assert case in ("matrix-line-without-cross", "matrix-huge-int-line")
+    if case in BAD_SWEEP_GRIDS:
+        grid, message = BAD_SWEEP_GRIDS[case]
+        return (["sweep", "--corpus", str(corpus), "--questions", str(questions), *grid],
+                "ConfigError", message)
     loaded = read_corpus(corpus)
     matrix = build_matrix(load_questions(questions, loaded), loaded,
                           [ScorerHandle(name="lexical")])
     lines = matrix_to_jsonl(matrix).splitlines()
     record = json.loads(lines[1])
+    line, fault = 2, ""
     if case == "matrix-huge-int-line":
         lines[1] = with_huge_int(record, record["cross"], record["candidates"][0])
         fault = " invalid JSON:"
-    else:
+    elif case == "matrix-line-without-cross":
         del record["cross"]
         lines[1] = json.dumps(record)
-        fault = ""
+    elif case in BAD_MATRIX_HEADERS:
+        fields, fault = BAD_MATRIX_HEADERS[case]
+        lines[0] = json.dumps({**json.loads(lines[0]), **fields})
+        line = 1
+    elif case == "matrix-second-header":
+        lines.append(lines[0])
+        line, fault = len(lines), " expected a question record, got 'header'"
+    else:
+        assert case == "matrix-first-record-not-header"
+        del lines[0]
+        line, fault = 1, " expected the matrix header with record 'header', got 'question'"
     bad = tmp / "matrix.jsonl"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return (["sweep", "--corpus", str(corpus), "--matrix", str(bad),
              "--budgets", "50", "--alphas", "0"],
-            "IncompleteMatrixError", f"{bad}:2:{fault}")
+            "IncompleteMatrixError", f"{bad}:{line}:{fault}")
 
 
 @pytest.mark.parametrize("case", [*BAD_CONFIGS, *BAD_PASSAGE_FIELDS, *BAD_INGEST, *BAD_QUESTIONS,
+                                  *BAD_SWEEP_GRIDS, *BAD_MATRIX_HEADERS,
                                   "corpus-line-not-an-object",
                                   "fusion-weight-for-another-scorer",
                                   "gold-not-a-list", "matrix-line-without-cross",
-                                  "sweep-zero-budget", "corpus-huge-int-line",
+                                  "corpus-huge-int-line",
                                   "scorer-flag-name-repeated", "sweep-budget-not-an-int",
                                   "sweep-alpha-not-a-number",
-                                  "matrix-huge-int-line", "config-huge-int"])
+                                  "matrix-huge-int-line", "config-huge-int",
+                                  "matrix-second-header", "matrix-first-record-not-header"])
 def test_cli_process_ends_damaged_input_in_one_error_record(tmp_path, case):
     argv, error, fragment = damaged_run(case, tmp_path)
     env = {key: value for key, value in os.environ.items() if key != "MEMGREP_CONFIG"}
