@@ -58,6 +58,7 @@ from .truncate import TruncationConfig
 
 ENV_CONFIG = "MEMGREP_CONFIG"
 CANONICAL_FORMAT = "canonical"
+CORPUS_FORMATS = (CANONICAL_FORMAT,) + INGEST_FORMATS
 
 
 # --- configuration ---
@@ -75,6 +76,11 @@ class RunConfig:
     fusion: FusionConfig = field(default_factory=FusionConfig)
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
     out: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.format not in CORPUS_FORMATS:
+            raise ValueError(f"format must be one of {', '.join(CORPUS_FORMATS)}, "
+                             f"got {self.format!r}")
 
     def to_record(self) -> dict:
         record = asdict(self)
@@ -352,7 +358,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (or set MEMGREP_CONFIG)")
     parser.add_argument("--corpus", help="corpus file")
     parser.add_argument("--format",
-                        choices=(CANONICAL_FORMAT,) + INGEST_FORMATS,
+                        choices=CORPUS_FORMATS,
                         help="corpus file format (default: canonical)")
     parser.add_argument("--out", help="directory for output artifacts")
 
@@ -453,6 +459,8 @@ def main(argv: list[str] | None = None) -> int:
             budgets = _grid(args.budgets, "--budgets", int, "word_budget")
             alphas = _grid(args.alphas, "--alphas", float, "alpha")
             _build(TruncationConfig, {"word_budget": args.ceiling}, "--ceiling")
+            if alphas and args.ceiling is None and not budgets:
+                raise ConfigError("--ceiling: adaptive cells need --ceiling or a --budgets grid")
             return cmd_sweep(cfg, budgets, alphas, args.ceiling, args.matrix)
         raise ConfigError(f"unknown command {args.command!r}")
     except (MemgrepError, ValueError, OSError) as exc:

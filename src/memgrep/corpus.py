@@ -6,13 +6,18 @@ across runs for identical input. The canonical interchange format is JSON
 Lines, one passage per line, which together with a content checksum makes
 ingestion reproducible byte-for-byte. The checksum is the sha256 of that
 canonical JSONL (:func:`corpus_to_jsonl`'s output), taken on first read.
+The memory grows by building ``Corpus(old.passages + new)``: while ``old`` is
+alive, the new corpus shares its sealed scan blocks and copies its id map, so
+an append costs the new turns and the last partial block, not the whole log.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import re
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -78,6 +83,21 @@ class Corpus:
     once, on first read: building a corpus or a query never hashes.
     ``word_count`` counts a passage's words on its first read too, so a
     corpus built for one question counts only the passages it ranks.
+
+    Appending reuses the corpus it extends, with no method of its own.
+    Construction looks up the corpus built last over the same first Passage
+    object. When that corpus's passages are, object for object (``is``), a
+    prefix of the new ones, the new corpus shares its sealed scan blocks
+    (the full SCAN_BLOCK-passage ones), builds only the blocks after them,
+    and copies its id map and adds the new passages. This is exact: a
+    Passage is immutable, so the same object lowers to the same text, and
+    the result equals a full build. The lookup keeps no corpus alive: an
+    entry lives only while its corpus does, and the per-passage ``is``
+    check, not the key, decides. Every other build (read_corpus, ingest, a
+    non-prefix) is a full one; a temporary built over the same first
+    passage and then discarded takes the entry with it, which just costs
+    the next build a full rebuild. Each corpus starts its own
+    ``word_count`` memo.
     """
 
     passages: tuple[Passage, ...]
@@ -91,15 +111,26 @@ class Corpus:
     scan: tuple[ScanBlock, ...] = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "passages", tuple(self.passages))
-        by_id = {p.id: p for p in self.passages}
-        if len(by_id) != len(self.passages):
-            counts = Counter(p.id for p in self.passages)
+        passages = tuple(self.passages)
+        object.__setattr__(self, "passages", passages)
+        prior = _LATEST.get(id(passages[0])) if passages else None
+        if (prior is not None and len(prior) <= len(passages)
+                and all(map(operator.is_, prior.passages, passages))):
+            shared = prior.scan[:len(prior) // SCAN_BLOCK]
+            by_id = prior._by_id.copy()  # type: ignore[attr-defined]
+            by_id.update({p.id: p for p in passages[len(prior):]})
+        else:
+            shared, by_id = (), {p.id: p for p in passages}
+        if len(by_id) != len(passages):
+            counts = Counter(p.id for p in passages)
             repeats = sorted(pid for pid, n in counts.items() if n > 1)
             raise DuplicateTurnError(f"duplicate passage ids: {', '.join(repeats)}")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_words", {})
-        object.__setattr__(self, "scan", _scan_blocks(self.passages))
+        object.__setattr__(self, "scan",
+                           shared + _scan_blocks(passages, len(shared) * SCAN_BLOCK))
+        if passages:
+            _LATEST[id(passages[0])] = self
 
     def __len__(self) -> int:
         return len(self.passages)
@@ -147,10 +178,16 @@ class Question:
         return GoldAnnotation(self.question_id, self.gold_passage_ids)
 
 
-def _scan_blocks(passages: tuple[Passage, ...]) -> tuple[ScanBlock, ...]:
-    """The scan surface of :class:`Corpus`, one block per SCAN_BLOCK passages."""
+# The corpus built last over each first passage, keyed by that Passage
+# object's id(); see Corpus.
+_LATEST: weakref.WeakValueDictionary[int, Corpus] = weakref.WeakValueDictionary()
+
+
+def _scan_blocks(passages: tuple[Passage, ...], first: int) -> tuple[ScanBlock, ...]:
+    """The scan surface of :class:`Corpus` from position `first`, a multiple
+    of SCAN_BLOCK, on: one block per SCAN_BLOCK passages."""
     blocks = []
-    for base in range(0, len(passages), SCAN_BLOCK):
+    for base in range(first, len(passages), SCAN_BLOCK):
         lowered = [p.text.lower() for p in passages[base:base + SCAN_BLOCK]]
         starts = tuple(accumulate((len(text) + 1 for text in lowered), initial=0))
         blocks.append(("\0".join(lowered), starts, base))

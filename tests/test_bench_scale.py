@@ -6,20 +6,23 @@ more than one hop and scores rarely tie. Here the benchmark's generator
 nearly every passage, and the entity-rich offline corpus; every candidate,
 score, fused entry and context of the first questions is hashed, so a
 merge, ordering or tie-break change that only shows at scale fails here.
-The query-dense passages as read_corpus gives them are hashed too.
+The query-dense passages as read_corpus gives them are hashed too, and the
+grow-and-query memory is grown one session at a time, as the benchmark
+grows it, with each session's question asked on the grown corpus.
 After an intended output change, print the new digests with
 
     PYTHONPATH=src python tests/test_bench_scale.py
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from memgrep.annotate import RuleAnnotator
-from memgrep.corpus import load_questions, read_corpus
+from memgrep.corpus import Corpus, Passage, load_questions, read_corpus
 from memgrep.evaluate import run_question
 from memgrep.oracle import SearchLimits, derive_trace, traces_to_jsonl
 from memgrep.rank import ScorerHandle
@@ -32,6 +35,7 @@ DENSE_QUESTIONS = 40
 # Every 12th offline question chains through people the fillers also name,
 # the oracle's broadest searches: ten of them lie in the first 120.
 ORACLE_QUESTIONS = 120
+APPENDED_SESSIONS = 10
 SCORERS = [ScorerHandle(name="lexical", kind="lexical-test"),
            ScorerHandle(name="late", kind="lexical-test")]
 
@@ -46,10 +50,13 @@ GOLDEN = {
         "164ce51616c5688594287970351da29db4cff2a509d1286494eead16e58732c5",
     "query-dense/passages":
         "82e9e501e96782c64c4de1cecd7d0308857edad563a6b1b11d45703cd0fafa7c",
+    "grow-and-query/appended":
+        "61b2121adc7bd2e05135db2aea27b058af79837a79d5aa4d29aac7af23aec42b",
 }
 
 
-def _workload(name, out):
+def _generate(name, out):
+    """Write the workload's files to out; return its corpus as read."""
     # bench/ goes on the import path only while its generator is imported.
     sys.path.insert(0, str(BENCH))
     try:
@@ -57,8 +64,29 @@ def _workload(name, out):
     finally:
         sys.path.remove(str(BENCH))
     synth.write_workload(name, SEED, out)
-    corpus = read_corpus(out / "corpus.jsonl")
+    return read_corpus(out / "corpus.jsonl")
+
+
+def _workload(name, out):
+    corpus = _generate(name, out)
     return corpus, load_questions(out / "questions.json", corpus)
+
+
+def _appended_runs(out, annotator):
+    """Each of the first APPENDED_SESSIONS grow-and-query sessions appended
+    in turn through Corpus(prev.passages + session), and its question's run
+    on the grown corpus. The questions' gold lies in the sessions, so their
+    records are read as they stand."""
+    corpus = _generate("grow-and-query", out)
+    sessions: dict[str, list[Passage]] = {}
+    for line in (out / "sessions.jsonl").read_text(encoding="utf-8").splitlines():
+        rec = json.loads(line)
+        sessions.setdefault(rec["session_id"], []).append(Passage(**rec))
+    records = json.loads((out / "questions.json").read_text(encoding="utf-8"))
+    for (_, session), rec in zip(sorted(sessions.items()), records[:APPENDED_SESSIONS]):
+        corpus = Corpus(corpus.passages + tuple(session), corpus.source_label)
+        yield run_question(rec["question"], corpus, SCORERS[:1], annotator=annotator,
+                           question_id=rec["question_id"])
 
 
 def run_lines(run):
@@ -110,6 +138,8 @@ def compute(tmp: Path) -> dict[str, str]:
               for q in questions[:ORACLE_QUESTIONS]]
     got["offline/oracle"] = hashlib.sha256(
         traces_to_jsonl(traces, SearchLimits(), False).encode("utf-8")).hexdigest()
+    got["grow-and-query/appended"] = digest(
+        line for run in _appended_runs(tmp / "grow", annotator) for line in run_lines(run))
     return got
 
 

@@ -590,6 +590,10 @@ BAD_CONFIGS = {
     "top-level-unknown-key": ({"Retrieve": {"mode": "AND"}}, "unknown key 'Retrieve'"),
     "top-level-empty-key": ({"": "service"}, "unknown key ''"),
     "format-null": ({"format": None}, "format must be str, got None"),
+    # The config file's format takes --format's choices.
+    "format-unknown": ({"format": "bogus"},
+                       "format must be one of canonical, locomo-like, longmemeval-like, "
+                       "generic-jsonl, got 'bogus'"),
     "questions-not-a-string": ({"questions": 5}, "questions must be str | None, got 5"),
     # A run has one or two scorers; there is no empty or absent list.
     "scorers-an-object": ({"scorers": {}}, "scorers: expected one or two scorer entries"),
@@ -756,6 +760,10 @@ BAD_SWEEP_GRIDS = {
                                  "--alphas: alpha must lie in [0, 1)"),
     "sweep-alpha-nan": (["--budgets", "50", "--alphas", "nan"],
                         "--alphas: alpha must be float, got nan"),
+    # Adaptive cells run at the ceiling, by default the largest budget.
+    "sweep-adaptive-without-ceiling": (["--budgets", "", "--alphas", "0"],
+                                       "--ceiling: adaptive cells need --ceiling or a --budgets "
+                                       "grid"),
 }
 
 # Matrix headers that are not the one matrix_to_jsonl writes: the fields

@@ -1,8 +1,10 @@
 """Corpus construction, ingestion formats, and gold annotation loading."""
 
+import gc
 import hashlib
 import json
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,85 @@ def test_checksum_is_sha256_of_written_file(tmp_path_factory, passages):
     path.write_text(corpus_to_jsonl(corpus), encoding="utf-8")
     assert corpus.checksum == hashlib.sha256(path.read_bytes()).hexdigest()
     assert read_corpus(path).checksum == corpus.checksum
+
+
+def _turns(session, texts, count):
+    """count passages of one session, their texts taken in turn from texts."""
+    return tuple(Passage(f"{session}:{i}", session, i, "A", texts[i % len(texts)])
+                 for i in range(count))
+
+
+def _fresh(passages):
+    """A full build of passages, over copies, so that no live corpus was built
+    over its first Passage object."""
+    return Corpus(tuple(Passage(*p) for p in passages))
+
+
+# Passage counts at, one short of and one past a multiple of SCAN_BLOCK.
+_STRADDLING = [1, 2, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
+               2 * SCAN_BLOCK - 1, 2 * SCAN_BLOCK, 2 * SCAN_BLOCK + 1]
+# "İ" lowers to two characters and "Σ" to "σ" (str.lower has no final-sigma
+# rule), so offsets and texts differ from the unlowered ones.
+_APPEND_TEXT = st.text(st.sampled_from(["İ", "Σ", "\x00", "\n", "a", "B", " "]), max_size=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(size=st.sampled_from(_STRADDLING), added=st.sampled_from([0, *_STRADDLING]),
+       texts=st.lists(_APPEND_TEXT, min_size=1, max_size=4),
+       repeat=st.none() | st.integers(0, 2 * SCAN_BLOCK))
+def test_appending_to_a_live_corpus_equals_a_fresh_build(size, added, texts, repeat):
+    a = Corpus(_turns("a", texts, size))
+    tail = _turns("b", texts[::-1], added)
+    if repeat is not None:   # a new turn with the id of one of a's
+        tail += (Passage(f"a:{repeat % size}", "a", repeat % size, "B", "again"),)
+    passages = a.passages + tail
+    if repeat is not None:
+        with pytest.raises(DuplicateTurnError) as fresh_error:
+            _fresh(passages)
+        with pytest.raises(DuplicateTurnError, match=re.escape(str(fresh_error.value))):
+            Corpus(passages)
+        return
+    new = Corpus(passages)
+    fresh = _fresh(passages)
+    assert new.passages == fresh.passages
+    assert new.scan == fresh.scan
+    for p in passages:
+        assert p.id in new
+        assert new.get(p.id) is p
+        assert new.word_count(p.id) == fresh.word_count(p.id)
+    assert "b:-1" not in new
+    assert new.checksum == fresh.checksum
+    assert new == fresh
+    # The sealed blocks are a's own, not rebuilt ones.
+    for i in range(size // SCAN_BLOCK):
+        assert new.scan[i] is a.scan[i]
+    # The lookup of the corpus built last holds no corpus alive.
+    refs = [weakref.ref(a), weakref.ref(new)]
+    del a, new
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_a_build_over_no_live_prefix_is_a_full_build():
+    passages = _turns("a", ["x", "İy"], 2 * SCAN_BLOCK + 5)
+    longer = Corpus(passages[:SCAN_BLOCK + 100])
+    shorter = Corpus(passages[:SCAN_BLOCK + 1])     # the last build is longer
+    assert shorter.scan[0] is not longer.scan[0]
+    grown = Corpus(passages)                        # over `shorter`, the last build
+    assert grown.scan[0] is shorter.scan[0]
+    # Longer than `grown`, but it shares only the first passage object.
+    other = Corpus(passages[:1] + _turns("b", ["z"], len(passages)))
+    assert other.scan[0] is not grown.scan[0]
+    assert other.scan == _fresh(other.passages).scan
+    del other   # a discarded build takes the entry with it
+    gc.collect()
+    again = Corpus(passages)
+    assert again.scan[0] is not grown.scan[0]
+    assert again.scan == grown.scan
+    # Equal passages that are other objects are no prefix either.
+    copies = passages[:1] + tuple(map(Passage._make, passages[1:]))
+    copied = Corpus(copies)
+    assert all(copied.get(p.id) is p for p in copies)
 
 
 # A session's date and its (speaker, text) turns. A date that is neither a
