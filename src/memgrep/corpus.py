@@ -8,7 +8,8 @@ ingestion reproducible byte-for-byte. The checksum is the sha256 of that
 canonical JSONL (:func:`corpus_to_jsonl`'s output), taken on first read.
 The memory grows by building ``Corpus(old.passages + new)``: while ``old`` is
 alive, the new corpus shares its sealed scan blocks and copies its id map, so
-an append costs the new turns and the last partial block, not the whole log.
+an append costs the new turns and the last open block (under SCAN_CHARS
+characters), not the whole log.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterator, NamedTuple
@@ -45,9 +45,14 @@ _FIELD_TYPES = {
     "text": ((str,), "a string"), "timestamp": ((str, type(None)), "a string or null"),
 }
 
-# Passages per block of the scan surface, Corpus.scan. Building a block holds
-# only that block's lowercased texts apart from the joined text.
-SCAN_BLOCK = 512
+# A block of the scan surface, Corpus.scan, holds fewer characters than this
+# unless it holds one passage. The value is CPython's own switch, not a tuned
+# number: from 3.10, str.find leaves its bloom-filter search for the two-way
+# algorithm once the haystack is 30,000 characters or longer and the needle 6
+# or longer, and scans each character 25-35% slower there. On an interpreter
+# without that switch, blocks are merely smaller than they need be. Building a
+# block holds only that block's lowercased texts apart from the joined text.
+SCAN_CHARS = 30_000
 ScanBlock = tuple[str, tuple[int, ...], int]  # (text, starts, base)
 
 
@@ -88,26 +93,27 @@ class Corpus:
     Construction looks up the corpus built last over the same first Passage
     object. When that corpus's passages are, object for object (``is``), a
     prefix of the new ones, the new corpus shares its sealed scan blocks
-    (the full SCAN_BLOCK-passage ones), builds only the blocks after them,
-    and copies its id map and adds the new passages. This is exact: a
-    Passage is immutable, so the same object lowers to the same text, and
-    the result equals a full build. The lookup keeps no corpus alive: an
-    entry lives only while its corpus does, and the per-passage ``is``
-    check, not the key, decides. Every other build (read_corpus, ingest, a
-    non-prefix) is a full one; a temporary built over the same first
-    passage and then discarded takes the entry with it, which just costs
-    the next build a full rebuild. Each corpus starts its own
-    ``word_count`` memo.
+    (all but the last), builds the blocks from the last one's first passage
+    on, and copies its id map and adds the new passages. This is exact: a
+    Passage is immutable, so the same object lowers to the same text, and a
+    block is sealed only before a passage that did not fit in it, which the
+    new corpus holds too, so the result equals a full build. The lookup
+    keeps no corpus alive: an entry lives only while its corpus does, and
+    the per-passage ``is`` check, not the key, decides. Every other build
+    (read_corpus, ingest, a non-prefix) is a full one; a temporary built
+    over the same first passage and then discarded takes the entry with
+    it, which just costs the next build a full rebuild. Each corpus starts
+    its own ``word_count`` memo.
     """
 
     passages: tuple[Passage, ...]
     source_label: str = ""
-    # The substring-search surface, in blocks of SCAN_BLOCK passages. Each
-    # block is (text, starts, base): the lowercased texts of passages base,
-    # base + 1, ... joined by NUL, and the offset in text where each one
-    # starts, then len(text) + 1. Passage base + j is text[starts[j]:
-    # starts[j + 1] - 1]. Offsets count lowercased characters: "İ".lower()
-    # is two.
+    # The substring-search surface, in blocks of consecutive passages packed
+    # greedily under SCAN_CHARS characters (see _scan_blocks). Each block is
+    # (text, starts, base): the lowercased texts of passages base, base + 1,
+    # ... joined by NUL, and the offset in text where each one starts, then
+    # len(text) + 1. Passage base + j is text[starts[j]:starts[j + 1] - 1].
+    # Offsets count lowercased characters: "İ".lower() is two.
     scan: tuple[ScanBlock, ...] = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -116,19 +122,18 @@ class Corpus:
         prior = _LATEST.get(id(passages[0])) if passages else None
         if (prior is not None and len(prior) <= len(passages)
                 and all(map(operator.is_, prior.passages, passages))):
-            shared = prior.scan[:len(prior) // SCAN_BLOCK]
+            shared, first = prior.scan[:-1], prior.scan[-1][2]
             by_id = prior._by_id.copy()  # type: ignore[attr-defined]
             by_id.update({p.id: p for p in passages[len(prior):]})
         else:
-            shared, by_id = (), {p.id: p for p in passages}
+            shared, first, by_id = (), 0, {p.id: p for p in passages}
         if len(by_id) != len(passages):
             counts = Counter(p.id for p in passages)
             repeats = sorted(pid for pid, n in counts.items() if n > 1)
             raise DuplicateTurnError(f"duplicate passage ids: {', '.join(repeats)}")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_words", {})
-        object.__setattr__(self, "scan",
-                           shared + _scan_blocks(passages, len(shared) * SCAN_BLOCK))
+        object.__setattr__(self, "scan", shared + _scan_blocks(passages, first))
         if passages:
             _LATEST[id(passages[0])] = self
 
@@ -184,13 +189,23 @@ _LATEST: weakref.WeakValueDictionary[int, Corpus] = weakref.WeakValueDictionary(
 
 
 def _scan_blocks(passages: tuple[Passage, ...], first: int) -> tuple[ScanBlock, ...]:
-    """The scan surface of :class:`Corpus` from position `first`, a multiple
-    of SCAN_BLOCK, on: one block per SCAN_BLOCK passages."""
-    blocks = []
-    for base in range(first, len(passages), SCAN_BLOCK):
-        lowered = [p.text.lower() for p in passages[base:base + SCAN_BLOCK]]
-        starts = tuple(accumulate((len(text) + 1 for text in lowered), initial=0))
-        blocks.append(("\0".join(lowered), starts, base))
+    """The scan surface of :class:`Corpus` from position `first`, where a
+    block starts, on. Blocks are packed greedily: a block closes before the
+    passage whose lowercased text would bring its joined text to SCAN_CHARS
+    characters or more, and a passage that reaches that alone is a block of
+    its own."""
+    blocks, lowered, starts, base, end = [], [], [0], first, 0
+    for text in map(str.lower, map(attrgetter("text"), passages[first:])):
+        size = end + len(text)      # the joined text's length with this one
+        if size >= SCAN_CHARS and lowered:
+            blocks.append(("\0".join(lowered), tuple(starts), base))
+            base += len(lowered)
+            lowered, starts, size = [], [0], len(text)
+        lowered.append(text)
+        end = size + 1
+        starts.append(end)
+    if lowered:
+        blocks.append(("\0".join(lowered), tuple(starts), base))
     return tuple(blocks)
 
 

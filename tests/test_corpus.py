@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import weakref
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from memgrep import corpus as corpus_module
 from memgrep.corpus import (
     INGEST_FORMATS,
-    SCAN_BLOCK,
+    SCAN_CHARS,
     Corpus,
     Passage,
     corpus_metadata,
@@ -104,12 +105,51 @@ def test_equality_hash_and_repr_ignore_the_scan_surface():
 def test_scan_surface_joins_lowered_texts_in_blocks():
     corpus = make_corpus(["İb", "", "C\x00d"])
     assert corpus.scan == (("i\u0307b\x00\x00c\x00d", (0, 4, 5, 9), 0),)
-    texts = [f"T{i}" for i in range(SCAN_BLOCK + 2)]
+    # "İ" * 5000 lowers to 10,000 characters, so the first two texts join to
+    # SCAN_CHARS - 1 lowered characters (24,999 unlowered). One more passage,
+    # even an empty one, brings the text to SCAN_CHARS: it starts a block. A
+    # text of SCAN_CHARS characters or more is a block of its own.
+    texts = ["İ" * 5000, "B" * (SCAN_CHARS - 10_002), "", "C" * SCAN_CHARS, "D", "e"]
     blocks = make_corpus(texts).scan
-    assert [(len(starts), base) for _, starts, base in blocks] == [
-        (SCAN_BLOCK + 1, 0), (3, SCAN_BLOCK)]
-    assert blocks[1][0] == f"t{SCAN_BLOCK}\x00t{SCAN_BLOCK + 1}"
-    assert blocks[0][0] == "\x00".join(text.lower() for text in texts[:SCAN_BLOCK])
+    assert [(len(starts) - 1, base) for _, starts, base in blocks] == [
+        (2, 0), (1, 2), (1, 3), (2, 4)]
+    assert blocks[0] == ("i\u0307" * 5000 + "\x00" + "b" * (SCAN_CHARS - 10_002),
+                         (0, 10_001, SCAN_CHARS), 0)
+    assert [text for text, _, _ in blocks[1:]] == ["", "c" * SCAN_CHARS, "d\x00e"]
+
+
+# Texts near the block limit: a run of "x" of none, one under or half of
+# SCAN_CHARS, or one under, at or one over it, then a drawn tail. Two
+# half-runs join to the limit and a tail moves that either way; "İ" lowers
+# to two characters, so the lowered lengths, not the texts', decide.
+_SCAN_RUN = st.sampled_from([0, SCAN_CHARS // 2 - 1, SCAN_CHARS // 2,
+                             SCAN_CHARS - 1, SCAN_CHARS, SCAN_CHARS + 1])
+_SCAN_TAIL = st.text(st.sampled_from(["İ", "Σ", "\x00", "a", "x"]), max_size=4)
+_SCAN_NEEDLE = st.text(st.sampled_from(["İ", "i", "\u0307", "Σ", "σ", "\x00", "a", "x"]),
+                       min_size=1, max_size=7)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(texts=st.lists(st.builds(lambda run, tail: "x" * run + tail, _SCAN_RUN, _SCAN_TAIL),
+                      max_size=8),
+       needles=st.lists(_SCAN_NEEDLE, min_size=1, max_size=4))
+def test_scan_blocks_pack_passages_greedily_under_the_limit(texts, needles):
+    corpus = make_corpus(texts)
+    lowered = [text.lower() for text in texts]
+    end = 0
+    for k, (text, starts, base) in enumerate(corpus.scan):
+        # The blocks tile the passages in order.
+        assert base == end and len(starts) >= 2
+        end = base + len(starts) - 1
+        assert text == "\x00".join(lowered[base:end])
+        assert starts == tuple(accumulate((len(t) + 1 for t in lowered[base:end]), initial=0))
+        assert len(text) < SCAN_CHARS or end - base == 1
+        if k < len(corpus.scan) - 1:    # the next passage would reach the limit
+            assert len(text) + 1 + len(lowered[end]) >= SCAN_CHARS
+    assert end == len(texts)
+    for needle in needles:
+        hits = grep_search(corpus, WeightedTermSet.from_terms([WeightedTerm(needle, 1.0, "query")]))
+        assert set(hits) == {i for i, t in enumerate(lowered) if needle.lower() in t}
 
 
 _TRICKY_CHARS = st.sampled_from(
@@ -156,19 +196,26 @@ def _fresh(passages):
     return Corpus(tuple(Passage(*p) for p in passages))
 
 
-# Passage counts at, one short of and one past a multiple of SCAN_BLOCK.
-_STRADDLING = [1, 2, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
-               2 * SCAN_BLOCK - 1, 2 * SCAN_BLOCK, 2 * SCAN_BLOCK + 1]
 # "İ" lowers to two characters and "Σ" to "σ" (str.lower has no final-sigma
 # rule), so offsets and texts differ from the unlowered ones.
 _APPEND_TEXT = st.text(st.sampled_from(["İ", "Σ", "\x00", "\n", "a", "B", " "]), max_size=6)
+# Texts of a third of a block less 4 characters, plus a drawn text: three of
+# them fit in a block only when their drawn texts lower to under 10 characters
+# together, so where the blocks seal depends on the draw.
+_THIRD = "y" * (SCAN_CHARS // 3 - 4)
+_LOG = 13   # passages in the log whose prefixes `a` is built over
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(size=st.sampled_from(_STRADDLING), added=st.sampled_from([0, *_STRADDLING]),
-       texts=st.lists(_APPEND_TEXT, min_size=1, max_size=4),
-       repeat=st.none() | st.integers(0, 2 * SCAN_BLOCK))
-def test_appending_to_a_live_corpus_equals_a_fresh_build(size, added, texts, repeat):
+@given(texts=st.lists(_APPEND_TEXT.map(_THIRD.__add__), min_size=1, max_size=4),
+       added=st.sampled_from([0, 1, 2, 3, 5, 8]), data=st.data(),
+       repeat=st.none() | st.integers(0, _LOG))
+def test_appending_to_a_live_corpus_equals_a_fresh_build(texts, added, data, repeat):
+    # Sizes at, one short of and one past each block seal of a fresh build.
+    seals = [base for _, _, base in _fresh(_turns("a", texts, _LOG)).scan[1:]]
+    assert len(seals) >= 3
+    size = data.draw(st.sampled_from(
+        sorted({1, 2, _LOG} | {seal + d for seal in seals for d in (-1, 0, 1)})))
     a = Corpus(_turns("a", texts, size))
     tail = _turns("b", texts[::-1], added)
     if repeat is not None:   # a new turn with the id of one of a's
@@ -191,8 +238,8 @@ def test_appending_to_a_live_corpus_equals_a_fresh_build(size, added, texts, rep
     assert "b:-1" not in new
     assert new.checksum == fresh.checksum
     assert new == fresh
-    # The sealed blocks are a's own, not rebuilt ones.
-    for i in range(size // SCAN_BLOCK):
+    # The sealed blocks, all of a's but its last, are a's own, not rebuilt ones.
+    for i in range(len(a.scan) - 1):
         assert new.scan[i] is a.scan[i]
     # The lookup of the corpus built last holds no corpus alive.
     refs = [weakref.ref(a), weakref.ref(new)]
@@ -202,9 +249,13 @@ def test_appending_to_a_live_corpus_equals_a_fresh_build(size, added, texts, rep
 
 
 def test_a_build_over_no_live_prefix_is_a_full_build():
-    passages = _turns("a", ["x", "İy"], 2 * SCAN_BLOCK + 5)
-    longer = Corpus(passages[:SCAN_BLOCK + 100])
-    shorter = Corpus(passages[:SCAN_BLOCK + 1])     # the last build is longer
+    # A block holds two of these passages: "İy" * 5000 lowers to 15,000.
+    passages = _turns("a", ["x" * 10_000, "İy" * 5000], 9)
+    seal = _fresh(passages).scan[1][2]
+    assert seal == 2
+    longer = Corpus(passages[:seal + 3])
+    shorter = Corpus(passages[:seal + 1])           # the last build is longer
+    assert len(shorter.scan) == 2
     assert shorter.scan[0] is not longer.scan[0]
     grown = Corpus(passages)                        # over `shorter`, the last build
     assert grown.scan[0] is shorter.scan[0]

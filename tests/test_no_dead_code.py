@@ -1,11 +1,13 @@
 """Code with no caller in src/ is deleted, not kept for tests.
 
-Every top-level function and class in the package must be read somewhere in
-src/ besides its own definition, as a name or as an attribute, or be part
-of the public API in memgrep.__all__. Importing a name does not count as
-reading it. Likewise every default of a function or a method, exported or
-not, must be overridden by some call in src/: a setting nothing in the
-package sets is a switch kept for tests.
+Every top-level function, class and assigned name in the package must be
+read somewhere in src/ besides its own definition or assignment, as a name
+or as an attribute, or be part of the public API in memgrep.__all__.
+Importing a name, or assigning to it, does not count as reading it; dunder
+names such as __all__ and __version__ are read by Python and packaging
+tools, not by src/. Likewise every default of a function or a method,
+exported or not, must be overridden by some call in src/: a setting
+nothing in the package sets is a switch kept for tests.
 """
 
 import ast
@@ -16,24 +18,34 @@ import memgrep
 SRC = Path(memgrep.__file__).resolve().parent
 
 
+def _defines(top: ast.stmt) -> set[str]:
+    """The module-level names a top-level statement defines or assigns."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {top.name}
+    if isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        return {node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)
+                and not (node.id.startswith("__") and node.id.endswith("__"))}
+    return set()
+
+
 def test_every_top_level_definition_has_a_caller_or_is_exported():
     defined: list[tuple[str, str]] = []
     read: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for top in tree.body:
-            own = None
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = top.name
-                defined.append((own, f"{path.name}:{top.lineno}"))
+            own = _defines(top)
+            defined += [(name, f"{path.name}:{top.lineno}") for name in sorted(own)]
             for node in ast.walk(top):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     name = node.id
                 elif isinstance(node, ast.Attribute):
                     name = node.attr
                 else:
                     continue
-                if name != own:     # a definition reading itself is no caller
+                if name not in own:     # a definition reading itself is no caller
                     read.add(name)
     dead = [f"{name} ({where})" for name, where in defined
             if name not in read and name not in memgrep.__all__]

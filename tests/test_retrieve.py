@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
-from memgrep.corpus import SCAN_BLOCK, load_questions, read_corpus
+from memgrep.corpus import SCAN_CHARS, load_questions, read_corpus
 from memgrep.errors import EmptyTermSetError, ScorerUnavailableError
 from memgrep.parse import PRF_WEIGHT, WeightedTerm, WeightedTermSet, parse_query
 from memgrep.rank import ScorerHandle
@@ -163,29 +163,49 @@ def test_grep_matches_brute_force_reference(case, mode):
     assert [(c.passage_id, c.match_score) for c in result.candidates] == expected
 
 
+# Padding that no needle matches, long enough that four padded passages fill
+# most of a scan block: about 400 characters are left, more than the drawn
+# texts and needles of four passages can take, so a block holds four.
+_PAD = "-" * (SCAN_CHARS // 4 - 100)
+
+
+def _boundaries(texts):
+    """The positions of the first passages of make_corpus(texts)'s scan
+    blocks after its first."""
+    return [base for _, _, base in make_corpus(texts).scan[1:]]
+
+
 @st.composite
 def spanning_corpus_and_terms(draw):
-    """corpus_and_terms' needles over a corpus of two scan blocks and a few
-    passages more. The last passage before each block boundary ends with a
-    needle and the first after it starts with one; the drawn texts fill
-    those and a few other passages, and one drawn filler text the rest."""
+    """corpus_and_terms' needles over a padded corpus of three scan blocks.
+    The last passage before each block boundary, read from the scan surface
+    before the needles go in, ends with a needle and the first after it
+    starts with one; the drawn texts fill those and a few other passages,
+    and one drawn filler text the rest, each after or before the padding."""
     texts, pairs = draw(corpus_and_terms())
     surfaces = st.sampled_from([surface for surface, _ in pairs])
-    size = 2 * SCAN_BLOCK + draw(st.integers(1, 4))
+    size = 9 + draw(st.integers(0, 3))
     filler = draw(st.text(_ALPHABET, max_size=6))
-    spanning = [filler] * size
+    spanning = [_PAD + filler] * size
     others = draw(st.lists(st.integers(0, size - 1), max_size=4))
     for k, slot in enumerate([0, size - 1, *others]):
-        spanning[slot] = texts[k % len(texts)]
-    for k, boundary in enumerate(range(SCAN_BLOCK, size, SCAN_BLOCK)):
-        spanning[boundary - 1] = texts[k % len(texts)] + draw(surfaces)
-        spanning[boundary] = draw(surfaces) + texts[-1 - k % len(texts)]
+        spanning[slot] = _PAD + texts[k % len(texts)]
+    for k, boundary in enumerate(_boundaries(spanning)):
+        spanning[boundary - 1] = _PAD + texts[k % len(texts)] + draw(surfaces)
+        spanning[boundary] = draw(surfaces) + texts[-1 - k % len(texts)] + _PAD
     return spanning, pairs
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(case=spanning_corpus_and_terms(), mode=st.sampled_from(["OR", "AND"]))
 def test_grep_matches_brute_force_reference_across_scan_blocks(case, mode):
+    texts, pairs = case
+    # The needles still sit at the blocks' boundaries: at least two are spanned.
+    surfaces = [surface for surface, _ in pairs]
+    spanned = [b for b in _boundaries(texts)
+               if texts[b - 1].endswith(tuple(surfaces))
+               and texts[b].startswith(tuple(surfaces))]
+    assert len(spanned) >= 2
     # The same check as test_grep_matches_brute_force_reference's, on these draws.
     test_grep_matches_brute_force_reference.hypothesis.inner_test(case, mode)
 
