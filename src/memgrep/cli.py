@@ -8,10 +8,8 @@ no field, or a `deterministic` marker that is not true, is rejected. Each
 flag's dest names the key it overrides (`truncation.word_budget`, `corpus`).
 Every artifact-producing run writes runconfig.json, the record of the
 RunConfig that ran, next to its outputs, so passing it back as --config
-repeats the run; oracle's search limits and sweep's grid and --matrix are not
-in it, so a replay runs their defaults. Artifacts carry no timestamps, and
-nothing in the pipeline draws randomness, so identical inputs produce
-byte-identical outputs.
+repeats the run. Artifacts carry no timestamps, and nothing in the pipeline
+draws randomness, so identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -64,6 +62,34 @@ CORPUS_FORMATS = (CANONICAL_FORMAT,) + INGEST_FORMATS
 # --- configuration ---
 
 @dataclass
+class SweepConfig:
+    """The sweep grid: a fixed cut per budget and an adaptive cut per alpha at the
+    ceiling (default: the largest budget), over the named matrix or one built."""
+
+    budgets: list[int] = field(default_factory=lambda: [1000, 2000, 3000, 4000])
+    alphas: list[float] = field(default_factory=lambda: [0.0, 0.01, 0.03, 0.05, 0.1])
+    ceiling: int | None = None
+    matrix: str | None = None
+
+    def __post_init__(self) -> None:
+        # Each value is checked as the TruncationConfig field it becomes and
+        # named by its flag; _build adds the source and the section.
+        grid = [("--budgets", "word_budget", int, value) for value in self.budgets]
+        grid += [("--alphas", "alpha", float, value) for value in self.alphas]
+        if self.ceiling is not None:
+            grid.append(("--ceiling", "word_budget", int, self.ceiling))
+        for flag, key, kind, value in grid:
+            if not _fits(value, kind):
+                raise TypeError(f"{flag}: {key} must be {kind.__name__}, got {value!r}")
+            try:
+                TruncationConfig(**{key: value})
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
+        if self.alphas and self.ceiling is None and not self.budgets:
+            raise ValueError("--ceiling: adaptive cells need --ceiling or a --budgets grid")
+
+
+@dataclass
 class RunConfig:
     """Everything a command run depends on; serialized next to artifacts."""
 
@@ -75,6 +101,8 @@ class RunConfig:
     retrieve: RetrieveConfig = field(default_factory=RetrieveConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
+    oracle: SearchLimits = field(default_factory=SearchLimits)
+    sweep: SweepConfig = field(default_factory=SweepConfig)
     out: str | None = None
 
     def __post_init__(self) -> None:
@@ -92,22 +120,22 @@ class RunConfig:
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    file_path = Path(path)
-    if not file_path.exists():
-        raise ConfigError(f"config file not found: {file_path}")
     try:
-        doc = json.loads(file_path.read_text(encoding="utf-8"))
+        doc = json.loads(Path(_require(path, "--config")).read_text(encoding="utf-8"))
     except ValueError as exc:   # a JSONDecodeError, or an int too long to read
-        raise ConfigError(f"config file {file_path} is not valid JSON: {exc}")
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {file_path} must hold a JSON object")
+        raise ConfigError(f"config file {path} must hold a JSON object")
     return doc
 
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation: a bool is not a number,
     an int passes where a float is expected and NaN, Infinity or an int too
-    large for a float does not, and X | None also takes null."""
+    large for a float does not, and X | None also takes null. A list's items
+    are the dataclass's own to check."""
+    if get_origin(hint) is list:
+        return type(value) is list
     if get_origin(hint) is UnionType:
         return any(_fits(value, arg) for arg in get_args(hint))
     if get_origin(hint) is dict:
@@ -127,11 +155,10 @@ def _build(cls, values: object, where: str):
     if not isinstance(values, dict):
         raise ConfigError(f"{where} must be an object, got {values!r}")
     hints = get_type_hints(cls)
-    names = {f.name for f in fields(cls)}
     built = {}
     try:
         for key, value in values.items():
-            if key not in names:
+            if key not in hints:
                 raise TypeError(f"unknown key {key!r}")
             hint = hints[key]
             if is_dataclass(hint):
@@ -172,24 +199,10 @@ def _scorer_from_flag(spec: str) -> dict:
     return {"name": name} if endpoint == "lexical" else {"name": name, "endpoint": endpoint}
 
 
-def _read(cls, doc: dict, args: argparse.Namespace, where: str):
-    """A `cls` built from `doc` with each flag given laid over the key its
-    dest names: a field of `cls`, or `section.field` for a field of one of
-    its sections."""
-    names = {f.name for f in fields(cls)}
-    for dest, value in vars(args).items():
-        name, _, key = dest.partition(".")
-        if value is None or name not in names:
-            continue
-        if not key:
-            doc[name] = value
-        elif isinstance(doc.setdefault(name, {}), dict):   # _build rejects a non-object
-            doc[name][key] = value
-    return _build(cls, doc, where)
-
-
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """The config file's RunConfig with every flag given laid over it."""
+    """The config file's RunConfig with every flag given laid over the key its
+    dest names: a field of RunConfig, or `section.field` for a field of one
+    of its sections. A list field's flag holds comma-separated values."""
     path = args.config or os.environ.get(ENV_CONFIG)
     doc = _load_config_file(path)
     source = path or "flags"
@@ -199,21 +212,36 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if vars(args).get("scorer"):   # flags replace the file's scorers
         doc["scorers"] = [_scorer_from_flag(spec) for spec in args.scorer]
         _scorers(doc["scorers"], "--scorer")   # so that an error names the flag
-    return _read(RunConfig, doc, args, source)
+    hints = get_type_hints(RunConfig)
+    for dest, value in vars(args).items():
+        name, _, key = dest.partition(".")
+        if value is None or name not in hints:
+            continue
+        if key and get_origin(hint := get_type_hints(hints[name])[key]) is list:
+            try:
+                value = [get_args(hint)[0](item) for item in value.split(",") if item]
+            except ValueError as exc:
+                raise ConfigError(f"--{key}: {exc}") from None
+        if not key:
+            doc[name] = value
+        elif isinstance(doc.setdefault(name, {}), dict):   # _build rejects a non-object
+            doc[name][key] = value
+    return _build(RunConfig, doc, source)
 
 
 # --- config materialization ---
 
-def _require(value, flag: str):
-    if value is None:
+def _require(path: str | None, flag: str) -> str:
+    """The file a path setting names; a path unset or naming no file is a ConfigError."""
+    if path is None:
         raise ConfigError(f"missing required value: {flag}")
-    return value
+    if not Path(path).is_file():
+        raise ConfigError(f"{flag.lstrip('-')} file not found: {path}")
+    return path
 
 
 def _load_cli_corpus(cfg: RunConfig) -> Corpus:
     path = _require(cfg.corpus, "--corpus")
-    if not Path(path).exists():
-        raise ConfigError(f"corpus file not found: {path}")
     if cfg.format == CANONICAL_FORMAT:
         return read_corpus(path)
     return ingest(path, cfg.format)
@@ -284,19 +312,19 @@ def cmd_query(cfg: RunConfig, query: str) -> int:
     return 0
 
 
-def cmd_oracle(cfg: RunConfig, limits: SearchLimits) -> int:
+def cmd_oracle(cfg: RunConfig) -> int:
     corpus = _load_cli_corpus(cfg)
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
     annotator = cfg.annotator.build()
     asked = [question for question in questions if question.gold_passage_ids]
-    traces = [derive_trace(question.text, question.gold, corpus, annotator, cfg.scorers, limits)
-              for question in asked]
+    traces = [derive_trace(q.text, q.gold, corpus, annotator, cfg.scorers, cfg.oracle)
+              for q in asked]
     stats = trace_stats(traces)
     stats["skipped_empty_gold"] = len(questions) - len(asked)
     output = json.dumps(stats, sort_keys=True, ensure_ascii=False, indent=2)
     print(output)
     _write_artifacts(cfg, {
-        "traces.jsonl": traces_to_jsonl(traces, limits, offers_semantic_tool(cfg.scorers)),
+        "traces.jsonl": traces_to_jsonl(traces, cfg.oracle, offers_semantic_tool(cfg.scorers)),
         "oracle_stats.json": output + "\n",
     })
     return 0
@@ -331,22 +359,17 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(
-    cfg: RunConfig,
-    budgets: list[int],
-    alphas: list[float],
-    ceiling: int | None,
-    matrix_path: str | None,
-) -> int:
+def cmd_sweep(cfg: RunConfig) -> int:
     corpus = _load_cli_corpus(cfg)
-    matrix = (read_matrix(matrix_path, corpus) if matrix_path
+    grid = cfg.sweep
+    matrix = (read_matrix(_require(grid.matrix, "--matrix"), corpus) if grid.matrix
               else _build_cli_matrix(cfg, corpus))
-    cells = simulate_truncation(matrix, budgets=budgets, alphas=alphas,
-                                top_k=cfg.truncation.top_k, ceiling=ceiling)
+    cells = simulate_truncation(matrix, budgets=grid.budgets, alphas=grid.alphas,
+                                top_k=cfg.truncation.top_k, ceiling=grid.ceiling)
     table = render_sweep_text(cells)
     print(table, end="")
     files = {"sweep.txt": table, "sweep.json": sweep_to_json(cells)}
-    if not matrix_path:
+    if not grid.matrix:
         files["matrix.jsonl"] = matrix_to_jsonl(matrix)
     _write_artifacts(cfg, files)
     return 0
@@ -404,8 +427,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p_oracle)
     _add_pipeline(p_oracle, ranks=False, cuts=False)
     p_oracle.add_argument("--questions", help="question/gold annotation file")
-    p_oracle.add_argument("--max-states", type=int)
-    p_oracle.add_argument("--max-edges", type=int)
+    p_oracle.add_argument("--max-states", dest="oracle.max_states", type=int)
+    p_oracle.add_argument("--max-edges", dest="oracle.max_edges", type=int)
 
     p_eval = sub.add_parser("eval", help="score matrix plus metrics report")
     _add_common(p_eval)
@@ -416,12 +439,12 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     _add_pipeline(p_sweep, ranks=True, cuts=False)
     p_sweep.add_argument("--questions", help="question/gold annotation file")
-    p_sweep.add_argument("--matrix", help="existing matrix.jsonl artifact")
-    p_sweep.add_argument("--budgets", default="1000,2000,3000,4000",
-                         help="comma-separated fixed budgets")
-    p_sweep.add_argument("--alphas", default="0,0.01,0.03,0.05,0.1",
-                         help="comma-separated adaptive alphas")
-    p_sweep.add_argument("--ceiling", type=int,
+    p_sweep.add_argument("--matrix", dest="sweep.matrix", help="existing matrix.jsonl artifact")
+    p_sweep.add_argument("--budgets", dest="sweep.budgets", help="comma-separated fixed "
+                         f"budgets (default: {','.join(map(str, SweepConfig().budgets))})")
+    p_sweep.add_argument("--alphas", dest="sweep.alphas", help="comma-separated adaptive "
+                         f"alphas (default: {','.join(map(str, SweepConfig().alphas))})")
+    p_sweep.add_argument("--ceiling", dest="sweep.ceiling", type=int,
                          help="adaptive ceiling (default: max budget)")
     # Flags are spelled in full: an abbreviation could silently take another
     # flag's meaning (sweep's --budget would read as --budgets).
@@ -430,39 +453,15 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid(values: str, flag: str, kind: type, key: str) -> list:
-    """A sweep flag's comma-separated values, each read by `kind` and checked
-    as TruncationConfig's `key`; a bad one is a ConfigError naming the flag."""
-    try:
-        grid = [kind(value) for value in values.split(",") if value]
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-    for value in grid:
-        _build(TruncationConfig, {key: value}, flag)
-    return grid
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         cfg = build_run_config(args)
-        if args.command == "ingest":
-            return cmd_ingest(cfg)
         if args.command == "query":
             return cmd_query(cfg, args.query_text)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, _read(SearchLimits, {}, args, "flags"))
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "sweep":
-            budgets = _grid(args.budgets, "--budgets", int, "word_budget")
-            alphas = _grid(args.alphas, "--alphas", float, "alpha")
-            _build(TruncationConfig, {"word_budget": args.ceiling}, "--ceiling")
-            if alphas and args.ceiling is None and not budgets:
-                raise ConfigError("--ceiling: adaptive cells need --ceiling or a --budgets grid")
-            return cmd_sweep(cfg, budgets, alphas, args.ceiling, args.matrix)
-        raise ConfigError(f"unknown command {args.command!r}")
+        commands = {"ingest": cmd_ingest, "oracle": cmd_oracle, "eval": cmd_eval,
+                    "sweep": cmd_sweep}
+        return commands[args.command](cfg)
     except (MemgrepError, ValueError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True, ensure_ascii=False),

@@ -1,11 +1,14 @@
 """Command-line surface: artifacts, config precedence, error records."""
 
 import argparse
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -14,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memgrep import errors
 from memgrep.annotate import AnnotatorConfig, RuleAnnotator
-from memgrep.cli import (CANONICAL_FORMAT, RunConfig, _write_artifacts, build_run_config, main,
-                         make_parser)
+from memgrep.cli import (CANONICAL_FORMAT, RunConfig, SweepConfig, _write_artifacts,
+                         build_run_config, main, make_parser)
 from memgrep.corpus import INGEST_FORMATS, load_questions, read_corpus
 from memgrep.evaluate import build_matrix, matrix_to_jsonl
+from memgrep.oracle import SearchLimits
 from memgrep.parse import parse_query
 from memgrep.rank import SCORER_KINDS, FusionConfig, ScorerHandle, primary_index
 from memgrep.retrieve import RetrieveConfig
@@ -288,6 +293,16 @@ def test_missing_corpus_flag(capsys):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("flag", ["--corpus", "--questions", "--matrix", "--config"])
+def test_a_path_that_names_no_file_is_a_config_error(capsys, tmp_path, fix_corpus,
+                                                     fix_questions, flag):
+    paths = {"--corpus": fix_corpus, "--questions": fix_questions, flag: str(tmp_path)}
+    code, out, err = run_cli(capsys, "sweep", *[arg for pair in paths.items() for arg in pair])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": f"{flag[2:]} file not found: {tmp_path}"}
+
+
 def test_config_file_supplies_defaults(capsys, tmp_path, fix_corpus):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -477,33 +492,73 @@ def test_query_without_content_terms_prints_no_terms(capsys, fix_corpus):
     assert any(w.startswith("empty-term-set") for w in trace["warnings"])
 
 
-@pytest.mark.parametrize("strategy", ["fixed", "adaptive"])
+# One run of each command with settings off their defaults, less --corpus and
+# --out: each query run is named by its strategy.
+REPLAYED_RUNS = {
+    "fixed": ["query", QUERY, "--strategy", "fixed", "--budget", "30", "--mode", "and"],
+    "adaptive": ["query", QUERY, "--strategy", "adaptive", "--alpha", "0.2", "--top-k", "5"],
+    "ingest": ["ingest", "--format", "generic-jsonl"],
+    "oracle": ["oracle", "--max-states", "3", "--max-edges", "5"],
+    "eval": ["eval", "--strategy", "adaptive", "--budget", "60", "--alpha", "0.1"],
+    "sweep": ["sweep", "--budgets", "50,100", "--alphas", "0,0.1", "--ceiling", "80"],
+    "sweep-matrix": ["sweep", "--budgets", "70", "--alphas", "0.05", "--top-k", "7"],
+}
+
+
+@pytest.mark.parametrize("run", REPLAYED_RUNS)
 def test_runconfig_passed_back_as_config_repeats_the_run(capsys, tmp_path, fix_corpus,
-                                                         strategy):
+                                                         fix_questions, run):
+    argv = REPLAYED_RUNS[run]
+    if run == "ingest":
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("".join(json.dumps(turn) + "\n" for turn in _GENERIC_TURNS))
+        argv = [*argv, "--corpus", str(raw)]
+    else:
+        argv = [*argv, "--corpus", fix_corpus]
+    if argv[0] in ("oracle", "eval", "sweep"):
+        argv += ["--questions", fix_questions]
+    if run == "sweep-matrix":
+        corpus = read_corpus(fix_corpus)
+        matrix = tmp_path / "matrix.jsonl"
+        matrix.write_text(matrix_to_jsonl(build_matrix(
+            load_questions(fix_questions, corpus), corpus, [ScorerHandle(name="lexical")])))
+        argv += ["--matrix", str(matrix)]
     first, second = tmp_path / "first", tmp_path / "second"
-    code, _, _ = run_cli(capsys, "query", QUERY, "--corpus", fix_corpus,
-                         "--strategy", strategy, "--out", str(first))
-    assert code == 0
-    code, _, err = run_cli(capsys, "query", QUERY, "--config",
-                           str(first / "runconfig.json"), "--out", str(second))
+    code, printed, err = run_cli(capsys, *argv, "--out", str(first))
     assert code == 0, err
-    for name in ("runconfig.json", "query_trace.json"):
-        assert (second / name).read_bytes() == (first / name).read_bytes()
+    # The replay names the command, and a query its text, and nothing else.
+    command = argv[:2] if argv[0] == "query" else argv[:1]
+    code, replayed, err = run_cli(capsys, *command, "--config", str(first / "runconfig.json"),
+                                  "--out", str(second))
+    assert code == 0, err
+    assert replayed == printed
+    names = sorted(path.name for path in first.iterdir())
+    assert "runconfig.json" in names
+    assert names == sorted(path.name for path in second.iterdir())
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_every_dotted_flag_dest_names_a_field_of_a_run_config_section():
     # build_run_config lays a flag over the key its dest names and skips a
-    # dest that names no field, so a misspelt one would silently do nothing.
+    # dest that names no field, so a misspelt one would silently do nothing,
+    # and a setting read from args past the builder would not be recorded.
+    # Only the parser's own dests, the config file, the scorer flags (which
+    # replace the scorers list) and the query text name no field.
     hints = get_type_hints(RunConfig)
-    commands = next(action for action in make_parser()._actions
+    parser = make_parser()
+    commands = next(action for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction)).choices
-    dests = {action.dest for command in commands.values() for action in command._actions}
-    dotted = {dest for dest in dests if "." in dest}
-    assert {"retrieve.mode", "truncation.word_budget", "annotator.endpoint"} <= dotted
-    for dest in dotted:
-        section, key = dest.split(".")
-        assert is_dataclass(hints.get(section)), dest
-        assert key in {f.name for f in fields(hints[section])}, dest
+    dests = {action.dest for command in (parser, *commands.values())
+             for action in command._actions}
+    assert {"retrieve.mode", "truncation.word_budget", "annotator.endpoint", "corpus",
+            "oracle.max_states", "sweep.budgets", "sweep.matrix"} <= dests
+    for dest in dests - {"help", "command", "config", "scorer", "query_text"}:
+        section, _, key = dest.partition(".")
+        assert section in hints, dest
+        if key:
+            assert is_dataclass(hints[section]), dest
+            assert key in {f.name for f in fields(hints[section])}, dest
 
 
 _NAMES = st.text(alphabet="abcé-_", min_size=1, max_size=4)
@@ -511,6 +566,13 @@ _ENDPOINTS = st.sampled_from(["unix:/x.sock", "tcp:127.0.0.1:9"])
 _SCORER = st.builds(ScorerHandle, name=_NAMES) | st.builds(
     ScorerHandle, name=_NAMES, kind=st.sampled_from(SCORER_KINDS), endpoint=_ENDPOINTS)
 _COUNTS = st.integers(min_value=1, max_value=10**6)
+_ALPHAS = st.floats(min_value=0, max_value=1, exclude_max=True)
+_SWEEPS = st.fixed_dictionaries({
+    "budgets": st.lists(_COUNTS, max_size=3), "alphas": st.lists(_ALPHAS, max_size=3),
+    "ceiling": st.none() | _COUNTS, "matrix": st.none() | st.text(max_size=8),
+}).filter(  # adaptive cells need a ceiling or a budget to take the largest of
+    lambda grid: grid["budgets"] or grid["ceiling"] or not grid["alphas"]).map(
+    lambda grid: SweepConfig(**grid))
 _RUN_CONFIGS = st.builds(
     RunConfig,
     corpus=st.none() | st.text(max_size=8),
@@ -527,8 +589,9 @@ _RUN_CONFIGS = st.builds(
                          _NAMES, st.floats(min_value=0.5, max_value=10), min_size=1, max_size=2)),
     truncation=st.builds(TruncationConfig, strategy=st.sampled_from(("fixed", "adaptive")),
                          word_budget=st.none() | _COUNTS,
-                         alpha=st.floats(min_value=0, max_value=1, exclude_max=True),
-                         top_k=_COUNTS),
+                         alpha=_ALPHAS, top_k=_COUNTS),
+    oracle=st.builds(SearchLimits, max_states=_COUNTS, max_edges=_COUNTS),
+    sweep=_SWEEPS,
 )
 
 
@@ -606,6 +669,26 @@ BAD_CONFIGS = {
     # runconfig.json marks its runs deterministic; no other marker is read.
     "deterministic-not-true": ({"deterministic": "no"}, "deterministic must be true, got 'no'"),
     "deterministic-false": ({"deterministic": False}, "deterministic must be true, got False"),
+    # The oracle's search limits and the sweep's grid are sections like any
+    # other; a grid value is also named by the flag that sets it.
+    "sweep-budgets-not-a-list": ({"sweep": {"budgets": "50"}},
+                                 "sweep: budgets must be list, got '50'"),
+    "sweep-budgets-zero": ({"sweep": {"budgets": [0]}},
+                           "sweep: --budgets: word_budget must be positive"),
+    "sweep-budgets-null": ({"sweep": {"budgets": [50, None]}},
+                           "sweep: --budgets: word_budget must be int, got None"),
+    "sweep-alphas-out-of-range": ({"sweep": {"alphas": [1.5]}},
+                                  "sweep: --alphas: alpha must lie in [0, 1)"),
+    "sweep-ceiling-zero": ({"sweep": {"ceiling": 0}},
+                           "sweep: --ceiling: word_budget must be positive"),
+    "sweep-alphas-without-ceiling-or-budgets": ({"sweep": {"budgets": [], "alphas": [0]}},
+                                                "sweep: --ceiling: adaptive cells need "
+                                                "--ceiling or a --budgets grid"),
+    "sweep-unknown-key": ({"sweep": {"bogus": 1}}, "sweep: unknown key 'bogus'"),
+    "oracle-zero-max-states": ({"oracle": {"max_states": 0}},
+                               "oracle: search limits must be positive"),
+    "oracle-bool-max-edges": ({"oracle": {"max_edges": True}},
+                              "oracle: max_edges must be int, got True"),
 }
 
 
@@ -936,3 +1019,69 @@ def test_cli_process_ends_damaged_input_in_one_error_record(tmp_path, case):
     assert set(record) == {"error", "message"}
     assert record["error"] == error
     assert fragment in record["message"]
+
+
+# Values a damaged config node takes: one of each JSON type, and numbers and
+# strings that fit no setting (json writes NaN, and reads it back).
+_DAMAGE = [None, True, 0, -1, 2.5, float("nan"), 10**30, "", "x", [], [0], {}, {"x": 1}]
+_MEMGREP_ERRORS = {name for name, value in vars(errors).items()
+                   if isinstance(value, type) and issubclass(value, errors.MemgrepError)}
+
+
+def _json_paths(node, path=()):
+    """The path of every node of a JSON document, the root's first."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, (*path, key))
+
+
+@pytest.fixture(scope="module")
+def recorded_configs(tmp_path_factory):
+    """The runconfig.json of an oracle run and of a sweep run on the fixture."""
+    recorded = {}
+    for argv in (["oracle", "--max-states", "500"],
+                 ["sweep", "--budgets", "50,100", "--alphas", "0,0.1", "--ceiling", "80"]):
+        out = tmp_path_factory.mktemp(argv[0])
+        with redirect_stdout(io.StringIO()):
+            assert main([*argv, "--corpus", str(fixture_path("corpus.jsonl")), "--questions",
+                         str(fixture_path("questions.json")), "--out", str(out)]) == 0
+        recorded[argv[0]] = json.loads((out / "runconfig.json").read_text())
+    return recorded
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_runconfig_ends_in_a_run_or_one_error_record(recorded_configs,
+                                                             tmp_path_factory, data):
+    # One node of a recorded config is replaced or deleted, then the file is
+    # replayed: the run either ends well or in one typed JSON error record.
+    command = data.draw(st.sampled_from(sorted(recorded_configs)))
+    doc = copy.deepcopy(recorded_configs[command])
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    damage = data.draw(st.sampled_from(_DAMAGE + ["delete"] * bool(path)))
+    if not path:
+        doc = damage
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if damage == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = damage
+    config = tmp_path_factory.mktemp("damaged") / "config.json"
+    config.write_text(json.dumps(doc))
+    printed, failed = io.StringIO(), io.StringIO()
+    with redirect_stdout(printed), redirect_stderr(failed):
+        code = main([command, "--config", str(config)])
+    if code == 0:
+        assert failed.getvalue() == ""
+        return
+    assert code == 1
+    lines = failed.getvalue().splitlines()
+    assert len(lines) == 1, failed.getvalue()
+    record = json.loads(lines[0])
+    assert set(record) == {"error", "message"}
+    assert record["error"] in _MEMGREP_ERRORS, record

@@ -44,36 +44,36 @@ GOLDEN = {
         "stdout": "f59187cdb1d5893cdcf31623d8b56319b80add59cd419dd9eaf17f118ec16da8",
         "eval_report.json": "f59187cdb1d5893cdcf31623d8b56319b80add59cd419dd9eaf17f118ec16da8",
         "matrix.jsonl": "4cbd6a88bac016b803fdfe3fdc54abb0fbbb0ec69183ffd815f50f20f7d9817d",
-        "runconfig.json": "d1514817df383e9c5c821c07258391eeb114e6b6fe0f71b6701e29f7bc88aac7"
+        "runconfig.json": "9a2fbfb896e546c337e40877141f01077005c59e855cc8f5d0d227b04d8c96df"
     },
     "eval-fixed": {
         "stdout": "deef359007af08d46bb06d4e62a9f27663b291823a54dafd8ca94c4b309dcce5",
         "eval_report.json": "deef359007af08d46bb06d4e62a9f27663b291823a54dafd8ca94c4b309dcce5",
         "matrix.jsonl": "4cbd6a88bac016b803fdfe3fdc54abb0fbbb0ec69183ffd815f50f20f7d9817d",
-        "runconfig.json": "eb4a7b7769676592a09719effe23ca66018650faeb0d25ca95b6c01aed20eab9"
+        "runconfig.json": "ae15558aa8123a043652a537142bf1ce555954d971210a094bbf7644757d94f8"
     },
     "oracle": {
         "stdout": "2aa7d3afcc992bb1a59d972e79d52227523c06f7ff5921e7a50ee7915e8efca9",
         "oracle_stats.json": "2aa7d3afcc992bb1a59d972e79d52227523c06f7ff5921e7a50ee7915e8efca9",
-        "runconfig.json": "eb4a7b7769676592a09719effe23ca66018650faeb0d25ca95b6c01aed20eab9",
+        "runconfig.json": "ae15558aa8123a043652a537142bf1ce555954d971210a094bbf7644757d94f8",
         "traces.jsonl": "c0b0cd45248f108905fde739ca07048a5663994e79d9f3eff8e84d142ce531f6"
     },
     "query-adaptive": {
         "stdout": "1c55b47901bed2ad1946e004105345cf286c1325947f3551acda9137a3c292d5",
         "context.txt": "a4b90038960d93fb6a2946263fa286c8dc4b9bf9f62e5e69fa62943ee2c2cff9",
         "query_trace.json": "c9c2e0367d627384152c5094fb1ee5e76b8d553783bde860a1a99edafc56f1f3",
-        "runconfig.json": "5a889fb9f15fe4d3f09a09edab62eff8ad6fb4d06b097573fda4fe046f9ca7b8"
+        "runconfig.json": "f3aceea32907d2054bb3dbb221565090090b01012f280c643f64853da01fa881"
     },
     "query-fixed": {
         "stdout": "1c55b47901bed2ad1946e004105345cf286c1325947f3551acda9137a3c292d5",
         "context.txt": "a4b90038960d93fb6a2946263fa286c8dc4b9bf9f62e5e69fa62943ee2c2cff9",
         "query_trace.json": "c9c2e0367d627384152c5094fb1ee5e76b8d553783bde860a1a99edafc56f1f3",
-        "runconfig.json": "df33ad90dd846d9d3562b94e53102e45be82369c3bc3093830d42cd7af0dbdba"
+        "runconfig.json": "d44d6f06815d36ed57130a04744e538145452072871fd3d1ab048556390739b9"
     },
     "sweep": {
         "stdout": "28d15d37e5f41973e9df89d328691515f5ce63aa14891c781c8383b2fb773914",
         "matrix.jsonl": "4cbd6a88bac016b803fdfe3fdc54abb0fbbb0ec69183ffd815f50f20f7d9817d",
-        "runconfig.json": "eb4a7b7769676592a09719effe23ca66018650faeb0d25ca95b6c01aed20eab9",
+        "runconfig.json": "ae15558aa8123a043652a537142bf1ce555954d971210a094bbf7644757d94f8",
         "sweep.json": "fd7c764789f7a44829fffe4a78d0e598b3dc4b6a2833d64198c0c7b4402c7be8",
         "sweep.txt": "28d15d37e5f41973e9df89d328691515f5ce63aa14891c781c8383b2fb773914"
     }
