@@ -8,7 +8,12 @@ one a run uses: the service annotator when it has an endpoint, else the
 rule annotator.
 
 Both operations are views over one analysis of the text, which gives the
-tokens and the mentions together. Each annotator keeps the last MEMO_SIZE
+tokens and the mentions together. The rule annotator fills parallel
+per-token lists in one scan of the text, tags the tokens and grows the
+entity spans in one pass over those lists, and builds its TokenAnnotation
+records in C. TokenAnnotation and EntityMention are NamedTuples, as Passage
+is: a record compares equal to the plain tuple of its fields, and assigning
+a field raises AttributeError. Each annotator keeps the last MEMO_SIZE
 analyses in a bounded, thread-safe memo keyed by text, so the query, the
 entity hops and PRF, which ask about the same texts again and again within a
 question, pay for each distinct text once. The analysis is deterministic, so
@@ -21,7 +26,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Protocol
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .errors import PartialResponseError
 from .service import ServiceClient
@@ -42,15 +48,13 @@ _VERB_SUFFIXES = ("ify", "ize", "ise")
 MEMO_SIZE = 64
 
 
-@dataclass(frozen=True)
-class TokenAnnotation:
+class TokenAnnotation(NamedTuple):
     token: str
     pos: str
     entity_label: str | None = None
 
 
-@dataclass(frozen=True)
-class EntityMention:
+class EntityMention(NamedTuple):
     surface: str
     label: str
 
@@ -106,15 +110,6 @@ def _dedup_mentions(mentions: Iterable[EntityMention]) -> tuple[EntityMention, .
     return tuple(deduped)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    raw: str          # text slice as written, possessive marker included
-    core: str         # raw with a trailing 's / 's clipped off
-    start: int
-    end: int          # end of core, not of raw
-    sentence_initial: bool
-
-
 class RuleAnnotator:
     """Capitalization, lexicon, and suffix heuristics; no model.
 
@@ -150,83 +145,84 @@ class RuleAnnotator:
     def _analyze_text(
         self, text: str
     ) -> tuple[tuple[TokenAnnotation, ...], tuple[EntityMention, ...]]:
-        """Token annotations and deduplicated entity mentions of the text."""
+        """Token annotations and deduplicated entity mentions of the text, in
+        one pass over parallel per-token lists."""
         if not text.strip():
             raise ValueError("text must be non-empty")
-        tokens = self._tokenize(text)
-        tags = [self._classify(tokens, i) for i in range(len(tokens))]
-        spans = self._entity_spans(text, tokens, tags)
-        labels: dict[int, str] = {}
+        # A token's core is its text with a trailing 's / ’s clipped off;
+        # gaps[k] is the text between tokens k and k + 1, possessive marker
+        # excluded.
+        matches = list(_TOKEN_RE.finditer(text))
+        cores = [raw[:-2] if len(raw) > 2 and raw.endswith(("'s", "’s")) else raw
+                 for raw in map(re.Match.group, matches)]
+        lows = list(map(str.lower, cores))
+        starts = list(map(re.Match.start, matches))
+        gaps = [text[match.end():start] for match, start in zip(matches, starts[1:])]
+        initial = [True] + [
+            gap != " " and any(map(gap.__contains__, _SENTENCE_END))
+            and not self._honorific_gap(low, gap)
+            for low, gap in zip(lows, gaps)]
+
+        stopwords, date_words, verbs = self._stopwords, self._date_words, self._verbs
+        tags: list[str] = []
+        spans: list[list[int]] = []   # [first, last] token of each entity span
+        for i, low in enumerate(lows):
+            core = cores[i]
+            if low in stopwords or any(map(str.isdigit, core)) or low in date_words:
+                tags.append("OTHER")
+            elif core[0].isupper() and (
+                    not initial[i] or self._proper_reading(cores, lows, initial, i)):
+                # A proper noun extends the span of the one before it when
+                # only whitespace or an honorific's period lies between them.
+                if tags and tags[-1] == "PROPN" and (
+                        gaps[i - 1].isspace() or self._honorific_gap(lows[i - 1], gaps[i - 1])):
+                    spans[-1][1] = i
+                else:
+                    spans.append([i, i])
+                tags.append("PROPN")
+            elif low in verbs or (len(low) >= 4 and low.endswith("ed")):
+                tags.append("VERB")
+            elif (len(low) >= 5 and low.endswith("ing")) or low.endswith(_NOUN_SUFFIXES):
+                tags.append("NOUN")
+            elif low.endswith(_VERB_SUFFIXES):
+                tags.append("VERB")
+            else:
+                tags.append("NOUN")
+
+        labels: list[str | None] = [None] * len(cores)
         mentions: list[EntityMention] = []
-        for first, last, label in spans:
-            surface = text[tokens[first].start:tokens[last].end]
-            mentions.append(EntityMention(surface=surface, label=label))
-            for i in range(first, last + 1):
-                labels[i] = label
-        annotations = tuple(
-            TokenAnnotation(token=tok.core, pos=tag, entity_label=labels.get(i))
-            for i, (tok, tag) in enumerate(zip(tokens, tags))
-        )
+        for first, last in spans:
+            surface = text[starts[first]:starts[last] + len(cores[last])]
+            span_lows = lows[first:last + 1]
+            if " ".join(surface.split()).lower() in self._places_full:
+                label = "LOC"
+            elif not self._org_keywords.isdisjoint(span_lows):
+                label = "ORG"
+            elif not self._event_keywords.isdisjoint(span_lows):
+                label = "EVENT"
+            elif not self._places_single.isdisjoint(span_lows):
+                label = "LOC"
+            else:
+                label = "PERSON"
+            mentions.append(EntityMention(surface, label))
+            labels[first:last + 1] = [label] * len(span_lows)
+        # tuple.__new__ builds each record in C; TokenAnnotation's own __new__ is Python.
+        annotations = tuple(map(tuple.__new__, repeat(TokenAnnotation),
+                                zip(cores, tags, labels)))
         return annotations, _dedup_mentions(mentions)
 
-    def _tokenize(self, text: str) -> list[_Tok]:
-        tokens: list[_Tok] = []
-        prev_end = 0
-        for match in _TOKEN_RE.finditer(text):
-            raw = match.group(0)
-            core = raw
-            if len(core) > 2 and core[-2:] in ("'s", "’s"):
-                core = core[:-2]
-            gap = text[prev_end:match.start()]
-            if not tokens:
-                initial = True
-            elif any(ch in gap for ch in _SENTENCE_END):
-                initial = not self._honorific_gap(tokens[-1], gap)
-            else:
-                initial = False
-            tokens.append(_Tok(
-                raw=raw, core=core,
-                start=match.start(), end=match.start() + len(core),
-                sentence_initial=initial,
-            ))
-            prev_end = match.end()
-        return tokens
-
-    def _honorific_gap(self, prev: _Tok, gap: str) -> bool:
+    def _honorific_gap(self, prev_low: str, gap: str) -> bool:
         """A period right after an honorific does not end the sentence."""
         return (
-            prev.core.lower() in self._honorifics
+            prev_low in self._honorifics
             and gap.lstrip(".").strip() == ""
             and gap.count(".") == 1
         )
 
-    def _classify(self, tokens: list[_Tok], i: int) -> str:
-        tok = tokens[i]
-        low = tok.core.lower()
-        if low in self._stopwords:
-            return "OTHER"
-        if any(ch.isdigit() for ch in tok.core):
-            return "OTHER"
-        if low in self._date_words:
-            return "OTHER"
-        if tok.core[0].isupper() and self._proper_reading(tokens, i, low):
-            return "PROPN"
-        if low in self._verbs:
-            return "VERB"
-        if low.endswith("ed") and len(low) >= 4:
-            return "VERB"
-        if low.endswith("ing") and len(low) >= 5:
-            return "NOUN"
-        if low.endswith(_NOUN_SUFFIXES):
-            return "NOUN"
-        if low.endswith(_VERB_SUFFIXES):
-            return "VERB"
-        return "NOUN"
-
-    def _proper_reading(self, tokens: list[_Tok], i: int, low: str) -> bool:
-        tok = tokens[i]
-        if not tok.sentence_initial:
-            return True
+    def _proper_reading(self, cores: list[str], lows: list[str],
+                        initial: list[bool], i: int) -> bool:
+        """Whether capitalized token i, which opens a sentence, is a name."""
+        low = lows[i]
         if low in self._first_names or low in self._places_single \
                 or low in self._honorifics:
             return True
@@ -235,53 +231,15 @@ class RuleAnnotator:
         # Known verbs are exempt so imperatives keep their verb reading.
         if low in self._verbs:
             return False
-        if i + 1 < len(tokens):
-            nxt = tokens[i + 1]
-            nxt_low = nxt.core.lower()
+        if i + 1 < len(cores):
+            nxt_low = lows[i + 1]
             return (
-                not nxt.sentence_initial
-                and nxt.core[0].isupper()
+                not initial[i + 1]
+                and cores[i + 1][0].isupper()
                 and nxt_low not in self._stopwords
                 and nxt_low not in self._date_words
             )
         return False
-
-    def _entity_spans(
-        self, text: str, tokens: list[_Tok], tags: list[str]
-    ) -> list[tuple[int, int, str]]:
-        spans: list[tuple[int, int, str]] = []
-        i = 0
-        while i < len(tokens):
-            if tags[i] != "PROPN":
-                i += 1
-                continue
-            j = i
-            while j + 1 < len(tokens) and tags[j + 1] == "PROPN":
-                raw_end = tokens[j].start + len(tokens[j].raw)
-                gap = text[raw_end:tokens[j + 1].start]
-                if gap.strip() == "" or self._honorific_gap(tokens[j], gap):
-                    j += 1
-                else:
-                    break
-            spans.append((i, j, self._label_span(text, tokens, i, j)))
-            i = j + 1
-        return spans
-
-    def _label_span(
-        self, text: str, tokens: list[_Tok], first: int, last: int
-    ) -> str:
-        surface = text[tokens[first].start:tokens[last].end]
-        normalized = " ".join(surface.split()).lower()
-        cores = [tokens[i].core.lower() for i in range(first, last + 1)]
-        if normalized in self._places_full:
-            return "LOC"
-        if any(core in self._org_keywords for core in cores):
-            return "ORG"
-        if any(core in self._event_keywords for core in cores):
-            return "EVENT"
-        if any(core in self._places_single for core in cores):
-            return "LOC"
-        return "PERSON"
 
 
 class ServiceAnnotator:

@@ -131,9 +131,9 @@ def _load_config_file(path: str | None) -> dict:
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation: a bool is not a number,
-    an int passes where a float is expected and NaN, Infinity or an int too
-    large for a float does not, and X | None also takes null. A list's items
-    are the dataclass's own to check."""
+    an int passes where a float is expected (_build stores it as that float)
+    and NaN, Infinity or an int too large for a float does not, and X | None
+    also takes null. A list's items are the dataclass's own to check."""
     if get_origin(hint) is list:
         return type(value) is list
     if get_origin(hint) is UnionType:
@@ -145,6 +145,22 @@ def _fits(value, hint) -> bool:
     if hint is float:
         return finite_number(value)
     return type(value) is hint
+
+
+def _as_floats(value, hint):
+    """value with each int that stands for a float, in a float field, a float
+    list's items or a float dict's values, stored as that float: 0 and 0.0
+    are one setting and write the same bytes."""
+    if hint is float:
+        return float(value) if finite_number(value) else value
+    if get_origin(hint) is UnionType:
+        for arg in get_args(hint):
+            value = _as_floats(value, arg)
+    elif get_origin(hint) is list and type(value) is list:
+        return [_as_floats(item, get_args(hint)[0]) for item in value]
+    elif get_origin(hint) is dict and type(value) is dict:
+        return {key: _as_floats(item, get_args(hint)[1]) for key, item in value.items()}
+    return value
 
 
 def _build(cls, values: object, where: str):
@@ -167,7 +183,7 @@ def _build(cls, values: object, where: str):
                 value = _scorers(value, f"{where}: {key}")
             elif not _fits(value, hint):
                 raise TypeError(f"{key} must be {getattr(hint, '__name__', hint)}, got {value!r}")
-            built[key] = value
+            built[key] = _as_floats(value, hint)
         return cls(**built)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None

@@ -5,6 +5,8 @@ import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memgrep.annotate import (
     ENTITY_LABELS,
@@ -14,6 +16,7 @@ from memgrep.annotate import (
     RuleAnnotator,
     ServiceAnnotator,
     TokenAnnotation,
+    _read_lexicon,
 )
 from memgrep.corpus import load_questions, read_corpus
 from memgrep.errors import PartialResponseError, ScorerUnavailableError
@@ -21,6 +24,7 @@ from memgrep.retrieve import retrieve
 from memgrep.service import ReferenceServer
 
 from conftest import annotation_payload
+from reference_annotator import ReferenceAnnotator
 
 
 @pytest.fixture(scope="module")
@@ -154,19 +158,104 @@ def test_service_annotator_round_trip(tagger):
         assert remote.extract_entities(text) == tagger.extract_entities(text)
 
 
+def test_records_are_named_tuples_with_the_dataclass_surface():
+    token = TokenAnnotation("Melanie", "PROPN")
+    mention = EntityMention("Melanie", "PERSON")
+    assert token == ("Melanie", "PROPN", None)
+    assert mention == ("Melanie", "PERSON")
+    assert repr(token) == "TokenAnnotation(token='Melanie', pos='PROPN', entity_label=None)"
+    assert repr(mention) == "EntityMention(surface='Melanie', label='PERSON')"
+    with pytest.raises(AttributeError):
+        token.pos = "NOUN"
+    with pytest.raises(AttributeError):
+        mention.label = "LOC"
+
+
+# --- the one-pass analysis equals the seed's ---
+
+@pytest.fixture(scope="module")
+def reference():
+    return ReferenceAnnotator()
+
+
+def assert_same_analysis(tagger, reference, text):
+    got, want = tagger._analyze_text(text), reference._analyze_text(text)
+    assert got == want
+    assert repr(got) == repr(want)   # same record types, field for field
+
+
+TRICKY_TEXTS = [
+    "Dr. Smith met Mr. Jones in New York.",
+    "Ms.  Lee’s car",
+    "Dr.. Who",
+    "Mr.\nSmith",
+    "Prof. Dr. Chen visited New  York City.",
+    "Tell Sarah. Call Mr. Lee!",
+    "New York is big. Seattle too",
+    "Visit Paris… Rome?! Lisbon",
+    "İstanbul and ǅemal met Élise in JUNE",
+    "Room 3 and x² and ٣ and b4",
+    "Gina's job, James’s car and O'Brien-Smith's house",
+    "snake_case Melanie_Chen a_b",
+    "Acme Corp hosted the Jazz Festival at Lake Tahoe",
+    "THE NEW YORK MARATHON",
+    "running celebration simplify baked",
+    "Ed's It's 's ’s",
+    "a- -b 'c' well--known",
+    "Dr.\tChen\t\tNew York",
+]
+
+
+@pytest.mark.parametrize("text", TRICKY_TEXTS)
+def test_analysis_matches_the_reference_on_tricky_texts(tagger, reference, text):
+    assert_same_analysis(tagger, reference, text)
+
+
+_WORDS = st.sampled_from(
+    [word for name in ("stopwords.txt", "first_names.txt", "verbs.txt", "date_words.txt",
+                       "org_keywords.txt", "event_keywords.txt", "places.txt")
+     for word in _read_lexicon(name)]
+    + ["Birchwood", "hiking", "celebration", "simplify", "baked", "realise",
+       "Élise", "İstanbul", "ǅemal", "3", "²", "٣", "b4", "x²", "_"])
+_HONORIFICS = st.sampled_from(_read_lexicon("honorifics.txt")).flatmap(
+    lambda word: st.sampled_from([word, word + "."]))
+_CASES = st.sampled_from([str.lower, str.capitalize, str.upper, str])
+_JOINS = st.sampled_from(["", "", "", "'s", "’s", "-", "'", "_"])
+_GAPS = st.sampled_from([" ", " ", " ", "  ", "\t", "\n", ". ", "… ", "?!", "..", ", "])
+
+
+@st.composite
+def _texts(draw):
+    parts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        word = draw(_CASES)(draw(_WORDS | _HONORIFICS))
+        join = draw(_JOINS)
+        if join in ("-", "'", "_"):
+            word += join + draw(_CASES)(draw(_WORDS))
+        else:
+            word += join
+        parts.append(word + draw(_GAPS))
+    return "".join(parts)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(text=_texts())
+def test_analysis_matches_the_reference(tagger, reference, text):
+    assert_same_analysis(tagger, reference, text)
+
+
 # --- one analysis per text ---
 
 class CountingAnnotator(RuleAnnotator):
-    """Counts how often each text is tokenized, the first step of every
-    analysis."""
+    """Counts how often each text is analysed, the unit the memo keys."""
 
     def __init__(self):
         super().__init__()
-        self.tokenized = Counter()
+        self.analyzed = Counter()
 
-    def _tokenize(self, text):
-        self.tokenized[text] += 1
-        return super()._tokenize(text)
+    def _analyze_text(self, text):
+        self.analyzed[text] += 1
+        return super()._analyze_text(text)
 
 
 def test_retrieve_analyzes_each_text_once(fixture_corpus_path,
@@ -175,9 +264,9 @@ def test_retrieve_analyzes_each_text_once(fixture_corpus_path,
     for question in load_questions(fixture_questions_path, corpus):
         annotator = CountingAnnotator()
         retrieve(question.text, corpus, annotator=annotator)
-        assert question.text in annotator.tokenized
-        assert len(annotator.tokenized) > 1   # the hops mined some passages
-        assert max(annotator.tokenized.values()) == 1, annotator.tokenized
+        assert question.text in annotator.analyzed
+        assert len(annotator.analyzed) > 1   # the hops mined some passages
+        assert max(annotator.analyzed.values()) == 1, annotator.analyzed
 
 
 def test_shared_memo_under_concurrent_callers(tagger):

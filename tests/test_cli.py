@@ -539,6 +539,40 @@ def test_runconfig_passed_back_as_config_repeats_the_run(capsys, tmp_path, fix_c
         assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
+# Runs whose settings are given twice: as a config holding an int where a
+# float is meant, and as flags or a config holding that float.
+INT_FOR_FLOAT_RUNS = {
+    "sweep-alphas": (["sweep"], {"sweep": {"alphas": [0], "budgets": [50]}},
+                     ["--alphas", "0", "--budgets", "50"]),
+    "truncation-alpha": (["query", QUERY], {"truncation": {"strategy": "adaptive", "alpha": 0}},
+                         ["--strategy", "adaptive", "--alpha", "0"]),
+    "fusion": (["query", QUERY], {"fusion": {"k": 60, "weights": {"lexical": 1}}},
+               {"fusion": {"k": 60.0, "weights": {"lexical": 1.0}}}),
+}
+
+
+@pytest.mark.parametrize("run", INT_FOR_FLOAT_RUNS)
+def test_an_int_for_a_float_setting_writes_the_float(capsys, tmp_path, fix_corpus,
+                                                     fix_questions, run):
+    command, with_ints, with_floats = INT_FOR_FLOAT_RUNS[run]
+    argv = [*command, "--corpus", fix_corpus]
+    if command[0] == "sweep":
+        argv += ["--questions", fix_questions]
+    outs = []
+    for n, settings in enumerate((with_ints, with_floats)):
+        if isinstance(settings, dict):
+            config = tmp_path / f"config{n}.json"
+            config.write_text(json.dumps(settings))
+            settings = ["--config", str(config)]
+        outs.append(tmp_path / f"out{n}")
+        code, _, err = run_cli(capsys, *argv, *settings, "--out", str(outs[-1]))
+        assert code == 0, err
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_every_dotted_flag_dest_names_a_field_of_a_run_config_section():
     # build_run_config lays a flag over the key its dest names and skips a
     # dest that names no field, so a misspelt one would silently do nothing,
@@ -1085,3 +1119,83 @@ def test_damaged_runconfig_ends_in_a_run_or_one_error_record(recorded_configs,
     record = json.loads(lines[0])
     assert set(record) == {"error", "message"}
     assert record["error"] in _MEMGREP_ERRORS, record
+
+
+@pytest.fixture(scope="module")
+def input_documents():
+    """Per input file a command reads: the command's argv less the file, the
+    file's flag and name, and its fixture document (a JSONL file's records
+    as a list)."""
+    corpus_path, questions_path = fixture_path("corpus.jsonl"), fixture_path("questions.json")
+    corpus = read_corpus(corpus_path)
+    matrix = matrix_to_jsonl(build_matrix(load_questions(questions_path, corpus), corpus,
+                                          [ScorerHandle(name="lexical")]))
+    records = [json.loads(line) for line in corpus_path.read_text(encoding="utf-8").splitlines()]
+    questions = json.loads(questions_path.read_text(encoding="utf-8"))
+    with_corpus = ["--corpus", str(corpus_path)]
+    turns = [{"role": "user", "content": "I went hiking with Javier."},
+             {"role": "assistant", "content": "Where did you go?"}]
+    return {
+        "canonical": (["query", QUERY], "--corpus", "corpus.jsonl", records),
+        "questions-eval": (["eval", *with_corpus], "--questions", "questions.json", questions),
+        "questions-oracle": (["oracle", *with_corpus], "--questions", "questions.json",
+                             questions),
+        "matrix": (["sweep", *with_corpus, "--budgets", "50", "--alphas", "0"], "--matrix",
+                   "matrix.jsonl", [json.loads(line) for line in matrix.splitlines()]),
+        "locomo-like": (["ingest", "--format", "locomo-like"], "--corpus", "raw.json", {
+            "conversation": {
+                "session_1": [{"speaker": "Melanie", "text": "hello", "dia_id": "D1:3"},
+                              {"speaker": "Caroline", "text": "hi there"}],
+                "session_1_date_time": "1:14 pm on 8 May, 2023",
+                "session_2": [{"speaker": "Melanie", "clean_text": "back again"}]}}),
+        "longmemeval-sessions": (["ingest", "--format", "longmemeval-like"], "--corpus",
+                                 "raw.json", {"sessions": [
+                                     {"session_id": "a", "date": "2023-05-08", "turns": turns},
+                                     {"session_id": 7, "turns": turns}]}),
+        "longmemeval-haystack": (["ingest", "--format", "longmemeval-like"], "--corpus",
+                                 "raw.json", {"haystack_session_ids": ["a", "b"],
+                                              "haystack_dates": ["2023-05-08", None],
+                                              "haystack_sessions": [turns, turns]}),
+        "generic-jsonl": (["ingest", "--format", "generic-jsonl"], "--corpus", "raw.jsonl",
+                          [{**turn, "timestamp": "2023-05-08"} for turn in _GENERIC_TURNS]),
+    }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_input_file_ends_in_a_run_or_one_error_record(input_documents,
+                                                              tmp_path_factory, data):
+    # One node of a fixture input file is replaced or deleted, then the
+    # command that reads it runs: it ends well or in one typed JSON error
+    # record. A JSONL file's nodes are its lines and what they hold.
+    name = data.draw(st.sampled_from(sorted(input_documents)))
+    argv, flag, filename, doc = input_documents[name]
+    doc = copy.deepcopy(doc)
+    jsonl = filename.endswith(".jsonl")
+    path = data.draw(st.sampled_from([p for p in _json_paths(doc) if p or not jsonl]))
+    damage = data.draw(st.sampled_from(_DAMAGE + ["delete"] * bool(path)))
+    if not path:
+        doc = damage
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if damage == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = damage
+    damaged = tmp_path_factory.mktemp("damaged") / filename
+    damaged.write_text("".join(json.dumps(record) + "\n" for record in doc) if jsonl
+                       else json.dumps(doc), encoding="utf-8")
+    printed, failed = io.StringIO(), io.StringIO()
+    with redirect_stdout(printed), redirect_stderr(failed):
+        code = main([*argv, flag, str(damaged)])
+    if code == 0:
+        assert failed.getvalue() == ""
+        return
+    assert code == 1
+    lines = failed.getvalue().splitlines()
+    assert len(lines) == 1, failed.getvalue()
+    record = json.loads(lines[0])
+    assert set(record) == {"error", "message"}
+    assert record["error"] in _MEMGREP_ERRORS, (name, path, damage, record)
