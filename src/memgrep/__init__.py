@@ -28,7 +28,6 @@ from .errors import (
     DanglingGoldError,
     DuplicateTurnError,
     EmptyCorpusError,
-    EmptyTermSetError,
     MalformedDocumentError,
     MemgrepError,
     PartialResponseError,
@@ -77,7 +76,6 @@ __all__ = [
     "DanglingGoldError",
     "DuplicateTurnError",
     "EmptyCorpusError",
-    "EmptyTermSetError",
     "EntityMention",
     "FusionConfig",
     "GoldAnnotation",

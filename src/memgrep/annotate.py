@@ -13,7 +13,9 @@ per-token lists in one scan of the text, tags the tokens and grows the
 entity spans in one pass over those lists, and builds its TokenAnnotation
 records in C. TokenAnnotation and EntityMention are NamedTuples, as Passage
 is: a record compares equal to the plain tuple of its fields, and assigning
-a field raises AttributeError. Each annotator keeps the last MEMO_SIZE
+a field raises AttributeError. Any text can be analysed: a blank one has no
+tokens and no mentions, and the service annotator asks about it as about
+any other. Each annotator keeps the last MEMO_SIZE
 analyses in a bounded, thread-safe memo keyed by text, so the query, the
 entity hops and PRF, which ask about the same texts again and again within a
 question, pay for each distinct text once. The analysis is deterministic, so
@@ -147,8 +149,6 @@ class RuleAnnotator:
     ) -> tuple[tuple[TokenAnnotation, ...], tuple[EntityMention, ...]]:
         """Token annotations and deduplicated entity mentions of the text, in
         one pass over parallel per-token lists."""
-        if not text.strip():
-            raise ValueError("text must be non-empty")
         # A token's core is its text with a trailing 's / ’s clipped off;
         # gaps[k] is the text between tokens k and k + 1, possessive marker
         # excluded.
@@ -265,8 +265,6 @@ class ServiceAnnotator:
         return self._read(text, "entities", _entity_mentions)
 
     def _fetch_entry(self, text: str) -> dict:
-        if not text.strip():
-            raise ValueError("text must be non-empty")
         return self._client.annotate([text])[0]
 
     def _read(self, text: str, half: str, parse: Callable[[object], list]) -> list:

@@ -28,10 +28,6 @@ class DanglingGoldError(MemgrepError):
             f"{path}: gold references unknown passage ids: {', '.join(self.missing)}")
 
 
-class EmptyTermSetError(MemgrepError):
-    """Query parsing yielded zero weighted terms."""
-
-
 class ScorerUnavailableError(MemgrepError):
     """A scorer backend is disabled, unreachable, or failed to respond."""
 

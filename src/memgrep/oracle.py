@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .annotate import Annotator
 from .corpus import Corpus, GoldAnnotation
-from .errors import EmptyTermSetError, ScorerUnavailableError
+from .errors import ScorerUnavailableError
 from .parse import WeightedTerm, WeightedTermSet, parse_query
 from .rank import ScorerHandle
 from .retrieve import and_hits, candidate_order, grep_search, semantic_fallback
@@ -92,18 +92,13 @@ def derive_trace(
     if limits is None:
         limits = SearchLimits()
 
-    try:
-        initial_terms = parse_query(question, annotator).surfaces_lower()
-    except EmptyTermSetError:
-        initial_terms = frozenset()
+    initial_terms = parse_query(question, annotator).surfaces_lower()
 
     def fail(reason: str) -> OracleTrace:
         return OracleTrace(question_id=gold.question_id, actions=(),
                            success=False, reason=reason)
 
     semantic = offers_semantic_tool(scorers)
-    if not initial_terms and not semantic:
-        return fail("no-path")
 
     # Action results are state-independent, so execution is memoized on the
     # action identity alone.

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .annotate import ENTITY_LABELS, Annotator
-from .errors import EmptyTermSetError
 
 POS_WEIGHTS = {"PROPN": 3.0, "NOUN": 2.0, "VERB": 1.0}
 ENTITY_HOP_WEIGHT = 2.5
@@ -64,10 +63,11 @@ class WeightedTermSet:
 
 
 def parse_query(query: str, annotator: Annotator) -> WeightedTermSet:
-    """Extract weighted terms from the query; raises EmptyTermSetError when
-    nothing qualifies (the retrieval layer then falls back to semantic search).
+    """Extract weighted terms from the query: the empty term set when no word
+    qualifies (retrieve then falls back to semantic search). A blank query
+    raises ValueError.
     """
-    if not query:
+    if not query.strip():
         raise ValueError("query must be non-empty")
     annotations = annotator.annotate(query)
     terms: list[WeightedTerm] = []
@@ -87,10 +87,7 @@ def parse_query(query: str, annotator: Annotator) -> WeightedTermSet:
             weight=_head_weight(mention.surface, terms),
             provenance="query",
         ))
-    term_set = WeightedTermSet.from_terms(terms)
-    if not term_set.terms:
-        raise EmptyTermSetError(f"no content terms in query {query!r}")
-    return term_set
+    return WeightedTermSet.from_terms(terms)
 
 
 def _head_weight(surface: str, terms: list[WeightedTerm]) -> float:

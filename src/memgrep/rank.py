@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .annotate import RuleAnnotator
 from .corpus import Corpus
-from .errors import EmptyTermSetError, UnknownScorerError
+from .errors import UnknownScorerError
 from .parse import parse_query
 from .retrieve import LENGTH_PENALTY, CandidateSet, scorer_scores
 
@@ -150,10 +150,7 @@ class LexicalDenseScorer:
         self._annotator = RuleAnnotator()
 
     def score(self, query: str, texts: list[str]) -> list[float]:
-        try:
-            terms = parse_query(query, self._annotator).terms
-        except EmptyTermSetError:
-            terms = ()
+        terms = parse_query(query, self._annotator).terms
         lowered = list(map(str.lower, texts))
         positions = range(len(lowered))
         # One C-level pass per term, as grep_search scans, adding weights in

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, Passage
-from .errors import EmptyTermSetError, ScorerUnavailableError
+from .errors import ScorerUnavailableError
 from .parse import (
     ENTITY_HOP_WEIGHT,
     PRF_WEIGHT,
@@ -125,10 +125,8 @@ def grep_search(corpus: Corpus, terms: WeightedTermSet) -> dict[int, float]:
     Returns the raw OR hits, every passage matching at least one term, as
     passage position -> match score: the weights of the terms it holds,
     added in term order. Repeats of a term in the text add nothing. and_hits
-    keeps the hits that match every term.
+    keeps the hits that match every term. The empty term set finds nothing.
     """
-    if not terms.terms:
-        raise ValueError("term set must be non-empty")
     hits: dict[int, float] = {}
     get = hits.get
     for term in terms.terms:
@@ -196,11 +194,9 @@ def entity_expansion_hop(
 
     Entities already present in the query text (as substrings, case-
     insensitive) and surfaces in `exclude` (the query's terms and those
-    searched on an earlier hop) are dropped; an empty result means the hop
-    loop is done.
+    searched on an earlier hop) are dropped; an empty result, which no
+    passages give, means the hop loop is done.
     """
-    if not ranked_top:
-        raise ValueError("ranked_top must be non-empty")
     query_low = query.lower()
     terms: list[WeightedTerm] = []
     seen: set[str] = set()
@@ -229,9 +225,8 @@ def prf_hop(
 
     A noun or proper noun must appear in at least min_doc_freq distinct
     passages of ranked_top to qualify; surfaces in `exclude` are dropped.
+    No passages yield no terms.
     """
-    if not ranked_top:
-        raise ValueError("ranked_top must be non-empty")
     doc_freq: dict[str, int] = {}
     casing: dict[str, str] = {}
     order: list[str] = []
@@ -298,7 +293,9 @@ def retrieve(
 ) -> CandidateSet:
     """Full retrieval: grep, entity hops while they yield new terms, one PRF
     round, and the semantic fallback over the run's scorers only if
-    everything else came back empty and cfg.fallback_enabled.
+    everything else came back empty and cfg.fallback_enabled. A query that
+    parses to the empty term set runs no hop and warns "empty-term-set"; a
+    blank passage matches no term and is scored like any other.
     """
     if cfg is None:
         cfg = RetrieveConfig()
@@ -323,13 +320,10 @@ def retrieve(
             scores[i] = score
 
     hops = 0
-    terms = WeightedTermSet(())
-    try:
-        terms = parse_query(query, annotator)
-    except EmptyTermSetError:
+    terms = parse_query(query, annotator)
+    if not terms.terms:
         warnings.append("empty-term-set: no content terms in query")
-
-    if terms.terms:
+    else:
         searched = set(terms.surfaces_lower())
         # Hop 0 greps in OR mode in both modes: the query-term sums are OR
         # sums, since a candidate AND mode finds later, or a fallback one,

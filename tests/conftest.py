@@ -1,5 +1,6 @@
 """Shared fixtures and the acceptance summary hook."""
 
+import json
 import re
 from importlib import resources
 from pathlib import Path
@@ -24,6 +25,16 @@ def fixture_corpus_path() -> Path:
 @pytest.fixture
 def fixture_questions_path() -> Path:
     return fixture_path("questions.json")
+
+
+# A canonical corpus whose turn s:1 is blank, which read_corpus accepts. No
+# term of BLANK_TURN_QUESTION reaches its gold turn s:2, so only the oracle's
+# semantic action covers it, and that action mines the blank turn too.
+BLANK_TURN_CORPUS = "".join(
+    json.dumps({"id": f"s:{i}", "session_id": "s", "turn_index": i, "speaker": "A",
+                "text": text, "timestamp": None}) + "\n"
+    for i, text in enumerate(["Marisol baked bread.", "", "We climbed the ridge at dawn."]))
+BLANK_TURN_QUESTION = "Where did Marisol go hiking?"
 
 
 def make_corpus(texts, session_id="s", speaker="A"):

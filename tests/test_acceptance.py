@@ -19,7 +19,6 @@ import pytest
 from memgrep.annotate import RuleAnnotator
 from memgrep.cli import main
 from memgrep.corpus import Corpus, GoldAnnotation, Passage, Question, load_questions, read_corpus
-from memgrep.errors import EmptyTermSetError
 from memgrep.evaluate import (
     build_matrix,
     ranking_effect,
@@ -206,11 +205,7 @@ def _enumerate_minimum(question, gold_ids, corpus, annotator, max_len=3):
     Reimplements matching and term discovery from scratch; only the query
     parse and the entity extractor are shared with the code under test.
     """
-    try:
-        parsed = parse_query(question, annotator)
-        initial = frozenset(t.surface.lower() for t in parsed.terms)
-    except EmptyTermSetError:
-        return None
+    initial = frozenset(t.surface.lower() for t in parse_query(question, annotator).terms)
     if not initial:
         return None
 

@@ -135,11 +135,9 @@ def test_unknown_capitalized_midsentence_is_propn(tagger):
     assert by_token["yesterday"].pos == "OTHER"
 
 
-def test_empty_text_rejected(tagger):
-    with pytest.raises(ValueError):
-        tagger.annotate("")
-    with pytest.raises(ValueError):
-        tagger.extract_entities("   ")
+def test_blank_text_has_no_tokens_or_mentions(tagger):
+    assert tagger.annotate("") == []
+    assert tagger.extract_entities(" \n") == []
 
 
 def test_pos_and_label_vocabularies():
@@ -326,6 +324,15 @@ def test_service_annotator_sends_one_request_per_distinct_text(tagger):
             assert remote.annotate(text) == tagger.annotate(text)
             assert remote.extract_entities(text) == tagger.extract_entities(text)
     assert payload.requests == len(set(texts))
+
+
+def test_service_annotator_asks_about_blank_text_like_any_other(tagger):
+    payload = CountingPayload(tagger)
+    with ReferenceServer(annotate_fn=payload) as server:
+        remote = ServiceAnnotator(server.endpoint)
+        assert remote.annotate(" \n") == []
+        assert remote.extract_entities(" \n") == []
+    assert payload.requests == 1
 
 
 def test_memoized_results_survive_caller_mutation(tagger):

@@ -25,12 +25,13 @@ from memgrep.corpus import INGEST_FORMATS, load_questions, read_corpus
 from memgrep.evaluate import build_matrix, matrix_to_jsonl
 from memgrep.oracle import SearchLimits
 from memgrep.parse import parse_query
-from memgrep.rank import SCORER_KINDS, FusionConfig, ScorerHandle, primary_index
+from memgrep.rank import (SCORER_KINDS, FusionConfig, LexicalDenseScorer, ScorerHandle,
+                          primary_index)
 from memgrep.retrieve import RetrieveConfig
 from memgrep.service import ReferenceServer
 from memgrep.truncate import TruncationConfig
 
-from conftest import annotation_payload, fixture_path
+from conftest import BLANK_TURN_CORPUS, BLANK_TURN_QUESTION, annotation_payload, fixture_path
 
 REPO = Path(__file__).resolve().parent.parent
 QUERY = "Where did Javier go hiking?"
@@ -203,6 +204,22 @@ def test_oracle_with_an_unreachable_served_scorer_fails_only_the_question_that_a
     assert golden_stats["failure_reasons"] == {}
     assert stats["failure_reasons"] == {"scorer-unavailable": 1}
     assert (stats["total"], stats["successes"]) == (5, 4)
+
+
+def test_oracle_over_a_blank_turn_with_a_served_scorer_finishes(capsys, tmp_path):
+    corpus, questions = tmp_path / "corpus.jsonl", tmp_path / "questions.json"
+    corpus.write_text(BLANK_TURN_CORPUS)
+    questions.write_text(json.dumps([{"question_id": "q1", "question": BLANK_TURN_QUESTION,
+                                      "gold_passage_ids": ["s:2"]}]))
+    out_dir = tmp_path / "out"
+    with ReferenceServer(score_fn=LexicalDenseScorer().score) as server:
+        code, out, err = run_cli(capsys, "oracle", "--corpus", str(corpus), "--questions",
+                                 str(questions), "--scorer", f"ce={server.endpoint}",
+                                 "--out", str(out_dir))
+    assert code == 0, err
+    assert json.loads(out)["successes"] == 1
+    trace = json.loads((out_dir / "traces.jsonl").read_text().splitlines()[1])
+    assert [action["tool"] for action in trace["actions"]] == ["semantic"]
 
 
 def test_oracle_artifact_has_header(capsys, tmp_path, fix_corpus, fix_questions):
@@ -482,6 +499,13 @@ def test_query_prints_the_parsed_query_terms(capsys, fix_corpus):
     assert [(t["surface"], t["weight"], t["provenance"]) for t in trace["terms"]] == [
         (t.surface, t.weight, t.provenance) for t in parse_query(QUERY, RuleAnnotator()).terms]
     assert trace["terms"]
+
+
+def test_blank_query_is_one_error_record(capsys, fix_corpus):
+    code, out, err = run_cli(capsys, "query", "   ", "--corpus", fix_corpus)
+    assert (code, out) == (1, "")
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "ValueError", "message": "query must be non-empty"}]
 
 
 def test_query_without_content_terms_prints_no_terms(capsys, fix_corpus):

@@ -7,7 +7,9 @@ Importing a name, or assigning to it, does not count as reading it; dunder
 names such as __all__ and __version__ are read by Python and packaging
 tools, not by src/. Likewise every default of a function or a method,
 exported or not, must be overridden by some call in src/: a setting
-nothing in the package sets is a switch kept for tests.
+nothing in the package sets is a switch kept for tests. And every error type
+but the base class must be raised by some raise statement in src/: an
+exception nothing raises is a channel kept only by being exported.
 """
 
 import ast
@@ -118,3 +120,21 @@ def test_every_default_of_an_internal_function_is_passed_somewhere():
             if not passed:
                 unpassed.append(f"{fn.name}({param}=) ({filename}:{fn.lineno})")
     assert not unpassed, f"defaults no call in src/ passes: {unpassed}"
+
+
+def test_every_error_type_is_raised_somewhere():
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    errors = {"MemgrepError"}
+    for top in tree.body:   # a subclass is defined after its base
+        if isinstance(top, ast.ClassDef) and any(
+                getattr(base, "id", None) in errors for base in top.bases):
+            errors.add(top.name)
+    raised: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    assert len(errors) > 1
+    never = sorted(errors - raised - {"MemgrepError"})
+    assert not never, f"error types no raise in src/ raises: {never}"

@@ -20,7 +20,7 @@ from memgrep.oracle import (
 from memgrep.rank import LexicalDenseScorer, ScorerHandle
 from memgrep.service import ReferenceServer
 
-from conftest import make_corpus
+from conftest import BLANK_TURN_CORPUS, BLANK_TURN_QUESTION, fixture_path, make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,35 @@ def test_semantic_tool_rescues_unreachable_gold(tagger):
     assert trace.success
     assert trace.cost == 1
     assert trace.actions[0].tool == "semantic"
+
+
+def served(server):
+    return [ScorerHandle(name="lex"),
+            ScorerHandle(name="svc", kind="pointwise-cross", endpoint=server.endpoint)]
+
+
+def test_a_query_without_terms_searches_only_semantically(tagger):
+    corpus = read_corpus(fixture_path("corpus.jsonl"))
+    question = "the of and"
+    # No terms and no semantic tool: the action space is empty.
+    trace = derive_trace(question, gold("s1:2"), corpus, tagger)
+    assert (trace.success, trace.reason, trace.actions) == (False, "no-path", ())
+    with ReferenceServer(score_fn=LexicalDenseScorer().score) as server:
+        trace = derive_trace(question, gold("s1:2"), corpus, tagger, served(server))
+    assert trace.success
+    assert {action.tool for action in trace.actions} == {"semantic"}
+
+
+def test_a_blank_turn_among_the_semantic_top_is_analysed(tagger, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(BLANK_TURN_CORPUS)
+    corpus = read_corpus(path)
+    assert corpus.get("s:1").text == ""
+    with ReferenceServer(score_fn=LexicalDenseScorer().score) as server:
+        trace = derive_trace(BLANK_TURN_QUESTION, gold("s:2"), corpus, tagger,
+                             served(server))
+    assert trace.success
+    assert [action.tool for action in trace.actions] == ["semantic"]
 
 
 def test_budget_exhaustion_reported(tagger):

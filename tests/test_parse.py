@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
-from memgrep.errors import EmptyTermSetError
 from memgrep.parse import (
     ENTITY_HOP_WEIGHT,
     POS_WEIGHTS,
@@ -61,9 +60,14 @@ def test_multiword_entity_adds_phrase_term(tagger):
     assert got["Festival"] == 4.0
 
 
-def test_all_stopwords_raise(tagger):
-    with pytest.raises(EmptyTermSetError):
-        parse_query("the of and", tagger)
+def test_all_stopwords_parse_to_the_empty_set(tagger):
+    assert parse_query("the of and", tagger) == WeightedTermSet(())
+
+
+@pytest.mark.parametrize("query", ["", "   ", " \n\t"])
+def test_blank_query_rejected(tagger, query):
+    with pytest.raises(ValueError, match="query must be non-empty"):
+        parse_query(query, tagger)
 
 
 def test_from_terms_keeps_first_casing_and_max_weight():
@@ -126,11 +130,12 @@ def assert_term_invariants(term_set, provenance, weights):
 @settings(max_examples=200, deadline=None)
 @given(query=_SENTENCE)
 def test_parse_query_yields_unique_query_terms(tagger, query):
-    try:
-        terms = parse_query(query, tagger)
-    except EmptyTermSetError:
-        return
-    assert terms.terms
+    terms = parse_query(query, tagger)
+    # Empty exactly when no token is a content word and no mention is a
+    # multi-word surface, counted from the annotator's own output.
+    has_content = any(a.pos in ("PROPN", "NOUN", "VERB") for a in tagger.annotate(query)) \
+        or any(" " in m.surface for m in tagger.extract_entities(query))
+    assert bool(terms.terms) == has_content
     assert_term_invariants(terms, "query", (1.0, 2.0, 3.0, 4.0))
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
 from memgrep.corpus import load_questions, read_corpus
-from memgrep.errors import EmptyTermSetError, UnknownScorerError
+from memgrep.errors import UnknownScorerError
 from memgrep.parse import WeightedTerm, WeightedTermSet, parse_query
 from memgrep.rank import (
     DEFAULT_CROSS_WEIGHT,
@@ -57,12 +57,8 @@ def test_lexical_score_counts_each_term_once():
 def brute_force_lexical(query, text):
     """Distinct parsed-term weights whose lowercased surface occurs in the
     lowercased text, minus 0.001 per whitespace-separated word."""
-    try:
-        terms = parse_query(query, RuleAnnotator()).terms
-    except EmptyTermSetError:
-        terms = ()
     weights = {}
-    for term in terms:
+    for term in parse_query(query, RuleAnnotator()).terms:
         weights.setdefault(term.surface.lower(), term.weight)
     matched = sum(w for surface, w in weights.items() if surface in text.lower())
     return matched - 0.001 * len(text.split())
@@ -292,10 +288,7 @@ def test_fusion_without_weights_takes_the_default_split_at_its_k(
 def corpus_candidates(corpus, query):
     """Every passage as a candidate, in corpus order, with its query-term sum
     for query as retrieve's hop-0 OR grep finds it."""
-    try:
-        sums = grep_search(corpus, parse_query(query, RuleAnnotator()))
-    except EmptyTermSetError:
-        sums = {}
+    sums = grep_search(corpus, parse_query(query, RuleAnnotator()))
     return CandidateSet(tuple(Candidate(p.id, 0.0, 0) for p in corpus),
                         query_id_for(query), hops_executed=1,
                         term_sums=tuple(sums.get(i, 0.0) for i in range(len(corpus))))

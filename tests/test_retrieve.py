@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
 from memgrep.corpus import SCAN_CHARS, load_questions, read_corpus
-from memgrep.errors import EmptyTermSetError, ScorerUnavailableError
+from memgrep.errors import ScorerUnavailableError
 from memgrep.parse import PRF_WEIGHT, WeightedTerm, WeightedTermSet, parse_query
 from memgrep.rank import ScorerHandle
 from memgrep.retrieve import (
@@ -95,9 +95,8 @@ def test_grep_repeated_occurrences_count_once():
     assert grep_search(corpus, term_set(("echo", 2.0))) == {0: 2.0}
 
 
-def test_grep_empty_terms_rejected(tiny_corpus):
-    with pytest.raises(ValueError):
-        grep_search(tiny_corpus, WeightedTermSet(terms=()))
+def test_grep_of_no_terms_finds_nothing(tiny_corpus):
+    assert grep_search(tiny_corpus, WeightedTermSet(terms=())) == {}
 
 
 # Case-folding traps: "İ" lowers to two code points ("i" + combining dot),
@@ -339,9 +338,9 @@ def test_entity_expansion_skips_terms_already_in_query(tagger):
     assert new_terms.terms == ()
 
 
-def test_entity_expansion_requires_candidates(tagger):
-    with pytest.raises(ValueError):
-        entity_expansion_hop([], "x", tagger, exclude=frozenset())
+def test_hops_over_no_passages_yield_no_terms(tagger):
+    assert entity_expansion_hop([], "x", tagger, exclude=frozenset()) == WeightedTermSet(())
+    assert prf_hop([], tagger) == WeightedTermSet(())
 
 
 def test_prf_mines_recurring_nouns(tagger):
@@ -424,10 +423,7 @@ def test_fallback_set_through_retrieve_equals_brute_force(case, seed, tagger):
     query, mode, scorer, hops, warnings = FALLBACK_CASES[case]
     corpus = fallback_corpus(seed)
     passages = corpus.passages
-    try:
-        terms = parse_query(query, tagger).terms
-    except EmptyTermSetError:
-        terms = ()
+    terms = parse_query(query, tagger).terms
     # Brute force: each passage's OR sum, the weights of the terms its text
     # holds added in term order; the top SEMANTIC_FALLBACK_TOP_N fallback
     # scores in (-score, id) order. In process, a passage scores its sum
