@@ -11,7 +11,6 @@ from .annotate import (
     Annotator,
     EntityMention,
     RuleAnnotator,
-    ServiceAnnotator,
     TokenAnnotation,
 )
 from .corpus import (
@@ -95,7 +94,6 @@ __all__ = [
     "ScorerHandle",
     "ScorerUnavailableError",
     "SearchLimits",
-    "ServiceAnnotator",
     "ServiceClient",
     "TokenAnnotation",
     "TruncationConfig",

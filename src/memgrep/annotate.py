@@ -1,11 +1,9 @@
 """POS tags and named-entity spans from deterministic lexicon-and-suffix rules.
 
-The rule annotator is the default and ships its own lexicon data files. An
-adapter over the scoring-service line protocol (kind="annotate") lets an
-external statistical tagger take its place without touching the rest of the
-pipeline; both expose the same two operations. AnnotatorConfig builds the
-one a run uses: the service annotator when it has an endpoint, else the
-rule annotator.
+RuleAnnotator is the one annotator every run uses; it ships its own lexicon
+data files and needs no model. The Annotator protocol names its two
+operations, so a caller can wrap it (the benchmark's tracer times it
+through a proxy).
 
 Both operations are views over one analysis of the text, which gives the
 tokens and the mentions together. The rule annotator fills parallel
@@ -14,27 +12,21 @@ entity spans in one pass over those lists, and builds its TokenAnnotation
 records in C. TokenAnnotation and EntityMention are NamedTuples, as Passage
 is: a record compares equal to the plain tuple of its fields, and assigning
 a field raises AttributeError. Any text can be analysed: a blank one has no
-tokens and no mentions, and the service annotator asks about it as about
-any other. Each annotator keeps the last MEMO_SIZE
-analyses in a bounded, thread-safe memo keyed by text, so the query, the
-entity hops and PRF, which ask about the same texts again and again within a
-question, pay for each distinct text once. The analysis is deterministic, so
-a memoized answer equals a fresh one.
+tokens and no mentions. The annotator keeps the last MEMO_SIZE analyses in a
+bounded, thread-safe memo keyed by text, so the query, the entity hops and
+PRF, which ask about the same texts again and again within a question, pay
+for each distinct text once. The analysis is deterministic, so a memoized
+answer equals a fresh one.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, Protocol
+from typing import Iterable, NamedTuple, Protocol
 
-from .errors import PartialResponseError
-from .service import ServiceClient
-
-POS_TAGS = ("PROPN", "NOUN", "VERB", "OTHER")
 ENTITY_LABELS = ("PERSON", "ORG", "LOC", "EVENT")
 
 # Letters/digits with internal apostrophes or hyphens; underscores excluded.
@@ -43,7 +35,7 @@ _SENTENCE_END = (".", "!", "?", "\n", "…")
 _NOUN_SUFFIXES = ("tion", "sion", "ment", "ness", "ity", "ship", "hood",
                   "ism", "ence", "ance", "ology", "er", "or", "ist")
 _VERB_SUFFIXES = ("ify", "ize", "ise")
-# Analyses each annotator keeps. A question analyses its query and the top
+# Analyses the annotator keeps. A question analyses its query and the top
 # passages its entity hops and PRF mine: at most 14 distinct texts on the
 # benchmark's workloads, so this holds a question whole, plus the latest
 # texts an oracle trace analysed before the live runs of its question.
@@ -66,22 +58,6 @@ class Annotator(Protocol):
 
     def extract_entities(self, text: str) -> list[EntityMention]: ...
 
-
-@dataclass(frozen=True)
-class AnnotatorConfig:
-    """Which annotator a run uses: the service one at endpoint when it is
-    set, else the rule annotator."""
-
-    endpoint: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.endpoint == "":
-            raise ValueError("endpoint must be a non-empty string or null")
-
-    def build(self) -> Annotator:
-        if self.endpoint:
-            return ServiceAnnotator(self.endpoint)
-        return RuleAnnotator()
 
 
 # --- lexicon plumbing ---
@@ -240,71 +216,3 @@ class RuleAnnotator:
                 and nxt_low not in self._date_words
             )
         return False
-
-
-class ServiceAnnotator:
-    """Same contract as RuleAnnotator, served over the line protocol.
-
-    One round trip answers both operations for a text: the reply entry is
-    kept in a memo of the last MEMO_SIZE texts, and each operation validates
-    only its own half of it, so malformed entities fail extract_entities and
-    leave annotate working. No call that raises leaves a reply memoized: a
-    failed request stores nothing, and a half that fails validation clears
-    the memo (lru_cache cannot drop a single entry), so the next call sends
-    a new request.
-    """
-
-    def __init__(self, endpoint: str) -> None:
-        self._client = ServiceClient(endpoint)
-        self._entry = lru_cache(maxsize=MEMO_SIZE)(self._fetch_entry)
-
-    def annotate(self, text: str) -> list[TokenAnnotation]:
-        return self._read(text, "tokens", _token_annotations)
-
-    def extract_entities(self, text: str) -> list[EntityMention]:
-        return self._read(text, "entities", _entity_mentions)
-
-    def _fetch_entry(self, text: str) -> dict:
-        return self._client.annotate([text])[0]
-
-    def _read(self, text: str, half: str, parse: Callable[[object], list]) -> list:
-        entry = self._entry(text)
-        try:
-            return parse(entry.get(half))
-        except PartialResponseError:
-            self._entry.cache_clear()
-            raise
-
-
-def _token_annotations(tokens: object) -> list[TokenAnnotation]:
-    if not isinstance(tokens, list):
-        raise PartialResponseError("annotation entry lacks a tokens list")
-    out = []
-    for item in tokens:
-        if not isinstance(item, dict):
-            raise PartialResponseError(f"bad token annotation: {item!r}")
-        token = item.get("token")
-        pos = item.get("pos")
-        label = item.get("entity_label")
-        if not isinstance(token, str) or not token or pos not in POS_TAGS:
-            raise PartialResponseError(f"bad token annotation: {item!r}")
-        if label is not None and label not in ENTITY_LABELS + ("OTHER",):
-            raise PartialResponseError(f"bad entity label: {label!r}")
-        out.append(TokenAnnotation(token=token, pos=pos, entity_label=label))
-    return out
-
-
-def _entity_mentions(entities: object) -> list[EntityMention]:
-    if not isinstance(entities, list):
-        raise PartialResponseError("annotation entry lacks an entities list")
-    mentions = []
-    for item in entities:
-        if not isinstance(item, dict):
-            raise PartialResponseError(f"bad entity mention: {item!r}")
-        surface = item.get("surface")
-        label = item.get("label")
-        if not isinstance(surface, str) or not surface \
-                or label not in ENTITY_LABELS:
-            raise PartialResponseError(f"bad entity mention: {item!r}")
-        mentions.append(EntityMention(surface=surface, label=label))
-    return list(_dedup_mentions(mentions))

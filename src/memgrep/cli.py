@@ -23,7 +23,7 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .annotate import AnnotatorConfig
+from .annotate import RuleAnnotator
 from .corpus import (
     INGEST_FORMATS,
     Corpus,
@@ -96,7 +96,6 @@ class RunConfig:
     corpus: str | None = None
     format: str = CANONICAL_FORMAT
     questions: str | None = None
-    annotator: AnnotatorConfig = field(default_factory=AnnotatorConfig)
     scorers: list[ScorerHandle] = field(default_factory=lambda: [ScorerHandle("lexical")])
     retrieve: RetrieveConfig = field(default_factory=RetrieveConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
@@ -298,7 +297,7 @@ def cmd_query(cfg: RunConfig, query: str) -> int:
         query, corpus, cfg.scorers,
         retrieve_cfg=cfg.retrieve,
         trunc_cfg=cfg.truncation,
-        annotator=cfg.annotator.build(),
+        annotator=RuleAnnotator(),
         fusion_cfg=cfg.fusion,
     )
     stage_trace = {
@@ -331,7 +330,7 @@ def cmd_query(cfg: RunConfig, query: str) -> int:
 def cmd_oracle(cfg: RunConfig) -> int:
     corpus = _load_cli_corpus(cfg)
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
-    annotator = cfg.annotator.build()
+    annotator = RuleAnnotator()
     asked = [question for question in questions if question.gold_passage_ids]
     traces = [derive_trace(q.text, q.gold, corpus, annotator, cfg.scorers, cfg.oracle)
               for q in asked]
@@ -351,7 +350,7 @@ def _build_cli_matrix(cfg: RunConfig, corpus: Corpus) -> ScoreMatrix:
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
     return build_matrix(
         questions, corpus, cfg.scorers, retrieve_cfg=cfg.retrieve,
-        annotator=cfg.annotator.build(), fusion_cfg=cfg.fusion,
+        annotator=RuleAnnotator(), fusion_cfg=cfg.fusion,
     )
 
 
@@ -403,13 +402,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_pipeline(parser: argparse.ArgumentParser, *, ranks: bool, cuts: bool) -> None:
-    """Scorer and annotator flags; with ranks, the grep mode and adaptive
-    pre-selection size; with cuts, the one truncation cut query and eval make."""
+    """Scorer flags; with ranks, the grep mode and adaptive pre-selection
+    size; with cuts, the one truncation cut query and eval make."""
     parser.add_argument("--scorer", action="append", metavar="NAME=ENDPOINT",
                         help="scorer (repeatable; endpoint 'lexical' for the "
                              "in-process test scorer)")
-    parser.add_argument("--annotator-endpoint", dest="annotator.endpoint",
-                        help="service annotator (default: the rule annotator)")
     if ranks:
         parser.add_argument("--mode", dest="retrieve.mode", type=str.upper,
                             choices=("OR", "AND"), help="grep mode")

@@ -1,10 +1,11 @@
-"""Newline-delimited JSON transport for out-of-process scorers and annotators.
+"""Newline-delimited JSON transport for out-of-process scorers.
 
 One request per connection: the client sends a single JSON object on one line,
-reads exactly one JSON line back, and closes. Requests carry {"kind", "query",
-"items"}; responses carry {"scores": [...]} for kind="score" or
-{"annotations": [...]} for kind="annotate". A response with fewer entries than
-items is an error, never padded.
+reads exactly one JSON line back, and closes. The protocol has one kind: a
+request is {"kind": "score", "query", "items"} and its response
+{"scores": [...]}, one finite number per item. A response with fewer entries
+than items is an error, never padded; a request of any other kind is answered
+with an error record.
 """
 
 from __future__ import annotations
@@ -39,12 +40,15 @@ def finite_number(value: object) -> bool:
 # --- endpoint addressing ---
 
 def parse_endpoint(spec: str) -> tuple[str, object]:
-    """Parse "tcp:HOST:PORT" or "unix:/path" into (family, address)."""
+    """Parse "tcp:HOST:PORT" or "unix:/path" into (family, address). PORT is
+    ASCII decimal from 1 to 65535: socket would wrap a larger one silently."""
     if spec.startswith("tcp:"):
         rest = spec[len("tcp:"):]
         host, sep, port = rest.rpartition(":")
-        if not sep or not host or not port.isdigit():
-            raise ConfigError(f"bad tcp endpoint {spec!r}; expected tcp:HOST:PORT")
+        if not sep or not host or not (port.isascii() and port.isdigit()) \
+                or not 1 <= int(port) <= 65535:
+            raise ConfigError(f"bad tcp endpoint {spec!r}; expected tcp:HOST:PORT "
+                              "with PORT from 1 to 65535")
         return "tcp", (host, int(port))
     if spec.startswith("unix:"):
         path = spec[len("unix:"):]
@@ -73,7 +77,7 @@ def _connect(spec: str, timeout: float) -> socket.socket:
 
 @dataclass
 class ServiceClient:
-    """Blocking client for the line-protocol above.
+    """Blocking client for the line protocol above.
 
     Only a failure to connect is retried, CONNECT_RETRIES times. Once
     connected, the request is sent exactly once: a timeout or a dropped
@@ -123,22 +127,24 @@ class ServiceClient:
 
     @staticmethod
     def _read_line(sock: socket.socket) -> bytes:
+        """The reply's first line, without its newline; _MAX_LINE bytes at
+        most, wherever the newline falls."""
         chunks = []
         total = 0
         while True:
             chunk = sock.recv(65536)
             if not chunk:
                 break
-            chunks.append(chunk)
-            total += len(chunk)
-            if b"\n" in chunk:
-                break
+            line, newline, _ = chunk.partition(b"\n")
+            chunks.append(line)
+            total += len(line)
             if total > _MAX_LINE:
                 raise PartialResponseError("service response exceeds line limit")
-        raw = b"".join(chunks)
-        if not raw:
+            if newline:
+                break
+        if not chunks:
             raise PartialResponseError("service closed without responding")
-        return raw.split(b"\n", 1)[0]
+        return b"".join(chunks)
 
     def score(self, query: str, items: list[str]) -> list[float]:
         response = self.request({"kind": "score", "query": query, "items": items})
@@ -159,24 +165,10 @@ class ServiceClient:
             raise PartialResponseError(f"non-finite score in response: {bad!r}")
         return list(map(float, scores))
 
-    def annotate(self, items: list[str]) -> list[dict]:
-        response = self.request({"kind": "annotate", "query": "", "items": items})
-        annotations = response.get("annotations")
-        if not isinstance(annotations, list) or len(annotations) != len(items):
-            got = len(annotations) if isinstance(annotations, list) else "no"
-            raise PartialResponseError(
-                f"expected {len(items)} annotations, got {got}"
-            )
-        for entry in annotations:
-            if not isinstance(entry, dict):
-                raise PartialResponseError("annotation entry is not an object")
-        return annotations
-
 
 # --- reference server ---
 
 ScoreFn = Callable[[str, list[str]], list[float]]
-AnnotateFn = Callable[[list[str]], list[dict]]
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -210,14 +202,12 @@ class ReferenceServer:
 
     def __init__(
         self,
-        score_fn: ScoreFn | None = None,
-        annotate_fn: AnnotateFn | None = None,
+        score_fn: ScoreFn,
         host: str = "127.0.0.1",
         port: int = 0,
         unix_path: str | None = None,
     ) -> None:
         self._score_fn = score_fn
-        self._annotate_fn = annotate_fn
         if unix_path is not None:
             self._server: socketserver.BaseServer = _UnixServer(unix_path, _Handler)
             self.endpoint = f"unix:{unix_path}"
@@ -241,15 +231,9 @@ class ReferenceServer:
         items = request.get("items", [])
         if not isinstance(items, list):
             return {"error": "items must be a list"}
-        if kind == "score":
-            if self._score_fn is None:
-                return {"error": "scoring not supported"}
-            return {"scores": self._score_fn(query, list(items))}
-        if kind == "annotate":
-            if self._annotate_fn is None:
-                return {"error": "annotation not supported"}
-            return {"annotations": self._annotate_fn(list(items))}
-        return {"error": f"unknown kind {kind!r}"}
+        if kind != "score":
+            return {"error": f"unknown kind {kind!r}"}
+        return {"scores": self._score_fn(query, list(items))}
 
     def __enter__(self) -> "ReferenceServer":
         self._thread.start()

@@ -65,24 +65,6 @@ def grep_candidates(corpus, terms, mode="OR"):
                         term_sums=tuple(scores[i] for i in order), terms=terms.terms)
 
 
-def annotation_payload(annotator, texts):
-    """The server side of the annotate wire: a ReferenceServer's annotate_fn
-    answering from a local annotator."""
-    return [
-        {
-            "tokens": [
-                {"token": a.token, "pos": a.pos, "entity_label": a.entity_label}
-                for a in annotator.annotate(text)
-            ],
-            "entities": [
-                {"surface": e.surface, "label": e.label}
-                for e in annotator.extract_entities(text)
-            ],
-        }
-        for text in texts
-    ]
-
-
 def sequential_rank(candidates, query, corpus, scorers):
     """rank() with its default fusion, rebuilt from its parts: each scorer
     scores in turn on the calling thread, then the orders are fused."""

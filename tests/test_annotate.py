@@ -1,4 +1,4 @@
-"""Rule annotator: tagging, entity extraction, and the service adapter."""
+"""Rule annotator: tagging, entity extraction, and its memo."""
 
 import sys
 import threading
@@ -8,22 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import memgrep
 from memgrep.annotate import (
     ENTITY_LABELS,
     MEMO_SIZE,
-    POS_TAGS,
     EntityMention,
     RuleAnnotator,
-    ServiceAnnotator,
     TokenAnnotation,
     _read_lexicon,
 )
 from memgrep.corpus import load_questions, read_corpus
-from memgrep.errors import PartialResponseError, ScorerUnavailableError
 from memgrep.retrieve import retrieve
-from memgrep.service import ReferenceServer
 
-from conftest import annotation_payload
 from reference_annotator import ReferenceAnnotator
 
 
@@ -140,20 +136,17 @@ def test_blank_text_has_no_tokens_or_mentions(tagger):
     assert tagger.extract_entities(" \n") == []
 
 
-def test_pos_and_label_vocabularies():
-    assert POS_TAGS == ("PROPN", "NOUN", "VERB", "OTHER")
+def test_pos_and_label_vocabularies(tagger):
+    # The four POS tags the rule annotator gives, each once here.
+    assert tags(tagger, "Melanie went hiking yesterday") == [
+        ("Melanie", "PROPN"), ("went", "VERB"), ("hiking", "NOUN"), ("yesterday", "OTHER")]
     assert ENTITY_LABELS == ("PERSON", "ORG", "LOC", "EVENT")
 
 
-def test_service_annotator_round_trip(tagger):
-    def annotate_fn(items):
-        return annotation_payload(tagger, items)
-
-    with ReferenceServer(annotate_fn=annotate_fn) as server:
-        remote = ServiceAnnotator(server.endpoint)
-        text = "Melanie met Dr. Chen in Seattle"
-        assert remote.annotate(text) == tagger.annotate(text)
-        assert remote.extract_entities(text) == tagger.extract_entities(text)
+def test_the_package_has_no_served_annotator():
+    # Every run uses the rule annotator; the served one left the public API.
+    assert not hasattr(memgrep, "ServiceAnnotator")
+    assert "ServiceAnnotator" not in memgrep.__all__
 
 
 def test_records_are_named_tuples_with_the_dataclass_surface():
@@ -295,136 +288,13 @@ def test_shared_memo_under_concurrent_callers(tagger):
     assert wrong == []
 
 
-class CountingPayload:
-    """annotate_fn for a ReferenceServer: counts requests, and answers each
-    from a queue of canned replies while it lasts, then from the tagger."""
-
-    def __init__(self, tagger, replies=()):
-        self.tagger = tagger
-        self.replies = list(replies)
-        self.requests = 0
-
-    def __call__(self, items):
-        self.requests += 1
-        if self.replies:
-            reply = self.replies.pop(0)
-            if isinstance(reply, Exception):
-                raise reply
-            return reply
-        return annotation_payload(self.tagger, items)
-
-
-def test_service_annotator_sends_one_request_per_distinct_text(tagger):
-    texts = ["Melanie met Dr. Chen in Seattle", "Tell Sarah about Lake Tahoe.",
-             "Melanie met Dr. Chen in Seattle"]
-    payload = CountingPayload(tagger)
-    with ReferenceServer(annotate_fn=payload) as server:
-        remote = ServiceAnnotator(server.endpoint)
-        for text in texts:
-            assert remote.annotate(text) == tagger.annotate(text)
-            assert remote.extract_entities(text) == tagger.extract_entities(text)
-    assert payload.requests == len(set(texts))
-
-
-def test_service_annotator_asks_about_blank_text_like_any_other(tagger):
-    payload = CountingPayload(tagger)
-    with ReferenceServer(annotate_fn=payload) as server:
-        remote = ServiceAnnotator(server.endpoint)
-        assert remote.annotate(" \n") == []
-        assert remote.extract_entities(" \n") == []
-    assert payload.requests == 1
-
-
-def test_memoized_results_survive_caller_mutation(tagger):
+def test_memoized_results_survive_caller_mutation():
     text = "Melanie met Dr. Chen in Seattle"
-    with ReferenceServer(annotate_fn=CountingPayload(tagger)) as server:
-        for annotator in (RuleAnnotator(), ServiceAnnotator(server.endpoint)):
-            tokens = annotator.annotate(text)
-            entities = annotator.extract_entities(text)
-            expected = (list(tokens), list(entities))
-            tokens.clear()
-            entities.append(EntityMention("Nobody", "PERSON"))
-            entities.reverse()
-            assert (annotator.annotate(text),
-                    annotator.extract_entities(text)) == expected
-
-
-@pytest.mark.parametrize("failure, error", [
-    ([], PartialResponseError),                       # no entry for the text
-    (["not an object"], PartialResponseError),
-    (RuntimeError("tagger crashed"), ScorerUnavailableError),
-])
-def test_failed_service_call_is_not_memoized(tagger, failure, error):
-    text = "Melanie met Dr. Chen in Seattle"
-    payload = CountingPayload(tagger, replies=[failure])
-    with ReferenceServer(annotate_fn=payload) as server:
-        remote = ServiceAnnotator(server.endpoint)
-        with pytest.raises(error):
-            remote.extract_entities(text)
-        assert remote.extract_entities(text) == tagger.extract_entities(text)
-        assert remote.annotate(text) == tagger.annotate(text)
-    assert payload.requests == 2
-
-
-@pytest.mark.parametrize("entities", [
-    None,
-    [{"surface": "Melanie", "label": "ALIEN"}],
-    [{"surface": 7, "label": "PERSON"}],
-    ["Melanie"],
-])
-def test_malformed_entities_fail_only_extract_entities(tagger, entities):
-    text = "Melanie met Dr. Chen in Seattle"
-    entry = annotation_payload(tagger, [text])[0]
-    entry["entities"] = entities
-    payload = CountingPayload(tagger, replies=[[entry]])
-    with ReferenceServer(annotate_fn=payload) as server:
-        remote = ServiceAnnotator(server.endpoint)
-        assert remote.annotate(text) == tagger.annotate(text)
-        with pytest.raises(PartialResponseError):
-            remote.extract_entities(text)
-        assert payload.requests == 1
-        # The failure leaves nothing memoized: the next call asks again.
-        assert remote.extract_entities(text) == tagger.extract_entities(text)
-    assert payload.requests == 2
-
-
-def test_malformed_tokens_fail_only_annotate(tagger):
-    text = "Melanie met Dr. Chen in Seattle"
-    entry = annotation_payload(tagger, [text])[0]
-    entry["tokens"] = [{"token": "Melanie", "pos": "ADJ"}]
-    payload = CountingPayload(tagger, replies=[[entry]])
-    with ReferenceServer(annotate_fn=payload) as server:
-        remote = ServiceAnnotator(server.endpoint)
-        assert remote.extract_entities(text) == tagger.extract_entities(text)
-        with pytest.raises(PartialResponseError):
-            remote.annotate(text)
-        assert remote.annotate(text) == tagger.annotate(text)
-    assert payload.requests == 2
-
-
-def test_empty_token_is_a_partial_response(tagger):
-    text = "Melanie met Dr. Chen in Seattle"
-    entry = annotation_payload(tagger, [text])[0]
-    entry["tokens"][0]["token"] = ""
-    payload = CountingPayload(tagger, replies=[[entry]])
-    with ReferenceServer(annotate_fn=payload) as server:
-        remote = ServiceAnnotator(server.endpoint)
-        with pytest.raises(PartialResponseError, match="bad token annotation"):
-            remote.annotate(text)
-        # The failure leaves nothing memoized: the next call asks again.
-        assert remote.annotate(text) == tagger.annotate(text)
-    assert payload.requests == 2
-
-
-@pytest.mark.parametrize("token", [5, ["x"]], ids=["number", "list"])
-def test_non_string_token_is_a_partial_response(tagger, token):
-    text = "Melanie met Dr. Chen in Seattle"
-    entry = annotation_payload(tagger, [text])[0]
-    entry["tokens"][0]["token"] = token
-    payload = CountingPayload(tagger, replies=[[entry]])
-    with ReferenceServer(annotate_fn=payload) as server:
-        remote = ServiceAnnotator(server.endpoint)
-        with pytest.raises(PartialResponseError, match="bad token annotation"):
-            remote.annotate(text)
-        assert remote.annotate(text) == tagger.annotate(text)
-    assert payload.requests == 2
+    annotator = RuleAnnotator()
+    tokens = annotator.annotate(text)
+    entities = annotator.extract_entities(text)
+    expected = (list(tokens), list(entities))
+    tokens.clear()
+    entities.append(EntityMention("Nobody", "PERSON"))
+    entities.reverse()
+    assert (annotator.annotate(text), annotator.extract_entities(text)) == expected

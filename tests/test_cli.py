@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memgrep import errors
-from memgrep.annotate import AnnotatorConfig, RuleAnnotator
+from memgrep.annotate import RuleAnnotator
 from memgrep.cli import (CANONICAL_FORMAT, RunConfig, SweepConfig, _write_artifacts,
                          build_run_config, main, make_parser)
 from memgrep.corpus import INGEST_FORMATS, load_questions, read_corpus
@@ -31,7 +32,7 @@ from memgrep.retrieve import RetrieveConfig
 from memgrep.service import ReferenceServer
 from memgrep.truncate import TruncationConfig
 
-from conftest import BLANK_TURN_CORPUS, BLANK_TURN_QUESTION, annotation_payload, fixture_path
+from conftest import BLANK_TURN_CORPUS, BLANK_TURN_QUESTION, fixture_path
 
 REPO = Path(__file__).resolve().parent.parent
 QUERY = "Where did Javier go hiking?"
@@ -360,8 +361,8 @@ def test_env_var_names_config(capsys, tmp_path, fix_corpus, monkeypatch):
 
 
 def test_config_key_named_empty_does_not_pick_the_annotator(capsys, tmp_path, fix_corpus):
-    # The annotator comes from --annotator-endpoint or annotator.endpoint,
-    # never from a top-level key; a key that names no field is an error.
+    # A key that names no field is an error, the empty key too: it picks
+    # nothing, and every run uses the rule annotator.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"": "service", "corpus": fix_corpus}))
     out_dir = tmp_path / "out"
@@ -371,27 +372,6 @@ def test_config_key_named_empty_does_not_pick_the_annotator(capsys, tmp_path, fi
     assert json.loads(err) == {"error": "ConfigError",
                                "message": f"{config}: unknown key ''"}
     assert not out_dir.exists()
-
-
-def test_annotator_endpoint_alone_picks_the_service_annotator(capsys, tmp_path, fix_corpus):
-    tagger = RuleAnnotator()
-    asked = []
-
-    def annotate_fn(items):
-        asked.extend(items)
-        return annotation_payload(tagger, items)
-
-    out_dir = tmp_path / "out"
-    with ReferenceServer(annotate_fn=annotate_fn) as server:
-        code, served, err = run_cli(capsys, "query", QUERY, "--corpus", fix_corpus,
-                                    "--annotator-endpoint", server.endpoint,
-                                    "--out", str(out_dir))
-    assert code == 0, err
-    assert QUERY in asked
-    runconfig = json.loads((out_dir / "runconfig.json").read_text())
-    assert runconfig["annotator"] == {"endpoint": server.endpoint}
-    # Served the rule annotator's answers, the run prints what a rule run does.
-    assert served == run_cli(capsys, "query", QUERY, "--corpus", fix_corpus)[1]
 
 
 def test_bad_config_file(capsys, tmp_path):
@@ -430,11 +410,14 @@ def test_parser_rejects_unknown_command():
     ["oracle", "--strategy", "adaptive"],   # the oracle neither ranks nor cuts
     ["oracle", "--mode", "and"],
     ["sweep", "--budget", "5"],             # the sweep takes --budgets
-    ["query", "x", "--annotator", "service"],  # annotator.endpoint picks it
+    # No flag picks an annotator: every run uses the rule annotator.
+    ["query", "x", "--annotator", "service"],
+    ["query", "x", "--annotator-endpoint", "X"],
 ])
 def test_commands_take_only_the_flags_they_read(argv, capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exit_info:
         make_parser().parse_args(argv)
+    assert exit_info.value.code == 2
 
 
 def test_build_run_config_defaults():
@@ -445,8 +428,8 @@ def test_build_run_config_defaults():
     assert cfg.truncation.word_budget == 2000
     assert cfg.scorers == [ScorerHandle(name="lexical", kind="lexical-test", endpoint=None)]
     # Every section's defaults are the section dataclass's own.
-    assert (cfg.annotator, cfg.retrieve, cfg.fusion, cfg.truncation) == (
-        AnnotatorConfig(), RetrieveConfig(), FusionConfig(), TruncationConfig())
+    assert (cfg.retrieve, cfg.fusion, cfg.truncation) == (
+        RetrieveConfig(), FusionConfig(), TruncationConfig())
 
 
 def test_scorer_entries_are_completed_and_keep_their_kind(tmp_path):
@@ -597,6 +580,14 @@ def test_an_int_for_a_float_setting_writes_the_float(capsys, tmp_path, fix_corpu
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def _parser_actions():
+    """Every action of the parser and of each of its commands."""
+    parser = make_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    return [action for command in (parser, *commands.values()) for action in command._actions]
+
+
 def test_every_dotted_flag_dest_names_a_field_of_a_run_config_section():
     # build_run_config lays a flag over the key its dest names and skips a
     # dest that names no field, so a misspelt one would silently do nothing,
@@ -604,12 +595,8 @@ def test_every_dotted_flag_dest_names_a_field_of_a_run_config_section():
     # Only the parser's own dests, the config file, the scorer flags (which
     # replace the scorers list) and the query text name no field.
     hints = get_type_hints(RunConfig)
-    parser = make_parser()
-    commands = next(action for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction)).choices
-    dests = {action.dest for command in (parser, *commands.values())
-             for action in command._actions}
-    assert {"retrieve.mode", "truncation.word_budget", "annotator.endpoint", "corpus",
+    dests = {action.dest for action in _parser_actions()}
+    assert {"retrieve.mode", "truncation.word_budget", "corpus",
             "oracle.max_states", "sweep.budgets", "sweep.matrix"} <= dests
     for dest in dests - {"help", "command", "config", "scorer", "query_text"}:
         section, _, key = dest.partition(".")
@@ -617,6 +604,18 @@ def test_every_dotted_flag_dest_names_a_field_of_a_run_config_section():
         if key:
             assert is_dataclass(hints[section]), dest
             assert key in {f.name for f in fields(hints[section])}, dest
+
+
+def test_readme_names_exactly_the_parser_flags():
+    # A code span in README that opens with a flag names an option of the
+    # parser or of one of its commands, and every option but --help is
+    # named in one, so a removed flag cannot stay documented.
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`(--[a-z][a-z0-9-]*)", readme))
+    options = {option for action in _parser_actions() for option in action.option_strings
+               if option.startswith("--")}
+    assert named <= options, named - options
+    assert options - {"--help"} <= named, options - {"--help"} - named
 
 
 _NAMES = st.text(alphabet="abcé-_", min_size=1, max_size=4)
@@ -636,7 +635,6 @@ _RUN_CONFIGS = st.builds(
     corpus=st.none() | st.text(max_size=8),
     format=st.sampled_from((CANONICAL_FORMAT,) + INGEST_FORMATS),
     questions=st.none() | st.text(max_size=8),
-    annotator=st.builds(AnnotatorConfig, endpoint=st.none() | _ENDPOINTS),
     scorers=st.lists(_SCORER, min_size=1, max_size=2, unique_by=lambda s: s.name),
     retrieve=st.builds(RetrieveConfig, mode=st.sampled_from(("OR", "AND")), max_hops=_COUNTS,
                        entity_hop_source_top_m=st.integers(0, 50), prf_min_doc_freq=_COUNTS,
@@ -670,7 +668,6 @@ BAD_CONFIGS = {
                                        "truncation"),
     "scorer-not-an-object": ({"scorers": ["x"]}, "scorers[0]"),
     "scorer-without-name": ({"scorers": [{"endpoint": "tcp:x:1"}]}, "scorers[0]"),
-    "annotator-not-an-object": ({"annotator": "rules"}, "annotator"),
     "truncation-unknown-key": ({"truncation": {"bogus": 3}}, "truncation"),
     "fusion-unknown-key": ({"fusion": {"bogus": 3}}, "fusion"),
     "in-process-cross-scorer": ({"scorers": [{"name": "x", "kind": "pointwise-cross"}]},
@@ -690,13 +687,9 @@ BAD_CONFIGS = {
     "fusion-infinite-k": ({"fusion": {"k": float("inf")}}, "fusion"),
     # An int too large for a float is not a finite number either.
     "truncation-huge-int-alpha": ({"truncation": {"alpha": 10**400}}, "truncation"),
-    "annotator-endpoint-not-a-string": ({"annotator": {"endpoint": 5}}, "annotator"),
-    "annotator-endpoint-empty": ({"annotator": {"endpoint": ""}}, "annotator"),
     "scorer-endpoint-empty": ({"scorers": [{"name": "ce", "endpoint": ""}]}, "scorers[0]"),
-    # Keys that repeated another setting are gone: the endpoint picks the
-    # annotator, max_hops=1 ends the entity hops and a PRF top-n of 0 skips PRF.
-    "annotator-kind-removed": ({"annotator": {"kind": "rules"}},
-                               "annotator: unknown key 'kind'"),
+    # Keys that repeated another setting are gone: max_hops=1 ends the
+    # entity hops and a PRF top-n of 0 skips PRF.
     "retrieve-entity-hop-enabled-removed": ({"retrieve": {"entity_hop_enabled": True}},
                                             "retrieve: unknown key 'entity_hop_enabled'"),
     "retrieve-prf-enabled-removed": ({"retrieve": {"prf_enabled": True}},
@@ -710,6 +703,15 @@ BAD_CONFIGS = {
     # The top level is read against RunConfig's fields like every section.
     "top-level-unknown-key": ({"Retrieve": {"mode": "AND"}}, "unknown key 'Retrieve'"),
     "top-level-empty-key": ({"": "service"}, "unknown key ''"),
+    # The annotator section went with the served annotator: every run uses
+    # the rule annotator, so the section is an unknown key whatever it holds.
+    "annotator-section-removed": ({"annotator": {"endpoint": "unix:/x.sock"}},
+                                  "unknown key 'annotator'"),
+    "annotator-not-an-object": ({"annotator": "rules"}, "unknown key 'annotator'"),
+    "annotator-endpoint-not-a-string": ({"annotator": {"endpoint": 5}},
+                                        "unknown key 'annotator'"),
+    "annotator-endpoint-empty": ({"annotator": {"endpoint": ""}}, "unknown key 'annotator'"),
+    "annotator-kind-removed": ({"annotator": {"kind": "rules"}}, "unknown key 'annotator'"),
     "format-null": ({"format": None}, "format must be str, got None"),
     # The config file's format takes --format's choices.
     "format-unknown": ({"format": "bogus"},

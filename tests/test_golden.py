@@ -44,36 +44,36 @@ GOLDEN = {
         "stdout": "f59187cdb1d5893cdcf31623d8b56319b80add59cd419dd9eaf17f118ec16da8",
         "eval_report.json": "f59187cdb1d5893cdcf31623d8b56319b80add59cd419dd9eaf17f118ec16da8",
         "matrix.jsonl": "4cbd6a88bac016b803fdfe3fdc54abb0fbbb0ec69183ffd815f50f20f7d9817d",
-        "runconfig.json": "9a2fbfb896e546c337e40877141f01077005c59e855cc8f5d0d227b04d8c96df"
+        "runconfig.json": "1ae77fa42290a3ea773a6dd7c27914c7eeaefc03149c8b9054a647d7c974ee2b"
     },
     "eval-fixed": {
         "stdout": "deef359007af08d46bb06d4e62a9f27663b291823a54dafd8ca94c4b309dcce5",
         "eval_report.json": "deef359007af08d46bb06d4e62a9f27663b291823a54dafd8ca94c4b309dcce5",
         "matrix.jsonl": "4cbd6a88bac016b803fdfe3fdc54abb0fbbb0ec69183ffd815f50f20f7d9817d",
-        "runconfig.json": "ae15558aa8123a043652a537142bf1ce555954d971210a094bbf7644757d94f8"
+        "runconfig.json": "3c1418eb51ef79395235f4ba63bb466b8bf6544d99213fc56a64853e10abf806"
     },
     "oracle": {
         "stdout": "2aa7d3afcc992bb1a59d972e79d52227523c06f7ff5921e7a50ee7915e8efca9",
         "oracle_stats.json": "2aa7d3afcc992bb1a59d972e79d52227523c06f7ff5921e7a50ee7915e8efca9",
-        "runconfig.json": "ae15558aa8123a043652a537142bf1ce555954d971210a094bbf7644757d94f8",
+        "runconfig.json": "3c1418eb51ef79395235f4ba63bb466b8bf6544d99213fc56a64853e10abf806",
         "traces.jsonl": "c0b0cd45248f108905fde739ca07048a5663994e79d9f3eff8e84d142ce531f6"
     },
     "query-adaptive": {
         "stdout": "1c55b47901bed2ad1946e004105345cf286c1325947f3551acda9137a3c292d5",
         "context.txt": "a4b90038960d93fb6a2946263fa286c8dc4b9bf9f62e5e69fa62943ee2c2cff9",
         "query_trace.json": "c9c2e0367d627384152c5094fb1ee5e76b8d553783bde860a1a99edafc56f1f3",
-        "runconfig.json": "f3aceea32907d2054bb3dbb221565090090b01012f280c643f64853da01fa881"
+        "runconfig.json": "dd55d7513d9def0a8934d8dc6e5d8f0630356e4e24251b7f87a256f7fa9b08dc"
     },
     "query-fixed": {
         "stdout": "1c55b47901bed2ad1946e004105345cf286c1325947f3551acda9137a3c292d5",
         "context.txt": "a4b90038960d93fb6a2946263fa286c8dc4b9bf9f62e5e69fa62943ee2c2cff9",
         "query_trace.json": "c9c2e0367d627384152c5094fb1ee5e76b8d553783bde860a1a99edafc56f1f3",
-        "runconfig.json": "d44d6f06815d36ed57130a04744e538145452072871fd3d1ab048556390739b9"
+        "runconfig.json": "9889c43b391b26095232c6631a85bb87b9dc48f3b5efbbe4f44250e4c27903ee"
     },
     "sweep": {
         "stdout": "28d15d37e5f41973e9df89d328691515f5ce63aa14891c781c8383b2fb773914",
         "matrix.jsonl": "4cbd6a88bac016b803fdfe3fdc54abb0fbbb0ec69183ffd815f50f20f7d9817d",
-        "runconfig.json": "ae15558aa8123a043652a537142bf1ce555954d971210a094bbf7644757d94f8",
+        "runconfig.json": "3c1418eb51ef79395235f4ba63bb466b8bf6544d99213fc56a64853e10abf806",
         "sweep.json": "fd7c764789f7a44829fffe4a78d0e598b3dc4b6a2833d64198c0c7b4402c7be8",
         "sweep.txt": "28d15d37e5f41973e9df89d328691515f5ce63aa14891c781c8383b2fb773914"
     }

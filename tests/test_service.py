@@ -6,6 +6,7 @@ import re
 import socket
 import threading
 import warnings
+from contextlib import contextmanager
 
 import pytest
 
@@ -28,6 +29,10 @@ def test_parse_endpoint_unix():
 
 @pytest.mark.parametrize("bad", [
     "http://x", "tcp:host", "tcp:host:notaport", "unix:", "", "tcp::80",
+    # Only ASCII decimal ports from 1 to 65535: socket would take 70000 as
+    # port 4464, int() refuses a superscript two, and an Arabic-Indic three
+    # would be port 3.
+    "tcp:127.0.0.1:70000", "tcp:h:\u00b2", "tcp:h:\u0663", "tcp:h:0",
 ])
 def test_parse_endpoint_rejects(bad):
     with pytest.raises(ConfigError):
@@ -44,16 +49,6 @@ def test_score_round_trip():
     assert scores == [2.0, 4.0]
 
 
-def test_annotate_round_trip():
-    def annotate_fn(items):
-        return [{"tokens": [], "entities": []} for _ in items]
-
-    with ReferenceServer(annotate_fn=annotate_fn) as server:
-        client = ServiceClient(server.endpoint)
-        got = client.annotate(["x", "y"])
-    assert got == [{"tokens": [], "entities": []}] * 2
-
-
 def test_unix_socket_transport(tmp_path):
     def score_fn(query, items):
         return [1.0] * len(items)
@@ -66,9 +61,13 @@ def test_unix_socket_transport(tmp_path):
 
 
 def test_error_record_raises_unavailable():
-    with ReferenceServer() as server:  # no handlers: every kind errors
+    def score_fn(query, items):
+        raise RuntimeError("model crashed")
+
+    with ReferenceServer(score_fn=score_fn) as server:  # answers an error record
         client = ServiceClient(server.endpoint)
-        with pytest.raises(ScorerUnavailableError):
+        with pytest.raises(ScorerUnavailableError,
+                           match="refused request: RuntimeError: model crashed"):
             client.score("q", ["a"])
 
 
@@ -96,29 +95,33 @@ def test_bad_score_is_partial_response_naming_it(bad):
             client.score("q", ["a", "b", "c", "d"])
 
 
-def test_malformed_json_is_partial_response(monkeypatch):
-    # Raw socket server that answers garbage to any request line.
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.bind(("127.0.0.1", 0))
-    srv.listen(1)
+@contextmanager
+def raw_server(reply):
+    """A tcp endpoint that reads one request line, sends `reply` and closes."""
+    srv = socket.create_server(("127.0.0.1", 0))
     port = srv.getsockname()[1]
 
     def serve_once():
         conn, _ = srv.accept()
-        conn.recv(65536)
-        conn.sendall(b"not json at all\n")
-        conn.close()
+        conn.settimeout(5)
+        with conn, conn.makefile("rb") as request:
+            request.readline()
+            conn.sendall(reply)
 
     thread = threading.Thread(target=serve_once, daemon=True)
     thread.start()
-    monkeypatch.setattr(service, "CONNECT_RETRIES", 0)
-    client = ServiceClient(f"tcp:127.0.0.1:{port}")
     try:
-        with pytest.raises(PartialResponseError):
-            client.score("q", ["a"])
+        yield f"tcp:127.0.0.1:{port}"
     finally:
-        thread.join(timeout=2)
+        thread.join(timeout=5)
         srv.close()
+
+
+def test_malformed_json_is_partial_response(monkeypatch):
+    monkeypatch.setattr(service, "CONNECT_RETRIES", 0)
+    with raw_server(b"not json at all\n") as endpoint:
+        with pytest.raises(PartialResponseError):
+            ServiceClient(endpoint).score("q", ["a"])
 
 
 def test_connection_refused_surfaces_as_unavailable(monkeypatch):
@@ -153,9 +156,8 @@ def test_connection_failures_are_retried(monkeypatch):
 
 
 def test_client_defaults_are_a_10_second_timeout_and_one_retry():
-    # Served scorers, in rank and in the fallback alike, and the service
-    # annotator build their clients from the endpoint alone, so these are
-    # their limits.
+    # Served scorers, in rank and in the fallback alike, build their clients
+    # from the endpoint alone, so these are their limits.
     assert (service.TIMEOUT_S, service.CONNECT_RETRIES) == (10.0, 1)
 
 
@@ -194,13 +196,15 @@ def test_read_timeout_is_not_resent(monkeypatch):
 
 
 def test_server_reports_unknown_kind():
+    # score is the protocol's one kind; annotate went with the served annotator.
     with ReferenceServer(score_fn=lambda q, i: [0.0] * len(i)) as server:
         _, (host, port) = parse_endpoint(server.endpoint)
-        raw = socket.create_connection((host, port), timeout=2)
-        raw.sendall(json.dumps({"kind": "mystery"}).encode() + b"\n")
-        reply = json.loads(raw.makefile().readline())
-        raw.close()
-    assert "error" in reply
+        for kind in ("mystery", "annotate"):
+            with socket.create_connection((host, port), timeout=2) as raw, \
+                    raw.makefile() as lines:
+                raw.sendall(json.dumps({"kind": kind, "items": ["a"]}).encode() + b"\n")
+                reply = json.loads(lines.readline())
+            assert reply == {"error": f"unknown kind {kind!r}"}
 
 
 def test_one_request_per_connection():
@@ -212,3 +216,35 @@ def test_one_request_per_connection():
         # Two sequential requests mean two connections; both succeed.
         assert client.score("a", ["x"]) == [0.5]
         assert client.score("b", ["y"]) == [0.5]
+
+
+# A reply line of 230 bytes that is a valid answer to one item; the table
+# caps reply lines at 50 bytes.
+_LONG_REPLY = b'{"scores": [1.0]' + b" " * 213 + b"}"
+# Each malformed reply a service can send: its bytes, then the error and the
+# message the client raises.
+CLIENT_FAULTS = {
+    "dropped": (b"", PartialResponseError, "closed without responding"),
+    "truncated": (b'{"scores": [1.', PartialResponseError, "sent invalid JSON"),
+    "not-an-object": (b"[1]\n", PartialResponseError, "not a JSON object"),
+    "over-limit-newline-in-last-chunk": (_LONG_REPLY + b"\n", PartialResponseError,
+                                         "exceeds line limit"),
+    "over-limit-without-newline": (_LONG_REPLY, PartialResponseError, "exceeds line limit"),
+}
+
+
+@pytest.mark.parametrize("fault", CLIENT_FAULTS)
+def test_client_fault_table(monkeypatch, fault):
+    reply, error, message = CLIENT_FAULTS[fault]
+    monkeypatch.setattr(service, "_MAX_LINE", 50)
+    monkeypatch.setattr(service, "CONNECT_RETRIES", 0)
+    with raw_server(reply) as endpoint:
+        with pytest.raises(error, match=re.escape(message)):
+            ServiceClient(endpoint).score("q", ["a"])
+
+
+def test_a_reply_line_at_the_limit_is_read(monkeypatch):
+    line = b'{"scores": [1.0]' + b" " * 33 + b"}"
+    monkeypatch.setattr(service, "_MAX_LINE", len(line))
+    with raw_server(line + b"\n") as endpoint:
+        assert ServiceClient(endpoint).score("q", ["a"]) == [1.0]
