@@ -6,10 +6,13 @@ flags; later sources win key by key. The config file has runconfig.json's
 shape; one builder walks RunConfig's fields, so a key at any level that names
 no field, or a `deterministic` marker that is not true, is rejected. Each
 flag's dest names the key it overrides (`truncation.word_budget`, `corpus`).
-Every artifact-producing run writes runconfig.json, the record of the
-RunConfig that ran, next to its outputs, so passing it back as --config
-repeats the run. Artifacts carry no timestamps, and nothing in the pipeline
-draws randomness, so identical inputs produce byte-identical outputs.
+RunConfig holds only what a run can vary: retrieval's search limits, not
+its one OR grep or its fallback, and no fusion section, since rank fuses at
+the fixed split. Every artifact-producing run writes runconfig.json, the
+record of the RunConfig that ran, next to its outputs, so passing it back
+as --config repeats the run. Artifacts carry no timestamps, and nothing in
+the pipeline draws randomness, so identical inputs produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .evaluate import (
 )
 from .oracle import (SearchLimits, derive_trace, offers_semantic_tool, trace_stats,
                      traces_to_jsonl)
-from .rank import FusionConfig, ScorerHandle
+from .rank import ScorerHandle
 from .retrieve import RetrieveConfig
 from .service import finite_number
 from .truncate import TruncationConfig
@@ -98,7 +101,6 @@ class RunConfig:
     questions: str | None = None
     scorers: list[ScorerHandle] = field(default_factory=lambda: [ScorerHandle("lexical")])
     retrieve: RetrieveConfig = field(default_factory=RetrieveConfig)
-    fusion: FusionConfig = field(default_factory=FusionConfig)
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
     oracle: SearchLimits = field(default_factory=SearchLimits)
     sweep: SweepConfig = field(default_factory=SweepConfig)
@@ -137,19 +139,15 @@ def _fits(value, hint) -> bool:
         return type(value) is list
     if get_origin(hint) is UnionType:
         return any(_fits(value, arg) for arg in get_args(hint))
-    if get_origin(hint) is dict:
-        key_hint, value_hint = get_args(hint)
-        return isinstance(value, dict) and all(
-            _fits(k, key_hint) and _fits(v, value_hint) for k, v in value.items())
     if hint is float:
         return finite_number(value)
     return type(value) is hint
 
 
 def _as_floats(value, hint):
-    """value with each int that stands for a float, in a float field, a float
-    list's items or a float dict's values, stored as that float: 0 and 0.0
-    are one setting and write the same bytes."""
+    """value with each int that stands for a float, in a float field or a
+    float list's items, stored as that float: 0 and 0.0 are one setting and
+    write the same bytes."""
     if hint is float:
         return float(value) if finite_number(value) else value
     if get_origin(hint) is UnionType:
@@ -157,8 +155,6 @@ def _as_floats(value, hint):
             value = _as_floats(value, arg)
     elif get_origin(hint) is list and type(value) is list:
         return [_as_floats(item, get_args(hint)[0]) for item in value]
-    elif get_origin(hint) is dict and type(value) is dict:
-        return {key: _as_floats(item, get_args(hint)[1]) for key, item in value.items()}
     return value
 
 
@@ -298,7 +294,6 @@ def cmd_query(cfg: RunConfig, query: str) -> int:
         retrieve_cfg=cfg.retrieve,
         trunc_cfg=cfg.truncation,
         annotator=RuleAnnotator(),
-        fusion_cfg=cfg.fusion,
     )
     stage_trace = {
         "query": query,
@@ -350,7 +345,7 @@ def _build_cli_matrix(cfg: RunConfig, corpus: Corpus) -> ScoreMatrix:
     questions = load_questions(_require(cfg.questions, "--questions"), corpus)
     return build_matrix(
         questions, corpus, cfg.scorers, retrieve_cfg=cfg.retrieve,
-        annotator=RuleAnnotator(), fusion_cfg=cfg.fusion,
+        annotator=RuleAnnotator(),
     )
 
 
@@ -402,14 +397,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_pipeline(parser: argparse.ArgumentParser, *, ranks: bool, cuts: bool) -> None:
-    """Scorer flags; with ranks, the grep mode and adaptive pre-selection
-    size; with cuts, the one truncation cut query and eval make."""
+    """Scorer flags; with ranks, the adaptive pre-selection size; with cuts,
+    the one truncation cut query and eval make."""
     parser.add_argument("--scorer", action="append", metavar="NAME=ENDPOINT",
                         help="scorer (repeatable; endpoint 'lexical' for the "
                              "in-process test scorer)")
     if ranks:
-        parser.add_argument("--mode", dest="retrieve.mode", type=str.upper,
-                            choices=("OR", "AND"), help="grep mode")
         parser.add_argument("--top-k", dest="truncation.top_k", type=int,
                             help="adaptive pre-selection size")
     if cuts:

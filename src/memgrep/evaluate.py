@@ -18,6 +18,10 @@ Records are complete by construction: build_matrix fills every table from
 the candidates it ranked, and read_matrix rejects a line that lacks any
 entry or holds a score or count that is not a finite number, naming
 file:line. The simulator trusts the records it is given.
+
+run_question and build_matrix take the run's scorers, retrieval limits and,
+for a live cut, truncation config; the fusion split is rank's own, fixed by
+the scorers.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, GoldAnnotation, Question, _jsonl_records
 from .errors import IncompleteMatrixError, MalformedDocumentError
 from .rank import (
-    FusionConfig,
     RankedList,
     ScorerHandle,
     ScoreVector,
@@ -144,7 +147,6 @@ def run_question(
     retrieve_cfg: RetrieveConfig | None = None,
     trunc_cfg: TruncationConfig | None = None,
     annotator: Annotator | None = None,
-    fusion_cfg: FusionConfig | None = None,
     question_id: str | None = None,
 ) -> QuestionRun:
     """The live pipeline, end to end, for a single query. One annotator, a
@@ -155,7 +157,7 @@ def run_question(
     if annotator is None:
         annotator = RuleAnnotator()
     candidates, ranked, cross = _retrieve_and_rank(
-        query, corpus, scorers, retrieve_cfg, annotator, fusion_cfg)
+        query, corpus, scorers, retrieve_cfg, annotator)
     if ranked is None:
         context, rendered = _EMPTY_CONTEXT, ""
     else:
@@ -172,7 +174,6 @@ def run_question(
 def _retrieve_and_rank(
     query: str, corpus: Corpus, scorers: list[ScorerHandle],
     retrieve_cfg: RetrieveConfig | None, annotator: Annotator,
-    fusion_cfg: FusionConfig | None,
 ) -> tuple[CandidateSet, RankedList | None, ScoreVector | None]:
     """A query's candidates, their fused ranking and the primary scorer's
     vector; the last two are None when nothing was retrieved. `retrieve` and
@@ -181,7 +182,7 @@ def _retrieve_and_rank(
     candidates = retrieve(query, corpus, retrieve_cfg, annotator, scorers)
     if not candidates:
         return candidates, None, None
-    ranked, vectors = rank(candidates, query, corpus, scorers, fusion_cfg)
+    ranked, vectors = rank(candidates, query, corpus, scorers)
     return candidates, ranked, vectors[primary_index(scorers)]
 
 
@@ -219,7 +220,6 @@ def build_matrix(
     scorers: list[ScorerHandle],
     retrieve_cfg: RetrieveConfig | None = None,
     annotator: Annotator | None = None,
-    fusion_cfg: FusionConfig | None = None,
 ) -> ScoreMatrix:
     """Retrieve and rank each question once and freeze the numbers; no
     question is cut or rendered. Every question shares one annotator, a
@@ -230,7 +230,7 @@ def build_matrix(
     cross_name = ""
     for question in questions:
         candidates, ranked, cross = _retrieve_and_rank(
-            question.text, corpus, scorers, retrieve_cfg, annotator, fusion_cfg)
+            question.text, corpus, scorers, retrieve_cfg, annotator)
         ordered = ranked.ids() if ranked is not None else ()
         if cross is not None:
             cross_name = cross.scorer_name
@@ -293,6 +293,9 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
             raise IncompleteMatrixError(
                 f"{path}:{lineno}: expected a question record, got {rec.get('record')!r}")
         try:
+            for key in ("question_id", "query"):
+                if type(rec[key]) is not str:
+                    raise ValueError(f"{key} must be a string, got {rec[key]!r}")
             ids = rec["candidates"]
             if len(set(ids)) != len(ids):
                 raise ValueError("candidates list an id twice")

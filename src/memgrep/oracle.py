@@ -110,7 +110,7 @@ def derive_trace(
         if hit is not None:
             return hit
         if action.tool == "semantic":
-            order = list(semantic_fallback(question, corpus, scorers, {}))
+            order = list(semantic_fallback(question, corpus, scorers))
             ids = [passages[i].id for i in order]
             top = [passages[i] for i in order[:ENTITY_SOURCE_TOP]]
         else:

@@ -5,9 +5,9 @@ rankings are combined with weighted Reciprocal Rank Fusion. A single scorer
 is fused alone at weight 1.0, which keeps its order. Rank-based fusion
 keeps the pipeline indifferent to scorer calibration: multiplying any
 scorer's raw scores by a positive constant changes nothing downstream.
-A FusionConfig whose weights are None, the default, means "the default
-split for these scorers": rank() fills it in with FusionConfig.for_scorers
-for the scorers it is given, at the config's k, so no caller decides it.
+The split is fixed: rank() fuses at FusionConfig.for_scorers of the scorers
+it is given, 0.7 to the primary scorer and 0.3 to the other at k 60, so no
+caller decides it.
 
 A ScorerHandle, {name, kind, endpoint}, names a scorer: served when it has
 an endpoint, in process otherwise. Every scorer scores the CandidateSet
@@ -27,6 +27,7 @@ nothing in the pipeline calls it, but a ReferenceServer host serves it.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 from itertools import compress, repeat
@@ -82,34 +83,34 @@ class ScoreVector:
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """RRF's k and one weight per scorer name; None takes the default split
-    (see the module docstring)."""
+    """One weight per scorer name and RRF's k, rrf_fuse's argument; rank
+    builds the fixed split with for_scorers. k and every weight are finite."""
 
+    weights: dict[str, float]
     k: float = DEFAULT_RRF_K
-    weights: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        if self.weights:
-            if len(self.weights) not in (1, 2):
-                raise ValueError("fusion accepts exactly one or two scorers")
-            if any(w < 0 for w in self.weights.values()):
-                raise ValueError("weights must be non-negative")
-            if sum(self.weights.values()) <= 0:
-                raise ValueError("weights must sum to a positive value")
+        if not math.isfinite(self.k) or self.k <= 0:
+            raise ValueError(f"k must be a finite positive number, got {self.k!r}")
+        if len(self.weights) not in (1, 2):
+            raise ValueError("fusion accepts exactly one or two scorers")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights.values()):
+            raise ValueError(f"weights must be finite and non-negative, got {self.weights!r}")
+        if sum(self.weights.values()) <= 0:
+            raise ValueError("weights must sum to a positive value")
 
     @staticmethod
-    def for_scorers(scorers: list[ScorerHandle], k: float = DEFAULT_RRF_K
-                    ) -> "FusionConfig":
-        """Default weights: 0.7 to the primary scorer, 0.3 to the other;
-        1.0 standalone."""
+    def for_scorers(scorers: list[ScorerHandle]) -> "FusionConfig":
+        """The fixed split: 0.7 to the primary scorer, 0.3 to the other;
+        1.0 standalone. One or two scorers with distinct names."""
         if len(scorers) == 1:
-            return FusionConfig(k=k, weights={scorers[0].name: 1.0})
+            return FusionConfig({scorers[0].name: 1.0})
         if len(scorers) != 2:
             raise ValueError("fusion accepts exactly one or two scorers")
+        if scorers[0].name == scorers[1].name:
+            raise ValueError("scorer names must be unique")
         primary = primary_index(scorers)
-        return FusionConfig(k=k, weights={
+        return FusionConfig({
             scorers[primary].name: DEFAULT_CROSS_WEIGHT,
             scorers[1 - primary].name: DEFAULT_LATE_WEIGHT,
         })
@@ -208,9 +209,10 @@ def rank(
     query: str,
     corpus: Corpus,
     scorers: list[ScorerHandle],
-    cfg: FusionConfig | None = None,
 ) -> tuple[RankedList, list[ScoreVector]]:
-    """Score the full candidate set with every scorer, then fuse.
+    """Score the full candidate set with every scorer, then fuse at the
+    fixed split (FusionConfig.for_scorers), which also checks that there are
+    one or two scorers with distinct names before any of them scores.
 
     Two served scorers run concurrently, to overlap their round trips;
     otherwise the scorers run in turn on the calling thread. Results are
@@ -218,25 +220,11 @@ def rank(
     in turn with score and fusing with rrf_fuse. One scorer failing
     fails the whole call. A single scorer is fused alone, so its order is
     kept. The in-process scorer reads the set's term_sums, one per
-    candidate. A missing cfg, or one without weights, fuses with the
-    default split at its k; explicit weights must name exactly the given
-    scorers.
+    candidate.
     """
     if not candidates.candidates:
         raise ValueError("candidate set must be non-empty")
-    if not 1 <= len(scorers) <= 2:
-        raise ValueError("rank takes one or two scorers")
-    names = [s.name for s in scorers]
-    if len(set(names)) != len(names):
-        raise ValueError("scorer names must be unique")
-    if cfg is None:
-        cfg = FusionConfig()
-    if cfg.weights is None:
-        cfg = FusionConfig.for_scorers(scorers, k=cfg.k)
-    if set(cfg.weights) != set(names):
-        differ = sorted(set(cfg.weights) ^ set(names))
-        raise UnknownScorerError(f"fusion weights must name exactly the scorers "
-                                 f"{sorted(names)}; these differ: {differ}")
+    cfg = FusionConfig.for_scorers(scorers)
     if len(scorers) == 2 and all(s.endpoint for s in scorers):
         with ThreadPoolExecutor(max_workers=len(scorers)) as pool:
             futures = [pool.submit(score, s, query, candidates, corpus) for s in scorers]

@@ -6,21 +6,21 @@ single pseudo-relevance-feedback round. Each term is found with str.find
 over the corpus's scan surface, its lowercased passage texts joined by NUL,
 and each hit is mapped to its passage by bisecting the passage offsets. No
 inverted index, no embedding store; the corpus text itself is the only data
-structure. When every grep comes back empty, the semantic fallback scores
-every passage with the run's first served scorer, else in process, where a
-passage scores its query-term sum minus a length penalty: in OR mode every
-sum is then 0.0, so the shortest passages win.
+structure. Whenever every grep comes back empty, the semantic fallback
+scores every passage with the run's first served scorer, else in process,
+where every query-term sum is then 0.0, so a passage scores minus a length
+penalty and the shortest passages win.
 
-A grep is an OR grep: it returns each passage holding at least one term with
-its match score, by passage position. AND mode is and_hits over the query's
-own hits at hop 0; expansion hops grep OR in both modes. retrieve folds every
-hop's scores into one map (higher score wins, earliest hop kept); the
-fallback's top scores fold into it too. retrieve then builds each Candidate
-once, in candidate order: match score down, then passage id up. It also
-keeps the query's parsed terms and each candidate's query-term sum, the
-weights of those terms found in it, which the in-process lexical scorer
-reads in place of the text. Every CandidateSet retrieve returns, an empty one
-included, is built at that one exit.
+There is one grep, an OR grep: it returns each passage holding at least one
+term with its match score, by passage position; the weights only order the
+hits. and_hits, the hits holding every term, serves the oracle's grep-and
+tool. retrieve folds every hop's scores into one map (higher score wins,
+earliest hop kept); the fallback's top scores fold into it too. retrieve
+then builds each Candidate once, in candidate order: match score down, then
+passage id up. It also keeps the query's parsed terms and each candidate's
+query-term sum, the weights of those terms found in it, which the in-process
+lexical scorer reads in place of the text. Every CandidateSet retrieve
+returns, an empty one included, is built at that one exit.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ class CandidateSet:
     # its maps keyed by corpus position, grep hits and fallback alike.
     # term_sums[k] is candidates[k]'s query-term sum: the weights, added in
     # term order, of the question's own parsed terms that its text contains,
-    # as an OR grep of them finds it (0.0 when it holds none). retrieve fills
-    # it in every mode; rank's in-process scorer needs it. terms are those
-    # parsed terms, empty when the query has none.
+    # as the hop-0 grep finds it (0.0 when it holds none); rank's in-process
+    # scorer needs it. terms are those parsed terms, empty when the query
+    # has none.
     candidates: tuple[Candidate, ...]
     query_id: str
     hops_executed: int
@@ -90,19 +90,15 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class RetrieveConfig:
-    """Retrieval's settings. max_hops=1 runs no entity hop and
+    """Retrieval's search limits. max_hops=1 runs no entity hop and
     prf_source_top_n=0 runs no PRF round."""
 
-    mode: str = "OR"
     max_hops: int = 3
     entity_hop_source_top_m: int = 10
     prf_min_doc_freq: int = 2
     prf_source_top_n: int = 10
-    fallback_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.mode not in ("OR", "AND"):
-            raise ValueError(f"mode must be OR or AND, got {self.mode!r}")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
         if self.prf_min_doc_freq < 1:
@@ -124,8 +120,8 @@ def grep_search(corpus: Corpus, terms: WeightedTermSet) -> dict[int, float]:
     the next, is not a match, and neither is any later hit in that passage.
     Returns the raw OR hits, every passage matching at least one term, as
     passage position -> match score: the weights of the terms it holds,
-    added in term order. Repeats of a term in the text add nothing. and_hits
-    keeps the hits that match every term. The empty term set finds nothing.
+    added in term order. Repeats of a term in the text add nothing. The
+    empty term set finds nothing.
     """
     hits: dict[int, float] = {}
     get = hits.get
@@ -149,10 +145,11 @@ def grep_search(corpus: Corpus, terms: WeightedTermSet) -> dict[int, float]:
 
 
 def and_hits(hits: dict[int, float], terms: WeightedTermSet) -> dict[int, float]:
-    """Those of terms' OR hits that match every term, AND mode's hits: the
-    hits scoring the total weight. Both sums add the same weights in the same
-    order, and every weight is a positive multiple of 0.5 (see WeightedTerm),
-    so the sums are exact and a hit missing a term scores strictly less."""
+    """Those of terms' OR hits that match every term, the oracle's grep-and
+    hits: the hits scoring the total weight. Both sums add the same weights
+    in the same order, and every weight is a positive multiple of 0.5 (see
+    WeightedTerm), so the sums are exact and a hit missing a term scores
+    strictly less."""
     total = sum(t.weight for t in terms.terms)
     return {i: score for i, score in hits.items() if score == total}
 
@@ -269,16 +266,15 @@ def scorer_scores(endpoint: str | None, query: str, corpus: Corpus,
     return [m - LENGTH_PENALTY * n for m, n in zip(sums, map(corpus.word_count, ids))]
 
 
-def semantic_fallback(query: str, corpus: Corpus, scorers: Sequence[ScorerHandle],
-                      own: dict[int, float]) -> dict[int, float]:
-    """Score every passage with the first served scorer, else in process
-    from `own`, the query-term sums by position, and keep the top
-    SEMANTIC_FALLBACK_TOP_N, as passage position -> score in candidate order.
-    Only called when substring matching found nothing."""
+def semantic_fallback(query: str, corpus: Corpus,
+                      scorers: Sequence[ScorerHandle]) -> dict[int, float]:
+    """Score every passage with the first served scorer, else in process,
+    and keep the top SEMANTIC_FALLBACK_TOP_N, as passage position -> score
+    in candidate order. Only called when substring matching found nothing,
+    so every query-term sum the in-process scorer reads is 0.0."""
     endpoint = next((s.endpoint for s in scorers if s.endpoint), None)
     ids = [p.id for p in corpus.passages]
-    sums = [own.get(i, 0.0) for i in range(len(ids))]
-    scores = dict(enumerate(scorer_scores(endpoint, query, corpus, ids, sums)))
+    scores = dict(enumerate(scorer_scores(endpoint, query, corpus, ids, [0.0] * len(ids))))
     return {i: scores[i] for i in candidate_order(corpus, scores, SEMANTIC_FALLBACK_TOP_N)}
 
 
@@ -292,10 +288,10 @@ def retrieve(
     scorers: Sequence[ScorerHandle] = (),
 ) -> CandidateSet:
     """Full retrieval: grep, entity hops while they yield new terms, one PRF
-    round, and the semantic fallback over the run's scorers only if
-    everything else came back empty and cfg.fallback_enabled. A query that
-    parses to the empty term set runs no hop and warns "empty-term-set"; a
-    blank passage matches no term and is scored like any other.
+    round, and the semantic fallback over the run's scorers whenever
+    everything else came back empty. A query that parses to the empty term
+    set runs no hop and warns "empty-term-set"; a blank passage matches no
+    term and is scored like any other.
     """
     if cfg is None:
         cfg = RetrieveConfig()
@@ -325,11 +321,8 @@ def retrieve(
         warnings.append("empty-term-set: no content terms in query")
     else:
         searched = set(terms.surfaces_lower())
-        # Hop 0 greps in OR mode in both modes: the query-term sums are OR
-        # sums, since a candidate AND mode finds later, or a fallback one,
-        # may still hold some of the terms. An AND hit holds all of them.
         own = grep_search(corpus, terms)
-        fold(and_hits(own, terms) if cfg.mode == "AND" else own, 0)
+        fold(own, 0)
         hops = 1
 
         # A top-m of 0 mines no passage, so it ends the loop like an empty
@@ -357,16 +350,13 @@ def retrieve(
                 fold(grep_search(corpus, prf_terms), hops)
 
     if not scores:
-        if cfg.fallback_enabled:
-            try:
-                fallback = semantic_fallback(query, corpus, scorers, own)
-            except ScorerUnavailableError as exc:
-                warnings.append(f"semantic-fallback-unavailable: {exc}")
-            else:
-                # Fallback-scored candidates, found at hop `hops`.
-                fold(fallback, hops)
+        try:
+            fallback = semantic_fallback(query, corpus, scorers)
+        except ScorerUnavailableError as exc:
+            warnings.append(f"semantic-fallback-unavailable: {exc}")
         else:
-            warnings.append("no-candidates: substring search empty and fallback disabled")
+            # Fallback-scored candidates, found at hop `hops`.
+            fold(fallback, hops)
     order = candidate_order(corpus, scores)
     # tuple.__new__ builds each record in C; Candidate's own __new__ is Python.
     found = tuple(map(tuple.__new__, repeat(Candidate),

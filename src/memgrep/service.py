@@ -226,13 +226,15 @@ class ReferenceServer:
             request = json.loads(raw_line)
         except json.JSONDecodeError:
             return {"error": "invalid JSON"}
+        if not isinstance(request, dict):
+            return {"error": "request must be a JSON object"}
         kind = request.get("kind")
+        if kind != "score":
+            return {"error": f"unknown kind {kind!r}"}
         query = request.get("query", "")
         items = request.get("items", [])
         if not isinstance(items, list):
             return {"error": "items must be a list"}
-        if kind != "score":
-            return {"error": f"unknown kind {kind!r}"}
         return {"scores": self._score_fn(query, list(items))}
 
     def __enter__(self) -> "ReferenceServer":

@@ -26,8 +26,7 @@ from memgrep.corpus import INGEST_FORMATS, load_questions, read_corpus
 from memgrep.evaluate import build_matrix, matrix_to_jsonl
 from memgrep.oracle import SearchLimits
 from memgrep.parse import parse_query
-from memgrep.rank import (SCORER_KINDS, FusionConfig, LexicalDenseScorer, ScorerHandle,
-                          primary_index)
+from memgrep.rank import SCORER_KINDS, LexicalDenseScorer, ScorerHandle, primary_index
 from memgrep.retrieve import RetrieveConfig
 from memgrep.service import ReferenceServer
 from memgrep.truncate import TruncationConfig
@@ -111,6 +110,7 @@ def test_sweep_from_prebuilt_matrix(capsys, tmp_path, fix_corpus, fix_questions)
     "repeat-candidate", "fractional-words", "bool-render_lens",
     "nan-cross", "string-match", "bool-cross", "huge-int-cross", "huge-int-words",
     "gold-not-a-list", "missing-not-a-list", "missing-not-gold-minus-candidates",
+    "object-question_id", "null-query",
 ])
 def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpus,
                                                      fix_questions, damage):
@@ -155,6 +155,12 @@ def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpu
         assert record["missing"] == [] and record["gold"]
         record["missing"] = record["gold"]
         expected = f"missing must be the gold that candidates lack, [], got {record['gold']!r}"
+    elif damage == "object-question_id":
+        record["question_id"] = {"id": record["question_id"]}
+        expected = f"question_id must be a string, got {record['question_id']!r}"
+    elif damage == "null-query":
+        record["query"] = None
+        expected = "query must be a string, got None"
     elif damage.endswith("-not-a-list"):
         # A string would read as the set of its characters.
         field = damage[:-len("-not-a-list")]
@@ -408,7 +414,8 @@ def test_parser_rejects_unknown_command():
 
 @pytest.mark.parametrize("argv", [
     ["oracle", "--strategy", "adaptive"],   # the oracle neither ranks nor cuts
-    ["oracle", "--mode", "and"],
+    # Retrieval greps one way: no flag picks a grep mode.
+    ["query", "x", "--mode", "and"],
     ["sweep", "--budget", "5"],             # the sweep takes --budgets
     # No flag picks an annotator: every run uses the rule annotator.
     ["query", "x", "--annotator", "service"],
@@ -423,13 +430,11 @@ def test_commands_take_only_the_flags_they_read(argv, capsys):
 def test_build_run_config_defaults():
     args = make_parser().parse_args(["query", "x"])
     cfg = build_run_config(args)
-    assert cfg.retrieve.mode == "OR"
     assert cfg.truncation.strategy == "fixed"
     assert cfg.truncation.word_budget == 2000
     assert cfg.scorers == [ScorerHandle(name="lexical", kind="lexical-test", endpoint=None)]
     # Every section's defaults are the section dataclass's own.
-    assert (cfg.retrieve, cfg.fusion, cfg.truncation) == (
-        RetrieveConfig(), FusionConfig(), TruncationConfig())
+    assert (cfg.retrieve, cfg.truncation) == (RetrieveConfig(), TruncationConfig())
 
 
 def test_scorer_entries_are_completed_and_keep_their_kind(tmp_path):
@@ -502,7 +507,7 @@ def test_query_without_content_terms_prints_no_terms(capsys, fix_corpus):
 # One run of each command with settings off their defaults, less --corpus and
 # --out: each query run is named by its strategy.
 REPLAYED_RUNS = {
-    "fixed": ["query", QUERY, "--strategy", "fixed", "--budget", "30", "--mode", "and"],
+    "fixed": ["query", QUERY, "--strategy", "fixed", "--budget", "30"],
     "adaptive": ["query", QUERY, "--strategy", "adaptive", "--alpha", "0.2", "--top-k", "5"],
     "ingest": ["ingest", "--format", "generic-jsonl"],
     "oracle": ["oracle", "--max-states", "3", "--max-edges", "5"],
@@ -553,8 +558,6 @@ INT_FOR_FLOAT_RUNS = {
                      ["--alphas", "0", "--budgets", "50"]),
     "truncation-alpha": (["query", QUERY], {"truncation": {"strategy": "adaptive", "alpha": 0}},
                          ["--strategy", "adaptive", "--alpha", "0"]),
-    "fusion": (["query", QUERY], {"fusion": {"k": 60, "weights": {"lexical": 1}}},
-               {"fusion": {"k": 60.0, "weights": {"lexical": 1.0}}}),
 }
 
 
@@ -596,7 +599,7 @@ def test_every_dotted_flag_dest_names_a_field_of_a_run_config_section():
     # replace the scorers list) and the query text name no field.
     hints = get_type_hints(RunConfig)
     dests = {action.dest for action in _parser_actions()}
-    assert {"retrieve.mode", "truncation.word_budget", "corpus",
+    assert {"truncation.top_k", "truncation.word_budget", "corpus",
             "oracle.max_states", "sweep.budgets", "sweep.matrix"} <= dests
     for dest in dests - {"help", "command", "config", "scorer", "query_text"}:
         section, _, key = dest.partition(".")
@@ -636,13 +639,9 @@ _RUN_CONFIGS = st.builds(
     format=st.sampled_from((CANONICAL_FORMAT,) + INGEST_FORMATS),
     questions=st.none() | st.text(max_size=8),
     scorers=st.lists(_SCORER, min_size=1, max_size=2, unique_by=lambda s: s.name),
-    retrieve=st.builds(RetrieveConfig, mode=st.sampled_from(("OR", "AND")), max_hops=_COUNTS,
+    retrieve=st.builds(RetrieveConfig, max_hops=_COUNTS,
                        entity_hop_source_top_m=st.integers(0, 50), prf_min_doc_freq=_COUNTS,
-                       prf_source_top_n=st.integers(0, 50), fallback_enabled=st.booleans()),
-    fusion=st.builds(FusionConfig,
-                     k=st.floats(min_value=1e-3, max_value=1e6) | _COUNTS,
-                     weights=st.none() | st.dictionaries(
-                         _NAMES, st.floats(min_value=0.5, max_value=10), min_size=1, max_size=2)),
+                       prf_source_top_n=st.integers(0, 50)),
     truncation=st.builds(TruncationConfig, strategy=st.sampled_from(("fixed", "adaptive")),
                          word_budget=st.none() | _COUNTS,
                          alpha=_ALPHAS, top_k=_COUNTS),
@@ -669,7 +668,11 @@ BAD_CONFIGS = {
     "scorer-not-an-object": ({"scorers": ["x"]}, "scorers[0]"),
     "scorer-without-name": ({"scorers": [{"endpoint": "tcp:x:1"}]}, "scorers[0]"),
     "truncation-unknown-key": ({"truncation": {"bogus": 3}}, "truncation"),
-    "fusion-unknown-key": ({"fusion": {"bogus": 3}}, "fusion"),
+    # rank fuses at the fixed split, so a fusion section is an unknown key
+    # whatever it holds.
+    "fusion-unknown-key": ({"fusion": {"bogus": 3}}, "unknown key 'fusion'"),
+    "fusion-section-removed": ({"fusion": {"k": 60, "weights": {"lexical": 1.0}}},
+                               "unknown key 'fusion'"),
     "in-process-cross-scorer": ({"scorers": [{"name": "x", "kind": "pointwise-cross"}]},
                                 "scorers[0]"),
     # Values of the wrong type: a bool is not a number, and an int field
@@ -677,14 +680,26 @@ BAD_CONFIGS = {
     "retrieve-top-m-not-an-int": ({"retrieve": {"entity_hop_source_top_m": "x"}},
                                   "retrieve"),
     "retrieve-fractional-max-hops": ({"retrieve": {"max_hops": 2.5}}, "retrieve"),
+    # Retrieval greps OR and always falls back: neither is a setting.
     "retrieve-fallback-enabled-not-a-bool": ({"retrieve": {"fallback_enabled": "no"}},
-                                             "retrieve"),
+                                             "retrieve: unknown key 'fallback_enabled'"),
+    "retrieve-fallback-enabled-removed": ({"retrieve": {"fallback_enabled": False}},
+                                          "retrieve: unknown key 'fallback_enabled'"),
+    "retrieve-mode-removed": ({"retrieve": {"mode": "AND"}},
+                              "retrieve: unknown key 'mode'"),
     "truncation-fractional-budget": ({"truncation": {"word_budget": 10.5}}, "truncation"),
-    "fusion-bool-k": ({"fusion": {"k": True}}, "fusion"),
-    "fusion-bool-weight": ({"fusion": {"weights": {"lexical": True}}}, "fusion"),
+    "fusion-bool-k": ({"fusion": {"k": True}}, "unknown key 'fusion'"),
+    "fusion-bool-weight": ({"fusion": {"weights": {"lexical": True}}}, "unknown key 'fusion'"),
+    "fusion-nan-weight": ({"fusion": {"weights": {"lexical": float("nan")}}},
+                          "unknown key 'fusion'"),
+    "fusion-infinite-k": ({"fusion": {"k": float("inf")}}, "unknown key 'fusion'"),
+    "truncation-bool-alpha": ({"truncation": {"alpha": True}},
+                              "truncation: alpha must be float, got True"),
     # Python's json reads NaN and Infinity as floats.
-    "fusion-nan-weight": ({"fusion": {"weights": {"lexical": float("nan")}}}, "fusion"),
-    "fusion-infinite-k": ({"fusion": {"k": float("inf")}}, "fusion"),
+    "truncation-nan-alpha": ({"truncation": {"alpha": float("nan")}},
+                             "truncation: alpha must be float, got nan"),
+    "truncation-infinite-alpha": ({"truncation": {"alpha": float("inf")}},
+                                  "truncation: alpha must be float, got inf"),
     # An int too large for a float is not a finite number either.
     "truncation-huge-int-alpha": ({"truncation": {"alpha": 10**400}}, "truncation"),
     "scorer-endpoint-empty": ({"scorers": [{"name": "ce", "endpoint": ""}]}, "scorers[0]"),
@@ -999,10 +1014,11 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
         return (["query", QUERY, "--corpus", str(bad)],
                 "MalformedDocumentError", f"{bad}:{len(lines) + 1}:")
     if case == "fusion-weight-for-another-scorer":
+        # rank fuses at the fixed split, so a fusion section is an unknown key.
         config = tmp / "config.json"
         config.write_text(json.dumps({"fusion": {"weights": {"lexical": 1.0, "other": 2.0}}}))
         return (["query", QUERY, "--corpus", str(corpus), "--config", str(config)],
-                "UnknownScorerError", "'other'")
+                "ConfigError", f"{config}: unknown key 'fusion'")
     if case == "gold-not-a-list":
         bad = tmp / "questions.json"
         bad.write_text(json.dumps([{"question_id": "q1", "question": "Who?",

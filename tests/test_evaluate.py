@@ -29,7 +29,6 @@ from memgrep.evaluate import (
     write_matrix,
 )
 from memgrep.rank import LexicalDenseScorer, ScorerHandle
-from memgrep.retrieve import RetrieveConfig
 from memgrep.service import ReferenceServer
 from memgrep.truncate import Context, PassageStats
 
@@ -190,9 +189,14 @@ def test_build_matrix_flags_missing_gold(fixture_corpus_path, tmp_path):
     assert rec.gold_ids == {"s1:4"}
     assert len(rec.stats) == len(corpus)
     assert rec.missing_gold == frozenset()
-    # Without the fallback nothing is retrieved, so the gold is missing.
-    rec = build_matrix(questions, corpus, lex, RetrieveConfig(fallback_enabled=False)).records[0]
-    assert rec.stats == ()
+    # The fallback runs only when no grep hits: a question whose terms hit
+    # other passages misses the gold.
+    questions = load_questions(_questions_file(tmp_path, [
+        {"question_id": "elsewhere", "question": "Where is the cider stand?",
+         "gold_passage_ids": ["s1:4"]},
+    ]), corpus)
+    rec = build_matrix(questions, corpus, lex).records[0]
+    assert 0 < len(rec.stats) < len(corpus)
     assert rec.missing_gold == {"s1:4"}
 
 

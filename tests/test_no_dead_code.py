@@ -7,15 +7,22 @@ Importing a name, or assigning to it, does not count as reading it; dunder
 names such as __all__ and __version__ are read by Python and packaging
 tools, not by src/. Likewise every default of a function or a method,
 exported or not, must be overridden by some call in src/: a setting
-nothing in the package sets is a switch kept for tests. And every error type
+nothing in the package sets is a switch kept for tests. Every error type
 but the base class must be raised by some raise statement in src/: an
-exception nothing raises is a channel kept only by being exported.
+exception nothing raises is a channel kept only by being exported. And every
+field of RunConfig and of each dataclass its fields hold must be read as an
+attribute somewhere in src/ outside its own class body: a run setting that
+nothing reads is recorded and checked on every run, yet changes nothing.
 """
 
 import ast
+import inspect
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import memgrep
+from memgrep.cli import RunConfig
 
 SRC = Path(memgrep.__file__).resolve().parent
 
@@ -138,3 +145,32 @@ def test_every_error_type_is_raised_somewhere():
     assert len(errors) > 1
     never = sorted(errors - raised - {"MemgrepError"})
     assert not never, f"error types no raise in src/ raises: {never}"
+
+
+def _run_config_classes() -> list[type]:
+    """RunConfig and each dataclass its fields hold: its sections and the
+    scorer list's items."""
+    classes = [RunConfig]
+    for hint in get_type_hints(RunConfig).values():
+        inner = get_args(hint)[0] if get_origin(hint) is list else hint
+        if is_dataclass(inner):
+            classes.append(inner)
+    return classes
+
+
+def test_every_run_setting_is_read_outside_its_own_class():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    classes = _run_config_classes()
+    assert len(classes) > 1
+    unread = []
+    for cls in classes:
+        home = Path(inspect.getsourcefile(cls)).name
+        read = {node.attr for name, tree in trees.items() for top in tree.body
+                if not (name == home and isinstance(top, ast.ClassDef)
+                        and top.name == cls.__name__)
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{cls.__name__}.{f.name} ({home})" for f in fields(cls)
+                   if f.name not in read]
+    assert not unread, f"run settings nothing in src/ reads: {unread}"

@@ -243,7 +243,18 @@ def test_order_by_score_sorts_score_down_then_id_up(scores):
 def test_fusion_config_validation():
     with pytest.raises(ValueError):
         FusionConfig(k=0.0, weights={"a": 1.0})
-    assert FusionConfig(k=60.0).weights is None
+    # The weights are always given: rank builds the fixed split.
+    with pytest.raises(TypeError):
+        FusionConfig(k=60.0)
+    # k and every weight are finite; a NaN would make every fused score NaN.
+    for k in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FusionConfig(k=k, weights={"a": 1.0})
+    for weight in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FusionConfig(k=60.0, weights={"a": weight})
+        with pytest.raises(ValueError, match="finite"):
+            FusionConfig(k=60.0, weights={"a": 1.0, "b": weight})
     with pytest.raises(ValueError):
         FusionConfig(k=60.0, weights={"a": 1.0, "b": 1.0, "c": 1.0})
     with pytest.raises(ValueError):
@@ -259,10 +270,13 @@ def test_for_scorers_prefers_cross():
     assert cfg.weights == {"ce": 0.7, "li": 0.3}
     single = FusionConfig.for_scorers([cross])
     assert single.weights == {"ce": 1.0}
+    assert cfg.k == single.k == DEFAULT_RRF_K
+    for scorers in ([], [cross, late, cross], [cross, cross]):
+        with pytest.raises(ValueError):
+            FusionConfig.for_scorers(scorers)
 
 
-def test_fusion_without_weights_takes_the_default_split_at_its_k(
-        fixture_corpus_path):
+def test_rank_fuses_at_the_fixed_split(fixture_corpus_path):
     corpus = read_corpus(fixture_corpus_path)
     candidates = grep_candidates(corpus, term_set(("the", 2.0)))
     query = "Where did Javier go hiking?"
@@ -276,13 +290,15 @@ def test_fusion_without_weights_takes_the_default_split_at_its_k(
                    ScorerHandle(name="svc", kind="pointwise-cross",
                                 endpoint=server.endpoint)]
 
-        def ranked(cfg):
-            return rank(candidates, query, corpus, handles, cfg)
+        def fused(cfg):
+            vectors = [score(s, query, candidates, corpus) for s in handles]
+            return rrf_fuse([(v.scorer_name, order_by_score(v.scores)) for v in vectors], cfg)
 
-        unweighted = ranked(FusionConfig(k=30.0))
-        assert unweighted == ranked(FusionConfig.for_scorers(handles, k=30.0))
-        assert unweighted != ranked(FusionConfig(k=30.0, weights={"lex": 0.7, "svc": 0.3}))
-        assert unweighted != ranked(FusionConfig())
+        ranked, _ = rank(candidates, query, corpus, handles)
+        assert ranked == fused(FusionConfig.for_scorers(handles))
+        assert ranked == fused(FusionConfig({"svc": 0.7, "lex": 0.3}, k=60.0))
+        assert ranked != fused(FusionConfig({"lex": 0.7, "svc": 0.3}, k=60.0))
+        assert ranked != fused(FusionConfig({"svc": 0.7, "lex": 0.3}, k=30.0))
 
 
 def corpus_candidates(corpus, query):
@@ -361,22 +377,6 @@ def test_rank_single_scorer_keeps_its_raw_score_order(tiny_corpus):
     # Fused alone, the scorer's order is kept: raw score descending, id ascending.
     raw = vectors[0].scores
     assert ranked.ids() == sorted(raw, key=lambda pid: (-raw[pid], pid))
-
-
-def test_rank_single_scorer_rejects_weights_that_do_not_name_it(tiny_corpus):
-    candidates = grep_candidates(tiny_corpus, term_set(("the", 2.0)))
-    cfg = FusionConfig(weights={"other": 1.0})
-    with pytest.raises(UnknownScorerError):
-        rank(candidates, "Melanie went hiking", tiny_corpus, [ScorerHandle(name="lex")], cfg)
-
-
-def test_rank_rejects_weights_that_name_another_scorer(tiny_corpus):
-    candidates = grep_candidates(tiny_corpus, term_set(("the", 2.0)))
-    cfg = FusionConfig(weights={"lex": 0.7, "third": 0.3})
-    with pytest.raises(UnknownScorerError, match="third") as raised:
-        rank(candidates, "Melanie went hiking", tiny_corpus,
-             [ScorerHandle(name="lex"), ScorerHandle(name="lex2")], cfg)
-    assert "lex2" in str(raised.value)
 
 
 def test_rank_two_scorers_concurrent_equals_sequential(tiny_corpus):
@@ -489,18 +489,15 @@ def served_lexical():
 @given(
     query=st.lists(RANK_WORDS, min_size=1, max_size=4).map(" ".join),
     texts=st.lists(RANK_TEXTS, min_size=1, max_size=10),
-    mode=st.sampled_from(["OR", "AND"]),
 )
-# AND finds nothing, so the semantic fallback supplies every passage, and two
-# of them hold one query term each.
-@example(query="Melanie hiking", mode="AND",
-         texts=["Melanie went\tout", "hiking hiking\u3000trails", "cabin lake"])
+# Grep finds nothing, so the semantic fallback supplies every passage.
+@example(query="Javier hiking", texts=["Melanie\u3000went", "cabin lake", "dusk\tdusk"])
 # No content terms: every sum is 0, the length penalty alone.
-@example(query="the of", mode="OR", texts=["the cabin", "of\nthe lake dusk"])
-def test_rank_in_process_vector_equals_the_text_path(query, texts, mode, served_lexical):
+@example(query="the of", texts=["the cabin", "of\nthe lake dusk"])
+def test_rank_in_process_vector_equals_the_text_path(query, texts, served_lexical):
     annotator = RuleAnnotator()
     corpus = make_corpus(texts)
-    cfg = RetrieveConfig(mode=mode)
+    cfg = RetrieveConfig()
     candidates = retrieve(query, corpus, cfg, annotator)
     _, (vector,) = rank(candidates, query, corpus, [ScorerHandle(name="lex")])
     ids = candidates.ids()
@@ -510,8 +507,7 @@ def test_rank_in_process_vector_equals_the_text_path(query, texts, mode, served_
     # The in-process fallback scores each passage as the served text scorer
     # does, so serving that scorer changes no candidate.
     assert retrieve(query, corpus, cfg, annotator, [served_lexical]) == candidates
-    if not retrieve(query, corpus, RetrieveConfig(mode=mode, fallback_enabled=False),
-                    annotator):
+    if not grep_search(corpus, parse_query(query, annotator)):   # the fallback's set
         assert [c.match_score for c in candidates.candidates] == \
             ServiceClient(served_lexical.endpoint).score(query, candidate_texts)
 

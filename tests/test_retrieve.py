@@ -241,7 +241,9 @@ _SENTENCE = st.lists(st.sampled_from(_NAMES + _NOUNS + _FILLERS),
 def reference_retrieve(query, corpus, cfg, annotator):
     """retrieve() with each hop grepped separately by reference_grep, merged
     by "higher score wins, earliest hop kept", and fully sorted whenever an
-    expansion hop reads the current order."""
+    expansion hop reads the current order. When no hop found anything, the
+    in-process fallback: every passage scores 0.0 minus 0.001 per word, and
+    the top SEMANTIC_FALLBACK_TOP_N join at the last hop."""
     merged = {}
 
     def merge(term_set, mode, hop):
@@ -256,7 +258,7 @@ def reference_retrieve(query, corpus, cfg, annotator):
 
     terms = parse_query(query, annotator)
     searched = set(terms.surfaces_lower())
-    merge(terms, cfg.mode, 0)
+    merge(terms, "OR", 0)
     hops = 1
     while merged and hops < cfg.max_hops:
         top = [corpus.get(c.passage_id) for c in ordered()[:cfg.entity_hop_source_top_m]]
@@ -276,6 +278,10 @@ def reference_retrieve(query, corpus, cfg, annotator):
                                 exclude=frozenset(searched))
             if prf_terms.terms:
                 merge(prf_terms, "OR", hops)
+    else:
+        for passage in corpus:
+            merged[passage.id] = (0.0 - 0.001 * len(passage.text.split()), hops)
+        return ordered()[:SEMANTIC_FALLBACK_TOP_N], hops
     return ordered(), hops
 
 
@@ -284,16 +290,14 @@ def reference_retrieve(query, corpus, cfg, annotator):
        query=st.lists(st.sampled_from(_NAMES + _NOUNS), min_size=1, max_size=3)
        .map(lambda ws: "What did " + " ".join(ws) + " do?"),
        max_hops=st.integers(1, 3), prf=st.booleans(),
-       mode=st.sampled_from(["OR", "AND"]), top_m=st.integers(0, 4),
-       top_n=st.integers(0, 4), min_doc_freq=st.integers(1, 2))
+       top_m=st.integers(0, 4), top_n=st.integers(0, 4), min_doc_freq=st.integers(1, 2))
 def test_retrieve_matches_per_hop_reference(tagger, texts, query, max_hops, prf,
-                                            mode, top_m, top_n, min_doc_freq):
+                                            top_m, top_n, min_doc_freq):
     corpus = make_corpus(texts)
     # A top-n of 0 is how PRF is turned off.
-    cfg = RetrieveConfig(mode=mode, max_hops=max_hops,
-                         entity_hop_source_top_m=top_m,
+    cfg = RetrieveConfig(max_hops=max_hops, entity_hop_source_top_m=top_m,
                          prf_source_top_n=top_n if prf else 0,
-                         prf_min_doc_freq=min_doc_freq, fallback_enabled=False)
+                         prf_min_doc_freq=min_doc_freq)
     result = retrieve(query, corpus, cfg, annotator=tagger)
     candidates, hops = reference_retrieve(query, corpus, cfg, tagger)
     assert result.candidates == candidates
@@ -304,13 +308,12 @@ def test_retrieve_matches_per_hop_reference(tagger, texts, query, max_hops, prf,
 @given(texts=st.lists(_SENTENCE, min_size=1, max_size=14),
        query=st.lists(st.sampled_from(_NAMES + _NOUNS), min_size=1, max_size=3)
        .map(lambda ws: "What did " + " ".join(ws) + " do?"),
-       mode=st.sampled_from(["OR", "AND"]), top_n=st.integers(0, 4))
-def test_one_hop_and_top_m_zero_retrieve_alike(tagger, texts, query, mode, top_n):
+       top_n=st.integers(0, 4))
+def test_one_hop_and_top_m_zero_retrieve_alike(tagger, texts, query, top_n):
     # Either setting alone turns the entity hops off, PRF or not.
     corpus = make_corpus(texts)
-    one_hop = RetrieveConfig(mode=mode, max_hops=1, prf_source_top_n=top_n)
-    no_source = RetrieveConfig(mode=mode, entity_hop_source_top_m=0,
-                               prf_source_top_n=top_n)
+    one_hop = RetrieveConfig(max_hops=1, prf_source_top_n=top_n)
+    no_source = RetrieveConfig(entity_hop_source_top_m=0, prf_source_top_n=top_n)
     assert retrieve(query, corpus, one_hop, annotator=tagger) == \
         retrieve(query, corpus, no_source, annotator=tagger)
 
@@ -402,25 +405,21 @@ def served(scorer, stack, name="svc"):
 UNAVAILABLE = ("semantic-fallback-unavailable: service at {endpoint} refused request: "
                "ScorerUnavailableError: scorer host down",)
 FALLBACK_CASES = {
-    # name: (query, mode, served scorer or None for the in-process one,
+    # name: (query, served scorer or None for the in-process one,
     #        expected hops, expected warnings)
-    "or-no-hit": ("Where is the zanzibar quodlibet?", "OR", None, 1, ()),
-    "or-no-hit-served": ("Where is the zanzibar quodlibet?", "OR", LengthScorer(), 1, ()),
-    "and-or-sums-no-and-hit": ("Did Melanie bake bread?", "AND", None, 1, ()),
-    "and-or-sums-no-and-hit-served": ("Did Melanie bake bread?", "AND", LengthScorer(), 1, ()),
-    "empty-terms": ("the of and", "OR", None, 0,
-                    ("empty-term-set: no content terms in query",)),
-    "empty-terms-served": ("the of and", "OR", LengthScorer(), 0,
+    "or-no-hit": ("Where is the zanzibar quodlibet?", None, 1, ()),
+    "or-no-hit-served": ("Where is the zanzibar quodlibet?", LengthScorer(), 1, ()),
+    "empty-terms": ("the of and", None, 0, ("empty-term-set: no content terms in query",)),
+    "empty-terms-served": ("the of and", LengthScorer(), 0,
                            ("empty-term-set: no content terms in query",)),
-    "scorer-unavailable": ("Where is the zanzibar quodlibet?", "OR", DownScorer(), 1,
-                           UNAVAILABLE),
+    "scorer-unavailable": ("Where is the zanzibar quodlibet?", DownScorer(), 1, UNAVAILABLE),
 }
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
 def test_fallback_set_through_retrieve_equals_brute_force(case, seed, tagger):
-    query, mode, scorer, hops, warnings = FALLBACK_CASES[case]
+    query, scorer, hops, warnings = FALLBACK_CASES[case]
     corpus = fallback_corpus(seed)
     passages = corpus.passages
     terms = parse_query(query, tagger).terms
@@ -430,10 +429,7 @@ def test_fallback_set_through_retrieve_equals_brute_force(case, seed, tagger):
     # minus 0.001 per word; a served scorer scores the texts.
     sums = [sum(t.weight for t in terms if t.surface.lower() in p.text.lower())
             for p in passages]
-    if mode == "AND":
-        assert any(sums), "some passage must hold a query term"
-        assert not any(all(t.surface.lower() in p.text.lower() for t in terms)
-                       for p in passages), "no passage may hold every term"
+    assert not any(sums), "the fallback runs only when no passage holds a term"
     if scorer is None:
         dense_scores = [m - 0.001 * len(p.text.split()) for m, p in zip(sums, passages)]
     else:
@@ -456,7 +452,7 @@ def test_fallback_set_through_retrieve_equals_brute_force(case, seed, tagger):
         if scorer is not None:
             scorers.append(served(scorer, stack))
             warnings = tuple(w.format(endpoint=scorers[1].endpoint) for w in warnings)
-        result = retrieve(query, corpus, RetrieveConfig(mode=mode), tagger, scorers)
+        result = retrieve(query, corpus, RetrieveConfig(), tagger, scorers)
 
     assert result.ids() == [passages[i].id for i in top]
     assert [c.match_score for c in result.candidates] == [
@@ -469,7 +465,7 @@ def test_fallback_set_through_retrieve_equals_brute_force(case, seed, tagger):
     assert result.query_id == query_id_for(query)
     if scorer is None:
         # With no scorer given, retrieve falls back in process as well.
-        assert retrieve(query, corpus, RetrieveConfig(mode=mode), tagger) == result
+        assert retrieve(query, corpus, RetrieveConfig(), tagger) == result
 
 
 def test_retrieve_single_hop(tagger, fixture_corpus_path):
@@ -579,10 +575,14 @@ def test_retrieve_empty_grep_falls_back(tagger, tiny_corpus):
 
 
 def test_retrieve_no_fallback_available(tagger, tiny_corpus):
-    cfg = RetrieveConfig(fallback_enabled=False)
-    result = retrieve("zanzibar quodlibet", tiny_corpus, cfg, annotator=tagger)
+    # The fallback always runs when grep finds nothing; with its served
+    # scorer down, nothing is retrieved and the warning says why.
+    with ExitStack() as stack:
+        result = retrieve("zanzibar quodlibet", tiny_corpus, annotator=tagger,
+                          scorers=[served(DownScorer(), stack)])
     assert len(result) == 0
-    assert any("no-candidates" in w for w in result.warnings)
+    assert result.hops_executed == 1
+    assert [w.partition(":")[0] for w in result.warnings] == ["semantic-fallback-unavailable"]
 
 
 def test_retrieve_empty_term_set_warns(tagger, tiny_corpus):
@@ -618,8 +618,11 @@ def test_query_id_is_stable():
 
 
 def test_retrieve_config_validation():
-    with pytest.raises(ValueError):
-        RetrieveConfig(mode="XOR")
+    # Retrieval greps one way and always falls back: neither is a setting.
+    with pytest.raises(TypeError):
+        RetrieveConfig(mode="AND")
+    with pytest.raises(TypeError):
+        RetrieveConfig(fallback_enabled=False)
     with pytest.raises(ValueError):
         RetrieveConfig(max_hops=0)
     with pytest.raises(ValueError):

@@ -207,6 +207,23 @@ def test_server_reports_unknown_kind():
             assert reply == {"error": f"unknown kind {kind!r}"}
 
 
+@pytest.mark.parametrize("line, error", [
+    ("[1]", "request must be a JSON object"),
+    ('"score"', "request must be a JSON object"),
+    ("null", "request must be a JSON object"),
+    # The kind is checked first, so a bad kind names itself, not its items.
+    ('{"kind": "mystery", "items": 5}', "unknown kind 'mystery'"),
+    ('{"kind": "score", "items": 5}', "items must be a list"),
+], ids=["list", "string", "null", "kind-before-items", "items-not-a-list"])
+def test_server_answers_a_request_that_is_not_a_score_object(line, error):
+    with ReferenceServer(score_fn=lambda q, i: [0.0] * len(i)) as server:
+        _, (host, port) = parse_endpoint(server.endpoint)
+        with socket.create_connection((host, port), timeout=2) as raw, \
+                raw.makefile() as lines:
+            raw.sendall(line.encode() + b"\n")
+            assert json.loads(lines.readline()) == {"error": error}
+
+
 def test_one_request_per_connection():
     def score_fn(query, items):
         return [0.5] * len(items)
