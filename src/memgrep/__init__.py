@@ -7,12 +7,7 @@ oracle derives minimal tool-call traces against gold annotations, and the
 offline simulator replays truncation policies from a frozen score matrix.
 """
 
-from .annotate import (
-    Annotator,
-    EntityMention,
-    RuleAnnotator,
-    TokenAnnotation,
-)
+from .annotate import Annotator, RuleAnnotator, TokenAnnotation
 from .corpus import (
     Corpus,
     GoldAnnotation,
@@ -75,7 +70,6 @@ __all__ = [
     "DanglingGoldError",
     "DuplicateTurnError",
     "EmptyCorpusError",
-    "EntityMention",
     "FusionConfig",
     "GoldAnnotation",
     "LexicalDenseScorer",

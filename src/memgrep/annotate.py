@@ -1,4 +1,4 @@
-"""POS tags and named-entity spans from deterministic lexicon-and-suffix rules.
+"""POS tags and entity spans from deterministic lexicon-and-suffix rules.
 
 RuleAnnotator is the one annotator every run uses; it ships its own lexicon
 data files and needs no model. The Annotator protocol names its two
@@ -9,13 +9,14 @@ Both operations are views over one analysis of the text, which gives the
 tokens and the mentions together. The rule annotator fills parallel
 per-token lists in one scan of the text, tags the tokens and grows the
 entity spans in one pass over those lists, and builds its TokenAnnotation
-records in C. TokenAnnotation and EntityMention are NamedTuples, as Passage
-is: a record compares equal to the plain tuple of its fields, and assigning
-a field raises AttributeError. Any text can be analysed: a blank one has no
-tokens and no mentions. The annotator keeps the last MEMO_SIZE analyses in a
-bounded, thread-safe memo keyed by text, so the query, the entity hops and
-PRF, which ask about the same texts again and again within a question, pay
-for each distinct text once. The analysis is deterministic, so a memoized
+records in C. An entity is untyped: a run of proper nouns, kept as the
+surface it spans, and every proper noun sits in one. TokenAnnotation is a
+NamedTuple, as Passage is: a record compares equal to the plain tuple of its
+fields, and assigning a field raises AttributeError. Any text can be
+analysed: a blank one has no tokens and no mentions. The annotator keeps the
+last MEMO_SIZE analyses in a bounded, thread-safe memo keyed by text, so the
+query, the entity hops and PRF, which ask about the same texts again and
+again within a question, pay for each distinct text once. The analysis is deterministic, so a memoized
 answer equals a fresh one.
 """
 
@@ -26,8 +27,6 @@ from functools import lru_cache
 from importlib import resources
 from itertools import repeat
 from typing import Iterable, NamedTuple, Protocol
-
-ENTITY_LABELS = ("PERSON", "ORG", "LOC", "EVENT")
 
 # Letters/digits with internal apostrophes or hyphens; underscores excluded.
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['’\-][^\W_]+)*")
@@ -45,18 +44,12 @@ MEMO_SIZE = 64
 class TokenAnnotation(NamedTuple):
     token: str
     pos: str
-    entity_label: str | None = None
-
-
-class EntityMention(NamedTuple):
-    surface: str
-    label: str
 
 
 class Annotator(Protocol):
     def annotate(self, text: str) -> list[TokenAnnotation]: ...
 
-    def extract_entities(self, text: str) -> list[EntityMention]: ...
+    def extract_entities(self, text: str) -> list[str]: ...
 
 
 
@@ -76,12 +69,12 @@ def _lower_set(entries: Iterable[str]) -> frozenset[str]:
     return frozenset(entry.lower() for entry in entries)
 
 
-def _dedup_mentions(mentions: Iterable[EntityMention]) -> tuple[EntityMention, ...]:
-    """First mention of each case-insensitive (surface, label) pair, in order."""
-    deduped: list[EntityMention] = []
-    seen: set[tuple[str, str]] = set()
+def _dedup_mentions(mentions: Iterable[str]) -> tuple[str, ...]:
+    """First mention of each surface, case-insensitively, in order."""
+    deduped: list[str] = []
+    seen: set[str] = set()
     for mention in mentions:
-        key = (mention.surface.lower(), mention.label)
+        key = mention.lower()
         if key not in seen:
             seen.add(key)
             deduped.append(mention)
@@ -102,11 +95,9 @@ class RuleAnnotator:
         self._verbs = _lower_set(_read_lexicon("verbs.txt"))
         self._date_words = _lower_set(_read_lexicon("date_words.txt"))
         self._honorifics = _lower_set(_read_lexicon("honorifics.txt"))
-        self._org_keywords = _lower_set(_read_lexicon("org_keywords.txt"))
-        self._event_keywords = _lower_set(_read_lexicon("event_keywords.txt"))
-        places = _read_lexicon("places.txt")
-        self._places_full = frozenset(" ".join(p.split()).lower() for p in places)
-        self._places_single = _lower_set(p for p in places if " " not in p)
+        # One-word places read as names even where they open a sentence.
+        self._places_single = _lower_set(
+            p for p in _read_lexicon("places.txt") if " " not in p)
         self._analyze = lru_cache(maxsize=MEMO_SIZE)(self._analyze_text)
 
     # --- public operations ---
@@ -115,14 +106,14 @@ class RuleAnnotator:
     def annotate(self, text: str) -> list[TokenAnnotation]:
         return list(self._analyze(text)[0])
 
-    def extract_entities(self, text: str) -> list[EntityMention]:
+    def extract_entities(self, text: str) -> list[str]:
         return list(self._analyze(text)[1])
 
     # --- internals ---
 
     def _analyze_text(
         self, text: str
-    ) -> tuple[tuple[TokenAnnotation, ...], tuple[EntityMention, ...]]:
+    ) -> tuple[tuple[TokenAnnotation, ...], tuple[str, ...]]:
         """Token annotations and deduplicated entity mentions of the text, in
         one pass over parallel per-token lists."""
         # A token's core is its text with a trailing 's / ’s clipped off;
@@ -165,26 +156,10 @@ class RuleAnnotator:
             else:
                 tags.append("NOUN")
 
-        labels: list[str | None] = [None] * len(cores)
-        mentions: list[EntityMention] = []
-        for first, last in spans:
-            surface = text[starts[first]:starts[last] + len(cores[last])]
-            span_lows = lows[first:last + 1]
-            if " ".join(surface.split()).lower() in self._places_full:
-                label = "LOC"
-            elif not self._org_keywords.isdisjoint(span_lows):
-                label = "ORG"
-            elif not self._event_keywords.isdisjoint(span_lows):
-                label = "EVENT"
-            elif not self._places_single.isdisjoint(span_lows):
-                label = "LOC"
-            else:
-                label = "PERSON"
-            mentions.append(EntityMention(surface, label))
-            labels[first:last + 1] = [label] * len(span_lows)
+        mentions = [text[starts[first]:starts[last] + len(cores[last])]
+                    for first, last in spans]
         # tuple.__new__ builds each record in C; TokenAnnotation's own __new__ is Python.
-        annotations = tuple(map(tuple.__new__, repeat(TokenAnnotation),
-                                zip(cores, tags, labels)))
+        annotations = tuple(map(tuple.__new__, repeat(TokenAnnotation), zip(cores, tags)))
         return annotations, _dedup_mentions(mentions)
 
     def _honorific_gap(self, prev_low: str, gap: str) -> bool:

@@ -132,7 +132,6 @@ class QuestionRun:
     """Everything one query produced, stage by stage."""
 
     question_id: str
-    query: str
     candidates: CandidateSet
     ranked: RankedList | None
     cross: ScoreVector | None
@@ -165,7 +164,7 @@ def run_question(
         rendered = render_context(context.passage_ids, corpus)
     return QuestionRun(
         question_id=question_id if question_id is not None else candidates.query_id,
-        query=query, candidates=candidates,
+        candidates=candidates,
         ranked=ranked, cross=cross,
         context=context, rendered=rendered,
     )

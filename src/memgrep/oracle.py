@@ -123,7 +123,7 @@ def derive_trace(
             ids = [passages[i].id for i in hits]
             top = [passages[i] for i in candidate_order(corpus, hits, ENTITY_SOURCE_TOP)]
         covered_gain = frozenset(ids) & gold_ids
-        found_terms = frozenset(mention.surface.lower() for passage in top
+        found_terms = frozenset(mention.lower() for passage in top
                                 for mention in annotator.extract_entities(passage.text))
         outcome = (covered_gain, found_terms)
         memo[action] = outcome

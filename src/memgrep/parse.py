@@ -1,7 +1,8 @@
 """Stage 1: turn a natural-language query into a weighted term set.
 
-Weights encode linguistic specificity: proper nouns 3.0, nouns 2.0, verbs 1.0,
-plus 1.0 when the token sits inside a named-entity span. Expansion stages
+Weights encode linguistic specificity: proper nouns 4.0, nouns 2.0, verbs 1.0.
+A proper noun's weight is 3.0 plus 1.0 for the entity span it sits in, and
+a multi-word entity weighs what its first word does. Expansion stages
 attach their own fixed weights (entity hops 2.5, pseudo-relevance feedback
 0.5) through the same term type. A term set holds only its terms; retrieve
 parses the query once per run and carries its terms, not its text.
@@ -11,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .annotate import ENTITY_LABELS, Annotator
+from .annotate import Annotator
 
-POS_WEIGHTS = {"PROPN": 3.0, "NOUN": 2.0, "VERB": 1.0}
+# A proper noun always sits in an entity span, so it weighs 3.0 for its
+# specificity plus 1.0 for the entity.
+POS_WEIGHTS = {"PROPN": 4.0, "NOUN": 2.0, "VERB": 1.0}
 ENTITY_HOP_WEIGHT = 2.5
 PRF_WEIGHT = 0.5
 
@@ -22,9 +25,9 @@ PRF_WEIGHT = 0.5
 class WeightedTerm:
     # By construction, surfaces are non-empty (no annotator yields an empty
     # token or mention) and weights follow provenance: parse_query weighs by
-    # POS_WEIGHTS (+1 inside an entity), the hops by ENTITY_HOP_WEIGHT and
-    # PRF_WEIGHT, the oracle's grep actions by 1.0. Every weight is thus a
-    # positive multiple of 0.5, which and_hits relies on.
+    # POS_WEIGHTS, the hops by ENTITY_HOP_WEIGHT and PRF_WEIGHT, the oracle's
+    # grep actions by 1.0. Every weight is thus a positive multiple of 0.5,
+    # which and_hits relies on.
     surface: str
     weight: float
     provenance: str
@@ -75,16 +78,14 @@ def parse_query(query: str, annotator: Annotator) -> WeightedTermSet:
         weight = POS_WEIGHTS.get(annotation.pos)
         if weight is None:
             continue
-        if annotation.entity_label in ENTITY_LABELS:
-            weight += 1.0
         terms.append(WeightedTerm(surface=annotation.token, weight=weight,
                                   provenance="query"))
     for mention in annotator.extract_entities(query):
-        if " " not in mention.surface:
+        if " " not in mention:
             continue
         terms.append(WeightedTerm(
-            surface=mention.surface,
-            weight=_head_weight(mention.surface, terms),
+            surface=mention,
+            weight=_head_weight(mention, terms),
             provenance="query",
         ))
     return WeightedTermSet.from_terms(terms)
@@ -96,4 +97,4 @@ def _head_weight(surface: str, terms: list[WeightedTerm]) -> float:
     for term in terms:
         if term.surface.lower() == head.lower():
             return term.weight
-    return POS_WEIGHTS["PROPN"] + 1.0
+    return POS_WEIGHTS["PROPN"]

@@ -199,12 +199,12 @@ def entity_expansion_hop(
     seen: set[str] = set()
     for passage in ranked_top:
         for mention in annotator.extract_entities(passage.text):
-            low = mention.surface.lower()
+            low = mention.lower()
             if low in seen or low in exclude or low in query_low:
                 continue
             seen.add(low)
             terms.append(WeightedTerm(
-                surface=mention.surface,
+                surface=mention,
                 weight=ENTITY_HOP_WEIGHT,
                 provenance="entity-hop",
             ))

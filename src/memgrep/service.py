@@ -232,9 +232,13 @@ class ReferenceServer:
         if kind != "score":
             return {"error": f"unknown kind {kind!r}"}
         query = request.get("query", "")
+        if not isinstance(query, str):
+            return {"error": "query must be a string"}
         items = request.get("items", [])
         if not isinstance(items, list):
             return {"error": "items must be a list"}
+        if not {str}.issuperset(map(type, items)):   # one C-level pass
+            return {"error": "items must be a list of strings"}
         return {"scores": self._score_fn(query, list(items))}
 
     def __enter__(self) -> "ReferenceServer":

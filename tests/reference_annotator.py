@@ -3,22 +3,38 @@ tests/test_annotate.py compares RuleAnnotator._analyze_text against.
 
 It walks _Tok records through separate tokenize, classify, span and label
 steps; RuleAnnotator does the same work in one pass over parallel lists.
-Only the lexicons come from RuleAnnotator's constructor.
+The seed also sorted each entity span into PERSON, ORG, LOC or EVENT and
+labelled the span's tokens, which RuleAnnotator no longer does: the tests
+project this analysis to tokens and tags and to mention surfaces. The
+lexicons the tagging reads come from RuleAnnotator's constructor; the
+org, event and whole-place sets only the labels read are built here.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from memgrep.annotate import EntityMention, RuleAnnotator, TokenAnnotation
+from memgrep.annotate import RuleAnnotator, _lower_set, _read_lexicon
 
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['’\-][^\W_]+)*")
 _SENTENCE_END = (".", "!", "?", "\n", "…")
 _NOUN_SUFFIXES = ("tion", "sion", "ment", "ness", "ity", "ship", "hood",
                   "ism", "ence", "ance", "ology", "er", "or", "ist")
 _VERB_SUFFIXES = ("ify", "ize", "ise")
+ENTITY_LABELS = ("PERSON", "ORG", "LOC", "EVENT")
+
+
+class TokenAnnotation(NamedTuple):
+    token: str
+    pos: str
+    entity_label: str | None = None
+
+
+class EntityMention(NamedTuple):
+    surface: str
+    label: str
 
 
 def _dedup_mentions(mentions: Iterable[EntityMention]) -> tuple[EntityMention, ...]:
@@ -44,6 +60,13 @@ class _Tok:
 
 class ReferenceAnnotator(RuleAnnotator):
     """RuleAnnotator's lexicons with the seed's analysis."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._org_keywords = _lower_set(_read_lexicon("org_keywords.txt"))
+        self._event_keywords = _lower_set(_read_lexicon("event_keywords.txt"))
+        self._places_full = frozenset(
+            " ".join(p.split()).lower() for p in _read_lexicon("places.txt"))
 
     def _analyze_text(
         self, text: str

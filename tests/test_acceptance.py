@@ -228,7 +228,7 @@ def _enumerate_minimum(question, gold_ids, corpus, annotator, max_len=3):
         found = set()
         for pid in ordered[:10]:
             for mention in annotator.extract_entities(corpus.get(pid).text):
-                found.add(mention.surface.lower())
+                found.add(mention.lower())
         memo[key] = (covered, frozenset(found))
         return memo[key]
 

@@ -13,6 +13,9 @@ exception nothing raises is a channel kept only by being exported. And every
 field of RunConfig and of each dataclass its fields hold must be read as an
 attribute somewhere in src/ outside its own class body: a run setting that
 nothing reads is recorded and checked on every run, yet changes nothing.
+Every attribute a class's __init__ or __post_init__ sets on its instance,
+error types aside, must be read as an attribute somewhere in src/ outside
+that constructor: state nothing reads is built on every construction.
 """
 
 import ast
@@ -174,3 +177,43 @@ def test_every_run_setting_is_read_outside_its_own_class():
         unread += [f"{cls.__name__}.{f.name} ({home})" for f in fields(cls)
                    if f.name not in read]
     assert not unread, f"run settings nothing in src/ reads: {unread}"
+
+
+_CONSTRUCTORS = ("__init__", "__post_init__")
+
+
+def _self_attributes_set(fn: ast.FunctionDef) -> set[str]:
+    """The attributes a constructor sets on its own instance: by assignment
+    to self.name, or by object.__setattr__(self, "name", ...) on a frozen
+    dataclass."""
+    me = fn.args.args[0].arg
+    names = set()
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == me):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__setattr__"
+              and len(node.args) >= 2 and isinstance(node.args[0], ast.Name)
+              and node.args[0].id == me and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+    return names
+
+
+def test_every_attribute_a_constructor_sets_is_read_elsewhere():
+    # Error types are exempt: their attributes are for the code that catches them.
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"]
+    constructors = [(cls.name, fn) for tree in trees for cls in tree.body
+                    if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body
+                    if isinstance(fn, ast.FunctionDef) and fn.name in _CONSTRUCTORS]
+    assert constructors
+    unread = []
+    for cls_name, ctor in constructors:
+        inside = {id(node) for node in ast.walk(ctor)}
+        read = {node.attr for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in inside}
+        unread += [f"{cls_name}.{name} (set in {ctor.name})"
+                   for name in sorted(_self_attributes_set(ctor) - read)]
+    assert not unread, f"attributes nothing in src/ reads: {unread}"

@@ -30,14 +30,14 @@ def weights_of(term_set):
 
 
 def test_pos_weight_table():
-    assert POS_WEIGHTS == {"PROPN": 3.0, "NOUN": 2.0, "VERB": 1.0}
+    assert POS_WEIGHTS == {"PROPN": 4.0, "NOUN": 2.0, "VERB": 1.0}
     assert ENTITY_HOP_WEIGHT == 2.5
     assert PRF_WEIGHT == 0.5
 
 
 def test_parse_weights_by_pos(tagger):
     terms = parse_query("Melanie went hiking", tagger)
-    # PROPN inside an entity mention gets the +1 bonus.
+    # A proper noun weighs 3 plus 1 for the entity span it sits in.
     assert weights_of(terms) == {"Melanie": 4.0, "went": 1.0, "hiking": 2.0}
     assert all(t.provenance == "query" for t in terms.terms)
 
@@ -134,7 +134,7 @@ def test_parse_query_yields_unique_query_terms(tagger, query):
     # Empty exactly when no token is a content word and no mention is a
     # multi-word surface, counted from the annotator's own output.
     has_content = any(a.pos in ("PROPN", "NOUN", "VERB") for a in tagger.annotate(query)) \
-        or any(" " in m.surface for m in tagger.extract_entities(query))
+        or any(" " in m for m in tagger.extract_entities(query))
     assert bool(terms.terms) == has_content
     assert_term_invariants(terms, "query", (1.0, 2.0, 3.0, 4.0))
 
@@ -145,7 +145,7 @@ def test_parse_query_yields_unique_query_terms(tagger, query):
 def test_expansion_hops_yield_unique_new_terms(tagger, texts, query, min_doc_freq, data):
     corpus = make_corpus(texts)
     surfaces = sorted(
-        {m.surface.lower() for p in corpus for m in tagger.extract_entities(p.text)}
+        {m.lower() for p in corpus for m in tagger.extract_entities(p.text)}
         | {a.token.lower() for p in corpus for a in tagger.annotate(p.text)})
     exclude = frozenset(data.draw(st.lists(st.sampled_from(surfaces), max_size=4)))
     hop = entity_expansion_hop(list(corpus), query, tagger, exclude=exclude)

@@ -214,7 +214,13 @@ def test_server_reports_unknown_kind():
     # The kind is checked first, so a bad kind names itself, not its items.
     ('{"kind": "mystery", "items": 5}', "unknown kind 'mystery'"),
     ('{"kind": "score", "items": 5}', "items must be a list"),
-], ids=["list", "string", "null", "kind-before-items", "items-not-a-list"])
+    # The scorer sees only a string query and string items.
+    ('{"kind": "score", "query": 5, "items": ["a"]}', "query must be a string"),
+    ('{"kind": "score", "query": null, "items": ["a"]}', "query must be a string"),
+    ('{"kind": "score", "query": "q", "items": [5]}', "items must be a list of strings"),
+    ('{"kind": "score", "items": ["a", null]}', "items must be a list of strings"),
+], ids=["list", "string", "null", "kind-before-items", "items-not-a-list",
+        "query-a-number", "query-null", "item-a-number", "item-null"])
 def test_server_answers_a_request_that_is_not_a_score_object(line, error):
     with ReferenceServer(score_fn=lambda q, i: [0.0] * len(i)) as server:
         _, (host, port) = parse_endpoint(server.endpoint)
