@@ -26,7 +26,6 @@ from .errors import (
     MemgrepError,
     PartialResponseError,
     ScorerUnavailableError,
-    UnknownScorerError,
 )
 from .evaluate import (
     MetricsReport,
@@ -44,8 +43,7 @@ from .evaluate import (
 )
 from .oracle import OracleTrace, SearchLimits, derive_trace, trace_stats
 from .parse import WeightedTerm, WeightedTermSet, parse_query
-from .rank import (FusionConfig, LexicalDenseScorer, RankedList, ScorerHandle, order_by_score,
-                   rank, rrf_fuse)
+from .rank import LexicalDenseScorer, RankedList, ScorerHandle, order_by_score, rank, rrf_fuse
 from .retrieve import (Candidate, CandidateSet, RetrieveConfig, candidate_order, grep_search,
                        retrieve)
 from .service import ReferenceServer, ServiceClient, parse_endpoint
@@ -70,7 +68,6 @@ __all__ = [
     "DanglingGoldError",
     "DuplicateTurnError",
     "EmptyCorpusError",
-    "FusionConfig",
     "GoldAnnotation",
     "LexicalDenseScorer",
     "MalformedDocumentError",
@@ -91,7 +88,6 @@ __all__ = [
     "ServiceClient",
     "TokenAnnotation",
     "TruncationConfig",
-    "UnknownScorerError",
     "WeightedTerm",
     "WeightedTermSet",
     "budget_recall",

@@ -116,11 +116,11 @@ class RuleAnnotator:
     ) -> tuple[tuple[TokenAnnotation, ...], tuple[str, ...]]:
         """Token annotations and deduplicated entity mentions of the text, in
         one pass over parallel per-token lists."""
-        # A token's core is its text with a trailing 's / ’s clipped off;
-        # gaps[k] is the text between tokens k and k + 1, possessive marker
-        # excluded.
+        # A token's core is its text with a trailing 's / ’s, in either case,
+        # clipped off; gaps[k] is the text between tokens k and k + 1,
+        # possessive marker excluded.
         matches = list(_TOKEN_RE.finditer(text))
-        cores = [raw[:-2] if len(raw) > 2 and raw.endswith(("'s", "’s")) else raw
+        cores = [raw[:-2] if len(raw) > 2 and raw.endswith(("'s", "’s", "'S", "’S")) else raw
                  for raw in map(re.Match.group, matches)]
         lows = list(map(str.lower, cores))
         starts = list(map(re.Match.start, matches))

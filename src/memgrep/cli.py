@@ -303,7 +303,7 @@ def cmd_query(cfg: RunConfig, query: str) -> int:
         "hops_executed": run.candidates.hops_executed,
         "candidate_count": len(run.candidates),
         "warnings": list(run.candidates.warnings),
-        "ranked_count": len(run.ranked) if run.ranked is not None else 0,
+        "ranked_count": len(run.ranked),
         "pruned_by_threshold": run.context.pruned_by_threshold,
         "pruned_by_budget": run.context.pruned_by_budget,
         "context_passage_ids": list(run.context.passage_ids),

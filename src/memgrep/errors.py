@@ -36,10 +36,6 @@ class PartialResponseError(MemgrepError):
     """A scoring service returned fewer (or malformed) results than requested."""
 
 
-class UnknownScorerError(MemgrepError):
-    """A ranking names a scorer missing from the fusion weight table."""
-
-
 class IncompleteMatrixError(MemgrepError):
     """A score matrix record lacks data the simulator needs."""
 

@@ -16,12 +16,15 @@ every cut.
 
 Records are complete by construction: build_matrix fills every table from
 the candidates it ranked, and read_matrix rejects a line that lacks any
-entry or holds a score or count that is not a finite number, naming
-file:line. The simulator trusts the records it is given.
+entry, holds a score or count that is not a finite number, or holds an id
+field that is not a list of strings, naming file:line. The simulator
+trusts the records it is given.
 
 run_question and build_matrix take the run's scorers, retrieval limits and,
 for a live cut, truncation config; the fusion split is rank's own, fixed by
-the scorers.
+the scorers. Every run ranks and cuts what it retrieved: rank of the empty
+set is the empty ranking, and cutting no stats is the empty context, so a
+question that retrieved nothing needs no branch of its own.
 """
 
 from __future__ import annotations
@@ -123,18 +126,14 @@ def cut(stats: Sequence[PassageStats], cross: Mapping[str, float],
     return truncate_fixed(stats, cfg.word_budget)
 
 
-_EMPTY_CONTEXT = Context(passage_ids=(), word_count=0, estimated_tokens=0,
-                         pruned_by_threshold=0, pruned_by_budget=0)
-
-
 @dataclass(frozen=True)
 class QuestionRun:
     """Everything one query produced, stage by stage."""
 
     question_id: str
     candidates: CandidateSet
-    ranked: RankedList | None
-    cross: ScoreVector | None
+    ranked: RankedList
+    cross: ScoreVector
     context: Context
     rendered: str
 
@@ -157,30 +156,24 @@ def run_question(
         annotator = RuleAnnotator()
     candidates, ranked, cross = _retrieve_and_rank(
         query, corpus, scorers, retrieve_cfg, annotator)
-    if ranked is None:
-        context, rendered = _EMPTY_CONTEXT, ""
-    else:
-        context = cut(RankedStats(ranked.ids(), corpus), cross.scores, trunc_cfg)
-        rendered = render_context(context.passage_ids, corpus)
+    context = cut(RankedStats(ranked.ids(), corpus), cross.scores, trunc_cfg)
     return QuestionRun(
         question_id=question_id if question_id is not None else candidates.query_id,
         candidates=candidates,
         ranked=ranked, cross=cross,
-        context=context, rendered=rendered,
+        context=context, rendered=render_context(context.passage_ids, corpus),
     )
 
 
 def _retrieve_and_rank(
     query: str, corpus: Corpus, scorers: list[ScorerHandle],
     retrieve_cfg: RetrieveConfig | None, annotator: Annotator,
-) -> tuple[CandidateSet, RankedList | None, ScoreVector | None]:
+) -> tuple[CandidateSet, RankedList, ScoreVector]:
     """A query's candidates, their fused ranking and the primary scorer's
-    vector; the last two are None when nothing was retrieved. `retrieve` and
-    `rank` are looked up through this module's globals, so a wrapper set on
+    vector, all empty when nothing was retrieved. `retrieve` and `rank` are
+    looked up through this module's globals, so a wrapper set on
     memgrep.evaluate (the benchmark's tracer sets them) sees every call."""
     candidates = retrieve(query, corpus, retrieve_cfg, annotator, scorers)
-    if not candidates:
-        return candidates, None, None
     ranked, vectors = rank(candidates, query, corpus, scorers)
     return candidates, ranked, vectors[primary_index(scorers)]
 
@@ -226,13 +219,10 @@ def build_matrix(
     if annotator is None:
         annotator = RuleAnnotator()
     records = []
-    cross_name = ""
     for question in questions:
         candidates, ranked, cross = _retrieve_and_rank(
             question.text, corpus, scorers, retrieve_cfg, annotator)
-        ordered = ranked.ids() if ranked is not None else ()
-        if cross is not None:
-            cross_name = cross.scorer_name
+        ordered = ranked.ids()
         match_scores = {c.passage_id: c.match_score for c in candidates.candidates}
         records.append(QuestionRecord(
             question_id=question.question_id,
@@ -244,7 +234,7 @@ def build_matrix(
         ))
     return ScoreMatrix(records=tuple(records),
                        corpus_checksum=corpus.checksum,
-                       cross_scorer=cross_name)
+                       cross_scorer=scorers[primary_index(scorers)].name)
 
 
 def matrix_to_jsonl(matrix: ScoreMatrix) -> str:
@@ -295,7 +285,7 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
             for key in ("question_id", "query"):
                 if type(rec[key]) is not str:
                     raise ValueError(f"{key} must be a string, got {rec[key]!r}")
-            ids = rec["candidates"]
+            ids = _ids(rec, "candidates")
             if len(set(ids)) != len(ids):
                 raise ValueError("candidates list an id twice")
             cross, match = _entries(rec, "cross", ids), _entries(rec, "match", ids)
@@ -308,9 +298,9 @@ def read_matrix(path: str | Path, corpus: Corpus | None = None) -> ScoreMatrix:
                             for pid, w, r in zip(ids, words, render_lens)),
                 cross_scores={pid: float(v) for pid, v in zip(ids, cross)},
                 match_scores={pid: float(v) for pid, v in zip(ids, match)},
-                gold_ids=_id_set(rec, "gold"),
+                gold_ids=frozenset(_ids(rec, "gold")),
             )
-            if _id_set(rec, "missing") != record.missing_gold:
+            if frozenset(_ids(rec, "missing")) != record.missing_gold:
                 raise ValueError(f"missing must be the gold that candidates lack, "
                                  f"{sorted(record.missing_gold)}, got {rec['missing']!r}")
             records.append(record)
@@ -356,12 +346,13 @@ def _header(rec: dict, where: str) -> dict:
     return rec
 
 
-def _id_set(rec: dict, name: str) -> frozenset[str]:
-    """The line's `name` list of passage ids; a string is not such a list."""
+def _ids(rec: dict, name: str) -> list[str]:
+    """The line's `name` list of passage ids. A string or an object is no
+    such list, though iterating it yields strings."""
     value = rec[name]
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ValueError(f"{name} must be a list of passage ids, got {value!r}")
-    return frozenset(value)
+    return value
 
 
 def _entries(rec: dict, name: str, ids: list, count: bool = False) -> list:

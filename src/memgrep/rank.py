@@ -5,9 +5,11 @@ rankings are combined with weighted Reciprocal Rank Fusion. A single scorer
 is fused alone at weight 1.0, which keeps its order. Rank-based fusion
 keeps the pipeline indifferent to scorer calibration: multiplying any
 scorer's raw scores by a positive constant changes nothing downstream.
-The split is fixed: rank() fuses at FusionConfig.for_scorers of the scorers
-it is given, 0.7 to the primary scorer and 0.3 to the other at k 60, so no
-caller decides it.
+The split is fixed: rank() fuses at fusion_weights of the scorers it is
+given, PRIMARY_WEIGHT to the primary scorer and OTHER_WEIGHT to the other
+at RRF_K, so no caller decides it. rank is total: the empty candidate set
+is the empty ranking, with one empty ScoreVector per scorer, and no scorer
+is asked to score nothing.
 
 A ScorerHandle, {name, kind, endpoint}, names a scorer: served when it has
 an endpoint, in process otherwise. Every scorer scores the CandidateSet
@@ -27,7 +29,6 @@ nothing in the pipeline calls it, but a ReferenceServer host serves it.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 from itertools import compress, repeat
@@ -36,14 +37,13 @@ from typing import NamedTuple
 
 from .annotate import RuleAnnotator
 from .corpus import Corpus
-from .errors import UnknownScorerError
 from .parse import parse_query
 from .retrieve import LENGTH_PENALTY, CandidateSet, scorer_scores
 
 SCORER_KINDS = ("pointwise-cross", "late-interaction", "lexical-test")
-DEFAULT_RRF_K = 60.0
-DEFAULT_CROSS_WEIGHT = 0.7
-DEFAULT_LATE_WEIGHT = 0.3
+RRF_K = 60.0
+PRIMARY_WEIGHT = 0.7
+OTHER_WEIGHT = 0.3
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class ScorerHandle:
 
 
 def primary_index(scorers: list[ScorerHandle]) -> int:
-    """The position of the scorer that takes the larger default weight and
-    keys the adaptive threshold: the first pointwise-cross scorer, else the
+    """The position of the scorer that takes PRIMARY_WEIGHT and keys the
+    adaptive threshold: the first pointwise-cross scorer, else the
     first scorer."""
     return next((i for i, s in enumerate(scorers) if s.kind == "pointwise-cross"), 0)
 
@@ -79,41 +79,6 @@ class ScoreVector:
     # values at the wire, and the lexical scorer sums finite weights.
     scorer_name: str
     scores: dict[str, float]
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """One weight per scorer name and RRF's k, rrf_fuse's argument; rank
-    builds the fixed split with for_scorers. k and every weight are finite."""
-
-    weights: dict[str, float]
-    k: float = DEFAULT_RRF_K
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.k) or self.k <= 0:
-            raise ValueError(f"k must be a finite positive number, got {self.k!r}")
-        if len(self.weights) not in (1, 2):
-            raise ValueError("fusion accepts exactly one or two scorers")
-        if not all(math.isfinite(w) and w >= 0 for w in self.weights.values()):
-            raise ValueError(f"weights must be finite and non-negative, got {self.weights!r}")
-        if sum(self.weights.values()) <= 0:
-            raise ValueError("weights must sum to a positive value")
-
-    @staticmethod
-    def for_scorers(scorers: list[ScorerHandle]) -> "FusionConfig":
-        """The fixed split: 0.7 to the primary scorer, 0.3 to the other;
-        1.0 standalone. One or two scorers with distinct names."""
-        if len(scorers) == 1:
-            return FusionConfig({scorers[0].name: 1.0})
-        if len(scorers) != 2:
-            raise ValueError("fusion accepts exactly one or two scorers")
-        if scorers[0].name == scorers[1].name:
-            raise ValueError("scorer names must be unique")
-        primary = primary_index(scorers)
-        return FusionConfig({
-            scorers[primary].name: DEFAULT_CROSS_WEIGHT,
-            scorers[1 - primary].name: DEFAULT_LATE_WEIGHT,
-        })
 
 
 class RankedEntry(NamedTuple):
@@ -175,26 +140,36 @@ def score(scorer: ScorerHandle, query: str, candidates: CandidateSet,
 
 # --- fusion ---
 
-def rrf_fuse(
-    rankings: list[tuple[str, list[str]]],
-    cfg: FusionConfig,
-) -> RankedList:
-    """fused(d) = sum over rankings holding d of weight / (k + rank(d)).
+def fusion_weights(scorers: list[ScorerHandle]) -> list[float]:
+    """One fusion weight per scorer, in order: 1.0 alone, else
+    PRIMARY_WEIGHT to the primary scorer and OTHER_WEIGHT to the other. One
+    or two scorers with distinct names."""
+    if len(scorers) == 1:
+        return [1.0]
+    if len(scorers) != 2:
+        raise ValueError("fusion accepts exactly one or two scorers")
+    if scorers[0].name == scorers[1].name:
+        raise ValueError("scorer names must be unique")
+    weights = [OTHER_WEIGHT, OTHER_WEIGHT]
+    weights[primary_index(scorers)] = PRIMARY_WEIGHT
+    return weights
+
+
+def rrf_fuse(rankings: list[tuple[float, list[str]]], k: float) -> RankedList:
+    """fused(d) = sum over (weight, ids) rankings holding d of
+    weight / (k + rank(d)).
 
     Ranks are 1-based; a passage absent from a ranking picks up nothing from
     it. Output sorted by fused score descending, passage_id ascending.
     """
-    for name, ids in rankings:
-        if name not in cfg.weights:
-            raise UnknownScorerError(f"no fusion weight for scorer {name!r}")
+    for _, ids in rankings:
         if len(ids) != len(set(ids)):
-            raise ValueError(f"ranking {name!r} contains duplicates")
+            raise ValueError("a ranking lists a passage twice")
     fused: dict[str, float] = {}
-    for name, ids in rankings:
+    for weight, ids in rankings:
         # Position p's share, weight / (k + p), added to what the ranking's
         # ids hold so far (0.0 for a new id), one ranking after another.
-        shares = map(truediv, repeat(cfg.weights[name]),
-                     map(add, repeat(cfg.k), range(1, len(ids) + 1)))
+        shares = map(truediv, repeat(weight), map(add, repeat(k), range(1, len(ids) + 1)))
         sums = list(map(add, map(fused.get, ids, repeat(0.0)), shares))
         fused.update(zip(ids, sums))
     order = order_by_score(fused)
@@ -211,8 +186,8 @@ def rank(
     scorers: list[ScorerHandle],
 ) -> tuple[RankedList, list[ScoreVector]]:
     """Score the full candidate set with every scorer, then fuse at the
-    fixed split (FusionConfig.for_scorers), which also checks that there are
-    one or two scorers with distinct names before any of them scores.
+    fixed split (fusion_weights), which also checks that there are one or
+    two scorers with distinct names before any of them scores.
 
     Two served scorers run concurrently, to overlap their round trips;
     otherwise the scorers run in turn on the calling thread. Results are
@@ -220,11 +195,10 @@ def rank(
     in turn with score and fusing with rrf_fuse. One scorer failing
     fails the whole call. A single scorer is fused alone, so its order is
     kept. The in-process scorer reads the set's term_sums, one per
-    candidate.
+    candidate. The empty set ranks to the empty list and one empty vector
+    per scorer; retrieve.scorer_scores asks no served scorer to score it.
     """
-    if not candidates.candidates:
-        raise ValueError("candidate set must be non-empty")
-    cfg = FusionConfig.for_scorers(scorers)
+    weights = fusion_weights(scorers)
     if len(scorers) == 2 and all(s.endpoint for s in scorers):
         with ThreadPoolExecutor(max_workers=len(scorers)) as pool:
             futures = [pool.submit(score, s, query, candidates, corpus) for s in scorers]
@@ -235,9 +209,9 @@ def rank(
     # Every vector scores the same ids, so they are sorted once; each stable
     # sort by score then gives order_by_score(v.scores).
     ids = sorted(candidates.ids())
-    per_scorer_order = [(v.scorer_name, sorted(ids, key=v.scores.__getitem__, reverse=True))
-                        for v in vectors]
-    ranked = rrf_fuse(per_scorer_order, cfg)
+    per_scorer_order = [(w, sorted(ids, key=v.scores.__getitem__, reverse=True))
+                        for w, v in zip(weights, vectors)]
+    ranked = rrf_fuse(per_scorer_order, RRF_K)
     return ranked, vectors
 
 

@@ -20,7 +20,10 @@ then builds each Candidate once, in candidate order: match score down, then
 passage id up. It also keeps the query's parsed terms and each candidate's
 query-term sum, the weights of those terms found in it, which the in-process
 lexical scorer reads in place of the text. Every CandidateSet retrieve
-returns, an empty one included, is built at that one exit.
+returns, an empty one included, is built at that one exit. The set is
+empty when the fallback's served scorer is down; it then warns
+semantic-fallback-unavailable, and rank and the cut take it like any other
+set, to the empty ranking and the empty context.
 """
 
 from __future__ import annotations
@@ -257,8 +260,8 @@ def scorer_scores(endpoint: str | None, query: str, corpus: Corpus,
     fallback alike. A served scorer (an endpoint) scores their texts; in
     process, passage k scores its query-term sum sums[k] minus LENGTH_PENALTY
     per word, which is rank.LexicalDenseScorer's score of the text bit for
-    bit."""
-    if endpoint:
+    bit. No ids are no scores, and no served scorer is asked for them."""
+    if endpoint and ids:
         return ServiceClient(endpoint).score(query, [corpus.get(pid).text for pid in ids])
     if len(sums) != len(ids):
         raise ValueError("the in-process scorer needs one query-term sum per "

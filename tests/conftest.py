@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from memgrep.corpus import Corpus, Passage
-from memgrep.rank import FusionConfig, order_by_score, rrf_fuse, score
+from memgrep.rank import RRF_K, fusion_weights, order_by_score, rrf_fuse, score
 from memgrep.retrieve import (Candidate, CandidateSet, and_hits, candidate_order,
                               grep_search, query_id_for)
 
@@ -66,11 +66,11 @@ def grep_candidates(corpus, terms, mode="OR"):
 
 
 def sequential_rank(candidates, query, corpus, scorers):
-    """rank() with its default fusion, rebuilt from its parts: each scorer
+    """rank() at its fixed split, rebuilt from its parts: each scorer
     scores in turn on the calling thread, then the orders are fused."""
     vectors = [score(s, query, candidates, corpus) for s in scorers]
-    orders = [(v.scorer_name, order_by_score(v.scores)) for v in vectors]
-    return rrf_fuse(orders, FusionConfig.for_scorers(scorers)), vectors
+    orders = [(w, order_by_score(v.scores)) for w, v in zip(fusion_weights(scorers), vectors)]
+    return rrf_fuse(orders, RRF_K), vectors
 
 
 @pytest.fixture

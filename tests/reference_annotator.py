@@ -96,7 +96,7 @@ class ReferenceAnnotator(RuleAnnotator):
         for match in _TOKEN_RE.finditer(text):
             raw = match.group(0)
             core = raw
-            if len(core) > 2 and core[-2:] in ("'s", "’s"):
+            if len(core) > 2 and core[-2:] in ("'s", "’s", "'S", "’S"):
                 core = core[:-2]
             gap = text[prev_end:match.start()]
             if not tokens:

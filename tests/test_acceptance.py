@@ -29,7 +29,7 @@ from memgrep.evaluate import (
 from memgrep.oracle import derive_trace
 from memgrep.parse import parse_query
 from memgrep.rank import (
-    FusionConfig,
+    RRF_K,
     ScorerHandle,
     rank,
     rrf_fuse,
@@ -93,8 +93,7 @@ def test_criterion_2_rrf_matches_brute_force():
         second = rng.sample(ids, rng.randint(1, n))
         k = rng.uniform(1.0, 100.0)
         weights = {"a": rng.uniform(0.05, 2.0), "b": rng.uniform(0.05, 2.0)}
-        cfg = FusionConfig(k=k, weights=weights)
-        ranked = rrf_fuse([("a", first), ("b", second)], cfg)
+        ranked = rrf_fuse([(weights["a"], first), (weights["b"], second)], k)
 
         expected = {}
         for pid in set(first) | set(second):
@@ -113,14 +112,11 @@ def test_criterion_2_rrf_matches_brute_force():
 # --- criterion 3: spot values under default weights ---
 
 def test_criterion_3_rrf_spot_values():
-    both = rrf_fuse(
-        [("cross", ["p"]), ("late", ["p"])],
-        FusionConfig(weights={"cross": 0.7, "late": 0.3}),
-    )
+    both = rrf_fuse([(0.7, ["p"]), (0.3, ["p"])], RRF_K)
     assert both.entries[0].fused_score == pytest.approx(1 / 61, abs=1e-15)
     assert both.entries[0].fused_score == 0.7 / 61 + 0.3 / 61
 
-    single = rrf_fuse([("cross", ["p"])], FusionConfig(weights={"cross": 0.7}))
+    single = rrf_fuse([(0.7, ["p"])], RRF_K)
     assert single.entries[0].fused_score == 0.7 / 61
 
 

@@ -110,6 +110,7 @@ def test_sweep_from_prebuilt_matrix(capsys, tmp_path, fix_corpus, fix_questions)
     "repeat-candidate", "fractional-words", "bool-render_lens",
     "nan-cross", "string-match", "bool-cross", "huge-int-cross", "huge-int-words",
     "gold-not-a-list", "missing-not-a-list", "missing-not-gold-minus-candidates",
+    "candidates-string-of-ids", "candidates-object-of-ids",
     "object-question_id", "null-query",
 ])
 def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpus,
@@ -161,6 +162,17 @@ def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpu
     elif damage == "null-query":
         record["query"] = None
         expected = "query must be a string, got None"
+    elif damage == "candidates-string-of-ids":
+        # Iterated, a string is its characters: with tables keyed by one
+        # character each, "ab" would read as the candidates a and b.
+        for table in ("cross", "match", "words", "render_lens"):
+            record[table] = {"a": record[table][first], "b": record[table][first]}
+        record.update(candidates="ab", gold=[], missing=[])
+        expected = "candidates must be a list of passage ids, got 'ab'"
+    elif damage == "candidates-object-of-ids":
+        # Iterated, an object is its keys, which would read as the ids.
+        record["candidates"] = dict.fromkeys(record["candidates"], 0)
+        expected = f"candidates must be a list of passage ids, got {record['candidates']!r}"
     elif damage.endswith("-not-a-list"):
         # A string would read as the set of its characters.
         field = damage[:-len("-not-a-list")]

@@ -200,6 +200,25 @@ def test_build_matrix_flags_missing_gold(fixture_corpus_path, tmp_path):
     assert rec.missing_gold == {"s1:4"}
 
 
+def test_a_matrix_that_retrieved_nothing_names_the_primary_scorer(fixture_corpus_path,
+                                                                 tmp_path):
+    # Grep finds nothing and the served fallback is down, so the question
+    # has no candidate; the header still names the scorer whose vector the
+    # cross table holds.
+    corpus = read_corpus(fixture_corpus_path)
+    questions = load_questions(_questions_file(tmp_path, [
+        {"question_id": "impossible", "question": "zanzibar quodlibet",
+         "gold_passage_ids": ["s1:4"]},
+    ]), corpus)
+    down = ScorerHandle(name="ce", kind="pointwise-cross", endpoint=f"unix:{tmp_path}/absent.sock")
+    matrix = build_matrix(questions, corpus, [ScorerHandle(name="lex"), down])
+    assert matrix.cross_scorer == "ce"
+    (rec,) = matrix.records
+    assert rec.stats == () and rec.cross_scores == {} and rec.missing_gold == {"s1:4"}
+    write_matrix(matrix, tmp_path / "matrix.jsonl")
+    assert read_matrix(tmp_path / "matrix.jsonl", corpus) == matrix
+
+
 def test_build_matrix_neither_cuts_nor_renders(fixture_corpus_path,
                                               fixture_questions_path, monkeypatch):
     corpus = read_corpus(fixture_corpus_path)

@@ -7,9 +7,11 @@ Importing a name, or assigning to it, does not count as reading it; dunder
 names such as __all__ and __version__ are read by Python and packaging
 tools, not by src/. Likewise every default of a function or a method,
 exported or not, must be overridden by some call in src/: a setting
-nothing in the package sets is a switch kept for tests. Every error type
-but the base class must be raised by some raise statement in src/: an
-exception nothing raises is a channel kept only by being exported. And every
+nothing in the package sets is a switch kept for tests, and each exemption
+from that rule must name a defaulted parameter that no call passes. Every
+error type but the base class must be raised by some raise statement in
+src/: an exception nothing raises is a channel kept only by being
+exported. And every
 field of RunConfig and of each dataclass its fields hold must be read as an
 attribute somewhere in src/ outside its own class body: a run setting that
 nothing reads is recorded and checked on every run, yet changes nothing.
@@ -102,7 +104,9 @@ def _functions(tree: ast.Module):
                     yield fn, 0 if static else 1
 
 
-def test_every_default_of_an_internal_function_is_passed_somewhere():
+def _unpassed_defaults() -> dict[tuple[str, str, str], str]:
+    """Every defaulted parameter that no call in src/ passes, keyed
+    (file name, function name, parameter) and shown as fn(param=) (file:line)."""
     functions = []
     calls: dict[str, list[ast.Call]] = {}
     for path in sorted(SRC.glob("*.py")):
@@ -113,11 +117,9 @@ def test_every_default_of_an_internal_function_is_passed_somewhere():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
-    unpassed = []
+    unpassed = {}
     for filename, fn, bound in functions:
         for param, position in _defaulted_params(fn, bound):
-            if (filename, fn.name, param) in UNUSED_DEFAULT_EXEMPT:
-                continue
             passed = False
             for call in calls.get(fn.name, ()):
                 if any(k.arg in (param, None) for k in call.keywords):
@@ -128,8 +130,22 @@ def test_every_default_of_an_internal_function_is_passed_somewhere():
                 if passed:
                     break
             if not passed:
-                unpassed.append(f"{fn.name}({param}=) ({filename}:{fn.lineno})")
+                unpassed[(filename, fn.name, param)] = \
+                    f"{fn.name}({param}=) ({filename}:{fn.lineno})"
+    return unpassed
+
+
+def test_every_default_of_an_internal_function_is_passed_somewhere():
+    unpassed = [shown for key, shown in _unpassed_defaults().items()
+                if key not in UNUSED_DEFAULT_EXEMPT]
     assert not unpassed, f"defaults no call in src/ passes: {unpassed}"
+
+
+def test_every_default_exemption_names_a_default_no_call_passes():
+    # An entry for a parameter that is gone, has no default, or that some
+    # call now passes exempts nothing and would hide the next such default.
+    stale = sorted(UNUSED_DEFAULT_EXEMPT - _unpassed_defaults().keys())
+    assert not stale, f"exemptions that name no unpassed default: {stale}"
 
 
 def test_every_error_type_is_raised_somewhere():

@@ -12,17 +12,19 @@ from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
 from memgrep.corpus import load_questions, read_corpus
-from memgrep.errors import UnknownScorerError
+from memgrep.errors import ScorerUnavailableError
+from memgrep.evaluate import run_question
 from memgrep.parse import WeightedTerm, WeightedTermSet, parse_query
 from memgrep.rank import (
-    DEFAULT_CROSS_WEIGHT,
-    DEFAULT_LATE_WEIGHT,
-    DEFAULT_RRF_K,
-    FusionConfig,
+    OTHER_WEIGHT,
+    PRIMARY_WEIGHT,
+    RRF_K,
     LexicalDenseScorer,
     RankedEntry,
     RankedList,
     ScorerHandle,
+    ScoreVector,
+    fusion_weights,
     order_by_score,
     rank,
     rrf_fuse,
@@ -31,6 +33,7 @@ from memgrep.rank import (
 from memgrep.retrieve import (Candidate, CandidateSet, RetrieveConfig, grep_search,
                               query_id_for, retrieve)
 from memgrep.service import ReferenceServer, ServiceClient
+from memgrep.truncate import Context
 
 from conftest import grep_candidates, make_corpus, sequential_rank
 
@@ -91,41 +94,36 @@ def test_lexical_scorer_matches_brute_force(query, texts):
 
 
 def test_default_constants():
-    assert DEFAULT_RRF_K == 60.0
-    assert DEFAULT_CROSS_WEIGHT == 0.7
-    assert DEFAULT_LATE_WEIGHT == 0.3
+    assert RRF_K == 60.0
+    assert PRIMARY_WEIGHT == 0.7
+    assert OTHER_WEIGHT == 0.3
 
 
 def test_rrf_spot_value_both_rank_one():
-    cfg = FusionConfig(k=60.0, weights={"cross": 0.7, "late": 0.3})
-    fused = rrf_fuse([("cross", ["p1"]), ("late", ["p1"])], cfg)
+    fused = rrf_fuse([(0.7, ["p1"]), (0.3, ["p1"])], 60.0)
     # 0.7/61 + 0.3/61 = 1/61.
     assert fused.entries[0].fused_score == pytest.approx(1 / 61, abs=1e-15)
 
 
 def test_rrf_spot_value_single_ranking():
-    cfg = FusionConfig(k=60.0, weights={"cross": 0.7, "late": 0.3})
-    fused = rrf_fuse([("cross", ["p1"])], cfg)
+    fused = rrf_fuse([(0.7, ["p1"])], 60.0)
     assert fused.entries[0].fused_score == pytest.approx(0.7 / 61, abs=1e-15)
 
 
 def test_rrf_rank_positions():
     # cross ranks: A=1, B=2; late ranks: A=3 (others ahead), B=2.
-    cfg = FusionConfig(k=60.0, weights={"cross": 0.7, "late": 0.3})
-    rankings = [("cross", ["A", "B", "C"]), ("late", ["C", "B", "A"])]
-    fused = rrf_fuse(rankings, cfg)
+    rankings = [(0.7, ["A", "B", "C"]), (0.3, ["C", "B", "A"])]
+    fused = rrf_fuse(rankings, 60.0)
     by_id = {e.passage_id: e for e in fused.entries}
     assert by_id["A"].fused_score == pytest.approx(0.7 / 61 + 0.3 / 63)
     assert by_id["B"].fused_score == pytest.approx(0.7 / 62 + 0.3 / 62)
-    positions = {name: ids.index("A") + 1 for name, ids in rankings}
-    assert positions == {"cross": 1, "late": 3}
-    assert by_id["A"].fused_score == \
-        sum(cfg.weights[name] / (cfg.k + p) for name, p in positions.items())
+    positions = [(weight, ids.index("A") + 1) for weight, ids in rankings]
+    assert positions == [(0.7, 1), (0.3, 3)]
+    assert by_id["A"].fused_score == sum(weight / (60.0 + p) for weight, p in positions)
 
 
 def test_rrf_absent_item_contributes_zero():
-    cfg = FusionConfig(k=60.0, weights={"cross": 0.7, "late": 0.3})
-    fused = rrf_fuse([("cross", ["A"]), ("late", ["B"])], cfg)
+    fused = rrf_fuse([(0.7, ["A"]), (0.3, ["B"])], 60.0)
     by_id = {e.passage_id: e for e in fused.entries}
     assert by_id["A"].fused_score == pytest.approx(0.7 / 61)
     assert by_id["B"].fused_score == pytest.approx(0.3 / 61)
@@ -134,25 +132,16 @@ def test_rrf_absent_item_contributes_zero():
 
 
 def test_rrf_tie_breaks_by_passage_id():
-    cfg = FusionConfig(k=60.0, weights={"a": 1.0})
-    fused = rrf_fuse([("a", ["z", "y"])], cfg)
+    fused = rrf_fuse([(1.0, ["z", "y"])], 60.0)
     assert [e.passage_id for e in fused.entries] == ["z", "y"]
     # Symmetric scores tie; id ascending decides.
-    cfg2 = FusionConfig(k=60.0, weights={"a": 0.5, "b": 0.5})
-    fused2 = rrf_fuse([("a", ["z", "y"]), ("b", ["y", "z"])], cfg2)
+    fused2 = rrf_fuse([(0.5, ["z", "y"]), (0.5, ["y", "z"])], 60.0)
     assert [e.passage_id for e in fused2.entries] == ["y", "z"]
 
 
-def test_rrf_missing_weight_is_an_error():
-    cfg = FusionConfig(k=60.0, weights={"cross": 1.0})
-    with pytest.raises(UnknownScorerError):
-        rrf_fuse([("mystery", ["A"])], cfg)
-
-
 def test_rrf_duplicate_in_ranking_rejected():
-    cfg = FusionConfig(k=60.0, weights={"a": 1.0})
-    with pytest.raises(ValueError):
-        rrf_fuse([("a", ["A", "A"])], cfg)
+    with pytest.raises(ValueError, match="twice"):
+        rrf_fuse([(1.0, ["A", "A"])], 60.0)
 
 
 def test_rrf_brute_force_equivalence_seeded():
@@ -166,8 +155,7 @@ def test_rrf_brute_force_equivalence_seeded():
         r2 = rng.sample(ids, rng.randint(1, n))
         k = rng.uniform(1, 100)
         w1, w2 = rng.uniform(0.01, 2.0), rng.uniform(0.01, 2.0)
-        cfg = FusionConfig(k=k, weights={"one": w1, "two": w2})
-        fused = rrf_fuse([("one", r1), ("two", r2)], cfg)
+        fused = rrf_fuse([(w1, r1), (w2, r2)], k)
 
         expected = {}
         for doc in set(r1) | set(r2):
@@ -184,14 +172,14 @@ def test_rrf_brute_force_equivalence_seeded():
                                 rel_tol=0, abs_tol=1e-12)
 
 
-def brute_force_rrf(rankings, weights, k):
-    """Per id: the sum of w/(k + rank) over the rankings that list it, with
-    1-based ranks; ordered by score descending, then id ascending."""
+def brute_force_rrf(rankings, k):
+    """Per id: the sum of w/(k + rank) over the (w, ids) rankings that list
+    it, with 1-based ranks; ordered by score descending, then id ascending."""
     scores = {}
-    for name, ids in rankings:
+    for weight, ids in rankings:
         for doc in ids:
             rank_in = ids.index(doc) + 1
-            scores[doc] = scores.get(doc, 0.0) + weights[name] / (k + rank_in)
+            scores[doc] = scores.get(doc, 0.0) + weight / (k + rank_in)
     order = sorted(scores, key=lambda doc: (-scores[doc], doc))
     return [(doc, scores[doc]) for doc in order]
 
@@ -205,15 +193,12 @@ RRF_IDS = st.lists(st.sampled_from([f"p{i}" for i in range(12)]), unique=True,
     rankings=st.lists(RRF_IDS, min_size=1, max_size=2),
     weights=st.lists(st.floats(0.0, 5.0) | st.sampled_from([0.3, 0.7, 1.0]),
                      min_size=2, max_size=2),
-    k=st.floats(1e-3, 200.0) | st.sampled_from([1.0, DEFAULT_RRF_K]),
+    k=st.floats(1e-3, 200.0) | st.sampled_from([1.0, RRF_K]),
 )
 def test_rrf_matches_brute_force(rankings, weights, k):
-    named = list(zip(("one", "two"), rankings))
-    cfg_weights = {name: w for (name, _), w in zip(named, weights)}
-    if sum(cfg_weights.values()) <= 0:
-        cfg_weights["one"] = 1.0
-    fused = rrf_fuse(named, FusionConfig(k=k, weights=cfg_weights))
-    expected = brute_force_rrf(named, cfg_weights, k)
+    weighted = list(zip(weights, rankings))
+    fused = rrf_fuse(weighted, k)
+    expected = brute_force_rrf(weighted, k)
     # At most two addends per id, and IEEE addition commutes, so the sums
     # agree exactly whatever order either side adds in.
     assert [(e.passage_id, e.fused_score) for e in fused.entries] == expected
@@ -224,11 +209,11 @@ def test_rrf_matches_brute_force(rankings, weights, k):
     ids=RRF_IDS,
     # Weights away from float's limits: a subnormal weight over k + rank
     # rounds to zero and ties every passage.
-    weight=st.floats(1e-6, 1e6) | st.sampled_from([DEFAULT_LATE_WEIGHT, 1.0]),
-    k=st.floats(1e-3, 200.0) | st.sampled_from([1.0, DEFAULT_RRF_K]),
+    weight=st.floats(1e-6, 1e6) | st.sampled_from([OTHER_WEIGHT, 1.0]),
+    k=st.floats(1e-3, 200.0) | st.sampled_from([1.0, RRF_K]),
 )
 def test_rrf_of_one_ranking_keeps_its_order(ids, weight, k):
-    fused = rrf_fuse([("one", ids)], FusionConfig(k=k, weights={"one": weight}))
+    fused = rrf_fuse([(weight, ids)], k)
     assert fused.ids() == ids
 
 
@@ -240,40 +225,15 @@ def test_order_by_score_sorts_score_down_then_id_up(scores):
     assert order_by_score(scores) == sorted(scores, key=lambda pid: (-scores[pid], pid))
 
 
-def test_fusion_config_validation():
-    with pytest.raises(ValueError):
-        FusionConfig(k=0.0, weights={"a": 1.0})
-    # The weights are always given: rank builds the fixed split.
-    with pytest.raises(TypeError):
-        FusionConfig(k=60.0)
-    # k and every weight are finite; a NaN would make every fused score NaN.
-    for k in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            FusionConfig(k=k, weights={"a": 1.0})
-    for weight in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            FusionConfig(k=60.0, weights={"a": weight})
-        with pytest.raises(ValueError, match="finite"):
-            FusionConfig(k=60.0, weights={"a": 1.0, "b": weight})
-    with pytest.raises(ValueError):
-        FusionConfig(k=60.0, weights={"a": 1.0, "b": 1.0, "c": 1.0})
-    with pytest.raises(ValueError):
-        FusionConfig(k=60.0, weights={"a": -1.0, "b": 2.0})
-    with pytest.raises(ValueError):
-        FusionConfig(k=60.0, weights={"a": 0.0, "b": 0.0})
-
-
-def test_for_scorers_prefers_cross():
+def test_fusion_weights_prefer_cross():
     cross = ScorerHandle(name="ce", kind="pointwise-cross", endpoint="tcp:h:1")
     late = ScorerHandle(name="li", kind="late-interaction", endpoint="tcp:h:2")
-    cfg = FusionConfig.for_scorers([late, cross])
-    assert cfg.weights == {"ce": 0.7, "li": 0.3}
-    single = FusionConfig.for_scorers([cross])
-    assert single.weights == {"ce": 1.0}
-    assert cfg.k == single.k == DEFAULT_RRF_K
+    assert fusion_weights([late, cross]) == [0.3, 0.7]
+    assert fusion_weights([cross, late]) == [0.7, 0.3]
+    assert fusion_weights([cross]) == [1.0]
     for scorers in ([], [cross, late, cross], [cross, cross]):
         with pytest.raises(ValueError):
-            FusionConfig.for_scorers(scorers)
+            fusion_weights(scorers)
 
 
 def test_rank_fuses_at_the_fixed_split(fixture_corpus_path):
@@ -290,15 +250,15 @@ def test_rank_fuses_at_the_fixed_split(fixture_corpus_path):
                    ScorerHandle(name="svc", kind="pointwise-cross",
                                 endpoint=server.endpoint)]
 
-        def fused(cfg):
+        def fused(weights, k):
             vectors = [score(s, query, candidates, corpus) for s in handles]
-            return rrf_fuse([(v.scorer_name, order_by_score(v.scores)) for v in vectors], cfg)
+            return rrf_fuse([(w, order_by_score(v.scores)) for w, v in zip(weights, vectors)], k)
 
         ranked, _ = rank(candidates, query, corpus, handles)
-        assert ranked == fused(FusionConfig.for_scorers(handles))
-        assert ranked == fused(FusionConfig({"svc": 0.7, "lex": 0.3}, k=60.0))
-        assert ranked != fused(FusionConfig({"lex": 0.7, "svc": 0.3}, k=60.0))
-        assert ranked != fused(FusionConfig({"svc": 0.7, "lex": 0.3}, k=30.0))
+        assert ranked == fused(fusion_weights(handles), RRF_K)
+        assert ranked == fused([0.3, 0.7], 60.0)
+        assert ranked != fused([0.7, 0.3], 60.0)
+        assert ranked != fused([0.3, 0.7], 30.0)
 
 
 def corpus_candidates(corpus, query):
@@ -409,9 +369,9 @@ def test_rank_orders_each_tied_vector_as_order_by_score(monkeypatch):
     fused = []
     fuse = rank_module.rrf_fuse
 
-    def recording_fuse(rankings, cfg):
+    def recording_fuse(rankings, k):
         fused.append(rankings)
-        return fuse(rankings, cfg)
+        return fuse(rankings, k)
 
     def tied(query, items):
         return [float(len(item) % 4) for item in items]
@@ -427,7 +387,8 @@ def test_rank_orders_each_tied_vector_as_order_by_score(monkeypatch):
             fused.clear()
             ranked, vectors = rank(candidates, "q", corpus, scorers)
             assert all(len(set(v.scores.values())) < len(v.scores) for v in vectors)
-            assert fused == [[(v.scorer_name, order_by_score(v.scores)) for v in vectors]]
+            weights = fusion_weights(scorers)
+            assert fused == [[(w, order_by_score(v.scores)) for w, v in zip(weights, vectors)]]
             for entry in ranked.entries:
                 twin = RankedEntry(passage_id=entry.passage_id, fused_score=entry.fused_score)
                 assert type(entry) is RankedEntry and repr(entry) == repr(twin)
@@ -440,10 +401,33 @@ def test_rank_rejects_duplicate_scorer_names(tiny_corpus):
         rank(candidates, "q", tiny_corpus, handles)
 
 
-def test_rank_empty_candidates_rejected(tiny_corpus):
+def test_rank_of_the_empty_set_is_the_empty_ranking(tiny_corpus):
+    asked = []
+
+    def down(query, items):
+        asked.append(items)
+        raise ScorerUnavailableError("scorer host down")
+
     empty = CandidateSet(candidates=(), query_id="q", hops_executed=1)
-    with pytest.raises(ValueError):
-        rank(empty, "Melanie went hiking", tiny_corpus, [ScorerHandle(name="lex")])
+    with ReferenceServer(score_fn=down) as server:
+        svc = ScorerHandle(name="svc", kind="pointwise-cross", endpoint=server.endpoint)
+        late = ScorerHandle(name="late", kind="late-interaction", endpoint=server.endpoint)
+        for scorers in ([ScorerHandle(name="lex")], [ScorerHandle(name="lex"), svc], [late, svc]):
+            ranked, vectors = rank(empty, "Melanie went hiking", tiny_corpus, scorers)
+            assert ranked == RankedList(())
+            assert vectors == [ScoreVector(s.name, {}) for s in scorers]
+        assert asked == []
+        # Grep finds nothing and the served fallback is down, so nothing is
+        # retrieved: the run ranks and cuts the empty set to the empty context.
+        run = run_question("zanzibar quodlibet", tiny_corpus, [svc])
+    assert asked == [[p.text for p in tiny_corpus]]   # the fallback's one request
+    assert len(run.candidates) == 0 and run.ranked == RankedList(())
+    assert run.cross == ScoreVector("svc", {})
+    assert run.context == Context(passage_ids=(), word_count=0, estimated_tokens=0,
+                                  pruned_by_threshold=0, pruned_by_budget=0)
+    assert run.rendered == ""
+    assert [w.partition(":")[0] for w in run.candidates.warnings] == \
+        ["semantic-fallback-unavailable"]
 
 
 def test_in_process_scorer_rejects_a_set_without_one_sum_per_candidate(tiny_corpus):

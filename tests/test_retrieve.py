@@ -574,6 +574,18 @@ def test_retrieve_empty_grep_falls_back(tagger, tiny_corpus):
     assert result.ids()[0] == "s:0"
 
 
+@pytest.mark.parametrize("query", ["Where is GINA'S bakery?", "Where is GINA’S bakery?",
+                                   "Where is Gina's bakery?"])
+def test_a_possessive_is_clipped_in_either_case(tagger, query):
+    # Only the name can match, so the passage is found by grep at hop 0 with
+    # the name's weight, not by the fallback.
+    corpus = make_corpus(["Gina opened a shop downtown.", "The weather was mild."])
+    terms = parse_query(query, tagger).terms
+    assert [(t.surface.lower(), t.weight) for t in terms] == [("gina", 4.0), ("bakery", 2.0)]
+    found = retrieve(query, corpus, annotator=tagger)
+    assert found.candidates == (Candidate("s:0", 4.0, 0),)
+
+
 def test_retrieve_no_fallback_available(tagger, tiny_corpus):
     # The fallback always runs when grep finds nothing; with its served
     # scorer down, nothing is retrieved and the warning says why.
