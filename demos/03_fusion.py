@@ -38,20 +38,21 @@ def main() -> None:
                          endpoint=server.endpoint),
             ScorerHandle(name="late", kind="lexical-test"),
         ]
-        ranked, vectors = rank(candidates, question, corpus, scorers)
+        ranked, score_maps = rank(candidates, question, corpus, scorers)
 
-    by_name = {v.scorer_name: v for v in vectors}
+    # rank returns one score map per scorer, in scorer order.
+    by_name = {s.name: scores for s, scores in zip(scorers, score_maps)}
     print(f"question: {question}\n")
-    for name, vector in by_name.items():
-        order = sorted(vector.scores, key=lambda pid: -vector.scores[pid])
+    for name, scores in by_name.items():
+        order = sorted(scores, key=lambda pid: -scores[pid])
         print(f"{name:>5} ordering: {order}")
 
-    # Each scorer's rank of a passage: its place in the vector's order,
+    # Each scorer's rank of a passage: its place in the scorer's order,
     # score descending, then id ascending.
-    rank_in = {name: {pid: r for r, pid in enumerate(order_by_score(v.scores), 1)}
-               for name, v in by_name.items()}
+    rank_in = {name: {pid: r for r, pid in enumerate(order_by_score(scores), 1)}
+               for name, scores in by_name.items()}
     print("\nfused (weights 0.7 cross / 0.3 late, k=60):")
-    for entry in ranked.entries:
+    for entry in ranked:
         positions = ", ".join(f"{n} rank {r[entry.passage_id]}" for n, r in rank_in.items())
         print(f"  [{entry.passage_id}] fused {entry.fused_score:.6f}"
               f"  ({positions})")

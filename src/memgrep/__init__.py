@@ -43,7 +43,7 @@ from .evaluate import (
 )
 from .oracle import OracleTrace, SearchLimits, derive_trace, trace_stats
 from .parse import WeightedTerm, WeightedTermSet, parse_query
-from .rank import LexicalDenseScorer, RankedList, ScorerHandle, order_by_score, rank, rrf_fuse
+from .rank import LexicalDenseScorer, ScorerHandle, order_by_score, rank, rrf_fuse
 from .retrieve import (Candidate, CandidateSet, RetrieveConfig, candidate_order, grep_search,
                        retrieve)
 from .service import ReferenceServer, ServiceClient, parse_endpoint
@@ -77,7 +77,6 @@ __all__ = [
     "PartialResponseError",
     "Passage",
     "Question",
-    "RankedList",
     "ReferenceServer",
     "RetrieveConfig",
     "RuleAnnotator",

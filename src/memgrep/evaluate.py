@@ -22,9 +22,11 @@ trusts the records it is given.
 
 run_question and build_matrix take the run's scorers, retrieval limits and,
 for a live cut, truncation config; the fusion split is rank's own, fixed by
-the scorers. Every run ranks and cuts what it retrieved: rank of the empty
-set is the empty ranking, and cutting no stats is the empty context, so a
-question that retrieved nothing needs no branch of its own.
+the scorers. Both carry rank's plain values: the fused RankedEntry tuple,
+whose passage ids give the cut's order, and the primary scorer's
+{candidate id: score} map. Every run ranks and cuts what it retrieved: rank
+of the empty set is the empty ranking, and cutting no stats is the empty
+context, so a question that retrieved nothing needs no branch of its own.
 """
 
 from __future__ import annotations
@@ -39,14 +41,7 @@ from typing import Any, Iterator
 from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, GoldAnnotation, Question, _jsonl_records
 from .errors import IncompleteMatrixError, MalformedDocumentError
-from .rank import (
-    RankedList,
-    ScorerHandle,
-    ScoreVector,
-    order_by_score,
-    primary_index,
-    rank,
-)
+from .rank import RankedEntry, ScorerHandle, order_by_score, primary_index, rank
 from .retrieve import CandidateSet, RetrieveConfig, retrieve
 from .service import finite_number
 from .truncate import (
@@ -132,8 +127,8 @@ class QuestionRun:
 
     question_id: str
     candidates: CandidateSet
-    ranked: RankedList
-    cross: ScoreVector
+    ranked: tuple[RankedEntry, ...]         # fused order
+    cross: dict[str, float]                 # the primary scorer's scores
     context: Context
     rendered: str
 
@@ -156,7 +151,7 @@ def run_question(
         annotator = RuleAnnotator()
     candidates, ranked, cross = _retrieve_and_rank(
         query, corpus, scorers, retrieve_cfg, annotator)
-    context = cut(RankedStats(ranked.ids(), corpus), cross.scores, trunc_cfg)
+    context = cut(RankedStats([e.passage_id for e in ranked], corpus), cross, trunc_cfg)
     return QuestionRun(
         question_id=question_id if question_id is not None else candidates.query_id,
         candidates=candidates,
@@ -168,9 +163,9 @@ def run_question(
 def _retrieve_and_rank(
     query: str, corpus: Corpus, scorers: list[ScorerHandle],
     retrieve_cfg: RetrieveConfig | None, annotator: Annotator,
-) -> tuple[CandidateSet, RankedList, ScoreVector]:
-    """A query's candidates, their fused ranking and the primary scorer's
-    vector, all empty when nothing was retrieved. `retrieve` and `rank` are
+) -> tuple[CandidateSet, tuple[RankedEntry, ...], dict[str, float]]:
+    """A query's candidates, their fused entries and the primary scorer's
+    score map, all empty when nothing was retrieved. `retrieve` and `rank` are
     looked up through this module's globals, so a wrapper set on
     memgrep.evaluate (the benchmark's tracer sets them) sees every call."""
     candidates = retrieve(query, corpus, retrieve_cfg, annotator, scorers)
@@ -222,13 +217,13 @@ def build_matrix(
     for question in questions:
         candidates, ranked, cross = _retrieve_and_rank(
             question.text, corpus, scorers, retrieve_cfg, annotator)
-        ordered = ranked.ids()
+        ordered = [e.passage_id for e in ranked]
         match_scores = {c.passage_id: c.match_score for c in candidates.candidates}
         records.append(QuestionRecord(
             question_id=question.question_id,
             query=question.text,
             stats=tuple(stats_for(corpus, pid) for pid in ordered),
-            cross_scores={pid: cross.scores[pid] for pid in ordered},
+            cross_scores={pid: cross[pid] for pid in ordered},
             match_scores={pid: match_scores[pid] for pid in ordered},
             gold_ids=question.gold_passage_ids,
         ))

@@ -7,9 +7,11 @@ keeps the pipeline indifferent to scorer calibration: multiplying any
 scorer's raw scores by a positive constant changes nothing downstream.
 The split is fixed: rank() fuses at fusion_weights of the scorers it is
 given, PRIMARY_WEIGHT to the primary scorer and OTHER_WEIGHT to the other
-at RRF_K, so no caller decides it. rank is total: the empty candidate set
-is the empty ranking, with one empty ScoreVector per scorer, and no scorer
-is asked to score nothing.
+at RRF_K, so no caller decides it. The values are plain: score gives a
+scorer's {candidate id: score} map, rrf_fuse the fused RankedEntry tuple,
+and rank both, one map per scorer in scorer order. rank is total: the empty
+candidate set is the empty ranking, with one empty map per scorer, and no
+scorer is asked to score nothing.
 
 A ScorerHandle, {name, kind, endpoint}, names a scorer: served when it has
 an endpoint, in process otherwise. Every scorer scores the CandidateSet
@@ -62,8 +64,9 @@ class ScorerHandle:
             raise ValueError(f"unknown scorer kind {self.kind!r}")
         if transport not in (None, "service-adapter" if self.endpoint else "in-process"):
             raise ValueError(f"transport {transport!r} contradicts endpoint {self.endpoint!r}")
-        if not self.endpoint and self.kind != "lexical-test":
-            raise ValueError(f"{self.kind} runs out of process and needs an endpoint")
+        if (self.kind == "lexical-test") != (self.endpoint is None):
+            raise ValueError(f"kind {self.kind!r} contradicts endpoint {self.endpoint!r}: "
+                             "a scorer is lexical-test iff it has no endpoint")
 
 
 def primary_index(scorers: list[ScorerHandle]) -> int:
@@ -73,30 +76,11 @@ def primary_index(scorers: list[ScorerHandle]) -> int:
     return next((i for i, s in enumerate(scorers) if s.kind == "pointwise-cross"), 0)
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    # Scores are finite by construction: ServiceClient rejects non-finite
-    # values at the wire, and the lexical scorer sums finite weights.
-    scorer_name: str
-    scores: dict[str, float]
-
-
 class RankedEntry(NamedTuple):
     # A passage's position in each scorer's ranking is its place in that
-    # ScoreVector's order, score descending, then id ascending.
+    # scorer's order_by_score, score descending, then id ascending.
     passage_id: str
     fused_score: float
-
-
-@dataclass(frozen=True)
-class RankedList:
-    entries: tuple[RankedEntry, ...]
-
-    def ids(self) -> list[str]:
-        return [entry.passage_id for entry in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 # --- scoring ---
@@ -130,12 +114,14 @@ class LexicalDenseScorer:
 
 
 def score(scorer: ScorerHandle, query: str, candidates: CandidateSet,
-          corpus: Corpus) -> ScoreVector:
-    """One scorer's vector over the candidates, from retrieve.scorer_scores;
-    errors are never papered over."""
+          corpus: Corpus) -> dict[str, float]:
+    """One scorer's score per candidate id, from retrieve.scorer_scores;
+    errors are never papered over. Scores are finite by construction:
+    ServiceClient rejects non-finite values at the wire, and the lexical
+    scorer sums finite weights."""
     ids = candidates.ids()
     values = scorer_scores(scorer.endpoint, query, corpus, ids, candidates.term_sums)
-    return ScoreVector(scorer_name=scorer.name, scores=dict(zip(ids, values)))
+    return dict(zip(ids, values))
 
 
 # --- fusion ---
@@ -155,7 +141,7 @@ def fusion_weights(scorers: list[ScorerHandle]) -> list[float]:
     return weights
 
 
-def rrf_fuse(rankings: list[tuple[float, list[str]]], k: float) -> RankedList:
+def rrf_fuse(rankings: list[tuple[float, list[str]]], k: float) -> tuple[RankedEntry, ...]:
     """fused(d) = sum over (weight, ids) rankings holding d of
     weight / (k + rank(d)).
 
@@ -174,9 +160,8 @@ def rrf_fuse(rankings: list[tuple[float, list[str]]], k: float) -> RankedList:
         fused.update(zip(ids, sums))
     order = order_by_score(fused)
     # tuple.__new__ builds each record in C; RankedEntry's own __new__ is Python.
-    entries = tuple(map(tuple.__new__, repeat(RankedEntry),
-                        zip(order, map(fused.__getitem__, order))))
-    return RankedList(entries=entries)
+    return tuple(map(tuple.__new__, repeat(RankedEntry),
+                     zip(order, map(fused.__getitem__, order))))
 
 
 def rank(
@@ -184,7 +169,7 @@ def rank(
     query: str,
     corpus: Corpus,
     scorers: list[ScorerHandle],
-) -> tuple[RankedList, list[ScoreVector]]:
+) -> tuple[tuple[RankedEntry, ...], list[dict[str, float]]]:
     """Score the full candidate set with every scorer, then fuse at the
     fixed split (fusion_weights), which also checks that there are one or
     two scorers with distinct names before any of them scores.
@@ -195,24 +180,25 @@ def rank(
     in turn with score and fusing with rrf_fuse. One scorer failing
     fails the whole call. A single scorer is fused alone, so its order is
     kept. The in-process scorer reads the set's term_sums, one per
-    candidate. The empty set ranks to the empty list and one empty vector
-    per scorer; retrieve.scorer_scores asks no served scorer to score it.
+    candidate. Returns the fused entries and one score map per scorer, in
+    scorer order, as fusion_weights orders its weights. The empty set ranks
+    to no entries and one empty map per scorer; retrieve.scorer_scores asks
+    no served scorer to score it.
     """
     weights = fusion_weights(scorers)
     if len(scorers) == 2 and all(s.endpoint for s in scorers):
         with ThreadPoolExecutor(max_workers=len(scorers)) as pool:
             futures = [pool.submit(score, s, query, candidates, corpus) for s in scorers]
-            vectors = [future.result() for future in futures]
+            maps = [future.result() for future in futures]
     else:
-        vectors = [score(s, query, candidates, corpus) for s in scorers]
+        maps = [score(s, query, candidates, corpus) for s in scorers]
 
-    # Every vector scores the same ids, so they are sorted once; each stable
-    # sort by score then gives order_by_score(v.scores).
+    # Every map scores the same ids, so they are sorted once; each stable
+    # sort by score then gives order_by_score of that map.
     ids = sorted(candidates.ids())
-    per_scorer_order = [(w, sorted(ids, key=v.scores.__getitem__, reverse=True))
-                        for w, v in zip(weights, vectors)]
-    ranked = rrf_fuse(per_scorer_order, RRF_K)
-    return ranked, vectors
+    per_scorer_order = [(w, sorted(ids, key=m.__getitem__, reverse=True))
+                        for w, m in zip(weights, maps)]
+    return rrf_fuse(per_scorer_order, RRF_K), maps
 
 
 def order_by_score(scores: dict[str, float]) -> list[str]:

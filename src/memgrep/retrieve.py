@@ -218,8 +218,8 @@ def prf_hop(
     ranked_top: list[Passage],
     annotator: Annotator,
     *,
-    min_doc_freq: int = 2,
-    exclude: frozenset[str] = frozenset(),
+    min_doc_freq: int,
+    exclude: frozenset[str],
 ) -> WeightedTermSet:
     """Low-weight terms from content words recurring across top passages.
 

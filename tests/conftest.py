@@ -68,9 +68,9 @@ def grep_candidates(corpus, terms, mode="OR"):
 def sequential_rank(candidates, query, corpus, scorers):
     """rank() at its fixed split, rebuilt from its parts: each scorer
     scores in turn on the calling thread, then the orders are fused."""
-    vectors = [score(s, query, candidates, corpus) for s in scorers]
-    orders = [(w, order_by_score(v.scores)) for w, v in zip(fusion_weights(scorers), vectors)]
-    return rrf_fuse(orders, RRF_K), vectors
+    maps = [score(s, query, candidates, corpus) for s in scorers]
+    orders = [(w, order_by_score(m)) for w, m in zip(fusion_weights(scorers), maps)]
+    return rrf_fuse(orders, RRF_K), maps
 
 
 @pytest.fixture

@@ -104,8 +104,8 @@ def test_criterion_2_rrf_matches_brute_force():
                 total += weights["b"] / (k + second.index(pid) + 1)
             expected[pid] = total
         order = sorted(expected, key=lambda pid: (-expected[pid], pid))
-        assert ranked.ids() == order
-        for entry in ranked.entries:
+        assert [e.passage_id for e in ranked] == order
+        for entry in ranked:
             assert abs(entry.fused_score - expected[entry.passage_id]) <= 1e-12
 
 
@@ -113,11 +113,11 @@ def test_criterion_2_rrf_matches_brute_force():
 
 def test_criterion_3_rrf_spot_values():
     both = rrf_fuse([(0.7, ["p"]), (0.3, ["p"])], RRF_K)
-    assert both.entries[0].fused_score == pytest.approx(1 / 61, abs=1e-15)
-    assert both.entries[0].fused_score == 0.7 / 61 + 0.3 / 61
+    assert both[0].fused_score == pytest.approx(1 / 61, abs=1e-15)
+    assert both[0].fused_score == 0.7 / 61 + 0.3 / 61
 
     single = rrf_fuse([(0.7, ["p"])], RRF_K)
-    assert single.entries[0].fused_score == 0.7 / 61
+    assert single[0].fused_score == 0.7 / 61
 
 
 # --- criterion 4: truncation properties ---

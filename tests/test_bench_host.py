@@ -39,7 +39,7 @@ def test_rank_score_through_the_bench_host_equals_the_in_process_scorer(tmp_path
         for query in queries:
             candidates = retrieve(query, corpus)
             local = score(ScorerHandle(name="lexical"), query, candidates, corpus)
-            assert score(served, query, candidates, corpus).scores == local.scores
+            assert score(served, query, candidates, corpus) == local
             items += len(candidates)
         proc.stdin.write("stats\n")
         proc.stdin.flush()

@@ -91,17 +91,16 @@ def _appended_runs(out, annotator):
 
 def run_lines(run):
     """One line per candidate, cross score, fused entry and the context.
-    Both scorers are the lexical scorer, so the cross vector stands for
-    both; the fused order depends on both rankings."""
+    Both scorers are the lexical scorer, so the primary scorer's scores,
+    SCORERS[0]'s in every run, stand for both; the fused order depends on
+    both rankings."""
     yield f"question {run.question_id}"
     for c in run.candidates.candidates:
         yield f"candidate {c.passage_id} {c.match_score!r} {c.hop}"
     yield f"hops {run.candidates.hops_executed} {run.candidates.warnings!r}"
-    if run.ranked is None:
-        return
-    for pid, value in run.cross.scores.items():
-        yield f"score {run.cross.scorer_name} {pid} {value!r}"
-    for entry in run.ranked.entries:
+    for pid, value in run.cross.items():
+        yield f"score {SCORERS[0].name} {pid} {value!r}"
+    for entry in run.ranked:
         yield f"fused {entry.passage_id} {entry.fused_score!r}"
     yield f"context {run.context!r}"
     yield f"rendered {run.rendered!r}"

@@ -635,8 +635,10 @@ def test_readme_names_exactly_the_parser_flags():
 
 _NAMES = st.text(alphabet="abcé-_", min_size=1, max_size=4)
 _ENDPOINTS = st.sampled_from(["unix:/x.sock", "tcp:127.0.0.1:9"])
+# A served scorer is any kind but lexical-test.
 _SCORER = st.builds(ScorerHandle, name=_NAMES) | st.builds(
-    ScorerHandle, name=_NAMES, kind=st.sampled_from(SCORER_KINDS), endpoint=_ENDPOINTS)
+    ScorerHandle, name=_NAMES, endpoint=_ENDPOINTS,
+    kind=st.sampled_from([k for k in SCORER_KINDS if k != "lexical-test"]))
 _COUNTS = st.integers(min_value=1, max_value=10**6)
 _ALPHAS = st.floats(min_value=0, max_value=1, exclude_max=True)
 _SWEEPS = st.fixed_dictionaries({
@@ -687,6 +689,9 @@ BAD_CONFIGS = {
                                "unknown key 'fusion'"),
     "in-process-cross-scorer": ({"scorers": [{"name": "x", "kind": "pointwise-cross"}]},
                                 "scorers[0]"),
+    # A scorer is lexical-test iff it has no endpoint, both ways.
+    "served-lexical-scorer": ({"scorers": [{"name": "x", "kind": "lexical-test",
+                                            "endpoint": "unix:/x"}]}, "scorers[0]"),
     # Values of the wrong type: a bool is not a number, and an int field
     # takes no fraction.
     "retrieve-top-m-not-an-int": ({"retrieve": {"entity_hop_source_top_m": "x"}},
@@ -724,7 +729,8 @@ BAD_CONFIGS = {
     # transport is not part of a scorer entry; the endpoint decides it.
     "scorer-with-transport": ({"scorers": [{"name": "x", "transport": "in-process"}]},
                               "scorers[0]"),
-    # Fusion weights and score vectors are keyed by scorer name.
+    # Names label scorers in runconfig.json and in the matrix header's
+    # cross_scorer, so two scorers cannot share one.
     "scorer-name-repeated": ({"scorers": [{"name": "a"}, {"name": "a"}]},
                              "scorers[1]: scorer name 'a' repeats"),
     # The top level is read against RunConfig's fields like every section.

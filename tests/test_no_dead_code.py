@@ -8,7 +8,9 @@ names such as __all__ and __version__ are read by Python and packaging
 tools, not by src/. Likewise every default of a function or a method,
 exported or not, must be overridden by some call in src/: a setting
 nothing in the package sets is a switch kept for tests, and each exemption
-from that rule must name a defaulted parameter that no call passes. Every
+from that rule must name a defaulted parameter that no call passes. The
+converse holds for code outside memgrep.__all__: a default that every src/
+call passes is never used, so the parameter is required instead. Every
 error type but the base class must be raised by some raise statement in
 src/: an exception nothing raises is a channel kept only by being
 exported. And every
@@ -88,57 +90,73 @@ def _defaulted_params(fn: ast.FunctionDef | ast.AsyncFunctionDef, bound: int):
 
 
 def _functions(tree: ast.Module):
-    """(function, bound) for each top-level function and each method of a
-    top-level class; bound is 1 for a method called on an instance or a
-    class. Dunder methods are left out: Python calls them, not a call by
+    """(function, bound, top) for each top-level function and each method
+    of a top-level class; bound is 1 for a method called on an instance or
+    a class, and top is the top-level name it lives under, its own or its
+    class's. Dunder methods are left out: Python calls them, not a call by
     their name."""
     for top in tree.body:
         if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield top, 0
+            yield top, 0, top.name
         elif isinstance(top, ast.ClassDef):
             for fn in top.body:
                 if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not fn.name.startswith("__")):
                     static = any(getattr(d, "id", None) == "staticmethod"
                                  for d in fn.decorator_list)
-                    yield fn, 0 if static else 1
+                    yield fn, 0 if static else 1, top.name
 
 
-def _unpassed_defaults() -> dict[tuple[str, str, str], str]:
-    """Every defaulted parameter that no call in src/ passes, keyed
-    (file name, function name, parameter) and shown as fn(param=) (file:line)."""
+def _defaults_and_calls():
+    """Every defaulted parameter in src/ as (file name, function, top-level
+    name, parameter, position), each with the calls in src/ made by the
+    function's name."""
     functions = []
     calls: dict[str, list[ast.Call]] = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        functions += [(path.name, fn, bound) for fn, bound in _functions(tree)]
+        functions += [(path.name, fn, bound, top) for fn, bound, top in _functions(tree)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
-    unpassed = {}
-    for filename, fn, bound in functions:
-        for param, position in _defaulted_params(fn, bound):
-            passed = False
-            for call in calls.get(fn.name, ()):
-                if any(k.arg in (param, None) for k in call.keywords):
-                    passed = True      # by keyword, or possibly through **kwargs
-                elif position is not None:
-                    starred = any(isinstance(a, ast.Starred) for a in call.args)
-                    passed = starred or position < len(call.args)
-                if passed:
-                    break
-            if not passed:
-                unpassed[(filename, fn.name, param)] = \
-                    f"{fn.name}({param}=) ({filename}:{fn.lineno})"
-    return unpassed
+    return [((filename, fn, top, param, position), calls.get(fn.name, []))
+            for filename, fn, bound, top in functions
+            for param, position in _defaulted_params(fn, bound)]
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether the call passes the parameter: by keyword, possibly through
+    **kwargs, or by position, possibly through *args."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        position < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unpassed_defaults() -> dict[tuple[str, str, str], str]:
+    """Every defaulted parameter that no call in src/ passes, keyed
+    (file name, function name, parameter) and shown as fn(param=) (file:line)."""
+    return {(filename, fn.name, param): f"{fn.name}({param}=) ({filename}:{fn.lineno})"
+            for (filename, fn, _, param, position), calls in _defaults_and_calls()
+            if not any(_passes(call, param, position) for call in calls)}
 
 
 def test_every_default_of_an_internal_function_is_passed_somewhere():
     unpassed = [shown for key, shown in _unpassed_defaults().items()
                 if key not in UNUSED_DEFAULT_EXEMPT]
     assert not unpassed, f"defaults no call in src/ passes: {unpassed}"
+
+
+def test_no_internal_default_is_passed_by_every_call():
+    # Outside the public API every caller is in src/, so a default that each
+    # of them overrides is never used: the parameter should be required.
+    always = [f"{fn.name}({param}=) ({filename}:{fn.lineno})"
+              for (filename, fn, top, param, position), calls in _defaults_and_calls()
+              if top not in memgrep.__all__ and calls
+              and all(_passes(call, param, position) for call in calls)]
+    assert not always, f"defaults every call in src/ passes: {always}"
 
 
 def test_every_default_exemption_names_a_default_no_call_passes():

@@ -21,9 +21,7 @@ from memgrep.rank import (
     RRF_K,
     LexicalDenseScorer,
     RankedEntry,
-    RankedList,
     ScorerHandle,
-    ScoreVector,
     fusion_weights,
     order_by_score,
     rank,
@@ -102,19 +100,19 @@ def test_default_constants():
 def test_rrf_spot_value_both_rank_one():
     fused = rrf_fuse([(0.7, ["p1"]), (0.3, ["p1"])], 60.0)
     # 0.7/61 + 0.3/61 = 1/61.
-    assert fused.entries[0].fused_score == pytest.approx(1 / 61, abs=1e-15)
+    assert fused[0].fused_score == pytest.approx(1 / 61, abs=1e-15)
 
 
 def test_rrf_spot_value_single_ranking():
     fused = rrf_fuse([(0.7, ["p1"])], 60.0)
-    assert fused.entries[0].fused_score == pytest.approx(0.7 / 61, abs=1e-15)
+    assert fused[0].fused_score == pytest.approx(0.7 / 61, abs=1e-15)
 
 
 def test_rrf_rank_positions():
     # cross ranks: A=1, B=2; late ranks: A=3 (others ahead), B=2.
     rankings = [(0.7, ["A", "B", "C"]), (0.3, ["C", "B", "A"])]
     fused = rrf_fuse(rankings, 60.0)
-    by_id = {e.passage_id: e for e in fused.entries}
+    by_id = {e.passage_id: e for e in fused}
     assert by_id["A"].fused_score == pytest.approx(0.7 / 61 + 0.3 / 63)
     assert by_id["B"].fused_score == pytest.approx(0.7 / 62 + 0.3 / 62)
     positions = [(weight, ids.index("A") + 1) for weight, ids in rankings]
@@ -124,7 +122,7 @@ def test_rrf_rank_positions():
 
 def test_rrf_absent_item_contributes_zero():
     fused = rrf_fuse([(0.7, ["A"]), (0.3, ["B"])], 60.0)
-    by_id = {e.passage_id: e for e in fused.entries}
+    by_id = {e.passage_id: e for e in fused}
     assert by_id["A"].fused_score == pytest.approx(0.7 / 61)
     assert by_id["B"].fused_score == pytest.approx(0.3 / 61)
     # A holds rank 1 in cross only: nothing else adds to its score.
@@ -133,10 +131,10 @@ def test_rrf_absent_item_contributes_zero():
 
 def test_rrf_tie_breaks_by_passage_id():
     fused = rrf_fuse([(1.0, ["z", "y"])], 60.0)
-    assert [e.passage_id for e in fused.entries] == ["z", "y"]
+    assert [e.passage_id for e in fused] == ["z", "y"]
     # Symmetric scores tie; id ascending decides.
     fused2 = rrf_fuse([(0.5, ["z", "y"]), (0.5, ["y", "z"])], 60.0)
-    assert [e.passage_id for e in fused2.entries] == ["y", "z"]
+    assert [e.passage_id for e in fused2] == ["y", "z"]
 
 
 def test_rrf_duplicate_in_ranking_rejected():
@@ -166,8 +164,8 @@ def test_rrf_brute_force_equivalence_seeded():
                 s += w2 / (k + r2.index(doc) + 1)
             expected[doc] = s
         order = sorted(expected, key=lambda d: (-expected[d], d))
-        assert [e.passage_id for e in fused.entries] == order
-        for entry in fused.entries:
+        assert [e.passage_id for e in fused] == order
+        for entry in fused:
             assert math.isclose(entry.fused_score, expected[entry.passage_id],
                                 rel_tol=0, abs_tol=1e-12)
 
@@ -201,7 +199,7 @@ def test_rrf_matches_brute_force(rankings, weights, k):
     expected = brute_force_rrf(weighted, k)
     # At most two addends per id, and IEEE addition commutes, so the sums
     # agree exactly whatever order either side adds in.
-    assert [(e.passage_id, e.fused_score) for e in fused.entries] == expected
+    assert [(e.passage_id, e.fused_score) for e in fused] == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,7 +212,7 @@ def test_rrf_matches_brute_force(rankings, weights, k):
 )
 def test_rrf_of_one_ranking_keeps_its_order(ids, weight, k):
     fused = rrf_fuse([(weight, ids)], k)
-    assert fused.ids() == ids
+    assert [e.passage_id for e in fused] == ids
 
 
 @settings(max_examples=200, deadline=None)
@@ -251,8 +249,8 @@ def test_rank_fuses_at_the_fixed_split(fixture_corpus_path):
                                 endpoint=server.endpoint)]
 
         def fused(weights, k):
-            vectors = [score(s, query, candidates, corpus) for s in handles]
-            return rrf_fuse([(w, order_by_score(v.scores)) for w, v in zip(weights, vectors)], k)
+            maps = [score(s, query, candidates, corpus) for s in handles]
+            return rrf_fuse([(w, order_by_score(m)) for w, m in zip(weights, maps)], k)
 
         ranked, _ = rank(candidates, query, corpus, handles)
         assert ranked == fused(fusion_weights(handles), RRF_K)
@@ -273,9 +271,10 @@ def corpus_candidates(corpus, query):
 def test_score_in_process_lexical(tiny_corpus):
     handle = ScorerHandle(name="lex")
     query = "Melanie went hiking"
-    vector = score(handle, query, corpus_candidates(tiny_corpus, query), tiny_corpus)
-    assert vector.scorer_name == "lex"
-    best = max(vector.scores, key=vector.scores.get)
+    candidates = corpus_candidates(tiny_corpus, query)
+    scores = score(handle, query, candidates, tiny_corpus)
+    assert list(scores) == candidates.ids()
+    best = max(scores, key=scores.get)
     assert best == "s:0"
 
 
@@ -286,8 +285,8 @@ def test_score_via_service(tiny_corpus):
     with ReferenceServer(score_fn=score_fn) as server:
         handle = ScorerHandle(name="svc", kind="pointwise-cross",
                               endpoint=server.endpoint)
-        vector = score(handle, "q", corpus_candidates(tiny_corpus, "q"), tiny_corpus)
-    assert vector.scores["s:2"] == 2.0
+        scores = score(handle, "q", corpus_candidates(tiny_corpus, "q"), tiny_corpus)
+    assert scores["s:2"] == 2.0
 
 
 def test_scorer_handle_is_name_kind_and_endpoint():
@@ -317,7 +316,7 @@ def test_in_process_and_socket_scoring_agree(fixture_corpus_path,
         for query in queries:
             candidates = corpus_candidates(corpus, query)
             local = score(ScorerHandle(name="lex"), query, candidates, corpus)
-            assert score(remote, query, candidates, corpus).scores == local.scores
+            assert score(remote, query, candidates, corpus) == local
 
 
 def test_scorer_handle_validation():
@@ -327,16 +326,17 @@ def test_scorer_handle_validation():
         ScorerHandle(name="x", kind="lexical-test", transport="service-adapter")
     with pytest.raises(ValueError):
         ScorerHandle(name="x", kind="bogus")
+    # lexical-test iff no endpoint: a served scorer names a served kind.
+    with pytest.raises(ValueError, match="lexical-test iff it has no endpoint"):
+        ScorerHandle(name="x", endpoint="unix:/x")
 
 
 def test_rank_single_scorer_keeps_its_raw_score_order(tiny_corpus):
     candidates = grep_candidates(tiny_corpus, term_set(("the", 2.0)))
     handle = ScorerHandle(name="lex")
-    ranked, vectors = rank(candidates, "Melanie went hiking", tiny_corpus, [handle])
-    assert [v.scorer_name for v in vectors] == ["lex"]
+    ranked, (raw,) = rank(candidates, "Melanie went hiking", tiny_corpus, [handle])
     # Fused alone, the scorer's order is kept: raw score descending, id ascending.
-    raw = vectors[0].scores
-    assert ranked.ids() == sorted(raw, key=lambda pid: (-raw[pid], pid))
+    assert [e.passage_id for e in ranked] == sorted(raw, key=lambda pid: (-raw[pid], pid))
 
 
 def test_rank_two_scorers_concurrent_equals_sequential(tiny_corpus):
@@ -362,7 +362,7 @@ def test_rank_two_scorers_concurrent_equals_sequential(tiny_corpus):
 
 def test_rank_orders_each_tied_vector_as_order_by_score(monkeypatch):
     # Twelve ids, so s:10 sorts before s:2, listed in reverse; few distinct
-    # scores, 0.0 and -0.0 among them, so both vectors are full of ties.
+    # scores, 0.0 and -0.0 among them, so both score maps are full of ties.
     corpus = make_corpus(["text " + "x " * (i % 3) for i in range(12)])
     candidates = CandidateSet(tuple(Candidate(p.id, 0.0, 0) for p in reversed(corpus.passages)),
                               query_id="q", hops_executed=1, term_sums=(0.0,) * 12)
@@ -385,11 +385,11 @@ def test_rank_orders_each_tied_vector_as_order_by_score(monkeypatch):
                   ScorerHandle(name="b", kind="late-interaction", endpoint=two.endpoint)]
         for scorers in (served, [served[0], ScorerHandle(name="lex")]):
             fused.clear()
-            ranked, vectors = rank(candidates, "q", corpus, scorers)
-            assert all(len(set(v.scores.values())) < len(v.scores) for v in vectors)
+            ranked, maps = rank(candidates, "q", corpus, scorers)
+            assert all(len(set(m.values())) < len(m) for m in maps)
             weights = fusion_weights(scorers)
-            assert fused == [[(w, order_by_score(v.scores)) for w, v in zip(weights, vectors)]]
-            for entry in ranked.entries:
+            assert fused == [[(w, order_by_score(m)) for w, m in zip(weights, maps)]]
+            for entry in ranked:
                 twin = RankedEntry(passage_id=entry.passage_id, fused_score=entry.fused_score)
                 assert type(entry) is RankedEntry and repr(entry) == repr(twin)
 
@@ -413,16 +413,16 @@ def test_rank_of_the_empty_set_is_the_empty_ranking(tiny_corpus):
         svc = ScorerHandle(name="svc", kind="pointwise-cross", endpoint=server.endpoint)
         late = ScorerHandle(name="late", kind="late-interaction", endpoint=server.endpoint)
         for scorers in ([ScorerHandle(name="lex")], [ScorerHandle(name="lex"), svc], [late, svc]):
-            ranked, vectors = rank(empty, "Melanie went hiking", tiny_corpus, scorers)
-            assert ranked == RankedList(())
-            assert vectors == [ScoreVector(s.name, {}) for s in scorers]
+            ranked, maps = rank(empty, "Melanie went hiking", tiny_corpus, scorers)
+            assert ranked == ()
+            assert maps == [{} for _ in scorers]
         assert asked == []
         # Grep finds nothing and the served fallback is down, so nothing is
         # retrieved: the run ranks and cuts the empty set to the empty context.
         run = run_question("zanzibar quodlibet", tiny_corpus, [svc])
     assert asked == [[p.text for p in tiny_corpus]]   # the fallback's one request
-    assert len(run.candidates) == 0 and run.ranked == RankedList(())
-    assert run.cross == ScoreVector("svc", {})
+    assert len(run.candidates) == 0 and run.ranked == ()
+    assert run.cross == {}
     assert run.context == Context(passage_ids=(), word_count=0, estimated_tokens=0,
                                   pruned_by_threshold=0, pruned_by_budget=0)
     assert run.rendered == ""
@@ -483,11 +483,11 @@ def test_rank_in_process_vector_equals_the_text_path(query, texts, served_lexica
     corpus = make_corpus(texts)
     cfg = RetrieveConfig()
     candidates = retrieve(query, corpus, cfg, annotator)
-    _, (vector,) = rank(candidates, query, corpus, [ScorerHandle(name="lex")])
+    _, (scores,) = rank(candidates, query, corpus, [ScorerHandle(name="lex")])
     ids = candidates.ids()
     candidate_texts = [corpus.get(pid).text for pid in ids]
-    assert list(vector.scores) == ids
-    assert list(vector.scores.values()) == LexicalDenseScorer().score(query, candidate_texts)
+    assert list(scores) == ids
+    assert list(scores.values()) == LexicalDenseScorer().score(query, candidate_texts)
     # The in-process fallback scores each passage as the served text scorer
     # does, so serving that scorer changes no candidate.
     assert retrieve(query, corpus, cfg, annotator, [served_lexical]) == candidates

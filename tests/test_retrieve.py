@@ -343,7 +343,7 @@ def test_entity_expansion_skips_terms_already_in_query(tagger):
 
 def test_hops_over_no_passages_yield_no_terms(tagger):
     assert entity_expansion_hop([], "x", tagger, exclude=frozenset()) == WeightedTermSet(())
-    assert prf_hop([], tagger) == WeightedTermSet(())
+    assert prf_hop([], tagger, min_doc_freq=2, exclude=frozenset()) == WeightedTermSet(())
 
 
 def test_prf_mines_recurring_nouns(tagger):
@@ -355,7 +355,7 @@ def test_prf_mines_recurring_nouns(tagger):
     ranked = ["s:0", "s:1"]
     new_terms = prf_hop(
         [corpus.get(pid) for pid in ranked], tagger,
-        exclude=frozenset({"dawn"}),
+        min_doc_freq=2, exclude=frozenset({"dawn"}),
     )
     surfaces = {t.surface for t in new_terms.terms}
     assert "trailhead" in surfaces
