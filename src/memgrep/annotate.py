@@ -23,7 +23,7 @@ answer equals a fresh one.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from itertools import repeat
 from typing import Iterable, NamedTuple, Protocol
@@ -69,6 +69,17 @@ def _lower_set(entries: Iterable[str]) -> frozenset[str]:
     return frozenset(entry.lower() for entry in entries)
 
 
+@cache
+def _lexicons() -> tuple[frozenset[str], ...]:
+    """RuleAnnotator's lexicons, lowercased, read once per process: the
+    stopwords, first names, verbs, date words, honorifics and one-word
+    places. One-word places read as names even where they open a sentence."""
+    sets = [_lower_set(_read_lexicon(f"{name}.txt"))
+            for name in ("stopwords", "first_names", "verbs", "date_words", "honorifics")]
+    places = _lower_set(p for p in _read_lexicon("places.txt") if " " not in p)
+    return (*sets, places)
+
+
 def _dedup_mentions(mentions: Iterable[str]) -> tuple[str, ...]:
     """First mention of each surface, case-insensitively, in order."""
     deduped: list[str] = []
@@ -86,18 +97,13 @@ class RuleAnnotator:
 
     The only state is the memo of the last MEMO_SIZE analyses, held in a
     functools.lru_cache, whose updates are thread-safe; the lexicons are
-    read-only after construction. One instance can serve concurrent callers.
+    frozensets read once per process and shared by every instance. One
+    instance can serve concurrent callers.
     """
 
     def __init__(self) -> None:
-        self._stopwords = _lower_set(_read_lexicon("stopwords.txt"))
-        self._first_names = _lower_set(_read_lexicon("first_names.txt"))
-        self._verbs = _lower_set(_read_lexicon("verbs.txt"))
-        self._date_words = _lower_set(_read_lexicon("date_words.txt"))
-        self._honorifics = _lower_set(_read_lexicon("honorifics.txt"))
-        # One-word places read as names even where they open a sentence.
-        self._places_single = _lower_set(
-            p for p in _read_lexicon("places.txt") if " " not in p)
+        (self._stopwords, self._first_names, self._verbs, self._date_words,
+         self._honorifics, self._places_single) = _lexicons()
         self._analyze = lru_cache(maxsize=MEMO_SIZE)(self._analyze_text)
 
     # --- public operations ---

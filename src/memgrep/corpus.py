@@ -104,6 +104,11 @@ class Corpus:
     over the same first passage and then discarded takes the entry with
     it, which just costs the next build a full rebuild. Each corpus starts
     its own ``word_count`` memo.
+
+    A read or ingested corpus keeps one string per distinct session id,
+    speaker and timestamp: its reader shares equal values within that one
+    read. Appended turns keep the caller's Passage objects, and so their
+    own strings.
     """
 
     passages: tuple[Passage, ...]
@@ -289,14 +294,21 @@ def _corpus(path: Path, records: Iterator[tuple[int | str, Any]], ingested: bool
     ingested record without an id takes {session_id}:{turn_index}."""
     # moved: a record's location where it is not its position + 1 (a JSONL
     # line after a blank one), so that no int is kept per line of a big file.
-    passages, moved = [], {}
+    # share: each distinct session id, speaker and timestamp read so far, so
+    # that equal values are one object; it lives only for this read.
+    passages, moved, share = [], {}, {}
+    one = share.setdefault
     for loc, rec in records:
         if ingested and isinstance(rec, dict):
             rec.setdefault("id", f"{rec.get('session_id')}:{rec.get('turn_index')}")
         try:
-            p = Passage(rec["id"], rec["session_id"], rec["turn_index"],
-                        rec["speaker"], rec["text"], rec.get("timestamp"))
-        except (KeyError, TypeError):   # a missing field, or not an object
+            session_id, speaker, timestamp = (
+                rec["session_id"], rec["speaker"], rec.get("timestamp"))
+            # tuple.__new__ builds the record in C; Passage's own __new__ is Python.
+            p = tuple.__new__(Passage, (
+                rec["id"], one(session_id, session_id), rec["turn_index"],
+                one(speaker, speaker), rec["text"], one(timestamp, timestamp)))
+        except (KeyError, TypeError):   # a missing field, not an object, or unhashable
             p = None
         # A good record passes this one expression and builds no location
         # string; _passage names what is wrong with any other.
@@ -346,23 +358,41 @@ def _jsonl_records(path: Path) -> Iterator[tuple[int, Any]]:
     ``str.strip`` empties (U+00A0 or U+001C alone, say) is skipped, and any
     other gets ``json.loads(line)``, whose ValueError (bad JSON, a BOM, an
     int of over 4,300 digits) is a MalformedDocumentError naming path:line.
+    So is a byte that is not UTF-8 (see :func:`_not_utf8`).
     """
-    with path.open(encoding="utf-8") as lines:
-        for lineno, line in enumerate(lines, start=1):
-            text = line.strip(_JSON_WHITESPACE)
-            try:
-                rec, end = _raw_decode(text)
-            except ValueError:
-                end = -1
-            if end != len(text):
-                if not line.strip():
-                    continue
+    try:
+        with path.open(encoding="utf-8") as lines:
+            for lineno, line in enumerate(lines, start=1):
+                text = line.strip(_JSON_WHITESPACE)
                 try:
-                    rec = json.loads(line)
-                except ValueError as exc:
-                    raise MalformedDocumentError(
-                        f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield lineno, rec
+                    rec, end = _raw_decode(text)
+                except ValueError:
+                    end = -1
+                if end != len(text):
+                    if not line.strip():
+                        continue
+                    try:
+                        rec = json.loads(line)
+                    except ValueError as exc:
+                        raise MalformedDocumentError(
+                            f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                yield lineno, rec
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> MalformedDocumentError:
+    """The error for a file that does not decode as UTF-8 (exc, the decoder's,
+    counts its position in whatever chunk it was decoding): it names
+    path:line of the first line that does not decode, and the byte's position
+    in that line. bytes.splitlines splits at the \\n, \\r\\n and \\r the text
+    reader ends lines at, and no UTF-8 sequence holds either byte."""
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as fault:
+            return MalformedDocumentError(f"{path}:{lineno}: not UTF-8: {fault}")
+    return MalformedDocumentError(f"{path}: not UTF-8: {exc}")
 
 
 def _id(where: str, name: str, value: Any) -> str:
@@ -376,6 +406,8 @@ def _id(where: str, name: str, value: Any) -> str:
 def _load_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     except ValueError as exc:   # a JSONDecodeError, or an int too long to read
         raise MalformedDocumentError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -524,7 +556,10 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
     path = Path(raw_annotations)
     # (where, position, record) triples; where prefixes an error, naming
     # path:line for JSONL input and "path: record i" for a JSON list.
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     try:
         doc = json.loads(text)
     except ValueError as exc:

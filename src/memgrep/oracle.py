@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .annotate import Annotator
 from .corpus import Corpus, GoldAnnotation
-from .errors import ScorerUnavailableError
+from .errors import ScorerUnavailableError, check_ints
 from .parse import WeightedTerm, WeightedTermSet, parse_query
 from .rank import ScorerHandle
 from .retrieve import and_hits, candidate_order, grep_search, semantic_fallback
@@ -51,6 +51,7 @@ class SearchLimits:
     max_edges: int = 100_000
 
     def __post_init__(self) -> None:
+        check_ints(self, "max_states", "max_edges")
         if self.max_states < 1 or self.max_edges < 1:
             raise ValueError("search limits must be positive")
 

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, Passage
-from .errors import ScorerUnavailableError
+from .errors import ScorerUnavailableError, check_ints
 from .parse import (
     ENTITY_HOP_WEIGHT,
     PRF_WEIGHT,
@@ -102,6 +102,8 @@ class RetrieveConfig:
     prf_source_top_n: int = 10
 
     def __post_init__(self) -> None:
+        check_ints(self, "max_hops", "entity_hop_source_top_m", "prf_min_doc_freq",
+                   "prf_source_top_n")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
         if self.prf_min_doc_freq < 1:

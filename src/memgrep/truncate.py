@@ -21,6 +21,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
 from .corpus import Corpus, Passage
+from .errors import check_ints
 
 DEFAULT_FIXED_BUDGET = 2000
 DEFAULT_ADAPTIVE_CEILING = 4000
@@ -43,6 +44,7 @@ class TruncationConfig:
             budget = (DEFAULT_FIXED_BUDGET if self.strategy == "fixed"
                       else DEFAULT_ADAPTIVE_CEILING)
             object.__setattr__(self, "word_budget", budget)
+        check_ints(self, "word_budget", "top_k")
         if self.word_budget <= 0:
             raise ValueError("word_budget must be positive")
         # alpha = 0 switches the threshold off entirely (used by sweep grids

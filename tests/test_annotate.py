@@ -329,6 +329,15 @@ def test_shared_memo_under_concurrent_callers(tagger):
     assert wrong == []
 
 
+def test_annotators_share_their_lexicons():
+    # Each set is read once per process, not once per annotator.
+    a, b = RuleAnnotator(), RuleAnnotator()
+    for name in ("_stopwords", "_first_names", "_verbs", "_date_words", "_honorifics",
+                 "_places_single"):
+        assert getattr(a, name) is getattr(b, name), name
+    assert a._verbs == {verb.lower() for verb in _read_lexicon("verbs.txt")}
+
+
 def test_memoized_results_survive_caller_mutation():
     text = "Melanie met Dr. Chen in Seattle"
     annotator = RuleAnnotator()

@@ -8,7 +8,9 @@ score, fused entry and context of the first questions is hashed, so a
 merge, ordering or tie-break change that only shows at scale fails here.
 The query-dense passages as read_corpus gives them are hashed too, and the
 grow-and-query memory is grown one session at a time, as the benchmark
-grows it, with each session's question asked on the grown corpus.
+grows it, with each session's question asked on the grown corpus. The
+query-dense corpus as read must also hold one object per distinct session
+id, speaker and timestamp.
 After an intended output change, print the new digests with
 
     PYTHONPATH=src python tests/test_bench_scale.py
@@ -150,6 +152,13 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bench_scale_output_is_pinned(digests, name):
     assert digests[name] == GOLDEN[name], name
+
+
+def test_the_read_bench_corpus_holds_one_object_per_distinct_value(tmp_path):
+    corpus = _generate("query-dense", tmp_path)
+    for name in ("session_id", "speaker", "timestamp"):
+        values = [getattr(p, name) for p in corpus]
+        assert len({id(v) for v in values}) == len(set(values)), name
 
 
 if __name__ == "__main__":

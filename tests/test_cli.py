@@ -800,6 +800,13 @@ BAD_PASSAGE_FIELDS = {
     "ingest-fractional-turn-index": {"turn_index": 1.9},
     "ingest-session-id-not-a-string": {"session_id": 3},
     "ingest-timestamp-not-a-string": {"timestamp": 7},
+    # A value that cannot be a dict key is named like any other.
+    "corpus-speaker-a-list": {"speaker": ["X"]},
+    "corpus-session-id-an-object": {"session_id": {"id": "a"}},
+    "corpus-timestamp-a-list": {"timestamp": ["2023"]},
+    "ingest-speaker-a-list": {"speaker": ["X"]},
+    "ingest-session-id-an-object": {"session_id": {"id": "a"}},
+    "ingest-timestamp-a-list": {"timestamp": ["2023"]},
     # ingest derives the id and rejects a negative index; a canonical line
     # must hold what ingest would have written.
     "corpus-negative-turn-index": {"turn_index": -1},
@@ -958,6 +965,49 @@ BAD_MATRIX_HEADERS = {
 }
 
 
+# Input files with byte 0xE9, which is not UTF-8, opening one line: the
+# command that reads the file, the file, the line and the error, which names
+# the file's line and the byte's position in it.
+NOT_UTF8 = {
+    "corpus-not-utf8": ("query", "corpus.jsonl", 3, "MalformedDocumentError"),
+    "generic-jsonl-not-utf8": ("ingest", "raw.jsonl", 3, "MalformedDocumentError"),
+    "locomo-not-utf8": ("ingest", "raw.json", 3, "MalformedDocumentError"),
+    "questions-not-utf8": ("eval", "questions.json", 3, "MalformedDocumentError"),
+    "matrix-not-utf8": ("sweep", "matrix.jsonl", 2, "IncompleteMatrixError"),
+}
+
+
+def not_utf8_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
+    """damaged_run's arguments, error and message fragment for a NOT_UTF8 case."""
+    command, name, line, error = NOT_UTF8[case]
+    corpus = fixture_path("corpus.jsonl")
+    questions = fixture_path("questions.json")
+    bad = tmp / name
+    if case == "generic-jsonl-not-utf8":
+        text = "".join(json.dumps({"session_id": "a", "turn_index": i, "speaker": "X",
+                                   "text": "hi"}) + "\n" for i in range(3))
+    elif case == "locomo-not-utf8":
+        text = json.dumps({"conversation": {"session_1": [
+            {"speaker": "A", "text": "hi"}, {"speaker": "B", "text": "yo"}]}}, indent=1)
+    elif case == "matrix-not-utf8":
+        loaded = read_corpus(corpus)
+        text = matrix_to_jsonl(build_matrix(load_questions(questions, loaded), loaded,
+                                            [ScorerHandle(name="lexical")]))
+    else:
+        text = (corpus if command == "query" else questions).read_text(encoding="utf-8")
+    lines = text.encode("utf-8").split(b"\n")
+    lines[line - 1] = b"\xe9" + lines[line - 1]
+    bad.write_bytes(b"\n".join(lines))
+    argv = {"query": ["query", QUERY, "--corpus", str(bad)],
+            "ingest": ["ingest", "--corpus", str(bad), "--format",
+                       "locomo-like" if name == "raw.json" else "generic-jsonl"],
+            "eval": ["eval", "--corpus", str(corpus), "--questions", str(bad)],
+            "sweep": ["sweep", "--corpus", str(corpus), "--matrix", str(bad),
+                      "--budgets", "50", "--alphas", "0"]}[command]
+    return argv, error, (f"{bad}:{line}: not UTF-8: 'utf-8' codec can't decode "
+                         "byte 0xe9 in position 0")
+
+
 def with_huge_int(record: dict, table: dict, key: str) -> str:
     """record as a JSON line, with table[key] (a table within record) set to
     HUGE_INT, which json.dumps would refuse to write."""
@@ -1055,6 +1105,8 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
         return (["sweep", "--corpus", str(corpus), "--questions", str(questions),
                  "--budgets", "50", "--alphas", "0.1,abc"],
                 "ConfigError", "--alphas: could not convert string to float: 'abc'")
+    if case in NOT_UTF8:
+        return not_utf8_run(case, tmp)
     if case in BAD_SWEEP_GRIDS:
         grid, message = BAD_SWEEP_GRIDS[case]
         return (["sweep", "--corpus", str(corpus), "--questions", str(questions), *grid],
@@ -1090,7 +1142,7 @@ def damaged_run(case: str, tmp: Path) -> tuple[list[str], str, str]:
 
 
 @pytest.mark.parametrize("case", [*BAD_CONFIGS, *BAD_PASSAGE_FIELDS, *BAD_INGEST, *BAD_QUESTIONS,
-                                  *BAD_SWEEP_GRIDS, *BAD_MATRIX_HEADERS,
+                                  *BAD_SWEEP_GRIDS, *BAD_MATRIX_HEADERS, *NOT_UTF8,
                                   "corpus-line-not-an-object",
                                   "fusion-weight-for-another-scorer",
                                   "gold-not-a-list", "matrix-line-without-cross",

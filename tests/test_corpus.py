@@ -327,6 +327,86 @@ def test_ingested_corpus_reads_back_as_ingested(tmp_path_factory, format, sessio
     assert back.checksum == corpus.checksum
 
 
+# Three sessions of four turns between two speakers, the first two on one
+# date: every value repeats. No value is one character long, as CPython
+# keeps one object for each such string anyway.
+_REPEATS = [(date, [(speaker, f"turn {k}.{j}")
+                    for j, speaker in enumerate(["Caroline", "Melanie"] * 2)])
+            for k, date in enumerate(["8 May 2023", "8 May 2023", None])]
+
+
+@pytest.mark.parametrize("reader", ["canonical", *INGEST_FORMATS])
+def test_a_read_corpus_holds_one_object_per_distinct_value(tmp_path, reader):
+    raw = tmp_path / "raw"
+    raw.write_text(_raw_document(reader if reader in INGEST_FORMATS else "generic-jsonl",
+                                 _REPEATS, False), encoding="utf-8")
+    if reader == "canonical":
+        raw.write_text(corpus_to_jsonl(ingest(raw, "generic-jsonl")), encoding="utf-8")
+    read = (lambda: read_corpus(raw)) if reader == "canonical" else (lambda: ingest(raw, reader))
+    corpus = read()
+    for name in ("session_id", "speaker", "timestamp"):
+        values = [getattr(p, name) for p in corpus]
+        assert len({id(v) for v in values}) == len(set(values)) > 1, name
+    # The values are shared within one read only.
+    assert read().passages[0].speaker is not corpus.passages[0].speaker
+    # The records equal Passages made afresh, field by field.
+    fresh = Corpus(tuple(Passage(**json.loads(json.dumps(p.to_record()))) for p in corpus),
+                   corpus.source_label)
+    assert all(type(p) is Passage for p in corpus)
+    assert corpus.passages == fresh.passages
+    assert (corpus.checksum, corpus.scan) == (fresh.checksum, fresh.scan)
+
+
+@pytest.mark.parametrize("reader", ["canonical", "generic-jsonl"])
+@pytest.mark.parametrize("fields, message", [
+    ({"speaker": ["X"]}, "speaker must be a string, got ['X']"),
+    ({"session_id": {"id": "a"}}, "session_id must be a string, got {'id': 'a'}"),
+    ({"timestamp": ["2023"]}, "timestamp must be a string or null, got ['2023']"),
+])
+def test_a_value_that_is_no_dict_key_is_named_like_any_other(tmp_path, reader, fields,
+                                                             message):
+    lines = [{"id": f"a:{i}", "session_id": "a", "turn_index": i, "speaker": "X",
+              "text": "hi", "timestamp": None} for i in range(3)]
+    lines[1].update(fields)
+    if reader == "generic-jsonl":   # ingest derives the id
+        for line in lines:
+            del line["id"]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    with pytest.raises(MalformedDocumentError) as err:
+        read_corpus(path) if reader == "canonical" else ingest(path, reader)
+    assert str(err.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("reader", ["canonical", "generic-jsonl"])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, reader, ending):
+    # Line 3001 lies past the text reader's first chunk, whose own error
+    # counts the position in that chunk.
+    lines = [json.dumps({"id": f"a:{i}", "session_id": "a", "turn_index": i,
+                         "speaker": "X", "text": "hi"}).encode() for i in range(3005)]
+    lines[3000] = lines[3000].replace(b'"hi"', b'"h\xe9"')
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(ending.encode().join(lines) + ending.encode())
+    with pytest.raises(MalformedDocumentError) as err:
+        read_corpus(path) if reader == "canonical" else ingest(path, reader)
+    at = lines[3000].index(b"\xe9")
+    assert str(err.value) == (f"{path}:3001: not UTF-8: 'utf-8' codec can't decode byte "
+                              f"0xe9 in position {at}: invalid continuation byte")
+
+
+@pytest.mark.parametrize("format", ["locomo-like", "longmemeval-like"])
+def test_a_json_document_byte_that_is_not_utf8_names_its_line(tmp_path, format):
+    text = json.dumps(json.loads(_raw_document(format, _REPEATS, False)), indent=1)
+    lines = text.encode().split(b"\n")
+    lines[4] = b"\xe9" + lines[4]
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\n".join(lines))
+    with pytest.raises(MalformedDocumentError, match=re.escape(
+            f"{raw}:5: not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 0")):
+        ingest(raw, format)
+
+
 def test_passage_keeps_its_record_contract():
     p = Passage("a:1", "a", 1, "X", "hi")
     same = Passage(id="a:1", session_id="a", turn_index=1, speaker="X", text="hi",
@@ -635,6 +715,22 @@ def test_load_questions_jsonl_errors_name_the_line(tmp_path, tiny_corpus,
         + json.dumps(bad_record) + "\n"
     )
     with pytest.raises(MalformedDocumentError, match=re.escape(f"{path}:3: ") + f".*{message}"):
+        load_questions(path, tiny_corpus)
+
+
+@pytest.mark.parametrize("jsonl", [False, True])
+def test_load_questions_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, tiny_corpus,
+                                                                  jsonl):
+    records = [json.dumps({"question_id": f"q{i}", "question": "Who?",
+                           "gold_passage_ids": []}) for i in range(4)]
+    # A JSON list holds record i on line i + 2, and JSONL on line i + 1.
+    text = "\n".join(records) if jsonl else "[\n" + ",\n".join(records) + "\n]"
+    lines = text.encode().split(b"\n")
+    lines[2] = lines[2].replace(b"Who", b"Wh\xe9")
+    path = tmp_path / "q.json"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(MalformedDocumentError, match=re.escape(
+            f"{path}:3: not UTF-8: 'utf-8' codec can't decode byte 0xe9")):
         load_questions(path, tiny_corpus)
 
 

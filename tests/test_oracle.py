@@ -1,6 +1,7 @@
 """Minimum-cost trace derivation and trace statistics."""
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -136,6 +137,13 @@ def test_budget_exhaustion_reported(tagger):
     assert trace.cost == trace.hops == 0
     line = json.loads(traces_to_jsonl([trace], limits, False).splitlines()[1])
     assert (line["cost"], line["hops"], line["actions"]) == (0, 0, [])
+
+
+@pytest.mark.parametrize("name", ["max_states", "max_edges"])
+@pytest.mark.parametrize("value", [2.5, True, "10"])
+def test_search_limits_are_ints(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        SearchLimits(**{name: value})
 
 
 def test_empty_gold_rejected(tagger, tiny_corpus):

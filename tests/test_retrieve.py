@@ -1,6 +1,7 @@
 """Substring retrieval, expansion hops, and the fallback path."""
 
 import random
+import re
 from contextlib import ExitStack
 
 import pytest
@@ -645,3 +646,12 @@ def test_retrieve_config_validation():
         RetrieveConfig(entity_hop_source_top_m=-1)
     with pytest.raises(ValueError):
         RetrieveConfig(prf_source_top_n=-1)
+
+
+@pytest.mark.parametrize("name", ["max_hops", "entity_hop_source_top_m", "prf_min_doc_freq",
+                                  "prf_source_top_n"])
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+def test_retrieve_config_limits_are_ints(name, value):
+    # A bool is no int, and a fraction no count of hops or passages.
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        RetrieveConfig(**{name: value})

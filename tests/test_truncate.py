@@ -1,6 +1,7 @@
 """Context assembly: rendering, fixed budgets, and the adaptive threshold."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -164,6 +165,14 @@ def test_truncation_config_validation():
         TruncationConfig(top_k=0)
     with pytest.raises(ValueError):
         TruncationConfig(word_budget=-5)
+
+
+@pytest.mark.parametrize("strategy", ["fixed", "adaptive"])
+@pytest.mark.parametrize("name", ["word_budget", "top_k"])
+@pytest.mark.parametrize("value", [2.5, True, "60"])
+def test_truncation_config_limits_are_ints(strategy, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        TruncationConfig(strategy=strategy, **{name: value})
 
 
 def test_estimated_tokens_accounts_for_joiners():
