@@ -77,12 +77,14 @@ class SweepConfig:
     def __post_init__(self) -> None:
         # Each value is checked as the TruncationConfig field it becomes and
         # named by its flag; _build adds the source and the section.
+        # TruncationConfig rejects a budget that is no int, but takes None as
+        # its default budget, and an alpha only has to lie in [0, 1).
         grid = [("--budgets", "word_budget", int, value) for value in self.budgets]
         grid += [("--alphas", "alpha", float, value) for value in self.alphas]
         if self.ceiling is not None:
             grid.append(("--ceiling", "word_budget", int, self.ceiling))
         for flag, key, kind, value in grid:
-            if not _fits(value, kind):
+            if value is None or kind is float and not _fits(value, float):
                 raise TypeError(f"{flag}: {key} must be {kind.__name__}, got {value!r}")
             try:
                 TruncationConfig(**{key: value})

@@ -105,9 +105,8 @@ class Corpus:
     it, which just costs the next build a full rebuild. Each corpus starts
     its own ``word_count`` memo.
 
-    A read or ingested corpus keeps one string per distinct session id,
-    speaker and timestamp: its reader shares equal values within that one
-    read. Appended turns keep the caller's Passage objects, and so their
+    A read or ingested corpus keeps one string per distinct session id and
+    speaker: its reader shares equal values within that one read. Appended turns keep the caller's Passage objects, and so their
     own strings.
     """
 
@@ -294,20 +293,19 @@ def _corpus(path: Path, records: Iterator[tuple[int | str, Any]], ingested: bool
     ingested record without an id takes {session_id}:{turn_index}."""
     # moved: a record's location where it is not its position + 1 (a JSONL
     # line after a blank one), so that no int is kept per line of a big file.
-    # share: each distinct session id, speaker and timestamp read so far, so
-    # that equal values are one object; it lives only for this read.
+    # share: each distinct session id and speaker read so far, so that equal
+    # values are one object; it lives only for this read.
     passages, moved, share = [], {}, {}
     one = share.setdefault
     for loc, rec in records:
         if ingested and isinstance(rec, dict):
             rec.setdefault("id", f"{rec.get('session_id')}:{rec.get('turn_index')}")
         try:
-            session_id, speaker, timestamp = (
-                rec["session_id"], rec["speaker"], rec.get("timestamp"))
+            session_id, speaker = rec["session_id"], rec["speaker"]
             # tuple.__new__ builds the record in C; Passage's own __new__ is Python.
             p = tuple.__new__(Passage, (
                 rec["id"], one(session_id, session_id), rec["turn_index"],
-                one(speaker, speaker), rec["text"], one(timestamp, timestamp)))
+                one(speaker, speaker), rec["text"], rec.get("timestamp")))
         except (KeyError, TypeError):   # a missing field, not an object, or unhashable
             p = None
         # A good record passes this one expression and builds no location
@@ -403,11 +401,17 @@ def _id(where: str, name: str, value: Any) -> str:
     return str(value)
 
 
-def _load_json(path: Path):
+def _read_utf8(path: Path) -> str:
+    """path's text; a byte that is not UTF-8 is :func:`_not_utf8`'s error."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
+
+
+def _load_json(path: Path):
+    try:
+        return json.loads(_read_utf8(path))
     except ValueError as exc:   # a JSONDecodeError, or an int too long to read
         raise MalformedDocumentError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -556,10 +560,7 @@ def load_questions(raw_annotations: str | Path, corpus: Corpus) -> list[Question
     path = Path(raw_annotations)
     # (where, position, record) triples; where prefixes an error, naming
     # path:line for JSONL input and "path: record i" for a JSON list.
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+    text = _read_utf8(path)
     try:
         doc = json.loads(text)
     except ValueError as exc:

@@ -1,16 +1,6 @@
-"""Exception types shared across the memgrep pipeline, and the check the
-config records make of their integer limits."""
+"""Exception types shared across the memgrep pipeline."""
 
 from __future__ import annotations
-
-
-def check_ints(config: object, *names: str) -> None:
-    """A ValueError naming the first of config's fields `names` whose value
-    is not an int; a bool is not one."""
-    for name in names:
-        value = getattr(config, name)
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 class MemgrepError(Exception):

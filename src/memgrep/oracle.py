@@ -25,10 +25,11 @@ from typing import Sequence
 
 from .annotate import Annotator
 from .corpus import Corpus, GoldAnnotation
-from .errors import ScorerUnavailableError, check_ints
+from .errors import ScorerUnavailableError
 from .parse import WeightedTerm, WeightedTermSet, parse_query
 from .rank import ScorerHandle
 from .retrieve import and_hits, candidate_order, grep_search, semantic_fallback
+from .truncate import check_ints
 
 TOOLS = ("grep-or", "grep-and", "semantic")
 ENTITY_SOURCE_TOP = 10  # passages mined for new terms after each action

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .annotate import Annotator, RuleAnnotator
 from .corpus import Corpus, Passage
-from .errors import ScorerUnavailableError, check_ints
+from .errors import ScorerUnavailableError
 from .parse import (
     ENTITY_HOP_WEIGHT,
     PRF_WEIGHT,
@@ -47,6 +47,7 @@ from .parse import (
     parse_query,
 )
 from .service import ServiceClient
+from .truncate import check_ints
 
 if TYPE_CHECKING:
     from .rank import ScorerHandle

@@ -21,13 +21,22 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
 from .corpus import Corpus, Passage
-from .errors import check_ints
 
 DEFAULT_FIXED_BUDGET = 2000
 DEFAULT_ADAPTIVE_CEILING = 4000
 DEFAULT_ALPHA = 0.03
 DEFAULT_TOP_K = 60
 CHARS_PER_TOKEN = 4
+
+
+def check_ints(config: object, *names: str) -> None:
+    """A ValueError naming the first of config's fields `names` whose value
+    is not an int; a bool is not one. The config records of truncate,
+    retrieve and oracle check their limits with it."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not int:
+            raise ValueError(f"{name} must be int, got {value!r}")
 
 
 @dataclass(frozen=True)

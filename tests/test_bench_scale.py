@@ -10,7 +10,7 @@ The query-dense passages as read_corpus gives them are hashed too, and the
 grow-and-query memory is grown one session at a time, as the benchmark
 grows it, with each session's question asked on the grown corpus. The
 query-dense corpus as read must also hold one object per distinct session
-id, speaker and timestamp.
+id and speaker.
 After an intended output change, print the new digests with
 
     PYTHONPATH=src python tests/test_bench_scale.py
@@ -156,7 +156,7 @@ def test_bench_scale_output_is_pinned(digests, name):
 
 def test_the_read_bench_corpus_holds_one_object_per_distinct_value(tmp_path):
     corpus = _generate("query-dense", tmp_path)
-    for name in ("session_id", "speaker", "timestamp"):
+    for name in ("session_id", "speaker"):
         values = [getattr(p, name) for p in corpus]
         assert len({id(v) for v in values}) == len(set(values)), name
 

@@ -142,7 +142,7 @@ def test_budget_exhaustion_reported(tagger):
 @pytest.mark.parametrize("name", ["max_states", "max_edges"])
 @pytest.mark.parametrize("value", [2.5, True, "10"])
 def test_search_limits_are_ints(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+    with pytest.raises(ValueError, match=f"^{name} must be int, got {re.escape(repr(value))}$"):
         SearchLimits(**{name: value})
 
 

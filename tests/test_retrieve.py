@@ -653,5 +653,5 @@ def test_retrieve_config_validation():
 @pytest.mark.parametrize("value", [2.5, True, "2"])
 def test_retrieve_config_limits_are_ints(name, value):
     # A bool is no int, and a fraction no count of hops or passages.
-    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+    with pytest.raises(ValueError, match=f"^{name} must be int, got {re.escape(repr(value))}$"):
         RetrieveConfig(**{name: value})

@@ -171,7 +171,7 @@ def test_truncation_config_validation():
 @pytest.mark.parametrize("name", ["word_budget", "top_k"])
 @pytest.mark.parametrize("value", [2.5, True, "60"])
 def test_truncation_config_limits_are_ints(strategy, name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+    with pytest.raises(ValueError, match=f"^{name} must be int, got {re.escape(repr(value))}$"):
         TruncationConfig(strategy=strategy, **{name: value})
 
 
