@@ -92,6 +92,7 @@ class SweepConfig:
                 raise ValueError(f"{flag}: {exc}") from None
         if self.alphas and self.ceiling is None and not self.budgets:
             raise ValueError("--ceiling: adaptive cells need --ceiling or a --budgets grid")
+        self.alphas = [float(alpha) for alpha in self.alphas]
 
 
 @dataclass
@@ -134,9 +135,10 @@ def _load_config_file(path: str | None) -> dict:
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation: a bool is not a number,
-    an int passes where a float is expected (_build stores it as that float)
-    and NaN, Infinity or an int too large for a float does not, and X | None
-    also takes null. A list's items are the dataclass's own to check."""
+    an int passes where a float is expected (the dataclass stores it as that
+    float) and NaN, Infinity or an int too large for a float does not, and
+    X | None also takes null. A list's items are the dataclass's own to
+    check."""
     if get_origin(hint) is list:
         return type(value) is list
     if get_origin(hint) is UnionType:
@@ -144,20 +146,6 @@ def _fits(value, hint) -> bool:
     if hint is float:
         return finite_number(value)
     return type(value) is hint
-
-
-def _as_floats(value, hint):
-    """value with each int that stands for a float, in a float field or a
-    float list's items, stored as that float: 0 and 0.0 are one setting and
-    write the same bytes."""
-    if hint is float:
-        return float(value) if finite_number(value) else value
-    if get_origin(hint) is UnionType:
-        for arg in get_args(hint):
-            value = _as_floats(value, arg)
-    elif get_origin(hint) is list and type(value) is list:
-        return [_as_floats(item, get_args(hint)[0]) for item in value]
-    return value
 
 
 def _build(cls, values: object, where: str):
@@ -180,7 +168,7 @@ def _build(cls, values: object, where: str):
                 value = _scorers(value, f"{where}: {key}")
             elif not _fits(value, hint):
                 raise TypeError(f"{key} must be {getattr(hint, '__name__', hint)}, got {value!r}")
-            built[key] = _as_floats(value, hint)
+            built[key] = value
         return cls(**built)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None

@@ -341,6 +341,8 @@ def _corpus(path: Path, records: Iterator[tuple[int | str, Any]], ingested: bool
 # whitespace, which _jsonl_records strips instead.
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_WHITESPACE = " \t\n\r"
+# A byte that is not UTF-8, as the surrogateescape error handler reads it.
+_escaped_byte = re.compile("[\udc80-\udcff]").search
 
 
 def _jsonl_records(path: Path) -> Iterator[tuple[int, Any]]:
@@ -356,32 +358,33 @@ def _jsonl_records(path: Path) -> Iterator[tuple[int, Any]]:
     ``str.strip`` empties (U+00A0 or U+001C alone, say) is skipped, and any
     other gets ``json.loads(line)``, whose ValueError (bad JSON, a BOM, an
     int of over 4,300 digits) is a MalformedDocumentError naming path:line.
-    So is a byte that is not UTF-8 (see :func:`_not_utf8`).
+    So is a byte that is not UTF-8 (see :func:`_not_utf8`). The reader
+    escapes such a byte rather than failing on the chunk it decodes ahead,
+    so the first fault in file order is the one reported.
     """
-    try:
-        with path.open(encoding="utf-8") as lines:
-            for lineno, line in enumerate(lines, start=1):
-                text = line.strip(_JSON_WHITESPACE)
+    with path.open(encoding="utf-8", errors="surrogateescape") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.isascii() and _escaped_byte(line):
+                raise _not_utf8(path)
+            text = line.strip(_JSON_WHITESPACE)
+            try:
+                rec, end = _raw_decode(text)
+            except ValueError:
+                end = -1
+            if end != len(text):
+                if not line.strip():
+                    continue
                 try:
-                    rec, end = _raw_decode(text)
-                except ValueError:
-                    end = -1
-                if end != len(text):
-                    if not line.strip():
-                        continue
-                    try:
-                        rec = json.loads(line)
-                    except ValueError as exc:
-                        raise MalformedDocumentError(
-                            f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                yield lineno, rec
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+                    rec = json.loads(line)
+                except ValueError as exc:
+                    raise MalformedDocumentError(
+                        f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            yield lineno, rec
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> MalformedDocumentError:
-    """The error for a file that does not decode as UTF-8 (exc, the decoder's,
-    counts its position in whatever chunk it was decoding): it names
+def _not_utf8(path: Path) -> MalformedDocumentError:
+    """The error for a file that does not decode as UTF-8 (a decoder's own
+    error counts its position in whatever chunk it was decoding): it names
     path:line of the first line that does not decode, and the byte's position
     in that line. bytes.splitlines splits at the \\n, \\r\\n and \\r the text
     reader ends lines at, and no UTF-8 sequence holds either byte."""
@@ -390,7 +393,8 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> MalformedDocumentError:
             raw.decode("utf-8")
         except UnicodeDecodeError as fault:
             return MalformedDocumentError(f"{path}:{lineno}: not UTF-8: {fault}")
-    return MalformedDocumentError(f"{path}: not UTF-8: {exc}")
+    # Only reached when the file changed since it failed to decode.
+    return MalformedDocumentError(f"{path}: not UTF-8")
 
 
 def _id(where: str, name: str, value: Any) -> str:
@@ -406,7 +410,7 @@ def _read_utf8(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+        raise _not_utf8(path) from exc
 
 
 def _load_json(path: Path):

@@ -1,8 +1,9 @@
 """Stage 1: turn a natural-language query into a weighted term set.
 
 Weights encode linguistic specificity: proper nouns 4.0, nouns 2.0, verbs 1.0.
-A proper noun's weight is 3.0 plus 1.0 for the entity span it sits in, and
-a multi-word entity weighs what its first word does. Expansion stages
+A proper noun's weight is 3.0 plus 1.0 for the entity span it sits in. An
+entity is a run of proper nouns, so a multi-word entity weighs 4.0 too, as
+a term of its own beside its words. Expansion stages
 attach their own fixed weights (entity hops 2.5, pseudo-relevance feedback
 0.5) through the same term type. A term set holds only its terms; retrieve
 parses the query once per run and carries its terms, not its text.
@@ -43,15 +44,14 @@ class WeightedTermSet:
     def from_terms(terms: list[WeightedTerm]) -> "WeightedTermSet":
         """Dedup case-insensitively, keeping the max-weight reading per surface.
 
-        First occurrence fixes position and casing; a later higher-weight
-        reading upgrades the weight in place.
+        First occurrence fixes position and casing, as the dict keeps its
+        keys in insertion order; a later higher-weight reading upgrades the
+        weight in place.
         """
-        order: list[str] = []
         best: dict[str, WeightedTerm] = {}
         for term in terms:
             key = term.surface.lower()
             if key not in best:
-                order.append(key)
                 best[key] = term
             elif term.weight > best[key].weight:
                 best[key] = WeightedTerm(
@@ -59,7 +59,7 @@ class WeightedTermSet:
                     weight=term.weight,
                     provenance=term.provenance,
                 )
-        return WeightedTermSet(tuple(best[key] for key in order))
+        return WeightedTermSet(tuple(best.values()))
 
     def surfaces_lower(self) -> frozenset[str]:
         return frozenset(term.surface.lower() for term in self.terms)
@@ -81,20 +81,7 @@ def parse_query(query: str, annotator: Annotator) -> WeightedTermSet:
         terms.append(WeightedTerm(surface=annotation.token, weight=weight,
                                   provenance="query"))
     for mention in annotator.extract_entities(query):
-        if " " not in mention:
-            continue
-        terms.append(WeightedTerm(
-            surface=mention,
-            weight=_head_weight(mention, terms),
-            provenance="query",
-        ))
+        if " " in mention:
+            terms.append(WeightedTerm(surface=mention, weight=POS_WEIGHTS["PROPN"],
+                                      provenance="query"))
     return WeightedTermSet.from_terms(terms)
-
-
-def _head_weight(surface: str, terms: list[WeightedTerm]) -> float:
-    """Weight of the mention's first word, as already scored token-wise."""
-    head = surface.split()[0].strip(".,;:!?")
-    for term in terms:
-        if term.surface.lower() == head.lower():
-            return term.weight
-    return POS_WEIGHTS["PROPN"]

@@ -188,25 +188,23 @@ def candidate_order(corpus: Corpus, scores: dict[int, float],
 
 def entity_expansion_hop(
     ranked_top: list[Passage],
-    query: str,
     annotator: Annotator,
     *,
     exclude: frozenset[str],
 ) -> WeightedTermSet:
     """Mine the current top passages for entities worth a follow-up grep.
 
-    Entities already present in the query text (as substrings, case-
-    insensitive) and surfaces in `exclude` (the query's terms and those
-    searched on an earlier hop) are dropped; an empty result, which no
-    passages give, means the hop loop is done.
+    Each entity surface counts once, case-insensitively, and surfaces in
+    `exclude` (the query's terms and those searched on an earlier hop) are
+    dropped; an empty result, which no passages give, means the hop loop is
+    done.
     """
-    query_low = query.lower()
     terms: list[WeightedTerm] = []
     seen: set[str] = set()
     for passage in ranked_top:
         for mention in annotator.extract_entities(passage.text):
             low = mention.lower()
-            if low in seen or low in exclude or low in query_low:
+            if low in seen or low in exclude:
                 continue
             seen.add(low)
             terms.append(WeightedTerm(
@@ -228,11 +226,11 @@ def prf_hop(
 
     A noun or proper noun must appear in at least min_doc_freq distinct
     passages of ranked_top to qualify; surfaces in `exclude` are dropped.
-    No passages yield no terms.
+    Terms keep the order and casing of each surface's first appearance. No
+    passages yield no terms.
     """
     doc_freq: dict[str, int] = {}
     casing: dict[str, str] = {}
-    order: list[str] = []
     for passage in ranked_top:
         in_this: set[str] = set()
         for annotation in annotator.annotate(passage.text):
@@ -242,15 +240,12 @@ def prf_hop(
             if low in in_this or low in exclude:
                 continue
             in_this.add(low)
-            if low not in doc_freq:
-                doc_freq[low] = 0
-                casing[low] = annotation.token
-                order.append(low)
-            doc_freq[low] += 1
+            casing.setdefault(low, annotation.token)
+            doc_freq[low] = doc_freq.get(low, 0) + 1
     terms = tuple(
         WeightedTerm(surface=casing[low], weight=PRF_WEIGHT, provenance="prf")
-        for low in order
-        if doc_freq[low] >= min_doc_freq
+        for low, freq in doc_freq.items()
+        if freq >= min_doc_freq
     )
     return WeightedTermSet(terms)
 
@@ -336,8 +331,7 @@ def retrieve(
         while cfg.entity_hop_source_top_m and scores and hops < cfg.max_hops:
             top = [passages[i] for i in candidate_order(corpus, scores,
                                                         cfg.entity_hop_source_top_m)]
-            new_terms = entity_expansion_hop(top, query, annotator,
-                                             exclude=frozenset(searched))
+            new_terms = entity_expansion_hop(top, annotator, exclude=frozenset(searched))
             if not new_terms.terms:
                 break
             searched.update(new_terms.surfaces_lower())

@@ -60,6 +60,8 @@ class TruncationConfig:
         # as the fixed-equivalence limit); negative alpha is meaningless.
         if not 0 <= self.alpha < 1:
             raise ValueError("alpha must lie in [0, 1)")
+        # 0 and 0.0 are one setting and write the same bytes.
+        object.__setattr__(self, "alpha", float(self.alpha))
         if self.top_k <= 0:
             raise ValueError("top_k must be positive")
 

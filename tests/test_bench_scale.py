@@ -2,10 +2,13 @@
 
 The fixture's golden table runs on ten passages, where few passages match
 more than one hop and scores rarely tie. Here the benchmark's generator
-(bench/synth.py) builds the query-dense corpus, where OR-grep recalls
-nearly every passage, and the entity-rich offline corpus; every candidate,
-score, fused entry and context of the first questions is hashed, so a
-merge, ordering or tie-break change that only shows at scale fails here.
+(bench/synth.py) builds the query-sparse corpus, whose two-hop bridge
+questions lean on the entity hops, the query-dense corpus, where OR-grep
+recalls nearly every passage, and the entity-rich offline corpus; every
+candidate, score, fused entry and context of the first questions is
+hashed, so a merge, ordering, tie-break or expansion change that only
+shows at scale fails here. Query-sparse questions run as that workload
+runs them: one in-process lexical scorer and the fixed cut.
 The query-dense passages as read_corpus gives them are hashed too, and the
 grow-and-query memory is grown one session at a time, as the benchmark
 grows it, with each session's question asked on the grown corpus. The
@@ -33,6 +36,7 @@ from memgrep.truncate import TruncationConfig
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 SEED = 7
+SPARSE_QUESTIONS = 60
 DENSE_QUESTIONS = 40
 # Every 12th offline question chains through people the fillers also name,
 # the oracle's broadest searches: ten of them lie in the first 120.
@@ -42,6 +46,8 @@ SCORERS = [ScorerHandle(name="lexical", kind="lexical-test"),
            ScorerHandle(name="late", kind="lexical-test")]
 
 GOLDEN = {
+    "query-sparse/fixed":
+        "8890ea3f1aa4f8901945066855b91cf71a81fadb5ec65cd3a551a4819f0d3cea",
     "query-dense/fixed":
         "2ecdf3bd6aa0b91959b347e821beacbbef8189e6b8554435472cc9339096afb3",
     "query-dense/adaptive":
@@ -118,6 +124,12 @@ def digest(lines):
 def compute(tmp: Path) -> dict[str, str]:
     annotator = RuleAnnotator()
     got = {}
+    corpus, questions = _workload("query-sparse", tmp / "sparse")
+    got["query-sparse/fixed"] = digest(
+        line for q in questions[:SPARSE_QUESTIONS]
+        for line in run_lines(run_question(
+            q.text, corpus, SCORERS[:1], annotator=annotator,
+            question_id=q.question_id)))
     corpus, questions = _workload("query-dense", tmp / "dense")
     # The passages as read, field by field.
     got["query-dense/passages"] = hashlib.sha256(

@@ -595,6 +595,12 @@ def test_an_int_for_a_float_setting_writes_the_float(capsys, tmp_path, fix_corpu
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_a_config_stores_an_int_alpha_as_its_float():
+    assert type(TruncationConfig(alpha=0).alpha) is float
+    alphas = SweepConfig(alphas=[0, 0.1]).alphas
+    assert alphas == [0.0, 0.1] and all(type(alpha) is float for alpha in alphas)
+
+
 def _parser_actions():
     """Every action of the parser and of each of its commands."""
     parser = make_parser()

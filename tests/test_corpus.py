@@ -374,6 +374,20 @@ def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, reader, ending):
                               f"0xe9 in position {at}: invalid continuation byte")
 
 
+@pytest.mark.parametrize("byte_line", [5, 202])
+def test_a_jsonl_reader_reports_the_first_fault_in_file_order(tmp_path, byte_line):
+    # The text reader decodes about 8 KB ahead of the line it yields; a byte
+    # that is not UTF-8 inside that chunk must not hide an earlier fault.
+    lines = [json.dumps({"id": f"a:{i}", "session_id": "a", "turn_index": i,
+                         "speaker": "X", "text": "hi"}).encode() for i in range(300)]
+    lines[1] = b"{not json"
+    lines[byte_line - 1] = lines[byte_line - 1].replace(b'"hi"', b'"h\xe9"')
+    path = tmp_path / "turns.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(MalformedDocumentError, match=re.escape(f"{path}:2: invalid JSON")):
+        ingest(path, "generic-jsonl")
+
+
 @pytest.mark.parametrize("format", ["locomo-like", "longmemeval-like"])
 def test_a_json_document_byte_that_is_not_utf8_names_its_line(tmp_path, format):
     text = json.dumps(json.loads(_raw_document(format, _REPEATS, False)), indent=1)

@@ -60,6 +60,31 @@ def test_multiword_entity_adds_phrase_term(tagger):
     assert got["Festival"] == 4.0
 
 
+@pytest.mark.parametrize("query, entity", [
+    ("Who did the lake guide meet at Lake Tahoe?", "Lake Tahoe"),
+    ("Did the smith fish at Smith Lake?", "Smith Lake"),
+])
+def test_multiword_entity_weighs_as_a_proper_noun(tagger, query, entity):
+    # The entity's first word appears earlier in lower case, as a noun.
+    assert weights_of(parse_query(query, tagger))[entity] == POS_WEIGHTS["PROPN"]
+
+
+_ENTITY_WORDS = ["lake", "guide", "smith", "walk", "river", "baker", "painted", "hope"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=st.lists(st.sampled_from(_ENTITY_WORDS), min_size=2, max_size=3, unique=True),
+       repeat=st.lists(st.sampled_from(_ENTITY_WORDS), max_size=3))
+def test_every_multiword_term_weighs_as_a_proper_noun(tagger, words, repeat):
+    # Words of the entity, and others, come first in lower case, where they
+    # read as nouns or verbs.
+    entity = " ".join(word.capitalize() for word in words)
+    query = f"Why did the {' '.join(repeat + words[:1])} visit {entity}?"
+    terms = parse_query(query, tagger).terms
+    assert entity in {t.surface for t in terms}
+    assert all(t.weight == POS_WEIGHTS["PROPN"] for t in terms if " " in t.surface)
+
+
 def test_all_stopwords_parse_to_the_empty_set(tagger):
     assert parse_query("the of and", tagger) == WeightedTermSet(())
 
@@ -140,15 +165,15 @@ def test_parse_query_yields_unique_query_terms(tagger, query):
 
 
 @settings(max_examples=100, deadline=None)
-@given(texts=st.lists(_SENTENCE, min_size=1, max_size=6), query=_SENTENCE,
+@given(texts=st.lists(_SENTENCE, min_size=1, max_size=6),
        min_doc_freq=st.integers(1, 3), data=st.data())
-def test_expansion_hops_yield_unique_new_terms(tagger, texts, query, min_doc_freq, data):
+def test_expansion_hops_yield_unique_new_terms(tagger, texts, min_doc_freq, data):
     corpus = make_corpus(texts)
     surfaces = sorted(
         {m.lower() for p in corpus for m in tagger.extract_entities(p.text)}
         | {a.token.lower() for p in corpus for a in tagger.annotate(p.text)})
     exclude = frozenset(data.draw(st.lists(st.sampled_from(surfaces), max_size=4)))
-    hop = entity_expansion_hop(list(corpus), query, tagger, exclude=exclude)
+    hop = entity_expansion_hop(list(corpus), tagger, exclude=exclude)
     prf = prf_hop(list(corpus), tagger, min_doc_freq=min_doc_freq, exclude=exclude)
     assert_term_invariants(hop, "entity-hop", (ENTITY_HOP_WEIGHT,))
     assert_term_invariants(prf, "prf", (PRF_WEIGHT,))

@@ -265,8 +265,7 @@ def reference_retrieve(query, corpus, cfg, annotator):
         top = [corpus.get(c.passage_id) for c in ordered()[:cfg.entity_hop_source_top_m]]
         if not top:
             break
-        new_terms = entity_expansion_hop(top, query, annotator,
-                                         exclude=frozenset(searched))
+        new_terms = entity_expansion_hop(top, annotator, exclude=frozenset(searched))
         if not new_terms.terms:
             break
         searched.update(new_terms.surfaces_lower())
@@ -324,26 +323,33 @@ def test_entity_expansion_emits_new_terms(tagger):
     prior = grep_candidates(corpus, term_set(("hiking", 2.0)))
     new_terms = entity_expansion_hop(
         [corpus.get(c.passage_id) for c in prior.candidates],
-        "Who did Melanie hike with?", tagger, exclude=frozenset({"hiking", "melanie"}),
+        tagger, exclude=frozenset({"hiking", "melanie"}),
     )
     assert [(t.surface, t.weight, t.provenance) for t in new_terms.terms] == [
         ("Dr. Chen", 2.5, "entity-hop"),
     ]
 
 
-def test_entity_expansion_skips_terms_already_in_query(tagger):
+def test_entity_hop_skips_the_query_terms(tagger):
+    # Both mentions are query terms, so the first entity hop mines nothing
+    # and the loop ends after the query's own grep.
     corpus = make_corpus(["Melanie talked about Seattle."])
-    prior = grep_candidates(corpus, term_set(("talked", 1.0)))
-    # Neither mention is excluded: the query text alone names them.
-    new_terms = entity_expansion_hop(
-        [corpus.get(c.passage_id) for c in prior.candidates],
-        "what did Melanie say about Seattle", tagger, exclude=frozenset({"talked"}),
-    )
-    assert new_terms.terms == ()
+    result = retrieve("what did Melanie say about Seattle", corpus, annotator=tagger)
+    assert {"melanie", "seattle"} <= {t.surface.lower() for t in result.terms}
+    assert result.hops_executed == 1
+    assert [c.hop for c in result.candidates] == [0]
+
+
+def test_entity_hop_mines_a_name_inside_a_query_word(tagger):
+    # "ann" lies inside "planning", but Ann is no query term, so the hop
+    # greps for her and finds the second passage.
+    corpus = make_corpus(["I met Ann at the planning meeting.", "Ann flew home to Oslo."])
+    result = retrieve("Who was at the planning meeting?", corpus, annotator=tagger)
+    assert [(c.passage_id, c.hop) for c in result.candidates] == [("s:0", 0), ("s:1", 1)]
 
 
 def test_hops_over_no_passages_yield_no_terms(tagger):
-    assert entity_expansion_hop([], "x", tagger, exclude=frozenset()) == WeightedTermSet(())
+    assert entity_expansion_hop([], tagger, exclude=frozenset()) == WeightedTermSet(())
     assert prf_hop([], tagger, min_doc_freq=2, exclude=frozenset()) == WeightedTermSet(())
 
 
