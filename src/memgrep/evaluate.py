@@ -16,9 +16,9 @@ every cut.
 
 Records are complete by construction: build_matrix fills every table from
 the candidates it ranked, and read_matrix rejects a line that lacks any
-entry, holds a score or count that is not a finite number, or holds an id
-field that is not a list of strings, naming file:line. The simulator
-trusts the records it is given.
+entry, holds a score or count that is not a finite number, a count that is
+not an int of 0 or more, or an id field that is not a list of strings,
+naming file:line. The simulator trusts the records it is given.
 
 run_question and build_matrix take the run's scorers, retrieval limits and,
 for a live cut, truncation config; the fusion split is rank's own, fixed by
@@ -32,6 +32,7 @@ context, so a question that retrieved nothing needs no branch of its own.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from operator import attrgetter
@@ -88,25 +89,18 @@ def _gold_rank(matrix: "ScoreMatrix",
     """Mean 1-based rank of the first gold passage in `order(rec)`, an
     ordering of rec's candidates, over the matrix's records.
 
-    Questions with empty gold are skipped. Questions whose gold never
-    appears among the candidates are excluded from the mean and counted in
-    `absent`; every ordering of the same candidates agrees on those.
+    Each record with gold gives the position of its first gold passage, None
+    when no candidate is gold; the mean is over the positions, and `absent`
+    counts the Nones, on which every ordering of the same candidates agrees.
     """
-    ranks = []
-    absent = 0
-    for rec in matrix.records:
-        if not rec.gold_ids:
-            continue
-        position = next((i for i, passage_id in enumerate(order(rec), start=1)
-                         if passage_id in rec.gold_ids), None)
-        if position is None:
-            absent += 1
-        else:
-            ranks.append(position)
+    positions = [next((i for i, passage_id in enumerate(order(rec), start=1)
+                       if passage_id in rec.gold_ids), None)
+                 for rec in matrix.records if rec.gold_ids]
+    ranks = [position for position in positions if position is not None]
     return GoldRankResult(
         mean_rank=(sum(ranks) / len(ranks)) if ranks else None,
         considered=len(ranks),
-        absent=absent,
+        absent=len(positions) - len(ranks),
     )
 
 
@@ -353,7 +347,7 @@ def _ids(rec: dict, name: str) -> list[str]:
 def _entries(rec: dict, name: str, ids: list, count: bool = False) -> list:
     """The line's `name` table entry for each candidate id, in order. Every
     entry must be a finite number (`finite_number`), and with count set an
-    int."""
+    int of 0 or more: a blank turn counts 0 words."""
     table = rec[name]
     try:
         values = [table[pid] for pid in ids]
@@ -365,6 +359,8 @@ def _entries(rec: dict, name: str, ids: list, count: bool = False) -> list:
             # An int that is not a finite number is too large for a float.
             shown = "int too large to convert to float" if type(value) is int else repr(value)
             raise ValueError(f"{name} entry for {pid} is not {kind}: {shown}")
+        if count and value < 0:
+            raise ValueError(f"{name} entry for {pid} is negative: {value}")
     return values
 
 
@@ -417,52 +413,39 @@ def simulate_truncation(
 
 
 def simulate_cell(matrix: ScoreMatrix, cfg: TruncationConfig) -> MetricsReport:
-    """Cut every record of the matrix with cfg and aggregate the recall."""
-    per_question = []
-    covered_total = 0
-    gold_total = 0
-    recalls = []
-    tokens_all = []
-    misses = 0
-    empty_gold = 0
+    """Cut each record of the matrix with cfg into one QuestionMetrics row,
+    then sum the rows. A record with no gold is excluded as "empty-gold", one
+    that retrieved none of its gold as "retrieval-miss"; only a row with no
+    exclusion has a recall, kept / len(gold), and adds to the micro sums."""
+    rows = []
+    kept_total = gold_total = 0
     for rec in matrix.records:
         context = cut(rec.stats, rec.cross_scores, cfg)
-        included_ids, tokens = context.passage_ids, context.estimated_tokens
-        tokens_all.append(tokens)
-        if not rec.gold_ids:
-            empty_gold += 1
-            per_question.append(QuestionMetrics(
-                question_id=rec.question_id, recall=None, tokens=tokens,
-                included_passages=len(included_ids), exclusion="empty-gold",
-            ))
-            continue
-        if rec.missing_gold == rec.gold_ids:
-            misses += 1
-            per_question.append(QuestionMetrics(
-                question_id=rec.question_id, recall=None, tokens=tokens,
-                included_passages=len(included_ids), exclusion="retrieval-miss",
-            ))
-            continue
-        surviving = rec.gold_ids & set(included_ids)
-        recall = len(surviving) / len(rec.gold_ids)
-        covered_total += len(surviving)
-        gold_total += len(rec.gold_ids)
-        recalls.append(recall)
-        per_question.append(QuestionMetrics(
-            question_id=rec.question_id, recall=recall, tokens=tokens,
-            included_passages=len(included_ids),
+        exclusion = ("empty-gold" if not rec.gold_ids
+                     else "retrieval-miss" if rec.missing_gold == rec.gold_ids else None)
+        recall = None
+        if exclusion is None:
+            kept = len(rec.gold_ids.intersection(context.passage_ids))
+            kept_total += kept
+            gold_total += len(rec.gold_ids)
+            recall = kept / len(rec.gold_ids)
+        rows.append(QuestionMetrics(
+            question_id=rec.question_id, recall=recall, tokens=context.estimated_tokens,
+            included_passages=len(context.passage_ids), exclusion=exclusion,
         ))
+    recalls = [row.recall for row in rows if row.exclusion is None]
+    exclusions = Counter(row.exclusion for row in rows)
     return MetricsReport(
         strategy=cfg.strategy,
         budget=cfg.word_budget,
         alpha=cfg.applied_alpha,
-        budget_recall=(covered_total / gold_total) if gold_total else 0.0,
+        budget_recall=(kept_total / gold_total) if gold_total else 0.0,
         macro_recall=(sum(recalls) / len(recalls)) if recalls else 0.0,
-        avg_tokens=(sum(tokens_all) / len(tokens_all)) if tokens_all else 0.0,
+        avg_tokens=(sum(row.tokens for row in rows) / len(rows)) if rows else 0.0,
         question_count=len(recalls),
-        retrieval_miss_count=misses,
-        empty_gold_count=empty_gold,
-        per_question=tuple(per_question),
+        retrieval_miss_count=exclusions["retrieval-miss"],
+        empty_gold_count=exclusions["empty-gold"],
+        per_question=tuple(rows),
     )
 
 

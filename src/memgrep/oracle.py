@@ -18,9 +18,8 @@ accepts answer text.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .annotate import Annotator
@@ -41,9 +40,6 @@ _State = tuple[frozenset[str], frozenset[str]]  # (gold covered, terms discovere
 class Action:
     tool: str
     term_surfaces: frozenset[str]  # empty for "semantic", else 1 or 2 terms
-
-    def sort_key(self) -> tuple:
-        return (TOOLS.index(self.tool), tuple(sorted(self.term_surfaces)))
 
 
 @dataclass(frozen=True)
@@ -132,17 +128,19 @@ def derive_trace(
         return outcome
 
     def action_space(discovered: frozenset[str]) -> list[Action]:
+        """A state's actions in the order the search tries them, which picks
+        the first trace found: for each surface a in sorted order, grep-or
+        {a}, then grep-or {a, b} for each later b; then each grep-and {a, b}
+        in the same pair order; semantic last, when offered."""
         surfaces = sorted(discovered)
-        actions = [Action(tool="grep-or", term_surfaces=frozenset((s,)))
-                   for s in surfaces]
-        for a, b in combinations(surfaces, 2):
-            pair = frozenset((a, b))
-            actions.append(Action(tool="grep-or", term_surfaces=pair))
-            actions.append(Action(tool="grep-and", term_surfaces=pair))
-        if semantic:
-            actions.append(Action(tool="semantic", term_surfaces=frozenset()))
-        actions.sort(key=Action.sort_key)
-        return actions
+        grep_or, grep_and = [], []
+        for i, a in enumerate(surfaces):
+            grep_or.append(Action(tool="grep-or", term_surfaces=frozenset((a,))))
+            for b in surfaces[i + 1:]:
+                grep_or.append(Action(tool="grep-or", term_surfaces=frozenset((a, b))))
+                grep_and.append(Action(tool="grep-and", term_surfaces=frozenset((a, b))))
+        last = [Action(tool="semantic", term_surfaces=frozenset())] if semantic else []
+        return grep_or + grep_and + last
 
     # Each reached state -> (the state it was reached from, the action taken),
     # None for the start: both the visited set and the back-pointers.
@@ -191,42 +189,23 @@ def offers_semantic_tool(scorers: Sequence[ScorerHandle]) -> bool:
 def trace_stats(traces: list[OracleTrace]) -> dict:
     """Hop distribution, tool attribution, and success rate over traces.
 
-    A successful trace counts toward the most powerful tool it used
-    (semantic > grep-and > grep-or, the order of TOOLS). Distributions are
-    fractions of successful traces; an empty input yields an all-zero record.
+    Each trace counts once: a successful one by its cost and by the most
+    powerful tool it used (semantic > grep-and > grep-or, the order of
+    TOOLS), a failed one by its reason. Distributions are fractions of
+    successful traces; an empty input yields an all-zero record.
     """
-    total = len(traces)
     successes = [t for t in traces if t.success]
-    record: dict = {
-        "total": total,
-        "successes": len(successes),
-        "success_rate": (len(successes) / total) if total else 0.0,
-        "hop_distribution": {},
-        "tool_distribution": {},
-        "failure_reasons": {},
-    }
-    for trace in traces:
-        if not trace.success:
-            reason = trace.reason or "unknown"
-            record["failure_reasons"][reason] = \
-                record["failure_reasons"].get(reason, 0) + 1
-    if not successes:
-        return record
-    hop_counts: dict[int, int] = {}
-    tool_counts: dict[str, int] = {}
-    for trace in successes:
-        hop_counts[trace.hops] = hop_counts.get(trace.hops, 0) + 1
-        strongest = max((action.tool for action in trace.actions), key=TOOLS.index)
-        tool_counts[strongest] = tool_counts.get(strongest, 0) + 1
     n = len(successes)
-    record["hop_distribution"] = {
-        hops: count / n for hops, count in sorted(hop_counts.items())
+    hops = Counter(t.cost for t in successes)
+    tools = Counter(max((a.tool for a in t.actions), key=TOOLS.index) for t in successes)
+    return {
+        "total": len(traces),
+        "successes": n,
+        "success_rate": (n / len(traces)) if traces else 0.0,
+        "hop_distribution": {h: count / n for h, count in sorted(hops.items())},
+        "tool_distribution": {tool: count / n for tool, count in sorted(tools.items())},
+        "failure_reasons": dict(Counter(t.reason for t in traces if not t.success)),
     }
-    record["tool_distribution"] = {
-        tool: count / n
-        for tool, count in sorted(tool_counts.items())
-    }
-    return record
 
 
 # --- trace artifacts ---

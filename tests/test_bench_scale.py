@@ -14,6 +14,11 @@ grow-and-query memory is grown one session at a time, as the benchmark
 grows it, with each session's question asked on the grown corpus. The
 query-dense corpus as read must also hold one object per distinct session
 id and speaker.
+The offline reports are pinned as well: the oracle's trace_stats over its
+traces, and a sweep, the mean gold rank and the ranking effect over the
+offline score matrix of every question, built with one lexical scorer. The
+sweep's budgets are small enough to cut gold, and its adaptive cells run at
+an explicit ceiling.
 After an intended output change, print the new digests with
 
     PYTHONPATH=src python tests/test_bench_scale.py
@@ -22,14 +27,16 @@ After an intended output change, print the new digests with
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from memgrep.annotate import RuleAnnotator
 from memgrep.corpus import Corpus, Passage, load_questions, read_corpus
-from memgrep.evaluate import run_question
-from memgrep.oracle import SearchLimits, derive_trace, traces_to_jsonl
+from memgrep.evaluate import (build_matrix, mean_gold_rank, ranking_effect, run_question,
+                               simulate_truncation, sweep_to_json)
+from memgrep.oracle import SearchLimits, derive_trace, trace_stats, traces_to_jsonl
 from memgrep.rank import ScorerHandle
 from memgrep.truncate import TruncationConfig
 
@@ -42,6 +49,12 @@ DENSE_QUESTIONS = 40
 # the oracle's broadest searches: ten of them lie in the first 120.
 ORACLE_QUESTIONS = 120
 APPENDED_SESSIONS = 10
+# The offline sweep: budgets from one passage's worth of words up, and a
+# ceiling between them for the adaptive cells.
+SWEEP_BUDGETS = [20, 60, 150, 500]
+SWEEP_ALPHAS = [0.0, 0.05, 0.3]
+SWEEP_CEILING = 300
+SWEEP_TOP_K = 5
 SCORERS = [ScorerHandle(name="lexical", kind="lexical-test"),
            ScorerHandle(name="late", kind="lexical-test")]
 
@@ -60,6 +73,8 @@ GOLDEN = {
         "82e9e501e96782c64c4de1cecd7d0308857edad563a6b1b11d45703cd0fafa7c",
     "grow-and-query/appended":
         "61b2121adc7bd2e05135db2aea27b058af79837a79d5aa4d29aac7af23aec42b",
+    "offline/reports":
+        "804a8cbb5928e0a287b0a1512dd25ed067e899f68416c5eeda4e3ad503dc8014",
 }
 
 
@@ -151,6 +166,15 @@ def compute(tmp: Path) -> dict[str, str]:
               for q in questions[:ORACLE_QUESTIONS]]
     got["offline/oracle"] = hashlib.sha256(
         traces_to_jsonl(traces, SearchLimits(), False).encode("utf-8")).hexdigest()
+    matrix = build_matrix(questions, corpus, SCORERS[:1], annotator=annotator)
+    cells = simulate_truncation(matrix, SWEEP_BUDGETS, SWEEP_ALPHAS,
+                                top_k=SWEEP_TOP_K, ceiling=SWEEP_CEILING)
+    got["offline/reports"] = digest([
+        json.dumps(trace_stats(traces), sort_keys=True),
+        sweep_to_json(cells),
+        json.dumps(asdict(mean_gold_rank(matrix)), sort_keys=True),
+        json.dumps(asdict(ranking_effect(matrix)), sort_keys=True),
+    ])
     got["grow-and-query/appended"] = digest(
         line for run in _appended_runs(tmp / "grow", annotator) for line in run_lines(run))
     return got

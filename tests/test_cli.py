@@ -108,6 +108,7 @@ def test_sweep_from_prebuilt_matrix(capsys, tmp_path, fix_corpus, fix_questions)
     "drop-render-lens", "not-json",
     "drop-cross-entry", "drop-match-entry", "drop-words-entry", "drop-render_lens-entry",
     "repeat-candidate", "fractional-words", "bool-render_lens",
+    "negative-words", "negative-render_lens",
     "nan-cross", "string-match", "bool-cross", "huge-int-cross", "huge-int-words",
     "gold-not-a-list", "missing-not-a-list", "missing-not-gold-minus-candidates",
     "candidates-string-of-ids", "candidates-object-of-ids",
@@ -139,6 +140,13 @@ def test_sweep_on_damaged_matrix_yields_error_record(capsys, tmp_path, fix_corpu
     elif damage == "bool-render_lens":
         record["render_lens"][first] = True
         expected = f"render_lens entry for {first} is not an int: True"
+    elif damage.startswith("negative-"):
+        # No passage has fewer than 0 words or characters; a negative count
+        # would fit any budget.
+        table = damage[len("negative-"):]
+        value = {"words": -7, "render_lens": -400}[table]
+        record[table][first] = value
+        expected = f"{table} entry for {first} is negative: {value}"
     elif damage in ("nan-cross", "string-match", "bool-cross"):
         # Python's json writes and reads NaN; float() would take all three.
         kind, table = damage.split("-")

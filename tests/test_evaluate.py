@@ -24,13 +24,14 @@ from memgrep.evaluate import (
     read_matrix,
     render_sweep_text,
     run_question,
+    simulate_cell,
     simulate_truncation,
     sweep_to_json,
     write_matrix,
 )
 from memgrep.rank import LexicalDenseScorer, ScorerHandle
 from memgrep.service import ReferenceServer
-from memgrep.truncate import Context, PassageStats
+from memgrep.truncate import Context, PassageStats, TruncationConfig
 
 
 def gold(*ids, question_id="q"):
@@ -455,6 +456,72 @@ def test_gold_ranks_match_brute_force_reference(matrix):
     assert effect.mean_rank_by_match == by_match[0]
     assert effect.mean_rank_by_cross == by_cross[0]
     assert (effect.considered, effect.absent) == by_match[1:] == by_cross[1:]
+
+
+# Candidates come from a small pool, and gold from the candidates and two ids
+# no record retrieves, so a record's gold is empty, wholly missed, partly
+# retrieved or wholly retrieved, and the cut keeps all, some or none of it.
+@st.composite
+def cell_matrices(draw):
+    records = []
+    for n in range(draw(st.integers(min_value=0, max_value=6))):
+        ids = draw(st.lists(_few_ids, max_size=5, unique=True))
+        gold_ids = draw(st.frozensets(st.sampled_from(ids + ["x", "y"]), max_size=3))
+        records.append(QuestionRecord(
+            question_id=f"q{n}", query="q",
+            stats=tuple(PassageStats(pid, draw(st.integers(0, 40)), draw(st.integers(1, 300)))
+                        for pid in ids),
+            cross_scores={pid: draw(_few_scores) for pid in ids},
+            match_scores={pid: 1.0 for pid in ids},
+            gold_ids=gold_ids,
+        ))
+    return ScoreMatrix(records=tuple(records), corpus_checksum="c", cross_scorer="lex")
+
+
+truncation_configs = st.builds(
+    TruncationConfig, strategy=st.sampled_from(["fixed", "adaptive"]),
+    word_budget=st.integers(1, 120), alpha=st.floats(0.0, 0.9), top_k=st.integers(1, 6))
+
+
+def _reference_cell(matrix, cfg):
+    """simulate_cell's figures and rows, recounted one record at a time."""
+    rows, recalls, tokens = [], [], []
+    kept_total = gold_total = misses = empty = 0
+    for rec in matrix.records:
+        context = evaluate.cut(rec.stats, rec.cross_scores, cfg)
+        tokens.append(context.estimated_tokens)
+        retrieved = [s.passage_id for s in rec.stats]
+        recall = exclusion = None
+        if not rec.gold_ids:
+            exclusion = "empty-gold"
+            empty += 1
+        elif not any(pid in retrieved for pid in rec.gold_ids):
+            exclusion = "retrieval-miss"
+            misses += 1
+        else:
+            kept = sum(1 for pid in rec.gold_ids if pid in context.passage_ids)
+            kept_total += kept
+            gold_total += len(rec.gold_ids)
+            recall = kept / len(rec.gold_ids)
+            recalls.append(recall)
+        rows.append(evaluate.QuestionMetrics(
+            rec.question_id, recall, context.estimated_tokens,
+            len(context.passage_ids), exclusion))
+    return (kept_total / gold_total if gold_total else 0.0,
+            sum(recalls) / len(recalls) if recalls else 0.0,
+            sum(tokens) / len(tokens) if tokens else 0.0,
+            len(recalls), misses, empty, tuple(rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrix=cell_matrices(), cfg=truncation_configs)
+def test_simulate_cell_equals_a_recount(matrix, cfg):
+    report = simulate_cell(matrix, cfg)
+    assert (report.strategy, report.budget, report.alpha) == \
+        (cfg.strategy, cfg.word_budget, cfg.applied_alpha)
+    assert (report.budget_recall, report.macro_recall, report.avg_tokens,
+            report.question_count, report.retrieval_miss_count, report.empty_gold_count,
+            report.per_question) == _reference_cell(matrix, cfg)
 
 
 def test_fused_gold_rank_uses_stored_order():

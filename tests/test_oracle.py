@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memgrep.annotate import RuleAnnotator
 from memgrep.corpus import GoldAnnotation, load_questions, read_corpus
@@ -198,6 +200,51 @@ def test_trace_stats_strongest_tool_wins():
     ]
     stats = trace_stats(traces)
     assert stats["tool_distribution"] == {"grep-and": 1.0}
+
+
+_actions = st.builds(Action, tool=st.sampled_from(["grep-or", "grep-and", "semantic"]),
+                     term_surfaces=st.just(frozenset({"x"})))
+_traces = st.one_of(
+    st.builds(OracleTrace, question_id=st.just("q"),
+              actions=st.lists(_actions, min_size=1, max_size=4).map(tuple),
+              success=st.just(True)),
+    st.builds(OracleTrace, question_id=st.just("q"), actions=st.just(()),
+              success=st.just(False),
+              reason=st.sampled_from(["no-path", "search-budget-exhausted",
+                                      "scorer-unavailable"])))
+
+
+def _reference_trace_stats(traces):
+    """trace_stats' record, recounted one trace at a time."""
+    strength = {"grep-or": 0, "grep-and": 1, "semantic": 2}
+    hops, tools, reasons = {}, {}, {}
+    for trace in traces:
+        if trace.success:
+            hops[len(trace.actions)] = hops.get(len(trace.actions), 0) + 1
+            strongest = sorted((a.tool for a in trace.actions), key=strength.get)[-1]
+            tools[strongest] = tools.get(strongest, 0) + 1
+        else:
+            reasons[trace.reason] = reasons.get(trace.reason, 0) + 1
+    n = sum(hops.values())
+    return {
+        "total": len(traces),
+        "successes": n,
+        "success_rate": n / len(traces) if traces else 0.0,
+        "hop_distribution": {h: hops[h] / n for h in sorted(hops)},
+        "tool_distribution": {tool: tools[tool] / n for tool in sorted(tools)},
+        "failure_reasons": reasons,
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(traces=st.lists(_traces, max_size=8))
+def test_trace_stats_equals_a_recount(traces):
+    stats = trace_stats(traces)
+    want = _reference_trace_stats(traces)
+    assert stats == want
+    # The distributions list their keys in ascending order.
+    for name in ("hop_distribution", "tool_distribution"):
+        assert list(stats[name]) == list(want[name]), name
 
 
 def test_traces_jsonl_header(tagger, tiny_corpus):
